@@ -29,9 +29,11 @@ class BlockList:
         exclusive prefix sum of ``lengths`` with a trailing total, i.e.
         ``cum[i]`` is the packed-stream position where block ``i`` begins and
         ``cum[-1]`` is the total payload size.
+    size:
+        total payload bytes (``cum[-1]`` as a Python int).
     """
 
-    __slots__ = ("offsets", "lengths", "cum", "_granularity")
+    __slots__ = ("offsets", "lengths", "cum", "size", "_granularity")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -43,6 +45,7 @@ class BlockList:
         self.offsets = offsets
         self.lengths = lengths
         self.cum = np.concatenate(([0], np.cumsum(lengths)))
+        self.size = int(self.cum[-1])
         self._granularity: int | None = None
 
     # -- basic properties --------------------------------------------------
@@ -50,11 +53,6 @@ class BlockList:
     @property
     def num_blocks(self) -> int:
         return len(self.offsets)
-
-    @property
-    def size(self) -> int:
-        """Total payload bytes."""
-        return int(self.cum[-1])
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return zip(self.offsets.tolist(), self.lengths.tolist())
@@ -90,7 +88,16 @@ class BlockList:
     # -- transformations -----------------------------------------------------
 
     def shifted(self, delta: int) -> "BlockList":
-        return BlockList(self.offsets + int(delta), self.lengths)
+        """The same blocks ``delta`` bytes further on.  Only the offsets
+        are new: the (never mutated, already validated) ``lengths`` and
+        ``cum`` arrays are shared, not rebuilt."""
+        out = BlockList.__new__(BlockList)
+        out.offsets = self.offsets + int(delta)
+        out.lengths = self.lengths
+        out.cum = self.cum
+        out.size = self.size
+        out._granularity = None
+        return out
 
     def replicated(self, displacements: np.ndarray) -> "BlockList":
         """Blocks of one copy per displacement, copies laid out in order."""

@@ -621,7 +621,8 @@ def lower_deoptimized(node: IRNode) -> CopyProgram:
 class CompiledPlan:
     """Everything the stack needs about one (structure, count) pair."""
 
-    __slots__ = ("key", "ir", "blocks", "program", "raw_blocks")
+    __slots__ = ("key", "ir", "blocks", "program", "raw_blocks",
+                 "end_bytes", "signature")
 
     def __init__(self, key, ir: IRNode, blocks: BlockList,
                  program: CopyProgram, raw_blocks: int):
@@ -630,6 +631,11 @@ class CompiledPlan:
         self.blocks = blocks
         self.program = program
         self.raw_blocks = raw_blocks
+        #: one past the last byte any block touches: the buffer-size bound
+        self.end_bytes = int((blocks.offsets + blocks.lengths).max())
+        #: the MPI type signature of the whole (structure, count) pair;
+        #: filled in by the first TypedBuffer.signature() that asks
+        self.signature: Optional[tuple] = None
 
     @property
     def coalesced_ratio(self) -> float:

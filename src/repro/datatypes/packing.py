@@ -31,14 +31,6 @@ from repro.datatypes.typemap import (
 )
 
 
-def _as_byte_view(buffer: np.ndarray) -> np.ndarray:
-    """A flat uint8 view of ``buffer`` (must be C-contiguous)."""
-    arr = np.asarray(buffer)
-    if not arr.flags.c_contiguous:
-        raise DatatypeError("buffer must be C-contiguous")
-    return arr.reshape(-1).view(np.uint8)
-
-
 def _gather_index(blocks: BlockList) -> tuple[np.ndarray, int]:
     """(index array, granularity): positions of payload units in the buffer.
 
@@ -77,16 +69,21 @@ class TypedBuffer:
         self.datatype = datatype
         self.count = count
         self.offset_bytes = int(offset_bytes)
-        self._bytes = _as_byte_view(self.buffer)
-        if count == 0:
-            self._plan: Optional[_ir.CompiledPlan] = None
-            self._blocks: Optional[BlockList] = None
-        else:
-            self._plan = _ir.compile_datatype(datatype, count)
-            shared = self._plan.blocks
+        if not self.buffer.flags.c_contiguous:
+            raise DatatypeError("buffer must be C-contiguous")
+        self._bytes = self.buffer.reshape(-1).view(np.uint8)
+        self._plan: Optional[_ir.CompiledPlan] = None
+        self._blocks: Optional[BlockList] = None
+        self.nbytes = 0  #: payload size in bytes
+        if count:
+            # payload size and size bound come off the shared plan: no
+            # per-buffer numpy reduction, contiguous or not
+            plan = self._plan = _ir.compile_datatype(datatype, count)
+            shared = plan.blocks
             self._blocks = (shared.shifted(self.offset_bytes)
                             if self.offset_bytes else shared)
-            end_needed = int((self._blocks.offsets + self._blocks.lengths).max())
+            self.nbytes = shared.size
+            end_needed = plan.end_bytes + self.offset_bytes
             if end_needed > self._bytes.size:
                 raise DatatypeError(
                     f"buffer too small: datatype needs {end_needed} bytes, "
@@ -96,11 +93,6 @@ class TypedBuffer:
         self._gran: int = 1
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size in bytes."""
-        return 0 if self._blocks is None else self._blocks.size
 
     @property
     def blocks(self) -> BlockList:
@@ -139,9 +131,15 @@ class TypedBuffer:
 
     def signature(self) -> TypeSignature:
         """The MPI type signature of the whole buffer (count copies)."""
-        if self.count == 0:
+        plan = self._plan
+        if plan is None:
             return ()
-        return _rle_repeat(self.datatype.typemap_signature(), self.count)
+        if plan.signature is None:
+            # a function of (struct_key, count) alone, so memoised on the
+            # shared plan like the blocks and the copy program
+            plan.signature = _rle_repeat(self.datatype.typemap_signature(),
+                                         self.count)
+        return plan.signature
 
     def signature_hash(self) -> int:
         """Stable 32-bit hash of :meth:`signature` (0 for zero-count)."""

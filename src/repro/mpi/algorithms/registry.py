@@ -52,7 +52,7 @@ class SelectionContext:
         return cls(
             collective=collective,
             size=comm.size,
-            volumes=tuple(int(v) for v in volumes),
+            volumes=tuple(map(int, volumes)),
             dtype_size=dtype_size,
             contiguous=contiguous,
             config=comm.config,

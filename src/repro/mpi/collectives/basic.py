@@ -42,7 +42,9 @@ def _tag_window(comm: Comm, width: int = 64, op: str = "collective",
     """
     seq = getattr(comm, "_coll_seq", 0)
     comm._coll_seq = seq + 1
-    comm.cluster._notify("collective", comm.grank, comm.ctx, seq, op, detail)
+    if comm.cluster._observers:
+        comm.cluster._notify("collective", comm.grank, comm.ctx, seq, op,
+                             detail)
     return _COLLECTIVE_TAG_BASE + seq * width
 
 

@@ -90,7 +90,7 @@ def ibarrier(comm: Comm, base: int) -> "Any":
     """Nonblocking barrier: run the dissemination barrier as its own
     simulated process; the returned future resolves when it completes
     (or carries the failure that aborted it)."""
-    fut = comm.engine.future(f"ibarrier@{comm.grank}")
+    fut = comm.engine.future(("ibarrier@%s", comm.grank))
 
     def _run() -> Generator:
         try:
@@ -102,7 +102,7 @@ def ibarrier(comm: Comm, base: int) -> "Any":
             if not fut.done:
                 fut.set_result(None)
 
-    comm.engine.spawn(_run(), f"ibarrier@{comm.grank}")
+    comm.engine.spawn(_run(), ("ibarrier@%s", comm.grank))
     return fut
 
 
@@ -214,7 +214,7 @@ def _nbx_exchange(comm: Comm, payloads: Dict[int, Any], base: int,
 
     # completion of the local sends, tracked off the critical path so a
     # rendezvous send never blocks discovery (the classic NBX deadlock)
-    all_sent = engine.future(f"nbx-sent@{comm.grank}")
+    all_sent = engine.future(("nbx-sent@%s", comm.grank))
 
     def _drain_sends() -> Generator:
         try:
@@ -226,7 +226,7 @@ def _nbx_exchange(comm: Comm, payloads: Dict[int, Any], base: int,
             if not all_sent.done:
                 all_sent.set_result(None)
 
-    engine.spawn(_drain_sends(), f"nbx-sends@{comm.grank}")
+    engine.spawn(_drain_sends(), ("nbx-sends@%s", comm.grank))
 
     barrier_done = None  # the consensus future, once the barrier starts
     recv_reqs: List[Request] = []
@@ -256,13 +256,10 @@ def _nbx_exchange(comm: Comm, payloads: Dict[int, Any], base: int,
         # probe waiter mirrors Comm.probe; crash sweeps poison it)
         waits = [f for f in (all_sent, barrier_done)
                  if f is not None and not f.done]
-        probe_fut = engine.future(f"nbx-probe@{comm.grank}")
-        probe_rrec = _RecvRecord(ANY_SOURCE, base, comm.ctx, None, None,
-                                 False, comm)
-        waiters = getattr(comm.cluster, "_probe_waiters", None)
-        if waiters is None:
-            waiters = comm.cluster._probe_waiters = {}
-        entry = (probe_rrec, probe_fut)
+        probe_fut = engine.future(("nbx-probe@%s", comm.grank))
+        entry = _RecvRecord(ANY_SOURCE, base, comm.ctx, None, probe_fut,
+                            False, comm)
+        waiters = comm.cluster._probe_waiters
         waiters.setdefault(comm.grank, []).append(entry)
         yield from _first_of(engine, probe_fut, *waits)
         pending = waiters.get(comm.grank, [])

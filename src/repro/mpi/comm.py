@@ -26,6 +26,8 @@ unpacked into the receive buffer's typed layout on delivery.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import zlib
 from time import perf_counter
 from typing import Any, Callable, Generator, List, Optional, Sequence
@@ -85,14 +87,22 @@ def _first_of(engine: Engine, *futures: SimFuture) -> Generator:
         if fut.done:
             return
     winner = engine.future("first-of")
-
-    def wake(_fut: SimFuture) -> None:
-        if not winner.done:
-            winner.set_result(None)
-
     for fut in futures:
-        fut.add_done_callback(wake)
+        fut.add_done_callback(winner._set_if_pending)
     yield winner
+
+
+def _fail_where(queue: list, hit: Callable[[Any], bool],
+                make_exc: Callable[[], BaseException]) -> None:
+    """Fail (each with a fresh exception) and drop the records of ``queue``
+    that ``hit`` selects; the rest keep their order."""
+    keep = []
+    for rec in queue:
+        if hit(rec):
+            rec.fail(make_exc())
+        else:
+            keep.append(rec)
+    queue[:] = keep
 
 
 class TruncationError(MPIError):
@@ -131,7 +141,7 @@ class _SendRecord:
 
     __slots__ = (
         "src", "dst", "tag", "ctx", "data", "nbytes", "is_obj",
-        "match_fut", "recv_rec", "sent_fut", "recv_fut", "arrived", "sig",
+        "match_fut", "recv_rec", "sent_fut", "sig",
         "seq", "crc", "transport_exc", "msg_id",
     )
 
@@ -149,11 +159,10 @@ class _SendRecord:
         #: cluster-unique causal id threaded through the wire events, the
         #: Request, the trace records and the profiler spans of this message
         self.msg_id = msg_id
-        self.match_fut = engine.future(f"match {src}->{dst} tag={tag}")
+        # lazy (format, *args) names: rendered only for a diagnostic
+        self.match_fut = SimFuture(engine, ("match %s->%s tag=%s", src, dst, tag))
         self.recv_rec: Optional[_RecvRecord] = None
-        self.sent_fut = engine.future(f"sent {src}->{dst} tag={tag}")
-        self.recv_fut: Optional[SimFuture] = None
-        self.arrived = False
+        self.sent_fut = SimFuture(engine, ("sent %s->%s tag=%s", src, dst, tag))
         #: reliable-transport state: sequence number and payload checksum
         #: (assigned by the transport; None on the fast default path)
         self.seq: Optional[int] = None
@@ -161,9 +170,18 @@ class _SendRecord:
         #: terminal transport failure; poisons a late-binding receive
         self.transport_exc: Optional[BaseException] = None
 
+    def fail(self, exc: BaseException) -> None:
+        """Complete whatever is still pending on the send side with ``exc``."""
+        if not self.match_fut.done:
+            self.match_fut.set_exception(exc)
+        if not self.sent_fut.done:
+            self.sent_fut.set_exception(exc)
+
 
 class _RecvRecord:
-    """A posted receive (``source`` is cluster-global or ANY_SOURCE)."""
+    """A posted receive or a waiting probe (``source`` is cluster-global
+    or ANY_SOURCE; a probe has no ``tb`` and its future yields the matched
+    :class:`_SendRecord`)."""
 
     __slots__ = ("source", "tag", "ctx", "tb", "future", "is_obj", "comm", "sig")
 
@@ -178,6 +196,10 @@ class _RecvRecord:
         self.is_obj = is_obj
         self.comm = comm
         self.sig = sig  # expected signature tuple (None for obj receives)
+
+    def fail(self, exc: BaseException) -> None:
+        if not self.future.done:
+            self.future.set_exception(exc)
 
     def matches(self, rec: _SendRecord) -> bool:
         return (
@@ -219,6 +241,8 @@ class Cluster:
         self.ledgers = [CostLedger() for _ in range(nranks)]
         self._posted: List[List[_RecvRecord]] = [[] for _ in range(nranks)]
         self._unexpected: List[List[_SendRecord]] = [[] for _ in range(nranks)]
+        #: blocked probes per destination rank (:meth:`Comm.probe`, NBX)
+        self._probe_waiters: dict = {}
         self._observers: List[Any] = []
         #: the instrumentation sink; NULL_PROFILER until a
         #: :class:`repro.prof.Profiler` is attached (no-op, near-zero cost)
@@ -236,7 +260,7 @@ class Cluster:
         self._msg_seq = 0
         self._seen_seqs: List[set] = [set() for _ in range(nranks)]
         #: causal message ids (one per logical p2p message, all protocols)
-        self._next_msg_id = 0
+        self._msg_ids = itertools.count(1)
         #: the attached :class:`repro.faults.injector.FaultInjector` (or None)
         self.fault_injector: Optional[Any] = None
         if fault_plan is None:
@@ -251,19 +275,9 @@ class Cluster:
             from repro.faults.injector import FaultInjector
             self.fault_injector = FaultInjector(fault_plan, self)
             self.fault_injector.install()
-        # wire transfers fan out through the observer machinery ("transfer")
-        self.net.add_transfer_listener(self._on_transfer)
         self._comms = [Comm(self, r) for r in range(nranks)]
         # a process-wide profiling session (repro.prof.session) auto-attaches
         attach_if_enabled(self)
-
-    def _on_transfer(self, event: Any) -> None:
-        self._notify("transfer", event)
-
-    def _new_msg_id(self) -> int:
-        """The next causal message id (cluster-unique, starts at 1)."""
-        self._next_msg_id += 1
-        return self._next_msg_id
 
     # -- instrumentation -----------------------------------------------------
 
@@ -289,9 +303,15 @@ class Cluster:
         :class:`repro.prof.Profiler` -- all ordinary subscribers; nothing
         monkey-patches ``net.transfer`` anymore.
         """
+        if not self._observers:
+            # subscribing to the wire only with the first observer keeps an
+            # unobserved run from building a TransferEvent per transfer
+            self.net.add_transfer_listener(
+                functools.partial(self._notify, "transfer"))
         self._observers.append(observer)
 
     def _notify(self, event: str, *args: Any) -> None:
+        # call sites guard with ``if self._observers``: unobserved runs pay no call
         for obs in self._observers:
             fn = getattr(obs, "on_" + event, None)
             if fn is not None:
@@ -394,7 +414,8 @@ class Cluster:
         self.hung_ranks.discard(grank)
         if self.profiler.enabled:
             self.profiler.count("repro_rank_failures_total")
-        self._notify("rank_failed", grank, reason)
+        if self._observers:
+            self._notify("rank_failed", grank, reason)
         proc = self._rank_procs.get(grank)
         if proc is not None:
             self.engine.kill(proc, RankFailedError(grank, reason))
@@ -416,16 +437,15 @@ class Cluster:
         if not 0 <= grank < self.nranks:
             raise ValueError(f"rank out of range: {grank}")
         self.hung_ranks.add(grank)
-        self._notify("rank_hung", grank, reason)
+        if self._observers:
+            self._notify("rank_hung", grank, reason)
         proc = self._rank_procs.get(grank)
         if proc is not None:
             self.engine.kill(proc, None)
         if detect_after is not None:
             self.engine.schedule(
-                detect_after,
-                lambda: self.fail_rank(
-                    grank, f"{reason} (declared failed by the detector)"
-                ),
+                detect_after, self.fail_rank, grank,
+                f"{reason} (declared failed by the detector)",
             )
 
     def revoke_ctx(self, ctx: Any, cause: Optional[BaseException] = None) -> None:
@@ -441,99 +461,50 @@ class Cluster:
         if ctx in self._revoked:
             return
         self._revoked[ctx] = cause
+
+        def on_ctx(rec: Any) -> bool:
+            return rec.ctx == ctx
+
+        revoked = functools.partial(CommRevokedError, ctx, cause)
         for dst in range(self.nranks):
-            keep_r: List[_RecvRecord] = []
-            for rrec in self._posted[dst]:
-                if rrec.ctx == ctx:
-                    if not rrec.future.done:
-                        rrec.future.set_exception(CommRevokedError(ctx, cause))
-                else:
-                    keep_r.append(rrec)
-            self._posted[dst][:] = keep_r
-            keep_s: List[_SendRecord] = []
-            for rec in self._unexpected[dst]:
-                if rec.ctx == ctx:
-                    if not rec.match_fut.done:
-                        rec.match_fut.set_exception(CommRevokedError(ctx, cause))
-                    if not rec.sent_fut.done:
-                        rec.sent_fut.set_exception(CommRevokedError(ctx, cause))
-                else:
-                    keep_s.append(rec)
-            self._unexpected[dst][:] = keep_s
-        waiters = getattr(self, "_probe_waiters", None)
-        if waiters:
-            for entries in waiters.values():
-                keep_p = []
-                for probe_rrec, fut in entries:
-                    if probe_rrec.ctx == ctx and not fut.done:
-                        fut.set_exception(CommRevokedError(ctx, cause))
-                    else:
-                        keep_p.append((probe_rrec, fut))
-                entries[:] = keep_p
+            _fail_where(self._posted[dst], on_ctx, revoked)
+            _fail_where(self._unexpected[dst], on_ctx, revoked)
+        for probes in self._probe_waiters.values():
+            _fail_where(probes, on_ctx, revoked)
 
     def _sweep_failed_rank(self, grank: int, reason: str) -> None:
         """Poison every pending operation that rank ``grank``'s crash
         orphaned (see :meth:`fail_rank` for the exact rules)."""
-        for dst in range(self.nranks):
-            if dst == grank:
-                # the dead rank's own posted receives: nobody waits on them
-                self._posted[dst].clear()
-                continue
-            keep_r: List[_RecvRecord] = []
-            for rrec in self._posted[dst]:
-                if rrec.source == grank:
-                    if not rrec.future.done:
-                        rrec.future.set_exception(RankFailedError(grank, reason))
-                else:
-                    keep_r.append(rrec)
-            self._posted[dst][:] = keep_r
-        for dst in range(self.nranks):
-            keep_s: List[_SendRecord] = []
-            for rec in self._unexpected[dst]:
-                if dst == grank or rec.src == grank:
-                    if not rec.match_fut.done:
-                        rec.match_fut.set_exception(RankFailedError(grank, reason))
-                    if not rec.sent_fut.done:
-                        rec.sent_fut.set_exception(RankFailedError(grank, reason))
-                else:
-                    keep_s.append(rec)
-            self._unexpected[dst][:] = keep_s
-        waiters = getattr(self, "_probe_waiters", None)
-        if waiters:
-            for dst, entries in waiters.items():
-                if dst == grank:
-                    entries.clear()
-                    continue
-                keep_p = []
-                for probe_rrec, fut in entries:
-                    if probe_rrec.source == grank and not fut.done:
-                        fut.set_exception(RankFailedError(grank, reason))
-                    else:
-                        keep_p.append((probe_rrec, fut))
-                entries[:] = keep_p
+        def from_dead(rrec: _RecvRecord) -> bool:
+            return rrec.source == grank
+
+        failed = functools.partial(RankFailedError, grank, reason)
+        # the dead rank's own receives and probes: nobody waits on them
+        self._posted[grank].clear()
+        self._probe_waiters.pop(grank, None)
+        for posted in self._posted:
+            _fail_where(posted, from_dead, failed)
+        for dst, unexpected in enumerate(self._unexpected):
+            _fail_where(unexpected,
+                        lambda rec: dst == grank or rec.src == grank, failed)
+        for probes in self._probe_waiters.values():
+            _fail_where(probes, from_dead, failed)
 
     # -- matching ------------------------------------------------------------
 
     def _post_send(self, rec: _SendRecord) -> None:
-        self._notify("send_posted", rec)
+        if self._observers:
+            self._notify("send_posted", rec)
         if self._revoked and rec.ctx in self._revoked:
             # the ctx was revoked while the sender was mid-call (e.g.
             # suspended in datatype-processing CPU charges): fail the send
             # here, the authoritative gate, so no record ever enters the
             # matching queues of a dead context
-            exc = CommRevokedError(rec.ctx, self._revoked[rec.ctx])
-            if not rec.sent_fut.done:
-                rec.sent_fut.set_exception(exc)
-            if not rec.match_fut.done:
-                rec.match_fut.set_exception(exc)
+            rec.fail(CommRevokedError(rec.ctx, self._revoked[rec.ctx]))
             return
         if rec.dst in self.failed_ranks:
             # fail-fast: a send to a dead rank errors instead of buffering
-            exc = RankFailedError(rec.dst, "destination rank has failed")
-            if not rec.sent_fut.done:
-                rec.sent_fut.set_exception(exc)
-            if not rec.match_fut.done:
-                rec.match_fut.set_exception(exc)
+            rec.fail(RankFailedError(rec.dst, "destination rank has failed"))
             return
         posted = self._posted[rec.dst]
         for i, rrec in enumerate(posted):
@@ -542,16 +513,17 @@ class Cluster:
                 self._bind(rec, rrec)
                 return
         self._unexpected[rec.dst].append(rec)
-        waiters = getattr(self, "_probe_waiters", None)
-        if waiters:
-            for i, (probe_rrec, fut) in enumerate(waiters.get(rec.dst, [])):
-                if probe_rrec.matches(rec):
-                    del waiters[rec.dst][i]
-                    fut.set_result(rec)
+        probes = self._probe_waiters.get(rec.dst)
+        if probes:
+            for i, probe in enumerate(probes):
+                if probe.matches(rec):
+                    del probes[i]
+                    probe.future.set_result(rec)
                     break
 
     def _post_recv(self, dst: int, rrec: _RecvRecord) -> None:
-        self._notify("recv_posted", dst, rrec)
+        if self._observers:
+            self._notify("recv_posted", dst, rrec)
         if self._revoked and rrec.ctx in self._revoked:
             rrec.future.set_exception(
                 CommRevokedError(rrec.ctx, self._revoked[rrec.ctx])
@@ -580,7 +552,8 @@ class Cluster:
         if not rec.is_obj:
             capacity = rrec.tb.nbytes if rrec.tb is not None else 0
             if rec.nbytes > capacity:
-                self._notify("truncation", rec, rrec)
+                if self._observers:
+                    self._notify("truncation", rec, rrec)
                 exc = TruncationError(
                     f"message {rec.src}->{rec.dst} tag={rec.tag} is "
                     f"{rec.nbytes} bytes but the receive holds {capacity}"
@@ -588,9 +561,9 @@ class Cluster:
                 rrec.future.set_exception(exc)
                 rec.match_fut.set_exception(exc)
                 return
-        self._notify("match", rec, rrec)
+        if self._observers:
+            self._notify("match", rec, rrec)
         rec.recv_rec = rrec
-        rec.recv_fut = rrec.future
         rec.match_fut.set_result(rrec)
 
 
@@ -623,7 +596,10 @@ class Comm:
         return self.group[rank]
 
     def _to_local(self, grank: int) -> int:
-        return self.group.index(grank)
+        group = self.group
+        if grank < len(group) and group[grank] == grank:
+            return grank  # identity-mapped group (world, dup): no scan
+        return group.index(grank)
 
     # -- derived communicators ----------------------------------------------------
 
@@ -754,7 +730,7 @@ class Comm:
         tb = as_typed(buffer, datatype, count, offset_bytes)
         nbytes = tb.nbytes
         prof = self.cluster.profiler
-        msg_id = self.cluster._new_msg_id()
+        msg_id = next(self.cluster._msg_ids)
 
         # IR-plan attribution rides on the isend span (never as new "cpu"
         # span names, which would distort the pack/wait breakdown)
@@ -800,14 +776,16 @@ class Comm:
                               tag, self.ctx, data, nbytes, is_obj=False,
                               sig=tb.signature(), msg_id=msg_id)
             self.cluster._post_send(rec)
-            self.engine.spawn(self._deliver(rec), f"deliver {self.rank}->{dest}")
+            self.engine.spawn(self._conduit(rec),
+                              ("deliver %s->%s", self.rank, dest))
             if nbytes <= self.config.eager_threshold and not rec.sent_fut.done:
                 # eager: the payload is buffered; the send is already
                 # complete (unless _post_send already failed it fail-fast)
                 rec.sent_fut.set_result(None)
             req = Request(rec.sent_fut, "send", profiler=prof, rank=self.grank,
                           msg_id=msg_id)
-            self.cluster._notify("request", self.grank, req)
+            if self.cluster._observers:
+                self.cluster._notify("request", self.grank, req)
             return req
 
     def _count_pack_stages(self, prof, stages, nbytes: int) -> None:
@@ -845,14 +823,15 @@ class Comm:
             raise MPIError(f"invalid source rank {source}")
         self._check_revoked()
         tb = as_typed(buffer, datatype, count, offset_bytes)
-        fut = self.engine.future(f"recv@{self.rank} tag={tag}")
+        fut = SimFuture(self.engine, ("recv@%s tag=%s", self.rank, tag))
         gsource = source if source == ANY_SOURCE else self._to_global(source)
         rrec = _RecvRecord(gsource, tag, self.ctx, tb, fut, is_obj=False,
                            comm=self, sig=tb.signature())
         self.cluster._post_recv(self.grank, rrec)
         req = Request(fut, "recv", profiler=self.cluster.profiler,
                       rank=self.grank)
-        self.cluster._notify("request", self.grank, req)
+        if self.cluster._observers:
+            self.cluster._notify("request", self.grank, req)
         return req
 
     def recv(self, buffer: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG,
@@ -882,12 +861,9 @@ class Comm:
         if status is not None:
             return status
         gsource = source if source == ANY_SOURCE else self._to_global(source)
-        probe_rrec = _RecvRecord(gsource, tag, self.ctx, None, None, False, self)
-        fut = self.engine.future(f"probe@{self.grank}")
-        waiters = getattr(self.cluster, "_probe_waiters", None)
-        if waiters is None:
-            waiters = self.cluster._probe_waiters = {}
-        waiters.setdefault(self.grank, []).append((probe_rrec, fut))
+        fut = self.engine.future(("probe@%s", self.grank))
+        self.cluster._probe_waiters.setdefault(self.grank, []).append(
+            _RecvRecord(gsource, tag, self.ctx, None, fut, False, self))
         rec = yield fut
         return Status(self._to_local(rec.src), rec.tag, rec.nbytes)
 
@@ -919,9 +895,10 @@ class Comm:
         self._check_revoked()
         rec = _SendRecord(self.engine, self.grank, self._to_global(dest), tag,
                           self.ctx, value, nbytes, is_obj=True,
-                          msg_id=self.cluster._new_msg_id())
+                          msg_id=next(self.cluster._msg_ids))
         self.cluster._post_send(rec)
-        self.engine.spawn(self._deliver(rec), f"deliver-obj {self.rank}->{dest}")
+        self.engine.spawn(self._conduit(rec),
+                          ("deliver-obj %s->%s", self.rank, dest))
         if not rec.sent_fut.done:
             rec.sent_fut.set_result(None)
         # control-plane sends complete eagerly; dropping the request is fine,
@@ -931,7 +908,7 @@ class Comm:
     def recv_obj(self, source: int, tag: int) -> Generator:
         """Receive a python object; returns the value."""
         self._check_revoked()
-        fut = self.engine.future(f"recv-obj@{self.rank} tag={tag}")
+        fut = SimFuture(self.engine, ("recv-obj@%s tag=%s", self.rank, tag))
         gsource = source if source == ANY_SOURCE else self._to_global(source)
         rrec = _RecvRecord(gsource, tag, self.ctx, None, fut, is_obj=True, comm=self)
         self.cluster._post_recv(self.grank, rrec)
@@ -940,60 +917,57 @@ class Comm:
 
     # -- delivery ------------------------------------------------------------------
 
-    def _deliver(self, rec: _SendRecord) -> Generator:
-        """Background conduit process that moves one message to its receiver.
-
-        Dispatches to the reliable transport when
-        ``MPIConfig.reliable_transport`` is set; the default path is the
-        historical best-effort delivery, bit-for-bit and
-        schedule-identical to the pre-fault stack.  Fault-tolerance
-        exceptions (peer crash, context revocation, retransmit
-        exhaustion) terminate the conduit quietly -- the endpoints were
-        already notified through their own futures by the sweep that
-        raised them.
-        """
-        try:
-            if self.config.reliable_transport:
-                yield from self._deliver_reliable(rec)
-            else:
-                yield from self._deliver_basic(rec)
-        except FaultToleranceError:
-            pass
+    def _conduit(self, rec: _SendRecord) -> Generator:
+        """The background process that moves ``rec`` to its receiver.  Both
+        bodies end quietly on a fault-tolerance exception (peer crash,
+        revocation, retransmit exhaustion): the sweep that raised it has
+        already notified the endpoints through their own futures."""
+        if self.config.reliable_transport:
+            return self._deliver_reliable(rec)
+        return self._deliver_basic(rec)
 
     def _deliver_basic(self, rec: _SendRecord) -> Generator:
         """Best-effort delivery (the historical, fault-free fast path)."""
-        cost = self.cost
-        prof = self.cluster.profiler
+        engine = self.engine
         rendezvous = rec.nbytes > self.config.eager_threshold
-        if rendezvous:
-            t_posted = self.engine.now
-            yield rec.match_fut  # wire starts only once the receive is posted
-            if prof.enabled:
-                prof.observe("repro_rendezvous_stall_seconds",
-                             self.engine.now - t_posted)
+        try:
+            if rendezvous:
+                t_posted = engine.now
+                yield rec.match_fut  # wire starts only once the receive is posted
+                prof = self.cluster.profiler
+                if prof.enabled:
+                    prof.observe("repro_rendezvous_stall_seconds",
+                                 engine.now - t_posted)
 
-        # wire time: contiguous payloads go as one transfer; packed
-        # noncontiguous payloads flow in pipeline chunks
-        start = self.engine.now
-        sig_meta = None if rec.sig is None else sig_crc(rec.sig)
-        if rec.nbytes <= cost.pipeline_chunk or rec.is_obj:
-            yield from self.net.transfer(rec.src, rec.dst, rec.nbytes,
-                                         tag=rec.tag, sig=sig_meta,
-                                         msg_id=rec.msg_id)
-        else:
+            # wire time: small and control-plane payloads (zero bytes too) go
+            # as one transfer, larger packed ones flow in pipeline chunks
+            start = engine.now
+            sig_meta = self._wire_sig(rec)
+            step = rec.nbytes if rec.is_obj else self.cost.pipeline_chunk
             pos = 0
-            while pos < rec.nbytes:
-                chunk = min(cost.pipeline_chunk, rec.nbytes - pos)
+            while True:
+                chunk = min(step, rec.nbytes - pos)
                 yield from self.net.transfer(rec.src, rec.dst, chunk,
                                              tag=rec.tag, sig=sig_meta,
                                              msg_id=rec.msg_id)
                 pos += chunk
-        self.cluster.ledgers[rec.src].charge("comm", self.engine.now - start)
-        rec.arrived = True
-        if rendezvous and not rec.sent_fut.done:
-            rec.sent_fut.set_result(None)
+                if pos >= rec.nbytes:
+                    break
+            self.cluster.ledgers[rec.src].charge("comm", engine.now - start)
+            if rendezvous and not rec.sent_fut.done:
+                rec.sent_fut.set_result(None)
 
-        yield from self._finish_delivery(rec)
+            yield from self._finish_delivery(rec)
+        except FaultToleranceError:
+            pass
+
+    def _wire_sig(self, rec: _SendRecord) -> Optional[int]:
+        """The signature hash riding on ``rec``'s wire transfers -- only
+        computed when somebody listens to the wire (a transfer already in
+        flight when the first observer attaches reports ``sig=None``)."""
+        if rec.sig is None or not self.net._transfer_listeners:
+            return None
+        return sig_crc(rec.sig)
 
     def _finish_delivery(self, rec: _SendRecord) -> Generator:
         """Receiver side of a delivery whose payload reached ``rec.dst``:
@@ -1072,92 +1046,89 @@ class Comm:
         ``MPIConfig.max_retransmits`` attempts failed to produce an
         acknowledged, checksum-clean delivery.
         """
-        cluster = self.cluster
-        cfg = self.config
-        engine = self.engine
-        prof = cluster.profiler
-        cluster._msg_seq += 1
-        rec.seq = cluster._msg_seq
-        rec.crc = payload_crc(rec.data)
-        sig_meta = None if rec.sig is None else sig_crc(rec.sig)
-        rendezvous = rec.nbytes > cfg.eager_threshold
+        try:
+            cluster = self.cluster
+            cfg = self.config
+            engine = self.engine
+            prof = cluster.profiler
+            cluster._msg_seq += 1
+            rec.seq = cluster._msg_seq
+            rec.crc = payload_crc(rec.data)
+            rendezvous = rec.nbytes > cfg.eager_threshold
 
-        if rendezvous:
-            t_posted = engine.now
-            yield from self._reliable_await_match(rec)
-            if prof.enabled:
-                prof.observe("repro_rendezvous_stall_seconds",
-                             engine.now - t_posted)
-
-        start = engine.now
-        timeout = cfg.retransmit_timeout
-        acked = False
-        attempts = 0
-        while attempts < cfg.max_retransmits:
-            attempts += 1
-            if attempts > 1 and prof.enabled:
-                prof.count("repro_retransmits_total")
-            if rec.dst in cluster.failed_ranks:
-                self._fail_send(rec, RankFailedError(
-                    rec.dst, "destination failed during delivery"))
-                return
-            outcome = yield from self._reliable_wire(rec, sig_meta)
-            alive = (rec.dst not in cluster.failed_ranks
-                     and rec.dst not in cluster.hung_ranks)
-            if outcome.dropped or not alive:
-                pass  # lost on the wire (or nobody home); await the timer
-            elif outcome.corrupted:
-                # the receiver's CRC check rejects the payload silently;
-                # the sender only learns through the missing ack
+            if rendezvous:
+                t_posted = engine.now
+                yield from self._reliable_await_match(rec)
                 if prof.enabled:
-                    prof.count("repro_checksum_failures_total")
-            else:
-                # clean arrival; receiver dedupes by sequence number (a
-                # wire-duplicated packet, or a retransmission whose first
-                # copy's ack was lost, is delivered exactly once)
-                cluster._seen_seqs[rec.dst].add(rec.seq)
-                ack = yield from self.net.transfer(rec.dst, rec.src, 0,
-                                                   tag=rec.tag,
-                                                   msg_id=rec.msg_id)
-                if not (ack.dropped or ack.corrupted):
-                    acked = True
-                    break
-            timer = engine.timeout(timeout)
-            yield timer
-            timeout = min(timeout * cfg.backoff_factor, cfg.backoff_cap)
+                    prof.observe("repro_rendezvous_stall_seconds",
+                                 engine.now - t_posted)
 
-        if not acked:
-            self._fail_send(rec, TransportError(rec.src, rec.dst, rec.tag,
-                                                attempts))
-            return
+            start = engine.now
+            sig_meta = self._wire_sig(rec)
+            timeout = cfg.retransmit_timeout
+            acked = False
+            attempts = 0
+            while attempts < cfg.max_retransmits:
+                attempts += 1
+                if attempts > 1 and prof.enabled:
+                    prof.count("repro_retransmits_total")
+                if rec.dst in cluster.failed_ranks:
+                    self._fail_send(rec, RankFailedError(
+                        rec.dst, "destination failed during delivery"))
+                    return
+                outcome = yield from self._reliable_wire(rec, sig_meta)
+                alive = (rec.dst not in cluster.failed_ranks
+                         and rec.dst not in cluster.hung_ranks)
+                if outcome.dropped or not alive:
+                    pass  # lost on the wire (or nobody home); await the timer
+                elif outcome.corrupted:
+                    # the receiver's CRC check rejects the payload silently;
+                    # the sender only learns through the missing ack
+                    if prof.enabled:
+                        prof.count("repro_checksum_failures_total")
+                else:
+                    # clean arrival; receiver dedupes by sequence number (a
+                    # wire-duplicated packet, or a retransmission whose first
+                    # copy's ack was lost, is delivered exactly once)
+                    cluster._seen_seqs[rec.dst].add(rec.seq)
+                    ack = yield from self.net.transfer(rec.dst, rec.src, 0,
+                                                       tag=rec.tag,
+                                                       msg_id=rec.msg_id)
+                    if not (ack.dropped or ack.corrupted):
+                        acked = True
+                        break
+                timer = engine.timeout(timeout)
+                yield timer
+                timeout = min(timeout * cfg.backoff_factor, cfg.backoff_cap)
 
-        cluster.ledgers[rec.src].charge("comm", engine.now - start)
-        rec.arrived = True
-        if rendezvous and not rec.sent_fut.done:
-            rec.sent_fut.set_result(None)
-        yield from self._finish_delivery(rec)
+            if not acked:
+                self._fail_send(rec, TransportError(rec.src, rec.dst, rec.tag,
+                                                    attempts))
+                return
+
+            cluster.ledgers[rec.src].charge("comm", engine.now - start)
+            if rendezvous and not rec.sent_fut.done:
+                rec.sent_fut.set_result(None)
+            yield from self._finish_delivery(rec)
+        except FaultToleranceError:
+            pass
 
     def _reliable_wire(self, rec: _SendRecord, sig_meta: Optional[int]) -> Generator:
         """One wire attempt (possibly chunked); returns the merged
         :class:`WireOutcome` -- any chunk lost/corrupted spoils the whole
         message, exactly like a partial frame failing its CRC."""
-        cost = self.cost
         merged = WireOutcome()
-        if rec.nbytes <= cost.pipeline_chunk or rec.is_obj:
-            out = yield from self.net.transfer(rec.src, rec.dst, rec.nbytes,
+        step = rec.nbytes if rec.is_obj else self.cost.pipeline_chunk
+        pos = 0
+        while True:
+            chunk = min(step, rec.nbytes - pos)
+            out = yield from self.net.transfer(rec.src, rec.dst, chunk,
                                                tag=rec.tag, sig=sig_meta,
                                                msg_id=rec.msg_id)
             merged.absorb(out)
-        else:
-            pos = 0
-            while pos < rec.nbytes:
-                chunk = min(cost.pipeline_chunk, rec.nbytes - pos)
-                out = yield from self.net.transfer(rec.src, rec.dst, chunk,
-                                                   tag=rec.tag, sig=sig_meta,
-                                                   msg_id=rec.msg_id)
-                merged.absorb(out)
-                pos += chunk
-        return merged
+            pos += chunk
+            if pos >= rec.nbytes:
+                return merged
 
     def _reliable_await_match(self, rec: _SendRecord) -> Generator:
         """Rendezvous wait with a liveness poll: instead of blocking

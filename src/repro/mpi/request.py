@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Any, Generator
 
 from repro.mpi.errors import FaultToleranceError
@@ -128,17 +129,13 @@ class Request:
                 return i, result
         engine = requests[0]._future.engine
         winner = engine.future("waitany")
-        state = {"done": False}
 
-        def make_cb(index):
-            def cb(_fut):
-                if not state["done"]:
-                    state["done"] = True
-                    winner.set_result(index)
-            return cb
+        def first_done(index: int, _fut: SimFuture) -> None:
+            if not winner.done:
+                winner.set_result(index)
 
         for i, req in enumerate(requests):
-            req._future.add_done_callback(make_cb(i))
+            req._future.add_done_callback(partial(first_done, i))
         index = yield winner
         result = yield from requests[index].wait()
         return index, result

@@ -50,6 +50,18 @@ def _count_runs(offsets: np.ndarray) -> int:
     return int(np.count_nonzero(np.diff(offsets) != 1)) + 1
 
 
+def _group_by_owner(positions: np.ndarray, owner: np.ndarray):
+    """Yield ``(peer, the positions whose owner is peer)``, peers ascending
+    and each group in its original order: one stable sort over the selected
+    positions instead of one full-length mask rescan per peer."""
+    peers = owner[positions]
+    order = np.argsort(peers, kind="stable")
+    peers, positions = peers[order], positions[order]
+    cuts = np.flatnonzero(peers[1:] != peers[:-1]) + 1
+    for group in np.split(positions, cuts) if len(positions) else ():
+        yield int(owner[group[0]]), group
+
+
 class VecScatter:
     """A reusable scatter plan between two distributed vectors.
 
@@ -133,7 +145,9 @@ class VecScatter:
             )
         src_is.validate_against(src_layout.global_size)
         dst_is.validate_against(dst_layout.global_size)
-        if len(np.unique(dst_idx)) != len(dst_idx):
+        # (indices were range-checked just above, which bincount needs)
+        if len(dst_idx) and np.bincount(
+                dst_idx, minlength=dst_layout.global_size).max() > 1:
             raise PETScError("destination indices must be unique (no overwrites)")
         rank = comm.rank
         if owners is None:
@@ -152,14 +166,12 @@ class VecScatter:
             src_layout.to_local(src_idx[local_mask], rank),
             dst_layout.to_local(dst_idx[local_mask], rank),
         )
-        out_mask = mine_out & ~mine_in
-        for peer in np.unique(dst_owner[out_mask]):
-            sel = out_mask & (dst_owner == peer)
-            send_map[int(peer)] = src_layout.to_local(src_idx[sel], rank)
-        in_mask = mine_in & ~mine_out
-        for peer in np.unique(src_owner[in_mask]):
-            sel = in_mask & (src_owner == peer)
-            recv_map[int(peer)] = dst_layout.to_local(dst_idx[sel], rank)
+        for peer, sel in _group_by_owner(
+                np.flatnonzero(mine_out & ~mine_in), dst_owner):
+            send_map[peer] = src_layout.to_local(src_idx[sel], rank)
+        for peer, sel in _group_by_owner(
+                np.flatnonzero(mine_in & ~mine_out), src_owner):
+            recv_map[peer] = dst_layout.to_local(dst_idx[sel], rank)
         return cls(comm, send_map, recv_map, local_pairs)
 
     @classmethod
@@ -213,10 +225,9 @@ class VecScatter:
                        dst_local[mine])
         recv_map: Dict[int, np.ndarray] = {}
         wants: Dict[int, np.ndarray] = {}
-        for peer in np.unique(owner[~mine]):
-            sel = owner == peer
-            recv_map[int(peer)] = dst_local[sel]
-            wants[int(peer)] = src_global[sel].astype(np.float64)
+        for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
+            recv_map[peer] = dst_local[sel]
+            wants[peer] = src_global[sel].astype(np.float64)
         answers = yield from comm.sparse_alltoall(wants)
         send_map: Dict[int, np.ndarray] = {}
         for reader, wanted in sorted(answers.items()):

@@ -19,12 +19,23 @@ PETSc) be written in a direct blocking style::
 
 The engine is fully deterministic: events at equal timestamps fire in the
 order they were scheduled.
+
+What one event costs the host is kept small by three conventions that
+docs/INTERNALS.md ("Host-time hot path") spells out: closure-free heap
+entries, waiters parked in callback lists themselves, and lazy names.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
+
+#: a name, or lazy ``(format, *args)`` parts rendered as ``format % args``
+Name = Union[str, tuple]
+
+
+def _render(name: Name) -> str:
+    return name[0] % name[1:] if type(name) is tuple else name
 
 
 class SimulationError(RuntimeError):
@@ -72,16 +83,22 @@ class SimFuture:
     """
 
     __slots__ = ("engine", "_value", "_exception", "_done", "_callbacks",
-                 "name", "_cancelled")
+                 "_name", "_cancelled")
 
-    def __init__(self, engine: "Engine", name: str = ""):
+    def __init__(self, engine: "Engine", name: Name = ""):
         self.engine = engine
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._done = False
-        self._callbacks: list[Callable[["SimFuture"], None]] = []
-        self.name = name
+        #: waiting :class:`SimProcess` objects (resumed through the heap)
+        #: and plain ``cb(future)`` callables, in order; allocated on demand
+        self._callbacks: Optional[list] = None
+        self._name = name
         self._cancelled = False
+
+    @property
+    def name(self) -> str:
+        return _render(self._name)
 
     @property
     def done(self) -> bool:
@@ -121,24 +138,39 @@ class SimFuture:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._done = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
+        if self._callbacks is not None:
+            self._fire()
 
     def set_exception(self, exc: BaseException) -> None:
         if self._done:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._done = True
         self._exception = exc
-        callbacks, self._callbacks = self._callbacks, []
+        if self._callbacks is not None:
+            self._fire()
+
+    def _fire(self) -> None:
+        callbacks, self._callbacks = self._callbacks, None
+        engine = self.engine
         for cb in callbacks:
-            cb(self)
+            if type(cb) is SimProcess:
+                engine._wake(cb, self._value, self._exception)
+            else:
+                cb(self)
 
     def add_done_callback(self, cb: Callable[["SimFuture"], None]) -> None:
         if self._done:
             cb(self)
+        elif self._callbacks is None:
+            self._callbacks = [cb]
         else:
             self._callbacks.append(cb)
+
+    def _set_if_pending(self, _source: Any = None) -> None:
+        """Resolve with ``None`` unless resolved: :meth:`Engine.timeout`'s
+        heap entry and, as a done-callback, the wake-up of a first-of race."""
+        if not self._done:
+            self.set_result(None)
 
 
 class SimProcess:
@@ -148,20 +180,25 @@ class SimProcess:
     return value is available as :attr:`result` once :attr:`done`.
     """
 
-    __slots__ = ("engine", "gen", "name", "done", "result", "_exception",
+    __slots__ = ("engine", "gen", "_name", "done", "result", "_exception",
                  "_waiters", "_blocked_on")
 
-    def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
+    def __init__(self, engine: "Engine", gen: Generator, name: Name = ""):
         self.engine = engine
         self.gen = gen
-        self.name = name
+        self._name = name
         self.done = False
         self.result: Any = None
         self._exception: Optional[BaseException] = None
-        self._waiters: list[Callable[["SimProcess"], None]] = []
+        #: joiners, by the convention of ``SimFuture._callbacks``
+        self._waiters: list = []
         #: what the process is currently suspended on (SimFuture, SimProcess
         #: or None for a Delay); read by the deadlock diagnostics
         self._blocked_on: Any = None
+
+    @property
+    def name(self) -> str:
+        return _render(self._name)
 
     @property
     def exception(self) -> Optional[BaseException]:
@@ -179,7 +216,10 @@ class SimProcess:
         self._exception = exc
         waiters, self._waiters = self._waiters, []
         for cb in waiters:
-            cb(self)
+            if type(cb) is SimProcess:
+                self.engine._wake(cb, result, exc)
+            else:
+                cb(self)
 
 
 class Engine:
@@ -195,17 +235,14 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        #: ``(time, seq, fn, args)``; ``seq`` is unique, so ``fn`` and
+        #: ``args`` are never compared
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._live: dict[SimProcess, None] = {}  # insertion-ordered set
-        self._trace: Optional[Callable[[float, str], None]] = None
         #: instrumentation counters (read by repro.prof; cheap to maintain)
         self.events_fired = 0
         self.processes_spawned = 0
-
-    @property
-    def _live_processes(self) -> int:
-        return len(self._live)
 
     def live_processes(self) -> list[SimProcess]:
         """Processes spawned but not yet finished (spawn order)."""
@@ -213,14 +250,14 @@ class Engine:
 
     # -- scheduling primitives ------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` after ``delay`` simulated seconds."""
+    def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
-    def future(self, name: str = "") -> SimFuture:
+    def future(self, name: Name = "") -> SimFuture:
         return SimFuture(self, name)
 
     def timeout(self, delay: float) -> SimFuture:
@@ -231,25 +268,20 @@ class Engine:
         before firing, so a timer abandoned by a race (ack-before-timeout)
         never resolves twice.
         """
-        fut = self.future(f"timeout({delay})")
-
-        def fire() -> None:
-            if not fut.done:
-                fut.set_result(None)
-
-        self.schedule(delay, fire)
+        fut = SimFuture(self, ("timeout(%s)", delay))
+        self.schedule(delay, fut._set_if_pending)
         return fut
 
     # -- processes -------------------------------------------------------
 
-    def spawn(self, gen: Generator, name: str = "") -> SimProcess:
+    def spawn(self, gen: Generator, name: Name = "") -> SimProcess:
         """Register a generator as a process; it starts at the current time."""
         if not hasattr(gen, "send"):
             raise TypeError(f"spawn() needs a generator, got {type(gen).__name__}")
         proc = SimProcess(self, gen, name or getattr(gen, "__name__", "proc"))
         self._live[proc] = None
         self.processes_spawned += 1
-        self.schedule(0.0, lambda: self._step(proc, _SEND, None))
+        self._wake(proc, None, None)
         return proc
 
     def kill(self, proc: SimProcess, exc: Optional[BaseException] = None) -> bool:
@@ -258,7 +290,7 @@ class Engine:
         Closes the underlying generator (``finally`` blocks run, releasing
         any held resources such as ports) and finishes the process with
         ``exc`` as its exception (or a plain ``None`` result when no
-        exception is given).  Joiners are woken; a stale resume callback
+        exception is given).  Joiners are woken; a stale resume entry
         from whatever the process was blocked on becomes a no-op.  Returns
         False if the process had already finished.
         """
@@ -273,69 +305,65 @@ class Engine:
         proc._finish(None, exc)
         return True
 
-    def _step(self, proc: SimProcess, mode: int, payload: Any) -> None:
+    def _wake(self, proc: SimProcess, value: Any,
+              exc: Optional[BaseException]) -> None:
+        # Resumptions are trampolined through the event heap (at the
+        # current time) rather than run synchronously: long chains of
+        # already-resolved futures would otherwise recurse arbitrarily deep
+        # through set_result -> step -> set_result -> ...
+        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self.now, self._seq, self._step, (proc, value, exc)))
+
+    def _step(self, proc: SimProcess, value: Any,
+              exc: Optional[BaseException]) -> None:
+        """Advance ``proc`` by one yield and park it on what it yielded."""
         if proc.done:
-            return  # killed while a resume callback was in flight
-        proc._blocked_on = None
+            return  # killed while a resume entry was in flight
         try:
-            if mode == _SEND:
-                cmd = proc.gen.send(payload)
+            if exc is None:
+                cmd = proc.gen.send(value)
             else:
-                cmd = proc.gen.throw(payload)
+                cmd = proc.gen.throw(exc)
         except StopIteration as stop:
             self._live.pop(proc, None)
             proc._finish(stop.value, None)
             return
-        except BaseException as exc:  # noqa: BLE001 - propagated to joiners
+        except BaseException as err:  # noqa: BLE001 - propagated to joiners
             self._live.pop(proc, None)
             had_waiters = bool(proc._waiters)
-            proc._finish(None, exc)
+            proc._finish(None, err)
             if not had_waiters:
                 # nobody joined this process: abort the simulation loudly
                 # rather than swallowing the error
                 raise
             return
-        self._dispatch(proc, cmd)
-
-    def _dispatch(self, proc: SimProcess, cmd: Any) -> None:
-        # Resumptions from futures/processes are trampolined through the
-        # event heap (at the current time) rather than run synchronously:
-        # long chains of already-resolved futures would otherwise recurse
-        # arbitrarily deep through set_result -> callback -> step -> ...
-        if isinstance(cmd, Delay):
-            self.schedule(cmd.duration, lambda: self._step(proc, _SEND, None))
-        elif isinstance(cmd, SimFuture):
+        kind = type(cmd)
+        if kind is Delay:
+            proc._blocked_on = None
+            self._seq += 1
+            heapq.heappush(self._heap, (self.now + cmd.duration, self._seq,
+                                        self._step, (proc, None, None)))
+        elif kind is SimFuture:
             proc._blocked_on = cmd
-            cmd.add_done_callback(
-                lambda fut: self.schedule(
-                    0.0, lambda: self._resume_from_future(proc, fut)
-                )
-            )
-        elif isinstance(cmd, SimProcess):
+            if cmd._done:
+                self._wake(proc, cmd._value, cmd._exception)
+            elif cmd._callbacks is None:
+                cmd._callbacks = [proc]
+            else:
+                cmd._callbacks.append(proc)
+        elif kind is SimProcess:
             proc._blocked_on = cmd
-            cmd.add_done_callback(
-                lambda p: self.schedule(
-                    0.0, lambda: self._resume_from_process(proc, p)
-                )
-            )
+            if cmd.done:
+                self._wake(proc, cmd.result, cmd._exception)
+            else:
+                cmd._waiters.append(proc)
         else:
-            err = SimulationError(
+            proc._blocked_on = None
+            self._wake(proc, None, SimulationError(
                 f"process {proc.name!r} yielded {cmd!r}; expected Delay, "
                 "SimFuture or SimProcess"
-            )
-            self.schedule(0.0, lambda: self._step(proc, _THROW, err))
-
-    def _resume_from_future(self, proc: SimProcess, fut: SimFuture) -> None:
-        if fut._exception is not None:
-            self._step(proc, _THROW, fut._exception)
-        else:
-            self._step(proc, _SEND, fut._value)
-
-    def _resume_from_process(self, proc: SimProcess, child: SimProcess) -> None:
-        if child._exception is not None:
-            self._step(proc, _THROW, child._exception)
-        else:
-            self._step(proc, _SEND, child.result)
+            ))
 
     # -- running ---------------------------------------------------------
 
@@ -345,16 +373,15 @@ class Engine:
         Raises :class:`SimulationDeadlock` if processes remain alive with an
         empty heap (they are waiting on futures nobody will resolve).
         """
-        while self._heap:
-            t, _seq, fn = heapq.heappop(self._heap)
-            if until is not None and t > until:
-                # put it back; stop the clock at `until`
-                heapq.heappush(self._heap, (t, _seq, fn))
-                self.now = until
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            if until is not None and heap[0][0] > until:
+                self.now = until  # stop the clock; the entry stays queued
                 return self.now
-            self.now = t
+            self.now, _seq, fn, args = pop(heap)
             self.events_fired += 1
-            fn()
+            fn(*args)
         if self._live:
             blocked = [(p.name, _describe_wait(p._blocked_on))
                        for p in self._live]
@@ -383,9 +410,6 @@ class Engine:
             out.append(p.result)
         return out
 
-
-_SEND = 0
-_THROW = 1
 
 #: cap on per-process detail in a SimulationDeadlock message
 _DEADLOCK_DETAIL_LIMIT = 16

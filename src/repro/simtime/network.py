@@ -171,14 +171,7 @@ class NetworkModel:
         jitter = 1.0 + self._rng.random() * self.cost.cpu_noise
         return seconds * self._speed[rank] * jitter
 
-    def compute(self, rank: int, seconds: float) -> Generator:
-        """Yieldable: occupy ``rank``'s CPU for scaled ``seconds``."""
-        yield Delay(self.cpu_seconds(rank, seconds))
-
     # -- wire ------------------------------------------------------------
-
-    def transfer_time(self, nbytes: int) -> float:
-        return self.cost.transfer_time(nbytes)
 
     def transfer(self, src: int, dst: int, nbytes: int,
                  latency: Optional[float] = None,
@@ -208,30 +201,18 @@ class NetworkModel:
         """
         t_start = self.engine.now
         outcome = WireOutcome()
-        fault = NO_FAULT
+        scale = 1.0
         if self.fault_injector is not None:
-            fault = self.fault_injector.on_wire(src, dst, nbytes, tag,
-                                                self.engine.now)
+            fault = self.fault_injector.on_wire(src, dst, nbytes, tag, t_start)
             outcome.merge(fault)
+            scale = fault.scale
             if fault.delay > 0.0:
                 # delay spike: the packet sits in the NIC before the wire
                 yield Delay(fault.delay)
-        yield from self._transfer(src, dst, nbytes, latency,
-                                  scale=fault.scale)
-        if self._transfer_listeners:
-            event = TransferEvent(src, dst, nbytes, tag, sig,
-                                  t_start, self.engine.now, msg_id)
-            for fn in self._transfer_listeners:
-                fn(event)
-        return outcome
-
-    def _transfer(self, src: int, dst: int, nbytes: int,
-                  latency: Optional[float] = None,
-                  scale: float = 1.0) -> Generator:
         if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
             raise ValueError(f"rank out of range: {src}->{dst}")
         if latency is None:
-            duration = self.transfer_time(nbytes)
+            duration = self.cost.transfer_time(nbytes)
         else:
             duration = latency + self.cost.beta * max(0, nbytes)
         if scale != 1.0:
@@ -241,15 +222,30 @@ class NetworkModel:
         if src == dst:
             # local copy through memory, no NIC involved
             yield Delay(self.cost.copy_byte * nbytes)
-            return
-        yield from self.send_ports[src].acquire()
-        try:
-            yield from self.recv_ports[dst].acquire()
+        else:
+            # an idle port is taken inline; only a busy one pays acquire()
+            send_port = self.send_ports[src]
+            recv_port = self.recv_ports[dst]
+            if send_port._in_use:
+                yield from send_port.acquire()
+            else:
+                send_port._in_use = 1
             try:
-                yield Delay(duration)
-                self.send_ports[src].busy_time += duration
-                self.recv_ports[dst].busy_time += duration
+                if recv_port._in_use:
+                    yield from recv_port.acquire()
+                else:
+                    recv_port._in_use = 1
+                try:
+                    yield Delay(duration)
+                    send_port.busy_time += duration
+                    recv_port.busy_time += duration
+                finally:
+                    recv_port.release()
             finally:
-                self.recv_ports[dst].release()
-        finally:
-            self.send_ports[src].release()
+                send_port.release()
+        if self._transfer_listeners:
+            event = TransferEvent(src, dst, nbytes, tag, sig,
+                                  t_start, self.engine.now, msg_id)
+            for fn in self._transfer_listeners:
+                fn(event)
+        return outcome

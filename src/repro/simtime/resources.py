@@ -11,7 +11,7 @@ send two messages at once.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Deque, Generator
 
 from repro.simtime.engine import Delay, Engine, SimFuture, SimulationError
 
@@ -32,14 +32,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[SimFuture] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Generator:
         if self._in_use < self.capacity:
@@ -78,7 +70,6 @@ class Port(Resource):
     def __init__(self, engine: Engine, name: str = ""):
         super().__init__(engine, capacity=1, name=name)
         self.busy_time = 0.0
-        self._acquired_at: Optional[float] = None
 
     def use(self, duration: float) -> Generator:
         yield from self.acquire()

@@ -161,6 +161,125 @@ def test_deadlock_payload_through_mpi_layer():
     assert any(name == "rank1" for name, _ in blocked)
 
 
+def _deadlock(run):
+    with pytest.raises(SimulationDeadlock) as info:
+        run()
+    return str(info.value), info.value.blocked
+
+
+def test_stuck_recv_diagnostic_text_is_pinned():
+    """Future names are formatted lazily; the text must not change."""
+    import numpy as np
+    cluster = Cluster(2, config=MPIConfig.optimized())
+
+    def main(comm):
+        if comm.rank == 1:
+            yield from comm.recv(np.zeros(1), source=0, tag=7)
+
+    text, blocked = _deadlock(lambda: cluster.run(main))
+    assert text == ("1 process(es) blocked forever at t=0.0: "
+                    "'rank1' waiting on future 'recv@1 tag=7'")
+    assert blocked == [("rank1", "future 'recv@1 tag=7'")]
+
+
+def test_stuck_rendezvous_send_diagnostic_text_is_pinned():
+    import numpy as np
+    cluster = Cluster(2, config=MPIConfig.optimized())
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.zeros(4096), dest=1, tag=7)
+
+    text, blocked = _deadlock(lambda: cluster.run(main))
+    assert text == (
+        "2 process(es) blocked forever at t=0.0: "
+        "'rank0' waiting on future 'sent 0->1 tag=7'; "
+        "'deliver 0->1' waiting on future 'match 0->1 tag=7'")
+    assert blocked == [("rank0", "future 'sent 0->1 tag=7'"),
+                       ("deliver 0->1", "future 'match 0->1 tag=7'")]
+
+
+def test_stuck_obj_recv_and_probe_diagnostic_text_is_pinned():
+    cluster = Cluster(2, config=MPIConfig.optimized())
+
+    def main(comm):
+        if comm.rank == 1:
+            yield from comm.recv_obj(0, tag=3)
+        else:
+            yield from comm.probe(source=1, tag=2)
+
+    _text, blocked = _deadlock(lambda: cluster.run(main))
+    assert blocked == [("rank0", "future 'probe@0'"),
+                       ("rank1", "future 'recv-obj@1 tag=3'")]
+
+
+def test_stuck_port_acquire_diagnostic_text_is_pinned():
+    from repro.simtime import Port
+    eng = Engine()
+    port = Port(eng, "send[0]")
+
+    def hog():
+        yield from port.acquire()
+        yield eng.future("never")
+
+    def waiter():
+        yield from port.acquire()
+
+    eng.spawn(hog(), "hog")
+    eng.spawn(waiter(), "waiter")
+    text, blocked = _deadlock(eng.run)
+    assert text == ("2 process(es) blocked forever at t=0.0: "
+                    "'hog' waiting on future 'never'; "
+                    "'waiter' waiting on future 'acquire(send[0])'")
+    assert blocked == [("hog", "future 'never'"),
+                       ("waiter", "future 'acquire(send[0])'")]
+
+
+def test_unnamed_future_and_join_diagnostics():
+    eng = Engine()
+
+    def waits():
+        yield eng.future()
+
+    def joins(proc):
+        yield proc
+
+    child = eng.spawn(waits(), "w")
+    eng.spawn(joins(child), "j")
+    _text, blocked = _deadlock(eng.run)
+    assert blocked == [("w", "an unnamed future"), ("j", "process 'w'")]
+
+
+def test_future_error_messages_name_the_future():
+    eng = Engine()
+    fut = eng.timeout(0.25)
+    assert fut.name == "timeout(0.25)"
+    with pytest.raises(SimulationError, match=r"future 'timeout\(0.25\)' not"):
+        fut.value
+    fut.set_result(1)
+    with pytest.raises(SimulationError,
+                       match=r"future 'timeout\(0.25\)' resolved twice"):
+        fut.set_exception(KeyError())
+
+
+def test_schedule_accepts_zero_arg_callables_and_arguments():
+    """``schedule(delay, fn)`` (the injector, ``Engine.timeout``) and
+    ``schedule(delay, fn, *args)`` both work and fire in schedule order."""
+    eng = Engine()
+    seen = []
+    fut = eng.future("f")
+    eng.schedule(1.0, lambda: seen.append("closure"))
+    eng.schedule(1.0, seen.append, "args")
+    eng.schedule(0.5, fut.set_result)
+    eng.schedule(2.0, lambda a, b: seen.append((a, b, eng.now)), 1, 2)
+    with pytest.raises(ValueError):
+        eng.schedule(-1.0, seen.append, "never")
+    eng.run()
+    assert fut.done and fut.value is None
+    assert seen == ["closure", "args", (1, 2, 2.0)]
+    assert eng.events_fired == 4
+
+
 # -- utilization report edge case -------------------------------------------
 
 

@@ -113,8 +113,38 @@ def test_duplicate_destination_rejected():
         )
         yield from comm.barrier()
 
-    with pytest.raises(PETScError):
+    with pytest.raises(PETScError) as info:
         cluster.run(main)
+    assert str(info.value) == (
+        "destination indices must be unique (no overwrites)")
+
+
+def test_from_index_sets_maps_match_the_mask_rescan_reference():
+    """The stable argsort-by-owner split builds exactly the maps (peer
+    order, per-peer entry order) of the one-mask-per-peer loop it replaced."""
+    nranks, gsize = 5, 203
+    rng = np.random.default_rng(11)
+    src_idx = rng.integers(0, gsize, size=150)
+    dst_idx = rng.permutation(gsize)[:150]
+    cluster = Cluster(nranks, config=MPIConfig.optimized(), cost=QUIET)
+    lay = Layout(nranks, gsize)
+    src_owner, dst_owner = lay.owners(src_idx), lay.owners(dst_idx)
+    for rank in range(nranks):
+        sc = VecScatter.from_index_sets(
+            cluster.comm(rank), lay, GeneralIS(src_idx), lay,
+            GeneralIS(dst_idx))
+        out = (src_owner == rank) & (dst_owner != rank)
+        inn = (dst_owner == rank) & (src_owner != rank)
+        want_send = {int(p): lay.to_local(src_idx[out & (dst_owner == p)], rank)
+                     for p in np.unique(dst_owner[out])}
+        want_recv = {int(p): lay.to_local(dst_idx[inn & (src_owner == p)], rank)
+                     for p in np.unique(src_owner[inn])}
+        for got, want in ((sc.send_map, want_send), (sc.recv_map, want_recv)):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[p], want[p]) for p in want)
+        both = (src_owner == rank) & (dst_owner == rank)
+        assert np.array_equal(sc.local_src, lay.to_local(src_idx[both], rank))
+        assert np.array_equal(sc.local_dst, lay.to_local(dst_idx[both], rank))
 
 
 def test_length_mismatch_rejected():
