@@ -12,7 +12,7 @@ This package is the heart of the paper's first contribution (sections 3.1 and
   the bulk-copy programs packing executes; plans are memoized process-wide
   by structural signature,
 - :mod:`repro.datatypes.flatten` -- the contiguous-block stream
-  (``BlockList``) the cost engines walk, now produced from the IR,
+  (``BlockList``) the cost engines walk, read off the compiled plan,
 - :mod:`repro.datatypes.packing` -- functional packing/unpacking: bytes
   really move between user buffers and contiguous wire buffers by
   executing compiled copy programs,
@@ -50,7 +50,6 @@ from repro.datatypes.engine import (
     PackStage,
     SingleContextEngine,
     engine_for,
-    make_engine,
 )
 
 __all__ = [
@@ -79,5 +78,4 @@ __all__ = [
     "Vector",
     "engine_for",
     "ir",
-    "make_engine",
 ]

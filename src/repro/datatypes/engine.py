@@ -139,23 +139,17 @@ class DualContextEngine(_EngineBase):
     researches_on_sparse = False
 
 
-def make_engine(blocks: BlockList, cost: CostModel, dual_context: bool) -> _EngineBase:
-    """Factory keyed by the MPI configuration flag."""
-    cls = DualContextEngine if dual_context else SingleContextEngine
-    return cls(blocks, cost)
-
-
 def engine_for(typed, cost: CostModel, dual_context: bool) -> _EngineBase:
-    """Engine over a :class:`~repro.datatypes.packing.TypedBuffer`'s layout.
+    """The engine the MPI configuration flag selects, over a
+    :class:`~repro.datatypes.packing.TypedBuffer`'s layout.
 
-    The block structure comes from the buffer's compiled IR plan (shared
-    across equal-structure types), so repeated sends of the same datatype
-    never re-derive the ``BlockList`` the cost model walks.  The *cost*
-    analysis itself is untouched: both engines see the same merged block
-    stream the legacy flatten produced, keeping the quadratic-re-search
-    versus constant-look-ahead pins exactly where the paper puts them.
+    The block structure is the buffer's compiled plan's (shared across
+    equal-structure types and across ``offset_bytes``), so repeated sends
+    of the same datatype never re-derive the ``BlockList`` the cost model
+    walks; both engines see the same merged block stream.
     """
-    return make_engine(typed.blocks, cost, dual_context)
+    cls = DualContextEngine if dual_context else SingleContextEngine
+    return cls(typed.blocks, cost)
 
 
 def unpack_stage_cost(nbytes: int, nblocks: int, cost: CostModel, contiguous: bool) -> float:

@@ -11,7 +11,6 @@ charges the baseline engine its quadratic re-search time.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ class BlockList:
         total payload bytes (``cum[-1]`` as a Python int).
     """
 
-    __slots__ = ("offsets", "lengths", "cum", "size", "_granularity")
+    __slots__ = ("offsets", "lengths", "cum", "size")
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -46,7 +45,6 @@ class BlockList:
         self.lengths = lengths
         self.cum = np.concatenate(([0], np.cumsum(lengths)))
         self.size = int(self.cum[-1])
-        self._granularity: int | None = None
 
     # -- basic properties --------------------------------------------------
 
@@ -96,29 +94,22 @@ class BlockList:
         out.lengths = self.lengths
         out.cum = self.cum
         out.size = self.size
-        out._granularity = None
         return out
 
-    def replicated(self, displacements: np.ndarray) -> "BlockList":
-        """Blocks of one copy per displacement, copies laid out in order."""
-        disps = np.asarray(displacements, dtype=np.int64)
-        offs = (disps[:, None] + self.offsets[None, :]).reshape(-1)
-        lens = np.tile(self.lengths, len(disps))
-        return merge_adjacent(offs, lens)
 
-    def granularity(self) -> int:
-        """Largest power-of-two (<= 16) dividing every offset and length.
-
-        Packing gathers at this granularity so that e.g. all-double datatypes
-        move 8-byte elements instead of single bytes.
-        """
-        if self._granularity is None:
-            g = 16
-            for arr in (self.offsets, self.lengths):
-                g = math.gcd(g, int(np.gcd.reduce(arr, initial=0)))
-            g = g & -g  # power-of-two part of the gcd
-            self._granularity = max(1, g)
-        return self._granularity
+def merge_runs(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Fuse every run that starts exactly where the previous one ends
+    (order kept; the inputs come back unchanged when nothing abuts)."""
+    if len(offsets) < 2:
+        return offsets, lengths
+    # a new run starts where the previous block does NOT abut this one
+    starts = np.empty(len(offsets), dtype=bool)
+    starts[0] = True
+    starts[1:] = offsets[1:] != offsets[:-1] + lengths[:-1]
+    if starts.all():
+        return offsets, lengths
+    idx = np.flatnonzero(starts)
+    return offsets[idx], np.add.reduceat(lengths, idx)
 
 
 def merge_adjacent(offsets: np.ndarray, lengths: np.ndarray) -> BlockList:
@@ -132,13 +123,4 @@ def merge_adjacent(offsets: np.ndarray, lengths: np.ndarray) -> BlockList:
     lengths = np.asarray(lengths, dtype=np.int64)
     if len(offsets) == 0:
         raise ValueError("empty block list")
-    if len(offsets) == 1:
-        return BlockList(offsets, lengths)
-    # new run starts where the previous block does NOT abut this one
-    starts = np.empty(len(offsets), dtype=bool)
-    starts[0] = True
-    starts[1:] = offsets[1:] != offsets[:-1] + lengths[:-1]
-    idx = np.flatnonzero(starts)
-    merged_offsets = offsets[idx]
-    merged_lengths = np.add.reduceat(lengths, idx)
-    return BlockList(merged_offsets, merged_lengths)
+    return BlockList(*merge_runs(offsets, lengths))

@@ -16,8 +16,9 @@ Node                  Meaning (applied at a byte shift ``s``)
 ====================  ======================================================
 
 All nodes preserve MPI *pack order*: expansion order is definition order,
-never sorted order, so the stream of a compiled type is byte-identical to
-the legacy per-class ``_flatten()`` walks.
+never sorted order.  Each constructor's ``_build_ir`` is its only
+translation; ``tests/_dtype_oracle.py`` enumerates the MPI typemap from the
+definitions and the test-suite holds every compiled plan to it.
 
 The compiler has three stages, each deterministic:
 
@@ -39,24 +40,25 @@ The compiler has three stages, each deterministic:
    executing a program is a handful of slice assignments.
 3. **Caching**: plans are memoized in a process-wide table keyed by the
    type's structural signature (:meth:`Datatype.struct_key`) and count, so
-   equal-structure instances share one ``BlockList`` and one program.
+   equal-structure instances share one :class:`CompiledPlan` -- the single
+   authority for layout (``blocks``), byte movement (``program``), bounds
+   (``start_bytes``/``end_bytes``) and type signature.
 
-``set_passes_enabled(False)`` (or ``REPRO_IR_NO_PASSES=1``) disables the
-pass pipeline *and* lowers one python-level copy op per raw block -- the
-deliberately de-optimized mode the CI guideline gate self-test uses to
-prove the "pack must not lose to manual copy" benchmarks actually trip.
+``set_passes_enabled(False)`` disables the pass pipeline *and* lowers one
+python-level copy op per raw block -- the deliberately de-optimized mode
+the CI guideline gate self-test uses to prove the "pack must not lose to
+manual copy" benchmarks actually trip.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.datatypes.flatten import BlockList, merge_adjacent
+from repro.datatypes.flatten import BlockList, merge_adjacent, merge_runs
 
 __all__ = [
     "Block",
@@ -68,9 +70,7 @@ __all__ = [
     "cache_clear",
     "cache_stats",
     "compile_datatype",
-    "ir_extent",
     "ir_num_blocks",
-    "ir_size",
     "loop",
     "lower",
     "optimize",
@@ -186,32 +186,6 @@ def shift_ir(node: IRNode, delta: int) -> IRNode:
 # -- structural queries ------------------------------------------------------
 
 
-def ir_size(node: IRNode) -> int:
-    """Payload bytes moved by one expansion of ``node``."""
-    if isinstance(node, Block):
-        return node.length
-    if isinstance(node, Loop):
-        return node.count * ir_size(node.child)
-    if isinstance(node, Seq):
-        return sum(ir_size(ch) for ch in node.children)
-    if isinstance(node, Scatter):
-        return int(node.lengths.sum())
-    raise TypeError(type(node).__name__)
-
-
-def ir_extent(node: IRNode) -> int:
-    """Last byte touched (exclusive) relative to shift 0."""
-    if isinstance(node, Block):
-        return node.offset + node.length
-    if isinstance(node, Loop):
-        return (node.count - 1) * node.stride + ir_extent(node.child)
-    if isinstance(node, Seq):
-        return max(ir_extent(ch) for ch in node.children)
-    if isinstance(node, Scatter):
-        return int((node.offsets + node.lengths).max())
-    raise TypeError(type(node).__name__)
-
-
 def ir_num_blocks(node: IRNode) -> int:
     """Raw (pre-merge) contiguous-run count of one expansion."""
     if isinstance(node, Block):
@@ -249,8 +223,7 @@ def to_blocklist(node: IRNode) -> BlockList:
 
     Merging adjacent abutting runs is confluent -- the merged result depends
     only on the final run order, never on which intermediate level merged
-    first -- so this is byte-for-byte the ``BlockList`` the legacy per-class
-    ``_flatten()`` walks produced.
+    first -- so no pass can change the stream the cost engines walk.
     """
     offs, lens = _expand(node)
     return merge_adjacent(offs, lens)
@@ -269,15 +242,7 @@ _MAX_PASS_ROUNDS = 8
 
 def _canonicalize_scatter(node: Scatter) -> IRNode:
     """Merge abutting runs; recognise single runs and uniform strides."""
-    offs, lens = node.offsets, node.lengths
-    if len(offs) > 1:
-        starts = np.empty(len(offs), dtype=bool)
-        starts[0] = True
-        starts[1:] = offs[1:] != offs[:-1] + lens[:-1]
-        if not starts.all():
-            idx = np.flatnonzero(starts)
-            offs = offs[idx]
-            lens = np.add.reduceat(node.lengths, idx)
+    offs, lens = merge_runs(node.offsets, node.lengths)
     if len(offs) == 1:
         return Block(int(offs[0]), int(lens[0]))
     # re-roll: equal lengths + uniform positive stride covering the run
@@ -420,7 +385,7 @@ class _StridedOp:
 
 
 class _GatherOp:
-    """Fancy-index fallback for irregular runs (the legacy mechanism).
+    """Fancy-index fallback for irregular runs.
 
     The unit index is relative to the datatype origin and built lazily once
     per *program* (shared across every TypedBuffer with this structure); the
@@ -622,7 +587,7 @@ class CompiledPlan:
     """Everything the stack needs about one (structure, count) pair."""
 
     __slots__ = ("key", "ir", "blocks", "program", "raw_blocks",
-                 "end_bytes", "signature")
+                 "start_bytes", "end_bytes", "signature")
 
     def __init__(self, key, ir: IRNode, blocks: BlockList,
                  program: CopyProgram, raw_blocks: int):
@@ -631,7 +596,9 @@ class CompiledPlan:
         self.blocks = blocks
         self.program = program
         self.raw_blocks = raw_blocks
-        #: one past the last byte any block touches: the buffer-size bound
+        #: first byte any block touches (negative for a displacement below
+        #: the origin) and one past the last: the buffer bounds
+        self.start_bytes = int(blocks.offsets.min())
         self.end_bytes = int((blocks.offsets + blocks.lengths).max())
         #: the MPI type signature of the whole (structure, count) pair;
         #: filled in by the first TypedBuffer.signature() that asks
@@ -655,7 +622,7 @@ class CompiledPlan:
 _CACHE: Dict[Any, CompiledPlan] = {}
 _HITS = 0
 _MISSES = 0
-_PASSES_ENABLED = os.environ.get("REPRO_IR_NO_PASSES", "") not in ("1", "true")
+_PASSES_ENABLED = True
 
 
 def passes_enabled() -> bool:

@@ -9,9 +9,10 @@ so every simulated experiment doubles as a data-correctness test.
 Data movement executes the :class:`repro.datatypes.ir.CopyProgram` compiled
 (and memoized process-wide) for the buffer's ``(datatype, count)`` structure:
 bulk slice copies and 2-D strided views for regular layouts, one cached
-gather index for irregular ones.  The legacy element-gather path
-(:meth:`TypedBuffer.pack_legacy`) is retained as the differential-testing
-reference -- the fuzz suite asserts both move identical bytes.
+gather index for irregular ones.  That plan is also the buffer's only source
+of layout, bounds and signature; the test-suite checks the bytes it moves
+against the typemap enumerated from the MPI definitions
+(``tests/_dtype_oracle.py``).
 """
 
 from __future__ import annotations
@@ -31,29 +32,13 @@ from repro.datatypes.typemap import (
 )
 
 
-def _gather_index(blocks: BlockList) -> tuple[np.ndarray, int]:
-    """(index array, granularity): positions of payload units in the buffer.
-
-    ``index[i]`` is the buffer position (in units of ``granularity`` bytes)
-    of the i-th payload unit of the packed stream.
-    """
-    gran = blocks.granularity()
-    offs = blocks.offsets // gran
-    lens = blocks.lengths // gran
-    total = int(lens.sum())
-    # classic vectorised "ragged ranges" construction:
-    # index = concat(arange(off, off+len) for each block)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    index = np.arange(total, dtype=np.int64) + np.repeat(offs - starts, lens)
-    return index, gran
-
-
 class TypedBuffer:
     """``(buffer, count, datatype)`` -- the MPI communication triple.
 
     ``buffer`` may be any C-contiguous numpy array; ``offset_bytes`` lets a
-    view start inside it (MPI's ``buf + displacement`` idiom).
+    view start inside it (MPI's ``buf + displacement`` idiom).  The layout
+    (:attr:`blocks`) is the shared plan's, relative to ``offset_bytes``; the
+    copy program applies the offset when it executes.
     """
 
     def __init__(
@@ -73,40 +58,41 @@ class TypedBuffer:
             raise DatatypeError("buffer must be C-contiguous")
         self._bytes = self.buffer.reshape(-1).view(np.uint8)
         self._plan: Optional[_ir.CompiledPlan] = None
-        self._blocks: Optional[BlockList] = None
         self.nbytes = 0  #: payload size in bytes
         if count:
-            # payload size and size bound come off the shared plan: no
-            # per-buffer numpy reduction, contiguous or not
+            # payload size and both bounds come off the shared plan: no
+            # per-buffer numpy reduction or array, contiguous or not
             plan = self._plan = _ir.compile_datatype(datatype, count)
-            shared = plan.blocks
-            self._blocks = (shared.shifted(self.offset_bytes)
-                            if self.offset_bytes else shared)
-            self.nbytes = shared.size
+            self.nbytes = plan.blocks.size
             end_needed = plan.end_bytes + self.offset_bytes
             if end_needed > self._bytes.size:
                 raise DatatypeError(
                     f"buffer too small: datatype needs {end_needed} bytes, "
                     f"buffer has {self._bytes.size}"
                 )
-        self._index: Optional[np.ndarray] = None
-        self._gran: int = 1
+            start = plan.start_bytes + self.offset_bytes
+            if start < 0:
+                raise DatatypeError(
+                    f"datatype reaches {-start} bytes before the buffer start"
+                )
 
     # -- properties ----------------------------------------------------------
 
     @property
     def blocks(self) -> BlockList:
-        if self._blocks is None:
+        """The plan's block stream itself: offsets are relative to
+        ``offset_bytes``, not to the start of ``buffer``."""
+        if self._plan is None:
             raise DatatypeError("zero-count buffer has no blocks")
-        return self._blocks
+        return self._plan.blocks
 
     def is_contiguous(self) -> bool:
-        return self._blocks is not None and self._blocks.num_blocks == 1
+        return self._plan is not None and self._plan.blocks.num_blocks == 1
 
     @property
     def num_blocks(self) -> int:
         """Contiguous blocks in the flattened layout (0 for zero-count)."""
-        return 0 if self._blocks is None else self._blocks.num_blocks
+        return 0 if self._plan is None else self._plan.blocks.num_blocks
 
     @property
     def plan(self) -> Optional[_ir.CompiledPlan]:
@@ -115,19 +101,17 @@ class TypedBuffer:
 
     def layout_summary(self) -> dict:
         """Compact layout description (used as profiling span attributes)."""
-        if self._blocks is None:
+        if self._plan is None:
             return {"nbytes": 0, "blocks": 0, "mean_block": 0.0,
                     "contiguous": True}
-        nb = self._blocks.num_blocks
-        summary = {
-            "nbytes": self._blocks.size,
+        nb = self._plan.blocks.num_blocks
+        return {
+            "nbytes": self.nbytes,
             "blocks": nb,
-            "mean_block": self._blocks.size / nb,
+            "mean_block": self.nbytes / nb,
             "contiguous": nb == 1,
+            **self._plan.info(),
         }
-        if self._plan is not None:
-            summary.update(self._plan.info())
-        return summary
 
     def signature(self) -> TypeSignature:
         """The MPI type signature of the whole buffer (count copies)."""
@@ -147,10 +131,6 @@ class TypedBuffer:
             return 0
         return sig_crc(self.signature())
 
-    def _ensure_index(self) -> None:
-        if self._index is None and self._blocks is not None:
-            self._index, self._gran = _gather_index(self._blocks)
-
     # -- data movement ---------------------------------------------------------
 
     def pack(self) -> np.ndarray:
@@ -159,29 +139,6 @@ class TypedBuffer:
         if self._plan is None:
             return np.empty(0, dtype=np.uint8)
         return self._plan.program.pack(self._bytes, self.offset_bytes)
-
-    def pack_legacy(self) -> np.ndarray:
-        """The pre-IR element-gather pack (kept as the differential oracle)."""
-        if self._blocks is None:
-            return np.empty(0, dtype=np.uint8)
-        if self._blocks.num_blocks == 1:
-            off = int(self._blocks.offsets[0])
-            return self._bytes[off : off + self.nbytes].copy()
-        self._ensure_index()
-        if self._gran > 1:
-            units = self._unit_view()
-            packed = units[self._index]
-            return packed.view(np.uint8).reshape(-1)
-        return self._bytes[self._index].copy()
-
-    def _unit_view(self) -> np.ndarray:
-        """Void view at pack granularity.
-
-        Every block offset and end is a multiple of the granularity, so
-        trimming the tail remainder of the byte view never cuts a block.
-        """
-        usable = self._bytes.size - self._bytes.size % self._gran
-        return self._bytes[:usable].view(np.dtype((np.void, self._gran)))
 
     def unpack(self, data: np.ndarray) -> None:
         """Scatter contiguous ``data`` (uint8) back into the typed layout by
@@ -194,26 +151,6 @@ class TypedBuffer:
         if self._plan is None:
             return
         self._plan.program.unpack(self._bytes, self.offset_bytes, data)
-
-    def unpack_legacy(self, data: np.ndarray) -> None:
-        """The pre-IR element-scatter unpack (the differential oracle)."""
-        data = np.asarray(data).reshape(-1).view(np.uint8)
-        if data.size != self.nbytes:
-            raise DatatypeError(
-                f"unpack size mismatch: got {data.size} bytes, type holds {self.nbytes}"
-            )
-        if self._blocks is None:
-            return
-        if self._blocks.num_blocks == 1:
-            off = int(self._blocks.offsets[0])
-            self._bytes[off : off + self.nbytes] = data
-            return
-        self._ensure_index()
-        if self._gran > 1:
-            units = self._unit_view()
-            units[self._index] = data.view(np.dtype((np.void, self._gran)))
-        else:
-            self._bytes[self._index] = data
 
     def extract(self) -> np.ndarray:
         """Alias of :meth:`pack` (reads the payload without sending it)."""

@@ -17,10 +17,13 @@ This module            MPI equivalent
 ``Resized``            ``MPI_Type_create_resized``
 =====================  =============================================
 
-Every datatype knows its ``size`` (payload bytes), ``extent`` (span including
-holes), and can ``flatten()`` to a :class:`repro.datatypes.flatten.BlockList`.
-Flattening is vectorised (numpy) and cached, so even the million-block
-column datatype of the 1024x1024 transpose benchmark is cheap to build.
+Every datatype knows its ``size`` (payload bytes) and ``extent`` (span
+including holes) and translates itself -- once, in ``_build_ir`` -- to the
+strided-block IR of :mod:`repro.datatypes.ir`.  Everything else about its
+layout (``flatten()``'s :class:`~repro.datatypes.flatten.BlockList`, the
+copy program, the byte bounds) is derived from the compiled plan, which is
+vectorised (numpy) and cached, so even the million-block column datatype of
+the 1024x1024 transpose benchmark is cheap to build.
 
 The paper's running example (Figs. 4-6) -- the first column of an 8x8 matrix
 of 3-double elements -- is::
@@ -36,7 +39,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.datatypes.flatten import BlockList, merge_adjacent
+from repro.datatypes.flatten import BlockList
 from repro.datatypes import ir as _ir
 
 #: a type signature: run-length-encoded primitive sequence ((name, count), ...)
@@ -101,16 +104,17 @@ def signature_hash(datatype: "Datatype", count: int = 1) -> int:
 
 
 class Datatype:
-    """Base class; concrete types implement :meth:`_build_ir` (the canonical
-    strided-block IR the compiler consumes) and :meth:`_flatten` (the legacy
-    per-class expansion, kept as the differential-testing reference)."""
+    """Base class; a concrete type sets ``size``/``extent`` and implements
+    :meth:`_build_ir` (its translation to the canonical strided-block IR the
+    compiler consumes) and :meth:`_struct_key_parts`."""
 
     #: payload bytes per instance of this type
     size: int
     #: span in bytes from lower bound to upper bound (may exceed ``size``)
     extent: int
 
-    _cached_blocks: Optional[BlockList]
+    _cached_blocks: Optional[BlockList] = None
+    _struct_key: Optional[tuple] = None
 
     def flatten(self) -> BlockList:
         """The merged contiguous-block stream of one instance of the type.
@@ -124,9 +128,6 @@ class Datatype:
             self._cached_blocks = _ir.compile_datatype(self).blocks
         return self._cached_blocks
 
-    def _flatten(self) -> BlockList:  # pragma: no cover - abstract
-        raise NotImplementedError
-
     def _build_ir(self) -> "_ir.IRNode":  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -134,11 +135,9 @@ class Datatype:
         """A hashable structural identity: equal keys mean byte-identical
         layouts built from the same constructor tree (the compile-cache
         key; numpy index arrays enter via their raw bytes)."""
-        key = getattr(self, "_struct_key", None)
-        if key is None:
-            key = self._struct_key_parts()
-            self._struct_key = key
-        return key
+        if self._struct_key is None:
+            self._struct_key = self._struct_key_parts()
+        return self._struct_key
 
     def _struct_key_parts(self) -> tuple:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -147,19 +146,17 @@ class Datatype:
     def num_blocks(self) -> int:
         return self.flatten().num_blocks
 
-    def signature(self) -> tuple:
-        """A hashable structural summary (used for type-matching checks)."""
-        return (type(self).__name__, self.size, self.extent, self.num_blocks)
-
     def typemap_signature(self) -> TypeSignature:
         """The run-length-encoded primitive sequence of one instance.
 
         This is MPI's *type signature*: the ordered list of basic datatypes
         in the typemap, ignoring displacements.  Send/receive pairs must
         have compatible signatures (MPI-3.0 section 3.3.1); the analyzer's
-        SIG001 rule checks exactly this.
+        SIG001 rule checks exactly this.  A type built over one ``base`` is
+        ``size // base.size`` copies of the base's signature.
         """
-        raise NotImplementedError
+        return _rle_repeat(self.base.typemap_signature(),
+                           self.size // self.base.size)
 
     def is_contiguous(self) -> bool:
         bl = self.flatten()
@@ -177,10 +174,6 @@ class Primitive(Datatype):
         self.np_dtype = np.dtype(np_dtype)
         self.size = self.np_dtype.itemsize
         self.extent = self.size
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        return BlockList(np.array([0]), np.array([self.size]))
 
     def _build_ir(self) -> _ir.IRNode:
         return _ir.Block(0, self.size)
@@ -237,20 +230,12 @@ class Contiguous(Datatype):
         self.base = _check_base(base)
         self.size = count * base.size
         self.extent = count * base.extent
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        disps = np.arange(self.count, dtype=np.int64) * self.base.extent
-        return self.base.flatten().replicated(disps)
 
     def _build_ir(self) -> _ir.IRNode:
         return _ir.loop(self.count, self.base.extent, _ir.ir_of(self.base))
 
     def _struct_key_parts(self) -> tuple:
         return ("contig", self.count, self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(self.base.typemap_signature(), self.count)
 
 
 class Vector(Datatype):
@@ -272,12 +257,6 @@ class Vector(Datatype):
         if stride < blocklength and count > 1:
             raise DatatypeError("overlapping vector (stride < blocklength)")
         self.extent = ((count - 1) * stride + blocklength) * base.extent
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        block = Contiguous(self.blocklength, self.base) if self.blocklength > 1 else self.base
-        disps = np.arange(self.count, dtype=np.int64) * (self.stride * self.base.extent)
-        return block.flatten().replicated(disps)
 
     def _build_ir(self) -> _ir.IRNode:
         ext = self.base.extent
@@ -287,9 +266,6 @@ class Vector(Datatype):
     def _struct_key_parts(self) -> tuple:
         return ("vector", self.count, self.blocklength, self.stride,
                 self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(self.base.typemap_signature(), self.count * self.blocklength)
 
 
 class HVector(Datatype):
@@ -306,12 +282,6 @@ class HVector(Datatype):
         self.base = _check_base(base)
         self.size = count * blocklength * base.size
         self.extent = (count - 1) * stride_bytes + blocklength * base.extent
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        block = Contiguous(self.blocklength, self.base) if self.blocklength > 1 else self.base
-        disps = np.arange(self.count, dtype=np.int64) * self.stride_bytes
-        return block.flatten().replicated(disps)
 
     def _build_ir(self) -> _ir.IRNode:
         ext = self.base.extent
@@ -321,9 +291,6 @@ class HVector(Datatype):
     def _struct_key_parts(self) -> tuple:
         return ("hvector", self.count, self.blocklength, self.stride_bytes,
                 self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(self.base.typemap_signature(), self.count * self.blocklength)
 
 
 class Indexed(Datatype):
@@ -344,28 +311,6 @@ class Indexed(Datatype):
         self.extent = int(
             (self.displacements + self.blocklengths).max() * base.extent
         )
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        base_bl = self.base.flatten()
-        if base_bl.num_blocks == 1 and self.base.size == self.base.extent:
-            # fast path: pure byte blocks, in definition order (MPI packs in
-            # the order blocks appear in the typemap, not sorted order)
-            offs = self.displacements * self.base.extent
-            lens = self.blocklengths * self.base.size
-            return merge_adjacent(offs, lens)
-        # general base: entry e contributes blocklengths[e] copies of the
-        # base layout at element offsets displacements[e], disp[e]+1, ...
-        # Expanded with the ragged-ranges trick -- no per-entry python loop.
-        ext = self.base.extent
-        reps = self.blocklengths
-        total = int(reps.sum())
-        ends = np.cumsum(reps)
-        within = np.arange(total, dtype=np.int64) - np.repeat(ends - reps, reps)
-        copy_off = (np.repeat(self.displacements, reps) + within) * ext
-        offs = (copy_off[:, None] + base_bl.offsets[None, :]).reshape(-1)
-        lens = np.tile(base_bl.lengths, total)
-        return merge_adjacent(offs, lens)
 
     def _build_ir(self) -> _ir.IRNode:
         ext = self.base.extent
@@ -383,11 +328,6 @@ class Indexed(Datatype):
         return ("indexed", self.blocklengths.tobytes(),
                 self.displacements.tobytes(), self.base.struct_key())
 
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(
-            self.base.typemap_signature(), int(self.blocklengths.sum())
-        )
-
 
 class HIndexed(Datatype):
     """Like :class:`Indexed` but displacements are in bytes."""
@@ -400,6 +340,8 @@ class HIndexed(Datatype):
         if np.any(bl < 0) or np.all(bl == 0):
             raise DatatypeError("blocklengths must be >= 0 with at least one > 0")
         self.base = _check_base(base)
+        if not base.is_contiguous():
+            raise DatatypeError("HIndexed over non-contiguous base not supported")
         keep = bl > 0
         self.blocklengths = bl[keep]
         self.byte_displacements = dp[keep]
@@ -407,29 +349,14 @@ class HIndexed(Datatype):
         self.extent = int(
             (self.byte_displacements + self.blocklengths * base.extent).max()
         )
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        if self.base.num_blocks != 1 or self.base.size != self.base.extent:
-            raise DatatypeError("HIndexed over non-contiguous base not supported")
-        offs = self.byte_displacements.copy()
-        lens = self.blocklengths * self.base.size
-        return merge_adjacent(offs, lens)
 
     def _build_ir(self) -> _ir.IRNode:
-        if self.base.num_blocks != 1 or self.base.size != self.base.extent:
-            raise DatatypeError("HIndexed over non-contiguous base not supported")
         return _ir.Scatter(self.byte_displacements,
                            self.blocklengths * self.base.size)
 
     def _struct_key_parts(self) -> tuple:
         return ("hindexed", self.blocklengths.tobytes(),
                 self.byte_displacements.tobytes(), self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(
-            self.base.typemap_signature(), int(self.blocklengths.sum())
-        )
 
 
 class IndexedBlock(Datatype):
@@ -446,12 +373,6 @@ class IndexedBlock(Datatype):
         self.base = _check_base(base)
         self.size = len(dp) * blocklength * base.size
         self.extent = int((dp.max() + blocklength) * base.extent)
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        block = Contiguous(self.blocklength, self.base) if self.blocklength > 1 else self.base
-        disps = self.displacements * self.base.extent
-        return block.flatten().replicated(disps)
 
     def _build_ir(self) -> _ir.IRNode:
         ext = self.base.extent
@@ -466,11 +387,6 @@ class IndexedBlock(Datatype):
     def _struct_key_parts(self) -> tuple:
         return ("indexedblock", self.blocklength,
                 self.displacements.tobytes(), self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return _rle_repeat(
-            self.base.typemap_signature(), len(self.displacements) * self.blocklength
-        )
 
 
 class Struct(Datatype):
@@ -498,18 +414,6 @@ class Struct(Datatype):
             d + b * t.extent
             for b, d, t in zip(self.blocklengths, self.byte_displacements, self.types)
         )
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        parts_off = []
-        parts_len = []
-        for b, d, t in zip(self.blocklengths, self.byte_displacements, self.types):
-            sub = (Contiguous(b, t) if b > 1 else t).flatten().shifted(d)
-            parts_off.append(sub.offsets)
-            parts_len.append(sub.lengths)
-        offs = np.concatenate(parts_off)
-        lens = np.concatenate(parts_len)
-        return merge_adjacent(offs, lens)
 
     def _build_ir(self) -> _ir.IRNode:
         return _ir.seq(
@@ -572,27 +476,6 @@ class Subarray(Datatype):
         for s in sizes:
             full *= s
         self.extent = full * base.extent  # like MPI: extent of the full array
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        sizes, subsizes, starts = self.sizes, self.subsizes, self.starts
-        if self.order == "F":
-            sizes, subsizes, starts = sizes[::-1], subsizes[::-1], starts[::-1]
-        # Row-major: the last dimension is contiguous.  Build displacements of
-        # every run of subsizes[-1] consecutive base elements.
-        elem = self.base.extent
-        # strides (in elements) of each dimension in the full array
-        strides = [1] * len(sizes)
-        for d in range(len(sizes) - 2, -1, -1):
-            strides[d] = strides[d + 1] * sizes[d + 1]
-        # displacement grid over all dims except the last
-        disp = np.zeros(1, dtype=np.int64)
-        for d in range(len(sizes) - 1):
-            idx = (starts[d] + np.arange(subsizes[d], dtype=np.int64)) * strides[d]
-            disp = (disp[:, None] + idx[None, :]).reshape(-1)
-        disp = (disp + starts[-1]) * elem
-        run = Contiguous(subsizes[-1], self.base) if subsizes[-1] > 1 else self.base
-        return run.flatten().replicated(disp)
 
     def _build_ir(self) -> _ir.IRNode:
         sizes, subsizes, starts = self.sizes, self.subsizes, self.starts
@@ -612,12 +495,6 @@ class Subarray(Datatype):
         return ("subarray", tuple(self.sizes), tuple(self.subsizes),
                 tuple(self.starts), self.order, self.base.struct_key())
 
-    def typemap_signature(self) -> TypeSignature:
-        n = 1
-        for s in self.subsizes:
-            n *= s
-        return _rle_repeat(self.base.typemap_signature(), n)
-
 
 class Resized(Datatype):
     """Override a type's extent (``MPI_Type_create_resized`` with lb=0)."""
@@ -628,16 +505,9 @@ class Resized(Datatype):
             raise DatatypeError("extent must be >= 1")
         self.size = base.size
         self.extent = extent
-        self._cached_blocks = None
-
-    def _flatten(self) -> BlockList:
-        return self.base.flatten()
 
     def _build_ir(self) -> _ir.IRNode:
         return _ir.ir_of(self.base)
 
     def _struct_key_parts(self) -> tuple:
         return ("resized", self.extent, self.base.struct_key())
-
-    def typemap_signature(self) -> TypeSignature:
-        return self.base.typemap_signature()

@@ -127,12 +127,13 @@ def as_typed(
     if datatype is None:
         datatype = primitive_for(arr.dtype)
     if count is None:
-        if arr.size * arr.itemsize % datatype.extent:
+        room = arr.size * arr.itemsize - offset_bytes
+        if room % datatype.extent:
             raise MPIError(
-                f"buffer of {arr.size * arr.itemsize} bytes does not hold a "
+                f"buffer of {room} bytes does not hold a "
                 f"whole number of {datatype!r} (extent {datatype.extent})"
             )
-        count = (arr.size * arr.itemsize - offset_bytes) // datatype.extent
+        count = room // datatype.extent
     return TypedBuffer(arr, datatype, count=count, offset_bytes=offset_bytes)
 
 

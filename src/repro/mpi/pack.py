@@ -74,9 +74,8 @@ def mpi_pack(
         out[position:position + tb.nbytes] = tb.pack()
 
     _timed_move(comm, tb, _move)
-    nblocks = tb.blocks.num_blocks if tb.count else 0
     yield from comm.cpu(
-        tb.nbytes * comm.cost.copy_byte + nblocks * comm.cost.block_overhead,
+        tb.nbytes * comm.cost.copy_byte + tb.num_blocks * comm.cost.block_overhead,
         "pack",
     )
     return position + tb.nbytes
@@ -101,9 +100,8 @@ def mpi_unpack(
         )
     _timed_move(comm, tb,
                 lambda: tb.unpack(src[position:position + tb.nbytes]))
-    nblocks = tb.blocks.num_blocks if tb.count else 0
     yield from comm.cpu(
-        tb.nbytes * comm.cost.copy_byte + nblocks * comm.cost.block_overhead,
+        tb.nbytes * comm.cost.copy_byte + tb.num_blocks * comm.cost.block_overhead,
         "pack",
     )
     return position + tb.nbytes

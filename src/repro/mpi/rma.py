@@ -27,7 +27,7 @@ from typing import Generator, List, Optional
 
 import numpy as np
 
-from repro.datatypes.engine import make_engine, unpack_stage_cost
+from repro.datatypes.engine import engine_for, unpack_stage_cost
 from repro.datatypes.packing import TypedBuffer
 from repro.mpi.comm import Comm, MPIError, as_typed
 from repro.simtime.engine import Delay, SimProcess
@@ -129,8 +129,8 @@ class Win:
         dst = comm._to_global(target_rank)
         # origin-side datatype processing (same engines as two-sided)
         if not origin_tb.is_contiguous():
-            engine = make_engine(origin_tb.blocks, cost,
-                                 comm.config.dual_context_engine)
+            engine = engine_for(origin_tb, cost,
+                                comm.config.dual_context_engine)
             cpu = engine.total_cpu_s()
             yield from comm.cpu(cpu, "pack")
         if method == "pack" or target_tb.is_contiguous():

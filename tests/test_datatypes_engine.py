@@ -1,5 +1,6 @@
 """Tests for the single- vs dual-context pack engines (paper section 4.1)."""
 
+import numpy as np
 import pytest
 
 from repro.datatypes import (
@@ -7,8 +8,9 @@ from repro.datatypes import (
     Contiguous,
     DualContextEngine,
     SingleContextEngine,
+    TypedBuffer,
     Vector,
-    make_engine,
+    engine_for,
 )
 from repro.datatypes.engine import unpack_stage_cost
 from repro.util import CostModel
@@ -104,10 +106,15 @@ def test_dense_stages_have_no_copy_cost():
         assert s.pack_s < s.nbytes * COST.copy_byte / 10
 
 
-def test_make_engine_factory():
+def test_engine_for_factory():
     dt = sparse_type(10)
-    assert isinstance(make_engine(dt.flatten(), COST, True), DualContextEngine)
-    assert isinstance(make_engine(dt.flatten(), COST, False), SingleContextEngine)
+    # the engine walks the shared plan's stream, offset or not
+    tb = TypedBuffer(np.zeros(dt.extent + 8, dtype=np.uint8), dt, offset_bytes=8)
+    shared = dt.flatten()
+    for dual, cls in ((True, DualContextEngine), (False, SingleContextEngine)):
+        engine = engine_for(tb, COST, dual)
+        assert isinstance(engine, cls)
+        assert engine.blocks is shared
 
 
 def test_empty_plan_for_zero_size():

@@ -5,11 +5,13 @@ Three families of guarantees:
 - **canonical form**: equivalent constructor trees compile to *identical*
   IR (the paper's observation that Vector/Indexed/IndexedBlock/HVector
   describing the same layout should not perform differently);
-- **byte identity**: the compiled copy programs produce exactly the
-  bytes of the legacy per-element gather path, for every constructor,
-  with the optimization pipeline on or off (property-based, including
-  zero counts, zero-length blocks, overlapping displacements and deep
-  nesting);
+- **byte identity**: the compiled copy programs and block streams are
+  exactly what MPI's typemap says, as enumerated from the definitions by
+  ``tests/_dtype_oracle.py`` (which never touches ``_build_ir``), for every
+  constructor, with the optimization pipeline on or off (property-based,
+  including zero counts, zero-length blocks, overlapping displacements,
+  mixed primitives and deep nesting).  (Where a test name says "legacy",
+  read "reference": it once was a second per-class translation in ``src/``);
 - **structure**: plan sharing across equal instances, op-count shape of
   optimized vs deoptimized lowering, and the compile-cache counters.
 """
@@ -35,6 +37,7 @@ from repro.datatypes import (
     Vector,
     ir,
 )
+from tests._dtype_oracle import reference_blocks, reference_pack, reference_unpack
 
 D = DOUBLE
 
@@ -42,27 +45,30 @@ D = DOUBLE
 # -- helpers ------------------------------------------------------------------
 
 def roundtrip_identical(dt, count=1, offset_bytes=0):
-    """pack/unpack/extract via the compiled program vs the legacy gather
-    path, byte for byte, on a deterministic pattern buffer."""
+    """pack/unpack/extract via the compiled program vs the typemap
+    enumerated from the definitions, byte for byte, on a deterministic
+    pattern buffer."""
     need = offset_bytes + (count * dt.extent if count else 0) + 64
     src = np.arange(need, dtype=np.uint8)
     tb = TypedBuffer(src.copy(), dt, count=count, offset_bytes=offset_bytes)
-    legacy_tb = TypedBuffer(src.copy(), dt, count=count,
-                            offset_bytes=offset_bytes)
     packed = tb.pack()
-    packed_legacy = legacy_tb.pack_legacy()
-    assert packed.tobytes() == packed_legacy.tobytes()
+    assert packed.tobytes() == reference_pack(src, dt, count, offset_bytes).tobytes()
     assert tb.extract().tobytes() == packed.tobytes()
 
-    # unpack a fresh pattern into two zeroed buffers: identical layouts
+    # unpack a fresh pattern into a zeroed buffer, typed and by the reference
     wire = (np.arange(len(packed), dtype=np.uint8) + 7).astype(np.uint8)
     a = TypedBuffer(np.zeros(need, dtype=np.uint8), dt, count=count,
                     offset_bytes=offset_bytes)
-    b = TypedBuffer(np.zeros(need, dtype=np.uint8), dt, count=count,
-                    offset_bytes=offset_bytes)
+    expected = np.zeros(need, dtype=np.uint8)
     a.unpack(wire)
-    b.unpack_legacy(wire)
-    assert a._bytes.tobytes() == b._bytes.tobytes()
+    reference_unpack(expected, dt, wire, count, offset_bytes)
+    assert a._bytes.tobytes() == expected.tobytes()
+
+
+def blocks_identical(dt, count):
+    """The plan's merged block stream vs the typemap's."""
+    blocks = ir.compile_datatype(dt, count).blocks
+    assert list(map(list, blocks)) == reference_blocks(dt, count)
 
 
 @pytest.fixture
@@ -143,7 +149,7 @@ def test_flatten_is_memoized_across_equal_instances():
     assert a.flatten() is b.flatten()
 
 
-# -- IR blocklist equals the legacy per-class flatten walks -------------------
+# -- every constructor against the definition-level typemap -------------------
 
 LEGACY_EQUIV_SPECS = [
     D,
@@ -164,26 +170,39 @@ LEGACY_EQUIV_SPECS = [
     Resized(Vector(2, 1, 3, D), 64),
     Vector(2, 2, 3, Contiguous(2, D)),
     Indexed([2, 1], [0, 4], Vector(2, 1, 2, D)),  # noncontiguous base
+    # (ids above are pinned by position: append only)
+    HIndexed([1, 2, 1], [48, 0, 24], Contiguous(2, INT)),  # unsorted, abutting
+    Struct([1, 3, 2], [0, 4, 16], [BYTE, BYTE, Vector(2, 1, 2, INT)]),
+    Subarray([3, 4, 5], [2, 2, 3], [1, 0, 2], INT),
+    Subarray([3, 4, 5], [2, 2, 3], [1, 0, 2], Struct([1, 1], [0, 8], [INT, D]),
+             order="F"),
+    IndexedBlock(2, [5, 0], Resized(Struct([1, 1], [0, 4], [BYTE, INT]), 16)),
 ]
+SPEC_IDS = [type(s).__name__ + str(i) for i, s in enumerate(LEGACY_EQUIV_SPECS)]
 
 
-@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS,
-                         ids=[type(s).__name__ + str(i)
-                              for i, s in enumerate(LEGACY_EQUIV_SPECS)])
+@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS, ids=SPEC_IDS)
 def test_ir_blocklist_matches_legacy_flatten(dt):
-    legacy = dt._flatten()
-    via_ir = ir.to_blocklist(ir.ir_of(dt))
-    assert np.array_equal(via_ir.offsets, legacy.offsets)
-    assert np.array_equal(via_ir.lengths, legacy.lengths)
+    assert list(map(list, dt.flatten())) == reference_blocks(dt)
 
 
-@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS,
-                         ids=[type(s).__name__ + str(i)
-                              for i, s in enumerate(LEGACY_EQUIV_SPECS)])
+def _all_counts_and_offsets(dt):
+    for count in (0, 1, 3):
+        for offset_bytes in (0, 8):
+            roundtrip_identical(dt, count=count, offset_bytes=offset_bytes)
+        if count:
+            blocks_identical(dt, count)
+
+
+@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS, ids=SPEC_IDS)
 def test_roundtrip_every_constructor(dt):
-    roundtrip_identical(dt)
-    roundtrip_identical(dt, count=3)
+    _all_counts_and_offsets(dt)
     roundtrip_identical(dt, count=2, offset_bytes=8)
+
+
+@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS, ids=SPEC_IDS)
+def test_roundtrip_every_constructor_passes_disabled(dt, passes_disabled):
+    _all_counts_and_offsets(dt)
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -203,9 +222,12 @@ def test_zero_length_indexed_blocks_drop_out():
 
 def test_overlapping_displacements_unpack_last_wins():
     # MPI leaves overlapping unpack targets implementation-defined; we
-    # pin sequential last-wins and require legacy/IR agreement
+    # pin sequential last-wins (what the entry-by-entry reference does)
     dt = Indexed([2, 2], [0, 1], D)
     roundtrip_identical(dt, count=1)
+    dst = np.zeros(3)
+    TypedBuffer(dst, dt).unpack(np.array([1.0, 2.0, 3.0, 4.0]).view(np.uint8))
+    assert dst.tolist() == [1.0, 3.0, 4.0]
 
 
 def test_deep_nesting_roundtrip():
@@ -217,8 +239,8 @@ def test_deep_nesting_roundtrip():
 
 @st.composite
 def datatype_tree(draw, depth=0):
-    kinds = ["primitive", "contiguous", "vector", "hvector",
-             "indexed", "indexed_block", "struct", "resized"]
+    kinds = ["primitive", "contiguous", "vector", "hvector", "indexed",
+             "hindexed", "indexed_block", "struct", "subarray", "resized"]
     kind = "primitive" if depth >= 2 else draw(st.sampled_from(kinds))
     if kind == "primitive":
         return draw(st.sampled_from([D, INT, BYTE]))
@@ -243,6 +265,19 @@ def datatype_tree(draw, depth=0):
             disps.append(pos)
             pos += length
         return Indexed(lens, disps, base)
+    if kind == "hindexed":
+        # contiguous bases only; byte displacements in any order, any gap
+        base = draw(st.sampled_from([D, INT, BYTE, Contiguous(2, INT)]))
+        lens = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        slots = draw(st.permutations(range(len(lens))))
+        return HIndexed(lens, [40 * k + draw(st.integers(0, 16)) for k in slots],
+                        base)
+    if kind == "subarray":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        subsizes = [draw(st.integers(1, n)) for n in sizes]
+        starts = [draw(st.integers(0, n - m)) for n, m in zip(sizes, subsizes)]
+        return Subarray(sizes, subsizes, starts, base,
+                        order=draw(st.sampled_from("CF")))
     if kind == "indexed_block":
         blocklength = draw(st.integers(1, 3))
         nblocks = draw(st.integers(1, 3))
@@ -268,15 +303,17 @@ def datatype_tree(draw, depth=0):
 @settings(max_examples=200, deadline=None)
 def test_fuzz_ir_matches_legacy(dt, count, off8):
     roundtrip_identical(dt, count=count, offset_bytes=8 * off8)
+    if count:
+        blocks_identical(dt, count)
 
 
-@given(datatype_tree(), st.integers(0, 2))
+@given(datatype_tree(), st.integers(0, 2), st.integers(0, 1))
 @settings(max_examples=60, deadline=None)
-def test_fuzz_ir_matches_legacy_passes_disabled(dt, count):
+def test_fuzz_ir_matches_legacy_passes_disabled(dt, count, off8):
     ir.set_passes_enabled(False)
     ir.cache_clear()
     try:
-        roundtrip_identical(dt, count=count)
+        roundtrip_identical(dt, count=count, offset_bytes=8 * off8)
     finally:
         ir.set_passes_enabled(True)
         ir.cache_clear()

@@ -10,6 +10,7 @@ from repro.datatypes import (
     INT,
     Contiguous,
     DatatypeError,
+    HIndexed,
     Indexed,
     Struct,
     Subarray,
@@ -102,6 +103,29 @@ def test_buffer_too_small_rejected():
         TypedBuffer(buf, DOUBLE, count=5)
     with pytest.raises(DatatypeError):
         TypedBuffer(buf, DOUBLE, count=4, offset_bytes=8)
+
+
+def test_reaching_below_the_buffer_start_rejected():
+    # a negative displacement used to wrap around (numpy's negative slice
+    # indices) and silently move elements 0 and 3 instead of -1 and 2
+    buf = np.arange(8.0)
+    below = Indexed([1, 1], [-1, 2], DOUBLE)
+    for args, reach in (((below,), 8),
+                        ((HIndexed([1], [-8], DOUBLE),), 8),
+                        ((DOUBLE, 2, -16), 16)):
+        with pytest.raises(DatatypeError) as info:
+            TypedBuffer(buf, *args)
+        assert str(info.value) == (
+            f"datatype reaches {reach} bytes before the buffer start")
+    assert buf.tolist() == list(range(8))
+
+
+def test_negative_displacement_covered_by_the_offset_is_legal():
+    buf = np.arange(8.0)
+    tb = TypedBuffer(buf, Indexed([1, 1], [-1, 2], DOUBLE), offset_bytes=8)
+    assert tb.pack().view(np.float64).tolist() == [0.0, 3.0]
+    tb.unpack(np.array([-1.0, -2.0]).view(np.uint8))
+    assert buf.tolist() == [-1.0, 1.0, 2.0, -2.0, 4.0, 5.0, 6.0, 7.0]
 
 
 def test_zero_count_buffer():

@@ -104,6 +104,13 @@ def test_hindexed():
     assert blocks_of(dt) == [(16, 16), (0, 8)]
 
 
+def test_hindexed_over_noncontiguous_base_rejected_at_construction():
+    for base in (Vector(2, 1, 2, DOUBLE), Resized(DOUBLE, 16)):
+        with pytest.raises(DatatypeError, match="non-contiguous base"):
+            HIndexed([1], [0], base)
+    assert HIndexed([1], [0], Contiguous(2, DOUBLE)).size == 16
+
+
 def test_indexed_block():
     dt = IndexedBlock(2, [0, 4, 8], INT)
     assert blocks_of(dt) == [(0, 8), (16, 8), (32, 8)]

@@ -1,5 +1,5 @@
 """Property-based fuzzing of nested derived datatypes: random type trees
-pack/unpack against a brute-force element-enumeration oracle."""
+pack/unpack against the definition-level typemap of ``tests/_dtype_oracle``."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -15,6 +15,7 @@ from repro.datatypes import (
     TypedBuffer,
     Vector,
 )
+from tests._dtype_oracle import buffer_typemap
 
 
 @st.composite
@@ -73,50 +74,9 @@ def datatype_tree(draw, depth=0):
     return Resized(base, base.extent + 8 * draw(st.integers(0, 2)))
 
 
-def brute_force_blocks(dt, base_offset=0):
-    """Element-level byte offsets of one instance, via the definition."""
-    from repro.datatypes import Primitive
-
-    if isinstance(dt, Primitive):
-        return [base_offset]
-    if isinstance(dt, Contiguous):
-        out = []
-        for i in range(dt.count):
-            out.extend(brute_force_blocks(dt.base, base_offset + i * dt.base.extent))
-        return out
-    if isinstance(dt, Vector):
-        out = []
-        for i in range(dt.count):
-            start = base_offset + i * dt.stride * dt.base.extent
-            for j in range(dt.blocklength):
-                out.extend(brute_force_blocks(dt.base, start + j * dt.base.extent))
-        return out
-    if isinstance(dt, HVector):
-        out = []
-        for i in range(dt.count):
-            start = base_offset + i * dt.stride_bytes
-            for j in range(dt.blocklength):
-                out.extend(brute_force_blocks(dt.base, start + j * dt.base.extent))
-        return out
-    if isinstance(dt, Indexed):
-        out = []
-        for length, disp in zip(dt.blocklengths.tolist(), dt.displacements.tolist()):
-            for j in range(length):
-                out.extend(
-                    brute_force_blocks(dt.base, base_offset + (disp + j) * dt.base.extent)
-                )
-        return out
-    if isinstance(dt, IndexedBlock):
-        out = []
-        for disp in dt.displacements.tolist():
-            for j in range(dt.blocklength):
-                out.extend(
-                    brute_force_blocks(dt.base, base_offset + (disp + j) * dt.base.extent)
-                )
-        return out
-    if isinstance(dt, Resized):
-        return brute_force_blocks(dt.base, base_offset)
-    raise AssertionError(type(dt))
+def element_indices(dt, count):
+    """Index of every DOUBLE of the buffer's typemap, in pack order."""
+    return np.asarray([off for off, _ in buffer_typemap(dt, count)]) // 8
 
 
 @given(datatype_tree(), st.integers(1, 3))
@@ -128,10 +88,7 @@ def test_pack_matches_brute_force(dt, count):
     buf = np.arange(n, dtype=np.float64)
     tb = TypedBuffer(buf, dt, count=count)
     got = tb.pack().view(np.float64)
-    offsets = []
-    for i in range(count):
-        offsets.extend(brute_force_blocks(dt, i * dt.extent))
-    expect = buf[np.asarray(offsets) // 8]
+    expect = buf[element_indices(dt, count)]
     assert np.array_equal(got, expect)
 
 
@@ -144,10 +101,7 @@ def test_unpack_roundtrip(dt, count):
     packed = TypedBuffer(src, dt, count=count).pack()
     dst = np.zeros(n)
     TypedBuffer(dst, dt, count=count).unpack(packed)
-    offsets = []
-    for i in range(count):
-        offsets.extend(brute_force_blocks(dt, i * dt.extent))
-    sel = np.asarray(offsets) // 8
+    sel = element_indices(dt, count)
     assert np.array_equal(dst[sel], src[sel])
     untouched = np.setdiff1d(np.arange(n), sel)
     assert np.all(dst[untouched] == 0.0)

@@ -24,6 +24,8 @@ from repro.mpi import (
     MPIConfig,
     RankFailedError,
 )
+from repro.mpi.pack import mpi_pack
+from repro.mpi.rma import Win
 from repro.prof import Profiler
 
 RELIABLE = MPIConfig.optimized().with_(reliable_transport=True)
@@ -167,6 +169,31 @@ def _collectives(comm):
     return np.concatenate(parts)
 
 
+def _offset_views(comm):
+    """``isend``, ``MPI_Pack`` and a multi-RDMA ``put``, each over a sparse
+    column layout that starts ``offset_bytes`` into its buffer: the cost
+    engines, the pack charge and the per-block RDMA loop all walk
+    ``TypedBuffer.blocks``."""
+    n, nput = 8192, 256
+    col = Vector(n, 1, 4, DOUBLE)
+    local = np.zeros(4 * nput)
+    win = yield from Win.create(comm, local)
+    tb = TypedBuffer(np.arange(4.0 * n) + comm.rank, col, offset_bytes=8)
+    got = np.zeros(n)
+    if comm.rank == 0:
+        req = yield from comm.isend(tb, dest=1, tag=1)
+        yield from req.wait()
+        yield from win.put(np.arange(nput, dtype=np.float64), 1,
+                           Vector(nput, 1, 4, DOUBLE), 1,
+                           target_offset_bytes=16, method="multi_rdma")
+    else:
+        yield from comm.recv(got, source=0, tag=1)
+    packed = np.zeros(col.size, dtype=np.uint8)
+    yield from mpi_pack(comm, tb, None, None, packed, 0)
+    yield from win.fence()
+    return np.concatenate([got, packed.view(np.float64), local])
+
+
 #: name -> (ranks, program, Cluster kwargs)
 SCENARIOS = {
     "eager": (2, _pair(64), {}),
@@ -180,6 +207,9 @@ SCENARIOS = {
     "objects": (3, _objects, {}),
     "baseline_strided": (2, _strided, {"config": MPIConfig.baseline()}),
     "collectives": (6, _collectives, {}),
+    "offset_views": (2, _offset_views, {}),
+    "baseline_offset_views": (2, _offset_views,
+                              {"config": MPIConfig.baseline()}),
     "crash_mid_message": (3, _crash_mid_message, {
         "fault_plan": lambda: FaultPlan(seed=1).crash(1, at_time=3e-6)}),
     "reliable": (4, _reliable_ring, {"config": RELIABLE}),
@@ -190,14 +220,19 @@ SCENARIOS = {
                                .delay_spike(delay=1e-4, nth=9))}),
 }
 
-#: recorded at commit 24af8d3 (the parent of the hot-path change)
+#: recorded at commit 24af8d3 (the parent of the hot-path change); the two
+#: ``offset_views`` rows at 49568dd (the parent of the one-datatype-path
+#: change, when every offset buffer still carried its own shifted block list)
 PINNED = {
+    "baseline_offset_views": (0.0005724096007493675, 287, 264, 67584,
+                              3147344861, []),
     "baseline_strided": (0.00026351439544956856, 14, 4, 65536, 2856121149, []),
     "collectives": (6.107581092160212e-05, 345, 72, 2176, 2699767113, []),
     "crash_mid_message": (3.1405714285714284e-05, 11, 2, 32768, 1696784233,
                           [1, 2]),
     "eager": (4.3657142857142855e-06, 6, 1, 512, 1609984094, []),
     "objects": (1.2125714285714286e-05, 17, 4, 224, 1916446317, []),
+    "offset_views": (0.0005416464675435553, 286, 264, 67584, 3147344861, []),
     "pipelined": (5.113714285714285e-05, 10, 4, 49192, 33400267, []),
     "pipelined_strided": (0.00023236026763646543, 13, 4, 65536, 2856121149, []),
     "probes": (8.05142857142857e-06, 13, 2, 72, 3975108231, []),
@@ -310,6 +345,18 @@ def test_late_attached_observers_see_every_transfer(attach):
         assert {r.msg_id for r in trace.records} == {e.msg_id for e in events}
     if prof is not None:
         assert [e.msg_id for e in prof.transfers] == [e.msg_id for e in events]
+
+
+def test_offset_typedbuffer_reads_the_plans_own_blocklist():
+    """No per-buffer shifted copy: ``blocks`` is the shared plan's stream,
+    relative to ``offset_bytes`` (the ``offset_views`` pins above hold the
+    simulated time of everything that walks it)."""
+    col = Vector(8, 1, 4, DOUBLE)
+    at0 = TypedBuffer(np.zeros(40), col)
+    at8 = TypedBuffer(np.zeros(40), col, offset_bytes=8)
+    assert at8.plan is at0.plan
+    assert at8.blocks is at8.plan.blocks is at0.blocks
+    assert int(at8.blocks.offsets[0]) == 0
 
 
 def test_typedbuffer_offset_past_the_end_still_raises():

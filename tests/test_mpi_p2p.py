@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.datatypes import DOUBLE, TypedBuffer, Vector
-from repro.mpi import ANY_SOURCE, ANY_TAG, Cluster, MPIConfig, TruncationError
+from repro.datatypes import DOUBLE, Contiguous, TypedBuffer, Vector
+from repro.mpi import ANY_SOURCE, ANY_TAG, Cluster, MPIConfig, MPIError, TruncationError
 from repro.util import CostModel
 
 QUIET = CostModel(cpu_noise=0.0)
@@ -234,6 +234,32 @@ def test_self_send():
 
     results = cluster.run(main)
     assert np.array_equal(results[0], np.arange(4.0))
+
+
+def test_inferred_count_measures_the_room_past_the_offset():
+    """With no ``count`` a send covers what fits *after* ``offset_bytes``,
+    and that -- not the whole array -- must be a whole number of items."""
+    cluster = make_cluster(2)
+    triple = Contiguous(3, DOUBLE)
+
+    def main(comm):
+        if comm.rank == 0:
+            # 80 - 8 = 72 bytes: exactly three triples
+            yield from comm.send(np.arange(10.0), dest=1, datatype=triple,
+                                 offset_bytes=8)
+            # 72 - 8 = 64 bytes: two triples and 16 bytes that used to be
+            # dropped without a word
+            with pytest.raises(MPIError, match="64 bytes does not hold a whole"):
+                yield from comm.send(np.arange(9.0), dest=1, datatype=triple,
+                                     offset_bytes=8)
+            return None
+        buf = np.zeros(9)
+        status = yield from comm.recv(buf, source=0)
+        return buf, status.nbytes
+
+    buf, nbytes = cluster.run(main)[1]
+    assert nbytes == 72
+    assert np.array_equal(buf, np.arange(1.0, 10.0))
 
 
 def test_invalid_ranks_rejected():
