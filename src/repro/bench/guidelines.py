@@ -5,9 +5,9 @@ each benchmark states an *internal consistency* requirement -- one the
 library controls entirely, so a violation is a performance bug, not noise:
 
 ``pack-vs-manual``
-    Packing a derived datatype must not lose to the hand-rolled copy a
-    programmer would write instead (the paper's central claim: derived
-    datatypes should make manual packing unnecessary).
+    Packing (and unpacking) a derived datatype must not lose to the
+    hand-rolled copy a programmer would write instead (the paper's central
+    claim: derived datatypes should make manual packing unnecessary).
 ``vector-vs-indexed``
     A ``Vector`` must not lose to the equivalent ``Indexed`` spec of the
     same layout -- the more structured description can only help.
@@ -125,6 +125,33 @@ def guideline_cases(scale: int = 512) -> List[GuidelineCase]:
         derived=idx_tb.pack,
         reference=_manual_indexed_pack(
             mbytes, bl.offsets.tolist(), bl.lengths.tolist(), bl.size),
+    ))
+
+    # a long thin stride, sized so the slack cannot hide a kernel that moves
+    # bytes where numpy moves words (not `scale`d: --quick is as strict)
+    m = 100_000
+    wide = rng.random(4 * m)
+    thin = TypedBuffer(wide, Vector(m, 1, 4, DOUBLE))
+    cases.append(GuidelineCase(
+        "pack-vs-manual", f"stride-4 vector ({m} doubles)",
+        derived=thin.pack,
+        reference=lambda: np.ascontiguousarray(wide[::4]),
+    ))
+    packed = thin.pack()
+    sliced = np.zeros_like(wide)
+    typed = TypedBuffer(np.zeros_like(wide), thin.datatype)
+
+    def unpack_typed() -> np.ndarray:
+        typed.unpack(packed)
+        return typed.buffer
+
+    def unpack_sliced() -> np.ndarray:
+        sliced[::4] = packed.view(np.float64)
+        return sliced
+
+    cases.append(GuidelineCase(
+        "pack-vs-manual", f"stride-4 vector unpack ({m} doubles)",
+        derived=unpack_typed, reference=unpack_sliced,
     ))
 
     # -- guideline 2: Vector <= equivalent Indexed -------------------------

@@ -33,7 +33,7 @@ stays small even when simulated search time is quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, Tuple
 
 from repro.datatypes.flatten import BlockList
 from repro.util.costmodel import CostModel
@@ -64,7 +64,12 @@ class PackStage:
 
 
 class _EngineBase:
-    """Shared stage-planning logic; subclasses set the search policy."""
+    """Shared stage-planning logic; subclasses set the search policy.
+
+    An engine is the costed walk of one block stream under one cost model:
+    the stages and their per-phase totals are fixed at construction, and
+    :func:`engine_for` shares engines between sends.
+    """
 
     #: subclasses: does a sparse decision force a context re-search?
     researches_on_sparse: bool
@@ -72,29 +77,38 @@ class _EngineBase:
     def __init__(self, blocks: BlockList, cost: CostModel):
         self.blocks = blocks
         self.cost = cost
+        #: every pipeline stage of one full pass over the payload
+        self.stages: Tuple[PackStage, ...] = tuple(self._walk())
+        # simulated time is pinned bit for bit: each total is summed in
+        # stage order from 0.0, exactly as the senders used to sum it
+        look = search = pack = 0.0
+        for stage in self.stages:
+            look += stage.lookahead_s
+            search += stage.search_s
+            pack += stage.pack_s
+        self.lookahead_s, self.search_s, self.pack_s = look, search, pack
+        self.cpu_s = sum(s.cpu_s for s in self.stages)
 
     def classify(self, first_block: int) -> bool:
         """True if the region starting at ``first_block`` is dense."""
         mean = self.blocks.mean_block_length(first_block, self.cost.lookahead_depth)
         return mean >= self.cost.dense_block_threshold
 
-    def plan(self) -> List[PackStage]:
-        """Plan all pipeline stages for one full pass over the payload."""
+    def plan(self) -> Tuple[PackStage, ...]:
+        """All pipeline stages of one full pass over the payload."""
+        return self.stages
+
+    def _walk(self) -> Iterator[PackStage]:
         cost = self.cost
         blocks = self.blocks
         size = blocks.size
-        stages: List[PackStage] = []
-        if size == 0:
-            return stages
         if blocks.num_blocks == 1:
             # Fully contiguous: sent straight from the user buffer, no
             # datatype processing at all (the MPI fast path).
-            pos = 0
-            while pos < size:
-                chunk = min(cost.pipeline_chunk, size - pos)
-                stages.append(PackStage(pos, chunk, True, 0.0, 0.0, 0.0))
-                pos += chunk
-            return stages
+            for pos in range(0, size, cost.pipeline_chunk):
+                yield PackStage(pos, min(cost.pipeline_chunk, size - pos),
+                                True, 0.0, 0.0, 0.0)
+            return
         pos = 0
         while pos < size:
             chunk = min(cost.pipeline_chunk, size - pos)
@@ -118,13 +132,9 @@ class _EngineBase:
                 else:
                     search_s = 0.0
                 pack_s = chunk * cost.copy_byte + nblocks * cost.block_overhead
-            stages.append(PackStage(pos, chunk, dense, lookahead_s, search_s,
-                                    pack_s, search_blocks))
+            yield PackStage(pos, chunk, dense, lookahead_s, search_s,
+                            pack_s, search_blocks)
             pos += chunk
-        return stages
-
-    def total_cpu_s(self) -> float:
-        return sum(s.cpu_s for s in self.plan())
 
 
 class SingleContextEngine(_EngineBase):
@@ -143,13 +153,17 @@ def engine_for(typed, cost: CostModel, dual_context: bool) -> _EngineBase:
     """The engine the MPI configuration flag selects, over a
     :class:`~repro.datatypes.packing.TypedBuffer`'s layout.
 
-    The block structure is the buffer's compiled plan's (shared across
-    equal-structure types and across ``offset_bytes``), so repeated sends
-    of the same datatype never re-derive the ``BlockList`` the cost model
-    walks; both engines see the same merged block stream.
+    Engines live on the buffer's compiled plan (shared across equal-structure
+    types and across ``offset_bytes``), one per cost model and kind, so a
+    repeated send re-derives neither the ``BlockList`` nor the stage costs;
+    both kinds see the same merged block stream.
     """
-    cls = DualContextEngine if dual_context else SingleContextEngine
-    return cls(typed.blocks, cost)
+    engines = typed.plan.engines
+    engine = engines.get((cost, dual_context))
+    if engine is None:
+        cls = DualContextEngine if dual_context else SingleContextEngine
+        engine = engines[cost, dual_context] = cls(typed.blocks, cost)
+    return engine
 
 
 def unpack_stage_cost(nbytes: int, nblocks: int, cost: CostModel, contiguous: bool) -> float:

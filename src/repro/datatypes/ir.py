@@ -52,6 +52,7 @@ manual copy" benchmarks actually trip.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -352,100 +353,92 @@ class _ContigOp:
         bts[s : s + self.n] = data[self.dst : self.dst + self.n]
 
 
+#: the unsigned machine word of each width a copy op may move at a time;
+#: an op picks the widest that divides every stride and run length it has
+_WORDS = {1: np.dtype(np.uint8), 2: np.dtype(np.uint16),
+          4: np.dtype(np.uint32), 8: np.dtype(np.uint64)}
+
+
 class _StridedOp:
     """A 2-D strided copy: ``count`` runs of ``blen`` bytes every ``stride``.
 
-    Lowered from ``Loop(count, stride, Block)``; the strided source view is
-    built once per execution (the loop-invariant address computation hoisted
-    out of any per-iteration work).
+    Lowered from ``Loop(count, stride, Block)``.  Both sides of the copy are
+    ``(count, blen // word)`` views in the widest machine word dividing
+    ``stride`` and ``blen`` -- numpy moves words, not bytes, and copies
+    through a view whose base address is not word-aligned correctly.
     """
 
-    __slots__ = ("src", "dst", "count", "stride", "blen", "span", "total")
+    __slots__ = ("src", "dst", "stride", "blen", "shape", "word")
     kind = "strided"
 
     def __init__(self, src: int, dst: int, count: int, stride: int, blen: int):
         self.src, self.dst = src, dst
-        self.count, self.stride, self.blen = count, stride, blen
-        self.span = (count - 1) * stride + blen
-        self.total = count * blen
+        self.stride, self.blen = stride, blen
+        width = math.gcd(8, stride, blen)
+        self.word = _WORDS[width]
+        self.shape = (count, blen // width)
 
-    def _view(self, bts: np.ndarray, base: int) -> np.ndarray:
-        s = base + self.src
-        flat = bts[s : s + self.span]
-        return np.lib.stride_tricks.as_strided(
-            flat, shape=(self.count, self.blen), strides=(self.stride, 1))
+    def _view(self, bts: np.ndarray, start: int, row_stride: int) -> np.ndarray:
+        return np.ndarray(self.shape, self.word, bts, start,
+                          (row_stride, self.word.itemsize))
 
     def pack(self, bts: np.ndarray, base: int, out: np.ndarray) -> None:
-        dst = out[self.dst : self.dst + self.total]
-        dst.reshape(self.count, self.blen)[...] = self._view(bts, base)
+        self._view(out, self.dst, self.blen)[...] = self._view(
+            bts, base + self.src, self.stride)
 
     def unpack(self, bts: np.ndarray, base: int, data: np.ndarray) -> None:
-        src = data[self.dst : self.dst + self.total]
-        self._view(bts, base)[...] = src.reshape(self.count, self.blen)
+        self._view(bts, base + self.src, self.stride)[...] = self._view(
+            data, self.dst, self.blen)
 
 
 class _GatherOp:
     """Fancy-index fallback for irregular runs.
 
-    The unit index is relative to the datatype origin and built lazily once
-    per *program* (shared across every TypedBuffer with this structure); the
-    base offset is applied at execution.  Falls back to a byte-level index
-    when the caller's base offset breaks the granularity.
+    The index counts machine words from the op's lowest byte and is built
+    lazily once per *program* (shared across every TypedBuffer with this
+    structure).  Executing the op indexes a word view of the buffer that
+    starts at that byte, so no base offset is ever added to the index.
     """
 
-    __slots__ = ("offsets", "lengths", "dst", "total",
-                 "_gran", "_unit_index", "_byte_index")
+    __slots__ = ("offsets", "lengths", "dst", "low", "word", "span", "nwords",
+                 "_index")
     kind = "gather"
 
     def __init__(self, offsets: np.ndarray, lengths: np.ndarray, dst: int):
         self.offsets = offsets
         self.lengths = lengths
         self.dst = dst
-        self.total = int(lengths.sum())
-        g = 16
-        for arr in (offsets, lengths):
-            g = int(np.gcd(g, np.gcd.reduce(arr, initial=0)))
-        self._gran = max(1, g & -g)
-        self._unit_index: Optional[np.ndarray] = None
-        self._byte_index: Optional[np.ndarray] = None
+        self.low = int(offsets.min())
+        width = math.gcd(8, int(np.gcd.reduce(offsets - self.low)),
+                         int(np.gcd.reduce(lengths)))
+        self.word = _WORDS[width]
+        #: words between the lowest and one past the highest byte touched
+        self.span = (int((offsets + lengths).max()) - self.low) // width
+        self.nwords = int(lengths.sum()) // width
+        self._index: Optional[np.ndarray] = None
 
-    @staticmethod
-    def _ragged(offs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-        total = int(lens.sum())
-        ends = np.cumsum(lens)
-        starts = ends - lens
-        return np.arange(total, dtype=np.int64) + np.repeat(offs - starts, lens)
-
-    def _index_for(self, base: int) -> Tuple[np.ndarray, int]:
-        if self._gran > 1 and base % self._gran == 0:
-            if self._unit_index is None:
-                self._unit_index = self._ragged(
-                    self.offsets // self._gran, self.lengths // self._gran)
-            return self._unit_index + base // self._gran, self._gran
-        if self._byte_index is None:
-            self._byte_index = self._ragged(self.offsets, self.lengths)
-        return self._byte_index + base, 1
-
-    @staticmethod
-    def _units(bts: np.ndarray, gran: int) -> np.ndarray:
-        usable = bts.size - bts.size % gran
-        return bts[:usable].view(np.dtype((np.void, gran)))
+    def _views(self, bts: np.ndarray, base: int, packed: np.ndarray):
+        """``(buffer words from the lowest byte, packed-side words, index)``."""
+        if self._index is None:
+            width = self.word.itemsize
+            offs = (self.offsets - self.low) // width
+            lens = self.lengths // width
+            starts = np.cumsum(lens) - lens
+            self._index = (np.arange(self.nwords, dtype=np.int64)
+                           + np.repeat(offs - starts, lens))
+        return (np.ndarray((self.span,), self.word, bts, base + self.low),
+                np.ndarray((self.nwords,), self.word, packed, self.dst),
+                self._index)
 
     def pack(self, bts: np.ndarray, base: int, out: np.ndarray) -> None:
-        index, gran = self._index_for(base)
-        dst = out[self.dst : self.dst + self.total]
-        if gran > 1:
-            dst[...] = self._units(bts, gran)[index].view(np.uint8).reshape(-1)
-        else:
-            dst[...] = bts[index]
+        words, dst, index = self._views(bts, base, out)
+        # every index is inside ``words`` by construction; a mode other than
+        # "raise" lets take() write ``dst`` directly instead of via a copy
+        np.take(words, index, out=dst, mode="clip")
 
     def unpack(self, bts: np.ndarray, base: int, data: np.ndarray) -> None:
-        index, gran = self._index_for(base)
-        src = data[self.dst : self.dst + self.total]
-        if gran > 1:
-            self._units(bts, gran)[index] = src.view(np.dtype((np.void, gran)))
-        else:
-            bts[index] = src
+        words, src, index = self._views(bts, base, data)
+        words[index] = src
 
 
 class CopyProgram:
@@ -467,13 +460,11 @@ class CopyProgram:
             kinds[op.kind] = kinds.get(op.kind, 0) + 1
         return kinds
 
-    def pack_into(self, bts: np.ndarray, base: int, out: np.ndarray) -> np.ndarray:
+    def pack(self, bts: np.ndarray, base: int) -> np.ndarray:
+        out = np.empty(self.nbytes, dtype=np.uint8)
         for op in self.ops:
             op.pack(bts, base, out)
         return out
-
-    def pack(self, bts: np.ndarray, base: int) -> np.ndarray:
-        return self.pack_into(bts, base, np.empty(self.nbytes, dtype=np.uint8))
 
     def unpack(self, bts: np.ndarray, base: int, data: np.ndarray) -> None:
         for op in self.ops:
@@ -587,7 +578,7 @@ class CompiledPlan:
     """Everything the stack needs about one (structure, count) pair."""
 
     __slots__ = ("key", "ir", "blocks", "program", "raw_blocks",
-                 "start_bytes", "end_bytes", "signature")
+                 "start_bytes", "end_bytes", "signature", "engines")
 
     def __init__(self, key, ir: IRNode, blocks: BlockList,
                  program: CopyProgram, raw_blocks: int):
@@ -603,6 +594,9 @@ class CompiledPlan:
         #: the MPI type signature of the whole (structure, count) pair;
         #: filled in by the first TypedBuffer.signature() that asks
         self.signature: Optional[tuple] = None
+        #: the pack engines that have costed this plan, by ``(CostModel,
+        #: dual_context)``; see :func:`repro.datatypes.engine.engine_for`
+        self.engines: Dict[tuple, Any] = {}
 
     @property
     def coalesced_ratio(self) -> float:

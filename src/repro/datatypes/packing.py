@@ -143,7 +143,7 @@ class TypedBuffer:
     def unpack(self, data: np.ndarray) -> None:
         """Scatter contiguous ``data`` (uint8) back into the typed layout by
         executing the compiled copy program."""
-        data = np.asarray(data).reshape(-1).view(np.uint8)
+        data = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
         if data.size != self.nbytes:
             raise DatatypeError(
                 f"unpack size mismatch: got {data.size} bytes, type holds {self.nbytes}"

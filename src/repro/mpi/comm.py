@@ -750,16 +750,11 @@ class Comm:
             if nbytes > 0 and not tb.is_contiguous():
                 engine = engine_for(tb, self.cost,
                                     self.config.dual_context_engine)
-                stages = engine.plan()
-                look = search = pack = 0.0
-                for stage in stages:
-                    look += stage.lookahead_s
-                    search += stage.search_s
-                    pack += stage.pack_s
                 if prof.enabled:
-                    self._count_pack_stages(prof, stages, nbytes)
-                for category, seconds in (("lookahead", look),
-                                          ("search", search), ("pack", pack)):
+                    self._count_pack_stages(prof, engine.stages, nbytes)
+                for category, seconds in (("lookahead", engine.lookahead_s),
+                                          ("search", engine.search_s),
+                                          ("pack", engine.pack_s)):
                     if seconds:
                         yield from self.cpu(seconds, category)
 

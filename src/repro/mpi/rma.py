@@ -131,8 +131,7 @@ class Win:
         if not origin_tb.is_contiguous():
             engine = engine_for(origin_tb, cost,
                                 comm.config.dual_context_engine)
-            cpu = engine.total_cpu_s()
-            yield from comm.cpu(cpu, "pack")
+            yield from comm.cpu(engine.cpu_s, "pack")
         if method == "pack" or target_tb.is_contiguous():
             yield from comm.net.transfer(src, dst, target_tb.nbytes)
             if not target_tb.is_contiguous():

@@ -164,6 +164,12 @@ class DMDA:
 
         self._g2l_scatter: Optional[VecScatter] = None
 
+        # this rank's geometry never changes: the no-argument queries return it
+        lo, hi = self._owned = self.owned_box(comm.rank)
+        glo, _ = self._ghosted = self.ghosted_box(comm.rank)
+        sl = tuple(slice(lo[d] - glo[d], hi[d] - glo[d]) for d in range(3))
+        self._interior = sl + (slice(None),) if dof > 1 else sl
+
     # -- geometry ---------------------------------------------------------------
 
     def _coords_of(self, rank: int) -> Tuple[int, int, int]:
@@ -177,7 +183,9 @@ class DMDA:
 
     def owned_box(self, rank: Optional[int] = None) -> Box:
         """Half-open natural-coordinate box ``(lo, hi)`` owned by ``rank``."""
-        c = self._coords_of(self.comm.rank if rank is None else rank)
+        if rank is None:
+            return self._owned
+        c = self._coords_of(rank)
         lo = tuple(int(self._starts[d][c[d]]) for d in range(3))
         hi = tuple(int(self._starts[d][c[d] + 1]) for d in range(3))
         return lo, hi
@@ -191,6 +199,8 @@ class DMDA:
         realise homogeneous Dirichlet conditions for stencil kernels (and a
         kernel can always shift by the stencil width without bounds checks).
         """
+        if rank is None:
+            return self._ghosted
         lo, hi = self.owned_box(rank)
         glo = tuple(
             lo[d] - (self.width if self.dims[d] > 1 else 0) for d in range(3)
@@ -215,10 +225,7 @@ class DMDA:
 
     def interior_slices(self) -> Tuple[slice, ...]:
         """Slices selecting the owned box inside the ghosted local array."""
-        lo, hi = self.owned_box()
-        glo, _ = self.ghosted_box()
-        sl = tuple(slice(lo[d] - glo[d], hi[d] - glo[d]) for d in range(3))
-        return sl + (slice(None),) if self.dof > 1 else sl
+        return self._interior
 
     # -- global indexing ----------------------------------------------------------
 

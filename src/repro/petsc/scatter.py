@@ -329,17 +329,22 @@ class VecScatter:
     def _offsets_type(self, offs: np.ndarray) -> Datatype:
         return IndexedBlock(1, offs, DOUBLE)
 
+    def _ensure_types(self) -> None:
+        """Build the per-peer datatypes on the first datatype-backend use."""
+        if self._send_types:
+            return
+        for peer, offs in self.send_map.items():
+            self._send_types[peer] = self._offsets_type(offs)
+        for peer, offs in self.recv_map.items():
+            self._recv_types[peer] = self._offsets_type(offs)
+        if self.local_src.size:
+            self._local_src_type = self._offsets_type(self.local_src)
+            self._local_dst_type = self._offsets_type(self.local_dst)
+
     def _scatter_datatype(self, src: np.ndarray, dst: np.ndarray) -> Generator:
         comm = self.comm
         n = comm.size
-        if not self._send_types:
-            for peer, offs in self.send_map.items():
-                self._send_types[peer] = self._offsets_type(offs)
-            for peer, offs in self.recv_map.items():
-                self._recv_types[peer] = self._offsets_type(offs)
-            if self.local_src.size:
-                self._local_src_type = self._offsets_type(self.local_src)
-                self._local_dst_type = self._offsets_type(self.local_dst)
+        self._ensure_types()
         sendspecs: list[Optional[TypedBuffer]] = [None] * n
         recvspecs: list[Optional[TypedBuffer]] = [None] * n
         for peer, dt in self._send_types.items():
@@ -359,15 +364,7 @@ class VecScatter:
         comm = self.comm
         n = comm.size
         cost = comm.cost
-        if not self._send_types:
-            # reuse the lazily-built send datatypes from the insert path
-            for peer, offs in self.send_map.items():
-                self._send_types[peer] = self._offsets_type(offs)
-            for peer, offs in self.recv_map.items():
-                self._recv_types[peer] = self._offsets_type(offs)
-            if self.local_src.size:
-                self._local_src_type = self._offsets_type(self.local_src)
-                self._local_dst_type = self._offsets_type(self.local_dst)
+        self._ensure_types()
         sendspecs: list[Optional[TypedBuffer]] = [None] * n
         recvspecs: list[Optional[TypedBuffer]] = [None] * n
         staging: list[tuple[np.ndarray, np.ndarray]] = []

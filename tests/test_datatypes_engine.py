@@ -7,12 +7,19 @@ from repro.datatypes import (
     DOUBLE,
     Contiguous,
     DualContextEngine,
+    Indexed,
+    Resized,
     SingleContextEngine,
+    Subarray,
     TypedBuffer,
     Vector,
     engine_for,
+    ir,
 )
 from repro.datatypes.engine import unpack_stage_cost
+from repro.datatypes.flatten import BlockList
+from repro.mpi import Cluster, MPIConfig
+from repro.prof import Profiler
 from repro.util import CostModel
 
 
@@ -118,9 +125,8 @@ def test_engine_for_factory():
 
 
 def test_empty_plan_for_zero_size():
-    # plan() guards size == 0 even though datatypes can't be empty;
-    # exercise via a blocklist of one zero-size... not constructible, so
-    # check the single-block path instead.
+    # datatypes can't be empty, a hand-built block list can
+    assert DualContextEngine(BlockList([], []), COST).plan() == ()
     dt = Contiguous(1, DOUBLE)
     stages = DualContextEngine(dt.flatten(), COST).plan()
     assert len(stages) == 1 and stages[0].nbytes == 8
@@ -136,3 +142,105 @@ def test_lookahead_clipped_at_tail():
     dt = sparse_type(5)  # fewer blocks than lookahead_depth
     stages = DualContextEngine(dt.flatten(), COST).plan()
     assert stages[0].lookahead_s == pytest.approx(5 * COST.lookahead_block)
+
+
+# -- engines are costed once and shared through the compiled plan ------------
+
+def dtype_exec_shaped():
+    """The six layouts of the ``dtype_exec`` benchmark workload, small."""
+    n, cube = 96, 24
+    rng = np.random.default_rng(0)
+    lens = rng.integers(1, 4, size=6000)
+    disps = np.cumsum(rng.integers(0, 4, size=6000) + np.r_[0, lens[:-1]])
+    types = {"transpose": Contiguous(n, Resized(Vector(n, 1, n, DOUBLE), 8)),
+             "indexed": Indexed(lens, disps, DOUBLE),
+             "vector": Vector(20_000, 1, 4, DOUBLE)}
+    for d in range(3):
+        sub, start = [cube] * 3, [0] * 3
+        sub[d], start[d] = 2, cube - 3
+        types[f"face{d}"] = Subarray((cube,) * 3, sub, start, DOUBLE)
+    return {label: TypedBuffer(np.zeros(ir.compile_datatype(dt).end_bytes // 8),
+                               dt)
+            for label, dt in types.items()}
+
+
+def senders_totals(stages):
+    """The per-phase totals as ``Comm.isend`` used to accumulate them."""
+    look = search = pack = 0.0
+    for stage in stages:
+        look += stage.lookahead_s
+        search += stage.search_s
+        pack += stage.pack_s
+    return look, search, pack
+
+
+@pytest.mark.parametrize("dual", (False, True))
+def test_shared_engine_equals_a_fresh_walk(dual):
+    cls = DualContextEngine if dual else SingleContextEngine
+    for label, tb in dtype_exec_shaped().items():
+        fresh = cls(tb.blocks, COST).plan()
+        engine = engine_for(tb, COST, dual)
+        assert engine.stages == fresh and len(fresh) > 0, label
+        # == and not approx: simulated time is pinned bit for bit
+        assert (engine.lookahead_s, engine.search_s, engine.pack_s) \
+            == senders_totals(fresh), label
+        assert engine.cpu_s == sum(s.cpu_s for s in fresh), label
+        # a second send of the same structure walks nothing
+        again = TypedBuffer(tb.buffer.copy(), tb.datatype)
+        assert engine_for(again, COST, dual) is engine
+        assert engine.plan() is engine.stages
+
+
+def test_shared_engines_are_per_cost_model_and_per_kind():
+    tb = dtype_exec_shaped()["transpose"]
+    halved = COST.with_(pipeline_chunk=COST.pipeline_chunk // 2)
+    seen = {}
+    for cost in (COST, halved):
+        for dual in (False, True):
+            cls = DualContextEngine if dual else SingleContextEngine
+            engine = seen[cost, dual] = engine_for(tb, cost, dual)
+            assert isinstance(engine, cls) and engine.cost is cost
+            assert engine.stages == cls(tb.blocks, cost).plan()
+    assert len(set(map(id, seen.values()))) == 4
+    assert len(seen[halved, True].stages) > len(seen[COST, True].stages)
+    assert seen[COST, False].search_s > 0.0 == seen[COST, True].search_s
+    # an equal CostModel built separately finds the same engine
+    assert engine_for(tb, CostModel(cpu_noise=0.0), True) is seen[COST, True]
+
+
+def test_cache_clear_drops_the_engines_with_the_plan():
+    dt = sparse_type(4000)
+    buf = np.zeros(dt.extent // 8)
+    tb = TypedBuffer(buf, dt)
+    engine = engine_for(tb, COST, False)
+    assert tb.plan.engines == {(COST, False): engine}
+    ir.cache_clear()
+    again = TypedBuffer(buf, dt)
+    assert again.plan is not tb.plan and again.plan.engines == {}
+    rebuilt = engine_for(again, COST, False)
+    assert rebuilt is not engine and rebuilt.stages == engine.stages
+
+
+@pytest.mark.parametrize("config, stages, researches", [
+    (MPIConfig.baseline(), 46, 36), (MPIConfig.optimized(), 46, 0)],
+    ids=["baseline", "optimized"])
+def test_profiled_stage_counters_are_unchanged(config, stages, researches):
+    # two sends of each layout: the second reads the remembered walk and
+    # must count exactly what the first did (literals from the commit
+    # before the walk was remembered)
+    cluster = Cluster(2, config=config, cost=COST, heterogeneous=False)
+    prof = Profiler.attach(cluster)
+    buffers = [dtype_exec_shaped(), dtype_exec_shaped()]
+
+    def main(comm):
+        for case, tb in enumerate(buffers[comm.rank].values()):
+            for _ in range(2):
+                if comm.rank == 0:
+                    yield from comm.send(tb, dest=1, tag=case)
+                else:
+                    yield from comm.recv(tb, source=0, tag=case)
+
+    cluster.run(main)
+    snap = prof.snapshot()
+    assert snap["repro_pack_stages_total"] == stages
+    assert snap.get("repro_research_total", 0) == researches

@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro.datatypes import (
     BYTE,
+    CHAR,
     DOUBLE,
     INT,
     Contiguous,
+    DatatypeError,
     HIndexed,
     HVector,
     Indexed,
@@ -44,20 +46,30 @@ D = DOUBLE
 
 # -- helpers ------------------------------------------------------------------
 
-def roundtrip_identical(dt, count=1, offset_bytes=0):
+def zeroed_bytes(n, misalign=0):
+    """``n`` writable zero bytes whose data pointer sits ``misalign`` bytes
+    past an 8-aligned address (numpy's own allocations never do)."""
+    out = np.frombuffer(bytearray(n + 8), dtype=np.uint8)
+    start = -out.ctypes.data % 8 + misalign
+    return out[start:start + n]
+
+
+def roundtrip_identical(dt, count=1, offset_bytes=0, misalign=0):
     """pack/unpack/extract via the compiled program vs the typemap
     enumerated from the definitions, byte for byte, on a deterministic
     pattern buffer."""
     need = offset_bytes + (count * dt.extent if count else 0) + 64
     src = np.arange(need, dtype=np.uint8)
-    tb = TypedBuffer(src.copy(), dt, count=count, offset_bytes=offset_bytes)
+    buf = zeroed_bytes(need, misalign)
+    buf[:] = src
+    tb = TypedBuffer(buf, dt, count=count, offset_bytes=offset_bytes)
     packed = tb.pack()
     assert packed.tobytes() == reference_pack(src, dt, count, offset_bytes).tobytes()
     assert tb.extract().tobytes() == packed.tobytes()
 
     # unpack a fresh pattern into a zeroed buffer, typed and by the reference
     wire = (np.arange(len(packed), dtype=np.uint8) + 7).astype(np.uint8)
-    a = TypedBuffer(np.zeros(need, dtype=np.uint8), dt, count=count,
+    a = TypedBuffer(zeroed_bytes(need, misalign), dt, count=count,
                     offset_bytes=offset_bytes)
     expected = np.zeros(need, dtype=np.uint8)
     a.unpack(wire)
@@ -299,10 +311,11 @@ def datatype_tree(draw, depth=0):
     return Resized(base, base.extent + 8 * draw(st.integers(0, 2)))
 
 
-@given(datatype_tree(), st.integers(0, 3), st.integers(0, 2))
+@given(datatype_tree(), st.integers(0, 3), st.integers(0, 17), st.integers(0, 7))
 @settings(max_examples=200, deadline=None)
-def test_fuzz_ir_matches_legacy(dt, count, off8):
-    roundtrip_identical(dt, count=count, offset_bytes=8 * off8)
+def test_fuzz_ir_matches_legacy(dt, count, offset_bytes, misalign):
+    roundtrip_identical(dt, count=count, offset_bytes=offset_bytes,
+                        misalign=misalign)
     if count:
         blocks_identical(dt, count)
 
@@ -360,6 +373,67 @@ def test_huge_irregular_layout_falls_back_to_gather():
     plan = ir.compile_datatype(dt)
     assert plan.program.op_kinds() == {"gather": 1}
     roundtrip_identical(dt)
+
+
+#: a base type per machine-word width a copy op can pick
+WORD_BASES = {1: CHAR, 2: Contiguous(2, CHAR), 4: INT, 8: D}
+
+
+def lone_op(dt, kind):
+    """The single copy op ``dt`` lowers to, which must be a ``kind`` op."""
+    op, = ir.compile_datatype(dt).program.ops
+    assert op.kind == kind
+    return op
+
+
+@pytest.mark.parametrize("misalign", (0, 1))
+@pytest.mark.parametrize("offset_bytes", (0, 1, 3, 4, 8))
+@pytest.mark.parametrize("width", (1, 2, 4, 8))
+def test_word_wide_ops_at_unaligned_bases(width, offset_bytes, misalign):
+    # the ops move `width`-byte words whatever the base address is: the
+    # buffer's own data pointer and offset_bytes both break the alignment
+    base = WORD_BASES[width]
+    strided = Vector(9, 1, 3, base)
+    ragged = Indexed([1, 2, 1, 3, 1, 2], [0, 2, 5, 7, 12, 14], base)
+    for dt, kind in ((strided, "strided"), (ragged, "gather")):
+        assert lone_op(dt, kind).word.itemsize == width
+        for count in (1, 3):
+            roundtrip_identical(dt, count, offset_bytes, misalign)
+
+
+def test_strided_word_divides_stride_and_run_length():
+    # 12-byte runs every 20 bytes: 4 divides both, 8 neither
+    assert lone_op(HVector(5, 3, 20, INT), "strided").word.itemsize == 4
+    # 8-byte runs every 12 bytes, and 6-byte runs every 16
+    assert lone_op(HVector(5, 1, 12, D), "strided").word.itemsize == 4
+    assert lone_op(HVector(5, 6, 16, BYTE), "strided").word.itemsize == 2
+
+
+def test_gather_index_is_built_once_and_never_shifted():
+    ragged = Indexed([1, 2, 1, 3, 1, 2], [0, 2, 5, 7, 12, 14], D)
+    op = lone_op(ragged, "gather")
+    roundtrip_identical(ragged, offset_bytes=8)
+    index = op._index
+    before = index.copy()
+    for offset_bytes in (0, 5, 24):
+        roundtrip_identical(ragged, offset_bytes=offset_bytes)
+    assert op._index is index and np.array_equal(index, before)
+    assert index.min() == 0  # counted from the op's lowest word
+
+
+@pytest.mark.parametrize("misalign", (0, 1))
+@pytest.mark.parametrize("offset_bytes", (16, 17, 19))
+def test_negative_displacement_at_positive_offset(offset_bytes, misalign):
+    # both ops start *below* buf + offset_bytes
+    strided = HIndexed([1] * 5, [-16, -8, 0, 8, 16], INT)
+    ragged = HIndexed([1, 2, 1, 1, 2, 1], [-12, -4, 8, 16, 24, 36], INT)
+    assert lone_op(strided, "strided").src == -16
+    assert lone_op(ragged, "gather").low == -12
+    for dt in (strided, ragged):
+        roundtrip_identical(dt, 1, offset_bytes, misalign)
+        roundtrip_identical(dt, 2, offset_bytes, misalign)
+        with pytest.raises(DatatypeError):
+            TypedBuffer(np.zeros(128, dtype=np.uint8), dt, offset_bytes=8)
 
 
 def test_compile_cache_hits_across_instances():
