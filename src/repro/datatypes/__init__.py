@@ -7,10 +7,10 @@ This package is the heart of the paper's first contribution (sections 3.1 and
   (``Contiguous``, ``Vector``, ``Indexed``, ``Struct``, ``Subarray``, ...),
   mirroring MPI's type-creation calls,
 - :mod:`repro.datatypes.ir` -- the datatype compiler: every constructor
-  tree lowers to a canonical strided-block IR, an optimizing pass pipeline
-  normalises it (equivalent specs reach identical IR), and lowering emits
-  the bulk-copy programs packing executes; plans are memoized process-wide
-  by structural signature,
+  tree compiles to a canonical strided-block IR in one bottom-up sweep
+  (equivalent specs reach identical IR); plans are memoized process-wide by
+  structural signature, and the bulk-copy program packing executes is
+  lowered from the plan the first time it is needed,
 - :mod:`repro.datatypes.flatten` -- the contiguous-block stream
   (``BlockList``) the cost engines walk, read off the compiled plan,
 - :mod:`repro.datatypes.packing` -- functional packing/unpacking: bytes

@@ -99,7 +99,12 @@ class BlockList:
 
 def merge_runs(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Fuse every run that starts exactly where the previous one ends
-    (order kept; the inputs come back unchanged when nothing abuts)."""
+    (order kept; the inputs come back unchanged when nothing abuts).
+
+    Mirrors what MPI implementations do when building the internal "dataloop"
+    representation; without it a ``Contiguous(n, DOUBLE)`` would count ``n``
+    blocks instead of one and every density estimate would be wrong.
+    """
     if len(offsets) < 2:
         return offsets, lengths
     # a new run starts where the previous block does NOT abut this one
@@ -110,17 +115,3 @@ def merge_runs(offsets: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np
         return offsets, lengths
     idx = np.flatnonzero(starts)
     return offsets[idx], np.add.reduceat(lengths, idx)
-
-
-def merge_adjacent(offsets: np.ndarray, lengths: np.ndarray) -> BlockList:
-    """Coalesce blocks where one ends exactly where the next begins.
-
-    Mirrors what MPI implementations do when building the internal "dataloop"
-    representation; without it a ``Contiguous(n, DOUBLE)`` would count ``n``
-    blocks instead of one and every density estimate would be wrong.
-    """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if len(offsets) == 0:
-        raise ValueError("empty block list")
-    return BlockList(*merge_runs(offsets, lengths))

@@ -22,29 +22,38 @@ definitions and the test-suite holds every compiled plan to it.
 
 The compiler has three stages, each deterministic:
 
-1. **Normalisation passes** (:func:`optimize`) run to a fixpoint --
-   like-block coalescing (abutting runs fuse; ``Loop`` whose stride equals
-   its child length becomes one ``Block``; a ``Scatter`` whose runs are
-   uniform and evenly strided re-rolls into a ``Loop``), loop collapsing
-   (``Loop(c1, c2*s2, Loop(c2, s2, ch))`` flattens to ``Loop(c1*c2, s2,
-   ch)``), and small-loop unrolling over multi-run bodies (which exposes
-   cross-iteration coalescing a rolled loop cannot express).  Equivalent
-   specs -- ``Vector(4, 2, 4, DOUBLE)``, ``Indexed([2]*4, [0,4,8,12],
-   DOUBLE)``, ``IndexedBlock(2, [0,4,8,12], DOUBLE)`` -- reach the *same*
-   canonical node.
-2. **Lowering** (:func:`lower`) emits a :class:`CopyProgram` of bulk
-   numpy-slice copy ops (``contig`` slice copies, 2-D ``strided`` views,
-   and a cached ``gather`` fallback for irregular layouts) instead of
-   element-gather indices.  Loop-invariant address arithmetic is hoisted:
-   every op precomputes its source shift and packed-stream destination, so
-   executing a program is a handful of slice assignments.
-3. **Caching**: plans are memoized in a process-wide table keyed by the
+1. **Canonicalisation** (:func:`optimize`) is one bottom-up sweep over the
+   nodes a constructor added; the children it builds on arrive canonical
+   (``ir_of(base)`` is the cached result of the same sweep) and are not
+   visited again.  Four local rules, each applied once per new node:
+   back-to-back iterations of a ``Block`` are one ``Block`` and abutting
+   ``Block`` neighbours in a ``Seq`` fuse; a perfect nest ``Loop(c1, c2*s2,
+   Loop(c2, s2, ch))`` is ``Loop(c1*c2, s2, ch)``; a small loop over a
+   multi-run body unrolls into a ``Seq`` (which exposes cross-iteration
+   fusing a rolled loop cannot express); a ``Scatter`` whose runs are
+   uniform and evenly strided re-rolls into a ``Loop``.  A chain of new
+   loops is rolled (the first two rules) all the way up before any of it
+   unrolls, so equivalent specs -- ``Vector(4, 2, 4, DOUBLE)``,
+   ``Indexed([2]*4, [0,4,8,12], DOUBLE)``, ``IndexedBlock(2, [0,4,8,12],
+   DOUBLE)`` -- reach the *same* canonical node.  Every node carries its
+   payload size, byte bounds, raw run count and lowered-op count from
+   construction, so none of those is a tree walk.
+2. **Caching**: plans are memoized in a process-wide table keyed by the
    type's structural signature (:meth:`Datatype.struct_key`) and count, so
    equal-structure instances share one :class:`CompiledPlan` -- the single
    authority for layout (``blocks``), byte movement (``program``), bounds
-   (``start_bytes``/``end_bytes``) and type signature.
+   (``start_bytes``/``end_bytes``/``nbytes``) and type signature.  A miss
+   runs stage 1 and reads the bounds off the root; it expands nothing.
+3. **Materialisation on first use**: a plan's ``program`` is lowered
+   (:func:`lower`) the first time something packs through it -- a
+   :class:`CopyProgram` of bulk numpy-slice copy ops (``contig`` slice
+   copies, 2-D ``strided`` views, and a cached ``gather`` fallback for
+   irregular layouts) with every source shift and packed-stream
+   destination precomputed -- and its ``blocks`` are expanded
+   (:func:`to_blocklist`) the first time a cost engine or a caller of
+   ``flatten()`` asks.  Both then stay on the shared plan.
 
-``set_passes_enabled(False)`` disables the pass pipeline *and* lowers one
+``set_passes_enabled(False)`` skips stage 1 *and* lowers one
 python-level copy op per raw block -- the deliberately de-optimized mode
 the CI guideline gate self-test uses to prove the "pack must not lose to
 manual copy" benchmarks actually trip.
@@ -54,12 +63,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.datatypes.flatten import BlockList, merge_adjacent, merge_runs
+from repro.datatypes.flatten import BlockList, merge_runs
 
 __all__ = [
     "Block",
@@ -71,7 +79,6 @@ __all__ = [
     "cache_clear",
     "cache_stats",
     "compile_datatype",
-    "ir_num_blocks",
     "loop",
     "lower",
     "optimize",
@@ -87,60 +94,125 @@ __all__ = [
 
 
 class IRNode:
+    """Base of the four node kinds.
+
+    Besides its defining fields every node carries what a later stage would
+    otherwise re-derive by walking it, computed in O(1) from its children
+    when it is built: ``size`` (payload bytes), ``lo``/``hi`` (the lowest
+    byte one expansion touches and one past the highest), ``runs`` (raw
+    contiguous runs of one expansion), ``ops`` (python-level copy ops a
+    full expansion lowers to) and ``canon`` (set by :func:`optimize` on
+    what it has normalised, so a later sweep stops there).  Equality and
+    hashing look at the defining fields only.
+    """
+
     __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Block(IRNode):
     """One contiguous byte run."""
 
-    offset: int
-    length: int
+    _fields = ("offset", "length")
+    __slots__ = _fields + ("size", "lo", "hi")
+    runs = ops = 1
+    canon = True
+
+    def __init__(self, offset: int, length: int):
+        self.offset = self.lo = offset
+        self.length = self.size = length
+        self.hi = offset + length
 
 
-@dataclass(frozen=True)
 class Loop(IRNode):
     """``count`` copies of ``child``; copy ``i`` is shifted by ``i*stride``."""
 
-    count: int
-    stride: int
-    child: IRNode
+    _fields = ("count", "stride", "child")
+    __slots__ = _fields + ("size", "lo", "hi", "runs", "ops", "canon")
+
+    def __init__(self, count: int, stride: int, child: IRNode):
+        self.count, self.stride, self.child = count, stride, child
+        self.size = count * child.size
+        reach = (count - 1) * stride
+        self.lo = child.lo + min(reach, 0)
+        self.hi = child.hi + max(reach, 0)
+        self.runs = count * child.runs
+        # a loop over one Block lowers to a single strided op
+        self.ops = 1 if child.__class__ is Block else count * child.ops
+        self.canon = False
 
 
-@dataclass(frozen=True)
 class Seq(IRNode):
     """Children laid out one after another in pack order."""
 
-    children: Tuple[IRNode, ...]
+    _fields = ("children",)
+    __slots__ = _fields + ("size", "lo", "hi", "runs", "ops", "canon")
+
+    def __init__(self, children: Tuple[IRNode, ...]):
+        self.children = children
+        self.size = sum([ch.size for ch in children])
+        self.lo = min([ch.lo for ch in children])
+        self.hi = max([ch.hi for ch in children])
+        self.runs = sum([ch.runs for ch in children])
+        self.ops = sum([ch.ops for ch in children])
+        self.canon = False
+
+
+#: a Scatter with at most this many runs lowers to per-run slice copies
+_SCATTER_INLINE_RUNS = 4
 
 
 class Scatter(IRNode):
     """Irregular byte runs (the ``Indexed`` family leaf).
 
-    Holds int64 arrays; equality and hashing go through the raw bytes so
-    Scatter nodes participate in canonical-form comparison like the frozen
-    dataclass nodes do.
+    Holds int64 arrays.  Equality and hashing go through their raw bytes,
+    taken when first asked for, so Scatter nodes compare like the other
+    nodes do without every intermediate one paying for a key.  ``measured``
+    is ``(size, lo, hi)`` from a caller that knows them already: the same
+    payload merged or moved needs no second reduction (nor re-validation).
     """
 
-    __slots__ = ("offsets", "lengths", "_key")
+    __slots__ = ("offsets", "lengths", "size", "lo", "hi", "runs", "ops",
+                 "canon", "_key")
 
-    def __init__(self, offsets: np.ndarray, lengths: np.ndarray):
-        self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        self.lengths = np.ascontiguousarray(lengths, dtype=np.int64)
-        if self.offsets.shape != self.lengths.shape or self.offsets.ndim != 1:
-            raise ValueError("Scatter offsets/lengths must be 1-D, equal length")
-        if len(self.offsets) == 0:
-            raise ValueError("Scatter must hold at least one run")
-        self._key = (self.offsets.tobytes(), self.lengths.tobytes())
+    def __init__(self, offsets: np.ndarray, lengths: np.ndarray,
+                 measured: Optional[Tuple[int, int, int]] = None):
+        if measured is None:
+            offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+            lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+            if offsets.shape != lengths.shape or offsets.ndim != 1:
+                raise ValueError("Scatter offsets/lengths must be 1-D, equal length")
+            if len(offsets) == 0:
+                raise ValueError("Scatter must hold at least one run")
+            measured = (int(lengths.sum()), int(offsets.min()),
+                        int((offsets + lengths).max()))
+        self.offsets, self.lengths = offsets, lengths
+        self.size, self.lo, self.hi = measured
+        self.runs = len(offsets)
+        self.ops = self.runs if self.runs <= _SCATTER_INLINE_RUNS else 1
+        self.canon = False
+        self._key = None
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Scatter) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(("Scatter", self._key))
+    def key(self) -> tuple:
+        if self._key is None:
+            self._key = (self.offsets.tobytes(), self.lengths.tobytes())
+        return self._key
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Scatter(runs={len(self.offsets)})"
+        return f"Scatter(runs={self.runs})"
 
 
 # -- smart constructors ------------------------------------------------------
@@ -157,7 +229,7 @@ def seq(children) -> IRNode:
     """``Seq`` constructor that splices nested Seqs and unwraps singletons."""
     flat: List[IRNode] = []
     for ch in children:
-        if isinstance(ch, Seq):
+        if ch.__class__ is Seq:
             flat.extend(ch.children)
         else:
             flat.append(ch)
@@ -169,35 +241,28 @@ def seq(children) -> IRNode:
 
 
 def shift_ir(node: IRNode, delta: int) -> IRNode:
-    """The same layout displaced by ``delta`` bytes."""
+    """The same layout displaced by ``delta`` bytes (canonical if ``node``
+    is: no rule of :func:`optimize` looks at absolute position)."""
     delta = int(delta)
     if delta == 0:
         return node
-    if isinstance(node, Block):
+    cls = node.__class__
+    if cls is Block:
         return Block(node.offset + delta, node.length)
-    if isinstance(node, Loop):
-        return Loop(node.count, node.stride, shift_ir(node.child, delta))
-    if isinstance(node, Seq):
-        return Seq(tuple(shift_ir(ch, delta) for ch in node.children))
-    if isinstance(node, Scatter):
-        return Scatter(node.offsets + delta, node.lengths)
-    raise TypeError(type(node).__name__)
+    if cls is Loop:
+        out = Loop(node.count, node.stride, shift_ir(node.child, delta))
+    elif cls is Seq:
+        out = Seq(tuple([shift_ir(ch, delta) for ch in node.children]))
+    elif cls is Scatter:
+        out = Scatter(node.offsets + delta, node.lengths,
+                      (node.size, node.lo + delta, node.hi + delta))
+    else:
+        raise TypeError(cls.__name__)
+    out.canon = node.canon
+    return out
 
 
-# -- structural queries ------------------------------------------------------
-
-
-def ir_num_blocks(node: IRNode) -> int:
-    """Raw (pre-merge) contiguous-run count of one expansion."""
-    if isinstance(node, Block):
-        return 1
-    if isinstance(node, Loop):
-        return node.count * ir_num_blocks(node.child)
-    if isinstance(node, Seq):
-        return sum(ir_num_blocks(ch) for ch in node.children)
-    if isinstance(node, Scatter):
-        return len(node.offsets)
-    raise TypeError(type(node).__name__)
+# -- expansion ---------------------------------------------------------------
 
 
 def _expand(node: IRNode) -> Tuple[np.ndarray, np.ndarray]:
@@ -224,21 +289,22 @@ def to_blocklist(node: IRNode) -> BlockList:
 
     Merging adjacent abutting runs is confluent -- the merged result depends
     only on the final run order, never on which intermediate level merged
-    first -- so no pass can change the stream the cost engines walk.
+    first -- so no rewrite can change the stream the cost engines walk.
     """
-    offs, lens = _expand(node)
-    return merge_adjacent(offs, lens)
+    return BlockList(*merge_runs(*_expand(node)))
 
 
-# -- normalisation passes ----------------------------------------------------
+# -- normalisation -----------------------------------------------------------
 
 #: small loops over multi-run bodies unroll up to this trip count
 _UNROLL_COUNT = 4
 #: ... provided the body has at most this many raw runs
 _UNROLL_BODY_RUNS = 8
-#: fixpoint iteration cap (every pass shrinks or preserves node count, so
-#: real inputs converge in 2-3 rounds; the cap is a safety net)
-_MAX_PASS_ROUNDS = 8
+
+
+def _canonical(node: IRNode) -> IRNode:
+    node.canon = True
+    return node
 
 
 def _canonicalize_scatter(node: Scatter) -> IRNode:
@@ -251,85 +317,93 @@ def _canonicalize_scatter(node: Scatter) -> IRNode:
     if (lens == lens[0]).all():
         steps = np.diff(offs)
         if (steps == steps[0]).all() and steps[0] >= lens[0] and steps[0] > 0:
-            return Loop(len(offs), int(steps[0]),
-                        Block(int(offs[0]), int(lens[0])))
-    return Scatter(offs, lens)
+            return _canonical(Loop(len(offs), int(steps[0]),
+                                   Block(int(offs[0]), int(lens[0]))))
+    if offs is not node.offsets:
+        node = Scatter(offs, lens, (node.size, node.lo, node.hi))
+    return _canonical(node)
 
 
-def _coalesce(node: IRNode) -> IRNode:
-    """Bottom-up like-block coalescing."""
-    if isinstance(node, Block):
+def _fused(pieces) -> IRNode:
+    """Canonical pieces one after another: nested Seqs spliced, a Block
+    that starts where the Block before it ends fused into it."""
+    out: List[IRNode] = []
+    for piece in pieces:
+        for item in (piece.children if piece.__class__ is Seq else (piece,)):
+            prev = out[-1] if out else None
+            if (item.__class__ is Block and prev.__class__ is Block
+                    and item.offset == prev.hi):
+                out[-1] = Block(prev.offset, prev.length + item.length)
+            else:
+                out.append(item)
+    return out[0] if len(out) == 1 else _canonical(Seq(tuple(out)))
+
+
+def _rolled(node: Loop) -> IRNode:
+    """The rules that keep a new loop rolled: back-to-back iterations of a
+    Block are one Block, and a perfect nest (``stride`` equal to the inner
+    loop's whole reach) is one loop.
+
+    Applied down a whole chain of new loops before any of them unrolls,
+    so ``Loop(c1, c2*s2, Loop(c2, s2, body))`` becomes ``Loop(c1*c2, s2,
+    body)`` whether or not the inner loop alone is small enough to unroll.
+    The result's own ``canon`` is not set yet: :func:`_spread` finishes it.
+    """
+    child = node.child
+    if child.__class__ is Loop and not child.canon:
+        child = _rolled(child)
+    else:
+        child = optimize(child)
+    if node.count == 1:
+        return child
+    if child.__class__ is Block and node.stride == child.length:
+        return Block(child.offset, node.count * child.length)
+    if child.__class__ is Loop and node.stride == child.count * child.stride:
+        return Loop(node.count * child.count, child.stride, child.child)
+    if child is node.child:
         return node
-    if isinstance(node, Scatter):
-        return _canonicalize_scatter(node)
-    if isinstance(node, Loop):
-        child = _coalesce(node.child)
-        if isinstance(child, Block) and node.stride == child.length:
-            # back-to-back iterations: the loop is one contiguous run
-            return Block(child.offset, node.count * child.length)
-        return loop(node.count, node.stride, child)
-    if isinstance(node, Seq):
-        children: List[IRNode] = []
-        for raw in node.children:
-            ch = _coalesce(raw)
-            sub = ch.children if isinstance(ch, Seq) else (ch,)
-            for piece in sub:
-                prev = children[-1] if children else None
-                if (isinstance(prev, Block) and isinstance(piece, Block)
-                        and piece.offset == prev.offset + prev.length):
-                    children[-1] = Block(prev.offset, prev.length + piece.length)
-                else:
-                    children.append(piece)
-        return seq(children)
-    raise TypeError(type(node).__name__)
+    return Loop(node.count, node.stride, child)
 
 
-def _collapse(node: IRNode) -> IRNode:
-    """Bottom-up collapsing of perfectly nested loops."""
-    if isinstance(node, (Block, Scatter)):
-        return node
-    if isinstance(node, Seq):
-        return seq(_collapse(ch) for ch in node.children)
-    if isinstance(node, Loop):
-        child = _collapse(node.child)
-        if isinstance(child, Loop) and node.stride == child.count * child.stride:
-            return Loop(node.count * child.count, child.stride, child.child)
-        return loop(node.count, node.stride, child)
-    raise TypeError(type(node).__name__)
-
-
-def _unroll(node: IRNode) -> IRNode:
-    """Unroll small loops over multi-run bodies.
+def _spread(node: IRNode) -> IRNode:
+    """Finish a rolled chain from the inside out: a small loop over a
+    multi-run body becomes a ``Seq`` of its iterations.
 
     A rolled ``Loop`` cannot merge the tail run of iteration ``i`` with the
-    head run of iteration ``i+1``; unrolling hands those runs to the Seq
-    coalescer.  Loops over a single ``Block`` stay rolled -- they lower to
-    one strided op, which beats a handful of slice copies.
+    head run of iteration ``i+1``; the ``Seq`` can.  Loops over a single
+    ``Block`` stay rolled -- they lower to one strided op, which beats a
+    handful of slice copies.  Each loop decides on its *finished* body:
+    runs that an inner unrolling has fused count as one.
     """
-    if isinstance(node, (Block, Scatter)):
+    if node.canon:
         return node
-    if isinstance(node, Seq):
-        return seq(_unroll(ch) for ch in node.children)
-    if isinstance(node, Loop):
-        child = _unroll(node.child)
-        if (not isinstance(child, Block)
-                and node.count <= _UNROLL_COUNT
-                and ir_num_blocks(child) <= _UNROLL_BODY_RUNS):
-            return seq(shift_ir(child, i * node.stride)
-                       for i in range(node.count))
-        return loop(node.count, node.stride, child)
-    raise TypeError(type(node).__name__)
+    child = _spread(node.child)
+    if (child.__class__ is not Block and node.count <= _UNROLL_COUNT
+            and child.runs <= _UNROLL_BODY_RUNS):
+        return _fused([shift_ir(child, i * node.stride)
+                       for i in range(node.count)])
+    if child is not node.child:
+        node = Loop(node.count, node.stride, child)
+    return _canonical(node)
 
 
 def optimize(node: IRNode) -> IRNode:
-    """Run the pass pipeline to a fixpoint."""
-    prev: Optional[IRNode] = None
-    for _ in range(_MAX_PASS_ROUNDS):
-        if node == prev:
-            break
-        prev = node
-        node = _unroll(_collapse(_coalesce(node)))
-    return node
+    """The canonical form of ``node``, in one bottom-up sweep.
+
+    A subtree that is already canonical -- every ``ir_of(base)`` a
+    constructor builds on -- is returned as it is, so the sweep visits
+    only the nodes the constructor added and is idempotent by construction.
+    """
+    if node.canon:
+        return node
+    cls = node.__class__
+    if cls is Loop:
+        return _spread(_rolled(node))
+    if cls is Seq:
+        return _fused([optimize(ch) for ch in node.children])
+    if cls is Scatter:
+        return _canonicalize_scatter(node)
+    raise TypeError(cls.__name__)
 
 
 # -- lowering ----------------------------------------------------------------
@@ -471,82 +545,60 @@ class CopyProgram:
             op.unpack(bts, base, data)
 
 
-#: a Scatter with at most this many runs lowers to per-run slice copies
-_SCATTER_INLINE_RUNS = 4
 #: expanding loops stops once a subtree would exceed this many python ops
+#: (every node's ``ops`` is that count, carried from its construction)
 _EXPAND_OPS_LIMIT = 96
-
-
-def _estimate_ops(node: IRNode) -> int:
-    if isinstance(node, Block):
-        return 1
-    if isinstance(node, Scatter):
-        n = len(node.offsets)
-        return n if n <= _SCATTER_INLINE_RUNS else 1
-    if isinstance(node, Loop):
-        if isinstance(node.child, Block):
-            return 1
-        return node.count * _estimate_ops(node.child)
-    if isinstance(node, Seq):
-        return sum(_estimate_ops(ch) for ch in node.children)
-    raise TypeError(type(node).__name__)
 
 
 def _emit(node: IRNode, shift: int, dst: int, ops: List[Any]) -> int:
     """Append ops for ``node`` displaced by ``shift``; returns next dst."""
-    if isinstance(node, Block):
+    cls = node.__class__
+    if cls is Block:
         ops.append(_ContigOp(shift + node.offset, dst, node.length))
         return dst + node.length
-    if isinstance(node, Scatter):
-        runs = len(node.offsets)
-        if runs <= _SCATTER_INLINE_RUNS:
+    if cls is Seq:
+        for ch in node.children:
+            dst = _emit(ch, shift, dst, ops)
+        return dst
+    if cls is Scatter:
+        if node.runs <= _SCATTER_INLINE_RUNS:
             for o, n in zip(node.offsets.tolist(), node.lengths.tolist()):
                 ops.append(_ContigOp(shift + o, dst, n))
                 dst += n
             return dst
         ops.append(_GatherOp(node.offsets + shift, node.lengths, dst))
-        return dst + int(node.lengths.sum())
-    if isinstance(node, Loop):
-        child = node.child
-        if isinstance(child, Block):
-            if node.stride > child.length:
-                ops.append(_StridedOp(shift + child.offset, dst,
-                                      node.count, node.stride, child.length))
-                return dst + node.count * child.length
-            if node.stride == child.length:
-                n = node.count * child.length
-                ops.append(_ContigOp(shift + child.offset, dst, n))
-                return dst + n
-            # overlapping hand-built loop: preserve exact sequential order
-            for i in range(node.count):
-                dst = _emit(child, shift + i * node.stride, dst, ops)
-            return dst
-        if node.count * _estimate_ops(child) <= _EXPAND_OPS_LIMIT:
-            for i in range(node.count):
-                dst = _emit(child, shift + i * node.stride, dst, ops)
-            return dst
+        return dst + node.size
+    if cls is not Loop:
+        raise TypeError(cls.__name__)
+    child = node.child
+    if child.__class__ is Block:
+        if node.stride > child.length:
+            ops.append(_StridedOp(shift + child.offset, dst,
+                                  node.count, node.stride, child.length))
+            return dst + node.size
+        if node.stride == child.length:
+            ops.append(_ContigOp(shift + child.offset, dst, node.size))
+            return dst + node.size
+        # overlapping hand-built loop: falls through to exact sequential
+        # order, one op per iteration
+    elif node.ops > _EXPAND_OPS_LIMIT:
         # too many python ops: gather the whole subtree through one index
-        offs, lens = _expand(node)
-        merged = merge_adjacent(offs, lens)
-        ops.append(_GatherOp(merged.offsets + shift, merged.lengths, dst))
-        return dst + merged.size
-    if isinstance(node, Seq):
-        for ch in node.children:
-            dst = _emit(ch, shift, dst, ops)
-        return dst
-    raise TypeError(type(node).__name__)
+        offs, lens = merge_runs(*_expand(node))
+        ops.append(_GatherOp(offs + shift, lens, dst))
+        return dst + node.size
+    for i in range(node.count):
+        dst = _emit(child, shift + i * node.stride, dst, ops)
+    return dst
 
 
 def lower(node: IRNode) -> CopyProgram:
     """Lower optimized IR to a bulk-copy program."""
     ops: List[Any] = []
-    if _estimate_ops(node) > _EXPAND_OPS_LIMIT:
-        blocks = to_blocklist(node)
-        ops.append(_GatherOp(blocks.offsets, blocks.lengths, 0))
-        nbytes = blocks.size
+    if node.ops > _EXPAND_OPS_LIMIT:
+        ops.append(_GatherOp(*merge_runs(*_expand(node)), 0))
     else:
-        nbytes = _emit(node, 0, 0, ops)
-    return CopyProgram(ops, nbytes)
+        _emit(node, 0, 0, ops)
+    return CopyProgram(ops, node.size)
 
 
 #: above this many raw runs the de-optimized program gathers anyway (keeps
@@ -560,9 +612,7 @@ def lower_deoptimized(node: IRNode) -> CopyProgram:
     the CI guideline gate something that demonstrably loses to manual copy."""
     offs, lens = _expand(node)
     if len(offs) > _DEOPT_OPS_CAP:
-        merged = merge_adjacent(offs, lens)
-        return CopyProgram([_GatherOp(merged.offsets, merged.lengths, 0)],
-                           merged.size)
+        return CopyProgram([_GatherOp(*merge_runs(offs, lens), 0)], node.size)
     ops: List[Any] = []
     dst = 0
     for o, n in zip(offs.tolist(), lens.tolist()):
@@ -575,28 +625,48 @@ def lower_deoptimized(node: IRNode) -> CopyProgram:
 
 
 class CompiledPlan:
-    """Everything the stack needs about one (structure, count) pair."""
+    """Everything the stack needs about one (structure, count) pair.
 
-    __slots__ = ("key", "ir", "blocks", "program", "raw_blocks",
-                 "start_bytes", "end_bytes", "signature", "engines")
+    A new plan holds the canonical IR and what comes off it in closed form
+    (bounds, payload size, contiguity).  Its two expansions -- ``blocks``,
+    the merged :class:`BlockList` the cost engines walk, and ``program``,
+    the lowered :class:`CopyProgram` -- are built the first time something
+    reads them and then stay on the plan, shared like the rest of it.  A
+    type that only ever serves as another's base builds neither.
+    """
 
-    def __init__(self, key, ir: IRNode, blocks: BlockList,
-                 program: CopyProgram, raw_blocks: int):
+    __slots__ = ("key", "ir", "raw_blocks", "start_bytes", "end_bytes",
+                 "nbytes", "contiguous", "signature", "engines",
+                 "blocks", "program")
+
+    def __init__(self, key, ir: IRNode, raw_blocks: int):
         self.key = key
         self.ir = ir
-        self.blocks = blocks
-        self.program = program
         self.raw_blocks = raw_blocks
         #: first byte any block touches (negative for a displacement below
         #: the origin) and one past the last: the buffer bounds
-        self.start_bytes = int(blocks.offsets.min())
-        self.end_bytes = int((blocks.offsets + blocks.lengths).max())
+        self.start_bytes, self.end_bytes = ir.lo, ir.hi
+        #: payload bytes
+        self.nbytes = ir.size
+        #: one merged block: canonical IR is a Block exactly then
+        self.contiguous = ir.__class__ is Block
         #: the MPI type signature of the whole (structure, count) pair;
         #: filled in by the first TypedBuffer.signature() that asks
         self.signature: Optional[tuple] = None
         #: the pack engines that have costed this plan, by ``(CostModel,
         #: dual_context)``; see :func:`repro.datatypes.engine.engine_for`
         self.engines: Dict[tuple, Any] = {}
+
+    def __getattr__(self, name: str):
+        # reached only while the ``blocks`` / ``program`` slot is still
+        # empty; once filled, reading it is a plain slot read
+        if name == "blocks":
+            value = self.blocks = to_blocklist(self.ir)
+        elif name == "program":
+            value = self.program = lower(self.ir)
+        else:
+            raise AttributeError(name)
+        return value
 
     @property
     def coalesced_ratio(self) -> float:
@@ -617,6 +687,9 @@ _CACHE: Dict[Any, CompiledPlan] = {}
 _HITS = 0
 _MISSES = 0
 _PASSES_ENABLED = True
+#: ``repro.prof.session``, resolved by the first compile (importing it
+#: here would close an import cycle)
+_session = None
 
 
 def passes_enabled() -> bool:
@@ -641,61 +714,52 @@ def cache_stats() -> Dict[str, int]:
 
 
 def _session_registry():
-    from repro.prof import session
-
-    if not session.is_enabled():
-        return None
-    return session.registry()
-
-
-def _note_hit() -> None:
-    global _HITS
-    _HITS += 1
-    reg = _session_registry()
-    if reg is not None:
-        reg.counter("repro_datatype_ir_cache_hits_total").inc()
-
-
-def _note_compile(plan: CompiledPlan, wall: float) -> None:
-    global _MISSES
-    _MISSES += 1
-    reg = _session_registry()
-    if reg is not None:
-        reg.counter("repro_datatype_ir_compile_total").inc()
-        reg.counter("repro_datatype_ir_cache_misses_total").inc()
-        reg.histogram("repro_datatype_ir_compile_seconds").observe(wall)
-        reg.histogram("repro_datatype_ir_coalesced_ratio").observe(
-            plan.coalesced_ratio)
+    """The profiling session's metrics registry, or None when none is on."""
+    global _session
+    if _session is None:
+        from repro.prof import session as _session
+    return _session.registry() if _session.is_enabled() else None
 
 
 def compile_datatype(datatype, count: int = 1) -> CompiledPlan:
     """Compile ``count`` back-to-back copies of ``datatype``.
 
     Memoized process-wide on ``(struct_key, count, passes_enabled)`` --
-    equal-structure instances share the plan, its ``BlockList``, and its
-    (lazily indexed) gather ops.
+    equal-structure instances share the plan and everything later built on
+    it (``BlockList``, copy program, gather indices, pack engines).  A miss
+    canonicalises the IR and reads the bounds off it; nothing is expanded.
     """
+    global _HITS, _MISSES
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     key = (datatype.struct_key(), count, _PASSES_ENABLED)
     plan = _CACHE.get(key)
+    reg = _session_registry()
     if plan is not None:
-        _note_hit()
+        _HITS += 1
+        if reg is not None:
+            reg.counter("repro_datatype_ir_cache_hits_total").inc()
         return plan
-    t0 = time.perf_counter()
+    t0 = time.perf_counter() if reg is not None else 0.0
     node = datatype._build_ir()
     if count > 1:
         node = loop(count, datatype.extent, node)
-    raw = ir_num_blocks(node)
     if _PASSES_ENABLED:
-        node = optimize(node)
-        program = lower(node)
+        plan = CompiledPlan(key, optimize(node), node.runs)
     else:
-        program = lower_deoptimized(node)
-    blocks = to_blocklist(node)
-    plan = CompiledPlan(key, node, blocks, program, raw)
+        # the self-test mode keeps the raw IR and expands it here and now
+        plan = CompiledPlan(key, node, node.runs)
+        plan.program = lower_deoptimized(node)
+        plan.contiguous = plan.blocks.num_blocks == 1
     _CACHE[key] = plan
-    _note_compile(plan, time.perf_counter() - t0)
+    _MISSES += 1
+    if reg is not None:
+        wall = time.perf_counter() - t0
+        reg.counter("repro_datatype_ir_compile_total").inc()
+        reg.counter("repro_datatype_ir_cache_misses_total").inc()
+        reg.histogram("repro_datatype_ir_compile_seconds").observe(wall)
+        reg.histogram("repro_datatype_ir_coalesced_ratio").observe(
+            plan.coalesced_ratio)
     return plan
 
 

@@ -60,10 +60,10 @@ class TypedBuffer:
         self._plan: Optional[_ir.CompiledPlan] = None
         self.nbytes = 0  #: payload size in bytes
         if count:
-            # payload size and both bounds come off the shared plan: no
-            # per-buffer numpy reduction or array, contiguous or not
+            # payload size and both bounds come off the shared plan, which
+            # has them in closed form from the IR: nothing is expanded here
             plan = self._plan = _ir.compile_datatype(datatype, count)
-            self.nbytes = plan.blocks.size
+            self.nbytes = plan.nbytes
             end_needed = plan.end_bytes + self.offset_bytes
             if end_needed > self._bytes.size:
                 raise DatatypeError(
@@ -87,7 +87,7 @@ class TypedBuffer:
         return self._plan.blocks
 
     def is_contiguous(self) -> bool:
-        return self._plan is not None and self._plan.blocks.num_blocks == 1
+        return self._plan is not None and self._plan.contiguous
 
     @property
     def num_blocks(self) -> int:

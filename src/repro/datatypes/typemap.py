@@ -113,20 +113,23 @@ class Datatype:
     #: span in bytes from lower bound to upper bound (may exceed ``size``)
     extent: int
 
-    _cached_blocks: Optional[BlockList] = None
+    _plan: Optional["_ir.CompiledPlan"] = None
     _struct_key: Optional[tuple] = None
+
+    def _compiled(self) -> "_ir.CompiledPlan":
+        """The plan of one instance, looked up once per object."""
+        if self._plan is None:
+            self._plan = _ir.compile_datatype(self)
+        return self._plan
 
     def flatten(self) -> BlockList:
         """The merged contiguous-block stream of one instance of the type.
 
         Served from the :mod:`repro.datatypes.ir` compile cache: every
-        instance with the same :meth:`struct_key` shares one ``BlockList``
-        (and one lowered copy program), so repeated construction of equal
-        types never recomputes the expansion.
+        instance with the same :meth:`struct_key` shares one plan, whose
+        ``BlockList`` is expanded the first time any of them asks.
         """
-        if self._cached_blocks is None:
-            self._cached_blocks = _ir.compile_datatype(self).blocks
-        return self._cached_blocks
+        return self._compiled().blocks
 
     def _build_ir(self) -> "_ir.IRNode":  # pragma: no cover - abstract
         raise NotImplementedError
@@ -159,8 +162,11 @@ class Datatype:
                            self.size // self.base.size)
 
     def is_contiguous(self) -> bool:
-        bl = self.flatten()
-        return bl.num_blocks == 1 and int(bl.offsets[0]) == 0 and self.size == self.extent
+        """One block at offset 0 filling the extent -- read off the
+        canonical IR, so asking never expands the type."""
+        plan = self._compiled()
+        return (plan.contiguous and plan.start_bytes == 0
+                and self.size == self.extent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(size={self.size}, extent={self.extent})"

@@ -42,7 +42,7 @@ CATALOGUE: Dict[str, Tuple[str, str]] = {
     "repro_datatype_ir_compile_total": ("counter", "Datatype IR compilations (cache misses that built a plan)"),
     "repro_datatype_ir_cache_hits_total": ("counter", "Datatype IR plan-cache hits"),
     "repro_datatype_ir_cache_misses_total": ("counter", "Datatype IR plan-cache misses"),
-    "repro_datatype_ir_compile_seconds": ("histogram", "Wall-clock seconds per datatype IR compilation"),
+    "repro_datatype_ir_compile_seconds": ("histogram", "Wall-clock seconds per datatype IR compilation (canonicalisation + bounds)"),
     "repro_datatype_ir_coalesced_ratio": ("histogram", "Merged blocks per raw run after IR coalescing (1.0 = nothing merged)"),
     "repro_datatype_pack_exec_seconds": ("histogram", "Wall-clock seconds executing one lowered pack/unpack copy program"),
     "repro_datatype_pack_ops_total": ("counter", "Copy-program ops executed by pack/unpack"),

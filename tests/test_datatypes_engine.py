@@ -221,6 +221,48 @@ def test_cache_clear_drops_the_engines_with_the_plan():
     assert rebuilt is not engine and rebuilt.stages == engine.stages
 
 
+@pytest.mark.parametrize("config", [MPIConfig.baseline(), MPIConfig.optimized()],
+                         ids=["baseline", "optimized"])
+def test_cache_clear_between_sends_of_one_persistent_type(config):
+    # engines, BlockList and copy program all live on the plan: dropping
+    # the cache between two sends of one datatype object (and of the
+    # TypedBuffers already bound to the old plan) must rebuild them to
+    # the same bytes and the same simulated time
+    def run(clear):
+        ir.cache_clear()
+        dt = sparse_type(3000)
+        n = dt.extent // 8
+        cluster = Cluster(2, config=config, cost=COST, heterogeneous=False)
+        src = np.arange(2.0 * n).reshape(2, n)
+        bound = TypedBuffer(src[1], dt)        # keeps the first plan alive
+        got = np.zeros((3, n))
+        marks, plans = [], []
+
+        def main(comm):
+            for step, payload in enumerate((src[0], bound, src[1])):
+                if clear and step:
+                    ir.cache_clear()
+                if comm.rank == 0:
+                    tb = (payload if isinstance(payload, TypedBuffer)
+                          else TypedBuffer(payload, dt))
+                    plans.append(tb.plan)
+                    yield from comm.send(tb, dest=1, tag=step)
+                else:
+                    yield from comm.recv(got[step], source=0, tag=step,
+                                         datatype=dt)
+                yield from comm.barrier()
+                marks.append(comm.engine.now)
+
+        cluster.run(main)
+        return got, marks, cluster.engine.events_fired, len(set(map(id, plans)))
+
+    kept, cleared = run(False), run(True)
+    assert np.array_equal(kept[0], cleared[0]) and kept[0].any()
+    assert kept[1] == cleared[1] and kept[2] == cleared[2]
+    # the sender really used a recompiled plan, and the old one for `bound`
+    assert (kept[3], cleared[3]) == (1, 2)
+
+
 @pytest.mark.parametrize("config, stages, researches", [
     (MPIConfig.baseline(), 46, 36), (MPIConfig.optimized(), 46, 0)],
     ids=["baseline", "optimized"])

@@ -39,7 +39,12 @@ from repro.datatypes import (
     Vector,
     ir,
 )
-from tests._dtype_oracle import reference_blocks, reference_pack, reference_unpack
+from tests._dtype_oracle import (
+    buffer_typemap,
+    reference_blocks,
+    reference_pack,
+    reference_unpack,
+)
 
 D = DOUBLE
 
@@ -456,3 +461,205 @@ def test_plan_info_feeds_layout_summary():
     assert info["ir_ops"] == 4
     assert info["ir_raw_blocks"] == 32
     assert 0.0 <= info["ir_coalesced_ratio"] <= 1.0
+
+
+# -- one-sweep canonicalisation -----------------------------------------------
+
+def rebuilt_raw(node):
+    """The same tree from the public constructors: nothing marked canonical."""
+    if isinstance(node, ir.Block):
+        return ir.Block(node.offset, node.length)
+    if isinstance(node, ir.Loop):
+        return ir.Loop(node.count, node.stride, rebuilt_raw(node.child))
+    if isinstance(node, ir.Seq):
+        return ir.Seq(tuple(rebuilt_raw(ch) for ch in node.children))
+    return ir.Scatter(node.offsets.copy(), node.lengths.copy())
+
+
+@given(datatype_tree(), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_sweep_is_idempotent_on_the_structure(dt, count):
+    # not only "stops at what it marked": the canonical form, rebuilt with
+    # no node marked, sweeps to itself
+    canonical = ir.compile_datatype(dt, count).ir
+    again = ir.optimize(rebuilt_raw(canonical))
+    assert again == canonical
+    assert ir.optimize(ir.optimize(again)) == ir.optimize(again) == again
+
+
+def test_new_loop_chain_collapses_before_its_inner_loop_unrolls():
+    # blocklength 2 over a two-run base is small enough to unroll alone,
+    # but blocklength == stride makes the vector a perfect nest: all six
+    # base copies are one rolled loop
+    base = Struct([1, 1], [0, 8], [INT, INT])
+    two_runs = ir.ir_of(base)
+    assert two_runs == ir.Seq((ir.Block(0, 4), ir.Block(8, 4)))
+    assert ir.ir_of(Vector(3, 2, 2, base)) == ir.Loop(6, base.extent, two_runs)
+    # ... and built in two constructor steps, the inner type was canonical
+    # (unrolled) before the outer loop ever saw it
+    inner = Contiguous(2, base)
+    assert isinstance(ir.ir_of(inner), ir.Seq)
+    roundtrip_identical(Vector(3, 2, 2, base), count=2)
+    roundtrip_identical(Contiguous(3, inner), count=2)
+
+
+def test_unroll_decides_on_the_fused_body():
+    # 3 x (4 x two abutting-on-repeat runs): the inner unroll fuses 8 raw
+    # runs into 5, which lets the outer loop unroll too
+    base = Struct([1, 1], [0, 12], [INT, INT])      # extent 16: tail abuts head
+    canonical = ir.ir_of(Contiguous(3, Contiguous(4, base)))
+    assert isinstance(canonical, ir.Seq)
+    assert all(isinstance(ch, ir.Block) for ch in canonical.children)
+    assert canonical.runs == len(canonical.children) == 13
+    roundtrip_identical(Contiguous(3, Contiguous(4, base)))
+
+
+def test_node_attributes_match_an_expansion():
+    nodes = [
+        ir.Loop(3, -16, ir.Block(40, 8)),                     # walks downwards
+        ir.Loop(4, 4, ir.Block(0, 8)),                        # overlapping
+        ir.Seq((ir.Block(24, 8), ir.Loop(2, 8, ir.Block(-8, 8)))),
+        ir.Loop(2, 64, ir.Scatter([8, 0, 32], [8, 4, 16])),
+    ]
+    for node in nodes:
+        offs, lens = ir._expand(node)
+        assert (node.lo, node.hi) == (offs.min(), (offs + lens).max())
+        assert (node.size, node.runs) == (lens.sum(), len(offs))
+        canonical = ir.optimize(node)
+        assert (canonical.lo, canonical.hi, canonical.size) == \
+            (node.lo, node.hi, node.size)
+        merged = ir.to_blocklist(node)
+        again = ir.to_blocklist(canonical)
+        assert list(merged) == list(again)
+
+
+# -- closed-form bounds, plans materialised on first use ----------------------
+
+BOUNDS_SPECS = LEGACY_EQUIV_SPECS + [
+    HIndexed([1, 2, 1], [-12, 8, -32], INT),              # below the origin
+    Indexed([2, 2], [0, 1], D),                           # overlapping blocks
+    Resized(Vector(3, 1, 2, D), 16),                      # copies interleave
+    Resized(HIndexed([1, 1], [-8, 8], D), 8),
+]
+
+
+def hasattr_filled(plan, name):
+    """Has the plan's lazy part been built?  (``hasattr`` would build it.)"""
+    try:
+        object.__getattribute__(plan, name)
+    except AttributeError:
+        return False
+    return True
+
+
+def assert_closed_form_bounds(dt, count):
+    plan = ir.compile_datatype(dt, count)
+    typemap = buffer_typemap(dt, count)
+    assert plan.start_bytes == min(off for off, _ in typemap)
+    assert plan.end_bytes == max(off + n for off, n in typemap)
+    assert plan.nbytes == sum(n for _, n in typemap) == count * dt.size
+    blocks = plan.blocks
+    assert plan.start_bytes == blocks.offsets.min()
+    assert plan.end_bytes == (blocks.offsets + blocks.lengths).max()
+    assert plan.nbytes == blocks.size
+    assert plan.contiguous == (blocks.num_blocks == 1)
+
+
+@pytest.mark.parametrize("dt", BOUNDS_SPECS,
+                         ids=[type(s).__name__ + str(i)
+                              for i, s in enumerate(BOUNDS_SPECS)])
+def test_closed_form_bounds_match_the_blocklist(dt):
+    for count in (1, 2, 5):
+        assert_closed_form_bounds(dt, count)
+
+
+@pytest.mark.parametrize("dt", BOUNDS_SPECS[-4:], ids=["below", "overlap",
+                                                       "interleave", "both"])
+def test_closed_form_bounds_passes_disabled(dt, passes_disabled):
+    for count in (1, 3):
+        assert_closed_form_bounds(dt, count)
+
+
+def test_typed_buffer_bounds_checks_need_no_expansion():
+    ir.cache_clear()
+    dt = HIndexed([1, 2, 1], [-12, 8, -32], INT)
+    with pytest.raises(DatatypeError, match="before the buffer start"):
+        TypedBuffer(np.zeros(64, dtype=np.uint8), dt, offset_bytes=24)
+    with pytest.raises(DatatypeError, match="buffer too small"):
+        TypedBuffer(np.zeros(40, dtype=np.uint8), dt, offset_bytes=32)
+    tb = TypedBuffer(np.zeros(64, dtype=np.uint8), dt, offset_bytes=32)
+    assert tb.nbytes == 16 and not tb.is_contiguous()
+    assert not hasattr_filled(tb.plan, "blocks")
+    assert not hasattr_filled(tb.plan, "program")
+
+
+@pytest.mark.parametrize("first", ["program", "blocks"])
+@pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS, ids=SPEC_IDS)
+def test_plan_parts_materialise_in_either_order(dt, first):
+    ir.cache_clear()
+    plan = ir.compile_datatype(dt, 3)
+    assert not hasattr_filled(plan, "blocks")
+    assert not hasattr_filled(plan, "program")
+    second = "blocks" if first == "program" else "program"
+    built = getattr(plan, first)
+    assert hasattr_filled(plan, first) and not hasattr_filled(plan, second)
+    assert getattr(plan, first) is built          # stored, not rebuilt
+    src = np.arange(3 * dt.extent + 64, dtype=np.uint8)
+    assert plan.program.pack(src, 0).tobytes() == \
+        reference_pack(src, dt, 3).tobytes()
+    assert list(map(list, plan.blocks)) == reference_blocks(dt, 3)
+    assert plan.program.nbytes == plan.blocks.size == plan.nbytes
+
+
+def test_a_base_type_never_lowers_or_expands():
+    ir.cache_clear()
+    base = Vector(3, 1, 2, D)
+    outer = Indexed([1, 2], [0, 2], base)     # asks base.is_contiguous() too
+    tb = TypedBuffer(np.zeros(outer.extent // 8 + 1), outer)
+    tb.pack()
+    base_plan = ir.compile_datatype(base)
+    assert not hasattr_filled(base_plan, "blocks")
+    assert not hasattr_filled(base_plan, "program")
+    # packed only: the outer plan has a program and still no BlockList
+    assert hasattr_filled(tb.plan, "program")
+    assert not hasattr_filled(tb.plan, "blocks")
+    assert tb.plan.blocks is outer.flatten()
+
+
+def test_is_contiguous_reads_the_canonical_ir():
+    ir.cache_clear()
+    cases = {
+        Contiguous(4, D): True,
+        Vector(3, 2, 2, D): True,
+        Vector(3, 1, 2, D): False,
+        Resized(D, 16): False,                       # one block, padded extent
+        HIndexed([2], [8], D): False,                # one block, off the origin
+        Struct([1, 1], [0, 8], [D, D]): True,
+    }
+    for dt, expected in cases.items():
+        assert dt.is_contiguous() is expected
+        assert not hasattr_filled(ir.compile_datatype(dt), "blocks")
+    # a TypedBuffer only asks for one merged block, wherever it starts
+    assert TypedBuffer(np.zeros(4), HIndexed([2], [8], D)).is_contiguous()
+    assert TypedBuffer(np.zeros(4), Resized(D, 16), count=2).is_contiguous() is False
+
+
+def test_session_module_is_resolved_once(monkeypatch):
+    # the profiling session is looked up by the first compile, not by
+    # every call: a second import statement would go through __import__
+    import builtins
+    ir.compile_datatype(D)
+    assert ir._session is not None
+    calls = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        calls.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    ir.cache_clear()
+    ir.compile_datatype(Vector(5, 1, 3, D))     # miss
+    ir.compile_datatype(Vector(5, 1, 3, D))     # hit
+    monkeypatch.undo()
+    assert calls == []

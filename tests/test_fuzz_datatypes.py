@@ -14,6 +14,7 @@ from repro.datatypes import (
     Resized,
     TypedBuffer,
     Vector,
+    ir,
 )
 from tests._dtype_oracle import buffer_typemap
 
@@ -117,3 +118,20 @@ def test_size_extent_invariants(dt):
     assert int((blocks.offsets + blocks.lengths).max()) <= dt.extent
     # the block count never exceeds the element count
     assert dt.num_blocks <= dt.size // 8
+
+
+@given(datatype_tree(), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_bounds_match_the_blocklist(dt, count):
+    # start/end/size come off the IR without an expansion; the BlockList
+    # built afterwards (and the definition-level typemap) must agree
+    plan = ir.compile_datatype(dt, count)
+    bounds = (plan.start_bytes, plan.end_bytes, plan.nbytes)
+    typemap = buffer_typemap(dt, count)
+    assert bounds == (min(off for off, _ in typemap),
+                      max(off + n for off, n in typemap),
+                      sum(n for _, n in typemap))
+    blocks = plan.blocks
+    assert bounds == (blocks.offsets.min(),
+                      (blocks.offsets + blocks.lengths).max(), blocks.size)
+    assert plan.contiguous == (blocks.num_blocks == 1)
