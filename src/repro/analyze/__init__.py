@@ -1,6 +1,11 @@
 """MUST-style MPI correctness analyzer for the simulated stack.
 
-Five layers, one finding currency (:class:`Finding` / :class:`Report`):
+Five layers, one finding currency (:class:`Finding` / :class:`Report`),
+and one static pipeline: :func:`analyze_tree` (files and directories)
+and :func:`analyze_source_set` (in-memory ``(path, text)`` pairs) run the
+lint, dataflow and protocol layers over one parsed project.  The
+``repro.mpi`` method names every layer recognises come from
+:mod:`repro.analyze.mpiapi`, which reads them off the library.
 
 ``repro.analyze.signatures``
     Static datatype analysis built on typemap flattening: send/receive
@@ -32,7 +37,7 @@ Five layers, one finding currency (:class:`Finding` / :class:`Report`):
 
 Shell entry point::
 
-    python -m repro.analyze --lint src
+    python -m repro.analyze src
     python -m repro.analyze --dataflow src examples
     python -m repro.analyze --protocol src examples
     python -m repro.analyze --dataflow --format sarif -o out.sarif src
@@ -43,8 +48,8 @@ Findings on any line can be silenced with an inline
 The rule catalogue is documented in ``docs/ANALYZE.md``.
 """
 
+from repro.analyze.dataflow.driver import analyze_source_set, analyze_tree
 from repro.analyze.findings import RULES, SEVERITIES, Finding, Report
-from repro.analyze.lint import lint_file, lint_paths, lint_source
 from repro.analyze.runtime import RuntimeVerifier
 from repro.analyze.matchgraph import check_collectives, match_p2p, verify_world
 from repro.analyze.protocol import check_module as check_protocol
@@ -67,15 +72,14 @@ __all__ = [
     "RuntimeVerifier",
     "Suppressions",
     "TransferVerdict",
+    "analyze_source_set",
+    "analyze_tree",
     "check_collectives",
     "check_datatype",
     "check_protocol",
     "check_transfer",
     "collect_suppressions",
     "full_signature",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "match_p2p",
     "render_signature",
     "signature_prefix",

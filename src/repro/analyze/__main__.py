@@ -1,10 +1,13 @@
 """Command-line entry point: ``python -m repro.analyze``.
 
-Modes (combinable):
+Every run goes through the one analyzer pipeline
+(:func:`repro.analyze.dataflow.driver.analyze_tree`): the lint rules
+(LNT001-LNT007) always run; the flags add passes.  Modes (combinable):
 
-``python -m repro.analyze --lint src``
-    Lint every ``.py`` file under the given files/directories
-    (LNT rules).  Exit code 1 if anything actionable is found.
+``python -m repro.analyze src examples tests``
+    Lint every ``.py`` file under the given files/directories (LNT
+    rules, including LNT007 for stale suppressions).  Exit code 1 if
+    anything actionable is found.
 
 ``python -m repro.analyze --dataflow src examples``
     Additionally run the CFG/fixpoint dataflow passes (REQ1xx request
@@ -18,10 +21,6 @@ Modes (combinable):
     in a static match graph (unmatched sends/receives, deterministic
     deadlocks, collective divergence, signature/truncation mismatch at
     matched endpoints).  Combinable with ``--dataflow``.
-
-``python -m repro.analyze examples/ghost_exchange_2d.py``
-    Same as ``--lint`` for the named script (scripts are linted by
-    default).
 
 ``python -m repro.analyze --run examples/ghost_exchange_2d.py``
     Additionally *execute* the script with every :class:`Cluster` it
@@ -57,8 +56,8 @@ import runpy
 import sys
 from typing import List
 
+from repro.analyze.dataflow.driver import analyze_tree
 from repro.analyze.findings import Report
-from repro.analyze.lint import lint_paths
 from repro.analyze.runtime import RuntimeVerifier
 
 
@@ -108,8 +107,6 @@ def main(argv: List[str] | None = None) -> int:
     )
     parser.add_argument("paths", nargs="+",
                         help="python files or directories to analyze")
-    parser.add_argument("--lint", action="store_true",
-                        help="lint only (default when --run is not given)")
     parser.add_argument("--dataflow", action="store_true",
                         help="run the CFG/fixpoint dataflow passes "
                              "(REQ1xx/BUF1xx/SPMD1xx/PLAN1xx)")
@@ -171,19 +168,11 @@ def main(argv: List[str] | None = None) -> int:
             return 0
         # fall through: report what remains after the rewrites
 
-    report = Report()
-    plans: list = []
     protocol_stats: list = []
     try:
-        if args.dataflow or args.protocol:
-            from repro.analyze.dataflow import analyze_tree
-
-            analyze_tree(args.paths, report, plans,
-                         dataflow=args.dataflow,
-                         protocol=args.protocol,
-                         protocol_stats=protocol_stats)
-        else:
-            lint_paths(args.paths, report)
+        report, plans = analyze_tree(args.paths, dataflow=args.dataflow,
+                                     protocol=args.protocol,
+                                     protocol_stats=protocol_stats)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2

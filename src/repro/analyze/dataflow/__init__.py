@@ -26,19 +26,16 @@ liveness), and ask path questions the lint tier cannot:
     policy would pick, and warn on sparse / heavy-outlier / low-density
     shapes per the paper's section 4.1/4.2 cost model.
 
-Entry points: :func:`analyze_source` / :func:`analyze_file` /
-:func:`analyze_paths` mirror the lint API and share its suppression
-mechanism (``# analyze: ignore[CODE]``).
+Entry points: :func:`analyze_tree` (files/directories) and
+:func:`analyze_source_set` (in-memory text) in
+:mod:`repro.analyze.dataflow.driver` -- the one pipeline that also runs
+the lint and protocol passes and applies ``# analyze: ignore[CODE]``
+suppressions.
 """
 
-from repro.analyze.dataflow.cfg import CFG, CFGNode, build_cfg, function_cfgs
+from repro.analyze.dataflow.cfg import CFG, CFGNode, build_cfg
 from repro.analyze.dataflow.callgraph import Project, strongly_connected
-from repro.analyze.dataflow.driver import (
-    analyze_file,
-    analyze_paths,
-    analyze_source,
-    analyze_tree,
-)
+from repro.analyze.dataflow.driver import analyze_source_set, analyze_tree
 from repro.analyze.dataflow.engine import (
     DataflowSolution,
     liveness,
@@ -53,14 +50,11 @@ __all__ = [
     "CommunicationPlan",
     "DataflowSolution",
     "Project",
-    "analyze_file",
-    "analyze_paths",
-    "analyze_source",
+    "analyze_source_set",
     "analyze_tree",
     "build_cfg",
     "compute_summaries",
     "extract_plans",
-    "function_cfgs",
     "liveness",
     "module_envs",
     "reaching_definitions",

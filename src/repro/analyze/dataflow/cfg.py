@@ -18,16 +18,17 @@ loop back-edge and the ``else`` clause), ``break``/``continue``,
 - ``return`` inside a ``try`` with a ``finally`` routes through the
   finally suite before reaching ``exit``.
 
-The CFG is intraprocedural; :mod:`repro.analyze.dataflow.engine` adds a
-one-level call summary for ``yield from`` helper functions on top.
+The CFG is intraprocedural; the interprocedural call summaries of
+:mod:`repro.analyze.dataflow.summaries` see through ``yield from``
+helper functions on top.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
-__all__ = ["CFG", "CFGNode", "build_cfg", "function_cfgs"]
+__all__ = ["CFG", "CFGNode", "build_cfg"]
 
 
 class CFGNode:
@@ -196,7 +197,7 @@ class _Builder:
                 self.cfg.add_edge(node.index, self.loops[-1].head)
             return []
         # nested function/class definitions are opaque single statements
-        # (their bodies get their own CFGs via function_cfgs)
+        # (the driver builds their bodies' own CFGs)
         node = self.cfg._new(stmt, "stmt")
         self._link(frontier, node)
         return [node.index]
@@ -291,17 +292,3 @@ def build_cfg(func: ast.AST, name: Optional[str] = None) -> CFG:
     cfg = CFG(label, func=func)
     _Builder(cfg).build(func.body)
     return cfg
-
-
-def function_cfgs(tree: ast.Module) -> List[Tuple[CFG, Dict[str, ast.AST]]]:
-    """CFGs for every function in a module, each paired with the map of
-    sibling module-level functions (for one-level call summaries)."""
-    module_funcs: Dict[str, ast.AST] = {
-        node.name: node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    out: List[Tuple[CFG, Dict[str, ast.AST]]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((build_cfg(node), module_funcs))
-    return out

@@ -1,23 +1,25 @@
-"""File-level driver for the dataflow passes.
+"""The analyzer pipeline: one driver for every static pass.
 
-Two-phase project analysis:
+:func:`analyze_source_set` is the only implementation of
 
-1. **Summary phase**: every analyzed file is parsed into one
-   :class:`~repro.analyze.dataflow.callgraph.Project`; transitive
-   per-function summaries are computed bottom-up over the call-graph
-   condensation (:mod:`repro.analyze.dataflow.summaries`).
-2. **Rule phase**: REQ/BUF, SPMD and PLAN run per function with the
-   module's summary environment prefilled, so cross-function request
-   hand-off and rank taint resolve -- including across files, for
-   imports that resolve inside the analyzed set.
+1. **parse** every file into one
+   :class:`~repro.analyze.dataflow.callgraph.Project` and collect each
+   file's ``# analyze: ignore[...]`` comments;
+2. **summaries** (when dataflow or protocol runs): transitive
+   per-function summaries, bottom-up over the call-graph condensation
+   (:mod:`repro.analyze.dataflow.summaries`), so cross-function and
+   cross-file request hand-off and rank taint resolve;
+3. **lint** (always), then the optional **dataflow** rules (REQ/BUF,
+   SPMD, PLAN) and the **protocol** verifier (MTC), per file with the
+   module's summary environment;
+4. **suppressions**, one index per file shared by every pass that ran,
+   then **LNT007** for each suppression that matched nothing -- sound
+   because a comment is "unused" only when no pass that ran could have
+   matched it.
 
-:func:`analyze_source` / :func:`analyze_file` analyze one module (the
-project is just that module -- interprocedural within the file);
-:func:`analyze_paths` analyzes a file set as one project.
-:func:`analyze_tree` additionally runs the lint pass sharing one
-suppression index per file, which is what makes the LNT007
-unused-suppression lint sound: a comment is "unused" only when *no*
-pass that ran could have matched it.
+:func:`analyze_tree` only reads files from disk and hands them in; the
+``--fix`` rewriter iterates :func:`analyze_source_set` over in-memory
+text.  A lint-only run is ``dataflow=False, protocol=False``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from repro.analyze.dataflow import spmd as _spmd
 from repro.analyze.dataflow.callgraph import Project
 from repro.analyze.dataflow.cfg import build_cfg
 from repro.analyze.dataflow.engine import CallSummary
-from repro.analyze.dataflow.summaries import compute_summaries, module_envs
+from repro.analyze.dataflow.summaries import module_envs
 from repro.analyze.findings import RULES, Report
-from repro.analyze.lint import iter_python_files
+from repro.analyze.lint import _Linter
 from repro.analyze.suppress import (
     ALL,
     Suppressions,
@@ -42,115 +44,50 @@ from repro.analyze.suppress import (
     collect_suppressions,
 )
 
-__all__ = ["analyze_source", "analyze_file", "analyze_paths",
-           "analyze_source_set", "analyze_tree"]
+__all__ = ["analyze_source_set", "analyze_tree", "iter_python_files"]
 
 #: rule-code prefixes of the runtime/signature passes -- suppressions for
 #: these are never reported unused by the static drivers (the matching
 #: pass did not run here)
 _NON_STATIC_PREFIXES = ("SIG", "DLK", "REQ0", "P2P", "COL", "ZBS")
 
+#: directory names skipped during directory expansion.  ``fixtures`` holds
+#: intentionally-broken analyzer inputs (tests pass them explicitly).
+SKIPPED_DIRS = frozenset({"fixtures", "__pycache__"})
+
+
+def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files.
+
+    Directories named in :data:`SKIPPED_DIRS` are pruned during
+    expansion; explicitly named files are always included.
+    """
+    out: List[Path] = []
+    for p in paths:
+        p = Path(p)
+        if p.is_dir():
+            out.extend(sorted(
+                f for f in p.rglob("*.py")
+                # prune on path segments *below* the requested directory,
+                # so `analyze tests/fixtures` itself still works
+                if not (SKIPPED_DIRS & set(f.relative_to(p).parts[:-1]))
+            ))
+        elif p.suffix == ".py":
+            out.append(p)
+        else:
+            raise FileNotFoundError(f"not a python file or directory: {p}")
+    return out
+
 
 def _run_dataflow(tree: ast.Module, path: str, report: Report,
-                  plans: Optional[List[_plans.CommunicationPlan]],
+                  plans: List[_plans.CommunicationPlan],
                   env: Dict[str, CallSummary]) -> None:
     """Run every dataflow rule pass over one parsed module."""
-    module_funcs = {
-        node.name: node for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-    summary_cache = dict(env)
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        cfg = build_cfg(node)
-        _requests.check_function(cfg, module_funcs, path, report,
-                                 summary_cache)
-        _spmd.check_function(node, module_funcs, path, report, summary_cache)
-
-    file_plans, _ = _plans.extract_plans(tree, path, report)
-    if plans is not None:
-        plans.extend(file_plans)
-
-
-def _single_module_env(path: str, source: str,
-                       tree: ast.Module) -> Dict[str, CallSummary]:
-    project = Project([(path, source)])
-    # Project re-parses; reuse is not worth plumbing -- but keep the
-    # caller's tree authoritative for the rule phase
-    del tree
-    return module_envs(project, compute_summaries(project)).get(path, {})
-
-
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    report: Optional[Report] = None,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
-    protocol: bool = False,
-) -> Report:
-    """Run every dataflow pass over one module's source text.
-
-    Appends to ``report``/``plans`` when given (mirroring
-    :func:`repro.analyze.lint.lint_source`); suppression comments are
-    applied before findings reach the caller's report.  ``protocol``
-    additionally runs the cross-rank protocol verifier (MTC10x).
-    """
-    report = report if report is not None else Report()
-    tree = ast.parse(source, filename=path)
-    suppressions = collect_suppressions(source, tree)
-    local = Report()
-    env = _single_module_env(path, source, tree)
-    _run_dataflow(tree, path, local, plans, env)
-    if protocol:
-        from repro.analyze import protocol as _protocol
-
-        _protocol.check_module(tree, path, local, env)
-    report.extend(apply_suppressions(local, suppressions))
-    return report
-
-
-def analyze_file(
-    path: Union[str, Path],
-    report: Optional[Report] = None,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
-    protocol: bool = False,
-) -> Report:
-    path = Path(path)
-    return analyze_source(path.read_text(encoding="utf-8"), str(path),
-                          report, plans, protocol)
-
-
-def analyze_paths(
-    paths: Iterable[Union[str, Path]],
-    report: Optional[Report] = None,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
-    protocol: bool = False,
-) -> Tuple[Report, List[_plans.CommunicationPlan]]:
-    """Dataflow-analyze every ``.py`` file under ``paths`` as one
-    project (cross-file summaries resolve through imports)."""
-    report = report if report is not None else Report()
-    plans = plans if plans is not None else []
-    sources = [(str(p), Path(p).read_text(encoding="utf-8"))
-               for p in iter_python_files(paths)]
-    project = Project(sources)
-    envs = module_envs(project, compute_summaries(project))
-    for path, source in sources:
-        suppressions = collect_suppressions(
-            source, project.modules[path].tree)
-        local = Report()
-        _run_dataflow(project.modules[path].tree, path, local, plans,
-                      envs.get(path, {}))
-        if protocol:
-            from repro.analyze import protocol as _protocol
-
-            _protocol.check_module(project.modules[path].tree, path, local,
-                                   envs.get(path, {}))
-        report.extend(apply_suppressions(local, suppressions))
-    return report, plans
-
-
-# -- combined lint + dataflow entry ------------------------------------------
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _requests.check_function(build_cfg(node), path, report, env)
+            _spmd.check_function(node, path, report, env)
+    plans.extend(_plans.extract_plans(tree, path, report)[0])
 
 
 def _unused_suppression_eligible(code: str, dataflow: bool,
@@ -165,7 +102,7 @@ def _unused_suppression_eligible(code: str, dataflow: bool,
     if code.startswith(_NON_STATIC_PREFIXES):
         return False
     if code.startswith("LNT"):
-        return True  # the lint pass always runs in analyze_tree
+        return True  # the lint pass always runs
     if code.startswith("MTC"):
         return protocol  # the cross-rank verifier is opt-in
     return dataflow  # REQ1xx / BUF1xx / SPMD1xx / PLAN1xx
@@ -173,7 +110,7 @@ def _unused_suppression_eligible(code: str, dataflow: bool,
 
 def _report_unused_suppressions(suppressions: Suppressions, path: str,
                                 report: Report, dataflow: bool,
-                                protocol: bool = False) -> None:
+                                protocol: bool) -> None:
     for line, code in suppressions.unused_sites():
         if not _unused_suppression_eligible(code, dataflow, protocol):
             continue
@@ -186,59 +123,49 @@ def _report_unused_suppressions(suppressions: Suppressions, path: str,
         )
 
 
-def analyze_tree(
-    paths: Iterable[Union[str, Path]],
-    report: Optional[Report] = None,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
-    dataflow: bool = True,
-    protocol: bool = False,
-    protocol_stats: Optional[list] = None,
-) -> Tuple[Report, List[_plans.CommunicationPlan]]:
-    """Lint + (optionally) dataflow-analyze a file set as one project,
-    with a single suppression index per file shared by both passes, and
-    LNT007 findings for suppressions that matched nothing."""
-    sources = [(str(p), Path(p).read_text(encoding="utf-8"))
-               for p in iter_python_files(paths)]
-    return analyze_source_set(sources, report, plans, dataflow, protocol,
-                              protocol_stats)
-
-
 def analyze_source_set(
     sources: List[Tuple[str, str]],
-    report: Optional[Report] = None,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
+    *,
     dataflow: bool = True,
     protocol: bool = False,
+    plans: Optional[List[_plans.CommunicationPlan]] = None,
     protocol_stats: Optional[list] = None,
 ) -> Tuple[Report, List[_plans.CommunicationPlan]]:
-    """:func:`analyze_tree` over in-memory ``(path, text)`` pairs -- the
-    entry the ``--fix`` rewriter iterates without touching disk."""
-    from repro.analyze.lint import _Linter
+    """Analyze in-memory ``(path, text)`` pairs as one project.
 
-    report = report if report is not None else Report()
+    Returns the report and the extracted communication plans (appended
+    to ``plans`` when given); ``protocol_stats`` collects the protocol
+    verifier's per-function :class:`~repro.analyze.protocol.FunctionStat`.
+    Unparseable text raises :class:`SyntaxError`.
+    """
+    report = Report()
     plans = plans if plans is not None else []
-    envs: Dict[str, Dict[str, CallSummary]] = {}
-    if dataflow or protocol:
-        project = Project(sources)
-        envs = module_envs(project, compute_summaries(project))
-        trees = {path: project.modules[path].tree for path, _ in sources}
-    else:
-        trees = {path: ast.parse(text, filename=path)
-                 for path, text in sources}
+    project = Project(sources)
+    envs = module_envs(project) if dataflow or protocol else {}
     for path, source in sources:
-        tree = trees[path]
+        tree = project.modules[path].tree
+        env = envs.get(path, {})
         suppressions = collect_suppressions(source, tree)
         local = Report()
         _Linter(path, local).visit(tree)
         if dataflow:
-            _run_dataflow(tree, path, local, plans, envs.get(path, {}))
+            _run_dataflow(tree, path, local, plans, env)
         if protocol:
             from repro.analyze import protocol as _protocol
 
-            _protocol.check_module(tree, path, local, envs.get(path, {}),
+            _protocol.check_module(tree, path, local, env,
                                    stats=protocol_stats)
         filtered = apply_suppressions(local, suppressions)
         _report_unused_suppressions(suppressions, path, filtered, dataflow,
                                     protocol)
         report.extend(filtered)
     return report, plans
+
+
+def analyze_tree(paths: Iterable[Union[str, Path]], **options
+                 ) -> Tuple[Report, List[_plans.CommunicationPlan]]:
+    """:func:`analyze_source_set` over every ``.py`` file under
+    ``paths`` (files or directories, see :func:`iter_python_files`)."""
+    sources = [(str(p), p.read_text(encoding="utf-8"))
+               for p in iter_python_files(paths)]
+    return analyze_source_set(sources, **options)

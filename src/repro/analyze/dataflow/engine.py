@@ -15,10 +15,13 @@ are monotone, the lattice has finite height):
     def[n])``.
 
 Plus the AST plumbing the rule passes share: per-statement use/def
-extraction and the **one-level call summary** for ``yield from`` helper
-functions (does the helper wait a request parameter? does it perform a
-collective or blocking call?), which is what lets the request-lifetime
-and SPMD passes see through the codebase's generator-helper idiom.
+extraction, the :class:`CallSummary` record consulted at helper call
+sites (does the helper wait a request parameter? does it perform a
+collective or blocking call?) -- what lets the request-lifetime and SPMD
+passes see through the codebase's generator-helper idiom -- and the one
+answer, for every pass, to "does this expression create a pending
+request?" (:func:`request_kind`) and "which requests does this call
+complete?" (:func:`completed_names`, :func:`waited_arguments`).
 """
 
 from __future__ import annotations
@@ -27,16 +30,25 @@ import ast
 from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set
 
 from repro.analyze.dataflow.cfg import CFG
+from repro.analyze.mpiapi import (
+    COMPLETES_ARGUMENTS,
+    COMPLETES_RECEIVER,
+    DIRECT_REQUEST_METHODS,
+    WRAPPED_REQUEST_METHODS,
+)
 
 __all__ = [
     "DataflowSolution",
     "CallSummary",
+    "call_of",
+    "completed_names",
     "liveness",
     "reaching_definitions",
+    "request_kind",
     "resolve_call_summary",
     "stmt_uses",
     "stmt_defs",
-    "summarize_function",
+    "waited_arguments",
 ]
 
 Fact = Hashable
@@ -176,36 +188,13 @@ def stmt_defs(stmt: ast.AST) -> Set[str]:
     return out
 
 
-# -- one-level call summaries -------------------------------------------------
-
-#: attribute names treated as collective operations on a communicator
-COLLECTIVE_METHODS = frozenset({
-    # NOTE: `split` is deliberately absent -- calling it with
-    # rank-dependent colors under rank-dependent control flow is the
-    # *intended* use of communicator splitting
-    "barrier", "bcast", "allreduce", "gather_obj", "reduce",
-    "allreduce_array", "scan", "gatherv", "scatterv", "allgather",
-    "alltoall", "allgatherv", "alltoallw", "sparse_alltoall",
-})
-
-#: attribute names of blocking point-to-point / completion operations
-BLOCKING_METHODS = frozenset({
-    "send", "recv", "sendrecv", "recv_obj", "probe",
-    "wait", "waitall", "waitany",
-})
-
-#: attribute names that complete a request
-WAIT_METHODS = frozenset({"wait", "test", "waitall", "waitany"})
-
+# -- call summaries -----------------------------------------------------------
 
 class CallSummary:
     """What one helper function does to its parameters -- the
-    interprocedural summary consulted at ``helper(...)`` call sites.
-
-    :func:`summarize_function` fills the one-level (direct-effects-only)
-    fields; :mod:`repro.analyze.dataflow.summaries` recomputes them
-    *transitively* over the project call graph and additionally fills
-    ``returns_request`` / ``returns_tainted``.
+    interprocedural summary consulted at ``helper(...)`` call sites,
+    computed transitively over the project call graph by
+    :mod:`repro.analyze.dataflow.summaries`.
     """
 
     __slots__ = ("name", "params", "waits_params", "calls_collective",
@@ -242,37 +231,6 @@ class CallSummary:
         return hash((self.name, tuple(self.params)))
 
 
-def summarize_function(func: ast.AST) -> CallSummary:
-    """Build the flow-insensitive summary of one module-level function."""
-    params = [a.arg for a in (func.args.posonlyargs + func.args.args
-                              + func.args.kwonlyargs)]
-    waits: Set[int] = set()
-    calls_collective = False
-    calls_blocking = False
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        fn = node.func
-        if not isinstance(fn, ast.Attribute):
-            continue
-        if fn.attr in COLLECTIVE_METHODS:
-            calls_collective = True
-        if fn.attr in BLOCKING_METHODS:
-            calls_blocking = True
-        if fn.attr in WAIT_METHODS:
-            # req.wait() on a parameter name, or Request.waitall(param)
-            if isinstance(fn.value, ast.Name) and fn.value.id in params:
-                waits.add(params.index(fn.value.id))
-            for arg in node.args:
-                roots = {s.id for s in ast.walk(arg)
-                         if isinstance(s, ast.Name)
-                         and isinstance(s.ctx, ast.Load)}
-                for root in roots & set(params):
-                    waits.add(params.index(root))
-    return CallSummary(getattr(func, "name", "<lambda>"), params, waits,
-                       calls_collective, calls_blocking)
-
-
 def resolve_call_summary(fn: ast.AST,
                          summaries: Dict[str, CallSummary],
                          ) -> "tuple[Optional[CallSummary], int]":
@@ -301,13 +259,58 @@ def resolve_call_summary(fn: ast.AST,
     return None, 0
 
 
-def summaries_for(module_funcs: Dict[str, ast.AST],
-                  cache: Optional[Dict[str, CallSummary]] = None,
-                  ) -> Dict[str, CallSummary]:
-    """Summaries for every module-level function (memoised per module)."""
-    if cache is not None and cache:
-        return cache
-    out = {name: summarize_function(fn) for name, fn in module_funcs.items()}
-    if cache is not None:
-        cache.update(out)
+def waited_arguments(call: ast.Call, summary: CallSummary,
+                     offset: int) -> Set[str]:
+    """Names passed to ``call`` whose receiving parameter the callee's
+    ``summary`` waits (``offset`` shifts positional arguments past an
+    implicit ``self``)."""
+    out = {arg.id for pos, arg in enumerate(call.args)
+           if isinstance(arg, ast.Name)
+           and pos + offset in summary.waits_params}
+    out.update(kw.value.id for kw in call.keywords
+               if isinstance(kw.value, ast.Name) and kw.arg in summary.params
+               and summary.params.index(kw.arg) in summary.waits_params)
     return out
+
+
+def completed_names(call: ast.Call) -> Set[str]:
+    """Names a request-completion call completes: the receiver of
+    ``req.wait()`` / ``req.test()``, every name inside the arguments of
+    ``Request.waitall(..)`` / ``Request.waitany(..)``."""
+    fn = call.func
+    if not isinstance(fn, ast.Attribute):
+        return set()
+    if fn.attr in COMPLETES_RECEIVER:
+        return {fn.value.id} if isinstance(fn.value, ast.Name) else set()
+    if fn.attr in COMPLETES_ARGUMENTS:
+        return {sub.id for arg in call.args for sub in ast.walk(arg)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+    return set()
+
+
+def call_of(value: ast.AST) -> Optional[ast.Call]:
+    """Unwrap ``yield from call`` / ``await call`` down to the call."""
+    if isinstance(value, (ast.YieldFrom, ast.Await)):
+        value = value.value
+    return value if isinstance(value, ast.Call) else None
+
+
+def request_kind(value: ast.AST,
+                 summaries: Dict[str, CallSummary]) -> Optional[str]:
+    """``"send"``/``"recv"`` when ``value`` evaluates to a fresh pending
+    request -- ``yield from comm.isend(..)``, ``comm.irecv(..)``, or a
+    helper whose summary hands one back -- else None."""
+    call = call_of(value)
+    if call is None:
+        return None
+    fn = call.func
+    if isinstance(fn, ast.Attribute):
+        creators = (WRAPPED_REQUEST_METHODS
+                    if isinstance(value, (ast.YieldFrom, ast.Await))
+                    else DIRECT_REQUEST_METHODS)
+        if fn.attr in creators:
+            return creators[fn.attr]
+    summary, _offset = resolve_call_summary(fn, summaries)
+    if summary is not None and summary.returns_request:
+        return summary.request_kind
+    return None

@@ -41,7 +41,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analyze.findings import Report
-from repro.analyze.signatures import DENSITY_MIN_BLOCKS, DENSITY_MIN_MEAN
+from repro.analyze.mpiapi import COUNTS_ARG
+from repro.analyze.signatures import (
+    DATATYPE_NAMES,
+    MAX_STATIC_BLOCKS,
+    construct_datatype,
+    low_density,
+)
 
 #: call-site method names analysed, mapped to their plan "shape"
 PLANNED_METHODS = {
@@ -54,9 +60,6 @@ PLANNED_METHODS = {
     "irecv": "p2p",
     "recv": "p2p",
 }
-
-#: guard against materialising absurd constant datatypes
-MAX_STATIC_BLOCKS = 100_000
 
 
 @dataclass
@@ -122,7 +125,6 @@ class _ConstEval:
 
     def __init__(self, env: Dict[str, Any]):
         self.env = env
-        self._datatypes = _datatype_namespace()
 
     def eval(self, node: ast.AST) -> Any:
         if isinstance(node, ast.Constant):
@@ -133,9 +135,9 @@ class _ConstEval:
         if isinstance(node, ast.Name):
             if node.id in self.env:
                 return self.env[node.id]
-            if node.id in self._datatypes and not callable(
-                    self._datatypes[node.id]):
-                return self._datatypes[node.id]  # DOUBLE, INT, ...
+            if node.id in DATATYPE_NAMES and not callable(
+                    DATATYPE_NAMES[node.id]):
+                return DATATYPE_NAMES[node.id]  # DOUBLE, INT, ...
             raise _NotConstant
         if isinstance(node, (ast.List, ast.Tuple)):
             return [self.eval(e) for e in node.elts]
@@ -187,42 +189,14 @@ class _ConstEval:
 
     def _call(self, node: ast.Call) -> Any:
         fn = node.func
-        name = None
-        if isinstance(fn, ast.Name):
-            name = fn.id
-        elif isinstance(fn, ast.Attribute):
-            name = fn.attr
-        ctor = self._datatypes.get(name) if name else None
-        if ctor is None or not callable(ctor):
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        datatype = construct_datatype(
+            name, [self.eval(a) for a in node.args],
+            {kw.arg: self.eval(kw.value) for kw in node.keywords
+             if kw.arg is not None})
+        if datatype is None:
             raise _NotConstant
-        args = [self.eval(a) for a in node.args]
-        kwargs = {kw.arg: self.eval(kw.value) for kw in node.keywords
-                  if kw.arg is not None}
-        if _estimated_blocks(name, args) > MAX_STATIC_BLOCKS:
-            raise _NotConstant
-        try:
-            return ctor(*args, **kwargs)
-        except Exception as exc:  # bad constant args: not our finding
-            raise _NotConstant from exc
-
-
-def _estimated_blocks(name: str, args: List[Any]) -> int:
-    if name in ("Vector", "HVector", "Contiguous") and args \
-            and isinstance(args[0], (int, float)):
-        return int(args[0])
-    if name in ("Indexed", "HIndexed") and args and isinstance(args[0], list):
-        return len(args[0])
-    return 1
-
-
-def _datatype_namespace() -> Dict[str, Any]:
-    try:
-        import repro.datatypes as dt
-    except Exception:  # pragma: no cover - datatypes always importable here
-        return {}
-    names = ("Vector", "HVector", "Contiguous", "Indexed", "HIndexed",
-             "Struct", "DOUBLE", "FLOAT", "INT", "CHAR", "BYTE", "LONG")
-    return {n: getattr(dt, n) for n in names if hasattr(dt, n)}
+        return datatype
 
 
 def _constant_env(func: ast.AST, module: ast.Module) -> Dict[str, Any]:
@@ -327,17 +301,17 @@ def extract_plans(tree: ast.Module, path: str,
     functions = [n for n in ast.walk(tree)
                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for func in functions:
-        env = _constant_env(func, tree)
-        ev = _ConstEval(env)
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)):
-                continue
+        calls = [node for node in ast.walk(func)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr in PLANNED_METHODS]
+        if not calls:
+            continue  # no call site to plan: skip the constant env
+        ev = _ConstEval(_constant_env(func, tree))
+        for node in calls:
             method = node.func.attr
-            shape = PLANNED_METHODS.get(method)
-            if shape is None:
-                continue
-            plan = _plan_call(node, method, shape, func.name, path, ev)
+            plan = _plan_call(node, method, PLANNED_METHODS[method],
+                              func.name, path, ev)
             if plan is None:
                 continue
             plans.append(plan)
@@ -394,16 +368,12 @@ def _plan_call(node: ast.Call, method: str, shape: str, fname: str,
     return plan
 
 
-#: positional index / keyword of the count vector per method
-_COUNT_ARGS = {"allgatherv": (2, "counts"), "gatherv": (2, "counts"),
-               "scatterv": (1, "counts")}
-
-
 def _argument(node: ast.Call, method: str) -> Optional[ast.AST]:
-    pos, kw_name = _COUNT_ARGS[method]
+    """The ``counts`` argument of a count-vector call site."""
     for kw in node.keywords:
-        if kw.arg == kw_name:
+        if kw.arg == "counts":
             return kw.value
+    pos = COUNTS_ARG[method]
     if len(node.args) > pos:
         return node.args[pos]
     return None
@@ -436,22 +406,21 @@ def _plan_findings(plan: CommunicationPlan, report: Report) -> None:
             location=plan.path, line=plan.line,
             key=("PLAN102", plan.path, plan.line),
         )
-    if plan.datatype_obj is not None:
-        blocks = plan.datatype_obj.flatten()
-        mean_len = blocks.size / max(1, blocks.num_blocks)
-        if blocks.num_blocks >= DENSITY_MIN_BLOCKS \
-                and mean_len < DENSITY_MIN_MEAN:
-            report.add(
-                "PLAN103",
-                f"{plan.collective}() at this site moves a statically "
-                f"low-density datatype ({plan.datatype}: "
-                f"{blocks.num_blocks} blocks of mean length "
-                f"{mean_len:.1f} B); the section-4.1 cost model predicts "
-                "pack slower than copy here -- restructure toward longer "
-                "runs or enable the dual-context engine",
-                location=plan.path, line=plan.line,
-                key=("PLAN103", plan.path, plan.line),
-            )
+    density = (low_density(plan.datatype_obj)
+               if plan.datatype_obj is not None else None)
+    if density is not None:
+        num_blocks, mean_len = density
+        report.add(
+            "PLAN103",
+            f"{plan.collective}() at this site moves a statically "
+            f"low-density datatype ({plan.datatype}: "
+            f"{num_blocks} blocks of mean length "
+            f"{mean_len:.1f} B); the section-4.1 cost model predicts "
+            "pack slower than copy here -- restructure toward longer "
+            "runs or enable the dual-context engine",
+            location=plan.path, line=plan.line,
+            key=("PLAN103", plan.path, plan.line),
+        )
 
 
 __all__ = ["CommunicationPlan", "extract_plans"]

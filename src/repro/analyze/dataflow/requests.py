@@ -43,42 +43,36 @@ Findings:
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analyze.dataflow.cfg import CFG
 from repro.analyze.dataflow.engine import (
     CallSummary,
+    call_of,
+    completed_names,
     header_expressions,
     liveness,
     reaching_definitions,
+    request_kind,
     resolve_call_summary,
     stmt_defs,
-    summaries_for,
+    waited_arguments,
 )
 from repro.analyze.findings import Report
+from repro.analyze.mpiapi import (
+    DIRECT_REQUEST_METHODS,
+    GENERATOR_METHODS,
+    WRAPPED_REQUEST_METHODS,
+)
 
-#: generator-returning request creators: ``req = yield from comm.isend(..)``
-ISEND_METHODS = frozenset({"isend"})
-#: plain-call request creators: ``req = comm.irecv(..)``
-DIRECT_REQUEST_METHODS = frozenset({"irecv", "isend_obj"})
-#: request-completing attribute calls
-WAIT_ATTRS = frozenset({"wait", "test"})
-WAITALL_ATTRS = frozenset({"waitall", "waitany"})
-#: blocking generator methods (kept in sync with repro.analyze.lint)
-from repro.analyze.lint import BLOCKING_GENERATOR_METHODS  # noqa: E402
+#: the API calls creating a request; their first argument is its buffer
+_API_CREATORS = WRAPPED_REQUEST_METHODS.keys() | DIRECT_REQUEST_METHODS.keys()
 
 #: ndarray / list methods that mutate the receiver in place
 MUTATING_METHODS = frozenset({
     "fill", "sort", "resize", "put", "partition", "setfield", "itemset",
     "append", "extend", "insert", "clear", "pop", "remove",
 })
-
-
-def _call_of(value: ast.AST) -> Optional[ast.Call]:
-    """Unwrap ``yield from call`` / ``await call`` down to the call."""
-    if isinstance(value, (ast.YieldFrom, ast.Await)):
-        value = value.value
-    return value if isinstance(value, ast.Call) else None
 
 
 def _buffer_name(call: ast.Call) -> Optional[str]:
@@ -167,36 +161,16 @@ class _FunctionFacts:
         arg_names = [a.id for a in call.args if isinstance(a, ast.Name)]
         kw_names = [kw.value.id for kw in call.keywords
                     if isinstance(kw.value, ast.Name)]
-        if isinstance(fn, ast.Attribute):
-            if fn.attr in WAIT_ATTRS and isinstance(fn.value, ast.Name):
-                completes.add(fn.value.id)      # req.wait() / req.test()
-                return
-            if fn.attr in WAITALL_ATTRS:
-                # Request.waitall(reqs) / waitany([a, b]): every name
-                # reachable in the arguments is completed
-                for arg in call.args:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Name) and isinstance(
-                                sub.ctx, ast.Load):
-                            completes.add(sub.id)
-                return
+        done = completed_names(call)
+        if done:
+            completes |= done  # req.wait() / Request.waitall([a, b])
+            return
         summary, offset = resolve_call_summary(fn, self.summaries)
         if summary is not None:
             # call summary (plain, module-qualified or self-method):
             # only the waited params complete; other known-helper params
-            # stay pending (precise).  ``offset`` shifts positional
-            # argument indices past an implicit ``self`` parameter.
-            for pos, arg in enumerate(call.args):
-                if not isinstance(arg, ast.Name):
-                    continue
-                if pos + offset in summary.waits_params:
-                    completes.add(arg.id)
-            for kw in call.keywords:
-                if not isinstance(kw.value, ast.Name):
-                    continue
-                if kw.arg in summary.params and summary.params.index(
-                        kw.arg) in summary.waits_params:
-                    completes.add(kw.value.id)
+            # stay pending (precise)
+            completes |= waited_arguments(call, summary, offset)
             return
         # unknown callee: arguments escape; a mutating method on the
         # receiver is recorded by the caller via MUTATING_METHODS
@@ -215,34 +189,22 @@ class _FunctionFacts:
         names = [t.id for t in targets if isinstance(t, ast.Name)]
         if not names:
             return
-        call = _call_of(value)
+        call = call_of(value)
         if call is None:
             return
-        facts: Set[Tuple] = set()
-        wrapped = isinstance(value, (ast.YieldFrom, ast.Await))
-        if isinstance(call.func, ast.Attribute):
-            attr = call.func.attr
-            if attr in ISEND_METHODS and wrapped:
-                for name in names:
-                    facts.add(("req", name, idx, "send", _buffer_name(call)))
-            elif attr in DIRECT_REQUEST_METHODS and not wrapped:
-                kind = "recv" if attr == "irecv" else "send"
-                for name in names:
-                    facts.add(("req", name, idx, kind, _buffer_name(call)))
-            elif attr in BLOCKING_GENERATOR_METHODS and not wrapped:
-                # `g = comm.send(..)`: a generator object, not yet driven
-                for name in names:
-                    facts.add(("gen", name, idx, attr))
-        if not facts:
-            # `req = make_request(..)` / `req = yield from self.make(..)`
-            # / `req = yield from helpers.make(..)` where the transitive
-            # summary says the helper hands back a pending request: the
-            # wait obligation lands here
-            summary, _offset = resolve_call_summary(call.func,
-                                                    self.summaries)
-            if summary is not None and summary.returns_request:
-                for name in names:
-                    facts.add(("req", name, idx, summary.request_kind, None))
+        attr = getattr(call.func, "attr", None)
+        if attr in GENERATOR_METHODS and not isinstance(
+                value, (ast.YieldFrom, ast.Await)):
+            # `g = comm.send(..)`: a generator object, not yet driven
+            facts = {("gen", name, idx, attr) for name in names}
+        else:
+            # `req = yield from comm.isend(..)` / `req = comm.irecv(..)`,
+            # or a helper whose transitive summary hands back a pending
+            # request: the wait obligation lands here
+            kind = request_kind(value, self.summaries)
+            buf = _buffer_name(call) if attr in _API_CREATORS else None
+            facts = set() if kind is None else {
+                ("req", name, idx, kind, buf) for name in names}
         if facts:
             self.gen[idx] = facts
             # the definition node must not kill its own fresh facts
@@ -270,12 +232,10 @@ class _FunctionFacts:
         return out
 
 
-def check_function(cfg: CFG, module_funcs: Dict[str, ast.AST],
-                   path: str, report: Report,
-                   _summary_cache: Optional[Dict[str, CallSummary]] = None,
-                   ) -> None:
-    """Run REQ1xx/BUF1xx over one function CFG."""
-    summaries = summaries_for(module_funcs, _summary_cache)
+def check_function(cfg: CFG, path: str, report: Report,
+                   summaries: Dict[str, CallSummary]) -> None:
+    """Run REQ1xx/BUF1xx over one function CFG; ``summaries`` is the
+    module's callee environment."""
     facts = _FunctionFacts(cfg, summaries)
     if not facts.gen:
         return  # no requests or generators created here

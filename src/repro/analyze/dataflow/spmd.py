@@ -47,13 +47,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analyze.dataflow.engine import (
-    COLLECTIVE_METHODS,
-    CallSummary,
-    resolve_call_summary,
-    summaries_for,
-)
+from repro.analyze.dataflow.engine import CallSummary, resolve_call_summary
 from repro.analyze.findings import Report
+from repro.analyze.mpiapi import COLLECTIVE_METHODS
 
 #: attribute names whose load seeds rank taint
 RANK_ATTRS = frozenset({"rank", "grank"})
@@ -68,8 +64,10 @@ RANK_ATTRS = frozenset({"rank", "grank"})
 UNIFORM_RESULT_COLLECTIVES = frozenset({"allreduce", "bcast", "allgather"})
 
 
-def _expr_tainted(expr: ast.AST, tainted: Set[str],
-                  summaries: Optional[Dict[str, CallSummary]] = None) -> bool:
+def expr_tainted(expr: ast.AST, tainted: Set[str],
+                 summaries: Optional[Dict[str, CallSummary]] = None) -> bool:
+    """Whether ``expr`` reads a rank-derived value: ``comm.rank``, a
+    tainted name, or a helper whose summary returns one."""
     for sub in ast.walk(expr):
         if isinstance(sub, ast.Attribute) and sub.attr in RANK_ATTRS:
             return True
@@ -139,7 +137,7 @@ def tainted_names(func: ast.AST,
         changed = False
         for names, value in assigns:
             names = names - laundered
-            if names - tainted and _expr_tainted(value, tainted, summaries):
+            if names - tainted and expr_tainted(value, tainted, summaries):
                 tainted |= names
                 changed = True
     return tainted
@@ -263,7 +261,7 @@ class _SpmdVisitor:
             self._check(stmt)
 
     def _if(self, node: ast.If, rest: Sequence[ast.stmt]) -> None:
-        if not _expr_tainted(node.test, self.tainted, self.summaries):
+        if not expr_tainted(node.test, self.tainted, self.summaries):
             self._walk(node.body, rest)
             self._walk(node.orelse, rest)
             return
@@ -286,7 +284,7 @@ class _SpmdVisitor:
 
     def _loop(self, stmt: ast.stmt, cond: ast.AST,
               rest: Sequence[ast.stmt]) -> None:
-        tainted = _expr_tainted(cond, self.tainted, self.summaries)
+        tainted = expr_tainted(cond, self.tainted, self.summaries)
         if tainted:
             # no "other side" to match: a rank-dependent trip count means
             # unequal numbers of collective calls across ranks
@@ -342,15 +340,13 @@ class _SpmdVisitor:
                 )
 
 
-def check_function(func: ast.AST, module_funcs: Dict[str, ast.AST],
-                   path: str, report: Report,
-                   _summary_cache: Optional[Dict[str, CallSummary]] = None,
-                   ) -> None:
-    """Run SPMD1xx over one function's AST."""
-    summaries = summaries_for(module_funcs, _summary_cache)
+def check_function(func: ast.AST, path: str, report: Report,
+                   summaries: Dict[str, CallSummary]) -> None:
+    """Run SPMD1xx over one function's AST; ``summaries`` is the
+    module's callee environment."""
     visitor = _SpmdVisitor(func, path, report, summaries)
     visitor.run()
     visitor.finish()
 
 
-__all__ = ["check_function", "tainted_names"]
+__all__ = ["check_function", "expr_tainted", "tainted_names"]

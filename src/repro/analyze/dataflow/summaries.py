@@ -1,10 +1,9 @@
 """Transitive per-function summaries over the project call graph.
 
-:func:`repro.analyze.dataflow.engine.summarize_function` sees one level:
-it answers "does *this body* wait parameter 0?".  That misses every
-helper-of-a-helper, any request a function *returns*, and rank taint
-flowing out through return values.  This module recomputes the
-:class:`~repro.analyze.dataflow.engine.CallSummary` fields
+A function's own body answers "does *this body* wait parameter 0?";
+that misses every helper-of-a-helper, any request a function *returns*,
+and rank taint flowing out through return values.  This module computes
+the :class:`~repro.analyze.dataflow.engine.CallSummary` fields
 *transitively*:
 
 - ``waits_params``: the function waits parameter *i* directly **or**
@@ -44,7 +43,7 @@ the cap keeps the (sound, possibly less precise) current summaries.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from repro.analyze.dataflow.callgraph import (
     FunctionRef,
@@ -53,13 +52,14 @@ from repro.analyze.dataflow.callgraph import (
     strongly_connected,
 )
 from repro.analyze.dataflow.engine import (
-    BLOCKING_METHODS,
-    COLLECTIVE_METHODS,
-    WAIT_METHODS,
     CallSummary,
+    completed_names,
+    request_kind,
     resolve_call_summary,
+    waited_arguments,
 )
-from repro.analyze.dataflow.spmd import tainted_names
+from repro.analyze.dataflow.spmd import expr_tainted, tainted_names
+from repro.analyze.mpiapi import BLOCKING_METHODS, COLLECTIVE_METHODS
 
 __all__ = ["MAX_SCC_ITERATIONS", "compute_summaries", "module_envs"]
 
@@ -67,36 +67,6 @@ __all__ = ["MAX_SCC_ITERATIONS", "compute_summaries", "module_envs"]
 #: genuine divergence is impossible; this guards against pathological
 #: component sizes)
 MAX_SCC_ITERATIONS = 32
-
-#: request creators, by shape (kept in sync with requests.py)
-_WRAPPED_REQUEST_METHODS = {"isend": "send"}
-_DIRECT_REQUEST_METHODS = {"irecv": "recv", "isend_obj": "send"}
-
-
-def _unwrap_call(value: ast.AST) -> Optional[ast.Call]:
-    if isinstance(value, (ast.YieldFrom, ast.Await)):
-        value = value.value
-    return value if isinstance(value, ast.Call) else None
-
-
-def _creates_request(value: ast.AST,
-                     env: Dict[str, CallSummary]) -> Optional[str]:
-    """``"send"``/``"recv"`` when ``value`` evaluates to a fresh pending
-    request, else None."""
-    call = _unwrap_call(value)
-    if call is None:
-        return None
-    wrapped = isinstance(value, (ast.YieldFrom, ast.Await))
-    fn = call.func
-    if isinstance(fn, ast.Attribute):
-        if wrapped and fn.attr in _WRAPPED_REQUEST_METHODS:
-            return _WRAPPED_REQUEST_METHODS[fn.attr]
-        if not wrapped and fn.attr in _DIRECT_REQUEST_METHODS:
-            return _DIRECT_REQUEST_METHODS[fn.attr]
-    summary, _offset = resolve_call_summary(fn, env)
-    if summary is not None and summary.returns_request:
-        return summary.request_kind
-    return None
 
 
 def _request_locals(func: ast.AST,
@@ -112,19 +82,13 @@ def _request_locals(func: ast.AST,
             value = node.value
         else:
             continue
-        kind = _creates_request(value, env)
+        kind = request_kind(value, env)
         if kind is None:
             continue
         for target in targets:
             if isinstance(target, ast.Name):
                 out[target.id] = kind
     return out
-
-
-def _iter_calls(func: ast.AST) -> Iterable[ast.Call]:
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def _summarize(name: str, func: ast.AST,
@@ -139,45 +103,24 @@ def _summarize(name: str, func: ast.AST,
     calls_collective = False
     calls_blocking = False
 
-    for call in _iter_calls(func):
+    for call in (node for node in ast.walk(func)
+                 if isinstance(node, ast.Call)):
         fn = call.func
         if isinstance(fn, ast.Attribute):
-            if fn.attr in COLLECTIVE_METHODS:
-                calls_collective = True
-            if fn.attr in BLOCKING_METHODS:
-                calls_blocking = True
-            if fn.attr in WAIT_METHODS:
-                if isinstance(fn.value, ast.Name) \
-                        and fn.value.id in param_index:
-                    waits.add(param_index[fn.value.id])
-                for arg in call.args:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Name) and isinstance(
-                                sub.ctx, ast.Load) \
-                                and sub.id in param_index:
-                            waits.add(param_index[sub.id])
+            calls_collective |= fn.attr in COLLECTIVE_METHODS
+            calls_blocking |= fn.attr in BLOCKING_METHODS
+        waited = completed_names(call)
         callee, offset = resolve_call_summary(fn, env)
-        if callee is None:
-            continue
-        calls_collective |= callee.calls_collective
-        calls_blocking |= callee.calls_blocking
-        # map waited callee parameters back onto our own parameters
-        # (``offset`` shifts positions past an implicit ``self``)
-        for pos, arg in enumerate(call.args):
-            if pos + offset in callee.waits_params \
-                    and isinstance(arg, ast.Name) \
-                    and arg.id in param_index:
-                waits.add(param_index[arg.id])
-        for kw in call.keywords:
-            if kw.arg in callee.params \
-                    and callee.params.index(kw.arg) in callee.waits_params \
-                    and isinstance(kw.value, ast.Name) \
-                    and kw.value.id in param_index:
-                waits.add(param_index[kw.value.id])
+        if callee is not None:
+            calls_collective |= callee.calls_collective
+            calls_blocking |= callee.calls_blocking
+            # waited callee parameters map back onto our own parameters
+            waited |= waited_arguments(call, callee, offset)
+        waits.update(param_index[n] for n in waited if n in param_index)
 
     request_locals = _request_locals(func, env)
     returns_request = False
-    request_kind = "send"
+    returned_kind = "send"
     tainted = tainted_names(func, env)
     returns_tainted = False
     for node in ast.walk(func):
@@ -186,33 +129,18 @@ def _summarize(name: str, func: ast.AST,
             continue
         if not isinstance(node, ast.Return) or node.value is None:
             continue
-        kind = _creates_request(node.value, env)
+        kind = request_kind(node.value, env)
         if kind is None and isinstance(node.value, ast.Name):
             kind = request_locals.get(node.value.id)
         if kind is not None and not returns_request:
             returns_request = True
-            request_kind = kind
-        if _returns_tainted_value(node.value, tainted, env):
+            returned_kind = kind
+        if expr_tainted(node.value, tainted, env):
             returns_tainted = True
     return CallSummary(name, params, waits, calls_collective, calls_blocking,
                        returns_request=returns_request,
-                       request_kind=request_kind,
+                       request_kind=returned_kind,
                        returns_tainted=returns_tainted)
-
-
-def _returns_tainted_value(value: ast.AST, tainted: Set[str],
-                           env: Dict[str, CallSummary]) -> bool:
-    for sub in ast.walk(value):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank", "grank"):
-            return True
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) \
-                and sub.id in tainted:
-            return True
-        if isinstance(sub, ast.Call):
-            callee, _offset = resolve_call_summary(sub.func, env)
-            if callee is not None and callee.returns_tainted:
-                return True
-    return False
 
 
 def _env_for(project: Project, module: ModuleInfo,

@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro.analyze.dataflow.driver import analyze_source_set, iter_python_files
+from repro.analyze.dataflow.engine import completed_names
 from repro.analyze.findings import Finding
-from repro.analyze.lint import iter_python_files
 
 __all__ = ["FixResult", "fix_sources", "fix_paths", "unified_diff"]
 
@@ -156,17 +157,8 @@ def _suites(node: ast.AST) -> List[List[ast.stmt]]:
 
 def _waits_name(stmt: ast.stmt, name: str) -> bool:
     """Does this statement complete request ``name``?"""
-    for sub in ast.walk(stmt):
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-            fn = sub.func
-            if fn.attr in ("wait", "test") and isinstance(fn.value, ast.Name) \
-                    and fn.value.id == name:
-                return True
-            if fn.attr in ("waitall", "waitany") and any(
-                    isinstance(s, ast.Name) and s.id == name
-                    for a in sub.args for s in ast.walk(a)):
-                return True
-    return False
+    return any(isinstance(sub, ast.Call) and name in completed_names(sub)
+               for sub in ast.walk(stmt))
 
 
 def _mentions_name(stmt: ast.stmt, name: str) -> bool:
@@ -442,8 +434,6 @@ def fix_sources(sources: Dict[str, str],
     Every pass re-runs the full (interprocedural) analysis on the
     current text, so each codemod is gated on a finding that still
     exists; the loop ends when a pass changes nothing."""
-    from repro.analyze.dataflow.driver import analyze_source_set
-
     result = FixResult()
     current = dict(sources)
     for _ in range(max_passes):

@@ -22,43 +22,22 @@ Repo-specific invariants that generic linters do not know about:
   :data:`repro.mpi.algorithms.REGISTRY` (or pass ``algorithm=...`` to the
   collective) instead of hard-wiring one.
 
-Use :func:`lint_paths` for files/directories or ``python -m repro.analyze
---lint src`` from the shell; CI runs the latter on every push.
+The rules run inside the one analyzer pipeline
+(:func:`repro.analyze.dataflow.driver.analyze_source_set`); every
+``python -m repro.analyze`` run includes them.  The method names LNT003
+and LNT006 look for come from :mod:`repro.analyze.mpiapi`.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.analyze.findings import Report
-
-#: methods returning generators that MUST be driven with ``yield from``
-BLOCKING_GENERATOR_METHODS = frozenset({
-    "send", "recv", "sendrecv", "recv_obj", "probe",
-    "barrier", "bcast", "allreduce", "gather_obj", "split",
-    "reduce", "allreduce_array", "scan",
-    "gatherv", "scatterv", "allgather", "alltoall", "allgatherv", "alltoallw",
-    "sparse_alltoall",
-    "wait", "waitall", "waitany",
-    "cpu", "compute",
-    "global_to_local", "local_to_global",
-})
+from repro.analyze.mpiapi import ALGORITHM_IMPLEMENTATIONS, GENERATOR_METHODS
 
 #: rebuild-in-loop methods for LNT002
 RESCAN_METHODS = frozenset({"flatten", "pack"})
-
-#: concrete algorithm implementations that only the registry may dispatch
-ALGORITHM_IMPL_NAMES = frozenset({
-    "_ring", "_recursive_doubling", "_dissemination",
-    "_round_robin", "_binned",
-    "_barrier_dissemination", "_bcast_binomial",
-    "_allreduce_recursive_doubling", "_gather_obj_linear",
-    "_gatherv_linear", "_scatterv_linear", "_alltoall_pairwise",
-    "_reduce_binomial", "_allreduce_rd_array", "_scan_doubling",
-    "_sparse_dense", "_nbx", "_nbx_binned",
-})
 
 #: path fragments exempt from LNT006 (the algorithm subsystem itself)
 _LNT006_EXEMPT = ("repro/mpi/algorithms", "repro/mpi/collectives")
@@ -135,10 +114,7 @@ class _Linter(ast.NodeVisitor):
         self._check_dropped_generators(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self._check_dropped_generators(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Lambda(self, node: ast.Lambda) -> None:
         # lambda defaults (`lambda x=[]: ...`) evaluate once like any
@@ -158,7 +134,7 @@ class _Linter(ast.NodeVisitor):
             func = call.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in BLOCKING_GENERATOR_METHODS
+                and func.attr in GENERATOR_METHODS
             ):
                 self.report.add(
                     "LNT003",
@@ -203,7 +179,7 @@ class _Linter(ast.NodeVisitor):
                      for frag in _LNT006_EXEMPT)
         if not exempt and module.startswith("repro.mpi.collectives"):
             for alias in node.names:
-                if alias.name in ALGORITHM_IMPL_NAMES:
+                if alias.name in ALGORITHM_IMPLEMENTATIONS:
                     self.report.add(
                         "LNT006",
                         f"concrete algorithm '{alias.name}' imported from "
@@ -229,60 +205,3 @@ class _Linter(ast.NodeVisitor):
                 location=self.path, line=node.lineno,
             )
         self.generic_visit(node)
-
-
-def lint_source(source: str, path: str = "<string>",
-                report: Optional[Report] = None) -> Report:
-    """Lint python ``source`` text; syntax errors become LNT findings-free
-    errors raised to the caller.  ``# analyze: ignore[CODE]`` comments
-    suppress findings on their line."""
-    from repro.analyze.suppress import apply_suppressions, collect_suppressions
-
-    report = report if report is not None else Report()
-    tree = ast.parse(source, filename=path)
-    local = Report()
-    _Linter(path, local).visit(tree)
-    report.extend(apply_suppressions(local, collect_suppressions(source)))
-    return report
-
-
-def lint_file(path: Union[str, Path], report: Optional[Report] = None) -> Report:
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path), report)
-
-
-#: directory names skipped during directory expansion.  ``fixtures`` holds
-#: intentionally-broken analyzer inputs (tests pass them explicitly).
-SKIPPED_DIRS = frozenset({"fixtures", "__pycache__"})
-
-
-def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files.
-
-    Directories named in :data:`SKIPPED_DIRS` are pruned during
-    expansion; explicitly named files are always included.
-    """
-    out: List[Path] = []
-    for p in paths:
-        p = Path(p)
-        if p.is_dir():
-            out.extend(sorted(
-                f for f in p.rglob("*.py")
-                # prune on path segments *below* the requested directory,
-                # so `analyze tests/fixtures` itself still works
-                if not (SKIPPED_DIRS & set(f.relative_to(p).parts[:-1]))
-            ))
-        elif p.suffix == ".py":
-            out.append(p)
-        else:
-            raise FileNotFoundError(f"not a python file or directory: {p}")
-    return out
-
-
-def lint_paths(paths: Iterable[Union[str, Path]],
-               report: Optional[Report] = None) -> Report:
-    """Lint every ``.py`` file under ``paths`` (files or directories)."""
-    report = report if report is not None else Report()
-    for path in iter_python_files(paths):
-        lint_file(path, report)
-    return report

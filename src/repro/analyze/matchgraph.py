@@ -51,6 +51,7 @@ __all__ = [
     "WorldResult",
     "match_p2p",
     "check_collectives",
+    "find_cycles",
     "simulate",
     "verify_world",
 ]
@@ -342,24 +343,37 @@ def simulate(traces: Dict[int, List[Op]],
                       and r != op.rank}
         waits_for[op.rank] = needs
 
-    cycle = _find_cycle(waits_for)
-    return Deadlock(blocked=blocked, cycle=cycle)
+    # name the shortest cycle through the lowest rank on any cycle
+    cycles = find_cycles({r: sorted(n) for r, n in waits_for.items()})
+    cycle = min(cycles, key=lambda c: (c[0], len(c)), default=())
+    return Deadlock(blocked=blocked, cycle=list(cycle))
 
 
-def _find_cycle(edges: Dict[int, set]) -> List[int]:
-    """Any cycle in the rank wait-for digraph, as an ordered rank list."""
+def find_cycles(edges: Dict[int, Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Distinct elementary cycles of a rank wait-for digraph (``rank ->
+    ranks it waits on``), each rotated to start at its smallest rank, in
+    discovery order: starts ascending, successors in the order given.
+
+    The one cycle routine of the analyzer: the static scheduler above
+    names one cycle (MTC103), the runtime verifier every cycle (DLK001).  Iterative DFS over simple paths; graphs here have at most
+    nranks nodes, so simplicity beats asymptotics.
+    """
+    cycles: List[Tuple[int, ...]] = []
+    seen: set = set()
     for start in sorted(edges):
-        stack = [(start, [start])]
-        seen = set()
+        stack: List[Tuple[int, Tuple[int, ...]]] = [(start, (start,))]
         while stack:
             node, path = stack.pop()
-            for succ in sorted(edges.get(node, ())):
-                if succ == start:
-                    return path
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, path + [succ]))
-    return []
+            for nxt in edges.get(node, ()):
+                if nxt == path[0]:
+                    k = path.index(min(path))
+                    canon = path[k:] + path[:k]
+                    if canon not in seen:
+                        seen.add(canon)
+                        cycles.append(canon)
+                elif nxt not in path and len(path) < 64:
+                    stack.append((nxt, path + (nxt,)))
+    return cycles
 
 
 def verify_world(traces: Dict[int, List[Op]], size: int) -> WorldResult:

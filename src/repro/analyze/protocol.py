@@ -58,7 +58,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.analyze.dataflow.engine import COLLECTIVE_METHODS, CallSummary
+from repro.analyze.dataflow.engine import CallSummary
 from repro.analyze.findings import Report
 from repro.analyze.matchgraph import (
     ANY,
@@ -66,10 +66,23 @@ from repro.analyze.matchgraph import (
     WorldResult,
     verify_world,
 )
-from repro.analyze.signatures import render_signature, transfer_verdict
+from repro.analyze.mpiapi import (
+    COLLECTIVE_METHODS,
+    COMM_ATTRIBUTES,
+    COMM_PARAMS,
+    COMMUNICATION_METHODS,
+    ROOT_ARG,
+)
+from repro.analyze.signatures import (
+    DATATYPE_NAMES,
+    construct_datatype,
+    render_signature,
+    transfer_verdict,
+)
+from repro.datatypes.ir import compile_datatype
 from repro.datatypes.typemap import Datatype, primitive_for
 
-__all__ = ["WORLD_SIZES", "FunctionStat", "check_module", "extract_traces"]
+__all__ = ["WORLD_SIZES", "FunctionStat", "check_module"]
 
 #: the model world sizes; a finding must hold at every size that
 #: extracts to be reported
@@ -81,18 +94,6 @@ MAX_OPS = 512            # communication ops per rank trace
 MAX_STMTS = 8192         # executed statements per rank (fuel)
 MAX_INLINE_DEPTH = 5     # nested helper inlining
 
-#: attribute names that mean "this object is used as a communicator"
-_COMM_ATTRS = frozenset({
-    "rank", "size", "send", "recv", "isend", "irecv", "sendrecv",
-    "isend_obj", "recv_obj", "cpu", "compute",
-}) | COLLECTIVE_METHODS
-
-#: comm methods whose presence in un-analyzable code forces a bail
-_COMM_OP_NAMES = frozenset({
-    "send", "recv", "isend", "irecv", "sendrecv", "isend_obj",
-    "recv_obj", "wait", "waitall", "waitany", "test", "probe", "iprobe",
-}) | COLLECTIVE_METHODS
-
 #: comm methods the extractor refuses outright (dynamic matching or
 #: communicator surgery the static model cannot follow)
 _BAIL_METHODS = frozenset({
@@ -100,25 +101,7 @@ _BAIL_METHODS = frozenset({
     "agree", "revoke",
 })
 
-#: collective method -> index of its ``root`` argument (positional),
-#: mirroring repro.mpi.comm; absent means the collective has no root
-_COLLECTIVE_ROOT_ARG = {
-    "bcast": 1,
-    "gather_obj": 1,
-    "reduce": 3,
-    "gatherv": 4,
-    "scatterv": 4,
-}
-
 _NUMPY_CTORS = frozenset({"zeros", "empty", "ones", "arange", "full"})
-
-_DTYPE_SIZES = {
-    "float64": 8, "float32": 4, "float16": 2,
-    "int64": 8, "int32": 4, "int16": 2, "int8": 1,
-    "uint64": 8, "uint32": 4, "uint16": 2, "uint8": 1,
-    "double": 8, "single": 4, "byte": 1, "intc": 4, "intp": 8,
-    "bool_": 1,
-}
 
 
 class _Bail(Exception):
@@ -224,16 +207,6 @@ class FunctionStat:
 # -- module context -----------------------------------------------------------
 
 
-def _datatype_namespace() -> Dict[str, Any]:
-    try:
-        import repro.datatypes as dt
-    except Exception:  # pragma: no cover - always importable here
-        return {}
-    names = ("Vector", "HVector", "Contiguous", "Indexed", "HIndexed",
-             "Struct", "DOUBLE", "FLOAT", "INT", "CHAR", "BYTE", "LONG")
-    return {n: getattr(dt, n) for n in names if hasattr(dt, n)}
-
-
 class _ModuleCtx:
     """Everything the extractor shares across ranks and sizes."""
 
@@ -241,7 +214,6 @@ class _ModuleCtx:
                  env: Optional[Dict[str, CallSummary]] = None):
         self.path = path
         self.env = env or {}
-        self.datatypes = _datatype_namespace()
         self.module_funcs: Dict[str, ast.AST] = {
             node.name: node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -287,7 +259,8 @@ class _ModuleCtx:
         directly, through a local helper (transitively), or through an
         imported function whose summary says it blocks/collects."""
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute) and sub.attr in _COMM_OP_NAMES:
+            if isinstance(sub, ast.Attribute) \
+                    and sub.attr in COMMUNICATION_METHODS:
                 return True
             if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Await)):
                 return True
@@ -317,7 +290,8 @@ class _ModuleCtx:
         func = self.module_funcs[name]
         found = False
         for sub in ast.walk(func):
-            if isinstance(sub, ast.Attribute) and sub.attr in _COMM_OP_NAMES:
+            if isinstance(sub, ast.Attribute) \
+                    and sub.attr in COMMUNICATION_METHODS:
                 found = True
                 break
             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
@@ -634,9 +608,8 @@ class _Extractor:
             return self.ctx.consts[name]
         if name in ("ANY_SOURCE", "ANY_TAG"):
             return ANY
-        if name in self.ctx.datatypes and not callable(
-                self.ctx.datatypes[name]):
-            return self.ctx.datatypes[name]
+        if name in DATATYPE_NAMES and not callable(DATATYPE_NAMES[name]):
+            return DATATYPE_NAMES[name]
         return UNKNOWN
 
     def _eval_attribute(self, node: ast.Attribute,
@@ -665,9 +638,11 @@ class _Extractor:
             return UNKNOWN
         # np.float64 and friends used as dtype tokens
         if isinstance(node.value, ast.Name) \
-                and node.value.id in self.ctx.np_aliases \
-                and node.attr in _DTYPE_SIZES:
-            return _DTypeVal(node.attr, _DTYPE_SIZES[node.attr])
+                and node.value.id in self.ctx.np_aliases:
+            scalar = getattr(np, node.attr, None)
+            if isinstance(scalar, type) \
+                    and issubclass(scalar, (np.number, np.bool_)):
+                return _DTypeVal(node.attr, np.dtype(scalar).itemsize)
         return UNKNOWN
 
     def _compare(self, node: ast.Compare, env: Dict[str, Any]) -> Any:
@@ -829,7 +804,7 @@ class _Extractor:
         if isinstance(fn.value, ast.Name) \
                 and fn.value.id in self.ctx.np_aliases:
             return self._numpy_call(node, attr, env)
-        if attr in _COMM_OP_NAMES or attr in _BAIL_METHODS:
+        if attr in COMMUNICATION_METHODS or attr in _BAIL_METHODS:
             raise _Bail(f"{self.func_name}: .{attr}() on an unknown object "
                         f"-- possibly a communicator (line {node.lineno})")
         # module-qualified helper with a known summary
@@ -878,8 +853,6 @@ class _Extractor:
                     return _ArrayVal(elems, 8, "int64")
                 return _ArrayVal(elems, 8, "float64")
             return _ArrayVal(elems, UNKNOWN, None)
-        if attr in ("float64", "float32", "int64", "int32") and args:
-            return UNKNOWN
         return UNKNOWN
 
     def _eval_named_call(self, node: ast.Call, name: str,
@@ -895,10 +868,7 @@ class _Extractor:
         if name in ("range",):
             ints = [a for a in args if isinstance(a, int)]
             if len(ints) == len(args) and 1 <= len(args) <= 3:
-                seq = list(range(*args))
-                if len(seq) > MAX_UNROLL:
-                    return seq  # let the loop handler bail on the budget
-                return seq
+                return list(range(*args))  # _exec_for enforces MAX_UNROLL
             return UNKNOWN
         if name == "len":
             if args and isinstance(args[0], list):
@@ -936,19 +906,14 @@ class _Extractor:
             return sorted(args[0])
         if name in self.ctx.typedbuffer_names:
             return self._typedbuffer_ctor(args, kwargs)
-        if name in self.ctx.datatypes:
-            ctor = self.ctx.datatypes[name]
-            if callable(ctor):
-                if any(a is UNKNOWN or isinstance(
-                        a, (_CommVal, _ArrayVal, _TypedBufVal))
-                        for a in args) or any(
-                        v is UNKNOWN for v in kwargs.values()):
-                    return UNKNOWN
-                try:
-                    return ctor(*args, **kwargs)
-                except Exception:
-                    return UNKNOWN
-            return ctor
+        if name in DATATYPE_NAMES:
+            if any(a is UNKNOWN or isinstance(
+                    a, (_CommVal, _ArrayVal, _TypedBufVal))
+                    for a in args) or any(
+                    v is UNKNOWN for v in kwargs.values()):
+                return UNKNOWN
+            datatype = construct_datatype(name, args, kwargs)
+            return UNKNOWN if datatype is None else datatype
         summary = self.ctx.env.get(name)
         if summary is not None and (summary.calls_blocking
                                     or summary.calls_collective):
@@ -1039,10 +1004,11 @@ class _Extractor:
                         f"(line {line})")
         return value
 
-    def _bound(self, node: ast.Call, env: Dict[str, Any],
-               params: List[str]) -> Dict[str, Any]:
+    def _bound(self, node: ast.Call, env: Dict[str, Any]) -> Dict[str, Any]:
+        """The arguments of a ``comm.<method>(..)`` call by parameter
+        name, as :class:`~repro.mpi.comm.Comm` binds them."""
         args, kwargs = self._args_kwargs(node, env)
-        bound = dict(zip(params, args))
+        bound = dict(zip(COMM_PARAMS[node.func.attr], args))
         bound.update(kwargs)
         return bound
 
@@ -1090,9 +1056,7 @@ class _Extractor:
         if attr in ("cpu", "compute"):
             return None
         if attr in ("isend", "send"):
-            bound = self._bound(node, env, ["buffer", "dest", "tag",
-                                            "datatype", "count",
-                                            "offset_bytes"])
+            bound = self._bound(node, env)
             dest = self._require_rank(bound.get("dest", UNKNOWN),
                                       "destination", line)
             tag = self._require_tag(bound.get("tag", 0), line)
@@ -1103,9 +1067,7 @@ class _Extractor:
                 count=cnt, datatype=dt, buf_bytes=cap))
             return _RequestVal(idx) if attr == "isend" else None
         if attr in ("irecv", "recv"):
-            bound = self._bound(node, env, ["buffer", "source", "tag",
-                                            "datatype", "count",
-                                            "offset_bytes"])
+            bound = self._bound(node, env)
             source = self._require_rank(bound.get("source", ANY), "source",
                                         line, wildcard_ok=True)
             tag = self._require_tag(bound.get("tag", ANY), line)
@@ -1116,9 +1078,7 @@ class _Extractor:
                 count=cnt, datatype=dt, buf_bytes=cap))
             return _RequestVal(idx) if attr == "irecv" else UNKNOWN
         if attr == "sendrecv":
-            bound = self._bound(node, env, ["sendbuffer", "dest",
-                                            "recvbuffer", "source",
-                                            "sendtag", "recvtag"])
+            bound = self._bound(node, env)
             dest = self._require_rank(bound.get("dest", UNKNOWN),
                                       "destination", line)
             source = self._require_rank(bound.get("source", UNKNOWN),
@@ -1149,8 +1109,7 @@ class _Extractor:
                             waits_on=(ridx, sidx)))
             return UNKNOWN
         if attr == "isend_obj":
-            bound = self._bound(node, env, ["value", "dest", "tag",
-                                            "nbytes"])
+            bound = self._bound(node, env)
             dest = self._require_rank(bound.get("dest", UNKNOWN),
                                       "destination", line)
             tag = self._require_tag(bound.get("tag", 0), line)
@@ -1160,7 +1119,7 @@ class _Extractor:
                 channel="obj", eager=True))
             return _RequestVal(idx)
         if attr == "recv_obj":
-            bound = self._bound(node, env, ["source", "tag"])
+            bound = self._bound(node, env)
             source = self._require_rank(bound.get("source", UNKNOWN),
                                         "source", line, wildcard_ok=True)
             tag = self._require_tag(bound.get("tag", UNKNOWN), line)
@@ -1171,7 +1130,7 @@ class _Extractor:
             return UNKNOWN
         if attr in COLLECTIVE_METHODS:
             root: Optional[int] = None
-            root_pos = _COLLECTIVE_ROOT_ARG.get(attr)
+            root_pos = ROOT_ARG.get(attr)
             if root_pos is not None:
                 args, kwargs = self._args_kwargs(node, env)
                 value: Any = 0  # every rooted collective defaults root=0
@@ -1217,7 +1176,7 @@ def _comm_params(func: ast.AST) -> List[str]:
     params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
     used: Set[str] = set()
     for node in ast.walk(func):
-        if isinstance(node, ast.Attribute) and node.attr in _COMM_ATTRS \
+        if isinstance(node, ast.Attribute) and node.attr in COMM_ATTRIBUTES \
                 and isinstance(node.value, ast.Name) \
                 and node.value.id in params:
             used.add(node.value.id)
@@ -1227,29 +1186,13 @@ def _comm_params(func: ast.AST) -> List[str]:
     return [p for p in params if p in used]
 
 
-def extract_traces(ctx: _ModuleCtx, func: ast.AST, comm_param: str,
-                   size: int) -> Dict[int, List[Op]]:
-    """Per-rank traces of ``func`` under a ``size``-rank model world.
-
-    Raises :class:`_Bail` when any rank's behaviour is outside the
-    static model at this size.
-    """
-    traces: Dict[int, List[Op]] = {}
-    for rank in range(size):
-        traces[rank] = _Extractor(ctx, rank, size).run(func, comm_param)
-    return traces
-
-
 def _bytes_needed(datatype: Datatype, count: int) -> int:
-    """Bytes a buffer must hold for ``count`` copies of ``datatype``
-    (the last copy only needs its furthest-reaching block)."""
+    """Bytes a buffer must hold for ``count`` copies of ``datatype``: the
+    compiled plan's end bound (the last copy only needs its
+    furthest-reaching block)."""
     if count <= 0:
         return 0
-    blocks = datatype.flatten()
-    if blocks.num_blocks == 0:
-        return 0
-    one = int(np.max(blocks.offsets + blocks.lengths))
-    return (count - 1) * int(datatype.extent) + one
+    return compile_datatype(datatype, count).end_bytes
 
 
 def _world_findings(result: WorldResult) -> Dict[Tuple, Dict[str, Any]]:
@@ -1360,8 +1303,9 @@ def check_module(tree: ast.Module, path: str, report: Report,
         bails: List[Tuple[int, str]] = []
         for size in WORLD_SIZES:
             try:
-                traces = extract_traces(ctx, func, comm_params[0], size)
-            except _Bail as bail:
+                traces = {rank: _Extractor(ctx, rank, size).run(
+                    func, comm_params[0]) for rank in range(size)}
+            except _Bail as bail:  # some rank left the static model
                 bails.append((size, bail.reason))
                 continue
             results.append(verify_world(traces, size))

@@ -33,6 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analyze.findings import Report
+from repro.analyze.matchgraph import find_cycles
 from repro.analyze.signatures import render_signature, signature_prefix
 from repro.mpi.comm import ANY_SOURCE, MPIError
 from repro.mpi.request import Request
@@ -173,7 +174,7 @@ class RuntimeVerifier:
         adj: Dict[int, List[int]] = {}
         for a, b, _w in edges:
             adj.setdefault(a, []).append(b)
-        cycles = _find_cycles(adj)
+        cycles = find_cycles(adj)
         if cycles:
             by_pair = {(a, b): w for a, b, w in edges}
             for cycle in cycles:
@@ -257,25 +258,3 @@ class RuntimeVerifier:
                     f"called with mismatched arguments: {listing}",
                     key=("coldetail", repr(ctx), seq),
                 )
-
-
-def _find_cycles(adj: Dict[int, List[int]]) -> List[Tuple[int, ...]]:
-    """Distinct elementary cycles of a small digraph, canonicalised by
-    rotating the smallest node first (iterative DFS; graphs here have at
-    most nranks nodes, so simplicity beats asymptotics)."""
-    cycles: List[Tuple[int, ...]] = []
-    seen: set = set()
-    for start in sorted(adj):
-        stack: List[Tuple[int, Tuple[int, ...]]] = [(start, (start,))]
-        while stack:
-            node, path = stack.pop()
-            for nxt in adj.get(node, ()):
-                if nxt == path[0] and len(path) > 0:
-                    k = path.index(min(path))
-                    canon = path[k:] + path[:k]
-                    if canon not in seen:
-                        seen.add(canon)
-                        cycles.append(canon)
-                elif nxt not in path and len(path) < 64:
-                    stack.append((nxt, path + (nxt,)))
-    return cycles

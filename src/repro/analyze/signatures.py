@@ -21,17 +21,67 @@ False
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+import repro.datatypes as _datatypes
 from repro.analyze.findings import Report
 from repro.datatypes.typemap import Datatype, TypeSignature, _rle_repeat
 
-#: SIG004 fires for at least this many blocks ...
+#: the low-density smell (SIG004, PLAN103) fires for at least this many
+#: blocks ...
 DENSITY_MIN_BLOCKS = 32
 #: ... whose mean length is below this many bytes
 DENSITY_MIN_MEAN = 64.0
+
+#: the ``repro.datatypes`` names a static evaluator resolves: the
+#: constructors it may call and the primitive types
+DATATYPE_NAMES: Dict[str, Any] = {
+    n: getattr(_datatypes, n)
+    for n in ("Vector", "HVector", "Contiguous", "Indexed", "HIndexed",
+              "Struct", "DOUBLE", "FLOAT", "INT", "CHAR", "BYTE", "LONG")
+}
+
+#: constant datatypes with more blocks than this are not built
+MAX_STATIC_BLOCKS = 100_000
+
+
+def construct_datatype(name: str, args: List[Any],
+                       kwargs: Dict[str, Any]) -> Optional[Datatype]:
+    """``name(*args, **kwargs)`` for a :data:`DATATYPE_NAMES` constructor
+    over statically evaluated arguments; None when ``name`` is not a
+    constructor, the type would exceed :data:`MAX_STATIC_BLOCKS`, or the
+    constructor rejects the arguments."""
+    ctor = DATATYPE_NAMES.get(name)
+    if not callable(ctor):
+        return None
+    blocks = 1
+    if name in ("Vector", "HVector", "Contiguous") and args \
+            and isinstance(args[0], (int, float)):
+        blocks = int(args[0])
+    elif name in ("Indexed", "HIndexed") and args \
+            and isinstance(args[0], list):
+        blocks = len(args[0])
+    if blocks > MAX_STATIC_BLOCKS:
+        return None
+    try:
+        return ctor(*args, **kwargs)
+    except Exception:  # bad constant arguments: not our finding
+        return None
+
+
+def low_density(datatype: Datatype) -> Optional[Tuple[int, float]]:
+    """``(blocks, mean block bytes)`` of ``datatype`` when it has the
+    section-4.1 pathology shape -- at least :data:`DENSITY_MIN_BLOCKS`
+    blocks shorter than :data:`DENSITY_MIN_MEAN` bytes on average, which
+    the baseline engine's per-stage block re-search makes pack slower
+    than a dense copy -- else None."""
+    blocks = datatype.flatten()
+    mean_len = blocks.size / max(1, blocks.num_blocks)
+    if blocks.num_blocks >= DENSITY_MIN_BLOCKS and mean_len < DENSITY_MIN_MEAN:
+        return blocks.num_blocks, mean_len
+    return None
 
 
 def full_signature(datatype: Datatype, count: int = 1) -> TypeSignature:
@@ -195,11 +245,12 @@ def check_datatype(
 
     # SIG004: the section-4.1 pathology predictor -- many short blocks make
     # the baseline engine's per-stage block re-search dominate the copy
-    mean_len = blocks.size / blocks.num_blocks
-    if blocks.num_blocks >= DENSITY_MIN_BLOCKS and mean_len < DENSITY_MIN_MEAN:
+    density = low_density(datatype)
+    if density is not None:
+        num_blocks, mean_len = density
         report.add(
             "SIG004",
-            f"{label}: {blocks.num_blocks} blocks of mean length "
+            f"{label}: {num_blocks} blocks of mean length "
             f"{mean_len:.1f} B; expect the baseline pack pipeline to "
             "re-search this block list quadratically (use the dual-context "
             "engine, or restructure toward longer runs)",

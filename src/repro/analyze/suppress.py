@@ -21,8 +21,8 @@ propagates a suppression found on a decorator line (or on the comment
 line above it) down to the ``def`` line when given the module AST.
 
 Suppressions are collected with :mod:`tokenize` so strings containing
-the marker text do not count, and applied uniformly by lint
-(:func:`repro.analyze.lint.lint_source`) and the dataflow passes.
+the marker text do not count, and applied once per file by the analyzer
+pipeline (:mod:`repro.analyze.dataflow.driver`) to every pass's findings.
 Every comment site tracks whether it actually matched a finding;
 :meth:`Suppressions.unused_sites` feeds the LNT007 unused-suppression
 lint.
@@ -60,8 +60,6 @@ class Suppressions:
     def __init__(self,
                  by_line: Optional[Dict[int, Dict[str, Set[int]]]] = None):
         self.by_line: Dict[int, Dict[str, Set[int]]] = by_line or {}
-        #: findings dropped by :func:`apply_suppressions`
-        self.suppressed_count = 0
         #: every (comment line, code) written in the file
         self.sites: Set[Tuple[int, str]] = set()
         #: sites that matched at least one finding
@@ -98,6 +96,8 @@ def collect_suppressions(source: str,
     lines are additionally registered at the decorated ``def`` line.
     """
     supp = Suppressions()
+    if "analyze:" not in source:
+        return supp  # no marker anywhere: nothing to tokenize
 
     def register(line: int, code: str, origin: int) -> None:
         supp.by_line.setdefault(line, {}).setdefault(code, set()).add(origin)
@@ -149,7 +149,6 @@ def apply_suppressions(report: Report, suppressions: Suppressions) -> Report:
     filtered = Report()
     for f in report:
         if suppressions.is_suppressed(f.rule, f.line):
-            suppressions.suppressed_count += 1
             continue
         filtered.add(f.rule, f.message, f.location, f.line, f.key)
     return filtered

@@ -1,0 +1,38 @@
+"""Session-wide fixtures."""
+
+import os
+from pathlib import Path
+from typing import List, NamedTuple
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class TreeScan(NamedTuple):
+    """One whole-tree analyzer run: lint + dataflow + protocol."""
+
+    report: object
+    plans: List
+    stats: List
+
+    def findings(self, *dirs, prefix=""):
+        """Findings located under any of ``dirs`` (repo-relative) whose
+        rule starts with ``prefix``."""
+        roots = tuple(str(REPO / d) + os.sep for d in dirs)
+        return [f for f in self.report
+                if f.rule.startswith(prefix) and f.location.startswith(roots)]
+
+
+@pytest.fixture(scope="session")
+def tree_scan():
+    """``analyze_tree([src, examples, tests], dataflow=True,
+    protocol=True)``, run once per test session; every tree-clean test
+    reads its report, plans and protocol stats."""
+    from repro.analyze import analyze_tree
+
+    stats: list = []
+    report, plans = analyze_tree(
+        [REPO / "src", REPO / "examples", REPO / "tests"],
+        dataflow=True, protocol=True, protocol_stats=stats)
+    return TreeScan(report, plans, stats)

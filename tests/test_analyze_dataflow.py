@@ -1,18 +1,19 @@
 """Tests for the CFG/fixpoint dataflow analyzer (REQ/BUF/SPMD/PLAN)."""
 
 import ast
+import contextlib
+import io
 import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.analyze.__main__ import main as analyze_main
 from repro.analyze.dataflow import (
-    analyze_file,
-    analyze_paths,
-    analyze_source,
+    analyze_source_set,
+    analyze_tree,
     build_cfg,
     extract_plans,
     liveness,
@@ -21,14 +22,19 @@ from repro.analyze.dataflow import (
 from repro.analyze.emit import to_json, to_sarif
 from repro.analyze.findings import Report
 
-TESTS = Path(__file__).parent
-REPO = TESTS.parent
-FIXTURES = TESTS / "fixtures"
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def dataflow_report(source):
+    """Dataflow findings of one module (the lint rules that run beside
+    them are left out)."""
+    report, _plans = analyze_source_set([("<string>",
+                                          textwrap.dedent(source))])
+    return [f for f in report if not f.rule.startswith("LNT")]
 
 
 def rules_of(source):
-    report = analyze_source(textwrap.dedent(source))
-    return sorted(f.rule for f in report)
+    return sorted(f.rule for f in dataflow_report(source))
 
 
 def _cfg_of(source):
@@ -193,15 +199,15 @@ def test_clean_try_finally_wait():
 
 
 def test_req102_loop_carried_rebinding():
-    report = analyze_source(textwrap.dedent("""
+    report = dataflow_report("""
         def f(comm, bufs):
             req = None
             for peer, buf in enumerate(bufs):
                 req = comm.irecv(buf, peer)
             yield from req.wait()
-    """))
+    """)
     assert [f.rule for f in report] == ["REQ102"]
-    assert "previous loop iteration" in list(report)[0].message
+    assert "previous loop iteration" in report[0].message
 
 
 def test_clean_loop_that_waits_each_iteration():
@@ -496,21 +502,19 @@ FIXTURE_EXPECTATIONS = {
 @pytest.mark.parametrize("name,expected",
                          sorted(FIXTURE_EXPECTATIONS.items()))
 def test_fixture_findings_pinned(name, expected):
-    report = analyze_file(FIXTURES / name)
+    report, _plans = analyze_tree([FIXTURES / name])
     assert sorted(f.rule for f in report) == expected
 
 
-def test_fixture_directory_excluded_from_tree_scans():
-    report, _plans = analyze_paths([TESTS])
-    assert not any("fixtures" in (f.location or "") for f in report)
+def test_fixture_directory_excluded_from_tree_scans(tree_scan):
+    assert not any("fixtures" in f.location for f in tree_scan.report)
+    assert not any("fixtures" in p.path for p in tree_scan.plans)
 
 
 # -- emitters -----------------------------------------------------------------
 
 def test_json_emitter_schema_and_summary():
-    report = Report()
-    plans = []
-    analyze_file(FIXTURES / "broken_plan.py", report, plans)
+    report, plans = analyze_tree([FIXTURES / "broken_plan.py"])
     doc = json.loads(to_json(report, plans))
     assert doc["schema"] == "repro-analyze/1"
     assert doc["summary"]["warning"] == 3
@@ -520,7 +524,7 @@ def test_json_emitter_schema_and_summary():
 
 
 def test_sarif_emitter_locations_and_levels():
-    report = analyze_file(FIXTURES / "broken_req.py")
+    report, _plans = analyze_tree([FIXTURES / "broken_req.py"])
     doc = json.loads(to_sarif(report))
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
@@ -535,24 +539,22 @@ def test_sarif_emitter_locations_and_levels():
 
 # -- shipped tree stays clean -------------------------------------------------
 
-def test_src_and_examples_dataflow_clean():
-    report, _plans = analyze_paths([REPO / "src", REPO / "examples"])
-    assert report.ok, "\n" + "\n".join(str(f) for f in report)
+def test_src_and_examples_dataflow_clean(tree_scan):
+    assert tree_scan.findings("src", "examples") == []
 
 
-def test_tests_tree_dataflow_clean():
-    report, _plans = analyze_paths([TESTS])
-    assert report.ok, "\n" + "\n".join(str(f) for f in report)
+def test_tests_tree_dataflow_clean(tree_scan):
+    assert tree_scan.findings("tests") == []
 
 
 # -- CLI ----------------------------------------------------------------------
 
 def _run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analyze", *argv],
-        capture_output=True, text=True, cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+    """``python -m repro.analyze *argv``, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = analyze_main(list(argv))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue())
 
 
 def test_cli_dataflow_sarif_on_broken_fixture():

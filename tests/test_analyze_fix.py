@@ -263,10 +263,3 @@ def test_cli_fix_check_clean_tree_exits_zero(tmp_path):
     assert proc.returncode == 0
     assert "nothing to rewrite" in proc.stdout
 
-
-def test_repo_tree_is_fix_clean():
-    """The CI gate: ``--fix --check`` over src/examples/tests finds
-    nothing to rewrite (fixtures are excluded by iter_python_files)."""
-    result = fix_paths([str(REPO / "src"), str(REPO / "examples"),
-                        str(REPO / "tests")], write=False)
-    assert not result.changed, result.diff()

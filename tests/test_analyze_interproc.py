@@ -11,15 +11,12 @@ import pytest
 
 from repro.analyze.dataflow import (
     Project,
-    analyze_file,
-    analyze_paths,
-    analyze_source,
+    analyze_source_set,
     analyze_tree,
     compute_summaries,
     module_envs,
     strongly_connected,
 )
-from repro.analyze.dataflow.driver import analyze_source_set
 from repro.analyze.emit import report_to_dicts, to_plans
 from repro.analyze.findings import Report
 from repro.analyze.suppress import collect_suppressions
@@ -29,8 +26,10 @@ FIXTURES = TESTS / "fixtures"
 
 
 def rules_of(source):
-    report = analyze_source(textwrap.dedent(source))
-    return sorted(f.rule for f in report)
+    """Dataflow rules of one module (the lint rules are left out)."""
+    report, _plans = analyze_source_set([("<string>",
+                                          textwrap.dedent(source))])
+    return sorted(f.rule for f in report if not f.rule.startswith("LNT"))
 
 
 def tree_rules_of(named_sources):
@@ -175,12 +174,12 @@ def test_cross_file_summaries_resolve_through_imports(tmp_path):
             req = yield from start(comm, data)
             yield from req.wait()
     """))
-    report, _plans = analyze_paths([str(tmp_path)])
+    report, _plans = analyze_tree([str(tmp_path)])
     assert sorted(f.rule for f in report) == []
 
 
 def test_cross_function_fixture_pinned():
-    report = analyze_file(FIXTURES / "cross_function.py")
+    report, _plans = analyze_tree([FIXTURES / "cross_function.py"])
     assert sorted(f.rule for f in report) == ["REQ101", "SPMD101"]
     by_rule = {f.rule: f for f in report}
     assert "caller_drops_handed_off_request" in by_rule["REQ101"].message
@@ -471,9 +470,8 @@ def test_to_plans_schema_and_determinism():
             send = object()
             yield from comm.allgatherv(send, recv, counts)
     """)
-    plans1, plans2 = [], []
-    analyze_source(source, "m.py", plans=plans1)
-    analyze_source(source, "m.py", plans=plans2)
+    _report, plans1 = analyze_source_set([("m.py", source)])
+    _report, plans2 = analyze_source_set([("m.py", source)])
     doc1, doc2 = to_plans(plans1), to_plans(plans2)
     assert doc1 == doc2
     doc = json.loads(doc1)
@@ -486,12 +484,11 @@ def test_to_plans_schema_and_determinism():
 
 
 def test_to_plans_disagreeing_sites_emit_null_algorithm():
-    plans = []
-    analyze_source(textwrap.dedent("""
+    _report, plans = analyze_source_set([("m.py", textwrap.dedent("""
         def a(comm):
             counts = [4096] + [1] * 7
             yield from comm.allgatherv(object(), object(), counts)
-    """), "m.py", plans=plans)
+    """))])
     # same bucket, forged disagreement
     import copy
 
@@ -567,7 +564,7 @@ def test_autotuned_policy_reports_static_reason():
     assert pol.decide(ctx).reason == "table:static"
 
 
-def test_preseeded_autotune_skips_warmups():
+def test_preseeded_autotune_skips_warmups(tree_scan):
     """The static->runtime contract: pre-seeding with the tree's own
     extracted plans reaches a table with strictly fewer warmup
     simulations than a cold sweep."""
@@ -575,10 +572,7 @@ def test_preseeded_autotune_skips_warmups():
         AutotuneStats, autotune, count_warmup_runs,
     )
 
-    plans = []
-    analyze_tree([str(TESTS.parent / "src"), str(TESTS.parent / "examples"),
-                  str(TESTS.parent / "tests")], Report(), plans)
-    doc = json.loads(to_plans(plans))
+    doc = json.loads(to_plans(tree_scan.plans))
     assert doc["buckets"], "tree should yield at least one static bucket"
 
     stats = AutotuneStats()

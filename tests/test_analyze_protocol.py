@@ -1,20 +1,22 @@
 """Tests for the cross-rank protocol verifier (MTC101-MTC105)."""
 
 import ast
+import contextlib
+import io
 import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analyze.dataflow import analyze_file, analyze_tree
+from repro.analyze.__main__ import main as analyze_main
+from repro.analyze.dataflow import analyze_tree
 from repro.analyze.dataflow.driver import (
     _unused_suppression_eligible,
-    analyze_source,
     analyze_source_set,
 )
 from repro.analyze.findings import Report
@@ -22,17 +24,17 @@ from repro.analyze.matchgraph import (
     ANY,
     Op,
     check_collectives,
+    find_cycles,
     match_p2p,
     simulate,
     verify_world,
 )
-from repro.analyze.protocol import WORLD_SIZES, check_module
+from repro.analyze.protocol import WORLD_SIZES, _bytes_needed, check_module
 from repro.analyze.signatures import transfer_verdict
-from repro.datatypes import DOUBLE, INT, Contiguous, Vector
+from repro.datatypes import DOUBLE, INT, Contiguous, HIndexed, Indexed, Vector
+from tests.test_fuzz_datatypes import datatype_tree
 
-TESTS = Path(__file__).parent
-REPO = TESTS.parent
-FIXTURES = TESTS / "fixtures"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def mtc_rules_of(source, stats=None):
@@ -176,6 +178,15 @@ def test_simulate_nonblocking_ring_with_waits_completes():
     assert not result.unmatched_sends and not result.unmatched_recvs
 
 
+def test_find_cycles_lists_each_elementary_cycle_once():
+    # the one routine behind DLK001 (every cycle) and MTC103 (one): each
+    # cycle once, rotated to start at its smallest rank
+    edges = {2: [0], 0: [1], 1: [2, 0]}
+    assert sorted(find_cycles(edges)) == [(0, 1), (0, 1, 2)]
+    assert find_cycles({3: [3]}) == [(3,)]
+    assert find_cycles({0: [1], 1: [2]}) == []
+
+
 # -- extraction: true positives and near-misses per rule ----------------------
 
 
@@ -295,6 +306,27 @@ def test_mtc105_strided_datatype_overruns_short_buffer():
     assert "needs 200" in report.findings[0].message
 
 
+def _block_list_bytes_needed(datatype, count):
+    """The formula ``_bytes_needed`` replaced: expand the block list and
+    reach ``(count - 1)`` extents past its furthest byte."""
+    blocks = datatype.flatten()
+    if count <= 0 or blocks.num_blocks == 0:
+        return 0
+    one = int(np.max(blocks.offsets + blocks.lengths))
+    return (count - 1) * int(datatype.extent) + one
+
+
+@settings(max_examples=80, deadline=None)
+@given(datatype=datatype_tree(), count=st.sampled_from([1, 3]))
+@example(datatype=HIndexed([1, 2], [-16, 8], DOUBLE), count=1)
+@example(datatype=HIndexed([1, 2], [-16, 8], DOUBLE), count=3)
+@example(datatype=Indexed([2, 1], [-3, 4], DOUBLE), count=3)
+def test_bytes_needed_is_the_block_list_formula(datatype, count):
+    # the closed-form plan bound equals the expansion it replaced
+    assert _bytes_needed(datatype, count) == \
+        _block_list_bytes_needed(datatype, count)
+
+
 # -- the rank-abstraction model -----------------------------------------------
 
 
@@ -408,7 +440,8 @@ PROTO_FIXTURES = {
 
 @pytest.mark.parametrize("name,expected", sorted(PROTO_FIXTURES.items()))
 def test_proto_fixture_findings_pinned(name, expected):
-    report = analyze_file(FIXTURES / name, protocol=True)
+    report, _plans = analyze_tree([FIXTURES / name], dataflow=False,
+                                  protocol=True)
     assert sorted(f.rule for f in report) == expected
 
 
@@ -419,21 +452,15 @@ def _mtc_findings(report):
     return [f for f in report if f.rule.startswith("MTC")]
 
 
-def test_protocol_clean_over_petsc_and_examples():
-    report, _plans = analyze_tree(
-        [REPO / "src" / "repro" / "petsc", REPO / "examples"],
-        dataflow=False, protocol=True)
-    assert _mtc_findings(report) == []
+def test_protocol_clean_over_petsc_and_examples(tree_scan):
+    assert tree_scan.findings("src/repro/petsc", "examples",
+                              prefix="MTC") == []
 
 
-def test_protocol_clean_over_full_tree():
-    stats = []
-    report, _plans = analyze_tree(
-        [REPO / "src", REPO / "examples", REPO / "tests"],
-        dataflow=False, protocol=True, protocol_stats=stats)
-    assert _mtc_findings(report) == []
+def test_protocol_clean_over_full_tree(tree_scan):
+    assert _mtc_findings(tree_scan.report) == []
     # the gate must actually exercise the verifier, not vacuously pass
-    verified = [s for s in stats if s.verified_sizes]
+    verified = [s for s in tree_scan.stats if s.verified_sizes]
     assert len(verified) >= 10
 
 
@@ -451,7 +478,7 @@ def test_mtc_suppression_honoured():
             yield from comm.send(buf, right)  # analyze: ignore[MTC103]
             yield from comm.recv(out, source=left)
     """)
-    report = analyze_source(source, protocol=True)
+    report, _plans = analyze_source_set([("t.py", source)], protocol=True)
     assert not _mtc_findings(report)
 
 
@@ -540,11 +567,11 @@ def test_static_mtc105_agrees_with_concrete_transfer_verdict(
 
 
 def _run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.analyze", *argv],
-        capture_output=True, text=True, cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+    """``python -m repro.analyze *argv``, run in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = analyze_main(list(argv))
+    return SimpleNamespace(returncode=code, stdout=out.getvalue())
 
 
 def test_cli_protocol_sarif_on_broken_fixture():
