@@ -36,17 +36,14 @@ extracted communication plans; SARIF 2.1.0 feeds CI annotations);
 keeping the human-readable summary on stdout.  Inline
 ``# analyze: ignore[CODE]`` comments suppress findings per line.
 
-Rewriting and the static->runtime loop:
+Rewriting:
 
 ``--fix`` applies the conservative auto-rewrites of
 :mod:`repro.analyze.fix` (insert missing ``yield from``, wait on every
 path, hoist loop-invariant flatten/pack, drop stale suppressions) and
 writes the changed files back; ``--fix --check`` prints the unified
 diffs *without writing* and exits 1 when any rewrite would apply -- the
-CI fix-clean gate.  ``--plans-out FILE`` (with ``--dataflow``) writes
-the extracted PLAN10x communication plans as a ``repro-plans/1``
-document that ``python -m repro.bench --autotune --plans FILE`` uses to
-pre-seed the tuning table (see ``docs/ANALYZE.md``).
+CI fix-clean gate.
 """
 
 from __future__ import annotations
@@ -136,10 +133,6 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="with --fix: print the diffs without "
                              "writing; exit 1 if any rewrite would apply")
-    parser.add_argument("--plans-out", metavar="FILE",
-                        help="with --dataflow: write the extracted "
-                             "communication plans as a repro-plans/1 "
-                             "JSON document (autotuner pre-seed input)")
     args = parser.parse_args(argv)
 
     if args.check and not args.fix:
@@ -176,14 +169,6 @@ def main(argv: List[str] | None = None) -> int:
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
-
-    if args.plans_out:
-        from repro.analyze.emit import to_plans
-
-        with open(args.plans_out, "w", encoding="utf-8") as fh:
-            fh.write(to_plans(plans) + "\n")
-        print(f"{len(plans)} communication plan(s) written to "
-              f"{args.plans_out}")
 
     if args.run:
         for path in args.paths:

@@ -83,13 +83,6 @@ class CommunicationPlan:
     contiguous: bool = True
     #: policy name -> algorithm the registry would select
     decisions: Dict[str, str] = field(default_factory=dict)
-    #: number of peers/ranks the volume set covers (0 when unknown)
-    size: int = 0
-    #: registry collective the call site dispatches through ("" for p2p)
-    registry_collective: str = ""
-    #: autotuner tuning-table bucket this call site lands in ("" when the
-    #: volume set is not statically known)
-    bucket_key: str = ""
     #: the materialised Datatype object (not serialised)
     datatype_obj: Any = field(default=None, repr=False, compare=False)
 
@@ -107,9 +100,6 @@ class CommunicationPlan:
             "dtype_size": self.dtype_size,
             "contiguous": self.contiguous,
             "decisions": self.decisions,
-            "size": self.size,
-            "registry_collective": self.registry_collective,
-            "bucket_key": self.bucket_key,
         }
 
 
@@ -348,23 +338,13 @@ def _plan_call(node: ast.Call, method: str, shape: str, fname: str,
         datatype_obj=datatype,
     )
     if volumes is not None:
-        from repro.mpi.algorithms.tuning import (
-            size_bucket,
-            total_bucket,
-            volume_profile,
-        )
+        from repro.mpi.algorithms.tuning import volume_profile
 
         plan.profile = volume_profile(volumes)
         registry_name = "allgatherv" if method in (
             "allgatherv", "gatherv", "scatterv") else method
         plan.decisions = _predict_decisions(
             registry_name, volumes, dtype_size, contiguous)
-        plan.size = len(volumes)
-        plan.registry_collective = registry_name
-        plan.bucket_key = (
-            f"{registry_name}|p{size_bucket(plan.size)}"
-            f"|b{total_bucket(plan.total_bytes)}|{plan.profile}"
-        )
     return plan
 
 

@@ -4,10 +4,7 @@
 including the extracted communication plans; ``to_sarif`` targets SARIF
 2.1.0 so CI systems can annotate pull requests with file/line-accurate
 findings (severity mapping: error->``error``, warning->``warning``,
-info->``note``).  ``to_plans`` serialises the PLAN1xx communication
-plans as a ``repro-plans/1`` document whose per-bucket algorithm
-predictions :meth:`repro.mpi.algorithms.tuning.TuningTable.preseed`
-ingests to skip autotuner warmup sweeps.
+info->``note``).
 
 All emitters sort findings by (path, line, rule, message) so the
 documents are byte-identical across runs regardless of which pass
@@ -22,7 +19,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.analyze.findings import RULES, SEVERITIES, Finding, Report
 
 JSON_SCHEMA = "repro-analyze/1"
-PLANS_SCHEMA = "repro-plans/1"
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
@@ -63,40 +59,6 @@ def to_json(report: Report, plans: Optional[Sequence[Any]] = None,
         },
     }
     return json.dumps(doc, indent=indent)
-
-
-def to_plans(plans: Sequence[Any], indent: int = 2) -> str:
-    """The ``repro-plans/1`` artifact: every extracted plan plus the
-    per-bucket pre-seed predictions for the autotuner.
-
-    A tuning-table bucket is seeded only when every statically planned
-    call site landing in it agrees on the ``adaptive`` policy's
-    prediction (the prediction the ties-or-beats CI gate already
-    validates); disagreeing or prediction-free buckets are emitted with
-    ``"algorithm": null`` so :meth:`TuningTable.preseed` skips them.
-    """
-    dicts = sorted((p.to_dict() for p in plans),
-                   key=lambda d: (d["path"], d["line"], d["collective"]))
-    buckets: Dict[str, Dict[str, Any]] = {}
-    for plan in dicts:
-        key = plan["bucket_key"]
-        if not key:
-            continue
-        predicted = plan["decisions"].get("adaptive")
-        bucket = buckets.setdefault(key, {
-            "algorithm": predicted,
-            "profile": plan["profile"],
-            "sites": 0,
-        })
-        bucket["sites"] += 1
-        if bucket["algorithm"] != predicted:
-            bucket["algorithm"] = None  # call sites disagree: do not seed
-    doc = {
-        "schema": PLANS_SCHEMA,
-        "plans": dicts,
-        "buckets": {k: buckets[k] for k in sorted(buckets)},
-    }
-    return json.dumps(doc, indent=indent, sort_keys=False)
 
 
 def _sarif_rules(report: Report) -> List[Dict[str, Any]]:
@@ -155,5 +117,5 @@ def to_sarif(report: Report, tool_version: str = "1.0.0",
     return json.dumps(doc, indent=indent)
 
 
-__all__ = ["JSON_SCHEMA", "PLANS_SCHEMA", "SARIF_VERSION", "report_to_dicts",
-           "to_json", "to_plans", "to_sarif"]
+__all__ = ["JSON_SCHEMA", "SARIF_VERSION", "report_to_dicts", "to_json",
+           "to_sarif"]

@@ -256,51 +256,36 @@ class _ModuleCtx:
 
     def has_comm(self, node: ast.AST) -> bool:
         """Whether executing ``node`` could touch communication --
-        directly, through a local helper (transitively), or through an
-        imported function whose summary says it blocks/collects."""
+        directly, through a local helper (transitively, memoised per
+        function), or through an imported function whose summary says it
+        blocks/collects."""
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute) \
-                    and sub.attr in COMMUNICATION_METHODS:
+            if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Await)) or (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr in COMMUNICATION_METHODS):
                 return True
-            if isinstance(sub, (ast.Yield, ast.YieldFrom, ast.Await)):
+            if not isinstance(sub, ast.Call):
+                continue
+            fn = sub.func
+            if isinstance(fn, ast.Name):
+                name = fn.id
+                if name in self.module_funcs:
+                    memo = self._has_comm_memo
+                    if name not in memo:
+                        memo[name] = False  # cycle guard
+                        memo[name] = self.has_comm(self.module_funcs[name])
+                    if memo[name]:
+                        return True
+            elif isinstance(fn, ast.Attribute) \
+                    and isinstance(fn.value, ast.Name):
+                name = f"{fn.value.id}.{fn.attr}"
+            else:
+                continue
+            summary = self.env.get(name)
+            if summary is not None and (summary.calls_blocking
+                                        or summary.calls_collective):
                 return True
-            if isinstance(sub, ast.Call):
-                fn = sub.func
-                if isinstance(fn, ast.Name):
-                    if self._local_has_comm(fn.id):
-                        return True
-                    summary = self.env.get(fn.id)
-                    if summary is not None and (summary.calls_blocking
-                                                or summary.calls_collective):
-                        return True
-                elif isinstance(fn, ast.Attribute) \
-                        and isinstance(fn.value, ast.Name):
-                    summary = self.env.get(f"{fn.value.id}.{fn.attr}")
-                    if summary is not None and (summary.calls_blocking
-                                                or summary.calls_collective):
-                        return True
         return False
-
-    def _local_has_comm(self, name: str) -> bool:
-        if name not in self.module_funcs:
-            return False
-        if name in self._has_comm_memo:
-            return self._has_comm_memo[name]
-        self._has_comm_memo[name] = False  # cycle guard
-        func = self.module_funcs[name]
-        found = False
-        for sub in ast.walk(func):
-            if isinstance(sub, ast.Attribute) \
-                    and sub.attr in COMMUNICATION_METHODS:
-                found = True
-                break
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) \
-                    and sub.func.id != name \
-                    and self._local_has_comm(sub.func.id):
-                found = True
-                break
-        self._has_comm_memo[name] = found
-        return found
 
 
 # -- the abstract executor ----------------------------------------------------

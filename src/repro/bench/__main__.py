@@ -14,8 +14,9 @@ Usage::
 (:mod:`repro.mpi.algorithms.autotune`), writes the ``repro-tuning/1``
 table JSON, then replays the paper's nonuniform benches under the
 baseline, optimised and autotuned configurations and **fails (exit 1)**
-unless the autotuned policy ties-or-beats both fixed configs on every
-row -- the CI contract for the tuning-table artifact.
+unless an NBX variant wins a ``sparse_alltoall`` bucket and the
+autotuned policy ties-or-beats both fixed configs on every row -- the CI
+contract for the tuning-table artifact.
 
 With ``--profile`` every cluster built by the figure sweeps carries a
 :class:`repro.prof.Profiler`; the run then prints the Fig. 13-style
@@ -99,13 +100,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                         default="tuning_table.json",
                         help="where --autotune writes the table "
                              "(default: %(default)s)")
-    parser.add_argument("--plans", metavar="PATH", default=None,
-                        help="repro-plans/1 document (from 'python -m "
-                             "repro.analyze --dataflow --plans-out') used "
-                             "to pre-seed the tuning table; --autotune "
-                             "then skips statically classified buckets "
-                             "and fails unless that strictly reduced the "
-                             "warmup-simulation count")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for the simulator's CPU-jitter RNG; "
                              "one value reproduces a whole run bit-for-bit "
@@ -128,22 +122,8 @@ def _figure_kwargs(name: str, quick: bool, seed: int = 0) -> dict:
 def _run_autotune(args: argparse.Namespace) -> int:
     """Train a tuning table, validate it against the fixed configs."""
     from repro.mpi.algorithms.autotune import (
-        AutotuneStats, autotune, check_ties_or_beats, compare_policies,
-        count_warmup_runs,
+        autotune, check_ties_or_beats, compare_policies,
     )
-
-    preseed_doc = None
-    if args.plans:
-        try:
-            with open(args.plans) as fh:
-                preseed_doc = json.load(fh)
-            if preseed_doc.get("schema") != "repro-plans/1":
-                raise ValueError(
-                    "not a repro-plans/1 document "
-                    f"(schema={preseed_doc.get('schema')!r})")
-        except (OSError, ValueError) as exc:
-            print(f"--plans {args.plans}: {exc}", file=sys.stderr)
-            return 2
 
     t0 = time.time()
     if args.profile:
@@ -152,9 +132,7 @@ def _run_autotune(args: argparse.Namespace) -> int:
         session.enable()
     try:
         print(f"== autotune sweep ({'quick' if args.quick else 'full'}) ==")
-        stats = AutotuneStats()
-        table = autotune(quick=args.quick, verbose=True,
-                         preseed=preseed_doc, stats=stats)
+        table = autotune(quick=args.quick, verbose=True)
         table.save(args.tuning_out)
         print(f"tuning table ({len(table)} buckets) written to "
               f"{args.tuning_out}")
@@ -176,17 +154,6 @@ def _run_autotune(args: argparse.Namespace) -> int:
                        if k.startswith("sparse_alltoall|"))
         print(f"sparse_alltoall trained {n_sparse} bucket(s); "
               f"winners: {sorted(sparse_winners)}")
-        if preseed_doc is not None:
-            cold = count_warmup_runs(quick=args.quick)
-            print(f"warmup simulations: {stats.warmup_runs} pre-seeded "
-                  f"vs {cold} cold "
-                  f"({stats.scenarios_skipped}/{stats.scenarios_total} "
-                  "scenario(s) skipped via static plans)")
-            if stats.warmup_runs >= cold:
-                print("pre-seeding did NOT reduce the warmup-simulation "
-                      "count (no sweep scenario landed in a statically "
-                      "classified bucket)")
-                return 1
         print()
 
         fig = compare_policies(args.tuning_out, quick=args.quick)

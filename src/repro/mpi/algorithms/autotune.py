@@ -12,8 +12,7 @@ table ties-or-beats both fixed configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,150 +21,131 @@ from repro.mpi.algorithms.tuning import TuningTable, bucket_key
 from repro.mpi.config import MPIConfig
 from repro.util.costmodel import CostModel
 
-
-@dataclass
-class AutotuneStats:
-    """Sweep accounting: how much simulator warmup did training cost?"""
-
-    #: scenarios in the sweep grid
-    scenarios_total: int = 0
-    #: scenarios skipped because their bucket was statically pre-seeded
-    scenarios_skipped: int = 0
-    #: simulator measurements actually executed (one per candidate
-    #: algorithm per measured scenario)
-    warmup_runs: int = 0
-    #: bucket keys seeded from the static plans document
-    preseeded_keys: List[str] = field(default_factory=list)
-
-    @property
-    def scenarios_measured(self) -> int:
-        return self.scenarios_total - self.scenarios_skipped
-
 #: communicator sizes the sweep trains (quick keeps the suite CI-sized)
 PROCS = (4, 6, 8, 16, 32, 64)
 PROCS_QUICK = (4, 8, 16, 32, 64)
 
 DOUBLE_BYTES = 8
 
+#: ``body(comm)`` allocates one rank's buffers and returns
+#: ``call(algorithm)``, the collective generator the sweep times
+Body = Callable[[Any], Callable[[str], Any]]
 
-def _allgatherv_scenarios(procs: Sequence[int]) -> List[Tuple[str, int, List[int]]]:
-    """(label, nprocs, per-rank counts in doubles) grid for allgatherv."""
-    out = []
-    for n in procs:
-        out.append(("uniform-small", n, [16] * n))
-        out.append(("uniform-large", n, [4096] * n))
-        big = [1] * n
-        big[0] = 4096  # the paper's 32 KB outlier
-        out.append(("outlier", n, big))
-    return out
+#: one sweep point: (collective, label, nprocs, rank 0's wire volumes in
+#: bytes, body)
+Scenario = Tuple[str, str, int, List[int], Body]
 
 
-def _alltoallw_scenarios(procs: Sequence[int]) -> List[Tuple[str, int, str]]:
-    """(label, nprocs, pattern) grid for alltoallw."""
-    out = []
-    for n in procs:
-        out.append(("ring-neighbour", n, "ring"))
-        if n <= 16:
-            out.append(("dense-uniform", n, "dense"))
-    return out
-
-
-def _sparse_scenarios(procs: Sequence[int]) -> List[Tuple[str, int, str]]:
-    """(label, nprocs, pattern) grid for the NBX sparse exchange.
-
-    ``neighbour``: one medium message to the next rank (the assembly
-    halo); ``mixed``: a tiny and a large message to two peers, the shape
-    the binned variant reorders.  Both fold into the collective's single
-    rank-uniform bucket per size (``UNIFORM_BUCKET_COLLECTIVES``:
-    volume-derived keys could diverge across ranks), so the winner
-    reflects the mix.
-    """
-    out = []
-    for n in procs:
-        if n < 2:
-            continue
-        out.append(("neighbour", n, "neighbour"))
-        out.append(("mixed", n, "mixed"))
-    return out
-
-
-def _sparse_volumes(n: int, pattern: str) -> List[int]:
-    volumes = [0] * n
-    if pattern == "neighbour":
-        volumes[1 % n] = 64 * DOUBLE_BYTES
-    else:
-        volumes[1 % n] = 4 * DOUBLE_BYTES
-        volumes[(n - 1) % n] = 4096 * DOUBLE_BYTES
-    return volumes
-
-
-def _measure_sparse(n: int, pattern: str, algorithm: str,
-                    config: MPIConfig, cost: Optional[CostModel]) -> float:
-    from repro.mpi.comm import Cluster
-
-    cluster = Cluster(n, config=config, cost=cost, heterogeneous=False)
-
-    def main(comm):
-        if pattern == "neighbour":
-            payloads = {(comm.rank + 1) % n: np.full(64, float(comm.rank))}
-        else:
-            payloads = {
-                (comm.rank + 1) % n: np.full(4, float(comm.rank)),
-                (comm.rank - 1) % n: np.full(4096, float(comm.rank)),
-            }
-        payloads = {p: v for p, v in payloads.items() if p != comm.rank}
-        yield from comm.barrier()
-        start = comm.engine.now
-        yield from comm.sparse_alltoall(payloads, algorithm=algorithm)
-        return comm.engine.now - start
-
-    return float(np.mean(cluster.run(main)))
-
-
-def _measure_allgatherv(n: int, counts: Sequence[int], algorithm: str,
-                        config: MPIConfig, cost: Optional[CostModel]) -> float:
-    from repro.mpi.comm import Cluster
-
-    cluster = Cluster(n, config=config, cost=cost, heterogeneous=False)
+def _allgatherv(label: str, counts: List[int]) -> Scenario:
+    """Per-rank ``counts`` of doubles gathered to every rank."""
     displs = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(int).tolist()
     total = int(np.sum(counts))
 
-    def main(comm):
+    def body(comm):
         send = np.full(counts[comm.rank], float(comm.rank + 1))
         recv = np.zeros(total)
-        yield from comm.barrier()
-        start = comm.engine.now
-        yield from comm.allgatherv(send, recv, list(counts), displs,
-                                   algorithm=algorithm)
-        return comm.engine.now - start
+        return lambda algorithm: comm.allgatherv(
+            send, recv, list(counts), displs, algorithm=algorithm)
 
-    return float(np.mean(cluster.run(main)))
+    volumes = [c * DOUBLE_BYTES for c in counts]
+    return ("allgatherv", label, len(counts), volumes, body)
 
 
-def _measure_alltoallw(n: int, pattern: str, algorithm: str,
-                       config: MPIConfig, cost: Optional[CostModel]) -> float:
-    from repro.datatypes import DOUBLE, TypedBuffer
-    from repro.mpi.comm import Cluster
+def _alltoallw(label: str, n: int, dense: bool) -> Scenario:
+    """The fig15 10x10 matrix of doubles to both ring neighbours, or to
+    every other rank when ``dense``."""
+    count = 100
 
-    cluster = Cluster(n, config=config, cost=cost, heterogeneous=False)
-    count = 100  # the fig15 10x10 matrix of doubles
+    def body(comm):
+        from repro.datatypes import DOUBLE, TypedBuffer
 
-    def main(comm):
         sendbuf = np.full((n, count), float(comm.rank))
         recvbuf = np.zeros((n, count))
-        if pattern == "ring":
-            peers = {(comm.rank + 1) % n, (comm.rank - 1) % n}
-        else:
+        if dense:
             peers = {p for p in range(n) if p != comm.rank}
+        else:
+            peers = {(comm.rank + 1) % n, (comm.rank - 1) % n}
         sendspecs = [None] * n
         recvspecs = [None] * n
         for peer in peers:
             off = peer * count * DOUBLE_BYTES
             sendspecs[peer] = TypedBuffer(sendbuf, DOUBLE, count, offset_bytes=off)
             recvspecs[peer] = TypedBuffer(recvbuf, DOUBLE, count, offset_bytes=off)
+        return lambda algorithm: comm.alltoallw(
+            sendspecs, recvspecs, algorithm=algorithm)
+
+    if dense:
+        volumes = [0] + [count * DOUBLE_BYTES] * (n - 1)  # self carries none
+    else:
+        volumes = [0] * n
+        volumes[1 % n] = volumes[-1 % n] = count * DOUBLE_BYTES
+    return ("alltoallw", label, n, volumes, body)
+
+
+def _sparse(label: str, n: int, mixed: bool) -> Scenario:
+    """NBX sparse exchange: one medium message to the next rank (the
+    assembly halo), or when ``mixed`` a tiny one to the next and a large
+    one to the previous rank, the shape the binned variant reorders."""
+
+    def body(comm):
+        right, left = (comm.rank + 1) % n, (comm.rank - 1) % n
+        if mixed:
+            payloads = {right: np.full(4, float(comm.rank)),
+                        left: np.full(4096, float(comm.rank))}
+        else:
+            payloads = {right: np.full(64, float(comm.rank))}
+        payloads = {p: v for p, v in payloads.items() if p != comm.rank}
+        return lambda algorithm: comm.sparse_alltoall(
+            payloads, algorithm=algorithm)
+
+    volumes = [0] * n
+    if mixed:
+        volumes[1 % n] = 4 * DOUBLE_BYTES
+        volumes[-1 % n] = 4096 * DOUBLE_BYTES
+    else:
+        volumes[1 % n] = 64 * DOUBLE_BYTES
+    return ("sparse_alltoall", label, n, volumes, body)
+
+
+def scenarios(procs: Sequence[int]) -> List[Scenario]:
+    """The sweep grid: allgatherv, then alltoallw, then sparse, each in
+    ``procs`` order.  :meth:`TuningTable.record` sums latencies per
+    bucket, so the order decides ties.
+
+    Both sparse shapes fold into the collective's single rank-uniform
+    bucket per size (``UNIFORM_BUCKET_COLLECTIVES``: volume-derived keys
+    could diverge across ranks), so the winner reflects the mix.
+    """
+    grid: List[Scenario] = []
+    for n in procs:
+        grid.append(_allgatherv("uniform-small", [16] * n))
+        grid.append(_allgatherv("uniform-large", [4096] * n))
+        # the paper's 32 KB outlier
+        grid.append(_allgatherv("outlier", [4096] + [1] * (n - 1)))
+    for n in procs:
+        grid.append(_alltoallw("ring-neighbour", n, dense=False))
+        if n <= 16:
+            grid.append(_alltoallw("dense-uniform", n, dense=True))
+    for n in procs:
+        if n >= 2:
+            grid.append(_sparse("neighbour", n, mixed=False))
+            grid.append(_sparse("mixed", n, mixed=True))
+    return grid
+
+
+def _measure(n: int, body: Body, algorithm: str, config: MPIConfig,
+             cost: Optional[CostModel]) -> float:
+    """Mean per-rank simulated seconds of one collective call, timed
+    from a barrier."""
+    from repro.mpi.comm import Cluster
+
+    cluster = Cluster(n, config=config, cost=cost, heterogeneous=False)
+
+    def main(comm):
+        call = body(comm)
         yield from comm.barrier()
         start = comm.engine.now
-        yield from comm.alltoallw(sendspecs, recvspecs, algorithm=algorithm)
+        yield from call(algorithm)
         return comm.engine.now - start
 
     return float(np.mean(cluster.run(main)))
@@ -173,142 +153,29 @@ def _measure_alltoallw(n: int, pattern: str, algorithm: str,
 
 def autotune(quick: bool = False, cost: Optional[CostModel] = None,
              procs: Optional[Sequence[int]] = None,
-             verbose: bool = False,
-             preseed: Optional[dict] = None,
-             stats: Optional[AutotuneStats] = None) -> TuningTable:
-    """Measure every applicable candidate per scenario; return the table.
-
-    ``preseed`` is a ``repro-plans/1`` document (the analyzer's static
-    communication plans): its bucket predictions are ingested first, and
-    any sweep scenario landing in a statically seeded bucket is *skipped*
-    -- the static classification replaces the warmup measurements for
-    that bucket.  ``stats`` (when given) is filled with the sweep
-    accounting, so callers can assert pre-seeding reduced warmup work.
-    """
+             verbose: bool = False) -> TuningTable:
+    """Measure every applicable candidate per scenario; return the table."""
     cost = cost or CostModel(cpu_noise=0.0)
     procs = tuple(procs) if procs is not None else (PROCS_QUICK if quick else PROCS)
     config = MPIConfig.optimized()  # engine flags on; selection is forced below
-    stats = stats if stats is not None else AutotuneStats()
     table = TuningTable(cost_model={
         "alpha": cost.alpha, "beta": cost.beta, "copy_byte": cost.copy_byte,
     })
-    if preseed is not None:
-        before = set(table.entries)
-        table.preseed(preseed)
-        stats.preseeded_keys = sorted(set(table.entries) - before)
-        if verbose and stats.preseeded_keys:
-            print(f"  pre-seeded {len(stats.preseeded_keys)} bucket(s) "
-                  "from static plans")
-
-    def skip(key: str, what: str, label: str, n: int) -> bool:
-        if table.source(key) != "static":
-            return False
-        stats.scenarios_skipped += 1
-        if verbose:
-            print(f"  {what} {label:>14} N={n:<3} -> "
-                  f"pre-seeded, sweep skipped ({key})")
-        return True
-
-    for label, n, counts in _allgatherv_scenarios(procs):
-        stats.scenarios_total += 1
-        volumes = [c * DOUBLE_BYTES for c in counts]
-        ctx = SelectionContext(collective="allgatherv", size=n,
+    for collective, label, n, volumes, body in scenarios(procs):
+        ctx = SelectionContext(collective=collective, size=n,
                                volumes=tuple(volumes), dtype_size=DOUBLE_BYTES,
                                config=config, cost=cost)
         key = bucket_key(ctx)
-        if skip(key, "allgatherv", label, n):
-            continue
-        latencies: Dict[str, float] = {}
-        for algorithm in REGISTRY.candidates("allgatherv", ctx):
-            latencies[algorithm.name] = _measure_allgatherv(
-                n, counts, algorithm.name, config, cost)
-            stats.warmup_runs += 1
+        latencies: Dict[str, float] = {
+            algorithm.name: _measure(n, body, algorithm.name, config, cost)
+            for algorithm in REGISTRY.candidates(collective, ctx)
+        }
         table.record(key, latencies)
         if verbose:
             winner = min(latencies, key=latencies.get)
-            print(f"  allgatherv {label:>14} N={n:<3} -> {winner:<18} ({key})")
-
-    for label, n, pattern in _alltoallw_scenarios(procs):
-        stats.scenarios_total += 1
-        volumes = [0] * n
-        if pattern == "ring":
-            volumes[(0 + 1) % n] = volumes[(0 - 1) % n] = 100 * DOUBLE_BYTES
-        else:
-            volumes = [100 * DOUBLE_BYTES] * n
-            volumes[0] = 0  # self entry carries no wire volume
-        ctx = SelectionContext(collective="alltoallw", size=n,
-                               volumes=tuple(volumes), dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
-        key = bucket_key(ctx)
-        if skip(key, "alltoallw ", label, n):
-            continue
-        latencies = {}
-        for algorithm in REGISTRY.candidates("alltoallw", ctx):
-            latencies[algorithm.name] = _measure_alltoallw(
-                n, pattern, algorithm.name, config, cost)
-            stats.warmup_runs += 1
-        table.record(key, latencies)
-        if verbose:
-            winner = min(latencies, key=latencies.get)
-            print(f"  alltoallw  {label:>14} N={n:<3} -> {winner:<18} ({key})")
-
-    for label, n, pattern in _sparse_scenarios(procs):
-        stats.scenarios_total += 1
-        ctx = SelectionContext(collective="sparse_alltoall", size=n,
-                               volumes=tuple(_sparse_volumes(n, pattern)),
-                               dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
-        key = bucket_key(ctx)
-        if skip(key, "sparse    ", label, n):
-            continue
-        latencies = {}
-        for algorithm in REGISTRY.candidates("sparse_alltoall", ctx):
-            latencies[algorithm.name] = _measure_sparse(
-                n, pattern, algorithm.name, config, cost)
-            stats.warmup_runs += 1
-        table.record(key, latencies)
-        if verbose:
-            winner = min(latencies, key=latencies.get)
-            print(f"  sparse     {label:>14} N={n:<3} -> {winner:<18} ({key})")
-
+            print(f"  {collective:<15} {label:>14} N={n:<3} -> "
+                  f"{winner:<18} ({key})")
     return table
-
-
-def count_warmup_runs(quick: bool = False, cost: Optional[CostModel] = None,
-                      procs: Optional[Sequence[int]] = None) -> int:
-    """How many simulator measurements a *cold* (un-seeded) sweep would
-    execute -- the same grid walk as :func:`autotune`, candidates counted
-    instead of measured.  Used by the bench CLI / CI to assert that
-    pre-seeding strictly reduces warmup work without paying for a second
-    full sweep."""
-    cost = cost or CostModel(cpu_noise=0.0)
-    procs = tuple(procs) if procs is not None else (PROCS_QUICK if quick else PROCS)
-    config = MPIConfig.optimized()
-    runs = 0
-    for _label, n, counts in _allgatherv_scenarios(procs):
-        volumes = [c * DOUBLE_BYTES for c in counts]
-        ctx = SelectionContext(collective="allgatherv", size=n,
-                               volumes=tuple(volumes), dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
-        runs += len(REGISTRY.candidates("allgatherv", ctx))
-    for _label, n, pattern in _alltoallw_scenarios(procs):
-        volumes = [0] * n
-        if pattern == "ring":
-            volumes[(0 + 1) % n] = volumes[(0 - 1) % n] = 100 * DOUBLE_BYTES
-        else:
-            volumes = [100 * DOUBLE_BYTES] * n
-            volumes[0] = 0
-        ctx = SelectionContext(collective="alltoallw", size=n,
-                               volumes=tuple(volumes), dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
-        runs += len(REGISTRY.candidates("alltoallw", ctx))
-    for _label, n, pattern in _sparse_scenarios(procs):
-        ctx = SelectionContext(collective="sparse_alltoall", size=n,
-                               volumes=tuple(_sparse_volumes(n, pattern)),
-                               dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
-        runs += len(REGISTRY.candidates("sparse_alltoall", ctx))
-    return runs
 
 
 def compare_policies(table_path: str, quick: bool = False,

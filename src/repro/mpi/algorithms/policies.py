@@ -264,10 +264,7 @@ class AutotunedPolicy(SelectionPolicy):
     A table hit costs one bucket classification plus a dict probe -- no
     simulated CPU is charged, unlike the adaptive policy's linear-time
     detection pass.  Untrained buckets fall back to the adaptive rule
-    (with its honest detection cost).  Entries pre-seeded from the
-    analyzer's static communication plans (``source: "static"``) decide
-    with reason ``table:static`` so metrics distinguish measured
-    evidence from static prediction."""
+    (with its honest detection cost)."""
 
     name = "autotuned"
     CACHE_SIZE = 256
@@ -278,39 +275,35 @@ class AutotunedPolicy(SelectionPolicy):
             table = load_table(config.tuning_table)
         self.table = table
         self._fallback = AdaptivePolicy(config)
-        #: bucket key -> (algorithm, reason)
-        self._cache: "OrderedDict[str, tuple]" = OrderedDict()
+        #: bucket key -> algorithm
+        self._cache: "OrderedDict[str, str]" = OrderedDict()
 
     def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
         sole = self._sole(ctx)
         if sole is not None:
             return sole
         key = bucket_key(ctx)
-        cached = self._cache.get(key)
-        if cached is not None:
+        algorithm = self._cache.get(key)
+        if algorithm is not None:
             self._cache.move_to_end(key)
-            algorithm, reason = cached
             if REGISTRY.get(ctx.collective, algorithm).applicable(ctx):
                 return Decision(ctx.collective, algorithm, self.name,
-                                reason=reason, cache="hit")
+                                reason="table", cache="hit")
         algorithm = self.table.lookup(key) if self.table is not None else None
         if (algorithm is not None
                 and algorithm in REGISTRY.names(ctx.collective)
                 and REGISTRY.get(ctx.collective, algorithm).applicable(ctx)):
-            reason = ("table:static"
-                      if self.table.source(key) == "static" else "table")
-            self._remember(key, algorithm, reason)
+            self._remember(key, algorithm)
             return Decision(ctx.collective, algorithm, self.name,
-                            reason=reason, cache="miss")
+                            reason="table", cache="miss")
         decision = self._fallback.decide(ctx, prof)
         decision.policy = self.name
         decision.reason = f"untrained->{decision.reason}"
         decision.cache = "miss"
         return decision
 
-    def _remember(self, key: str, algorithm: str,
-                  reason: str = "table") -> None:
-        self._cache[key] = (algorithm, reason)
+    def _remember(self, key: str, algorithm: str) -> None:
+        self._cache[key] = algorithm
         self._cache.move_to_end(key)
         while len(self._cache) > self.CACHE_SIZE:
             self._cache.popitem(last=False)

@@ -36,10 +36,6 @@ from repro.mpi.algorithms.registry import SelectionContext
 
 SCHEMA = "repro-tuning/1"
 
-#: the analyzer's static communication-plan artifact
-#: (``repro.analyze.emit.to_plans``); :meth:`TuningTable.preseed` ingests it
-PLANS_SCHEMA = "repro-plans/1"
-
 #: max-over-mean ratio above which a volume set is classed as "outlier"
 OUTLIER_PROFILE_RATIO = 4.0
 
@@ -120,8 +116,7 @@ class TuningTable:
 
     def record(self, key: str, latencies: Dict[str, float]) -> None:
         """Merge one scenario's per-algorithm latencies (seconds) into the
-        table; the entry's winner is the argmin of accumulated latency.
-        A measurement upgrades a statically pre-seeded entry."""
+        table; the entry's winner is the argmin of accumulated latency."""
         entry = self.entries.setdefault(
             key, {"algorithm": None, "latency_us": {}, "scenarios": 0})
         acc = entry.setdefault("latency_us", {})
@@ -129,42 +124,6 @@ class TuningTable:
             acc[name] = acc.get(name, 0.0) + seconds * 1e6
         entry["scenarios"] = entry.get("scenarios", 0) + 1
         entry["algorithm"] = min(acc, key=acc.get)
-        entry["source"] = "measured"
-
-    def source(self, key: str) -> Optional[str]:
-        """``"measured"`` / ``"static"`` for a trained key, None when
-        untrained (entries predating the field count as measured)."""
-        entry = self.entries.get(key)
-        if entry is None:
-            return None
-        return entry.get("source", "measured")
-
-    def preseed(self, plans_doc: dict) -> int:
-        """Pre-seed untrained buckets from a ``repro-plans/1`` document
-        (the analyzer's static communication plans).
-
-        Each statically classified bucket whose call sites agree on a
-        predicted algorithm becomes a ``source: "static"`` entry with no
-        latency evidence; measured entries are never overwritten.
-        Returns the number of buckets seeded.
-        """
-        if plans_doc.get("schema") != PLANS_SCHEMA:
-            raise ValueError(
-                f"not a {PLANS_SCHEMA} document "
-                f"(schema={plans_doc.get('schema')!r})")
-        seeded = 0
-        for key, info in sorted(plans_doc.get("buckets", {}).items()):
-            algorithm = info.get("algorithm")
-            if not algorithm or key in self.entries:
-                continue
-            self.entries[key] = {
-                "algorithm": algorithm,
-                "latency_us": {},
-                "scenarios": 0,
-                "source": "static",
-            }
-            seeded += 1
-        return seeded
 
     # -- (de)serialisation ---------------------------------------------------
 

@@ -1,13 +1,11 @@
 """Tests for the interprocedural layer: call graph, transitive
 summaries, cross-function/cross-file rule propagation, the LNT007
-unused-suppression lint, deterministic emitters, and the repro-plans/1
-static->runtime pre-seeding loop."""
+unused-suppression lint, deterministic emitters, and the measured
+autotune sweep."""
 
 import json
 import textwrap
 from pathlib import Path
-
-import pytest
 
 from repro.analyze.dataflow import (
     Project,
@@ -17,7 +15,7 @@ from repro.analyze.dataflow import (
     module_envs,
     strongly_connected,
 )
-from repro.analyze.emit import report_to_dicts, to_plans
+from repro.analyze.emit import report_to_dicts, to_json
 from repro.analyze.findings import Report
 from repro.analyze.suppress import collect_suppressions
 
@@ -462,7 +460,7 @@ def test_report_dicts_are_sorted_and_deduped():
         [("a.py", 2), ("a.py", 5), ("z.py", 9)]
 
 
-def test_to_plans_schema_and_determinism():
+def test_plans_json_is_deterministic():
     source = textwrap.dedent("""
         def exchange(comm, n):
             counts = [4096] + [1] * 7
@@ -471,115 +469,25 @@ def test_to_plans_schema_and_determinism():
             yield from comm.allgatherv(send, recv, counts)
     """)
     _report, plans1 = analyze_source_set([("m.py", source)])
-    _report, plans2 = analyze_source_set([("m.py", source)])
-    doc1, doc2 = to_plans(plans1), to_plans(plans2)
+    report, plans2 = analyze_source_set([("m.py", source)])
+    doc1, doc2 = to_json(report, plans1), to_json(report, plans2)
     assert doc1 == doc2
-    doc = json.loads(doc1)
-    assert doc["schema"] == "repro-plans/1"
-    (key, bucket), = doc["buckets"].items()
-    assert key.startswith("allgatherv|p8|")
-    assert key.endswith("|outlier")
-    assert bucket["algorithm"]  # adaptive prediction present
-    assert bucket["sites"] == 1
+    (plan,) = json.loads(doc1)["plans"]
+    assert plan["profile"] == "outlier"
+    assert plan["decisions"]["adaptive"]  # adaptive prediction present
 
 
-def test_to_plans_disagreeing_sites_emit_null_algorithm():
-    _report, plans = analyze_source_set([("m.py", textwrap.dedent("""
-        def a(comm):
-            counts = [4096] + [1] * 7
-            yield from comm.allgatherv(object(), object(), counts)
-    """))])
-    # same bucket, forged disagreement
-    import copy
+# -- the autotune sweep -------------------------------------------------------
 
-    other = copy.deepcopy(plans[0])
-    other.decisions = {"adaptive": "ring"}
-    plans[0].decisions = {"adaptive": "recursive_doubling"}
-    other.line = plans[0].line + 10
-    doc = json.loads(to_plans(plans + [other]))
-    (bucket,) = doc["buckets"].values()
-    assert bucket["algorithm"] is None
-    assert bucket["sites"] == 2
+def test_autotune_sweep_trains_every_grid_collective():
+    from repro.mpi.algorithms.autotune import autotune
 
-
-# -- repro-plans/1 pre-seeding the autotuner ----------------------------------
-
-PLANS_DOC = {
-    "schema": "repro-plans/1",
-    "plans": [],
-    "buckets": {
-        "allgatherv|p8|b15|outlier": {
-            "algorithm": "dissemination", "profile": "outlier", "sites": 1},
-        "allgatherv|p8|b6|uniform": {
-            "algorithm": None, "profile": "uniform", "sites": 2},
-    },
-}
-
-
-def test_preseed_seeds_untrained_buckets_only():
-    from repro.mpi.algorithms.tuning import TuningTable
-
-    table = TuningTable()
-    table.record("allgatherv|p8|b15|outlier", {"ring": 2e-6})
-    seeded = table.preseed(PLANS_DOC)
-    assert seeded == 0  # trained bucket wins; null-algorithm bucket skipped
-    fresh = TuningTable()
-    assert fresh.preseed(PLANS_DOC) == 1
-    assert fresh.lookup("allgatherv|p8|b15|outlier") == "dissemination"
-    assert fresh.source("allgatherv|p8|b15|outlier") == "static"
-    with pytest.raises(ValueError, match="repro-plans/1"):
-        fresh.preseed({"schema": "nope"})
-
-
-def test_measurement_upgrades_static_entry():
-    from repro.mpi.algorithms.tuning import TuningTable
-
-    table = TuningTable()
-    table.preseed(PLANS_DOC)
-    key = "allgatherv|p8|b15|outlier"
-    table.record(key, {"ring": 1e-6, "dissemination": 2e-6})
-    assert table.source(key) == "measured"
-    assert table.lookup(key) == "ring"
-
-
-def test_autotuned_policy_reports_static_reason():
-    from repro.mpi import MPIConfig
-    from repro.mpi.algorithms import (
-        AutotunedPolicy, SelectionContext, TuningTable, bucket_key,
-    )
-
-    config = MPIConfig.optimized().with_(selection_policy="autotuned")
-    table = TuningTable()
-    ctx = SelectionContext(collective="allgatherv", size=8,
-                           volumes=[4096] + [1] * 7)
-    doc = {"schema": "repro-plans/1", "plans": [], "buckets": {
-        bucket_key(ctx): {"algorithm": "ring", "profile": "outlier",
-                          "sites": 1}}}
-    table.preseed(doc)
-    pol = AutotunedPolicy(config, table=table)
-    decision = pol.decide(ctx)
-    assert decision.reason == "table:static"
-    assert decision.algorithm == "ring"
-    # the cache remembers the reason verbatim
-    assert pol.decide(ctx).reason == "table:static"
-
-
-def test_preseeded_autotune_skips_warmups(tree_scan):
-    """The static->runtime contract: pre-seeding with the tree's own
-    extracted plans reaches a table with strictly fewer warmup
-    simulations than a cold sweep."""
-    from repro.mpi.algorithms.autotune import (
-        AutotuneStats, autotune, count_warmup_runs,
-    )
-
-    doc = json.loads(to_plans(tree_scan.plans))
-    assert doc["buckets"], "tree should yield at least one static bucket"
-
-    stats = AutotuneStats()
-    table = autotune(quick=True, preseed=doc, stats=stats)
-    cold = count_warmup_runs(quick=True)
-    assert stats.preseeded_keys  # something was seeded
-    assert stats.scenarios_skipped >= 1
-    assert stats.warmup_runs < cold
-    # skipped scenarios keep their static entry; measured ones upgrade
-    assert any(table.source(k) == "static" for k in stats.preseeded_keys)
+    table = autotune(procs=(4,))
+    trained = {key.split("|")[0] for key in table.entries}
+    assert trained == {"allgatherv", "alltoallw", "sparse_alltoall"}
+    for entry in table.entries.values():
+        latency = entry["latency_us"]
+        assert entry["algorithm"] == min(latency, key=latency.get)
+    sparse_winners = {entry["algorithm"] for key, entry in table.entries.items()
+                      if key.startswith("sparse_alltoall|")}
+    assert sparse_winners & {"nbx", "nbx_binned"}
