@@ -17,14 +17,20 @@ Discovery costs a full membership agreement per round (counts exchange
 or consensus barrier); the cached plan replaces it with one fingerprint
 agreement plus exactly the data messages, so its advantage grows with
 the number of rounds the pattern is reused.
+
+:func:`assembly_figure` is the ``python -m repro.bench assembly`` gate:
+plan reuse must be byte-identical to rediscovery and put strictly fewer
+messages on the wire at every size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
+from repro.bench.harness import FigureData
 from repro.mpi import Cluster, MPIConfig
 from repro.petsc import Layout, Vec
 from repro.prof import Profiler
@@ -92,3 +98,40 @@ def run_assembly(nprocs: int, strategy: str,
         messages=int(cluster.net.messages_on_wire),
         checksum=float(outcomes[0][1]),
     )
+
+
+def assembly_figure(quick: bool = False) -> Tuple[FigureData, List[str]]:
+    """The three strategies side by side, plus the gate's violations."""
+    procs = (4, 8, 16) if quick else (4, 8, 16, 32)
+    # the plan's one-time fingerprint agreement amortises after ~4-5
+    # cached rounds; run well past break-even so the gate is meaningful
+    rounds = 8 if quick else 12
+    fig = FigureData(
+        name="assembly",
+        title=f"Repeated sparse Vec assembly x{rounds} "
+              "(latency s / wire messages)",
+        columns=["P", "dense (s)", "NBX (s)", "NBX+plan (s)",
+                 "dense msgs", "NBX msgs", "plan msgs"],
+        notes=["dense/NBX rediscover the pattern every round; NBX+plan "
+               "caches it (VEC_SUBSET_OFF_PROC_ENTRIES) after round 0"],
+    )
+    problems = []
+    for n in procs:
+        res = {s: run_assembly(n, s, rounds=rounds)
+               for s in ("dense", "nbx", "plan")}
+        fig.add_row(n, res["dense"].latency, res["nbx"].latency,
+                    res["plan"].latency, res["dense"].messages,
+                    res["nbx"].messages, res["plan"].messages)
+        if not (res["dense"].checksum == res["nbx"].checksum
+                == res["plan"].checksum):
+            problems.append(
+                f"P={n}: strategies disagree on the assembled vector "
+                f"(dense {res['dense'].checksum}, nbx {res['nbx'].checksum},"
+                f" plan {res['plan'].checksum})")
+        for other in ("dense", "nbx"):
+            if res["plan"].messages >= res[other].messages:
+                problems.append(
+                    f"P={n}: cached plan sent {res['plan'].messages} "
+                    f"message(s), not fewer than {other}'s "
+                    f"{res[other].messages}")
+    return fig, problems

@@ -25,7 +25,7 @@ implementation, best-of-``repeats``.  A case fails when::
 with a generous default tolerance, because these are wall-clock numbers on
 shared CI machines; the margin the pass pipeline buys on violation-prone
 cases is an order of magnitude, not percents.  ``python -m repro.bench
---guidelines --no-ir-passes`` disables the optimization pipeline, which
+guidelines --no-ir-passes`` disables the optimization pipeline, which
 must trip the gate (CI asserts exit 1) -- proving the benchmarks measure
 the compiler, not the weather.
 """

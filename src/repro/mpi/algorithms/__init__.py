@@ -12,7 +12,7 @@ Three layers:
   single dispatch point every collective entry function calls,
 - :mod:`repro.mpi.algorithms.tuning` / ``autotune`` -- the tuning-table
   schema and the simulator sweep that fills it
-  (``python -m repro.bench --autotune``).
+  (``python -m repro.bench autotune``).
 
 :mod:`repro.mpi.algorithms.validation` additionally hosts the shared
 counts/displacements normaliser the v-collectives use.

@@ -1,6 +1,6 @@
 """Simulator-driven autotuning: measure candidates, emit a tuning table.
 
-``python -m repro.bench --autotune`` drives :func:`autotune` over a grid of
+``python -m repro.bench autotune`` drives :func:`autotune` over a grid of
 collective scenarios (communicator sizes x volume profiles), times every
 applicable registered algorithm in the simulator, and records the winner
 per bucket key in a :class:`repro.mpi.algorithms.tuning.TuningTable`.

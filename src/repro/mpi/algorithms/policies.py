@@ -21,7 +21,7 @@ Four policies (chosen by :attr:`repro.mpi.config.MPIConfig.selection_policy`):
 
 ``autotuned``
     Look the call's bucket up in a tuning table measured in the simulator
-    (``python -m repro.bench --autotune``); an LRU decision cache keeps the
+    (``python -m repro.bench autotune``); an LRU decision cache keeps the
     per-call overhead at one dict probe.  Untrained buckets fall back to
     the ``adaptive`` rule (including its detection-cost accounting).
 

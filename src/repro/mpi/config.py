@@ -14,7 +14,7 @@ Collective-algorithm selection is governed by :attr:`MPIConfig.selection_policy`
 - ``"mpich"`` forces the stock MPICH2 selection thresholds everywhere,
 - ``"adaptive"`` forces the paper's section 4.2 rules everywhere,
 - ``"autotuned"`` consults the tuning table at :attr:`tuning_table`
-  (``python -m repro.bench --autotune`` regenerates it),
+  (``python -m repro.bench autotune`` regenerates it),
 - ``"fixed:<name>"`` pins every collective that registers an algorithm of
   that name (microbenchmarks).
 """

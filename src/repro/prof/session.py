@@ -8,7 +8,7 @@ shares one session-wide :class:`MetricsRegistry`, and
 :meth:`repro.bench.harness.FigureData.add_row` snapshots the metric delta
 attributable to each figure row.
 
-Typical use (what ``python -m repro.bench --profile`` does)::
+Typical use (what ``python -m repro.bench figures --profile`` does)::
 
     from repro.prof import session
     session.enable()

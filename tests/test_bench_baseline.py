@@ -133,17 +133,17 @@ def test_trajectory_rejects_non_list(tmp_path):
 @pytest.fixture(scope="module")
 def fig12_artifact(tmp_path_factory):
     path = tmp_path_factory.mktemp("baseline") / "bench.json"
-    assert main(["fig12", "--quick", "--emit-json", str(path)]) == 0
+    assert main(["figures", "fig12", "--quick", "--emit-json", str(path)]) == 0
     return str(path)
 
 
 def test_cli_baseline_passes_on_identical_rerun(fig12_artifact, capsys):
-    assert main(["fig12", "--quick", "--baseline", fig12_artifact]) == 0
+    assert main(["figures", "fig12", "--quick", "--baseline", fig12_artifact]) == 0
     assert "no perf regression" in capsys.readouterr().out
 
 
 def test_cli_baseline_fails_on_degraded_run(fig12_artifact, capsys):
-    assert main(["fig12", "--quick", "--baseline", fig12_artifact,
+    assert main(["figures", "fig12", "--quick", "--baseline", fig12_artifact,
                  "--degrade", "4.0"]) == 1
     out = capsys.readouterr().out
     assert "PERF REGRESSION" in out
@@ -157,19 +157,23 @@ def test_cli_baseline_fails_on_degraded_run(fig12_artifact, capsys):
 def test_cli_baseline_rejects_wrong_schema(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema": "something-else/1"}')
-    assert main(["fig12", "--quick", "--baseline", str(bad)]) == 2
+    assert main(["figures", "fig12", "--quick", "--baseline", str(bad)]) == 2
 
 
-def test_cli_critpath_and_flame_require_profile(capsys):
-    assert main(["fig12", "--critpath-out", "c.json"]) == 2
-    assert main(["fig12", "--flame-out", "f.txt"]) == 2
+def test_cli_critpath_and_flame_imply_profile(tmp_path, capsys):
+    crit = tmp_path / "crit.json"
+    flame = tmp_path / "flame.txt"
+    assert main(["figures", "fig12", "--quick", "--critpath-out", str(crit)]) == 0
+    assert main(["figures", "fig12", "--quick", "--flame-out", str(flame)]) == 0
+    assert json.loads(crit.read_text())["schema"] == "repro-critpath/1"
+    assert flame.read_text().strip()
 
 
 def test_cli_critpath_flame_trajectory_outputs(tmp_path, capsys):
     crit = tmp_path / "crit.json"
     flame = tmp_path / "flame.txt"
     traj = tmp_path / "traj.json"
-    assert main(["fig12", "--quick", "--profile",
+    assert main(["figures", "fig12", "--quick", "--profile",
                  "--critpath-out", str(crit), "--flame-out", str(flame),
                  "--trajectory", str(traj),
                  "--trajectory-label", "deadbeef"]) == 0
