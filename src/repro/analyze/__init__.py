@@ -1,9 +1,10 @@
 """MUST-style MPI correctness analyzer for the simulated stack.
 
 Five layers, one finding currency (:class:`Finding` / :class:`Report`),
-and one static pipeline: :func:`analyze_tree` (files and directories)
-and :func:`analyze_source_set` (in-memory ``(path, text)`` pairs) run the
-lint, dataflow and protocol layers over one parsed project.  The
+and one static pipeline in one configuration: :func:`analyze_tree`
+(files and directories) and :func:`analyze_source_set` (in-memory
+``(path, text)`` pairs) always run the lint, dataflow and protocol layers
+over one parsed project.  The
 ``repro.mpi`` method names every layer recognises come from
 :mod:`repro.analyze.mpiapi`, which reads them off the library.
 
@@ -20,7 +21,7 @@ lint, dataflow and protocol layers over one parsed project.  The
 
 ``repro.analyze.lint``
     AST rules over project and example code: bare excepts, O(N^2) block
-    rescans, ``yield from`` discipline (LNT001-LNT006).
+    rescans, ``yield from`` discipline, stale suppressions (LNT001-LNT007).
 
 ``repro.analyze.dataflow``
     CFG + fixpoint dataflow passes: request lifetime (REQ1xx), buffer
@@ -37,10 +38,9 @@ lint, dataflow and protocol layers over one parsed project.  The
 
 Shell entry point::
 
-    python -m repro.analyze src
-    python -m repro.analyze --dataflow src examples
-    python -m repro.analyze --protocol src examples
-    python -m repro.analyze --dataflow --format sarif -o out.sarif src
+    python -m repro.analyze src examples tests
+    python -m repro.analyze --format sarif -o out.sarif src
+    python -m repro.analyze --protocol-stats src
     python -m repro.analyze --run examples/ghost_exchange_2d.py
 
 Findings on any line can be silenced with an inline

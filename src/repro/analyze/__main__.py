@@ -1,49 +1,34 @@
 """Command-line entry point: ``python -m repro.analyze``.
 
 Every run goes through the one analyzer pipeline
-(:func:`repro.analyze.dataflow.driver.analyze_tree`): the lint rules
-(LNT001-LNT007) always run; the flags add passes.  Modes (combinable):
+(:func:`repro.analyze.dataflow.driver.analyze_tree`) in its one
+configuration:
 
 ``python -m repro.analyze src examples tests``
-    Lint every ``.py`` file under the given files/directories (LNT
-    rules, including LNT007 for stale suppressions).  Exit code 1 if
+    Analyze every ``.py`` file under the given files/directories: the
+    lint rules (LNT001-LNT007), the CFG/fixpoint dataflow passes (REQ1xx
+    request lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence,
+    PLAN1xx static communication plans) and the cross-rank protocol
+    verifier (MTC10x: every uncalled top-level function taking a
+    communicator is abstractly executed under small model worlds and its
+    per-rank traces joined in a static match graph).  Exit code 1 if
     anything actionable is found.
 
-``python -m repro.analyze --dataflow src examples``
-    Additionally run the CFG/fixpoint dataflow passes (REQ1xx request
-    lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence, PLAN1xx
-    static communication plans).
-
-``python -m repro.analyze --protocol src examples``
-    Additionally run the cross-rank protocol verifier (MTC10x): every
-    uncalled top-level function taking a communicator is abstractly
-    executed under small model worlds and its per-rank traces joined
-    in a static match graph (unmatched sends/receives, deterministic
-    deadlocks, collective divergence, signature/truncation mismatch at
-    matched endpoints).  Combinable with ``--dataflow``.
-
 ``python -m repro.analyze --run examples/ghost_exchange_2d.py``
-    Additionally *execute* the script with every :class:`Cluster` it
-    creates instrumented by a :class:`RuntimeVerifier`, then report
+    Additionally *execute* the script(s) with every :class:`Cluster`
+    they create instrumented by a :class:`RuntimeVerifier`, then report
     runtime findings (deadlocks, leaked requests, signature mismatches,
-    collective inconsistencies, zero-byte audits).
+    collective inconsistencies, zero-byte audits).  Every path must then
+    be a ``.py`` script.
 
 Output:
 
 ``--format text|json|sarif`` selects the emitter (JSON carries the
 extracted communication plans; SARIF 2.1.0 feeds CI annotations);
 ``--output FILE`` writes the machine-readable document to a file while
-keeping the human-readable summary on stdout.  Inline
-``# analyze: ignore[CODE]`` comments suppress findings per line.
-
-Rewriting:
-
-``--fix`` applies the conservative auto-rewrites of
-:mod:`repro.analyze.fix` (insert missing ``yield from``, wait on every
-path, hoist loop-invariant flatten/pack, drop stale suppressions) and
-writes the changed files back; ``--fix --check`` prints the unified
-diffs *without writing* and exits 1 when any rewrite would apply -- the
-CI fix-clean gate.
+keeping the human-readable summary on stdout, which ``--protocol-stats``
+and ``--show-plans`` extend.  Inline ``# analyze: ignore[CODE]``
+comments suppress findings per line.
 """
 
 from __future__ import annotations
@@ -95,23 +80,17 @@ def _run_verified(script: str, report: Report) -> None:
             report.extend(verifier.finalize())
 
 
-def main(argv: List[str] | None = None) -> int:
+def _parse(argv: List[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description="MPI correctness analyzer: lint, CFG/dataflow "
-                    "analysis, static signature checks and runtime "
-                    "verification.",
+                    "analysis, cross-rank protocol verification and "
+                    "runtime verification.",
     )
     parser.add_argument("paths", nargs="+",
                         help="python files or directories to analyze")
-    parser.add_argument("--dataflow", action="store_true",
-                        help="run the CFG/fixpoint dataflow passes "
-                             "(REQ1xx/BUF1xx/SPMD1xx/PLAN1xx)")
-    parser.add_argument("--protocol", action="store_true",
-                        help="run the cross-rank protocol verifier "
-                             "(MTC10x match-graph rules)")
     parser.add_argument("--protocol-stats", action="store_true",
-                        help="with --protocol: print what was verified "
+                        help="print what the protocol verifier verified "
                              "and where extraction bailed")
     parser.add_argument("--run", action="store_true",
                         help="also execute the given script(s) under a "
@@ -127,44 +106,20 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument("--show-plans", action="store_true",
                         help="print the extracted communication plans "
                              "(text format; json always carries them)")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply the conservative auto-rewrites and "
-                             "write the files back")
-    parser.add_argument("--check", action="store_true",
-                        help="with --fix: print the diffs without "
-                             "writing; exit 1 if any rewrite would apply")
     args = parser.parse_args(argv)
+    if args.run:
+        for path in args.paths:
+            if not path.endswith(".py"):
+                parser.error(f"--run executes python scripts; {path!r} "
+                             "is not a .py file")
+    return args
 
-    if args.check and not args.fix:
-        parser.error("--check requires --fix")
 
-    if args.fix:
-        from repro.analyze.fix import fix_paths
-
-        try:
-            result = fix_paths(args.paths, write=not args.check)
-        except (FileNotFoundError, SyntaxError) as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-        if result:
-            if args.check:
-                sys.stdout.write(result.diff())
-                print(f"analyze --fix --check: {len(result.changed)} "
-                      "file(s) would be rewritten")
-                return 1
-            for action in result.actions:
-                print(action)
-            print(f"analyze --fix: rewrote {len(result.changed)} file(s)")
-        else:
-            print("analyze --fix: nothing to rewrite")
-        if args.check:
-            return 0
-        # fall through: report what remains after the rewrites
-
+def main(argv: List[str] | None = None) -> int:
+    args = _parse(argv)
     protocol_stats: list = []
     try:
-        report, plans = analyze_tree(args.paths, dataflow=args.dataflow,
-                                     protocol=args.protocol,
+        report, plans = analyze_tree(args.paths,
                                      protocol_stats=protocol_stats)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
@@ -172,8 +127,7 @@ def main(argv: List[str] | None = None) -> int:
 
     if args.run:
         for path in args.paths:
-            if path.endswith(".py"):
-                _run_verified(path, report)
+            _run_verified(path, report)
 
     document = None
     if args.fmt == "json":

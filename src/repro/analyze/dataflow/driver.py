@@ -1,25 +1,21 @@
-"""The analyzer pipeline: one driver for every static pass.
+"""The analyzer pipeline: one driver, one configuration, every static pass.
 
 :func:`analyze_source_set` is the only implementation of
 
 1. **parse** every file into one
    :class:`~repro.analyze.dataflow.callgraph.Project` and collect each
    file's ``# analyze: ignore[...]`` comments;
-2. **summaries** (when dataflow or protocol runs): transitive
-   per-function summaries, bottom-up over the call-graph condensation
-   (:mod:`repro.analyze.dataflow.summaries`), so cross-function and
-   cross-file request hand-off and rank taint resolve;
-3. **lint** (always), then the optional **dataflow** rules (REQ/BUF,
-   SPMD, PLAN) and the **protocol** verifier (MTC), per file with the
-   module's summary environment;
-4. **suppressions**, one index per file shared by every pass that ran,
-   then **LNT007** for each suppression that matched nothing -- sound
-   because a comment is "unused" only when no pass that ran could have
-   matched it.
+2. **summaries**: transitive per-function summaries, bottom-up over the
+   call-graph condensation (:mod:`repro.analyze.dataflow.summaries`), so
+   cross-function and cross-file request hand-off and rank taint resolve;
+3. **lint**, the **dataflow** rules (REQ/BUF, SPMD, PLAN) and the
+   **protocol** verifier (MTC), per file with the module's summary
+   environment; an SPMD101 inside a function the verifier ran at every
+   model size is dropped, since MTC104 decides that divergence there;
+4. **suppressions**, one index per file shared by every pass, then
+   **LNT007** for each suppression that matched nothing.
 
-:func:`analyze_tree` only reads files from disk and hands them in; the
-``--fix`` rewriter iterates :func:`analyze_source_set` over in-memory
-text.  A lint-only run is ``dataflow=False, protocol=False``.
+:func:`analyze_tree` only reads files from disk and hands them in.
 """
 
 from __future__ import annotations
@@ -28,6 +24,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.analyze import protocol as _protocol
 from repro.analyze.dataflow import plans as _plans
 from repro.analyze.dataflow import requests as _requests
 from repro.analyze.dataflow import spmd as _spmd
@@ -47,8 +44,8 @@ from repro.analyze.suppress import (
 __all__ = ["analyze_source_set", "analyze_tree", "iter_python_files"]
 
 #: rule-code prefixes of the runtime/signature passes -- suppressions for
-#: these are never reported unused by the static drivers (the matching
-#: pass did not run here)
+#: these are never reported unused by the static driver (the matching
+#: pass does not run here)
 _NON_STATIC_PREFIXES = ("SIG", "DLK", "REQ0", "P2P", "COL", "ZBS")
 
 #: directory names skipped during directory expansion.  ``fixtures`` holds
@@ -90,29 +87,18 @@ def _run_dataflow(tree: ast.Module, path: str, report: Report,
     plans.extend(_plans.extract_plans(tree, path, report)[0])
 
 
-def _unused_suppression_eligible(code: str, dataflow: bool,
-                                 protocol: bool = False) -> bool:
+def _unused_suppression_eligible(code: str) -> bool:
     """Whether an unmatched suppression for ``code`` is worth flagging:
-    only when the pass family that could have matched it actually ran
-    (unknown codes are always flagged -- they match nothing, ever)."""
-    if code == ALL:
-        return False
-    if code not in RULES:
-        return True  # typo'd rule code: can never match anything
-    if code.startswith(_NON_STATIC_PREFIXES):
-        return False
-    if code.startswith("LNT"):
-        return True  # the lint pass always runs
-    if code.startswith("MTC"):
-        return protocol  # the cross-rank verifier is opt-in
-    return dataflow  # REQ1xx / BUF1xx / SPMD1xx / PLAN1xx
+    every static pass ran, so all but a bare ``ignore`` and the
+    runtime/signature families (whose passes never run here) are."""
+    return code != ALL and not (code in RULES
+                                and code.startswith(_NON_STATIC_PREFIXES))
 
 
 def _report_unused_suppressions(suppressions: Suppressions, path: str,
-                                report: Report, dataflow: bool,
-                                protocol: bool) -> None:
+                                report: Report) -> None:
     for line, code in suppressions.unused_sites():
-        if not _unused_suppression_eligible(code, dataflow, protocol):
+        if not _unused_suppression_eligible(code):
             continue
         report.add(
             "LNT007",
@@ -123,49 +109,65 @@ def _report_unused_suppressions(suppressions: Suppressions, path: str,
         )
 
 
+def _retire_spmd101(report: Report, tree: ast.Module,
+                    stats: List[_protocol.FunctionStat]) -> Report:
+    """``report`` without the SPMD101 findings inside top-level functions
+    the protocol verifier extracted at every size of
+    :data:`~repro.analyze.protocol.WORLD_SIZES`: there the cross-rank
+    MTC104 proves or refutes the divergence SPMD101 only suspects."""
+    verified = {s.func for s in stats
+                if s.verified_sizes == _protocol.WORLD_SIZES}
+    spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name in verified}
+    kept = Report()
+    for f in report:
+        if f.rule == "SPMD101" and f.key[1] in spans:
+            first, last = spans[f.key[1]]
+            if first <= f.line <= last:
+                continue
+        kept.add(f.rule, f.message, f.location, f.line, f.key)
+    return kept
+
+
 def analyze_source_set(
     sources: List[Tuple[str, str]],
-    *,
-    dataflow: bool = True,
-    protocol: bool = False,
-    plans: Optional[List[_plans.CommunicationPlan]] = None,
     protocol_stats: Optional[list] = None,
 ) -> Tuple[Report, List[_plans.CommunicationPlan]]:
     """Analyze in-memory ``(path, text)`` pairs as one project.
 
-    Returns the report and the extracted communication plans (appended
-    to ``plans`` when given); ``protocol_stats`` collects the protocol
-    verifier's per-function :class:`~repro.analyze.protocol.FunctionStat`.
-    Unparseable text raises :class:`SyntaxError`.
+    Returns the report and the extracted communication plans;
+    ``protocol_stats`` collects the protocol verifier's per-function
+    :class:`~repro.analyze.protocol.FunctionStat`.  Unparseable text
+    raises :class:`SyntaxError`.
     """
     report = Report()
-    plans = plans if plans is not None else []
+    plans: List[_plans.CommunicationPlan] = []
     project = Project(sources)
-    envs = module_envs(project) if dataflow or protocol else {}
+    envs = module_envs(project)
     for path, source in sources:
         tree = project.modules[path].tree
         env = envs.get(path, {})
         suppressions = collect_suppressions(source, tree)
         local = Report()
         _Linter(path, local).visit(tree)
-        if dataflow:
-            _run_dataflow(tree, path, local, plans, env)
-        if protocol:
-            from repro.analyze import protocol as _protocol
-
-            _protocol.check_module(tree, path, local, env,
-                                   stats=protocol_stats)
-        filtered = apply_suppressions(local, suppressions)
-        _report_unused_suppressions(suppressions, path, filtered, dataflow,
-                                    protocol)
+        _run_dataflow(tree, path, local, plans, env)
+        stats: List[_protocol.FunctionStat] = []
+        _protocol.check_module(tree, path, local, env, stats=stats)
+        if protocol_stats is not None:
+            protocol_stats.extend(stats)
+        filtered = apply_suppressions(_retire_spmd101(local, tree, stats),
+                                      suppressions)
+        _report_unused_suppressions(suppressions, path, filtered)
         report.extend(filtered)
     return report, plans
 
 
-def analyze_tree(paths: Iterable[Union[str, Path]], **options
+def analyze_tree(paths: Iterable[Union[str, Path]],
+                 protocol_stats: Optional[list] = None,
                  ) -> Tuple[Report, List[_plans.CommunicationPlan]]:
     """:func:`analyze_source_set` over every ``.py`` file under
     ``paths`` (files or directories, see :func:`iter_python_files`)."""
     sources = [(str(p), p.read_text(encoding="utf-8"))
                for p in iter_python_files(paths)]
-    return analyze_source_set(sources, **options)
+    return analyze_source_set(sources, protocol_stats)

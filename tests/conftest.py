@@ -26,13 +26,13 @@ class TreeScan(NamedTuple):
 
 @pytest.fixture(scope="session")
 def tree_scan():
-    """``analyze_tree([src, examples, tests], dataflow=True,
-    protocol=True)``, run once per test session; every tree-clean test
-    reads its report, plans and protocol stats."""
+    """``analyze_tree([src, examples, tests])``, run once per test
+    session; every tree-clean test reads its report, plans and protocol
+    stats."""
     from repro.analyze import analyze_tree
 
     stats: list = []
     report, plans = analyze_tree(
         [REPO / "src", REPO / "examples", REPO / "tests"],
-        dataflow=True, protocol=True, protocol_stats=stats)
+        protocol_stats=stats)
     return TreeScan(report, plans, stats)

@@ -16,9 +16,9 @@ def root_divergent_bcast(comm):
     """Ranks disagree about who broadcasts."""
     value = np.zeros(1, dtype=np.float64)
     if comm.rank == 0:
-        # analyze: ignore[SPMD101] -- both branches do call a collective
+        # both branches call a collective, so SPMD101 stays silent ...
         yield from comm.bcast(value, root=0)
     else:
-        # analyze: ignore[SPMD101]
+        # ... but on a different root
         yield from comm.bcast(None, root=1)
     return value

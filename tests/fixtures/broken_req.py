@@ -3,8 +3,8 @@
 This module is *parsed* by ``tests/test_analyze_dataflow.py`` to pin the
 analyzer's expected findings; it is never imported or executed.  The
 ``fixtures`` directory is excluded from tree-wide analyzer runs
-(:func:`repro.analyze.lint.iter_python_files`), so these bugs do not
-pollute ``python -m repro.analyze --dataflow tests``.
+(:func:`repro.analyze.dataflow.driver.iter_python_files`), so these
+bugs do not pollute ``python -m repro.analyze tests``.
 
 Expected: REQ101 (early return skips the wait), REQ102 (loop-carried
 rebinding of a pending request), REQ103 (undriven blocking generator).

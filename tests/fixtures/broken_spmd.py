@@ -3,9 +3,9 @@
 Parsed (never executed) by ``tests/test_analyze_dataflow.py``; see
 ``broken_req.py`` for why this directory is excluded from tree scans.
 
-Expected: SPMD101 (collective under a rank-dependent branch with no
-matching call on the other side), SPMD102 (rank-dependent early exit
-ahead of a collective).
+Expected: SPMD101 (collective under a rank-dependent branch), reported
+as MTC104 since the protocol verifier covers that function; SPMD102
+(rank-dependent early exit ahead of a collective) beside MTC104.
 """
 
 import numpy as np

@@ -78,10 +78,10 @@ def agreed_root_bcast(comm):
     value = np.zeros(1, dtype=np.float64)
     root = 0
     if comm.rank == root:
-        # analyze: ignore[SPMD101] -- both branches do call a collective
+        # both branches call a collective ...
         yield from comm.bcast(value, root=root)
     else:
-        # analyze: ignore[SPMD101]
+        # ... on the same root
         yield from comm.bcast(None, root=0)
     return value
 

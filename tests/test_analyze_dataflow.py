@@ -12,29 +12,47 @@ import pytest
 
 from repro.analyze.__main__ import main as analyze_main
 from repro.analyze.dataflow import (
+    Project,
     analyze_source_set,
     analyze_tree,
     build_cfg,
     extract_plans,
     liveness,
+    module_envs,
     reaching_definitions,
 )
+from repro.analyze.dataflow.spmd import check_function as check_spmd
 from repro.analyze.emit import to_json, to_sarif
 from repro.analyze.findings import Report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+#: rule prefixes of the dataflow passes
+DATAFLOW = ("REQ", "BUF", "SPMD", "PLAN")
+
 
 def dataflow_report(source):
-    """Dataflow findings of one module (the lint rules that run beside
-    them are left out)."""
+    """Dataflow findings of one module (the lint and protocol findings
+    of the same run are left out)."""
     report, _plans = analyze_source_set([("<string>",
                                           textwrap.dedent(source))])
-    return [f for f in report if not f.rule.startswith("LNT")]
+    return [f for f in report if f.rule.startswith(DATAFLOW)]
 
 
 def rules_of(source):
     return sorted(f.rule for f in dataflow_report(source))
+
+
+def spmd_rules(source):
+    """Rules of the SPMD pass alone, before the pipeline drops SPMD101
+    inside functions the protocol verifier covers."""
+    project = Project([("m.py", textwrap.dedent(source))])
+    env = module_envs(project)["m.py"]
+    report = Report()
+    for node in ast.walk(project.modules["m.py"].tree):
+        if isinstance(node, ast.FunctionDef):
+            check_spmd(node, "m.py", report, env)
+    return sorted(f.rule for f in report)
 
 
 def _cfg_of(source):
@@ -298,7 +316,7 @@ def test_clean_read_after_recv_wait():
 # -- SPMD1xx: rank divergence -------------------------------------------------
 
 def test_spmd101_unmatched_collective_under_rank_branch():
-    assert rules_of("""
+    assert spmd_rules("""
         def f(comm):
             if comm.rank == 0:
                 yield from comm.barrier()
@@ -306,7 +324,7 @@ def test_spmd101_unmatched_collective_under_rank_branch():
 
 
 def test_spmd101_taint_flows_through_assignments():
-    assert rules_of("""
+    assert spmd_rules("""
         def f(comm):
             r = comm.rank
             is_root = r == 0
@@ -316,7 +334,7 @@ def test_spmd101_taint_flows_through_assignments():
 
 
 def test_spmd101_helper_collective_summary():
-    assert rules_of("""
+    assert spmd_rules("""
         def _sync(comm):
             yield from comm.barrier()
 
@@ -356,6 +374,30 @@ def test_spmd102_early_exit_before_collective():
             total = yield from comm.allreduce(float(len(data)))
             return total
     """) == ["SPMD102"]
+
+
+def test_spmd101_retired_where_the_protocol_verifier_ran():
+    # verified at every model size: MTC104 alone reports the divergence
+    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+        def f(comm):
+            if comm.rank == 0:
+                yield from comm.barrier()
+    """))])
+    assert [f.rule for f in report] == ["MTC104"]
+
+
+def test_spmd101_kept_where_protocol_extraction_bails():
+    stats = []
+    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+        def f(comm):
+            mask = 1
+            while mask < comm.size:
+                if comm.rank == 0:
+                    yield from comm.barrier()
+                mask <<= 1
+    """))], protocol_stats=stats)
+    assert [s.verified_sizes for s in stats] == [()]
+    assert [f.rule for f in report] == ["SPMD101"]
 
 
 def test_spmd_split_subcommunicator_idiom_is_clean():
@@ -459,9 +501,8 @@ def test_plan_to_dict_is_json_serialisable():
 
 def test_inline_suppression_silences_one_rule():
     assert rules_of("""
-        def f(comm):
-            if comm.rank == 0:
-                yield from comm.barrier()  # analyze: ignore[SPMD101]
+        def f(comm, data):
+            req = yield from comm.isend(data, 1)  # analyze: ignore[REQ101]
     """) == []
 
 
@@ -474,27 +515,27 @@ def test_standalone_comment_suppresses_next_line():
 
 
 def test_bare_ignore_suppresses_everything_on_line():
-    assert rules_of("""
-        def f(comm):
-            if comm.rank == 0:
-                yield from comm.barrier()  # analyze: ignore
-    """) == []
+    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+        def f(comm, data):
+            req = yield from comm.isend(data, 1)  # analyze: ignore
+    """))])
+    assert list(report) == []
 
 
 def test_suppression_of_other_code_does_not_silence():
     assert rules_of("""
-        def f(comm):
-            if comm.rank == 0:
-                yield from comm.barrier()  # analyze: ignore[REQ101]
-    """) == ["SPMD101"]
+        def f(comm, data):
+            req = yield from comm.isend(data, 1)  # analyze: ignore[BUF101]
+    """) == ["REQ101"]
 
 
 # -- fixtures pinned ----------------------------------------------------------
 
 FIXTURE_EXPECTATIONS = {
-    "broken_req.py": ["REQ101", "REQ102", "REQ103"],
+    "broken_req.py": ["MTC101", "REQ101", "REQ102", "REQ103"],
     "broken_buf.py": ["BUF101", "BUF102"],
-    "broken_spmd.py": ["SPMD101", "SPMD102"],
+    # both SPMD101 sites sit in functions the protocol verifier covers
+    "broken_spmd.py": ["MTC104", "MTC104", "SPMD102"],
     "broken_plan.py": ["PLAN101", "PLAN102", "PLAN103"],
 }
 
@@ -529,7 +570,7 @@ def test_sarif_emitter_locations_and_levels():
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert rule_ids == {"REQ101", "REQ102", "REQ103"}
+    assert rule_ids == {"MTC101", "REQ101", "REQ102", "REQ103"}
     for result in run["results"]:
         assert result["level"] == "error"
         loc = result["locations"][0]["physicalLocation"]
@@ -558,17 +599,16 @@ def _run_cli(*argv):
 
 
 def test_cli_dataflow_sarif_on_broken_fixture():
-    proc = _run_cli("--dataflow", "--format", "sarif",
-                    str(FIXTURES / "broken_spmd.py"))
+    proc = _run_cli("--format", "sarif", str(FIXTURES / "broken_spmd.py"))
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
-    assert ids == {"SPMD101", "SPMD102"}
+    assert ids == {"MTC104", "SPMD102"}
 
 
 def test_cli_dataflow_output_file(tmp_path):
     out = tmp_path / "findings.json"
-    proc = _run_cli("--dataflow", "--format", "json", "-o", str(out),
+    proc = _run_cli("--format", "json", "-o", str(out),
                     str(FIXTURES / "broken_buf.py"))
     assert proc.returncode == 1
     doc = json.loads(out.read_text())
@@ -581,5 +621,12 @@ def test_cli_dataflow_clean_file_exits_zero(tmp_path):
         "def f(comm):\n"
         "    yield from comm.barrier()\n"
     )
-    proc = _run_cli("--dataflow", str(clean))
+    proc = _run_cli(str(clean))
     assert proc.returncode == 0
+
+
+def test_cli_show_plans_prints_the_extracted_plans():
+    proc = _run_cli("--show-plans", str(FIXTURES / "broken_plan.py"))
+    assert proc.returncode == 1
+    assert "static communication plan(s):" in proc.stdout
+    assert "gatherv() in " in proc.stdout

@@ -19,21 +19,19 @@ from repro.analyze.emit import report_to_dicts, to_json
 from repro.analyze.findings import Report
 from repro.analyze.suppress import collect_suppressions
 
+from tests.test_analyze_dataflow import rules_of, spmd_rules
+
 TESTS = Path(__file__).parent
 FIXTURES = TESTS / "fixtures"
 
 
-def rules_of(source):
-    """Dataflow rules of one module (the lint rules are left out)."""
-    report, _plans = analyze_source_set([("<string>",
-                                          textwrap.dedent(source))])
-    return sorted(f.rule for f in report if not f.rule.startswith("LNT"))
-
-
 def tree_rules_of(named_sources):
+    """(path, rule) of the lint and dataflow findings of a project (the
+    protocol findings of the same run are left out)."""
     report, _ = analyze_source_set(
         sorted((p, textwrap.dedent(s)) for p, s in named_sources.items()))
-    return sorted((f.location, f.rule) for f in report)
+    return sorted((f.location, f.rule) for f in report
+                  if not f.rule.startswith("MTC"))
 
 
 # -- call graph ---------------------------------------------------------------
@@ -149,7 +147,7 @@ def test_keyword_only_wait_parameter_is_clean():
 
 
 def test_rank_tainted_helper_return_flags_spmd101():
-    assert rules_of("""
+    assert spmd_rules("""
         def parity(comm):
             return comm.rank % 2
 
@@ -173,15 +171,17 @@ def test_cross_file_summaries_resolve_through_imports(tmp_path):
             yield from req.wait()
     """))
     report, _plans = analyze_tree([str(tmp_path)])
-    assert sorted(f.rule for f in report) == []
+    assert [f.rule for f in report if not f.rule.startswith("MTC")] == []
 
 
 def test_cross_function_fixture_pinned():
     report, _plans = analyze_tree([FIXTURES / "cross_function.py"])
-    assert sorted(f.rule for f in report) == ["REQ101", "SPMD101"]
+    assert sorted(f.rule for f in report) == ["MTC101"] * 4 + [
+        "MTC104", "REQ101"]
     by_rule = {f.rule: f for f in report}
     assert "caller_drops_handed_off_request" in by_rule["REQ101"].message
-    assert "caller_of_rank_tainted_helper" in by_rule["SPMD101"].message
+    # the verifier covers the caller, so MTC104 replaces SPMD101 there
+    assert "caller_of_rank_tainted_helper" in by_rule["MTC104"].message
 
 
 # -- attribute-qualified calls: self.helper(...) / mod.fn(...) ----------------
@@ -419,7 +419,7 @@ def test_used_suppression_is_not_lnt007():
     assert tree_rules_of({"m.py": """
         def f(comm):
             if comm.rank == 0:
-                yield from comm.barrier()  # analyze: ignore[SPMD101]
+                yield from comm.barrier()  # analyze: ignore[MTC104]
     """}) == []
 
 

@@ -18,10 +18,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def lint(source, path="<string>"):
-    """A lint-only run of the analyzer pipeline over one module."""
-    report, _plans = analyze_source_set([(path, textwrap.dedent(source))],
-                                        dataflow=False, protocol=False)
-    return report
+    """The lint findings of an analyzer run over one module."""
+    report, _plans = analyze_source_set([(path, textwrap.dedent(source))])
+    return [f for f in report if f.rule.startswith("LNT")]
 
 
 def rules_of(source):
@@ -313,24 +312,24 @@ def test_cli_lint_broken_file_exits_one(tmp_path, capsys):
     assert "LNT001" in out and "LNT003" in out
 
 
-def test_stale_suppression_same_with_and_without_dataflow(tmp_path, capsys):
-    # lint-only runs go through the same pipeline, so a stale suppression
-    # is LNT007 whether or not the dataflow passes run
+def test_cli_stale_suppression_is_lnt007(tmp_path, capsys):
     f = tmp_path / "stale.py"
     f.write_text("x = 1  # analyze: ignore[LNT001]\n")
-    runs = []
-    for extra in ([], ["--dataflow"]):
-        code = analyze_main([*extra, "--format", "json", str(f)])
-        findings = json.loads(capsys.readouterr().out)["findings"]
-        runs.append((code, findings))
-    assert runs[0] == runs[1]
-    code, findings = runs[0]
-    assert code == 1
+    assert analyze_main(["--format", "json", str(f)]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
     assert [(d["rule"], d["line"]) for d in findings] == [("LNT007", 1)]
 
 
 def test_cli_missing_path_exits_two(tmp_path):
     assert analyze_main([str(tmp_path / "nope.txt")]) == 2
+
+
+def test_cli_run_mode_rejects_a_directory(capsys):
+    # --run executes scripts: a directory used to run nothing and exit 0
+    with pytest.raises(SystemExit) as exc:
+        analyze_main(["--run", str(REPO / "examples")])
+    assert exc.value.code == 2
+    assert "not a .py file" in capsys.readouterr().err
 
 
 def test_cli_run_mode_reports_runtime_findings(tmp_path, capsys):

@@ -440,8 +440,7 @@ PROTO_FIXTURES = {
 
 @pytest.mark.parametrize("name,expected", sorted(PROTO_FIXTURES.items()))
 def test_proto_fixture_findings_pinned(name, expected):
-    report, _plans = analyze_tree([FIXTURES / name], dataflow=False,
-                                  protocol=True)
+    report, _plans = analyze_tree([FIXTURES / name])
     assert sorted(f.rule for f in report) == expected
 
 
@@ -464,7 +463,7 @@ def test_protocol_clean_over_full_tree(tree_scan):
     assert len(verified) >= 10
 
 
-# -- suppressions and LNT007 family gating ------------------------------------
+# -- suppressions and LNT007 -------------------------------------------------
 
 
 def test_mtc_suppression_honoured():
@@ -478,11 +477,11 @@ def test_mtc_suppression_honoured():
             yield from comm.send(buf, right)  # analyze: ignore[MTC103]
             yield from comm.recv(out, source=left)
     """)
-    report, _plans = analyze_source_set([("t.py", source)], protocol=True)
+    report, _plans = analyze_source_set([("t.py", source)])
     assert not _mtc_findings(report)
 
 
-def test_stale_mtc_suppression_flagged_only_when_protocol_ran():
+def test_stale_mtc_suppression_flagged():
     source = textwrap.dedent("""
         import numpy as np
         def main(comm):
@@ -490,24 +489,15 @@ def test_stale_mtc_suppression_flagged_only_when_protocol_ran():
             value = yield from comm.allreduce(1.0)  # analyze: ignore[MTC104]
             return value
     """)
-    with_protocol, _ = analyze_source_set([("t.py", source)],
-                                          dataflow=False, protocol=True)
-    assert [f.rule for f in with_protocol] == ["LNT007"]
-    without, _ = analyze_source_set([("t.py", source)],
-                                    dataflow=False, protocol=False)
-    assert not list(without)
+    report, _ = analyze_source_set([("t.py", source)])
+    assert [f.rule for f in report] == ["LNT007"]
 
 
 def test_unused_suppression_eligibility_is_family_gated():
-    assert _unused_suppression_eligible("MTC101", dataflow=True,
-                                        protocol=False) is False
-    assert _unused_suppression_eligible("MTC101", dataflow=False,
-                                        protocol=True) is True
-    # existing families keep their gating
-    assert _unused_suppression_eligible("REQ101", dataflow=True,
-                                        protocol=True) is True
-    assert _unused_suppression_eligible("SIG001", dataflow=True,
-                                        protocol=True) is False
+    assert _unused_suppression_eligible("MTC101") is True
+    assert _unused_suppression_eligible("REQ101") is True
+    # the runtime/signature passes never run in the static driver
+    assert _unused_suppression_eligible("SIG001") is False
 
 
 # -- hypothesis: static MTC105 against the concrete signature path ------------
@@ -575,7 +565,7 @@ def _run_cli(*argv):
 
 
 def test_cli_protocol_sarif_on_broken_fixture():
-    proc = _run_cli("--protocol", "--format", "sarif",
+    proc = _run_cli("--format", "sarif",
                     str(FIXTURES / "broken_proto_tag.py"))
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
@@ -586,14 +576,13 @@ def test_cli_protocol_sarif_on_broken_fixture():
 
 
 def test_cli_protocol_clean_fixture_exits_zero():
-    proc = _run_cli("--protocol", str(FIXTURES / "clean_proto.py"))
+    proc = _run_cli(str(FIXTURES / "clean_proto.py"))
     assert proc.returncode == 0
     assert "no findings" in proc.stdout
 
 
 def test_cli_protocol_stats_lists_candidates():
-    proc = _run_cli("--protocol", "--protocol-stats",
-                    str(FIXTURES / "clean_proto.py"))
+    proc = _run_cli("--protocol-stats", str(FIXTURES / "clean_proto.py"))
     assert proc.returncode == 0
     assert "candidate function(s) verified" in proc.stdout
     assert "ring_shift_sendrecv" in proc.stdout

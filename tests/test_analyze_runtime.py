@@ -162,9 +162,9 @@ def broken_mismatched_collective(comm):
     call-order mismatch across the communicator."""
     buf = np.zeros(1, dtype=np.float64)
     if comm.rank == 0:
-        yield from comm.bcast(buf, root=0)  # analyze: ignore[SPMD101]
+        yield from comm.bcast(buf, root=0)
     else:
-        yield from comm.barrier()  # analyze: ignore[SPMD101,MTC104]
+        yield from comm.barrier()  # analyze: ignore[MTC104]
 
 
 def test_fixture_mismatched_collective_fires_col001_once():

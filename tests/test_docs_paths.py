@@ -1,7 +1,8 @@
 """Docs are checked artifacts: every back-ticked ``repro.x.y`` dotted name
 and every ``src|tests|benchmarks|examples/...py`` path a Markdown page
 mentions must resolve in this tree, and every ``python -m repro.bench``
-command line a page or the CI workflow spells out must parse.
+and ``python -m repro.analyze`` command line a page or the CI workflow
+spells out must parse.
 
 ROADMAP.md, CHANGES.md and ISSUE.md are exempt: they are history (they name
 what a past or future commit had), not a description of the tree.
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.__main__ import _parse
+from repro.analyze.__main__ import _parse as parse_analyze
+from repro.bench.__main__ import _parse as parse_bench
 
 ROOT = Path(__file__).resolve().parent.parent
 HISTORY = {"ROADMAP.md", "CHANGES.md", "ISSUE.md"}
@@ -29,7 +31,7 @@ CLI_PAGES = PAGES + [p for p in (ROOT / ".github/workflows/ci.yml",
                      if p.is_file()]
 # the arguments after the module name, up to a code span's end, a shell
 # comment or separator, a table cell's end or a closing parenthesis
-BENCH_CMD = re.compile(r"python -m repro\.bench\b([^`#;|\n)]*)")
+ARGS = r"\b([^`#;|\n)]*)"
 
 
 def resolves(dotted: str) -> bool:
@@ -63,15 +65,28 @@ def test_every_dotted_name_and_path_resolves(page):
     assert not stale, f"{page.relative_to(ROOT)} names what is not in the tree: {stale}"
 
 
-@pytest.mark.parametrize("page", CLI_PAGES, ids=lambda p: str(p.relative_to(ROOT)))
-def test_every_bench_command_line_parses(page, capsys):
+def stale_commands(page, module, parse):
+    """The ``python -m repro.<module>`` command lines on ``page`` that
+    ``parse`` (the module's argparse setup) rejects."""
     text = re.sub(r"\\\n\s*", " ", page.read_text())  # join continued lines
     bad = []
-    for args in BENCH_CMD.findall(text):
+    for args in re.findall(rf"python -m repro\.{module}{ARGS}", text):
         if not args.strip():  # the module named in prose, not a command line
             continue
         try:
-            _parse(shlex.split(args))
+            parse(shlex.split(args))
         except SystemExit:
-            bad.append(f"python -m repro.bench{args}")
+            bad.append(f"python -m repro.{module}{args}")
+    return bad
+
+
+@pytest.mark.parametrize("page", CLI_PAGES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_bench_command_line_parses(page, capsys):
+    bad = stale_commands(page, "bench", parse_bench)
     assert not bad, f"{page.relative_to(ROOT)} spells out stale bench commands: {bad}"
+
+
+@pytest.mark.parametrize("page", CLI_PAGES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_analyze_command_line_parses(page, capsys):
+    bad = stale_commands(page, "analyze", parse_analyze)
+    assert not bad, f"{page.relative_to(ROOT)} spells out stale analyze commands: {bad}"
