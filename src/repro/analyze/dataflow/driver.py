@@ -11,7 +11,8 @@
 3. **lint**, the **dataflow** rules (REQ/BUF, SPMD, PLAN) and the
    **protocol** verifier (MTC), per file with the module's summary
    environment; an SPMD101 inside a function the verifier ran at every
-   model size is dropped, since MTC104 decides that divergence there;
+   model size and reported as MTC104 is dropped, since that finding
+   already states the divergence;
 4. **suppressions**, one index per file shared by every pass, then
    **LNT007** for each suppression that matched nothing.
 
@@ -113,13 +114,18 @@ def _retire_spmd101(report: Report, tree: ast.Module,
                     stats: List[_protocol.FunctionStat]) -> Report:
     """``report`` without the SPMD101 findings inside top-level functions
     the protocol verifier extracted at every size of
-    :data:`~repro.analyze.protocol.WORLD_SIZES`: there the cross-rank
-    MTC104 proves or refutes the divergence SPMD101 only suspects."""
+    :data:`~repro.analyze.protocol.WORLD_SIZES` *and* reported as MTC104:
+    there the cross-rank finding states the divergence SPMD101 only
+    suspects.  A function verified clean keeps its SPMD101 -- a branch on
+    a rank beyond the model worlds (``comm.rank == 5``) or one that
+    excludes ranks only there (``comm.rank < 4``) diverges at no model
+    size yet hangs a larger run."""
     verified = {s.func for s in stats
                 if s.verified_sizes == _protocol.WORLD_SIZES}
+    diverged = {f.key[2] for f in report if f.rule == "MTC104"}
     spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and node.name in verified}
+             and node.name in verified & diverged}
     kept = Report()
     for f in report:
         if f.rule == "SPMD101" and f.key[1] in spans:

@@ -386,6 +386,22 @@ def test_spmd101_retired_where_the_protocol_verifier_ran():
     assert [f.rule for f in report] == ["MTC104"]
 
 
+@pytest.mark.parametrize("cond", ["comm.rank == 2", "comm.rank >= 2",
+                                  "comm.rank < 4", "comm.rank == 5"])
+def test_spmd101_kept_where_the_verifier_reports_no_mtc104(cond):
+    # verified at every size, but the divergence shows at some model
+    # sizes only (rank 2 exists at sizes 3/4) or at none (every rank
+    # below 4 enters; rank 5 never exists), so no MTC104 is reported
+    stats = []
+    report, _plans = analyze_source_set([("m.py", textwrap.dedent(f"""
+        def f(comm):
+            if {cond}:
+                yield from comm.barrier()
+    """))], protocol_stats=stats)
+    assert [s.verified_sizes for s in stats] == [(2, 3, 4)]
+    assert [f.rule for f in report] == ["SPMD101"]
+
+
 def test_spmd101_kept_where_protocol_extraction_bails():
     stats = []
     report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
