@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.datatypes import DOUBLE, TypedBuffer
 from repro.mpi import Cluster, MPIConfig
-from repro.mpi.collectives.alltoallw import alltoallw
 from repro.util.costmodel import CostModel
 
 #: flops charged per cell per timestep
@@ -156,7 +155,7 @@ class AMRDriver:
             buf = np.empty(total)
             recv_payloads[peer] = (buf, blocks)
             recvspecs[peer] = TypedBuffer(buf, DOUBLE, total)
-        yield from alltoallw(comm, sendspecs, recvspecs)
+        yield from comm.alltoallw(sendspecs, recvspecs)
         for peer, (buf, blocks) in recv_payloads.items():
             pos = 0
             for k in blocks:
@@ -218,7 +217,7 @@ class AMRDriver:
             if recv_volumes[peer]:
                 buf = np.zeros(int(recv_volumes[peer]))
                 recvspecs[peer] = TypedBuffer(buf, DOUBLE, buf.size)
-        yield from alltoallw(comm, sendspecs, recvspecs)
+        yield from comm.alltoallw(sendspecs, recvspecs)
 
     def compute_phase(self) -> Generator:
         cells = sum(arr.size for arr in self.data.values())

@@ -108,13 +108,9 @@ class SelectionPolicy:
                         reason=f"{reason_prefix}:long")
 
     def _adaptive_allgatherv(self, ctx: SelectionContext, prof: Any) -> Decision:
-        if not ctx.contiguous:
-            return Decision(ctx.collective, "ring", self.name,
-                            reason="adaptive:noncontiguous")
-        threshold = self.config.allgatherv_long_threshold
-        if ctx.total_bytes < threshold:
-            return Decision(ctx.collective, self._tree(ctx), self.name,
-                            reason="adaptive:short")
+        decision = self._mpich_allgatherv(ctx, reason_prefix="adaptive")
+        if decision.reason != "adaptive:long":
+            return decision
         # section 4.2.1: a linear-time Floyd-Rivest outlier pass over the
         # (locally known) volume set, charged to the deciding rank
         detect = outlier.detection_cpu_seconds(ctx.size)

@@ -180,16 +180,6 @@ class AlgorithmRegistry:
             algorithms = [a for a in algorithms if a.applicable(ctx)]
         return algorithms
 
-    def only(self, collective: str) -> Algorithm:
-        """The sole registered algorithm of a single-candidate collective."""
-        candidates = self.candidates(collective)
-        if len(candidates) != 1:
-            raise ValueError(
-                f"collective {collective!r} has {len(candidates)} candidates; "
-                "use a selection policy"
-            )
-        return candidates[0]
-
 
 #: the process-wide registry every collective self-registers into
 REGISTRY = AlgorithmRegistry()

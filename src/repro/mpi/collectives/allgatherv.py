@@ -19,10 +19,12 @@ Three algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
     i - 2^p.
 
 *Which* algorithm a call gets is no longer decided here: the entry function
-asks :func:`repro.mpi.algorithms.select`, so the baseline thresholds
-(``mpich`` policy), the paper's section 4.2.1 outlier rule (``adaptive``
-policy, Floyd-Rivest k-select over the volume set) and tuning-table lookups
-(``autotuned``) all share one observable decision point.
+hands the call to :func:`repro.mpi.collectives.run`, the one dispatcher,
+so the baseline thresholds (``mpich`` policy), the paper's section 4.2.1
+outlier rule (``adaptive`` policy, Floyd-Rivest k-select over the volume
+set) and tuning-table lookups (``autotuned``) all share one observable
+decision point.  An implementation is ``impl(comm, recvbuffer, datatype,
+counts, displs, base)``.
 """
 
 from __future__ import annotations
@@ -32,17 +34,17 @@ from typing import Generator, Optional, Sequence
 import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
-from repro.datatypes.typemap import Datatype, HIndexed, Primitive
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
+from repro.datatypes.typemap import Datatype, HIndexed, primitive_for
+from repro.mpi.algorithms import REGISTRY, SelectionContext
 from repro.mpi.algorithms.validation import normalize_counts_displs
+from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError, as_typed
-from repro.mpi.collectives.basic import _tag_window
 
 
 def _normalize(comm, sendbuffer, recvbuffer, counts, displs, datatype):
     recvbuffer = np.asarray(recvbuffer)
     if datatype is None:
-        datatype = Primitive(str(recvbuffer.dtype).upper(), recvbuffer.dtype)
+        datatype = primitive_for(recvbuffer.dtype)
     counts, displs = normalize_counts_displs(comm.size, counts, displs)
     return recvbuffer, datatype, counts, displs
 
@@ -115,33 +117,23 @@ def allgatherv(
     recvbuffer, datatype, counts, displs = _normalize(
         comm, sendbuffer, recvbuffer, counts, displs, datatype
     )
-    prof = comm.cluster.profiler
-    with prof.span("collective", "allgatherv", comm.grank,
-                   total_bytes=sum(counts) * datatype.size) as sp:
-        yield from _copy_own(comm, sendbuffer, recvbuffer, datatype, counts, displs)
-        if comm.size == 1:
-            sp.attrs["algorithm"] = "trivial"
-            return
-
-        ctx = SelectionContext.for_comm(
-            comm, "allgatherv",
-            volumes=[c * datatype.size for c in counts],
-            dtype_size=datatype.size,
-            contiguous=datatype.is_contiguous(),
-        )
-        decision = select(comm, "allgatherv", ctx, algorithm=algorithm)
-        if decision.detect_seconds:
-            # charge the linear-time Floyd-Rivest detection pass
-            yield from comm.cpu(decision.detect_seconds, "compute")
-        sp.attrs["algorithm"] = decision.algorithm
-        sp.attrs["policy"] = decision.policy
-
-        impl = REGISTRY.implementation("allgatherv", decision.algorithm)
-        yield from impl(comm, recvbuffer, datatype, counts, displs)
+    # the own block is copied before selection and its detection charge,
+    # failing fast like the rest of the call
+    yield from comm._fail_fast(
+        _copy_own(comm, sendbuffer, recvbuffer, datatype, counts, displs))
+    ctx = SelectionContext.for_comm(
+        comm, "allgatherv",
+        volumes=[c * datatype.size for c in counts],
+        dtype_size=datatype.size,
+        contiguous=datatype.is_contiguous(),
+    )
+    yield from run(comm, "allgatherv", ctx,
+                   (recvbuffer, datatype, counts, displs),
+                   detail=counts, algorithm=algorithm,
+                   solo=None, total_bytes=sum(counts) * datatype.size)
 
 
-def _ring(comm, recvbuffer, datatype, counts, displs) -> Generator:
-    base = _tag_window(comm, op="allgatherv", detail=tuple(int(c) for c in counts))
+def _ring(comm, recvbuffer, datatype, counts, displs, base) -> Generator:
     n, rank = comm.size, comm.rank
     prof = comm.cluster.profiler
     right = (rank + 1) % n
@@ -156,11 +148,11 @@ def _ring(comm, recvbuffer, datatype, counts, displs) -> Generator:
             yield from _exchange(comm, stb, right, rtb, left, base + step)
 
 
-def _recursive_doubling(comm, recvbuffer, datatype, counts, displs) -> Generator:
+def _recursive_doubling(comm, recvbuffer, datatype, counts, displs,
+                        base) -> Generator:
     n, rank = comm.size, comm.rank
     if n & (n - 1):
         raise MPIError("recursive doubling requires a power-of-two size")
-    base = _tag_window(comm, op="allgatherv", detail=tuple(int(c) for c in counts))
     mask = 1
     phase = 0
     while mask < n:
@@ -178,9 +170,9 @@ def _recursive_doubling(comm, recvbuffer, datatype, counts, displs) -> Generator
         phase += 1
 
 
-def _dissemination(comm, recvbuffer, datatype, counts, displs) -> Generator:
+def _dissemination(comm, recvbuffer, datatype, counts, displs,
+                   base) -> Generator:
     n, rank = comm.size, comm.rank
-    base = _tag_window(comm, op="allgatherv", detail=tuple(int(c) for c in counts))
     dist = 1
     phase = 0
     while dist < n:

@@ -23,10 +23,11 @@ Two algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
     lightly-coupled neighbours are released without waiting behind heavy
     datatype processing.
 
-Which algorithm a call gets is decided by
-:func:`repro.mpi.algorithms.select` (the ``mpich`` policy always picks
-``round_robin``, ``adaptive`` always ``binned``, matching the pre-registry
-``config.binned_alltoallw`` flag dispatch bit for bit).
+Which algorithm a call gets is decided by the selection policy the one
+dispatcher, :func:`repro.mpi.collectives.run`, consults (the ``mpich``
+policy always picks ``round_robin``, ``adaptive`` always ``binned``,
+matching the pre-registry ``config.binned_alltoallw`` flag dispatch bit for
+bit); an implementation is ``impl(comm, sendspecs, recvspecs, base)``.
 
 Per-pair datatype processing (the cost the binning hides) rides on
 ``comm.isend``, whose engines read each TypedBuffer's block structure from
@@ -42,10 +43,10 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import BYTE
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
+from repro.mpi.algorithms import REGISTRY, SelectionContext
 from repro.mpi.algorithms.validation import check_spec_lengths
+from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
-from repro.mpi.collectives.basic import _tag_window
 from repro.mpi.request import Request
 
 
@@ -68,18 +69,9 @@ def alltoallw(
     """
     check_spec_lengths(comm.size, sendspecs, recvspecs)
     volumes = [_spec_nbytes(s) for s in sendspecs]
-    prof = comm.cluster.profiler
-    with prof.span("collective", "alltoallw", comm.grank,
-                   send_bytes=sum(volumes)) as sp:
-        ctx = SelectionContext.for_comm(comm, "alltoallw", volumes=volumes)
-        decision = select(comm, "alltoallw", ctx, algorithm=algorithm)
-        if decision.detect_seconds:
-            yield from comm.cpu(decision.detect_seconds, "compute")
-        sp.attrs["algorithm"] = decision.algorithm
-        sp.attrs["policy"] = decision.policy
-
-        impl = REGISTRY.implementation("alltoallw", decision.algorithm)
-        yield from impl(comm, sendspecs, recvspecs)
+    ctx = SelectionContext.for_comm(comm, "alltoallw", volumes=volumes)
+    yield from run(comm, "alltoallw", ctx, (sendspecs, recvspecs),
+                   algorithm=algorithm, send_bytes=sum(volumes))
 
 
 def _local_copy(comm: Comm, sendspecs, recvspecs) -> Generator:
@@ -93,9 +85,8 @@ def _local_copy(comm: Comm, sendspecs, recvspecs) -> Generator:
         yield from comm.cpu(2 * sn * comm.cost.copy_byte, "pack")
 
 
-def _round_robin(comm: Comm, sendspecs, recvspecs) -> Generator:
+def _round_robin(comm: Comm, sendspecs, recvspecs, base: int) -> Generator:
     """Baseline: message to every rank, zero-byte included, in rank order."""
-    base = _tag_window(comm, op="alltoallw")
     n, rank = comm.size, comm.rank
     prof = comm.cluster.profiler
     yield from _local_copy(comm, sendspecs, recvspecs)
@@ -126,9 +117,8 @@ def _round_robin(comm: Comm, sendspecs, recvspecs) -> Generator:
         prof.observe("repro_alltoallw_zero_bin_size", zeros)
 
 
-def _binned(comm: Comm, sendspecs, recvspecs) -> Generator:
+def _binned(comm: Comm, sendspecs, recvspecs, base: int) -> Generator:
     """Optimised: zero bin exempted; small bin processed before large."""
-    base = _tag_window(comm, op="alltoallw")
     n, rank = comm.size, comm.rank
     prof = comm.cluster.profiler
     threshold = comm.cost.small_message_threshold

@@ -10,10 +10,10 @@ collectives in the same order, which these tags also verify implicitly).
 Each collective registers its (single) MPICH2 algorithm with
 :data:`repro.mpi.algorithms.REGISTRY` -- ``dissemination`` barrier,
 ``binomial`` bcast, ``recursive_doubling`` allreduce, ``linear``
-gather_obj -- and dispatches through :func:`repro.mpi.algorithms.select`
-so the decision is observable (and overridable) like every other
-collective, even though today every policy short-circuits on the sole
-candidate.
+gather_obj -- and dispatches through :func:`repro.mpi.collectives.run`,
+which calls ``impl(comm, *args, base)``, so the decision is observable
+(and overridable) like every other collective, even though today every
+policy short-circuits on the sole candidate.
 """
 
 from __future__ import annotations
@@ -22,43 +22,17 @@ import math
 import operator
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
-from repro.mpi.comm import Comm, _COLLECTIVE_TAG_BASE
+from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.collectives import run
+from repro.mpi.comm import Comm
 
 #: nominal wire size of a control-plane value (a scalar + envelope)
 _CTRL_BYTES = 16
 
 
-def _tag_window(comm: Comm, width: int = 64, op: str = "collective",
-                detail: Any = None) -> int:
-    """Reserve a tag range for one collective invocation.
-
-    ``op`` names the collective (``"barrier"``, ``"bcast"``, ...) and
-    ``detail`` carries call arguments that must agree across ranks (root,
-    counts, ...).  Both are reported to cluster observers so the runtime
-    verifier can check that every rank of the communicator entered the
-    *same* collective, in the same order, with consistent arguments
-    (rules COL001/COL002).
-    """
-    seq = getattr(comm, "_coll_seq", 0)
-    comm._coll_seq = seq + 1
-    if comm.cluster._observers:
-        comm.cluster._notify("collective", comm.grank, comm.ctx, seq, op,
-                             detail)
-    return _COLLECTIVE_TAG_BASE + seq * width
-
-
 def barrier(comm: Comm) -> Generator:
     """Synchronise all ranks (ceil(log2 N) zero-payload rounds)."""
-    base = _tag_window(comm, op="barrier")
-    if comm.size == 1:
-        return
-    decision = select(comm, "barrier", SelectionContext.for_comm(comm, "barrier"))
-    with comm.cluster.profiler.span("collective", "barrier", comm.grank,
-                                    algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("barrier", decision.algorithm)
-        yield from impl(comm, base)
+    yield from run(comm, "barrier", None, (), solo=None)
 
 
 def _barrier_dissemination(comm: Comm, base: int) -> Generator:
@@ -77,22 +51,15 @@ def _barrier_dissemination(comm: Comm, base: int) -> Generator:
 
 def bcast(comm: Comm, value: Any, root: int = 0, nbytes: int = _CTRL_BYTES) -> Generator:
     """Broadcast a python value from ``root``; returns it on every rank."""
-    base = _tag_window(comm, op="bcast", detail=root)
     if not 0 <= root < comm.size:
         raise ValueError(f"invalid root {root}")
-    if comm.size == 1:
-        return value
-    decision = select(comm, "bcast", SelectionContext.for_comm(comm, "bcast"))
-    with comm.cluster.profiler.span("collective", "bcast", comm.grank,
-                                    root=root, algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("bcast", decision.algorithm)
-        value = yield from impl(comm, value, root, base, nbytes)
+    value = yield from run(comm, "bcast", None, (value, root, nbytes),
+                           detail=root, solo=value, root=root)
     return value
 
 
-def _bcast_binomial(comm: Comm, value: Any, root: int, base: int,
-                    nbytes: int) -> Generator:
+def _bcast_binomial(comm: Comm, value: Any, root: int, nbytes: int,
+                    base: int) -> Generator:
     """Binomial-tree broadcast."""
     n, rank = comm.size, comm.rank
     rel = (rank - root) % n
@@ -123,21 +90,13 @@ def allreduce(
     """Allreduce a python value over a commutative-associative ``op``."""
     if op is None:
         op = operator.add
-    base = _tag_window(comm, op="allreduce")
-    if comm.size == 1:
-        return value
-    decision = select(comm, "allreduce",
-                      SelectionContext.for_comm(comm, "allreduce"))
-    with comm.cluster.profiler.span("collective", "allreduce", comm.grank,
-                                    algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("allreduce", decision.algorithm)
-        value = yield from impl(comm, value, op, base, nbytes)
+    value = yield from run(comm, "allreduce", None, (value, op, nbytes),
+                           solo=value)
     return value
 
 
 def _allreduce_recursive_doubling(comm: Comm, value: Any, op: Callable,
-                                  base: int, nbytes: int) -> Generator:
+                                  nbytes: int, base: int) -> Generator:
     """Recursive-doubling allreduce; non-power-of-two sizes use the
     standard pre/post folding step."""
     n, rank = comm.size, comm.rank
@@ -182,26 +141,21 @@ def _allreduce_recursive_doubling(comm: Comm, value: Any, op: Callable,
 def gather_obj(comm: Comm, value: Any, root: int = 0,
                nbytes: int = _CTRL_BYTES) -> Generator:
     """Gather python values at ``root``; returns the list there, None elsewhere."""
-    base = _tag_window(comm, op="gather_obj", detail=root)
-    decision = select(comm, "gather_obj",
-                      SelectionContext.for_comm(comm, "gather_obj"))
-    impl = REGISTRY.implementation("gather_obj", decision.algorithm)
-    result = yield from impl(comm, value, root, base, nbytes)
+    result = yield from run(comm, "gather_obj", None, (value, root, nbytes),
+                            detail=root, root=root)
     return result
 
 
-def _gather_obj_linear(comm: Comm, value: Any, root: int, base: int,
-                       nbytes: int) -> Generator:
+def _gather_obj_linear(comm: Comm, value: Any, root: int, nbytes: int,
+                       base: int) -> Generator:
     """Linear gather: every rank sends straight to the root."""
     n, rank = comm.size, comm.rank
     if rank == root:
-        with comm.cluster.profiler.span("collective", "gather_obj",
-                                        comm.grank, root=root):
-            out: List[Any] = [None] * n
-            out[root] = value
-            for src in range(n):
-                if src != root:
-                    out[src] = yield from comm.recv_obj(src, base)
+        out: List[Any] = [None] * n
+        out[root] = value
+        for src in range(n):
+            if src != root:
+                out[src] = yield from comm.recv_obj(src, base)
         return out
     comm.isend_obj(value, root, base, nbytes=nbytes)
     return None

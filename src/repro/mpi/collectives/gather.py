@@ -21,18 +21,12 @@ from typing import Generator, Optional, Sequence
 import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
-from repro.datatypes.typemap import Datatype, Primitive
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
+from repro.datatypes.typemap import Datatype, primitive_for
+from repro.mpi.algorithms import REGISTRY, SelectionContext
 from repro.mpi.algorithms.validation import normalize_counts_displs
+from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
-from repro.mpi.collectives.basic import _tag_window
 from repro.mpi.request import Request
-
-
-def _dtype_of(arr: np.ndarray, datatype: Optional[Datatype]) -> Datatype:
-    if datatype is not None:
-        return datatype
-    return Primitive(str(arr.dtype).upper(), arr.dtype)
 
 
 def gatherv(
@@ -47,15 +41,10 @@ def gatherv(
     """Gather varying-size contributions at ``root``."""
     if not 0 <= root < comm.size:
         raise MPIError(f"invalid root {root}")
-    base = _tag_window(comm, op="gatherv", detail=root)
-    decision = select(comm, "gatherv",
-                      SelectionContext.for_comm(comm, "gatherv"))
-    with comm.cluster.profiler.span("collective", "gatherv", comm.grank,
-                                    root=root, algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("gatherv", decision.algorithm)
-        result = yield from impl(comm, sendbuf, recvbuf, counts, displs,
-                                 root, datatype, base)
+    result = yield from run(
+        comm, "gatherv", None,
+        (sendbuf, recvbuf, counts, displs, root, datatype),
+        detail=root, root=root)
     return result
 
 
@@ -72,7 +61,7 @@ def _gatherv_linear(comm, sendbuf, recvbuf, counts, displs, root, datatype,
         raise MPIError("root must supply counts and recvbuf")
     counts, displs = normalize_counts_displs(comm.size, counts, displs)
     recv = np.asarray(recvbuf)
-    dt = _dtype_of(recv, datatype)
+    dt = datatype or primitive_for(recv.dtype)
     requests = []
     for src in range(comm.size):
         if src == root or counts[src] == 0:
@@ -103,17 +92,12 @@ def scatterv(
     """Scatter varying-size pieces from ``root``."""
     if not 0 <= root < comm.size:
         raise MPIError(f"invalid root {root}")
-    base = _tag_window(comm, op="scatterv", detail=root)
     if recvbuf is None:
         raise MPIError("every rank must supply recvbuf")
-    decision = select(comm, "scatterv",
-                      SelectionContext.for_comm(comm, "scatterv"))
-    with comm.cluster.profiler.span("collective", "scatterv", comm.grank,
-                                    root=root, algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("scatterv", decision.algorithm)
-        result = yield from impl(comm, sendbuf, counts, displs, recvbuf,
-                                 root, datatype, base)
+    result = yield from run(
+        comm, "scatterv", None,
+        (sendbuf, counts, displs, recvbuf, root, datatype),
+        detail=root, root=root)
     return result
 
 
@@ -129,7 +113,7 @@ def _scatterv_linear(comm, sendbuf, counts, displs, recvbuf, root, datatype,
         raise MPIError("root must supply counts and sendbuf")
     counts, displs = normalize_counts_displs(comm.size, counts, displs)
     send = np.asarray(sendbuf)
-    dt = _dtype_of(send, datatype)
+    dt = datatype or primitive_for(send.dtype)
     requests = []
     for dst in range(comm.size):
         if dst == root or counts[dst] == 0:
@@ -174,21 +158,16 @@ def alltoall(
     """Uniform all-to-all (pairwise-exchange algorithm)."""
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
-    dt = _dtype_of(recv, datatype)
+    dt = datatype or primitive_for(recv.dtype)
     n = comm.size
     if send.size < n * count or recv.size < n * count:
         raise MPIError("alltoall buffers too small for count*size elements")
-    base = _tag_window(comm, op="alltoall", detail=count)
     ctx = SelectionContext.for_comm(
         comm, "alltoall", volumes=[count * dt.size] * n,
         dtype_size=dt.size, contiguous=dt.is_contiguous(),
     )
-    decision = select(comm, "alltoall", ctx)
-    with comm.cluster.profiler.span("collective", "alltoall", comm.grank,
-                                    count=count, algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("alltoall", decision.algorithm)
-        yield from impl(comm, send, recv, count, dt, base)
+    yield from run(comm, "alltoall", ctx, (send, recv, count, dt),
+                   detail=count, count=count)
     return recv
 
 

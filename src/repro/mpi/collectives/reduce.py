@@ -22,9 +22,9 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
+from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
-from repro.mpi.collectives.basic import _tag_window
 
 
 def _check_buf(buf) -> np.ndarray:
@@ -32,6 +32,15 @@ def _check_buf(buf) -> np.ndarray:
     if arr.ndim != 1:
         raise MPIError("reduction buffers must be 1-D float64 arrays")
     return arr
+
+
+def _deliver(result: np.ndarray, recvbuf) -> np.ndarray:
+    """The result, copied into ``recvbuf`` when the caller supplied one."""
+    if recvbuf is None:
+        return result
+    out = _check_buf(recvbuf)
+    out[:] = result
+    return out
 
 
 def _ctx(comm: Comm, collective: str, send: np.ndarray) -> SelectionContext:
@@ -51,21 +60,10 @@ def reduce(comm: Comm, sendbuf, recvbuf=None, op: Callable = np.add,
     if not 0 <= root < comm.size:
         raise MPIError(f"invalid root {root}")
     send = _check_buf(sendbuf)
-    base = _tag_window(comm, op="reduce", detail=root)
-    decision = select(comm, "reduce", _ctx(comm, "reduce", send))
-    with comm.cluster.profiler.span("collective", "reduce", comm.grank,
-                                    root=root, nbytes=send.nbytes,
-                                    algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("reduce", decision.algorithm)
-        acc = yield from impl(comm, send, op, root, base)
-    if comm.rank != root:
-        return None
-    if recvbuf is None:
-        return acc
-    out = _check_buf(recvbuf)
-    out[:] = acc
-    return out
+    acc = yield from run(comm, "reduce", _ctx(comm, "reduce", send),
+                         (send, op, root), detail=root, root=root,
+                         nbytes=send.nbytes)
+    return _deliver(acc, recvbuf) if comm.rank == root else None
 
 
 def _reduce_binomial(comm, send, op, root, base) -> Generator:
@@ -95,23 +93,10 @@ def allreduce_array(comm: Comm, sendbuf, recvbuf=None,
                     op: Callable = np.add) -> Generator:
     """Elementwise allreduce over float64 arrays."""
     send = _check_buf(sendbuf)
-    base = _tag_window(comm, op="allreduce_array")
-    acc = send.copy()
-    if comm.size > 1:
-        decision = select(comm, "allreduce_array",
-                          _ctx(comm, "allreduce_array", send))
-        with comm.cluster.profiler.span("collective", "allreduce_array",
-                                        comm.grank, nbytes=send.nbytes,
-                                        algorithm=decision.algorithm,
-                                        policy=decision.policy):
-            impl = REGISTRY.implementation("allreduce_array",
-                                           decision.algorithm)
-            acc = yield from impl(comm, send, op, base)
-    if recvbuf is None:
-        return acc
-    out = _check_buf(recvbuf)
-    out[:] = acc
-    return out
+    acc = yield from run(comm, "allreduce_array",
+                         _ctx(comm, "allreduce_array", send), (send, op),
+                         solo=send.copy(), nbytes=send.nbytes)
+    return _deliver(acc, recvbuf)
 
 
 def _allreduce_rd_array(comm, send, op, base) -> Generator:
@@ -162,19 +147,9 @@ def _allreduce_rd_array(comm, send, op, base) -> Generator:
 def scan(comm: Comm, sendbuf, recvbuf=None, op: Callable = np.add) -> Generator:
     """Inclusive prefix reduction: rank r gets op(send_0, ..., send_r)."""
     send = _check_buf(sendbuf)
-    base = _tag_window(comm, op="scan")
-    decision = select(comm, "scan", _ctx(comm, "scan", send))
-    with comm.cluster.profiler.span("collective", "scan", comm.grank,
-                                    nbytes=send.nbytes,
-                                    algorithm=decision.algorithm,
-                                    policy=decision.policy):
-        impl = REGISTRY.implementation("scan", decision.algorithm)
-        prefix = yield from impl(comm, send, op, base)
-    if recvbuf is None:
-        return prefix
-    out = _check_buf(recvbuf)
-    out[:] = prefix
-    return out
+    prefix = yield from run(comm, "scan", _ctx(comm, "scan", send),
+                            (send, op), nbytes=send.nbytes)
+    return _deliver(prefix, recvbuf)
 
 
 def _scan_doubling(comm, send, op, base) -> Generator:

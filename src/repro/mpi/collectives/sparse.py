@@ -40,8 +40,11 @@ begins with a collective counts exchange every rank must join), so the
 dense-vs-NBX decision must be *rank-uniform*: the selection policies and
 the tuning-table bucket key only consult rank-uniform inputs (size,
 config) when crossing that boundary, never the per-rank volume set.  The
-``detail`` reported to the runtime verifier carries the protocol family,
-so a divergent selection trips COL002 instead of deadlocking silently.
+``detail`` the dispatcher (:func:`repro.mpi.collectives.run`) reports to
+the runtime verifier is the protocol family of the selected algorithm
+(:func:`_protocol_family`), so a divergent selection trips COL002 instead
+of deadlocking silently.  An implementation is ``impl(comm, payloads,
+base)``.
 
 Payloads are dicts ``{destination rank: numpy array | TypedBuffer}`` with
 byte sizes divisible by 8; results are ``{source rank: float64 array}``
@@ -57,9 +60,9 @@ from typing import Any, Dict, Generator, List, Optional
 import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
-from repro.mpi.algorithms import REGISTRY, SelectionContext, select
-from repro.mpi.collectives.basic import (_CTRL_BYTES, _barrier_dissemination,
-                                         _tag_window)
+from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.collectives import run
+from repro.mpi.collectives.basic import _CTRL_BYTES, _barrier_dissemination
 from repro.mpi.comm import (ANY_SOURCE, Comm, MPIError, _first_of,
                             _RecvRecord)
 from repro.mpi.request import Request
@@ -137,18 +140,15 @@ def sparse_alltoall(comm: Comm, payloads: Dict[int, Any],
         for p in out.values())
     ctx = SelectionContext.for_comm(comm, "sparse_alltoall", volumes=volumes,
                                     dtype_size=8, contiguous=contiguous)
-    decision = select(comm, "sparse_alltoall", ctx, algorithm=algorithm)
-    family = "dense" if decision.algorithm == "dense" else "nbx"
-    base = _tag_window(comm, op="sparse_alltoall", detail=family)
-    if decision.detect_seconds:
-        yield from comm.cpu(decision.detect_seconds, "detect")
-    prof = comm.cluster.profiler
-    with prof.span("collective", "sparse_alltoall", comm.grank,
-                   peers=len(out), algorithm=decision.algorithm,
-                   policy=decision.policy):
-        impl = REGISTRY.implementation("sparse_alltoall", decision.algorithm)
-        result = yield from impl(comm, out, base)
+    result = yield from run(comm, "sparse_alltoall", ctx, (out,),
+                            detail=_protocol_family, algorithm=algorithm,
+                            peers=len(out))
     return result
+
+
+def _protocol_family(algorithm: str) -> str:
+    """The wire protocol an algorithm speaks: ``dense`` or ``nbx``."""
+    return "dense" if algorithm == "dense" else "nbx"
 
 
 # -- implementations ----------------------------------------------------------

@@ -1169,9 +1169,9 @@ class Comm:
 
     # -- collectives (implemented in repro.mpi.collectives) -------------------------
     #
-    # Every collective dispatches through _fail_fast, which gives ALL
-    # registered algorithms uniform ULFM failure semantics without each
-    # implementation knowing about faults.
+    # Every collective dispatches through repro.mpi.collectives.run, which
+    # gives ALL registered algorithms uniform ULFM failure semantics
+    # without each implementation knowing about faults.
 
     def _fail_fast(self, body: Generator) -> Generator:
         """Run one collective with fail-fast failure semantics.
@@ -1188,39 +1188,41 @@ class Comm:
         """
         try:
             result = yield from body
-        except RankFailedError as exc:
-            self.revoke(exc)
-            raise RankFailedError(exc.rank, exc.reason) from None
-        except TransportError as exc:
-            self.revoke(exc)
-            raise
-        except CommRevokedError as exc:
-            cause = exc.cause
-            if isinstance(cause, RankFailedError):
-                raise RankFailedError(cause.rank, cause.reason) from None
-            if isinstance(cause, TransportError):
-                raise TransportError(cause.src, cause.dst, cause.tag,
-                                     cause.attempts, cause.reason) from None
-            raise
+        except (RankFailedError, TransportError, CommRevokedError) as exc:
+            raise self._uniform_failure(exc) from None
         return result
+
+    def _uniform_failure(self, exc: BaseException) -> BaseException:
+        """The exception every rank raises for ``exc`` (see
+        :meth:`_fail_fast`); a first-hand failure revokes the context."""
+        if isinstance(exc, CommRevokedError):
+            if not isinstance(exc.cause, (RankFailedError, TransportError)):
+                return exc
+            exc = exc.cause
+        else:
+            self.revoke(exc)
+        if isinstance(exc, RankFailedError):
+            return RankFailedError(exc.rank, exc.reason)
+        return TransportError(exc.src, exc.dst, exc.tag, exc.attempts,
+                              exc.reason)
 
     def barrier(self) -> Generator:
         from repro.mpi.collectives.basic import barrier
-        yield from self._fail_fast(barrier(self))
+        yield from barrier(self)
 
     def bcast(self, value: Any, root: int = 0) -> Generator:
         from repro.mpi.collectives.basic import bcast
-        result = yield from self._fail_fast(bcast(self, value, root))
+        result = yield from bcast(self, value, root)
         return result
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None) -> Generator:
         from repro.mpi.collectives.basic import allreduce
-        result = yield from self._fail_fast(allreduce(self, value, op))
+        result = yield from allreduce(self, value, op)
         return result
 
     def gather_obj(self, value: Any, root: int = 0) -> Generator:
         from repro.mpi.collectives.basic import gather_obj
-        result = yield from self._fail_fast(gather_obj(self, value, root))
+        result = yield from gather_obj(self, value, root)
         return result
 
     def allgatherv(
@@ -1233,10 +1235,8 @@ class Comm:
         algorithm: Optional[str] = None,
     ) -> Generator:
         from repro.mpi.collectives.allgatherv import allgatherv
-        yield from self._fail_fast(
-            allgatherv(self, sendbuffer, recvbuffer, counts, displs,
-                       datatype, algorithm=algorithm)
-        )
+        yield from allgatherv(self, sendbuffer, recvbuffer, counts, displs,
+                              datatype, algorithm=algorithm)
 
     def alltoallw(
         self,
@@ -1245,56 +1245,47 @@ class Comm:
         algorithm: Optional[str] = None,
     ) -> Generator:
         from repro.mpi.collectives.alltoallw import alltoallw
-        yield from self._fail_fast(
-            alltoallw(self, sendspecs, recvspecs, algorithm=algorithm)
-        )
+        yield from alltoallw(self, sendspecs, recvspecs, algorithm=algorithm)
 
     def reduce(self, sendbuf, recvbuf=None, op=None, root: int = 0) -> Generator:
         from repro.mpi.collectives.reduce import reduce as _reduce
-        result = yield from self._fail_fast(_reduce(
-            self, sendbuf, recvbuf, op if op is not None else np.add, root
-        ))
+        result = yield from _reduce(
+            self, sendbuf, recvbuf, op if op is not None else np.add, root)
         return result
 
     def allreduce_array(self, sendbuf, recvbuf=None, op=None) -> Generator:
         from repro.mpi.collectives.reduce import allreduce_array
-        result = yield from self._fail_fast(allreduce_array(
-            self, sendbuf, recvbuf, op if op is not None else np.add
-        ))
+        result = yield from allreduce_array(
+            self, sendbuf, recvbuf, op if op is not None else np.add)
         return result
 
     def scan(self, sendbuf, recvbuf=None, op=None) -> Generator:
         from repro.mpi.collectives.reduce import scan as _scan
-        result = yield from self._fail_fast(_scan(
-            self, sendbuf, recvbuf, op if op is not None else np.add
-        ))
+        result = yield from _scan(
+            self, sendbuf, recvbuf, op if op is not None else np.add)
         return result
 
     def gatherv(self, sendbuf, recvbuf=None, counts=None, displs=None,
                 root: int = 0, datatype=None) -> Generator:
         from repro.mpi.collectives.gather import gatherv
-        result = yield from self._fail_fast(gatherv(
-            self, sendbuf, recvbuf, counts, displs, root, datatype
-        ))
+        result = yield from gatherv(
+            self, sendbuf, recvbuf, counts, displs, root, datatype)
         return result
 
     def scatterv(self, sendbuf=None, counts=None, displs=None, recvbuf=None,
                  root: int = 0, datatype=None) -> Generator:
         from repro.mpi.collectives.gather import scatterv
-        result = yield from self._fail_fast(scatterv(
-            self, sendbuf, counts, displs, recvbuf, root, datatype
-        ))
+        result = yield from scatterv(
+            self, sendbuf, counts, displs, recvbuf, root, datatype)
         return result
 
     def allgather(self, sendbuf, recvbuf, count=None, datatype=None) -> Generator:
         from repro.mpi.collectives.gather import allgather
-        yield from self._fail_fast(allgather(self, sendbuf, recvbuf, count, datatype))
+        yield from allgather(self, sendbuf, recvbuf, count, datatype)
 
     def alltoall(self, sendbuf, recvbuf, count: int, datatype=None) -> Generator:
         from repro.mpi.collectives.gather import alltoall
-        result = yield from self._fail_fast(
-            alltoall(self, sendbuf, recvbuf, count, datatype)
-        )
+        result = yield from alltoall(self, sendbuf, recvbuf, count, datatype)
         return result
 
     def sparse_alltoall(self, payloads, algorithm: Optional[str] = None) -> Generator:
@@ -1303,7 +1294,5 @@ class Comm:
         or the dense counts exchange).  Returns ``{source rank: float64
         array}`` of the received payloads."""
         from repro.mpi.collectives.sparse import sparse_alltoall
-        result = yield from self._fail_fast(
-            sparse_alltoall(self, payloads, algorithm=algorithm)
-        )
+        result = yield from sparse_alltoall(self, payloads, algorithm=algorithm)
         return result

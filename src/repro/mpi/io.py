@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datatypes.typemap import Contiguous, Datatype, Resized
 from repro.mpi.comm import Comm, MPIError, as_typed
-from repro.mpi.collectives.basic import _tag_window
+from repro.mpi.collectives import _tag_window
 from repro.mpi.request import Request
 from repro.simtime.resources import Resource
 

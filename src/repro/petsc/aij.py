@@ -20,14 +20,12 @@ the same pattern the paper studies -- followed by two local SpMVs
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.mpi.comm import Comm
-from repro.mpi.collectives.basic import _tag_window
-from repro.mpi.request import Request
 from repro.petsc.mat import Operator
 from repro.petsc.scatter import VecScatter
 from repro.petsc.vec import Layout, PETScError, Vec
@@ -113,33 +111,14 @@ class AIJMat(Operator):
             raise PETScError("matrix already assembled")
         comm = self.comm
         self.backend = backend
-        base = _tag_window(comm, op="aij_assembly")
 
-        # exchange stash sizes (entries destined for each rank)
-        out_counts = np.zeros(comm.size)
-        for peer, triples in self._stash.items():
-            out_counts[peer] = sum(t.shape[1] for t in triples)
-        in_counts = np.zeros(comm.size)
-        yield from comm.alltoall(out_counts, in_counts, 1)
-
-        # ship the triples
-        requests: List[Request] = []
-        incoming: List[Tuple[int, np.ndarray]] = []
-        for peer in range(comm.size):
-            n_in = int(in_counts[peer])
-            if n_in and peer != comm.rank:
-                buf = np.empty(3 * n_in)
-                incoming.append((peer, buf))
-                requests.append(comm.irecv(buf, peer, base))
-        for peer, triples in sorted(self._stash.items()):
-            # concatenate the (3, n_k) stash blocks into one (3, n) payload
-            stacked = np.hstack(triples)
-            requests.append(
-                (yield from comm.isend(np.ascontiguousarray(stacked.reshape(-1)),
-                                       peer, base))
-            )
-        yield from Request.waitall(requests)
-        for _peer, buf in incoming:
+        # ship the triples: each (3, n_k) stash block list becomes one
+        # (3, n) payload.  The dense protocol (a counts alltoall, then
+        # point-to-point) is forced, so the wire traffic is PETSc's own.
+        payloads = {peer: np.hstack(triples).reshape(-1)
+                    for peer, triples in self._stash.items()}
+        got = yield from comm.sparse_alltoall(payloads, algorithm="dense")
+        for _peer, buf in sorted(got.items()):
             t = buf.reshape(3, -1)
             self._coo_i.append(t[0].astype(np.int64))
             self._coo_j.append(t[1].astype(np.int64))
@@ -179,10 +158,10 @@ class AIJMat(Operator):
         yield from comm.cpu(
             (self.diag.nnz + self.offdiag.nnz) * 20e-9, "compute"
         )
-        yield from self._build_gather(base)
+        yield from self._build_gather()
         self._assembled = True
 
-    def _build_gather(self, base: int) -> Generator:
+    def _build_gather(self) -> Generator:
         """Set up the ghost-column gather: tell each owner which of its
         entries this rank needs (a real setup round-trip, as in PETSc)."""
         comm = self.comm
@@ -200,30 +179,12 @@ class AIJMat(Operator):
                     positions[sel],
                 )
             else:
-                want[int(peer)] = self.garray[sel]
+                want[int(peer)] = self.garray[sel].astype(np.float64)
                 recv_map[int(peer)] = positions[sel]
-        # counts, then index lists
-        out_counts = np.zeros(comm.size)
-        for peer, ids in want.items():
-            out_counts[peer] = len(ids)
-        in_counts = np.zeros(comm.size)
-        yield from comm.alltoall(out_counts, in_counts, 1)
-        requests: List[Request] = []
-        incoming: List[Tuple[int, np.ndarray]] = []
-        for peer in range(comm.size):
-            n_in = int(in_counts[peer])
-            if n_in and peer != comm.rank:
-                buf = np.empty(n_in)
-                incoming.append((peer, buf))
-                requests.append(comm.irecv(buf, peer, base + 8))
-        for peer, ids in sorted(want.items()):
-            requests.append(
-                (yield from comm.isend(ids.astype(np.float64), peer, base + 8))
-            )
-        yield from Request.waitall(requests)
-        send_map: Dict[int, np.ndarray] = {}
-        for peer, buf in incoming:
-            send_map[peer] = self.cols.to_local(buf.astype(np.int64), comm.rank)
+        # the index lists, over the same forced dense exchange
+        got = yield from comm.sparse_alltoall(want, algorithm="dense")
+        send_map = {peer: self.cols.to_local(buf.astype(np.int64), comm.rank)
+                    for peer, buf in sorted(got.items())}
         self._gather = VecScatter(comm, send_map, recv_map, local_pairs)
 
     # -- application --------------------------------------------------------------

@@ -32,9 +32,8 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import DOUBLE, Datatype, IndexedBlock
+from repro.mpi.collectives import _tag_window
 from repro.mpi.comm import Comm
-from repro.mpi.collectives.alltoallw import alltoallw
-from repro.mpi.collectives.basic import _tag_window
 from repro.mpi.request import Request
 from repro.petsc.indexset import IS
 from repro.petsc.vec import Layout, PETScError, Vec
@@ -277,7 +276,9 @@ class VecScatter:
         with prof.span("petsc", "vecscatter", comm.grank, backend=backend,
                        mode=mode, peers=len(self.send_map)):
             if backend == "hand_tuned":
-                yield from self._scatter_hand_tuned(src_arr, dst_arr, mode)
+                # a peer crash surfaces uniformly, as in a collective
+                yield from comm._fail_fast(
+                    self._scatter_hand_tuned(src_arr, dst_arr, mode))
             elif backend == "datatype":
                 if mode == "insert":
                     yield from self._scatter_datatype(src_arr, dst_arr)
@@ -354,7 +355,7 @@ class VecScatter:
         if self._local_src_type is not None:
             sendspecs[comm.rank] = TypedBuffer(src, self._local_src_type)
             recvspecs[comm.rank] = TypedBuffer(dst, self._local_dst_type)
-        yield from alltoallw(comm, sendspecs, recvspecs)
+        yield from comm.alltoallw(sendspecs, recvspecs)
 
     def _scatter_datatype_add(self, src: np.ndarray, dst: np.ndarray) -> Generator:
         """ADD mode over the datatype path: sends still use Indexed
@@ -374,7 +375,7 @@ class VecScatter:
             buf = np.zeros(offs.size)
             staging.append((buf, offs))
             recvspecs[peer] = TypedBuffer(buf, DOUBLE, offs.size)
-        yield from alltoallw(comm, sendspecs, recvspecs)
+        yield from comm.alltoallw(sendspecs, recvspecs)
         if self.local_src.size:
             np.add.at(dst, self.local_dst, src[self.local_src])
             yield from comm.cpu(

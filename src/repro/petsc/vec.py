@@ -478,7 +478,7 @@ class Vec:
         prof = comm.cluster.profiler
         if prof.enabled:
             prof.count("repro_plan_cache_hits_total")
-        from repro.mpi.collectives.basic import _tag_window
+        from repro.mpi.collectives import _tag_window
 
         base = _tag_window(comm, op="vec_assembly_cached",
                            detail=(plan.fingerprint, plan.mode))

@@ -186,6 +186,45 @@ def test_mismatched_collective_root_fires_col002():
     assert len(verifier.report.by_rule("COL001")) == 0
 
 
+def test_sparse_alltoall_protocol_family_fires_col002():
+    """The detail of a sparse exchange is its wire protocol: a rank forcing
+    ``dense`` while the others speak NBX is reported; ``nbx`` against
+    ``nbx_binned`` interoperates and is not."""
+    def main(comm, algorithms):
+        got = yield from comm.sparse_alltoall(
+            {(comm.rank + 1) % comm.size: np.arange(2.0) + comm.rank},
+            algorithm=algorithms[comm.rank])
+        return got
+
+    verifier, _ = run_verified(3, main, ["dense", "nbx", "nbx"])
+    col = verifier.report.by_rule("COL002")
+    assert len(col) == 1 and "sparse_alltoall" in col[0].message
+
+    verifier, results = run_verified(3, main, ["nbx_binned", "nbx", "nbx"])
+    assert verifier.report.by_rule("COL002") == []
+    assert [sorted(got) for got in results] == [[2], [0], [1]]
+
+
+def test_gatherv_scatterv_infer_the_wire_element_type():
+    """An inferred float64 element type is the one ``send``/``recv`` use,
+    so the v-collectives raise no signature mismatch (SIG001)."""
+    counts = [1, 2, 3]
+
+    def main(comm):
+        recv = np.zeros(sum(counts)) if comm.rank == 0 else None
+        got = yield from comm.gatherv(
+            np.full(counts[comm.rank], float(comm.rank)), recv, counts)
+        piece = yield from comm.scatterv(
+            np.arange(6.0) if comm.rank == 0 else None, counts,
+            recvbuf=np.zeros(counts[comm.rank]))
+        return got, piece
+
+    verifier, results = run_verified(3, main)
+    assert verifier.report.by_rule("SIG001") == []
+    assert results[0][0].tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    assert results[2][1].tolist() == [3.0, 4.0, 5.0]
+
+
 # -- clean programs stay clean ------------------------------------------------
 
 def clean_exchange(comm):

@@ -81,6 +81,32 @@ def test_crash_during_alltoallw_propagates(algorithm):
     _survivor_errors(outcomes, victim)
 
 
+@pytest.mark.parametrize("backend", ["datatype", "hand_tuned"])
+@pytest.mark.parametrize("config", ["baseline", "optimized"])
+def test_crash_during_vecscatter_propagates(config, backend):
+    """Both VecScatter backends fail fast: the datatype path through
+    ``Comm.alltoallw``, the hand-tuned exchange through ``_fail_fast``."""
+    from repro.petsc.scatter import VecScatter
+
+    n, victim, width = 6, 2, 8
+    plan = FaultPlan().crash(victim, at_time=1e-9)
+    cluster = Cluster(n, config=getattr(MPIConfig, config)(), cost=QUIET,
+                      fault_plan=plan)
+
+    def main(comm):
+        offs = np.arange(width)
+        scatter = VecScatter(comm, {(comm.rank + 1) % n: offs},
+                             {(comm.rank - 1) % n: offs},
+                             (np.empty(0, dtype=np.int64),) * 2)
+        src, dst = np.full(width, float(comm.rank)), np.zeros(width)
+        for _ in range(4):
+            yield from scatter.scatter(src, dst, backend=backend)
+        return dst
+
+    outcomes = cluster.run(main, return_exceptions=True)
+    _survivor_errors(outcomes, victim)
+
+
 def test_crash_during_barrier_and_allreduce():
     victim = 1
     plan = FaultPlan(seed=0).crash(victim, at_time=1e-7)

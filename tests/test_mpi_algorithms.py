@@ -104,12 +104,6 @@ def test_estimators_are_finite_and_ordered():
     assert est["recursive_doubling"] < est["ring"]
 
 
-def test_only_requires_single_candidate():
-    assert REGISTRY.only("barrier").name == "dissemination"
-    with pytest.raises(ValueError, match="candidates"):
-        REGISTRY.only("allgatherv")
-
-
 # -- shared counts/displs validation ------------------------------------------
 
 def test_normalize_counts_displs_defaults():
