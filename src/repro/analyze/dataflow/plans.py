@@ -245,7 +245,7 @@ def _constant_env(func: ast.AST, module: ast.Module) -> Dict[str, Any]:
 def _predict_decisions(collective: str, volumes: List[int],
                        dtype_size: int, contiguous: bool) -> Dict[str, str]:
     """Which algorithm would each selection policy pick for this call?"""
-    from repro.mpi.algorithms.policies import AdaptivePolicy, MpichPolicy
+    from repro.mpi.algorithms.policies import RulePolicy
     from repro.mpi.algorithms.registry import REGISTRY, SelectionContext
     from repro.mpi.config import MPIConfig
     from repro.util.costmodel import CostModel
@@ -255,13 +255,12 @@ def _predict_decisions(collective: str, volumes: List[int],
     ctx = SelectionContext(
         collective=collective, size=len(volumes),
         volumes=tuple(int(v) for v in volumes), dtype_size=dtype_size,
-        contiguous=contiguous, config=MPIConfig.baseline(),
-        cost=CostModel(),
+        contiguous=contiguous, cost=CostModel(),
     )
     out: Dict[str, str] = {}
     try:
-        out["mpich"] = MpichPolicy(MPIConfig.baseline()).decide(ctx).algorithm
-        out["adaptive"] = AdaptivePolicy(
+        out["mpich"] = RulePolicy(MPIConfig.baseline()).decide(ctx).algorithm
+        out["adaptive"] = RulePolicy(
             MPIConfig.optimized()).decide(ctx).algorithm
     except Exception:  # no applicable algorithm for this N: no prediction
         return out

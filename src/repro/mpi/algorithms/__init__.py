@@ -7,9 +7,10 @@ Three layers:
 - :mod:`repro.mpi.algorithms.registry` -- :data:`REGISTRY`, an
   :class:`AlgorithmRegistry` of named implementations per collective with
   applicability predicates and cost estimators,
-- :mod:`repro.mpi.algorithms.policies` -- ``fixed(name)`` / ``mpich`` /
-  ``adaptive`` / ``autotuned`` selection policies plus :func:`select`, the
-  single dispatch point every collective entry function calls,
+- :mod:`repro.mpi.algorithms.policies` -- the flag-driven
+  :class:`RulePolicy` (mpich or adaptive rule per collective) and the
+  tuning-table :class:`AutotunedPolicy`, plus :func:`select`, the single
+  dispatch point every collective entry function calls,
 - :mod:`repro.mpi.algorithms.tuning` / ``autotune`` -- the tuning-table
   schema and the simulator sweep that fills it
   (``python -m repro.bench autotune``).
@@ -25,13 +26,9 @@ from repro.mpi.algorithms.registry import (  # noqa: F401
     SelectionContext,
 )
 from repro.mpi.algorithms.policies import (  # noqa: F401
-    AdaptivePolicy,
     AutotunedPolicy,
     Decision,
-    FixedPolicy,
-    FlagPolicy,
-    MpichPolicy,
-    SelectionPolicy,
+    RulePolicy,
     policy_for,
     select,
 )
@@ -52,14 +49,10 @@ __all__ = [
     "REGISTRY",
     "Algorithm",
     "AlgorithmRegistry",
-    "AdaptivePolicy",
     "AutotunedPolicy",
     "Decision",
-    "FixedPolicy",
-    "FlagPolicy",
-    "MpichPolicy",
+    "RulePolicy",
     "SelectionContext",
-    "SelectionPolicy",
     "TuningTable",
     "bucket_key",
     "check_spec_lengths",

@@ -164,7 +164,7 @@ def autotune(quick: bool = False, cost: Optional[CostModel] = None,
     for collective, label, n, volumes, body in scenarios(procs):
         ctx = SelectionContext(collective=collective, size=n,
                                volumes=tuple(volumes), dtype_size=DOUBLE_BYTES,
-                               config=config, cost=cost)
+                               cost=cost)
         key = bucket_key(ctx)
         latencies: Dict[str, float] = {
             algorithm.name: _measure(n, body, algorithm.name, config, cost)
@@ -197,8 +197,7 @@ def compare_policies(table_path: str, quick: bool = False,
     base = MPIConfig.baseline()
     opt = MPIConfig.optimized()
     auto = MPIConfig.optimized().with_(
-        selection_policy="autotuned", tuning_table=table_path,
-        name="MVAPICH2-Autotuned",
+        tuning_table=table_path, name="MVAPICH2-Autotuned",
     )
     procs = (8, 16, 32) if quick else (8, 16, 32, 64)
 

@@ -1,41 +1,40 @@
 """Selection policies: which registered algorithm does one call get?
 
-Four policies (chosen by :attr:`repro.mpi.config.MPIConfig.selection_policy`):
+Two policies; :func:`policy_for` picks the tuning table when the config
+names one (:attr:`repro.mpi.config.MPIConfig.tuning_table`) and the rule
+otherwise.
 
-``fixed:<name>``
-    Pin every collective that registers an (applicable) algorithm of that
-    name; others fall back to the ``mpich`` rule.  For microbenchmarks.
+:class:`RulePolicy`
+    Per collective, the adaptive or the mpich rule, chosen by the feature
+    flag that governs the collective: ``adaptive_allgatherv`` for
+    Allgatherv, ``binned_alltoallw`` for Alltoallw and the sparse
+    exchange, both flags for every other collective.
 
-``mpich``
-    The stock MPICH2 / MVAPICH2-0.9.5 selection tables of the paper's
-    section 3.2: tree algorithms below the Allgatherv long-message
-    threshold, the ring above it; round-robin Alltoallw.  Bit-for-bit the
-    decisions :meth:`MPIConfig.baseline` made before the registry existed.
+    *mpich* is the stock MPICH2 / MVAPICH2-0.9.5 selection table of the
+    paper's section 3.2: tree algorithms below the Allgatherv long-message
+    threshold, the ring above it; round-robin Alltoallw; the dense sparse
+    exchange.  *adaptive* is the paper's section 4.2 rules: in the
+    Allgatherv long-message regime run the Floyd-Rivest outlier-ratio
+    check (Eq. 1) and abandon the ring when the set is nonuniform; bin
+    Alltoallw peers by message size; NBX for the sparse exchange.  So
+    :meth:`MPIConfig.baseline` decides by mpich everywhere,
+    :meth:`MPIConfig.optimized` by adaptive everywhere, and single-flag
+    ablation configs mix the two per collective.
 
-``adaptive``
-    The paper's section 4.2 rules, generalised so any collective with a
-    volume set can consult the outlier detector: in the Allgatherv
-    long-message regime run the Floyd-Rivest outlier-ratio check (Eq. 1)
-    and abandon the ring when the set is nonuniform; bin Alltoallw peers
-    by message size.  Bit-for-bit :meth:`MPIConfig.optimized`'s decisions.
-
-``autotuned``
+:class:`AutotunedPolicy`
     Look the call's bucket up in a tuning table measured in the simulator
     (``python -m repro.bench autotune``); an LRU decision cache keeps the
     per-call overhead at one dict probe.  Untrained buckets fall back to
-    the ``adaptive`` rule (including its detection-cost accounting).
+    the config's rule (including its detection-cost accounting).
 
-A config whose ``selection_policy`` is None derives the policy from its
-feature flags per collective (``adaptive_allgatherv``/``binned_alltoallw``),
-which keeps single-flag ablation configs meaningful; with all flags off
-that *is* the ``mpich`` policy, with all on it *is* ``adaptive``.
+A per-call ``algorithm=`` (see :func:`select`) pins one implementation.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 from repro.mpi import outlier
 from repro.mpi.algorithms.registry import REGISTRY, SelectionContext
@@ -68,49 +67,73 @@ class Decision:
                 f"policy={self.policy} reason={self.reason!r})")
 
 
-class SelectionPolicy:
-    """Base class; subclasses implement :meth:`decide`."""
+def _sole(ctx: SelectionContext, policy: str) -> Optional[Decision]:
+    """Single-candidate collectives need no policy logic."""
+    candidates = REGISTRY.candidates(ctx.collective)
+    if len(candidates) == 1:
+        return Decision(ctx.collective, candidates[0].name, policy,
+                        reason="sole")
+    return None
 
-    name = "abstract"
+
+def _tree(ctx: SelectionContext) -> str:
+    """The short-message / adapted Allgatherv algorithm for this N."""
+    return "recursive_doubling" if ctx.pow2 else "dissemination"
+
+
+class RulePolicy:
+    """The mpich or adaptive rule per collective, as the config's flags say."""
 
     def __init__(self, config: MPIConfig):
         self.config = config
 
+    def _rule(self, collective: str) -> str:
+        """``"adaptive"`` when the flag governing ``collective`` is on."""
+        if collective == "allgatherv":
+            adaptive = self.config.adaptive_allgatherv
+        elif collective in ("alltoallw", "sparse_alltoall"):
+            adaptive = self.config.binned_alltoallw
+        else:
+            adaptive = (self.config.adaptive_allgatherv
+                        and self.config.binned_alltoallw)
+        return "adaptive" if adaptive else "mpich"
+
     def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        raise NotImplementedError
+        rule = self._rule(ctx.collective)
+        sole = _sole(ctx, rule)
+        if sole is not None:
+            return sole
+        if ctx.collective == "allgatherv":
+            return self._allgatherv(ctx, rule, prof)
+        if ctx.collective == "alltoallw":
+            algorithm = "binned" if rule == "adaptive" else "round_robin"
+            return Decision(ctx.collective, algorithm, rule, reason=rule)
+        if ctx.collective == "sparse_alltoall":
+            if rule == "adaptive":
+                return self._adaptive_sparse(ctx)
+            # the pre-NBX protocol: a dense counts exchange on every call
+            return Decision(ctx.collective, "dense", rule, reason=rule)
+        candidates = REGISTRY.candidates(ctx.collective, ctx)
+        if not candidates:
+            from repro.mpi.comm import MPIError
 
-    # -- shared building blocks ---------------------------------------------
+            raise MPIError(
+                f"no applicable algorithm for {ctx.collective} (N={ctx.size})")
+        return Decision(ctx.collective, candidates[0].name, rule,
+                        reason="first-applicable")
 
-    def _sole(self, ctx: SelectionContext) -> Optional[Decision]:
-        """Single-candidate collectives need no policy logic."""
-        candidates = REGISTRY.candidates(ctx.collective)
-        if len(candidates) == 1:
-            return Decision(ctx.collective, candidates[0].name, self.name,
-                            reason="sole")
-        return None
-
-    def _tree(self, ctx: SelectionContext) -> str:
-        """The short-message / adapted Allgatherv algorithm for this N."""
-        return "recursive_doubling" if ctx.pow2 else "dissemination"
-
-    def _mpich_allgatherv(self, ctx: SelectionContext, reason_prefix: str = "mpich") -> Decision:
+    def _allgatherv(self, ctx: SelectionContext, rule: str, prof: Any) -> Decision:
         if not ctx.contiguous:
             # tree algorithms forward multi-block regions as one HIndexed
             # message, which requires a contiguous element type; the ring
             # moves single blocks and is always applicable
-            return Decision(ctx.collective, "ring", self.name,
-                            reason=f"{reason_prefix}:noncontiguous")
-        threshold = self.config.allgatherv_long_threshold
-        if ctx.total_bytes < threshold:
-            return Decision(ctx.collective, self._tree(ctx), self.name,
-                            reason=f"{reason_prefix}:short")
-        return Decision(ctx.collective, "ring", self.name,
-                        reason=f"{reason_prefix}:long")
-
-    def _adaptive_allgatherv(self, ctx: SelectionContext, prof: Any) -> Decision:
-        decision = self._mpich_allgatherv(ctx, reason_prefix="adaptive")
-        if decision.reason != "adaptive:long":
-            return decision
+            return Decision(ctx.collective, "ring", rule,
+                            reason=f"{rule}:noncontiguous")
+        if ctx.total_bytes < self.config.allgatherv_long_threshold:
+            return Decision(ctx.collective, _tree(ctx), rule,
+                            reason=f"{rule}:short")
+        if rule == "mpich":
+            return Decision(ctx.collective, "ring", rule, reason="mpich:long")
         # section 4.2.1: a linear-time Floyd-Rivest outlier pass over the
         # (locally known) volume set, charged to the deciding rank
         detect = outlier.detection_cpu_seconds(ctx.size)
@@ -125,9 +148,9 @@ class SelectionPolicy:
         else:
             found = outlier.has_outliers(ctx.volumes, ctx.cost)
         if found:
-            return Decision(ctx.collective, self._tree(ctx), self.name,
+            return Decision(ctx.collective, _tree(ctx), rule,
                             reason="adaptive:outliers", detect_seconds=detect)
-        return Decision(ctx.collective, "ring", self.name,
+        return Decision(ctx.collective, "ring", rule,
                         reason="adaptive:uniform", detect_seconds=detect)
 
     def _adaptive_sparse(self, ctx: SelectionContext) -> Decision:
@@ -144,138 +167,32 @@ class SelectionPolicy:
                      and any(v < threshold for v in sizes)
                      and any(v >= threshold for v in sizes))
         if mixed:
-            return Decision(ctx.collective, "nbx_binned", self.name,
+            return Decision(ctx.collective, "nbx_binned", "adaptive",
                             reason="adaptive:mixed-sizes")
-        return Decision(ctx.collective, "nbx", self.name, reason="adaptive")
+        return Decision(ctx.collective, "nbx", "adaptive", reason="adaptive")
 
 
-class MpichPolicy(SelectionPolicy):
-    """Today's baseline thresholds, everywhere."""
-
-    name = "mpich"
-
-    def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        sole = self._sole(ctx)
-        if sole is not None:
-            return sole
-        if ctx.collective == "allgatherv":
-            return self._mpich_allgatherv(ctx)
-        if ctx.collective == "alltoallw":
-            return Decision(ctx.collective, "round_robin", self.name,
-                            reason="mpich")
-        if ctx.collective == "sparse_alltoall":
-            # the pre-NBX protocol: a dense counts exchange on every call
-            return Decision(ctx.collective, "dense", self.name,
-                            reason="mpich")
-        return self._first_applicable(ctx)
-
-    def _first_applicable(self, ctx: SelectionContext) -> Decision:
-        candidates = REGISTRY.candidates(ctx.collective, ctx)
-        if not candidates:
-            from repro.mpi.comm import MPIError
-
-            raise MPIError(
-                f"no applicable algorithm for {ctx.collective} (N={ctx.size})")
-        return Decision(ctx.collective, candidates[0].name, self.name,
-                        reason="first-applicable")
-
-
-class AdaptivePolicy(MpichPolicy):
-    """The paper's section 4.2 rules for every volume-carrying collective."""
-
-    name = "adaptive"
-
-    def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        sole = self._sole(ctx)
-        if sole is not None:
-            return sole
-        if ctx.collective == "allgatherv":
-            return self._adaptive_allgatherv(ctx, prof)
-        if ctx.collective == "alltoallw":
-            return Decision(ctx.collective, "binned", self.name,
-                            reason="adaptive")
-        if ctx.collective == "sparse_alltoall":
-            return self._adaptive_sparse(ctx)
-        return self._first_applicable(ctx)
-
-
-class FlagPolicy(SelectionPolicy):
-    """Per-collective mpich/adaptive derived from the config's feature
-    flags -- the pre-registry dispatch, written once.  Reports the
-    underlying rule ("mpich"/"adaptive") as its policy name so metrics
-    reflect what actually decided."""
-
-    def __init__(self, config: MPIConfig):
-        super().__init__(config)
-        self._mpich = MpichPolicy(config)
-        self._adaptive = AdaptivePolicy(config)
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        if self.config.adaptive_allgatherv and self.config.binned_alltoallw:
-            return "adaptive"
-        if self.config.adaptive_allgatherv or self.config.binned_alltoallw:
-            return "flags"
-        return "mpich"
-
-    def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        if ctx.collective == "allgatherv":
-            delegate = (self._adaptive if self.config.adaptive_allgatherv
-                        else self._mpich)
-        elif ctx.collective in ("alltoallw", "sparse_alltoall"):
-            delegate = (self._adaptive if self.config.binned_alltoallw
-                        else self._mpich)
-        else:
-            delegate = self._mpich
-        return delegate.decide(ctx, prof)
-
-
-class FixedPolicy(SelectionPolicy):
-    """Force one named algorithm wherever it is registered and applicable."""
-
-    def __init__(self, config: MPIConfig, algorithm: str):
-        super().__init__(config)
-        self.algorithm = algorithm
-        self.name = f"fixed:{algorithm}"
-        self._fallback = MpichPolicy(config)
-
-    def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        if self.algorithm in REGISTRY.names(ctx.collective):
-            algorithm = REGISTRY.get(ctx.collective, self.algorithm)
-            if algorithm.applicable(ctx):
-                return Decision(ctx.collective, self.algorithm, self.name,
-                                reason="fixed")
-            reason = "fixed:inapplicable"
-        else:
-            reason = "fixed:unregistered"
-        decision = self._fallback.decide(ctx, prof)
-        decision.policy = self.name
-        decision.reason = f"{reason}->{decision.reason}"
-        return decision
-
-
-class AutotunedPolicy(SelectionPolicy):
+class AutotunedPolicy:
     """Tuning-table lookups with an LRU decision cache.
 
     A table hit costs one bucket classification plus a dict probe -- no
-    simulated CPU is charged, unlike the adaptive policy's linear-time
-    detection pass.  Untrained buckets fall back to the adaptive rule
+    simulated CPU is charged, unlike the adaptive rule's linear-time
+    detection pass.  Untrained buckets fall back to the config's rule
     (with its honest detection cost)."""
 
     name = "autotuned"
     CACHE_SIZE = 256
 
     def __init__(self, config: MPIConfig, table: Optional[TuningTable] = None):
-        super().__init__(config)
         if table is None and config.tuning_table:
             table = load_table(config.tuning_table)
         self.table = table
-        self._fallback = AdaptivePolicy(config)
+        self._fallback = RulePolicy(config)
         #: bucket key -> algorithm
         self._cache: "OrderedDict[str, str]" = OrderedDict()
 
     def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        sole = self._sole(ctx)
+        sole = _sole(ctx, self.name)
         if sole is not None:
             return sole
         key = bucket_key(ctx)
@@ -306,29 +223,18 @@ class AutotunedPolicy(SelectionPolicy):
 
 
 @lru_cache(maxsize=128)
-def policy_for(config: MPIConfig) -> SelectionPolicy:
-    """Resolve (and cache) the policy object one config maps onto.
+def policy_for(config: MPIConfig) -> Union[RulePolicy, AutotunedPolicy]:
+    """Resolve (and cache) the policy one config maps onto: the tuning
+    table when :attr:`MPIConfig.tuning_table` names one, the flag-driven
+    rule otherwise.
 
     ``MPIConfig`` is frozen/hashable, so identical configs share one policy
     instance -- which is what gives the autotuned policy a process-wide
     decision cache per config.
     """
-    spec = config.selection_policy
-    if spec is None:
-        if config.adaptive_allgatherv and config.binned_alltoallw:
-            return AdaptivePolicy(config)
-        if not config.adaptive_allgatherv and not config.binned_alltoallw:
-            return MpichPolicy(config)
-        return FlagPolicy(config)
-    if spec == "mpich":
-        return MpichPolicy(config)
-    if spec == "adaptive":
-        return AdaptivePolicy(config)
-    if spec == "autotuned":
+    if config.tuning_table:
         return AutotunedPolicy(config)
-    if spec.startswith("fixed:"):
-        return FixedPolicy(config, spec.split(":", 1)[1])
-    raise ValueError(f"unknown selection_policy {spec!r}")
+    return RulePolicy(config)
 
 
 def select(comm: Any, collective: str,

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.mpi.config import MPIConfig
 from repro.util.costmodel import CostModel
 
 
@@ -42,7 +41,6 @@ class SelectionContext:
     volumes: Tuple[int, ...] = ()
     dtype_size: int = 1
     contiguous: bool = True
-    config: Optional[MPIConfig] = None
     cost: Optional[CostModel] = None
 
     @classmethod
@@ -55,7 +53,6 @@ class SelectionContext:
             volumes=tuple(map(int, volumes)),
             dtype_size=dtype_size,
             contiguous=contiguous,
-            config=comm.config,
             cost=comm.cost,
         )
 

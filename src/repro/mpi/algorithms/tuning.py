@@ -81,11 +81,13 @@ def total_bucket(total_bytes: int) -> int:
 
 #: collectives whose algorithm choice must be rank-uniform *without*
 #: communicating: their algorithms speak incompatible wire protocols
-#: (``sparse_alltoall``'s dense counts exchange vs NBX consensus), and the
-#: per-rank volume set differs on every rank -- a volume-derived bucket
-#: could send different ranks to different table entries and deadlock the
-#: exchange.  These collectives bucket on rank-uniform features only.
-UNIFORM_BUCKET_COLLECTIVES = frozenset({"sparse_alltoall"})
+#: (``sparse_alltoall``'s dense counts exchange vs NBX consensus;
+#: ``alltoallw``'s round_robin waits for the zero-byte messages binned
+#: never sends), and the per-rank volume set differs on every rank -- a
+#: volume-derived bucket could send different ranks to different table
+#: entries and deadlock the exchange.  These collectives bucket on
+#: rank-uniform features only.
+UNIFORM_BUCKET_COLLECTIVES = frozenset({"alltoallw", "sparse_alltoall"})
 
 
 def bucket_key(ctx: SelectionContext) -> str:

@@ -24,10 +24,10 @@ Two algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
     datatype processing.
 
 Which algorithm a call gets is decided by the selection policy the one
-dispatcher, :func:`repro.mpi.collectives.run`, consults (the ``mpich``
-policy always picks ``round_robin``, ``adaptive`` always ``binned``,
-matching the pre-registry ``config.binned_alltoallw`` flag dispatch bit for
-bit); an implementation is ``impl(comm, sendspecs, recvspecs, base)``.
+dispatcher, :func:`repro.mpi.collectives.run`, consults (``binned`` when
+``config.binned_alltoallw`` is on, ``round_robin`` when it is off, unless
+a tuning table says otherwise); an implementation is
+``impl(comm, sendspecs, recvspecs, base)``.
 
 Per-pair datatype processing (the cost the binning hides) rides on
 ``comm.isend``, whose engines read each TypedBuffer's block structure from

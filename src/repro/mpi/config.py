@@ -4,19 +4,13 @@ Every optimisation the paper proposes is an independent toggle so the
 benchmark suite can measure each one's contribution separately
 (``benchmarks/test_ablations.py``).
 
-Collective-algorithm selection is governed by :attr:`MPIConfig.selection_policy`
-(see :mod:`repro.mpi.algorithms`):
-
-- ``None`` (the default) derives the policy from the feature flags, so
-  ``baseline()`` resolves to the ``mpich`` policy and ``optimized()`` to the
-  ``adaptive`` policy -- bit-for-bit the pre-registry decision logic -- and
-  ablation configs with mixed flags keep their per-collective behaviour,
-- ``"mpich"`` forces the stock MPICH2 selection thresholds everywhere,
-- ``"adaptive"`` forces the paper's section 4.2 rules everywhere,
-- ``"autotuned"`` consults the tuning table at :attr:`tuning_table`
-  (``python -m repro.bench autotune`` regenerates it),
-- ``"fixed:<name>"`` pins every collective that registers an algorithm of
-  that name (microbenchmarks).
+Collective-algorithm selection (see :mod:`repro.mpi.algorithms`) follows
+the two section 4.2 flags: each collective takes the paper's adaptive rule
+when the flag governing it is on and the stock MPICH2 rule when it is off,
+so ``baseline()`` is mpich everywhere, ``optimized()`` adaptive everywhere
+and single-flag ablation configs mix the two.  A config whose
+:attr:`MPIConfig.tuning_table` names a table measured in the simulator
+(``python -m repro.bench autotune``) looks every call up there instead.
 """
 
 from __future__ import annotations
@@ -49,11 +43,8 @@ class MPIConfig:
     #: algorithm (the "large message" regime of section 3.2)
     allgatherv_long_threshold: int = 16 * 1024
 
-    #: collective-algorithm selection policy (see repro.mpi.algorithms);
-    #: None derives mpich/adaptive behaviour from the flags above
-    selection_policy: Optional[str] = None
-
-    #: path to a tuning-table JSON for the ``autotuned`` policy
+    #: path to a tuning-table JSON; when set, the ``autotuned`` policy
+    #: replaces the flag-driven rule (see repro.mpi.algorithms)
     tuning_table: Optional[str] = None
 
     # -- fault tolerance (repro.faults / docs/FAULTS.md) -------------------
@@ -92,7 +83,7 @@ class MPIConfig:
     def baseline(cls) -> "MPIConfig":
         """Stock MVAPICH2-0.9.5 / MPICH2 behaviour (the paper's baseline).
 
-        With all flags off the derived selection policy is ``mpich``.
+        With all flags off every collective takes the ``mpich`` rule.
         """
         return cls(
             name="MVAPICH2-0.9.5",
@@ -105,7 +96,7 @@ class MPIConfig:
     def optimized(cls) -> "MPIConfig":
         """All of the paper's optimisations enabled ("MVAPICH2-New").
 
-        With all flags on the derived selection policy is ``adaptive``.
+        With all flags on every collective takes the ``adaptive`` rule.
         """
         return cls(
             name="MVAPICH2-New",

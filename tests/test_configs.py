@@ -43,7 +43,7 @@ def test_with_suffix_skips_unchanged_and_nonflag_fields():
     assert base.with_(adaptive_allgatherv=False).name == base.name
     # non-boolean fields never rename
     assert base.with_(eager_threshold=1).name == base.name
-    assert base.with_(selection_policy="adaptive").name == base.name
+    assert base.with_(tuning_table="table.json").name == base.name
 
 
 def test_with_explicit_name_wins():
@@ -51,13 +51,10 @@ def test_with_explicit_name_wins():
     assert cfg.name == "Custom"
 
 
-def test_selection_policy_defaults():
-    assert MPIConfig.baseline().selection_policy is None
-    assert MPIConfig.optimized().selection_policy is None
+def test_tuning_table_defaults():
     assert MPIConfig.baseline().tuning_table is None
-    auto = MPIConfig.optimized().with_(selection_policy="autotuned",
-                                       tuning_table="table.json")
-    assert auto.selection_policy == "autotuned"
+    assert MPIConfig.optimized().tuning_table is None
+    auto = MPIConfig.optimized().with_(tuning_table="table.json")
     assert auto.tuning_table == "table.json"
 
 

@@ -1,13 +1,16 @@
 """Docs are checked artifacts: every back-ticked ``repro.x.y`` dotted name
 and every ``src|tests|benchmarks|examples/...py`` path a Markdown page
-mentions must resolve in this tree, and every ``python -m repro.bench``
-and ``python -m repro.analyze`` command line a page or the CI workflow
-spells out must parse.
+mentions must resolve in this tree, every keyword a back-ticked
+``MPIConfig(...)`` or ``.with_(...)`` passes and every back-ticked
+``MPIConfig.<name>`` must be a field or method of ``MPIConfig``, and every
+``python -m repro.bench`` and ``python -m repro.analyze`` command line a
+page or the CI workflow spells out must parse.
 
 ROADMAP.md, CHANGES.md and ISSUE.md are exempt: they are history (they name
 what a past or future commit had), not a description of the tree.
 """
 
+import dataclasses
 import importlib
 import re
 import shlex
@@ -17,6 +20,7 @@ import pytest
 
 from repro.analyze.__main__ import _parse as parse_analyze
 from repro.bench.__main__ import _parse as parse_bench
+from repro.mpi import MPIConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 HISTORY = {"ROADMAP.md", "CHANGES.md", "ISSUE.md"}
@@ -25,6 +29,13 @@ PAGES = sorted(p for p in [*ROOT.glob("*.md"), *ROOT.glob("docs/*.md")]
 
 DOTTED = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)(?:\.\*|\(\))?`")
 PATH = re.compile(r"\b((?:src|tests|benchmarks|examples)/[\w./-]+\.py)\b")
+# a fenced block or an inline code span
+CODE = re.compile(r"```(.*?)```|`([^`]+)`", re.S)
+CONFIG_CALL = re.compile(r"(?:\bMPIConfig|\.with_)\(([^)]*)\)")
+CONFIG_ATTR = re.compile(r"\bMPIConfig\.(\w+)")
+KEYWORD = re.compile(r"\b(\w+)\s*=(?!=)")
+CONFIG_NAMES = ({f.name for f in dataclasses.fields(MPIConfig)}
+                | {n for n in vars(MPIConfig) if not n.startswith("_")})
 
 CLI_PAGES = PAGES + [p for p in (ROOT / ".github/workflows/ci.yml",
                                  ROOT / ".claude/skills/verify/SKILL.md")
@@ -63,6 +74,31 @@ def test_every_dotted_name_and_path_resolves(page):
                    | {path for path in PATH.findall(text)
                       if not (ROOT / path).is_file()})
     assert not stale, f"{page.relative_to(ROOT)} names what is not in the tree: {stale}"
+
+
+def stale_config_names(text):
+    """Names a back-ticked ``MPIConfig`` call, ``.with_`` call or attribute
+    in ``text`` uses that ``MPIConfig`` does not have."""
+    names = set()
+    for fenced, inline in CODE.findall(text):
+        span = fenced or inline
+        for args in CONFIG_CALL.findall(span):
+            names.update(KEYWORD.findall(args))
+        names.update(CONFIG_ATTR.findall(span))
+    return sorted(names - CONFIG_NAMES)
+
+
+def test_stale_config_names_are_caught():
+    assert stale_config_names(
+        "`MPIConfig.with_(stale_flag=True, tuning_table=p)` "
+        "`MPIConfig(reliable_transport=True)` `MPIConfig.baseline()` "
+        "`MPIConfig.stale_field`") == ["stale_field", "stale_flag"]
+
+
+@pytest.mark.parametrize("page", PAGES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_config_name_is_a_field_or_method(page):
+    stale = stale_config_names(page.read_text())
+    assert not stale, f"{page.relative_to(ROOT)} names MPIConfig fields that do not exist: {stale}"
 
 
 def stale_commands(page, module, parse):

@@ -13,11 +13,8 @@ from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.mpi import Cluster, MPIConfig, MPIError
 from repro.mpi.algorithms import (
     REGISTRY,
-    AdaptivePolicy,
     AutotunedPolicy,
-    FixedPolicy,
-    FlagPolicy,
-    MpichPolicy,
+    RulePolicy,
     SelectionContext,
     TuningTable,
     bucket_key,
@@ -37,7 +34,7 @@ BASE = MPIConfig.baseline()
 OPT = MPIConfig.optimized()
 
 
-def ctx_for(config, counts, size=None, dtype_size=8, contiguous=True,
+def ctx_for(counts, size=None, dtype_size=8, contiguous=True,
             collective="allgatherv"):
     return SelectionContext(
         collective=collective,
@@ -45,7 +42,6 @@ def ctx_for(config, counts, size=None, dtype_size=8, contiguous=True,
         volumes=tuple(c * dtype_size for c in counts),
         dtype_size=dtype_size,
         contiguous=contiguous,
-        config=config,
         cost=QUIET,
     )
 
@@ -87,18 +83,18 @@ def test_registry_duplicate_with_different_fn_rejected():
 def test_predicates_filter_candidates():
     # non-power-of-two excludes recursive doubling
     names = [a.name for a in
-             REGISTRY.candidates("allgatherv", ctx_for(OPT, [1] * 6))]
+             REGISTRY.candidates("allgatherv", ctx_for([1] * 6))]
     assert "recursive_doubling" not in names
     assert "dissemination" in names and "ring" in names
     # noncontiguous element types leave only the ring
     names = [a.name for a in REGISTRY.candidates(
-        "allgatherv", ctx_for(OPT, [1] * 8, contiguous=False))]
+        "allgatherv", ctx_for([1] * 8, contiguous=False))]
     assert names == ["ring"]
 
 
 def test_estimators_are_finite_and_ordered():
     # outlier workload: the closed-form prior already prefers the tree
-    ctx = ctx_for(OPT, [4096] + [1] * 7)
+    ctx = ctx_for([4096] + [1] * 7)
     est = {a.name: a.estimate(ctx) for a in REGISTRY.candidates("allgatherv", ctx)}
     assert all(math.isfinite(v) and v > 0 for v in est.values())
     assert est["recursive_doubling"] < est["ring"]
@@ -139,26 +135,15 @@ def test_check_spec_lengths():
 # -- policy resolution --------------------------------------------------------
 
 def test_policy_for_derives_from_flags():
-    assert isinstance(policy_for(BASE), MpichPolicy)
-    assert isinstance(policy_for(OPT), AdaptivePolicy)
-    mixed = BASE.with_(adaptive_allgatherv=True)
-    pol = policy_for(mixed)
-    assert isinstance(pol, FlagPolicy)
-    assert pol.name == "flags"
+    for config in (BASE, OPT, BASE.with_(adaptive_allgatherv=True)):
+        assert isinstance(policy_for(config), RulePolicy)
 
 
-def test_policy_for_explicit_spec():
-    assert isinstance(policy_for(BASE.with_(selection_policy="adaptive")),
-                      AdaptivePolicy)
-    assert isinstance(policy_for(OPT.with_(selection_policy="mpich")),
-                      MpichPolicy)
-    assert isinstance(policy_for(OPT.with_(selection_policy="autotuned")),
+def test_policy_for_picks_the_table_when_one_is_named(tmp_path):
+    path = str(tmp_path / "t.json")
+    TuningTable().save(path)
+    assert isinstance(policy_for(OPT.with_(tuning_table=path)),
                       AutotunedPolicy)
-    fixed = policy_for(OPT.with_(selection_policy="fixed:ring"))
-    assert isinstance(fixed, FixedPolicy)
-    assert fixed.algorithm == "ring"
-    with pytest.raises(ValueError, match="unknown selection_policy"):
-        policy_for(OPT.with_(selection_policy="magic"))
 
 
 def test_policy_instances_are_cached_per_config():
@@ -179,61 +164,45 @@ OUTLIER_LARGE = [32768] + [1] * 7      # one 256 KiB outlier
 ])
 def test_allgatherv_decision_parity(counts, mpich_pick, adaptive_pick):
     """baseline()/optimized() decisions pinned to the pre-refactor logic."""
-    assert MpichPolicy(BASE).decide(ctx_for(BASE, counts)).algorithm == mpich_pick
-    assert AdaptivePolicy(OPT).decide(ctx_for(OPT, counts)).algorithm == adaptive_pick
+    assert policy_for(BASE).decide(ctx_for(counts)).algorithm == mpich_pick
+    assert policy_for(OPT).decide(ctx_for(counts)).algorithm == adaptive_pick
 
 
 def test_allgatherv_non_power_of_two_uses_dissemination():
     counts = [32768] + [1] * 4
-    decision = AdaptivePolicy(OPT).decide(ctx_for(OPT, counts))
+    decision = policy_for(OPT).decide(ctx_for(counts))
     assert decision.algorithm == "dissemination"
 
 
 def test_noncontiguous_always_rides_the_ring():
-    for policy in (MpichPolicy(BASE), AdaptivePolicy(OPT)):
+    for config in (BASE, OPT):
         for counts in (SMALL, OUTLIER_LARGE):
-            ctx = ctx_for(policy.config, counts, contiguous=False)
-            assert policy.decide(ctx).algorithm == "ring"
+            ctx = ctx_for(counts, contiguous=False)
+            assert policy_for(config).decide(ctx).algorithm == "ring"
 
 
 def test_alltoallw_decision_parity():
-    ctx_b = ctx_for(BASE, [100] * 8, collective="alltoallw")
-    ctx_o = ctx_for(OPT, [100] * 8, collective="alltoallw")
-    assert MpichPolicy(BASE).decide(ctx_b).algorithm == "round_robin"
-    assert AdaptivePolicy(OPT).decide(ctx_o).algorithm == "binned"
+    ctx = ctx_for([100] * 8, collective="alltoallw")
+    assert policy_for(BASE).decide(ctx).algorithm == "round_robin"
+    assert policy_for(OPT).decide(ctx).algorithm == "binned"
 
 
 def test_flag_policy_mixes_per_collective():
     cfg = BASE.with_(adaptive_allgatherv=True)  # binned_alltoallw stays off
     pol = policy_for(cfg)
-    agv = pol.decide(ctx_for(cfg, OUTLIER_LARGE))
-    a2a = pol.decide(ctx_for(cfg, [100] * 8, collective="alltoallw"))
-    assert agv.algorithm == "recursive_doubling"   # adaptive side
-    assert a2a.algorithm == "round_robin"          # mpich side
+    agv = pol.decide(ctx_for(OUTLIER_LARGE))
+    a2a = pol.decide(ctx_for([100] * 8, collective="alltoallw"))
+    assert (agv.algorithm, agv.policy) == ("recursive_doubling", "adaptive")
+    assert (a2a.algorithm, a2a.policy) == ("round_robin", "mpich")
 
 
 def test_adaptive_charges_detection_only_in_long_regime():
-    pol = AdaptivePolicy(OPT)
-    long_u = pol.decide(ctx_for(OPT, UNIFORM_LARGE))
+    pol = policy_for(OPT)
+    long_u = pol.decide(ctx_for(UNIFORM_LARGE))
     assert long_u.detect_seconds == pytest.approx(detection_cpu_seconds(8))
-    short = pol.decide(ctx_for(OPT, SMALL))
+    short = pol.decide(ctx_for(SMALL))
     assert short.detect_seconds == 0.0
-    assert MpichPolicy(BASE).decide(ctx_for(BASE, UNIFORM_LARGE)).detect_seconds == 0.0
-
-
-def test_fixed_policy_pins_and_falls_back():
-    pol = FixedPolicy(OPT, "ring")
-    assert pol.decide(ctx_for(OPT, OUTLIER_LARGE)).algorithm == "ring"
-    # alltoallw has no "ring"; fall back to the mpich rule, keep the name
-    decision = pol.decide(ctx_for(OPT, [100] * 8, collective="alltoallw"))
-    assert decision.algorithm == "round_robin"
-    assert decision.policy == "fixed:ring"
-    assert decision.reason.startswith("fixed:unregistered->")
-    # inapplicable pins fall back too
-    rd = FixedPolicy(OPT, "recursive_doubling")
-    decision = rd.decide(ctx_for(OPT, [10] * 6))   # non-pow-2
-    assert decision.algorithm != "recursive_doubling"
-    assert decision.reason.startswith("fixed:inapplicable->")
+    assert policy_for(BASE).decide(ctx_for(UNIFORM_LARGE)).detect_seconds == 0.0
 
 
 def test_select_forced_algorithm_and_validation():
@@ -242,11 +211,11 @@ def test_select_forced_algorithm_and_validation():
         config = OPT
         cost = QUIET
 
-    decision = select(FakeComm(), "allgatherv", ctx_for(OPT, SMALL),
+    decision = select(FakeComm(), "allgatherv", ctx_for(SMALL),
                       algorithm="ring")
     assert decision.algorithm == "ring" and decision.policy == "forced"
     with pytest.raises(MPIError):
-        select(FakeComm(), "allgatherv", ctx_for(OPT, SMALL),
+        select(FakeComm(), "allgatherv", ctx_for(SMALL),
                algorithm="quantum")
 
 
@@ -270,7 +239,7 @@ def test_size_and_total_buckets():
 
 
 def test_bucket_key_format():
-    key = bucket_key(ctx_for(OPT, [4096] + [1] * 7))
+    key = bucket_key(ctx_for([4096] + [1] * 7))
     assert key == "allgatherv|p8|b15|outlier"
 
 
@@ -298,10 +267,10 @@ def test_tuning_table_roundtrip(tmp_path):
 
 
 def test_autotuned_policy_table_hit_cache_and_fallback():
-    ctx = ctx_for(OPT, OUTLIER_LARGE)
+    ctx = ctx_for(OUTLIER_LARGE)
     table = TuningTable()
     table.record(bucket_key(ctx), {"ring": 9e-6, "recursive_doubling": 1e-6})
-    pol = AutotunedPolicy(OPT.with_(selection_policy="autotuned"), table=table)
+    pol = AutotunedPolicy(OPT, table=table)
     first = pol.decide(ctx)
     assert (first.algorithm, first.reason, first.cache) == \
         ("recursive_doubling", "table", "miss")
@@ -310,7 +279,7 @@ def test_autotuned_policy_table_hit_cache_and_fallback():
     # table decisions never charge the detection pass
     assert first.detect_seconds == 0.0 and second.detect_seconds == 0.0
     # untrained bucket: adaptive fallback with honest detection cost
-    other = ctx_for(OPT, [8192] * 16)
+    other = ctx_for([8192] * 16)
     decision = pol.decide(other)
     assert decision.policy == "autotuned"
     assert decision.reason.startswith("untrained->")
@@ -319,8 +288,7 @@ def test_autotuned_policy_table_hit_cache_and_fallback():
 
 
 def test_autotuned_cache_is_lru_bounded():
-    pol = AutotunedPolicy(OPT.with_(selection_policy="autotuned"),
-                          table=TuningTable())
+    pol = AutotunedPolicy(OPT, table=TuningTable())
     pol.CACHE_SIZE = 2
     for i in range(4):
         pol._remember(f"k{i}", "ring")
@@ -357,7 +325,7 @@ def test_property_every_applicable_allgatherv_algorithm_agrees(n, data):
     registry deems applicable -- zero counts and non-pow-2 N included."""
     counts = data.draw(st.lists(st.integers(0, 32), min_size=n, max_size=n)
                        .filter(lambda c: sum(c) > 0))
-    ctx = ctx_for(OPT, counts, size=n)
+    ctx = ctx_for(counts, size=n)
     names = [a.name for a in REGISTRY.candidates("allgatherv", ctx)]
     assert "ring" in names  # the ring is always applicable
     reference = None
@@ -462,12 +430,12 @@ def test_tuning_cache_metrics_emitted(tmp_path):
 
     n = 8
     counts = [4096] + [1] * (n - 1)
-    ctx = ctx_for(OPT, counts, size=n)
+    ctx = ctx_for(counts, size=n)
     table = TuningTable()
     table.record(bucket_key(ctx), {"ring": 9e-6, "recursive_doubling": 1e-6})
     path = str(tmp_path / "t.json")
     table.save(path)
-    config = OPT.with_(selection_policy="autotuned", tuning_table=path)
+    config = OPT.with_(tuning_table=path)
     cluster = Cluster(n, config=config, cost=QUIET, heterogeneous=False)
     prof = Profiler.attach(cluster)
 
@@ -483,3 +451,44 @@ def test_tuning_cache_metrics_emitted(tmp_path):
     misses = prof.metrics.counter("repro_tuning_cache_misses_total").total
     assert hits + misses == 2 * n
     assert hits >= n  # the second round is all cache hits
+
+
+def test_autotuned_alltoallw_is_rank_uniform(tmp_path):
+    """Every rank of one alltoallw lands in the same table bucket.  A key
+    built from each rank's own send volumes puts rank 0 (three peers) and
+    the others (one peer each) in different buckets, and this two-entry
+    table would then send rank 0 to round_robin and the rest to binned,
+    whose wire protocols do not interoperate: round_robin waits for
+    zero-byte messages binned never sends."""
+    n, count = 4, 8
+    edges = {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (1,)}
+    table = TuningTable(entries={
+        "alltoallw|p4|b7|uniform": {"algorithm": "round_robin"},
+        "alltoallw|p4|b6|sparse": {"algorithm": "binned"},
+    })
+    path = str(tmp_path / "t.json")
+    table.save(path)
+    keys = {bucket_key(ctx_for([count if p in edges[r] else 0
+                                     for p in range(n)],
+                               collective="alltoallw"))
+            for r in range(n)}
+    assert len(keys) == 1
+    cluster = Cluster(n, config=OPT.with_(tuning_table=path), cost=QUIET,
+                      heterogeneous=False)
+
+    def main(comm):
+        sendbuf = np.full(n * count, float(comm.rank + 1))
+        recvbuf = np.zeros(n * count)
+        sendspecs = [TypedBuffer(sendbuf, DOUBLE, count,
+                                 offset_bytes=p * count * 8)
+                     if p in edges[comm.rank] else None for p in range(n)]
+        recvspecs = [TypedBuffer(recvbuf, DOUBLE, count,
+                                 offset_bytes=p * count * 8)
+                     if comm.rank in edges[p] else None for p in range(n)]
+        yield from comm.alltoallw(sendspecs, recvspecs)
+        return recvbuf
+
+    for rank, recv in enumerate(cluster.run(main)):
+        for p in range(n):
+            want = float(p + 1) if rank in edges[p] else 0.0
+            assert (recv[p * count:(p + 1) * count] == want).all()

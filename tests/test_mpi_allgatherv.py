@@ -144,10 +144,10 @@ def test_selection_logic():
     # non-power-of-two world uses dissemination
     opt5 = _FakeComm(5, MPIConfig.optimized(), QUIET)
     assert _select_algorithm(opt5, [32768, 1, 1, 1, 1], DOUBLE) == "dissemination"
-    # an explicit selection_policy overrides the feature flags
-    pinned = _FakeComm(8, MPIConfig.baseline().with_(
-        selection_policy="adaptive"), QUIET)
-    assert _select_algorithm(pinned, outlier_large, DOUBLE) == "recursive_doubling"
+    # the allgatherv flag alone switches the rule
+    flagged = _FakeComm(8, MPIConfig.baseline().with_(
+        adaptive_allgatherv=True), QUIET)
+    assert _select_algorithm(flagged, outlier_large, DOUBLE) == "recursive_doubling"
 
 
 def test_default_selection_runs_inside_collective():

@@ -9,7 +9,7 @@ from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.faults.plan import FaultPlan
 from repro.mpi import Cluster, MPIConfig, MPIError, RankFailedError
 from repro.mpi.algorithms import SelectionContext
-from repro.mpi.algorithms.policies import AdaptivePolicy, MpichPolicy
+from repro.mpi.algorithms.policies import policy_for
 from repro.mpi.algorithms.tuning import bucket_key
 from repro.util import CostModel
 
@@ -169,14 +169,14 @@ def test_policy_selection_is_rank_uniform():
     config = MPIConfig.optimized()
     uniform = SelectionContext(collective="sparse_alltoall", size=8,
                                volumes=(0, 64, 0, 64, 0, 0, 0, 0),
-                               dtype_size=8, config=config, cost=cost)
+                               dtype_size=8, cost=cost)
     threshold = int(cost.small_message_threshold)
     mixed = SelectionContext(collective="sparse_alltoall", size=8,
                              volumes=(0, 8, 0, 8 * threshold, 0, 0, 0, 0),
-                             dtype_size=8, config=config, cost=cost)
-    assert MpichPolicy(config).decide(uniform).algorithm == "dense"
-    assert AdaptivePolicy(config).decide(uniform).algorithm == "nbx"
-    assert AdaptivePolicy(config).decide(mixed).algorithm == "nbx_binned"
+                             dtype_size=8, cost=cost)
+    assert policy_for(MPIConfig.baseline()).decide(uniform).algorithm == "dense"
+    assert policy_for(config).decide(uniform).algorithm == "nbx"
+    assert policy_for(config).decide(mixed).algorithm == "nbx_binned"
     # the tuning bucket must not depend on per-rank volumes: a trained
     # table answers identically on every rank of one exchange
     assert bucket_key(uniform) == bucket_key(mixed)
