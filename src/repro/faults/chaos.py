@@ -11,7 +11,8 @@ violated.  The scenarios and their invariants:
     application completes with results *identical* to the fault-free run
     of the same configuration (the transport masks every payload fault),
     and the retransmission count stays under the hard bound
-    ``(max_retransmits - 1) x fault-free message count``.
+    ``(MAX_RETRANSMITS - 1) x fault-free message count``
+    (:data:`repro.mpi.comm.MAX_RETRANSMITS`).
 
 ``crash_allgatherv`` / ``crash_alltoallw``
     A crash injected while every registered algorithm of the collective is
@@ -52,6 +53,7 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.mpi import Cluster, MPIConfig, RankFailedError
+from repro.mpi.comm import MAX_RETRANSMITS
 from repro.simtime.engine import SimulationDeadlock
 
 __all__ = ["ChaosInvariantError", "ChaosRun", "ChaosReport", "run_chaos"]
@@ -169,8 +171,7 @@ def _fem_lossy(seed: int, nprocs: int) -> Dict[str, float]:
     _require(res.error_max == clean.error_max,
              f"solution not byte-identical: error_max {res.error_max!r} "
              f"!= {clean.error_max!r}")
-    max_r = cfg.max_retransmits
-    bound = (max_r - 1) * clean_counts["messages_on_wire"]
+    bound = (MAX_RETRANSMITS - 1) * clean_counts["messages_on_wire"]
     _require(counts.get("repro_retransmits_total", 0) <= bound,
              f"retransmissions {counts.get('repro_retransmits_total')} "
              f"exceed bound {bound}")
@@ -196,7 +197,7 @@ def _agv_lossy(seed: int, nprocs: int) -> Dict[str, float]:
     counts = _counters(bucket["cluster"])
     _require(res.correct,
              "gathered data corrupted despite reliable transport")
-    bound = (cfg.max_retransmits - 1) * clean_counts["messages_on_wire"]
+    bound = (MAX_RETRANSMITS - 1) * clean_counts["messages_on_wire"]
     _require(counts.get("repro_retransmits_total", 0) <= bound,
              f"retransmissions exceed bound {bound}")
     return counts

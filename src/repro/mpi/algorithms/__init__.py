@@ -6,7 +6,7 @@ Three layers:
 
 - :mod:`repro.mpi.algorithms.registry` -- :data:`REGISTRY`, an
   :class:`AlgorithmRegistry` of named implementations per collective with
-  applicability predicates and cost estimators,
+  applicability predicates,
 - :mod:`repro.mpi.algorithms.policies` -- the flag-driven
   :class:`RulePolicy` (mpich or adaptive rule per collective) and the
   tuning-table :class:`AutotunedPolicy`, plus :func:`select`, the single

@@ -23,16 +23,16 @@ otherwise.
 
 :class:`AutotunedPolicy`
     Look the call's bucket up in a tuning table measured in the simulator
-    (``python -m repro.bench autotune``); an LRU decision cache keeps the
-    per-call overhead at one dict probe.  Untrained buckets fall back to
-    the config's rule (including its detection-cost accounting).
+    (``python -m repro.bench autotune``) on every call: one dict probe.
+    An untrained bucket, or a trained one whose winner does not apply to
+    the call, falls back to the config's rule (including its
+    detection-cost accounting).
 
 A per-call ``algorithm=`` (see :func:`select`) pins one implementation.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from typing import Any, Optional, Union
 
@@ -47,11 +47,10 @@ class Decision:
     """Outcome of one selection: the algorithm plus accounting metadata."""
 
     __slots__ = ("collective", "algorithm", "policy", "reason",
-                 "detect_seconds", "cache")
+                 "detect_seconds")
 
     def __init__(self, collective: str, algorithm: str, policy: str,
-                 reason: str = "", detect_seconds: float = 0.0,
-                 cache: Optional[str] = None):
+                 reason: str = "", detect_seconds: float = 0.0):
         self.collective = collective
         self.algorithm = algorithm
         self.policy = policy
@@ -59,12 +58,15 @@ class Decision:
         #: CPU seconds the decision itself cost (charged by the caller on
         #: the simulated rank -- e.g. the linear-time outlier pass)
         self.detect_seconds = detect_seconds
-        #: "hit"/"miss" when a tuning-table decision cache was consulted
-        self.cache = cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Decision({self.collective}:{self.algorithm} "
                 f"policy={self.policy} reason={self.reason!r})")
+
+
+#: Allgatherv total payload (bytes) at/above which the rules pick the ring
+#: algorithm (the "large message" regime of section 3.2)
+ALLGATHERV_LONG_THRESHOLD = 16 * 1024
 
 
 def _sole(ctx: SelectionContext, policy: str) -> Optional[Decision]:
@@ -129,7 +131,7 @@ class RulePolicy:
             # moves single blocks and is always applicable
             return Decision(ctx.collective, "ring", rule,
                             reason=f"{rule}:noncontiguous")
-        if ctx.total_bytes < self.config.allgatherv_long_threshold:
+        if ctx.total_bytes < ALLGATHERV_LONG_THRESHOLD:
             return Decision(ctx.collective, _tree(ctx), rule,
                             reason=f"{rule}:short")
         if rule == "mpich":
@@ -173,53 +175,37 @@ class RulePolicy:
 
 
 class AutotunedPolicy:
-    """Tuning-table lookups with an LRU decision cache.
+    """Tuning-table lookups, one per call.
 
     A table hit costs one bucket classification plus a dict probe -- no
     simulated CPU is charged, unlike the adaptive rule's linear-time
-    detection pass.  Untrained buckets fall back to the config's rule
-    (with its honest detection cost)."""
+    detection pass.  Otherwise the config's rule decides (with its honest
+    detection cost): ``untrained->`` when the bucket has no entry,
+    ``inapplicable->`` when its winner is unregistered or does not apply
+    to this call."""
 
     name = "autotuned"
-    CACHE_SIZE = 256
 
     def __init__(self, config: MPIConfig, table: Optional[TuningTable] = None):
-        if table is None and config.tuning_table:
-            table = load_table(config.tuning_table)
-        self.table = table
+        self.table = load_table(config.tuning_table) if table is None else table
         self._fallback = RulePolicy(config)
-        #: bucket key -> algorithm
-        self._cache: "OrderedDict[str, str]" = OrderedDict()
 
     def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
         sole = _sole(ctx, self.name)
         if sole is not None:
             return sole
-        key = bucket_key(ctx)
-        algorithm = self._cache.get(key)
-        if algorithm is not None:
-            self._cache.move_to_end(key)
-            if REGISTRY.get(ctx.collective, algorithm).applicable(ctx):
-                return Decision(ctx.collective, algorithm, self.name,
-                                reason="table", cache="hit")
-        algorithm = self.table.lookup(key) if self.table is not None else None
-        if (algorithm is not None
-                and algorithm in REGISTRY.names(ctx.collective)
-                and REGISTRY.get(ctx.collective, algorithm).applicable(ctx)):
-            self._remember(key, algorithm)
-            return Decision(ctx.collective, algorithm, self.name,
-                            reason="table", cache="miss")
+        pick = self.table.lookup(bucket_key(ctx))
+        if pick is None:
+            prefix = "untrained"
+        else:
+            algorithm = REGISTRY.find(ctx.collective, pick)
+            if algorithm is not None and algorithm.applicable(ctx):
+                return Decision(ctx.collective, pick, self.name, reason="table")
+            prefix = "inapplicable"
         decision = self._fallback.decide(ctx, prof)
         decision.policy = self.name
-        decision.reason = f"untrained->{decision.reason}"
-        decision.cache = "miss"
+        decision.reason = f"{prefix}->{decision.reason}"
         return decision
-
-    def _remember(self, key: str, algorithm: str) -> None:
-        self._cache[key] = algorithm
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.CACHE_SIZE:
-            self._cache.popitem(last=False)
 
 
 @lru_cache(maxsize=128)
@@ -229,8 +215,7 @@ def policy_for(config: MPIConfig) -> Union[RulePolicy, AutotunedPolicy]:
     rule otherwise.
 
     ``MPIConfig`` is frozen/hashable, so identical configs share one policy
-    instance -- which is what gives the autotuned policy a process-wide
-    decision cache per config.
+    instance, and a named table is parsed once per process.
     """
     if config.tuning_table:
         return AutotunedPolicy(config)
@@ -244,7 +229,7 @@ def select(comm: Any, collective: str,
 
     ``algorithm`` forces a specific implementation (microbenchmarks); the
     decision is still validated against the registry.  Emits the
-    selection-decision counter and tuning-cache metrics.
+    selection-decision counter.
     """
     if ctx is None:
         ctx = SelectionContext.for_comm(comm, collective)
@@ -261,8 +246,4 @@ def select(comm: Any, collective: str,
             "algorithm": decision.algorithm,
             "policy": decision.policy,
         })
-        if decision.cache == "hit":
-            prof.count("repro_tuning_cache_hits_total")
-        elif decision.cache == "miss":
-            prof.count("repro_tuning_cache_misses_total")
     return decision

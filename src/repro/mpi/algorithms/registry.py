@@ -1,13 +1,10 @@
 """The collective-algorithm registry (MPICH CVAR-table style).
 
 Every collective of the simulated stack registers its candidate
-implementations here as named :class:`Algorithm` entries carrying
-
-- an **applicability predicate** over a :class:`SelectionContext`
-  (power-of-two communicator only, contiguous element types only, ...),
-- a **cost-model estimator**: a closed-form alpha-beta latency estimate
-  used by the autotuner as a sanity prior and exposed for debugging,
-- the implementation function itself (a per-rank generator).
+implementations here as named :class:`Algorithm` entries carrying an
+optional **applicability predicate** over a :class:`SelectionContext`
+(power-of-two communicator only, contiguous element types only, ...) and
+the implementation function itself (a per-rank generator).
 
 Selection logic lives one layer up, in :mod:`repro.mpi.algorithms.policies`;
 nothing outside this package should import a concrete implementation
@@ -20,7 +17,6 @@ builtin collective modules on first use so the import graph stays acyclic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -64,14 +60,6 @@ class SelectionContext:
     def total_bytes(self) -> int:
         return sum(self.volumes)
 
-    @property
-    def max_bytes(self) -> int:
-        return max(self.volumes) if self.volumes else 0
-
-    @property
-    def nonzero(self) -> int:
-        return sum(1 for v in self.volumes if v > 0)
-
 
 @dataclass(frozen=True)
 class Algorithm:
@@ -81,17 +69,9 @@ class Algorithm:
     name: str
     fn: Callable[..., Any]
     predicate: Optional[Callable[[SelectionContext], bool]] = None
-    estimator: Optional[Callable[[SelectionContext], float]] = None
-    description: str = ""
 
     def applicable(self, ctx: SelectionContext) -> bool:
         return self.predicate is None or bool(self.predicate(ctx))
-
-    def estimate(self, ctx: SelectionContext) -> float:
-        """Closed-form latency estimate (seconds); inf when no estimator."""
-        if self.estimator is None:
-            return math.inf
-        return float(self.estimator(ctx))
 
 
 class AlgorithmRegistry:
@@ -114,22 +94,6 @@ class AlgorithmRegistry:
         per[algorithm.name] = algorithm
         return algorithm
 
-    def register_fn(self, collective: str, name: str,
-                    predicate: Optional[Callable] = None,
-                    estimator: Optional[Callable] = None,
-                    description: str = "") -> Callable:
-        """Decorator form of :meth:`register` used by the builtin modules."""
-
-        def deco(fn: Callable) -> Callable:
-            self.register(Algorithm(
-                collective=collective, name=name, fn=fn,
-                predicate=predicate, estimator=estimator,
-                description=description,
-            ))
-            return fn
-
-        return deco
-
     # -- lookup --------------------------------------------------------------
 
     def _ensure_loaded(self) -> None:
@@ -145,18 +109,20 @@ class AlgorithmRegistry:
         self._ensure_loaded()
         return sorted(self._algorithms.get(collective, {}))
 
-    def get(self, collective: str, name: str) -> Algorithm:
+    def find(self, collective: str, name: str) -> Optional[Algorithm]:
+        """The named algorithm, or None when it is not registered."""
         self._ensure_loaded()
-        per = self._algorithms.get(collective)
-        if per is None:
-            from repro.mpi.comm import MPIError
+        return self._algorithms.get(collective, {}).get(name)
 
-            raise MPIError(f"no algorithms registered for collective "
-                           f"{collective!r}")
-        algorithm = per.get(name)
+    def get(self, collective: str, name: str) -> Algorithm:
+        algorithm = self.find(collective, name)
         if algorithm is None:
             from repro.mpi.comm import MPIError
 
+            per = self._algorithms.get(collective)
+            if per is None:
+                raise MPIError(f"no algorithms registered for collective "
+                               f"{collective!r}")
             raise MPIError(
                 f"unknown {collective} algorithm {name!r} "
                 f"(registered: {sorted(per)})"

@@ -20,9 +20,10 @@ Schema (``repro-tuning/1``, JSON)::
     }
 
 Bucket keys are coarse on purpose: a table trained on a handful of sweep
-points generalises to every call that lands in the same bucket.  At
-runtime the :class:`repro.mpi.algorithms.policies.AutotunedPolicy` keeps an
-LRU cache of recent decisions so the per-call overhead is one dict hit.
+points generalises to every call that lands in the same bucket.  The table
+is the only store of trained decisions: at runtime
+:class:`repro.mpi.algorithms.policies.AutotunedPolicy` calls
+:meth:`TuningTable.lookup` (one dict probe) on every collective call.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import Datatype, HIndexed, primitive_for
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.algorithms.validation import normalize_counts_displs
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError, as_typed
@@ -134,6 +134,7 @@ def allgatherv(
 
 
 def _ring(comm, recvbuffer, datatype, counts, displs, base) -> Generator:
+    """N-1 hop logical ring (MPICH2 long-message algorithm)."""
     n, rank = comm.size, comm.rank
     prof = comm.cluster.profiler
     right = (rank + 1) % n
@@ -150,6 +151,7 @@ def _ring(comm, recvbuffer, datatype, counts, displs, base) -> Generator:
 
 def _recursive_doubling(comm, recvbuffer, datatype, counts, displs,
                         base) -> Generator:
+    """log2(N) pairwise exchanges; power-of-two, contiguous types."""
     n, rank = comm.size, comm.rank
     if n & (n - 1):
         raise MPIError("recursive doubling requires a power-of-two size")
@@ -172,6 +174,7 @@ def _recursive_doubling(comm, recvbuffer, datatype, counts, displs,
 
 def _dissemination(comm, recvbuffer, datatype, counts, displs,
                    base) -> Generator:
+    """ceil(log2 N) Han-Finkel phases; contiguous element types."""
     n, rank = comm.size, comm.rank
     dist = 1
     phase = 0
@@ -211,36 +214,14 @@ def _exchange(comm, stb, dst, rtb, src, tag) -> Generator:
         yield from sreq.wait()
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
+# -- registry entries ---------------------------------------------------------
 
-def _est_ring(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    vmax, total = ctx.max_bytes, ctx.total_bytes
-    return ((ctx.size - 1) * (c.alpha + c.beta * vmax)
-            + c.beta * (total - vmax))
-
-
-def _est_tree(ctx: SelectionContext) -> float:
-    import math
-
-    c = ctx.cost
-    phases = math.ceil(math.log2(max(ctx.size, 2)))
-    return phases * c.alpha + c.beta * ctx.total_bytes
-
-
-REGISTRY.register_fn(
-    "allgatherv", "ring", estimator=_est_ring,
-    description="N-1 hop logical ring (MPICH2 long-message algorithm)",
-)(_ring)
-REGISTRY.register_fn(
-    "allgatherv", "recursive_doubling",
+REGISTRY.register(Algorithm("allgatherv", "ring", _ring))
+REGISTRY.register(Algorithm(
+    "allgatherv", "recursive_doubling", _recursive_doubling,
     predicate=lambda ctx: ctx.pow2 and ctx.contiguous,
-    estimator=_est_tree,
-    description="log2(N) pairwise exchanges; power-of-two, contiguous types",
-)(_recursive_doubling)
-REGISTRY.register_fn(
-    "allgatherv", "dissemination",
+))
+REGISTRY.register(Algorithm(
+    "allgatherv", "dissemination", _dissemination,
     predicate=lambda ctx: ctx.contiguous,
-    estimator=_est_tree,
-    description="ceil(log2 N) Han-Finkel phases; contiguous element types",
-)(_dissemination)
+))

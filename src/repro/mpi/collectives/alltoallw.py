@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import BYTE
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.algorithms.validation import check_spec_lengths
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
@@ -159,25 +159,7 @@ def _zero_buffer() -> TypedBuffer:
     return TypedBuffer(np.empty(0, dtype=np.uint8), BYTE, count=0)
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
+# -- registry entries ---------------------------------------------------------
 
-def _est_round_robin(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    # one message per peer, zero-byte ones included
-    return (ctx.size - 1) * c.alpha + c.beta * ctx.total_bytes
-
-
-def _est_binned(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    # only nonzero peers cost a message; the zero bin is exempt
-    return ctx.nonzero * c.alpha + c.beta * ctx.total_bytes
-
-
-REGISTRY.register_fn(
-    "alltoallw", "round_robin", estimator=_est_round_robin,
-    description="message to every peer in rank order (MPICH2 baseline)",
-)(_round_robin)
-REGISTRY.register_fn(
-    "alltoallw", "binned", estimator=_est_binned,
-    description="zero bin exempted; small messages sent before large",
-)(_binned)
+REGISTRY.register(Algorithm("alltoallw", "round_robin", _round_robin))
+REGISTRY.register(Algorithm("alltoallw", "binned", _binned))

@@ -18,11 +18,10 @@ policy short-circuits on the sole candidate.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Any, Callable, Generator, List, Optional
 
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm
 
@@ -161,33 +160,10 @@ def _gather_obj_linear(comm: Comm, value: Any, root: int, nbytes: int,
     return None
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
+# -- registry entries ---------------------------------------------------------
 
-def _phases(n: int) -> int:
-    return math.ceil(math.log2(max(n, 2)))
-
-
-def _est_log_alpha(ctx: SelectionContext) -> float:
-    return _phases(ctx.size) * (ctx.cost.alpha + ctx.cost.beta * _CTRL_BYTES)
-
-
-def _est_linear_alpha(ctx: SelectionContext) -> float:
-    return (ctx.size - 1) * (ctx.cost.alpha + ctx.cost.beta * _CTRL_BYTES)
-
-
-REGISTRY.register_fn(
-    "barrier", "dissemination", estimator=_est_log_alpha,
-    description="ceil(log2 N) zero-payload dissemination rounds",
-)(_barrier_dissemination)
-REGISTRY.register_fn(
-    "bcast", "binomial", estimator=_est_log_alpha,
-    description="binomial-tree broadcast of a python value",
-)(_bcast_binomial)
-REGISTRY.register_fn(
-    "allreduce", "recursive_doubling", estimator=_est_log_alpha,
-    description="recursive doubling with non-power-of-two pre/post fold",
-)(_allreduce_recursive_doubling)
-REGISTRY.register_fn(
-    "gather_obj", "linear", estimator=_est_linear_alpha,
-    description="every rank sends straight to the root",
-)(_gather_obj_linear)
+REGISTRY.register(Algorithm("barrier", "dissemination", _barrier_dissemination))
+REGISTRY.register(Algorithm("bcast", "binomial", _bcast_binomial))
+REGISTRY.register(Algorithm("allreduce", "recursive_doubling",
+                            _allreduce_recursive_doubling))
+REGISTRY.register(Algorithm("gather_obj", "linear", _gather_obj_linear))

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import Datatype, primitive_for
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.algorithms.validation import normalize_counts_displs
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
@@ -196,25 +196,8 @@ def _alltoall_pairwise(comm, send, recv, count, dt, base) -> Generator:
         yield from sreq.wait()
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
+# -- registry entries ---------------------------------------------------------
 
-def _est_linear_root(ctx: SelectionContext) -> float:
-    return (ctx.size - 1) * ctx.cost.alpha + ctx.cost.beta * ctx.total_bytes
-
-
-def _est_pairwise(ctx: SelectionContext) -> float:
-    return (ctx.size - 1) * ctx.cost.alpha + ctx.cost.beta * ctx.total_bytes
-
-
-REGISTRY.register_fn(
-    "gatherv", "linear", estimator=_est_linear_root,
-    description="every contributing rank sends straight to the root",
-)(_gatherv_linear)
-REGISTRY.register_fn(
-    "scatterv", "linear", estimator=_est_linear_root,
-    description="the root sends each piece straight to its rank",
-)(_scatterv_linear)
-REGISTRY.register_fn(
-    "alltoall", "pairwise", estimator=_est_pairwise,
-    description="N-1 pairwise exchange steps (XOR schedule for pow-2 N)",
-)(_alltoall_pairwise)
+REGISTRY.register(Algorithm("gatherv", "linear", _gatherv_linear))
+REGISTRY.register(Algorithm("scatterv", "linear", _scatterv_linear))
+REGISTRY.register(Algorithm("alltoall", "pairwise", _alltoall_pairwise))

@@ -17,12 +17,11 @@ numpy ufunc (``np.add`` by default).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Generator
 
 import numpy as np
 
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
 
@@ -178,22 +177,9 @@ def _scan_doubling(comm, send, op, base) -> Generator:
     return prefix
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
+# -- registry entries ---------------------------------------------------------
 
-def _est_log_tree(ctx: SelectionContext) -> float:
-    phases = math.ceil(math.log2(max(ctx.size, 2)))
-    return phases * (ctx.cost.alpha + ctx.cost.beta * ctx.max_bytes)
-
-
-REGISTRY.register_fn(
-    "reduce", "binomial", estimator=_est_log_tree,
-    description="binomial tree; constant message size per hop",
-)(_reduce_binomial)
-REGISTRY.register_fn(
-    "allreduce_array", "recursive_doubling", estimator=_est_log_tree,
-    description="recursive doubling with non-power-of-two pre/post fold",
-)(_allreduce_rd_array)
-REGISTRY.register_fn(
-    "scan", "doubling", estimator=_est_log_tree,
-    description="inclusive prefix reduction, sequential-doubling pattern",
-)(_scan_doubling)
+REGISTRY.register(Algorithm("reduce", "binomial", _reduce_binomial))
+REGISTRY.register(Algorithm("allreduce_array", "recursive_doubling",
+                            _allreduce_rd_array))
+REGISTRY.register(Algorithm("scan", "doubling", _scan_doubling))

@@ -54,15 +54,14 @@ never touching silent pairs); a self-entry is copied locally.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict, Generator, List, Optional
 
 import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
-from repro.mpi.algorithms import REGISTRY, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.collectives import run
-from repro.mpi.collectives.basic import _CTRL_BYTES, _barrier_dissemination
+from repro.mpi.collectives.basic import _barrier_dissemination
 from repro.mpi.comm import (ANY_SOURCE, Comm, MPIError, _first_of,
                             _RecvRecord)
 from repro.mpi.request import Request
@@ -282,57 +281,25 @@ def _nbx_exchange(comm: Comm, payloads: Dict[int, Any], base: int,
 
 
 def _nbx(comm: Comm, payloads: Dict[int, Any], base: int) -> Generator:
+    """NBX nonblocking consensus: probe discovery + ibarrier."""
     result = yield from _nbx_exchange(comm, payloads, base, binned=False)
     return result
 
 
 def _nbx_binned(comm: Comm, payloads: Dict[int, Any], base: int) -> Generator:
+    """NBX with ring-ordered sends, small (eager) before large."""
     result = yield from _nbx_exchange(comm, payloads, base, binned=True)
     return result
 
 
-# -- registry entries (alpha-beta estimates are advisory priors) --------------
-
-def _consensus_sweeps(ctx: SelectionContext) -> float:
-    rounds = math.ceil(math.log2(max(ctx.size, 2)))
-    return 2 * rounds * (ctx.cost.alpha + ctx.cost.beta * _CTRL_BYTES)
-
-
-def _est_dense(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    # a full counts sweep (one word per peer) plus the nonzero transfers
-    return ((ctx.size - 1) * (c.alpha + c.beta * 8)
-            + ctx.nonzero * c.alpha + c.beta * ctx.total_bytes)
-
-
-def _est_nbx(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    return (_consensus_sweeps(ctx)
-            + ctx.nonzero * c.alpha + c.beta * ctx.total_bytes)
-
-
-def _est_nbx_binned(ctx: SelectionContext) -> float:
-    c = ctx.cost
-    # small-before-large shaves eager head-of-line blocking on mixed sets
-    small = sum(1 for v in ctx.volumes
-                if 0 < v < c.small_message_threshold)
-    return _est_nbx(ctx) - 0.5 * small * c.alpha
-
+# -- registry entries ---------------------------------------------------------
 
 def _needs_peers(ctx: SelectionContext) -> bool:
     return ctx.size >= 2
 
 
-REGISTRY.register_fn(
-    "sparse_alltoall", "dense", estimator=_est_dense,
-    description="alltoall of per-peer counts then point-to-point (baseline)",
-)(_sparse_dense)
-REGISTRY.register_fn(
-    "sparse_alltoall", "nbx", predicate=_needs_peers, estimator=_est_nbx,
-    description="NBX nonblocking consensus: probe discovery + ibarrier",
-)(_nbx)
-REGISTRY.register_fn(
-    "sparse_alltoall", "nbx_binned", predicate=_needs_peers,
-    estimator=_est_nbx_binned,
-    description="NBX with ring-ordered sends, small (eager) before large",
-)(_nbx_binned)
+REGISTRY.register(Algorithm("sparse_alltoall", "dense", _sparse_dense))
+REGISTRY.register(Algorithm("sparse_alltoall", "nbx", _nbx,
+                            predicate=_needs_peers))
+REGISTRY.register(Algorithm("sparse_alltoall", "nbx_binned", _nbx_binned,
+                            predicate=_needs_peers))

@@ -57,6 +57,22 @@ ANY_TAG = -1
 #: tags at or above this value are reserved for collective operations
 _COLLECTIVE_TAG_BASE = 1_000_000
 
+# -- reliable-transport timing (Comm._deliver_reliable) -----------------------
+
+#: initial sender retransmit timeout (simulated seconds); multiplied by
+#: BACKOFF_FACTOR per failed attempt, up to BACKOFF_CAP
+RETRANSMIT_TIMEOUT = 2e-4
+BACKOFF_FACTOR = 2.0
+BACKOFF_CAP = 5e-3
+
+#: attempts per message before the transport surfaces a TransportError;
+#: also the rendezvous hang detector's poll budget for an unresponsive peer
+MAX_RETRANSMITS = 8
+
+#: how often a rendezvous sender re-checks its peer's liveness while
+#: waiting for the matching receive (simulated seconds)
+RENDEZVOUS_POLL = 1e-3
+
 
 class MPIError(RuntimeError):
     """Erroneous use of the message-passing API."""
@@ -1038,9 +1054,10 @@ class Comm:
         receiver acknowledges clean arrivals with a zero-byte control
         message that itself rides the faulty wire.  The sender retransmits
         on an :meth:`Engine.timeout` timer with capped exponential
-        backoff, and surfaces :class:`TransportError` once
-        ``MPIConfig.max_retransmits`` attempts failed to produce an
-        acknowledged, checksum-clean delivery.
+        backoff (:data:`RETRANSMIT_TIMEOUT` times :data:`BACKOFF_FACTOR`
+        per failure, up to :data:`BACKOFF_CAP`), and surfaces
+        :class:`TransportError` once :data:`MAX_RETRANSMITS` attempts
+        failed to produce an acknowledged, checksum-clean delivery.
         """
         try:
             cluster = self.cluster
@@ -1061,10 +1078,10 @@ class Comm:
 
             start = engine.now
             sig_meta = self._wire_sig(rec)
-            timeout = cfg.retransmit_timeout
+            timeout = RETRANSMIT_TIMEOUT
             acked = False
             attempts = 0
-            while attempts < cfg.max_retransmits:
+            while attempts < MAX_RETRANSMITS:
                 attempts += 1
                 if attempts > 1 and prof.enabled:
                     prof.count("repro_retransmits_total")
@@ -1095,7 +1112,7 @@ class Comm:
                         break
                 timer = engine.timeout(timeout)
                 yield timer
-                timeout = min(timeout * cfg.backoff_factor, cfg.backoff_cap)
+                timeout = min(timeout * BACKOFF_FACTOR, BACKOFF_CAP)
 
             if not acked:
                 self._fail_send(rec, TransportError(rec.src, rec.dst, rec.tag,
@@ -1129,11 +1146,10 @@ class Comm:
     def _reliable_await_match(self, rec: _SendRecord) -> Generator:
         """Rendezvous wait with a liveness poll: instead of blocking
         unconditionally on the match, re-check the peer every
-        ``MPIConfig.rendezvous_poll`` seconds so a hung or crashed
+        :data:`RENDEZVOUS_POLL` seconds so a hung or crashed
         receiver turns into a bounded :class:`TransportError` /
         :class:`RankFailedError` rather than a deadlock."""
         cluster = self.cluster
-        cfg = self.config
         engine = self.engine
         polls = 0
         while not rec.match_fut.done:
@@ -1143,14 +1159,14 @@ class Comm:
                 raise exc
             if rec.dst in cluster.hung_ranks:
                 polls += 1
-                if polls > cfg.max_retransmits:
+                if polls > MAX_RETRANSMITS:
                     exc = TransportError(
                         rec.src, rec.dst, rec.tag, polls,
                         reason="peer unresponsive during rendezvous",
                     )
                     self._fail_send(rec, exc)
                     raise exc
-            timer = engine.timeout(cfg.rendezvous_poll)
+            timer = engine.timeout(RENDEZVOUS_POLL)
             yield from _first_of(engine, rec.match_fut, timer)
             timer.cancel()  # harmless if it already fired
         # retrieve a poisoned match (e.g. the context was revoked while

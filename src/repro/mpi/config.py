@@ -39,45 +39,19 @@ class MPIConfig:
     #: eager/rendezvous protocol switch (bytes)
     eager_threshold: int = 12 * 1024
 
-    #: Allgatherv total payload at/above which the baseline picks the ring
-    #: algorithm (the "large message" regime of section 3.2)
-    allgatherv_long_threshold: int = 16 * 1024
-
     #: path to a tuning-table JSON; when set, the ``autotuned`` policy
     #: replaces the flag-driven rule (see repro.mpi.algorithms)
     tuning_table: Optional[str] = None
 
-    # -- fault tolerance (repro.faults / docs/FAULTS.md) -------------------
-    #
-    # All default to OFF: with the defaults below, every code path in the
-    # transport is bit-for-bit and schedule-identical to the pre-fault
-    # stack (the reliability machinery is a separate delivery routine).
-
-    #: go-back-N-style reliable delivery: sequence numbers + CRC32 over the
-    #: packed payload, receiver-side dedupe, per-message acks, and sender
+    #: fault tolerance (repro.faults / docs/FAULTS.md): go-back-N-style
+    #: reliable delivery -- sequence numbers + CRC32 over the packed
+    #: payload, receiver-side dedupe, per-message acks, and sender
     #: retransmit on timeout.  Required for FaultPlans that drop, corrupt
-    #: or duplicate messages.
+    #: or duplicate messages.  Off by default, and then every code path in
+    #: the transport is bit-for-bit and schedule-identical to the
+    #: pre-fault stack (the reliability machinery is a separate delivery
+    #: routine; its timing constants live beside it in repro.mpi.comm).
     reliable_transport: bool = False
-
-    #: initial sender retransmit timeout (simulated seconds); doubles
-    #: (times :attr:`backoff_factor`) per failed attempt up to
-    #: :attr:`backoff_cap`
-    retransmit_timeout: float = 2e-4
-
-    #: retransmit attempts per message before the transport surfaces a
-    #: :class:`repro.mpi.errors.TransportError`
-    max_retransmits: int = 8
-
-    #: multiplier applied to the retransmit timeout after each failure
-    backoff_factor: float = 2.0
-
-    #: upper bound on the (exponentially growing) retransmit timeout
-    backoff_cap: float = 5e-3
-
-    #: polling interval for the rendezvous hang detector: a rendezvous
-    #: sender re-checks its peer's liveness this often while waiting for
-    #: the matching receive (only with :attr:`reliable_transport`)
-    rendezvous_poll: float = 1e-3
 
     @classmethod
     def baseline(cls) -> "MPIConfig":

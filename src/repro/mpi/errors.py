@@ -58,7 +58,7 @@ class TransportError(FaultToleranceError):
     """The reliable transport gave up on a message.
 
     Raised on the sender (and delivered to a matched receiver) once
-    ``MPIConfig.max_retransmits`` attempts have failed to produce an
+    ``repro.mpi.comm.MAX_RETRANSMITS`` attempts have failed to produce an
     acknowledged, checksum-clean delivery.
     """
 

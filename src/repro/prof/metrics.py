@@ -61,8 +61,6 @@ CATALOGUE: Dict[str, Tuple[str, str]] = {
     "repro_kselect_pivot_passes_total": ("counter", "Floyd-Rivest partition passes across all k_select calls"),
     # algorithm selection
     "repro_algorithm_selections_total": ("counter", "Selection-policy decisions (labels: collective, algorithm, policy)"),
-    "repro_tuning_cache_hits_total": ("counter", "Autotuned-policy LRU decision-cache hits"),
-    "repro_tuning_cache_misses_total": ("counter", "Autotuned-policy decision-cache misses (table or fallback consulted)"),
     # wire
     "repro_transfer_messages_total": ("counter", "Messages (wire chunks) moved by the network model"),
     "repro_transfer_bytes_total": ("counter", "Bytes moved by the network model"),

@@ -463,15 +463,8 @@ VERIFIED_OUTSIDE_TESTS = {
     "examples/profile_breakdown.py": {"main"},
     "examples/quickstart.py": {"main"},
     "src/repro/mpi/algorithms/tuning.py": {"bucket_key"},
-    "src/repro/mpi/collectives/allgatherv.py": {
-        "_est_ring", "_est_tree", "_recursive_doubling"},
-    "src/repro/mpi/collectives/alltoallw.py": {"_est_round_robin"},
-    "src/repro/mpi/collectives/basic.py": {
-        "_est_linear_alpha", "_est_log_alpha"},
-    "src/repro/mpi/collectives/gather.py": {
-        "_est_linear_root", "_est_pairwise"},
-    "src/repro/mpi/collectives/reduce.py": {"_est_log_tree"},
-    "src/repro/mpi/collectives/sparse.py": {"_est_dense", "_needs_peers"},
+    "src/repro/mpi/collectives/allgatherv.py": {"_recursive_doubling"},
+    "src/repro/mpi/collectives/sparse.py": {"_needs_peers"},
     "src/repro/mpi/pack.py": {"mpi_pack", "mpi_unpack", "pack_size"},
 }
 

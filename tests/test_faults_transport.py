@@ -11,6 +11,7 @@ import pytest
 
 from repro.faults import FaultPlan
 from repro.mpi import Cluster, MPIConfig, TransportError
+from repro.mpi.comm import MAX_RETRANSMITS
 from repro.prof import Profiler
 from repro.util import CostModel
 
@@ -72,7 +73,7 @@ def test_probabilistic_loss_is_masked_and_bounded():
     for got, want in zip(results, _expected(6)):
         assert np.array_equal(got, want)
     retrans = prof.metrics.counter("repro_retransmits_total").total
-    assert retrans <= (RELIABLE.max_retransmits - 1) * 6 * 2  # msgs + acks
+    assert retrans <= (MAX_RETRANSMITS - 1) * 6 * 2  # msgs + acks
 
 
 def test_total_blackout_raises_transport_error():
@@ -91,7 +92,7 @@ def test_total_blackout_raises_transport_error():
     outcomes = cluster.run(main, return_exceptions=True)
     assert any(isinstance(o, TransportError) for o in outcomes)
     exc = next(o for o in outcomes if isinstance(o, TransportError))
-    assert exc.attempts == RELIABLE.max_retransmits
+    assert exc.attempts == MAX_RETRANSMITS
 
 
 def test_transport_results_identical_to_fault_free():

@@ -2,8 +2,6 @@
 argument validation and the tuning-table machinery
 (:mod:`repro.mpi.algorithms`)."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +11,7 @@ from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.mpi import Cluster, MPIConfig, MPIError
 from repro.mpi.algorithms import (
     REGISTRY,
+    Algorithm,
     AutotunedPolicy,
     RulePolicy,
     SelectionContext,
@@ -74,7 +73,7 @@ def test_registry_duplicate_with_different_fn_rejected():
         yield
 
     with pytest.raises(ValueError, match="already registered"):
-        REGISTRY.register_fn("allgatherv", "ring")(other)
+        REGISTRY.register(Algorithm("allgatherv", "ring", other))
     # re-registering the same fn is idempotent
     ring = REGISTRY.get("allgatherv", "ring")
     REGISTRY.register(ring)
@@ -90,14 +89,6 @@ def test_predicates_filter_candidates():
     names = [a.name for a in REGISTRY.candidates(
         "allgatherv", ctx_for([1] * 8, contiguous=False))]
     assert names == ["ring"]
-
-
-def test_estimators_are_finite_and_ordered():
-    # outlier workload: the closed-form prior already prefers the tree
-    ctx = ctx_for([4096] + [1] * 7)
-    est = {a.name: a.estimate(ctx) for a in REGISTRY.candidates("allgatherv", ctx)}
-    assert all(math.isfinite(v) and v > 0 for v in est.values())
-    assert est["recursive_doubling"] < est["ring"]
 
 
 # -- shared counts/displs validation ------------------------------------------
@@ -266,18 +257,16 @@ def test_tuning_table_roundtrip(tmp_path):
         TuningTable.from_dict({"schema": "nope"})
 
 
-def test_autotuned_policy_table_hit_cache_and_fallback():
+def test_autotuned_policy_table_hit_and_fallback():
     ctx = ctx_for(OUTLIER_LARGE)
     table = TuningTable()
     table.record(bucket_key(ctx), {"ring": 9e-6, "recursive_doubling": 1e-6})
     pol = AutotunedPolicy(OPT, table=table)
-    first = pol.decide(ctx)
-    assert (first.algorithm, first.reason, first.cache) == \
-        ("recursive_doubling", "table", "miss")
-    second = pol.decide(ctx)
-    assert second.cache == "hit"
+    hit = pol.decide(ctx)
+    assert (hit.algorithm, hit.policy, hit.reason) == \
+        ("recursive_doubling", "autotuned", "table")
     # table decisions never charge the detection pass
-    assert first.detect_seconds == 0.0 and second.detect_seconds == 0.0
+    assert hit.detect_seconds == 0.0
     # untrained bucket: adaptive fallback with honest detection cost
     other = ctx_for([8192] * 16)
     decision = pol.decide(other)
@@ -287,13 +276,40 @@ def test_autotuned_policy_table_hit_cache_and_fallback():
     assert decision.detect_seconds == pytest.approx(detection_cpu_seconds(16))
 
 
-def test_autotuned_cache_is_lru_bounded():
-    pol = AutotunedPolicy(OPT, table=TuningTable())
-    pol.CACHE_SIZE = 2
-    for i in range(4):
-        pol._remember(f"k{i}", "ring")
-    assert len(pol._cache) == 2
-    assert list(pol._cache) == ["k2", "k3"]
+def test_the_table_is_the_only_decision_store():
+    """Every decide() reads the table: an entry changed between two calls
+    on one policy changes the second decision (no stale cached pick)."""
+    ctx = ctx_for(OUTLIER_LARGE)
+    key = bucket_key(ctx)
+    table = TuningTable(entries={key: {"algorithm": "recursive_doubling"}})
+    pol = AutotunedPolicy(OPT, table=table)
+    assert pol.decide(ctx).algorithm == "recursive_doubling"
+    table.entries[key] = {"algorithm": "ring"}
+    second = pol.decide(ctx)
+    assert (second.algorithm, second.reason) == ("ring", "table")
+    del table.entries[key]
+    assert pol.decide(ctx).reason == "untrained->adaptive:outliers"
+
+
+def test_trained_bucket_with_an_inapplicable_winner_is_not_untrained():
+    """A 48-rank call lands in the p64 bucket, whose trained winner
+    (recursive doubling) needs a power-of-two communicator: the rule
+    decides, and the reason says the pick was inapplicable, not that the
+    bucket is untrained."""
+    n = 48
+    ctx = ctx_for([8192] + [1] * (n - 1))  # one 64 KiB outlier
+    key = bucket_key(ctx)
+    assert key == "allgatherv|p64|b16|outlier"
+    table = TuningTable(entries={key: {"algorithm": "recursive_doubling"}})
+    decision = AutotunedPolicy(OPT, table=table).decide(ctx)
+    assert decision.algorithm == "dissemination"
+    assert decision.policy == "autotuned"
+    assert decision.reason == "inapplicable->adaptive:outliers"
+    assert decision.detect_seconds == pytest.approx(detection_cpu_seconds(n))
+    # an unregistered winner is reported the same way
+    table.entries[key] = {"algorithm": "bogus"}
+    assert AutotunedPolicy(OPT, table=table).decide(ctx).reason == \
+        "inapplicable->adaptive:outliers"
 
 
 # -- end-to-end: selection inside real clusters -------------------------------
@@ -423,34 +439,6 @@ def test_selection_metrics_emitted():
     assert counter.value(labels={
         "collective": "barrier", "algorithm": "dissemination",
         "policy": "adaptive"}) == n
-
-
-def test_tuning_cache_metrics_emitted(tmp_path):
-    from repro.prof import Profiler
-
-    n = 8
-    counts = [4096] + [1] * (n - 1)
-    ctx = ctx_for(counts, size=n)
-    table = TuningTable()
-    table.record(bucket_key(ctx), {"ring": 9e-6, "recursive_doubling": 1e-6})
-    path = str(tmp_path / "t.json")
-    table.save(path)
-    config = OPT.with_(tuning_table=path)
-    cluster = Cluster(n, config=config, cost=QUIET, heterogeneous=False)
-    prof = Profiler.attach(cluster)
-
-    def main(comm):
-        for _ in range(2):
-            recv = np.zeros(sum(counts))
-            send = np.full(counts[comm.rank], 1.0)
-            # outlier counts are the point  # analyze: ignore[PLAN102]
-            yield from comm.allgatherv(send, recv, counts)
-
-    cluster.run(main)
-    hits = prof.metrics.counter("repro_tuning_cache_hits_total").total
-    misses = prof.metrics.counter("repro_tuning_cache_misses_total").total
-    assert hits + misses == 2 * n
-    assert hits >= n  # the second round is all cache hits
 
 
 def test_autotuned_alltoallw_is_rank_uniform(tmp_path):

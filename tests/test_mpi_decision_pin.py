@@ -1,8 +1,10 @@
 """Every selection decision is pinned: ``(algorithm, policy, reason,
-detect_seconds, cache)`` for every registered collective over a grid of
+detect_seconds)`` for every registered collective over a grid of
 communicator sizes, volume sets, contiguity and configs, recorded on the
 commit before the flag-driven rule and the tuning table became the only
-two selection mechanisms.
+two selection mechanisms.  Since then, a trained bucket whose winner does
+not apply to the call reports ``inapplicable->`` instead of
+``untrained->`` (five ``autotuned allgatherv`` grid points).
 
 Decisions are grouped per (config, collective): each distinct decision maps
 to the grid points (``N/volumes/c|nc``) that get it, ``"*"`` meaning all of
@@ -43,7 +45,9 @@ VOLUMES = {
 }
 
 #: a hand-written table: hits, a hit whose algorithm is inapplicable to a
-#: noncontiguous call, an unregistered name, and untrained buckets
+#: noncontiguous call or a non-power-of-two size, an unregistered name (in
+#: a bucket no grid point reaches; test_mpi_algorithms covers that case),
+#: and untrained buckets
 TABLE = TuningTable(entries={
     "allgatherv|p4|b17|uniform": {"algorithm": "recursive_doubling"},
     "allgatherv|p64|b18|outlier": {"algorithm": "dissemination"},
@@ -70,8 +74,7 @@ def _decide(policy, collective):
     points = 0
     for point, ctx in _grid(collective):
         d = policy.decide(ctx)
-        key = (f"{d.algorithm} {d.policy} {d.reason} "
-               f"{d.detect_seconds!r} {d.cache}")
+        key = f"{d.algorithm} {d.policy} {d.reason} {d.detect_seconds!r}"
         groups.setdefault(key, []).append(point)
         points += 1
     return {key: ["*"] if len(pts) == points else pts
@@ -84,8 +87,7 @@ def decision_table():
         for collective in REGISTRY.collectives():
             table[f"{name} {collective}"] = _decide(policy_for(config),
                                                     collective)
-    # one policy for the whole sweep, so the LRU cache's hit/miss is pinned
-    # too; alltoallw is left out because its bucket keys moved on purpose
+    # alltoallw is left out because its bucket keys moved on purpose
     autotuned = AutotunedPolicy(OPT, table=TABLE)
     for collective in REGISTRY.collectives():
         if collective != "alltoallw":
@@ -95,11 +97,11 @@ def decision_table():
 
 EXPECTED = {
     'baseline allgatherv': {
-        'recursive_doubling mpich mpich:short 0.0 None':
+        'recursive_doubling mpich mpich:short 0.0':
             ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
              '4/zero/c', '8/short-uniform/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c',
              '64/sparse/c', '64/zero/c'],
-        'ring mpich mpich:noncontiguous 0.0 None':
+        'ring mpich mpich:noncontiguous 0.0':
             ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
              '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
              '3/long-outlier/nc', '3/sparse/nc', '3/mixed/nc', '3/zero/nc', '4/short-uniform/nc',
@@ -107,68 +109,68 @@ EXPECTED = {
              '8/short-uniform/nc', '8/long-uniform/nc', '8/long-outlier/nc', '8/sparse/nc',
              '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc', '64/long-uniform/nc',
              '64/long-outlier/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
-        'ring mpich mpich:long 0.0 None':
+        'ring mpich mpich:long 0.0':
             ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c', '3/long-uniform/c',
              '3/long-outlier/c', '3/mixed/c', '4/long-uniform/c', '4/long-outlier/c', '4/mixed/c',
              '8/long-uniform/c', '8/long-outlier/c', '8/mixed/c', '64/long-uniform/c',
              '64/long-outlier/c', '64/mixed/c'],
-        'dissemination mpich mpich:short 0.0 None':
+        'dissemination mpich mpich:short 0.0':
             ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
     },
     'baseline allreduce': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'baseline allreduce_array': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'baseline alltoall': {
-        'pairwise mpich sole 0.0 None':
+        'pairwise mpich sole 0.0':
             ['*'],
     },
     'baseline alltoallw': {
-        'round_robin mpich mpich 0.0 None':
+        'round_robin mpich mpich 0.0':
             ['*'],
     },
     'baseline barrier': {
-        'dissemination mpich sole 0.0 None':
+        'dissemination mpich sole 0.0':
             ['*'],
     },
     'baseline bcast': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'baseline gather_obj': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline gatherv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline reduce': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'baseline scan': {
-        'doubling mpich sole 0.0 None':
+        'doubling mpich sole 0.0':
             ['*'],
     },
     'baseline scatterv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline sparse_alltoall': {
-        'dense mpich mpich 0.0 None':
+        'dense mpich mpich 0.0':
             ['*'],
     },
     'optimized allgatherv': {
-        'recursive_doubling adaptive adaptive:short 0.0 None':
+        'recursive_doubling adaptive adaptive:short 0.0':
             ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
              '4/zero/c', '8/short-uniform/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c',
              '64/sparse/c', '64/zero/c'],
-        'ring adaptive adaptive:noncontiguous 0.0 None':
+        'ring adaptive adaptive:noncontiguous 0.0':
             ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
              '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
              '3/long-outlier/nc', '3/sparse/nc', '3/mixed/nc', '3/zero/nc', '4/short-uniform/nc',
@@ -176,73 +178,73 @@ EXPECTED = {
              '8/short-uniform/nc', '8/long-uniform/nc', '8/long-outlier/nc', '8/sparse/nc',
              '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc', '64/long-uniform/nc',
              '64/long-outlier/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
-        'ring adaptive adaptive:uniform 5e-09 None':
+        'ring adaptive adaptive:uniform 5e-09':
             ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c'],
-        'dissemination adaptive adaptive:short 0.0 None':
+        'dissemination adaptive adaptive:short 0.0':
             ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
-        'ring adaptive adaptive:uniform 1.5000000000000002e-08 None':
+        'ring adaptive adaptive:uniform 1.5000000000000002e-08':
             ['3/long-uniform/c', '3/mixed/c'],
-        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08 None':
+        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08':
             ['3/long-outlier/c'],
-        'ring adaptive adaptive:uniform 2e-08 None':
+        'ring adaptive adaptive:uniform 2e-08':
             ['4/long-uniform/c', '4/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 2e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 2e-08':
             ['4/long-outlier/c'],
-        'ring adaptive adaptive:uniform 4e-08 None':
+        'ring adaptive adaptive:uniform 4e-08':
             ['8/long-uniform/c', '8/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 4e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 4e-08':
             ['8/long-outlier/c'],
-        'ring adaptive adaptive:uniform 3.2e-07 None':
+        'ring adaptive adaptive:uniform 3.2e-07':
             ['64/long-uniform/c', '64/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 3.2e-07 None':
+        'recursive_doubling adaptive adaptive:outliers 3.2e-07':
             ['64/long-outlier/c'],
     },
     'optimized allreduce': {
-        'recursive_doubling adaptive sole 0.0 None':
+        'recursive_doubling adaptive sole 0.0':
             ['*'],
     },
     'optimized allreduce_array': {
-        'recursive_doubling adaptive sole 0.0 None':
+        'recursive_doubling adaptive sole 0.0':
             ['*'],
     },
     'optimized alltoall': {
-        'pairwise adaptive sole 0.0 None':
+        'pairwise adaptive sole 0.0':
             ['*'],
     },
     'optimized alltoallw': {
-        'binned adaptive adaptive 0.0 None':
+        'binned adaptive adaptive 0.0':
             ['*'],
     },
     'optimized barrier': {
-        'dissemination adaptive sole 0.0 None':
+        'dissemination adaptive sole 0.0':
             ['*'],
     },
     'optimized bcast': {
-        'binomial adaptive sole 0.0 None':
+        'binomial adaptive sole 0.0':
             ['*'],
     },
     'optimized gather_obj': {
-        'linear adaptive sole 0.0 None':
+        'linear adaptive sole 0.0':
             ['*'],
     },
     'optimized gatherv': {
-        'linear adaptive sole 0.0 None':
+        'linear adaptive sole 0.0':
             ['*'],
     },
     'optimized reduce': {
-        'binomial adaptive sole 0.0 None':
+        'binomial adaptive sole 0.0':
             ['*'],
     },
     'optimized scan': {
-        'doubling adaptive sole 0.0 None':
+        'doubling adaptive sole 0.0':
             ['*'],
     },
     'optimized scatterv': {
-        'linear adaptive sole 0.0 None':
+        'linear adaptive sole 0.0':
             ['*'],
     },
     'optimized sparse_alltoall': {
-        'nbx adaptive adaptive 0.0 None':
+        'nbx adaptive adaptive 0.0':
             ['1/short-uniform/c', '1/short-uniform/nc', '1/long-uniform/c', '1/long-uniform/nc',
              '1/long-outlier/c', '1/long-outlier/nc', '1/sparse/c', '1/sparse/nc', '1/mixed/c',
              '1/mixed/nc', '1/zero/c', '1/zero/nc', '3/short-uniform/c', '3/short-uniform/nc',
@@ -253,18 +255,18 @@ EXPECTED = {
              '8/sparse/c', '8/sparse/nc', '8/zero/c', '8/zero/nc', '64/short-uniform/c',
              '64/short-uniform/nc', '64/long-uniform/c', '64/long-uniform/nc', '64/sparse/c',
              '64/sparse/nc', '64/zero/c', '64/zero/nc'],
-        'nbx_binned adaptive adaptive:mixed-sizes 0.0 None':
+        'nbx_binned adaptive adaptive:mixed-sizes 0.0':
             ['3/long-outlier/c', '3/long-outlier/nc', '3/mixed/c', '3/mixed/nc',
              '4/long-outlier/c', '4/long-outlier/nc', '4/mixed/c', '4/mixed/nc',
              '8/long-outlier/c', '8/long-outlier/nc', '8/mixed/c', '8/mixed/nc',
              '64/long-outlier/c', '64/long-outlier/nc', '64/mixed/c', '64/mixed/nc'],
     },
     'baseline+adaptive_allgatherv allgatherv': {
-        'recursive_doubling adaptive adaptive:short 0.0 None':
+        'recursive_doubling adaptive adaptive:short 0.0':
             ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
              '4/zero/c', '8/short-uniform/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c',
              '64/sparse/c', '64/zero/c'],
-        'ring adaptive adaptive:noncontiguous 0.0 None':
+        'ring adaptive adaptive:noncontiguous 0.0':
             ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
              '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
              '3/long-outlier/nc', '3/sparse/nc', '3/mixed/nc', '3/zero/nc', '4/short-uniform/nc',
@@ -272,81 +274,81 @@ EXPECTED = {
              '8/short-uniform/nc', '8/long-uniform/nc', '8/long-outlier/nc', '8/sparse/nc',
              '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc', '64/long-uniform/nc',
              '64/long-outlier/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
-        'ring adaptive adaptive:uniform 5e-09 None':
+        'ring adaptive adaptive:uniform 5e-09':
             ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c'],
-        'dissemination adaptive adaptive:short 0.0 None':
+        'dissemination adaptive adaptive:short 0.0':
             ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
-        'ring adaptive adaptive:uniform 1.5000000000000002e-08 None':
+        'ring adaptive adaptive:uniform 1.5000000000000002e-08':
             ['3/long-uniform/c', '3/mixed/c'],
-        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08 None':
+        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08':
             ['3/long-outlier/c'],
-        'ring adaptive adaptive:uniform 2e-08 None':
+        'ring adaptive adaptive:uniform 2e-08':
             ['4/long-uniform/c', '4/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 2e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 2e-08':
             ['4/long-outlier/c'],
-        'ring adaptive adaptive:uniform 4e-08 None':
+        'ring adaptive adaptive:uniform 4e-08':
             ['8/long-uniform/c', '8/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 4e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 4e-08':
             ['8/long-outlier/c'],
-        'ring adaptive adaptive:uniform 3.2e-07 None':
+        'ring adaptive adaptive:uniform 3.2e-07':
             ['64/long-uniform/c', '64/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 3.2e-07 None':
+        'recursive_doubling adaptive adaptive:outliers 3.2e-07':
             ['64/long-outlier/c'],
     },
     'baseline+adaptive_allgatherv allreduce': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv allreduce_array': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv alltoall': {
-        'pairwise mpich sole 0.0 None':
+        'pairwise mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv alltoallw': {
-        'round_robin mpich mpich 0.0 None':
+        'round_robin mpich mpich 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv barrier': {
-        'dissemination mpich sole 0.0 None':
+        'dissemination mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv bcast': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv gather_obj': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv gatherv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv reduce': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv scan': {
-        'doubling mpich sole 0.0 None':
+        'doubling mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv scatterv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'baseline+adaptive_allgatherv sparse_alltoall': {
-        'dense mpich mpich 0.0 None':
+        'dense mpich mpich 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw allgatherv': {
-        'recursive_doubling adaptive adaptive:short 0.0 None':
+        'recursive_doubling adaptive adaptive:short 0.0':
             ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
              '4/zero/c', '8/short-uniform/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c',
              '64/sparse/c', '64/zero/c'],
-        'ring adaptive adaptive:noncontiguous 0.0 None':
+        'ring adaptive adaptive:noncontiguous 0.0':
             ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
              '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
              '3/long-outlier/nc', '3/sparse/nc', '3/mixed/nc', '3/zero/nc', '4/short-uniform/nc',
@@ -354,177 +356,172 @@ EXPECTED = {
              '8/short-uniform/nc', '8/long-uniform/nc', '8/long-outlier/nc', '8/sparse/nc',
              '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc', '64/long-uniform/nc',
              '64/long-outlier/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
-        'ring adaptive adaptive:uniform 5e-09 None':
+        'ring adaptive adaptive:uniform 5e-09':
             ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c'],
-        'dissemination adaptive adaptive:short 0.0 None':
+        'dissemination adaptive adaptive:short 0.0':
             ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
-        'ring adaptive adaptive:uniform 1.5000000000000002e-08 None':
+        'ring adaptive adaptive:uniform 1.5000000000000002e-08':
             ['3/long-uniform/c', '3/mixed/c'],
-        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08 None':
+        'dissemination adaptive adaptive:outliers 1.5000000000000002e-08':
             ['3/long-outlier/c'],
-        'ring adaptive adaptive:uniform 2e-08 None':
+        'ring adaptive adaptive:uniform 2e-08':
             ['4/long-uniform/c', '4/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 2e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 2e-08':
             ['4/long-outlier/c'],
-        'ring adaptive adaptive:uniform 4e-08 None':
+        'ring adaptive adaptive:uniform 4e-08':
             ['8/long-uniform/c', '8/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 4e-08 None':
+        'recursive_doubling adaptive adaptive:outliers 4e-08':
             ['8/long-outlier/c'],
-        'ring adaptive adaptive:uniform 3.2e-07 None':
+        'ring adaptive adaptive:uniform 3.2e-07':
             ['64/long-uniform/c', '64/mixed/c'],
-        'recursive_doubling adaptive adaptive:outliers 3.2e-07 None':
+        'recursive_doubling adaptive adaptive:outliers 3.2e-07':
             ['64/long-outlier/c'],
     },
     'optimized-binned_alltoallw allreduce': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw allreduce_array': {
-        'recursive_doubling mpich sole 0.0 None':
+        'recursive_doubling mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw alltoall': {
-        'pairwise mpich sole 0.0 None':
+        'pairwise mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw alltoallw': {
-        'round_robin mpich mpich 0.0 None':
+        'round_robin mpich mpich 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw barrier': {
-        'dissemination mpich sole 0.0 None':
+        'dissemination mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw bcast': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw gather_obj': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw gatherv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw reduce': {
-        'binomial mpich sole 0.0 None':
+        'binomial mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw scan': {
-        'doubling mpich sole 0.0 None':
+        'doubling mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw scatterv': {
-        'linear mpich sole 0.0 None':
+        'linear mpich sole 0.0':
             ['*'],
     },
     'optimized-binned_alltoallw sparse_alltoall': {
-        'dense mpich mpich 0.0 None':
+        'dense mpich mpich 0.0':
             ['*'],
     },
     'autotuned allgatherv': {
-        'recursive_doubling autotuned untrained->adaptive:short 0.0 miss':
+        'recursive_doubling autotuned untrained->adaptive:short 0.0':
             ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
              '4/zero/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c', '64/sparse/c',
              '64/zero/c'],
-        'ring autotuned untrained->adaptive:noncontiguous 0.0 miss':
+        'ring autotuned untrained->adaptive:noncontiguous 0.0':
             ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
              '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
-             '3/long-outlier/nc', '3/sparse/nc', '3/mixed/nc', '3/zero/nc', '4/short-uniform/nc',
-             '4/long-uniform/nc', '4/long-outlier/nc', '4/sparse/nc', '4/mixed/nc', '4/zero/nc',
-             '8/long-uniform/nc', '8/long-outlier/nc', '8/sparse/nc', '8/mixed/nc', '8/zero/nc',
-             '64/short-uniform/nc', '64/long-uniform/nc', '64/long-outlier/nc', '64/sparse/nc',
-             '64/mixed/nc', '64/zero/nc'],
-        'ring autotuned untrained->adaptive:uniform 5e-09 miss':
+             '3/long-outlier/nc', '3/sparse/nc', '3/zero/nc', '4/short-uniform/nc',
+             '4/long-outlier/nc', '4/sparse/nc', '4/zero/nc', '8/long-uniform/nc',
+             '8/long-outlier/nc', '8/sparse/nc', '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc',
+             '64/long-uniform/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
+        'ring autotuned untrained->adaptive:uniform 5e-09':
             ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c'],
-        'dissemination autotuned untrained->adaptive:short 0.0 miss':
+        'dissemination autotuned untrained->adaptive:short 0.0':
             ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
-        'ring autotuned untrained->adaptive:uniform 1.5000000000000002e-08 miss':
-            ['3/long-uniform/c', '3/mixed/c'],
-        'dissemination autotuned untrained->adaptive:outliers 1.5000000000000002e-08 miss':
+        'ring autotuned untrained->adaptive:uniform 1.5000000000000002e-08':
+            ['3/long-uniform/c'],
+        'dissemination autotuned untrained->adaptive:outliers 1.5000000000000002e-08':
             ['3/long-outlier/c'],
-        'recursive_doubling autotuned table 0.0 miss':
-            ['4/long-uniform/c'],
-        'recursive_doubling autotuned untrained->adaptive:outliers 2e-08 miss':
+        'ring autotuned inapplicable->adaptive:uniform 1.5000000000000002e-08':
+            ['3/mixed/c'],
+        'ring autotuned inapplicable->adaptive:noncontiguous 0.0':
+            ['3/mixed/nc', '4/long-uniform/nc', '4/mixed/nc', '64/long-outlier/nc'],
+        'recursive_doubling autotuned table 0.0':
+            ['4/long-uniform/c', '4/mixed/c'],
+        'recursive_doubling autotuned untrained->adaptive:outliers 2e-08':
             ['4/long-outlier/c'],
-        'recursive_doubling autotuned table 0.0 hit':
-            ['4/mixed/c'],
-        'ring autotuned table 0.0 miss':
-            ['8/short-uniform/c'],
-        'ring autotuned table 0.0 hit':
-            ['8/short-uniform/nc'],
-        'ring autotuned untrained->adaptive:uniform 4e-08 miss':
+        'ring autotuned table 0.0':
+            ['8/short-uniform/c', '8/short-uniform/nc'],
+        'ring autotuned untrained->adaptive:uniform 4e-08':
             ['8/long-uniform/c', '8/mixed/c'],
-        'recursive_doubling autotuned untrained->adaptive:outliers 4e-08 miss':
+        'recursive_doubling autotuned untrained->adaptive:outliers 4e-08':
             ['8/long-outlier/c'],
-        'ring autotuned untrained->adaptive:uniform 3.2e-07 miss':
+        'ring autotuned untrained->adaptive:uniform 3.2e-07':
             ['64/long-uniform/c', '64/mixed/c'],
-        'dissemination autotuned table 0.0 miss':
+        'dissemination autotuned table 0.0':
             ['64/long-outlier/c'],
     },
     'autotuned allreduce': {
-        'recursive_doubling autotuned sole 0.0 None':
+        'recursive_doubling autotuned sole 0.0':
             ['*'],
     },
     'autotuned allreduce_array': {
-        'recursive_doubling autotuned sole 0.0 None':
+        'recursive_doubling autotuned sole 0.0':
             ['*'],
     },
     'autotuned alltoall': {
-        'pairwise autotuned sole 0.0 None':
+        'pairwise autotuned sole 0.0':
             ['*'],
     },
     'autotuned barrier': {
-        'dissemination autotuned sole 0.0 None':
+        'dissemination autotuned sole 0.0':
             ['*'],
     },
     'autotuned bcast': {
-        'binomial autotuned sole 0.0 None':
+        'binomial autotuned sole 0.0':
             ['*'],
     },
     'autotuned gather_obj': {
-        'linear autotuned sole 0.0 None':
+        'linear autotuned sole 0.0':
             ['*'],
     },
     'autotuned gatherv': {
-        'linear autotuned sole 0.0 None':
+        'linear autotuned sole 0.0':
             ['*'],
     },
     'autotuned reduce': {
-        'binomial autotuned sole 0.0 None':
+        'binomial autotuned sole 0.0':
             ['*'],
     },
     'autotuned scan': {
-        'doubling autotuned sole 0.0 None':
+        'doubling autotuned sole 0.0':
             ['*'],
     },
     'autotuned scatterv': {
-        'linear autotuned sole 0.0 None':
+        'linear autotuned sole 0.0':
             ['*'],
     },
     'autotuned sparse_alltoall': {
-        'nbx autotuned untrained->adaptive 0.0 miss':
+        'nbx autotuned untrained->adaptive 0.0':
             ['1/short-uniform/c', '1/short-uniform/nc', '1/long-uniform/c', '1/long-uniform/nc',
              '1/long-outlier/c', '1/long-outlier/nc', '1/sparse/c', '1/sparse/nc', '1/mixed/c',
              '1/mixed/nc', '1/zero/c', '1/zero/nc', '64/short-uniform/c', '64/short-uniform/nc',
              '64/long-uniform/c', '64/long-uniform/nc', '64/sparse/c', '64/sparse/nc', '64/zero/c',
              '64/zero/nc'],
-        'nbx_binned autotuned table 0.0 miss':
-            ['3/short-uniform/c'],
-        'nbx_binned autotuned table 0.0 hit':
-            ['3/short-uniform/nc', '3/long-uniform/c', '3/long-uniform/nc', '3/long-outlier/c',
-             '3/long-outlier/nc', '3/sparse/c', '3/sparse/nc', '3/mixed/c', '3/mixed/nc',
-             '3/zero/c', '3/zero/nc', '4/short-uniform/c', '4/short-uniform/nc',
+        'nbx_binned autotuned table 0.0':
+            ['3/short-uniform/c', '3/short-uniform/nc', '3/long-uniform/c', '3/long-uniform/nc',
+             '3/long-outlier/c', '3/long-outlier/nc', '3/sparse/c', '3/sparse/nc', '3/mixed/c',
+             '3/mixed/nc', '3/zero/c', '3/zero/nc', '4/short-uniform/c', '4/short-uniform/nc',
              '4/long-uniform/c', '4/long-uniform/nc', '4/long-outlier/c', '4/long-outlier/nc',
              '4/sparse/c', '4/sparse/nc', '4/mixed/c', '4/mixed/nc', '4/zero/c', '4/zero/nc'],
-        'dense autotuned table 0.0 miss':
-            ['8/short-uniform/c'],
-        'dense autotuned table 0.0 hit':
-            ['8/short-uniform/nc', '8/long-uniform/c', '8/long-uniform/nc', '8/long-outlier/c',
-             '8/long-outlier/nc', '8/sparse/c', '8/sparse/nc', '8/mixed/c', '8/mixed/nc',
-             '8/zero/c', '8/zero/nc'],
-        'nbx_binned autotuned untrained->adaptive:mixed-sizes 0.0 miss':
+        'dense autotuned table 0.0':
+            ['8/short-uniform/c', '8/short-uniform/nc', '8/long-uniform/c', '8/long-uniform/nc',
+             '8/long-outlier/c', '8/long-outlier/nc', '8/sparse/c', '8/sparse/nc', '8/mixed/c',
+             '8/mixed/nc', '8/zero/c', '8/zero/nc'],
+        'nbx_binned autotuned untrained->adaptive:mixed-sizes 0.0':
             ['64/long-outlier/c', '64/long-outlier/nc', '64/mixed/c', '64/mixed/nc'],
     },
 }

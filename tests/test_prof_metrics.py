@@ -1,9 +1,11 @@
 """Unit tests for the metrics registry (``repro.prof.metrics``)."""
 
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.prof.__main__ import main as check_catalogue
 from repro.prof.metrics import (
     CATALOGUE,
     Counter,
@@ -175,3 +177,18 @@ def test_catalogue_is_well_formed():
         assert help_text
         if kind == "counter":
             assert name.endswith(("_total", "_seconds_total")), name
+
+
+def test_catalogue_matches_the_observability_docs(tmp_path, capsys):
+    """``python -m repro.prof check-catalogue``: every catalogued metric is
+    documented in docs/OBSERVABILITY.md and the page names no other."""
+    docs = Path(__file__).resolve().parent.parent / "docs" / "OBSERVABILITY.md"
+    assert check_catalogue(["check-catalogue", "--docs", str(docs)]) == 0
+    # the check trips on drift in either direction
+    stale = tmp_path / "stale.md"
+    stale.write_text(docs.read_text().replace(
+        "`repro_send_messages_total`", "`repro_no_such_metric_total`"))
+    assert check_catalogue(["check-catalogue", "--docs", str(stale)]) == 1
+    out = capsys.readouterr().out
+    assert "`repro_send_messages_total` is not documented" in out
+    assert "`repro_no_such_metric_total` is not in the catalogue" in out
