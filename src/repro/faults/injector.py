@@ -5,12 +5,14 @@ Interception points (no application or algorithm code changes):
 - **wire faults** -- :meth:`NetworkModel.transfer` consults
   :meth:`FaultInjector.on_wire` once per transfer attempt when
   ``net.fault_injector`` is set.  Timing faults (delay spike, NIC
-  degradation) are applied by the network model itself; payload verdicts
-  (drop / corrupt / duplicate) ride back on the
-  :class:`repro.simtime.network.WireOutcome` and are *interpreted* by the
-  reliable transport in :mod:`repro.mpi.comm` -- against the baseline
-  fire-and-forget transport a dropped payload is simply lost, which is
-  exactly the failure mode the reliable transport exists to mask,
+  degradation) are applied by the network model itself; the verdict,
+  a :class:`repro.simtime.network.WireFault`, is what ``transfer``
+  returns, and ``Comm._deliver`` in :mod:`repro.mpi.comm` *interprets* its
+  ``drop`` / ``corrupt``: the best-effort transport loses a spoiled
+  message (nothing checks what arrives), the reliable transport
+  retransmits it -- exactly the failure mode it exists to mask.  A
+  ``duplicate`` is counted and changes nothing else: the payload is
+  delivered once,
 - **rank faults** -- crashes and hangs are driven through
   :meth:`Cluster.fail_rank` / :meth:`Cluster.hang_rank`.  Time triggers are
   scheduled directly on the engine at install time; operation-count
@@ -129,7 +131,7 @@ class FaultInjector:
                 # never kill from inside the transfer frame (re-entrancy)
                 self.cluster.engine.schedule(
                     0.0, self._rank_fault_trigger(fired))
-        drop = corrupt = duplicate = False
+        drop = corrupt = False
         delay = 0.0
         scale = 1.0
         hit = False
@@ -150,13 +152,10 @@ class FaultInjector:
                 drop = True
             elif rule.kind == "corrupt":
                 corrupt = True
-            elif rule.kind == "duplicate":
-                duplicate = True
             elif rule.kind == "delay":
                 delay += rule.delay
             elif rule.kind == "degrade":
                 scale *= rule.scale
         if not hit:
             return NO_FAULT
-        return WireFault(drop=drop, corrupt=corrupt, duplicate=duplicate,
-                         delay=delay, scale=scale)
+        return WireFault(drop=drop, corrupt=corrupt, delay=delay, scale=scale)

@@ -148,7 +148,7 @@ class FaultPlan:
         return self._wire("corrupt", probability=probability, **kw)
 
     def duplicate(self, probability: float = 1.0, **kw) -> "FaultPlan":
-        """Deliver matching transfers twice (receiver must dedupe)."""
+        """Count matching transfers as duplicated (delivered once all the same)."""
         return self._wire("duplicate", probability=probability, **kw)
 
     def delay_spike(self, delay: float, probability: float = 1.0,

@@ -48,7 +48,7 @@ from repro.mpi.request import Request, Status
 from repro.prof import NULL_PROFILER
 from repro.prof.session import attach_if_enabled
 from repro.simtime.engine import Delay, Engine, SimFuture
-from repro.simtime.network import NetworkModel, WireOutcome
+from repro.simtime.network import NetworkModel
 from repro.util.costmodel import CostLedger, CostModel
 
 ANY_SOURCE = -1
@@ -57,7 +57,7 @@ ANY_TAG = -1
 #: tags at or above this value are reserved for collective operations
 _COLLECTIVE_TAG_BASE = 1_000_000
 
-# -- reliable-transport timing (Comm._deliver_reliable) -----------------------
+# -- reliable-transport timing (Comm._deliver) ---------------------------------
 
 #: initial sender retransmit timeout (simulated seconds); multiplied by
 #: BACKOFF_FACTOR per failed attempt, up to BACKOFF_CAP
@@ -79,12 +79,12 @@ class MPIError(RuntimeError):
 
 
 def payload_crc(data: Any) -> int:
-    """CRC32 of a message payload, as computed by the reliable transport.
+    """CRC32 of a message payload.
 
     Packed payloads (numpy byte arrays from :meth:`TypedBuffer.pack`) are
     checksummed over their raw bytes; control-plane python objects over
-    their ``repr``.  Exposed so tests and the chaos harness can verify
-    end-to-end payload integrity independently of the transport.
+    their ``repr``.  The transport computes none (the injector's verdict
+    stands in for it); tests and harnesses use it to verify integrity.
     """
     if isinstance(data, np.ndarray):
         return zlib.crc32(data.tobytes()) & 0xFFFFFFFF
@@ -158,8 +158,7 @@ class _SendRecord:
 
     __slots__ = (
         "src", "dst", "tag", "ctx", "data", "nbytes", "is_obj",
-        "match_fut", "recv_rec", "sent_fut", "sig",
-        "seq", "crc", "transport_exc", "msg_id",
+        "match_fut", "recv_rec", "sent_fut", "sig", "transport_exc", "msg_id",
     )
 
     def __init__(self, engine: Engine, src: int, dst: int, tag: int,
@@ -180,10 +179,6 @@ class _SendRecord:
         self.match_fut = SimFuture(engine, ("match %s->%s tag=%s", src, dst, tag))
         self.recv_rec: Optional[_RecvRecord] = None
         self.sent_fut = SimFuture(engine, ("sent %s->%s tag=%s", src, dst, tag))
-        #: reliable-transport state: sequence number and payload checksum
-        #: (assigned by the transport; None on the fast default path)
-        self.seq: Optional[int] = None
-        self.crc: Optional[int] = None
         #: terminal transport failure; poisons a late-binding receive
         self.transport_exc: Optional[BaseException] = None
 
@@ -273,9 +268,6 @@ class Cluster:
         self._revoked: dict = {}
         #: grank -> main SimProcess (populated by :meth:`run`)
         self._rank_procs: dict = {}
-        #: reliable-transport sequence numbers and per-rank dedupe sets
-        self._msg_seq = 0
-        self._seen_seqs: List[set] = [set() for _ in range(nranks)]
         #: causal message ids (one per logical p2p message, all protocols)
         self._msg_ids = itertools.count(1)
         #: the attached :class:`repro.faults.injector.FaultInjector` (or None)
@@ -788,7 +780,7 @@ class Comm:
                               tag, self.ctx, data, nbytes, is_obj=False,
                               sig=tb.signature(), msg_id=msg_id)
             self.cluster._post_send(rec)
-            self.engine.spawn(self._conduit(rec),
+            self.engine.spawn(self._deliver(rec),
                               ("deliver %s->%s", self.rank, dest))
             if nbytes <= self.config.eager_threshold and not rec.sent_fut.done:
                 # eager: the payload is buffered; the send is already
@@ -909,7 +901,7 @@ class Comm:
                           self.ctx, value, nbytes, is_obj=True,
                           msg_id=next(self.cluster._msg_ids))
         self.cluster._post_send(rec)
-        self.engine.spawn(self._conduit(rec),
+        self.engine.spawn(self._deliver(rec),
                           ("deliver-obj %s->%s", self.rank, dest))
         if not rec.sent_fut.done:
             rec.sent_fut.set_result(None)
@@ -929,47 +921,96 @@ class Comm:
 
     # -- delivery ------------------------------------------------------------------
 
-    def _conduit(self, rec: _SendRecord) -> Generator:
-        """The background process that moves ``rec`` to its receiver.  Both
-        bodies end quietly on a fault-tolerance exception (peer crash,
-        revocation, retransmit exhaustion): the sweep that raised it has
-        already notified the endpoints through their own futures."""
-        if self.config.reliable_transport:
-            return self._deliver_reliable(rec)
-        return self._deliver_basic(rec)
+    def _deliver(self, rec: _SendRecord) -> Generator:
+        """The background process that moves ``rec`` to its receiver (one
+        per message, either transport).
 
-    def _deliver_basic(self, rec: _SendRecord) -> Generator:
-        """Best-effort delivery (the historical, fault-free fast path)."""
+        A rendezvous payload waits for the match first.  An attempt puts
+        the payload on the wire once -- in pipeline chunks when it is a
+        large packed one -- and ORs the injector's verdicts over the
+        chunks: one lost or corrupted chunk spoils the message.  The
+        best-effort transport makes one attempt and checks nothing, so a
+        spoiled message is lost (the send completes, the receive never
+        does).  Under ``reliable_transport`` the verdict stands in for the
+        receiver's checksum: a clean arrival is acked by a zero-byte
+        message riding the same faulty wire, and the sender retransmits on
+        an :meth:`Engine.timeout` timer with capped exponential backoff
+        (:data:`RETRANSMIT_TIMEOUT`, :data:`BACKOFF_FACTOR`,
+        :data:`BACKOFF_CAP`) until :data:`MAX_RETRANSMITS` unacked attempts
+        surface :class:`TransportError`.  Only the acked attempt reaches
+        the receive, so delivery is exactly once.
+
+        Ends quietly on a fault-tolerance exception (peer crash,
+        revocation, retransmit exhaustion): whoever raised it has already
+        notified the endpoints through their own futures.
+        """
+        cluster = self.cluster
         engine = self.engine
+        prof = cluster.profiler
+        reliable = self.config.reliable_transport
         rendezvous = rec.nbytes > self.config.eager_threshold
         try:
             if rendezvous:
                 t_posted = engine.now
-                yield rec.match_fut  # wire starts only once the receive is posted
-                prof = self.cluster.profiler
+                if reliable:
+                    yield from self._reliable_await_match(rec)
+                else:
+                    yield rec.match_fut  # the wire waits for the receive
                 if prof.enabled:
                     prof.observe("repro_rendezvous_stall_seconds",
                                  engine.now - t_posted)
 
-            # wire time: small and control-plane payloads (zero bytes too) go
-            # as one transfer, larger packed ones flow in pipeline chunks
             start = engine.now
             sig_meta = self._wire_sig(rec)
             step = rec.nbytes if rec.is_obj else self.cost.pipeline_chunk
-            pos = 0
+            timeout = RETRANSMIT_TIMEOUT
+            attempts = 0
             while True:
-                chunk = min(step, rec.nbytes - pos)
-                yield from self.net.transfer(rec.src, rec.dst, chunk,
-                                             tag=rec.tag, sig=sig_meta,
-                                             msg_id=rec.msg_id)
-                pos += chunk
-                if pos >= rec.nbytes:
+                attempts += 1
+                if reliable:
+                    if attempts > 1 and prof.enabled:
+                        prof.count("repro_retransmits_total")
+                    if rec.dst in cluster.failed_ranks:
+                        self._fail_send(rec, RankFailedError(
+                            rec.dst, "destination failed during delivery"))
+                        return
+                dropped = corrupted = False
+                pos = 0
+                while True:
+                    chunk = min(step, rec.nbytes - pos)
+                    fault = yield from self.net.transfer(
+                        rec.src, rec.dst, chunk, tag=rec.tag, sig=sig_meta,
+                        msg_id=rec.msg_id)
+                    dropped |= fault.drop
+                    corrupted |= fault.corrupt
+                    pos += chunk
+                    if pos >= rec.nbytes:
+                        break
+                if not reliable:
                     break
-            self.cluster.ledgers[rec.src].charge("comm", engine.now - start)
+                if (dropped or rec.dst in cluster.failed_ranks
+                        or rec.dst in cluster.hung_ranks):
+                    pass  # lost on the wire (or nobody home); await the timer
+                elif corrupted:
+                    if prof.enabled:
+                        prof.count("repro_checksum_failures_total")
+                else:
+                    ack = yield from self.net.transfer(
+                        rec.dst, rec.src, 0, tag=rec.tag, msg_id=rec.msg_id)
+                    if not (ack.drop or ack.corrupt):
+                        break
+                yield engine.timeout(timeout)
+                if attempts == MAX_RETRANSMITS:
+                    self._fail_send(rec, TransportError(rec.src, rec.dst,
+                                                        rec.tag, attempts))
+                    return
+                timeout = min(timeout * BACKOFF_FACTOR, BACKOFF_CAP)
+
+            cluster.ledgers[rec.src].charge("comm", engine.now - start)
             if rendezvous and not rec.sent_fut.done:
                 rec.sent_fut.set_result(None)
-
-            yield from self._finish_delivery(rec)
+            if not (dropped or corrupted):
+                yield from self._finish_delivery(rec)
         except FaultToleranceError:
             pass
 
@@ -984,7 +1025,7 @@ class Comm:
     def _finish_delivery(self, rec: _SendRecord) -> Generator:
         """Receiver side of a delivery whose payload reached ``rec.dst``:
         wait for the match, charge the unpack, move the bytes, resolve the
-        receive future.  Shared by the best-effort and reliable paths."""
+        receive future.  Shared by both transports."""
         cost = self.cost
         prof = self.cluster.profiler
         if not rec.match_fut.done:
@@ -1043,105 +1084,6 @@ class Comm:
             )
 
     # -- reliable delivery (MPIConfig.reliable_transport) ---------------------
-
-    def _deliver_reliable(self, rec: _SendRecord) -> Generator:
-        """Go-back-N-style reliable delivery of one message.
-
-        The payload carries a cluster-unique sequence number and a CRC32
-        over its packed bytes.  Each wire attempt can be dropped,
-        corrupted (receiver's checksum rejects it silently) or duplicated
-        (receiver dedupes by sequence number) by the fault injector; the
-        receiver acknowledges clean arrivals with a zero-byte control
-        message that itself rides the faulty wire.  The sender retransmits
-        on an :meth:`Engine.timeout` timer with capped exponential
-        backoff (:data:`RETRANSMIT_TIMEOUT` times :data:`BACKOFF_FACTOR`
-        per failure, up to :data:`BACKOFF_CAP`), and surfaces
-        :class:`TransportError` once :data:`MAX_RETRANSMITS` attempts
-        failed to produce an acknowledged, checksum-clean delivery.
-        """
-        try:
-            cluster = self.cluster
-            cfg = self.config
-            engine = self.engine
-            prof = cluster.profiler
-            cluster._msg_seq += 1
-            rec.seq = cluster._msg_seq
-            rec.crc = payload_crc(rec.data)
-            rendezvous = rec.nbytes > cfg.eager_threshold
-
-            if rendezvous:
-                t_posted = engine.now
-                yield from self._reliable_await_match(rec)
-                if prof.enabled:
-                    prof.observe("repro_rendezvous_stall_seconds",
-                                 engine.now - t_posted)
-
-            start = engine.now
-            sig_meta = self._wire_sig(rec)
-            timeout = RETRANSMIT_TIMEOUT
-            acked = False
-            attempts = 0
-            while attempts < MAX_RETRANSMITS:
-                attempts += 1
-                if attempts > 1 and prof.enabled:
-                    prof.count("repro_retransmits_total")
-                if rec.dst in cluster.failed_ranks:
-                    self._fail_send(rec, RankFailedError(
-                        rec.dst, "destination failed during delivery"))
-                    return
-                outcome = yield from self._reliable_wire(rec, sig_meta)
-                alive = (rec.dst not in cluster.failed_ranks
-                         and rec.dst not in cluster.hung_ranks)
-                if outcome.dropped or not alive:
-                    pass  # lost on the wire (or nobody home); await the timer
-                elif outcome.corrupted:
-                    # the receiver's CRC check rejects the payload silently;
-                    # the sender only learns through the missing ack
-                    if prof.enabled:
-                        prof.count("repro_checksum_failures_total")
-                else:
-                    # clean arrival; receiver dedupes by sequence number (a
-                    # wire-duplicated packet, or a retransmission whose first
-                    # copy's ack was lost, is delivered exactly once)
-                    cluster._seen_seqs[rec.dst].add(rec.seq)
-                    ack = yield from self.net.transfer(rec.dst, rec.src, 0,
-                                                       tag=rec.tag,
-                                                       msg_id=rec.msg_id)
-                    if not (ack.dropped or ack.corrupted):
-                        acked = True
-                        break
-                timer = engine.timeout(timeout)
-                yield timer
-                timeout = min(timeout * BACKOFF_FACTOR, BACKOFF_CAP)
-
-            if not acked:
-                self._fail_send(rec, TransportError(rec.src, rec.dst, rec.tag,
-                                                    attempts))
-                return
-
-            cluster.ledgers[rec.src].charge("comm", engine.now - start)
-            if rendezvous and not rec.sent_fut.done:
-                rec.sent_fut.set_result(None)
-            yield from self._finish_delivery(rec)
-        except FaultToleranceError:
-            pass
-
-    def _reliable_wire(self, rec: _SendRecord, sig_meta: Optional[int]) -> Generator:
-        """One wire attempt (possibly chunked); returns the merged
-        :class:`WireOutcome` -- any chunk lost/corrupted spoils the whole
-        message, exactly like a partial frame failing its CRC."""
-        merged = WireOutcome()
-        step = rec.nbytes if rec.is_obj else self.cost.pipeline_chunk
-        pos = 0
-        while True:
-            chunk = min(step, rec.nbytes - pos)
-            out = yield from self.net.transfer(rec.src, rec.dst, chunk,
-                                               tag=rec.tag, sig=sig_meta,
-                                               msg_id=rec.msg_id)
-            merged.absorb(out)
-            pos += chunk
-            if pos >= rec.nbytes:
-                return merged
 
     def _reliable_await_match(self, rec: _SendRecord) -> Generator:
         """Rendezvous wait with a liveness poll: instead of blocking

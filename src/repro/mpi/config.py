@@ -44,13 +44,13 @@ class MPIConfig:
     tuning_table: Optional[str] = None
 
     #: fault tolerance (repro.faults / docs/FAULTS.md): go-back-N-style
-    #: reliable delivery -- sequence numbers + CRC32 over the packed
-    #: payload, receiver-side dedupe, per-message acks, and sender
-    #: retransmit on timeout.  Required for FaultPlans that drop, corrupt
-    #: or duplicate messages.  Off by default, and then every code path in
-    #: the transport is bit-for-bit and schedule-identical to the
-    #: pre-fault stack (the reliability machinery is a separate delivery
-    #: routine; its timing constants live beside it in repro.mpi.comm).
+    #: reliable delivery -- per-message acks and sender retransmit on
+    #: timeout, with the injector's verdict standing in for a checksum.
+    #: Required for FaultPlans that drop or corrupt messages: without it
+    #: such a message is lost.  Off by default, and then a run whose plan
+    #: never fires is schedule-identical to a run without one.  Both
+    #: transports share one delivery routine, ``Comm._deliver``; the
+    #: timing constants live beside it in repro.mpi.comm.
     reliable_transport: bool = False
 
     @classmethod

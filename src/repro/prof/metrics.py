@@ -81,7 +81,7 @@ CATALOGUE: Dict[str, Tuple[str, str]] = {
     # fault injection / reliable transport (repro.faults, mpi.comm)
     "repro_faults_injected_total": ("counter", "Faults fired by the injector (label: kind)"),
     "repro_retransmits_total": ("counter", "Reliable-transport retransmission attempts"),
-    "repro_checksum_failures_total": ("counter", "Payloads rejected by the receiver-side CRC check"),
+    "repro_checksum_failures_total": ("counter", "Reliable-transport attempts that arrived corrupted"),
     "repro_rank_failures_total": ("counter", "Ranks declared failed (crashes and detected hangs)"),
 }
 

@@ -35,48 +35,22 @@ CLUSTER_NODES = 32
 class WireFault:
     """Verdict of a fault injector for ONE wire transfer attempt.
 
-    Produced by :meth:`repro.faults.injector.FaultInjector.on_wire`;
-    consumed by :meth:`NetworkModel.transfer` (timing effects: ``delay``
-    spike, ``scale`` NIC degradation) and by the reliable transport in
-    :mod:`repro.mpi.comm` (payload effects: ``drop``, ``corrupt``,
-    ``duplicate``).
+    Produced by :meth:`repro.faults.injector.FaultInjector.on_wire` and
+    returned by :meth:`NetworkModel.transfer`, which applies the timing
+    effects itself (``delay`` spike, ``scale`` NIC degradation).  The
+    payload effects (``drop``, ``corrupt``) are read by ``Comm._deliver``
+    in :mod:`repro.mpi.comm`: they lose a best-effort message and cost a
+    reliable one a retransmission.
     """
 
     drop: bool = False
     corrupt: bool = False
-    duplicate: bool = False
     delay: float = 0.0
     scale: float = 1.0
 
 
 #: shared "nothing happened" verdict (avoids per-transfer allocation)
 NO_FAULT = WireFault()
-
-
-@dataclass
-class WireOutcome:
-    """What happened to one logical transfer (possibly several chunks).
-
-    Returned by :meth:`NetworkModel.transfer`.  Callers that ignore the
-    return value (every pre-fault call site) are unaffected; the reliable
-    transport inspects it to decide whether the payload actually arrived
-    intact.
-    """
-
-    dropped: bool = False
-    corrupted: bool = False
-    duplicate: bool = False
-
-    def merge(self, fault: "WireFault") -> None:
-        self.dropped = self.dropped or fault.drop
-        self.corrupted = self.corrupted or fault.corrupt
-        self.duplicate = self.duplicate or fault.duplicate
-
-    def absorb(self, other: "WireOutcome") -> None:
-        """Fold another chunk's outcome into this whole-message outcome."""
-        self.dropped = self.dropped or other.dropped
-        self.corrupted = self.corrupted or other.corrupted
-        self.duplicate = self.duplicate or other.duplicate
 
 
 @dataclass(frozen=True)
@@ -193,19 +167,16 @@ class NetworkModel:
         listeners such as :class:`repro.mpi.trace.MessageTrace`
         (subscribed through the cluster observer API) record them.
 
-        Returns a :class:`WireOutcome`.  When a fault injector is attached
-        (:mod:`repro.faults`) the outcome may be marked dropped / corrupted
-        / duplicated and the transfer may suffer a delay spike or NIC
-        degradation; with no injector the outcome is always clean and the
-        code path is identical to the fault-free build.
+        Returns the injector's :class:`WireFault` for this transfer (the
+        shared :data:`NO_FAULT` when no injector is attached or no rule
+        fired).  A delay spike or NIC degradation in it has already been
+        applied; whether ``drop``/``corrupt`` lose the payload is the
+        caller's to decide.
         """
         t_start = self.engine.now
-        outcome = WireOutcome()
-        scale = 1.0
+        fault = NO_FAULT
         if self.fault_injector is not None:
             fault = self.fault_injector.on_wire(src, dst, nbytes, tag, t_start)
-            outcome.merge(fault)
-            scale = fault.scale
             if fault.delay > 0.0:
                 # delay spike: the packet sits in the NIC before the wire
                 yield Delay(fault.delay)
@@ -215,8 +186,8 @@ class NetworkModel:
             duration = self.cost.transfer_time(nbytes)
         else:
             duration = latency + self.cost.beta * max(0, nbytes)
-        if scale != 1.0:
-            duration *= scale
+        if fault.scale != 1.0:
+            duration *= fault.scale
         self.bytes_on_wire += nbytes
         self.messages_on_wire += 1
         if src == dst:
@@ -248,4 +219,4 @@ class NetworkModel:
                                   t_start, self.engine.now, msg_id)
             for fn in self._transfer_listeners:
                 fn(event)
-        return outcome
+        return fault

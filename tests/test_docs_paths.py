@@ -2,7 +2,9 @@
 and every ``src|tests|benchmarks|examples/...py`` path a Markdown page
 mentions must resolve in this tree, every keyword a back-ticked
 ``MPIConfig(...)`` or ``.with_(...)`` passes and every back-ticked
-``MPIConfig.<name>`` must be a field or method of ``MPIConfig``, and every
+``MPIConfig.<name>`` must be a field or method of ``MPIConfig``, every
+back-ticked ``Class.member`` whose class is defined under ``repro`` must
+name a method, property, slot or annotated field of that class, and every
 ``python -m repro.bench`` and ``python -m repro.analyze`` command line a
 page or the CI workflow spells out must parse.
 
@@ -12,12 +14,14 @@ what a past or future commit had), not a description of the tree.
 
 import dataclasses
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analyze.__main__ import _parse as parse_analyze
 from repro.bench.__main__ import _parse as parse_bench
 from repro.mpi import MPIConfig
@@ -36,6 +40,8 @@ CONFIG_ATTR = re.compile(r"\bMPIConfig\.(\w+)")
 KEYWORD = re.compile(r"\b(\w+)\s*=(?!=)")
 CONFIG_NAMES = ({f.name for f in dataclasses.fields(MPIConfig)}
                 | {n for n in vars(MPIConfig) if not n.startswith("_")})
+# a whole code span naming a member of a capitalised class
+MEMBER = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(\))?`")
 
 CLI_PAGES = PAGES + [p for p in (ROOT / ".github/workflows/ci.yml",
                                  ROOT / ".claude/skills/verify/SKILL.md")
@@ -86,6 +92,54 @@ def stale_config_names(text):
             names.update(KEYWORD.findall(args))
         names.update(CONFIG_ATTR.findall(span))
     return sorted(names - CONFIG_NAMES)
+
+
+def _repro_classes():
+    """Every class defined under ``repro``, by name (a name two modules
+    define maps to both classes)."""
+    classes = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == info.name:
+                classes.setdefault(obj.__name__, []).append(obj)
+    return classes
+
+
+REPRO_CLASSES = _repro_classes()
+
+
+def _has_member(cls, name):
+    # methods, properties, slots and defaulted fields live in the class
+    # dicts; annotated (and dataclass) fields without a default do not
+    return any(name in vars(k) or name in vars(k).get("__annotations__", {})
+               for k in cls.__mro__)
+
+
+def stale_members(text):
+    """The back-ticked ``Class.member`` spans in ``text`` whose class is
+    defined under ``repro`` but has no such member."""
+    return sorted({f"{cls}.{name}" for cls, name in MEMBER.findall(text)
+                   if cls in REPRO_CLASSES
+                   and not any(_has_member(c, name)
+                               for c in REPRO_CLASSES[cls])})
+
+
+def test_stale_class_members_are_caught():
+    assert stale_members(
+        "`Comm._deliver` `NetworkModel.transfer()` `WireFault.drop` "
+        "`MPIConfig.eager_threshold` `TransferEvent.src` `Engine.timeout` "
+        "`Comm._deliver_basic` `WireFault.duplicate` `np.add` "
+        "`Unknown.member` `Comm.revoke() / shrink()`") == [
+            "Comm._deliver_basic", "WireFault.duplicate"]
+
+
+@pytest.mark.parametrize("page", PAGES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_class_member_exists(page):
+    stale = stale_members(page.read_text())
+    assert not stale, f"{page.relative_to(ROOT)} names class members that do not exist: {stale}"
 
 
 def test_stale_config_names_are_caught():

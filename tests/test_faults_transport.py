@@ -1,9 +1,10 @@
 """Reliable transport under injected wire faults.
 
 The contract: with ``MPIConfig(reliable_transport=True)`` the application
-observes *exactly* the data a fault-free run would deliver -- drops,
-corruption and duplication are masked by seq/CRC/ack/retransmit -- and a
-wire that never delivers surfaces a bounded :class:`TransportError`.
+observes *exactly* the data a fault-free run would deliver -- drops and
+corruption are masked by ack/retransmit, duplication changes nothing --
+and a wire that never delivers surfaces a bounded :class:`TransportError`.
+Without it a dropped or corrupted message is lost.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.faults import FaultPlan
 from repro.mpi import Cluster, MPIConfig, TransportError
 from repro.mpi.comm import MAX_RETRANSMITS
 from repro.prof import Profiler
+from repro.simtime import SimulationDeadlock
 from repro.util import CostModel
 
 QUIET = CostModel(cpu_noise=0.0)
@@ -105,14 +107,49 @@ def test_transport_results_identical_to_fault_free():
 
 
 def test_default_config_path_untouched_by_fault_machinery():
-    """Without reliable_transport and without a plan, elapsed time and
-    results match a run that never imported the faults package state."""
-    cfg = MPIConfig.optimized()
-    r1, c1, _ = _ring_exchange(4, cfg)
-    r2, c2, _ = _ring_exchange(4, cfg, fault_plan=None)
-    assert c1.elapsed == c2.elapsed
-    for a, b in zip(r1, r2):
-        assert np.array_equal(a, b)
+    """An injector that never fires -- an empty plan, or one whose only
+    rule lies beyond the run -- simulates exactly what no plan does, on
+    either transport."""
+    def run(config, plan):
+        results, cluster, _ = _ring_exchange(4, config, fault_plan=plan)
+        return (cluster.elapsed, cluster.engine.events_fired,
+                cluster.net.messages_on_wire, cluster.net.bytes_on_wire,
+                [r.tolist() for r in results])
+
+    for config in (MPIConfig.optimized(), RELIABLE):
+        bare = run(config, None)
+        assert run(config, FaultPlan(seed=1)) == bare
+        assert run(config, FaultPlan(seed=1).drop(after=1.0)) == bare
+
+
+@pytest.mark.parametrize("kind", ["drop", "corrupt"])
+def test_best_effort_transport_loses_a_spoiled_payload(kind):
+    """Without the reliable transport nothing checks what arrives: a
+    dropped or corrupted message is lost, its rendezvous send still
+    completes (the bytes left the sender), and its receive never does."""
+    plan = getattr(FaultPlan(seed=1), kind)(1.0)
+    cluster = Cluster(2, config=MPIConfig.optimized(), cost=QUIET,
+                      fault_plan=plan)
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.ones(4), dest=1, tag=3)        # eager
+            yield from comm.send(np.ones(4096), dest=1, tag=4)     # rendezvous
+            return True
+        small, big = np.zeros(4), np.zeros(4096)
+        reqs = [comm.irecv(small, source=0, tag=3),
+                comm.irecv(big, source=0, tag=4)]
+        for req in reqs:
+            yield from req.wait()
+        return small
+
+    with pytest.raises(SimulationDeadlock) as info:
+        cluster.run(main)
+    assert [name for name, _ in info.value.blocked] == ["rank1"]
+    assert "recv@1 tag=3" in str(info.value)
+    assert cluster._rank_procs[0].result is True
+    # one eager transfer and two pipeline chunks, each spoiled once
+    assert cluster.fault_injector.counts == {kind: 3}
 
 
 def test_delay_spike_slows_but_preserves_data():

@@ -23,6 +23,7 @@ from repro.mpi import (
     MessageTrace,
     MPIConfig,
     RankFailedError,
+    TransportError,
 )
 from repro.mpi.pack import mpi_pack
 from repro.mpi.rma import Win
@@ -151,6 +152,21 @@ def _reliable_ring(comm):
                              (comm.rank + 1) % comm.size, big,
                              (comm.rank - 1) % comm.size, sendtag=8)
     return np.concatenate([recv, big])
+
+
+def _hung_rendezvous(comm):
+    """Rank 1 hangs before posting its receive: rank 0's reliable
+    rendezvous send runs out of liveness polls."""
+    if comm.rank == 0:
+        try:
+            yield from comm.send(np.arange(4096.0), dest=1, tag=2)
+        except TransportError:
+            return np.full(1, -1.0)
+        return np.zeros(1)
+    yield from comm.compute(1e-3)
+    buf = np.zeros(4096)
+    yield from comm.recv(buf, source=0, tag=2)
+    return buf
 
 
 def _collectives(comm):
@@ -322,6 +338,19 @@ SCENARIOS = {
         "fault_plan": lambda: (FaultPlan(seed=5).drop(nth=2)
                                .corrupt(nth=5).duplicate(nth=7)
                                .delay_spike(delay=1e-4, nth=9))}),
+    # the 2nd and 6th transfers are middle chunks of the 1st and 2nd
+    # attempts: one dropped attempt, one that fails the checksum
+    "reliable_pipelined_faulty": (2, _pair(3 * 16 * 1024 // 8 + 5), {
+        "config": RELIABLE,
+        "fault_plan": lambda: FaultPlan(seed=5).drop(nth=2).corrupt(nth=6)}),
+    "reliable_hung_rendezvous": (2, _hung_rendezvous, {
+        "config": RELIABLE,
+        "fault_plan": lambda: FaultPlan(seed=1).hang(1, at_time=1e-6)}),
+    # every attempt is lost; the destination dies between retransmits
+    "reliable_crash_mid_retransmit": (2, _pair(64), {
+        "config": RELIABLE,
+        "fault_plan": lambda: (FaultPlan(seed=1).drop(min_bytes=1)
+                               .crash(1, at_time=5e-4))}),
 }
 for _name, _program in COLLECTIVE_PROGRAMS.items():
     for _config in ("baseline", "optimized"):
@@ -347,6 +376,13 @@ PINNED = {
     "probes": (8.05142857142857e-06, 13, 2, 72, 3975108231, []),
     "reliable": (4.3771428571428574e-05, 58, 20, 133120, 2831585439, []),
     "reliable_faulty": (0.0010083657142857143, 67, 23, 134144, 2831585439, []),
+    # recorded at a347c20 (the parent of the one-conduit change)
+    "reliable_crash_mid_retransmit": (0.0006087314285714286, 12, 2, 1024, 0,
+                                      [1]),
+    "reliable_hung_rendezvous": (0.009000000000000001, 24, 0, 0, 708874441,
+                                 []),
+    "reliable_pipelined_faulty": (0.0007574114285714287, 23, 13, 147576,
+                                  33400267, []),
     "rendezvous": (3.1405714285714284e-05, 8, 2, 32768, 2825176521, []),
     "self_send": (1.024e-07, 10, 2, 512, 3415135844, []),
     "sendrecv_ring": (1.2274285714285714e-05, 65, 15, 1920, 3244592032, []),
