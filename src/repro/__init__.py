@@ -11,7 +11,7 @@ Layers (see README.md and DESIGN.md):
   collectives (including the paper's adaptive Allgatherv and binned
   Alltoallw), communicators, RMA, MPI-IO, tracing,
 - :mod:`repro.petsc` -- the PETSc-like toolkit (Vec/IS/VecScatter/DMDA/
-  Mat/KSP/PC/MG/SNES/TS),
+  Mat/KSP/PC/MG),
 - :mod:`repro.apps` -- the paper's evaluation workloads plus extensions,
 - :mod:`repro.bench` -- the figure-regeneration harness
   (``python -m repro.bench``).

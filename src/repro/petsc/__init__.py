@@ -27,21 +27,16 @@ from repro.petsc.dmda import DMDA
 from repro.petsc.mat import Laplacian, Operator
 from repro.petsc.aij import AIJMat
 from repro.petsc.checkpoint import SolverCheckpoint
-from repro.petsc.ksp import BiCGStab, CG, GMRES, Chebyshev, Richardson, SolveResult
+from repro.petsc.ksp import CG, Richardson, SolveResult
 from repro.petsc.pc import BlockJacobiPC, JacobiPC
 from repro.petsc.mg import MGSolver
-from repro.petsc.snes import NewtonKrylov, SNESResult
-from repro.petsc.ts import backward_euler, explicit_euler, rk4
 
 __all__ = [
     "AIJMat",
-    "BiCGStab",
     "BlockJacobiPC",
     "CG",
-    "Chebyshev",
     "CommPlan",
     "DMDA",
-    "GMRES",
     "IS",
     "BlockIS",
     "GeneralIS",
@@ -49,18 +44,13 @@ __all__ = [
     "Laplacian",
     "Layout",
     "MGSolver",
-    "NewtonKrylov",
     "Operator",
     "PETScError",
     "PlanMismatchError",
     "Richardson",
-    "SNESResult",
     "SolveResult",
     "SolverCheckpoint",
     "StrideIS",
     "Vec",
     "VecScatter",
-    "backward_euler",
-    "explicit_euler",
-    "rk4",
 ]

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, List, Optional
 
-import numpy as np
-
 from repro.petsc.mat import Operator
 from repro.petsc.vec import PETScError, Vec
 from repro.prof import NULL_PROFILER
@@ -126,257 +124,6 @@ def CG(
             beta = rz_new / rz
             rz = rz_new
             yield from p.aypx(beta, z)
-    return SolveResult(False, maxits, norms)
-
-
-def GMRES(
-    op: Operator,
-    b: Vec,
-    x: Vec,
-    restart: int = 30,
-    rtol: float = 1e-8,
-    atol: float = 0.0,
-    maxits: int = 1000,
-    pc: Optional[Preconditioner] = None,
-) -> Generator:
-    """Restarted GMRES(m) with left preconditioning.
-
-    Arnoldi with modified Gram-Schmidt; the least-squares problem is solved
-    incrementally with Givens rotations, so the (preconditioned) residual
-    norm is available every iteration without forming the solution.
-    """
-    if maxits < 0 or restart < 1:
-        raise PETScError("invalid restart or iteration limit")
-
-    def apply_pc(src: Vec, dst: Vec) -> Generator:
-        if pc is None:
-            dst.copy_from(src)
-        else:
-            yield from dst.set(0.0)
-            yield from pc(src, dst)
-
-    w = b.duplicate()
-    z = b.duplicate()
-    norms: List[float] = []
-    target: Optional[float] = None
-    total_it = 0
-    prof, grank = _profiler_of(b)
-    while True:
-        # (re)start: r = M^{-1}(b - Ax)
-        yield from op.residual(b, x, w)
-        yield from apply_pc(w, z)
-        beta = yield from z.norm()
-        norms.append(beta)
-        if target is None:
-            target = max(atol, rtol * beta)
-        if beta <= target or total_it >= maxits:
-            return SolveResult(beta <= target, total_it, norms)
-        V: List[Vec] = [b.duplicate()]
-        V[0].copy_from(z)
-        yield from V[0].scale(1.0 / beta)
-        H = np.zeros((restart + 1, restart))
-        cs = np.zeros(restart)
-        sn = np.zeros(restart)
-        g = np.zeros(restart + 1)
-        g[0] = beta
-        k = 0
-        with prof.span("solver", "ksp_cycle", grank, method="gmres") as _cyc:
-            while k < restart and total_it < maxits:
-                if prof.enabled:
-                    prof.count("repro_ksp_iterations_total",
-                               labels={"method": "gmres"})
-                yield from op.mult(V[k], w)
-                yield from apply_pc(w, z)
-                # modified Gram-Schmidt
-                for i in range(k + 1):
-                    H[i, k] = yield from z.dot(V[i])
-                    yield from z.axpy(-H[i, k], V[i])
-                H[k + 1, k] = yield from z.norm()
-                if H[k + 1, k] > 1e-14 * max(1.0, beta):
-                    V.append(b.duplicate())
-                    V[k + 1].copy_from(z)
-                    yield from V[k + 1].scale(1.0 / H[k + 1, k])
-                # apply previous Givens rotations to the new column
-                for i in range(k):
-                    t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                    H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                    H[i, k] = t
-                denom = np.hypot(H[k, k], H[k + 1, k])
-                cs[k] = H[k, k] / denom if denom else 1.0
-                sn[k] = H[k + 1, k] / denom if denom else 0.0
-                H[k, k] = denom
-                H[k + 1, k] = 0.0
-                g[k + 1] = -sn[k] * g[k]
-                g[k] = cs[k] * g[k]
-                total_it += 1
-                k += 1
-                norms.append(abs(g[k]))
-                if abs(g[k]) <= target or H[k - 1, k - 1] == 0.0:
-                    break
-            _cyc.attrs["iterations"] = k
-        # form the correction: y = H^{-1} g, x += V y
-        if k > 0:
-            y = np.zeros(k)
-            for i in range(k - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1:k] @ y[i + 1:]) / H[i, i]
-            for i in range(k):
-                yield from x.axpy(float(y[i]), V[i])
-        if norms[-1] <= target:
-            # recompute the TRUE residual for the final report
-            yield from op.residual(b, x, w)
-            true_norm = yield from w.norm()
-            norms[-1] = true_norm
-            if true_norm <= max(target, 10 * target):
-                return SolveResult(True, total_it, norms)
-        if total_it >= maxits:
-            return SolveResult(False, total_it, norms)
-
-
-def Chebyshev(
-    op: Operator,
-    b: Vec,
-    x: Vec,
-    eig_min: float,
-    eig_max: float,
-    rtol: float = 1e-8,
-    atol: float = 0.0,
-    maxits: int = 1000,
-) -> Generator:
-    """Chebyshev iteration for SPD operators with spectrum in
-    ``[eig_min, eig_max]``.
-
-    Communication-light (no inner products except the convergence check),
-    which is why PETSc favours it as a smoother; here the residual norm is
-    checked every iteration for simplicity.
-    """
-    if eig_min <= 0 or eig_max <= eig_min:
-        raise PETScError("need 0 < eig_min < eig_max")
-    # Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1
-    theta = 0.5 * (eig_max + eig_min)
-    delta = 0.5 * (eig_max - eig_min)
-    sigma1 = theta / delta
-    rho = 1.0 / sigma1
-    r = b.duplicate()
-    d = b.duplicate()
-    Ad = b.duplicate()
-    norms: List[float] = []
-    yield from op.residual(b, x, r)
-    rnorm = yield from r.norm()
-    norms.append(rnorm)
-    target = max(atol, rtol * rnorm)
-    if rnorm <= target:
-        return SolveResult(True, 0, norms)
-    d.copy_from(r)
-    yield from d.scale(1.0 / theta)
-    prof, grank = _profiler_of(b)
-    for it in range(1, maxits + 1):
-        with prof.span("solver", "ksp_iteration", grank,
-                       method="chebyshev", it=it):
-            if prof.enabled:
-                prof.count("repro_ksp_iterations_total",
-                           labels={"method": "chebyshev"})
-            yield from x.axpy(1.0, d)
-            yield from op.mult(d, Ad)
-            yield from r.axpy(-1.0, Ad)
-            rnorm = yield from r.norm()
-            norms.append(rnorm)
-            if rnorm <= target:
-                return SolveResult(True, it, norms)
-            rho_new = 1.0 / (2.0 * sigma1 - rho)
-            # d = rho_new*rho * d + (2*rho_new/delta) * r
-            yield from d.scale(rho_new * rho)
-            yield from d.axpy(2.0 * rho_new / delta, r)
-            rho = rho_new
-    return SolveResult(False, maxits, norms)
-
-
-def BiCGStab(
-    op: Operator,
-    b: Vec,
-    x: Vec,
-    rtol: float = 1e-8,
-    atol: float = 0.0,
-    maxits: int = 1000,
-    pc: Optional[Preconditioner] = None,
-) -> Generator:
-    """Stabilised bi-conjugate gradients (van der Vorst) for general
-    (nonsymmetric) systems: short recurrences, two operator applications
-    per iteration -- cheaper in memory than restarted GMRES."""
-    if maxits < 0 or rtol < 0 or atol < 0:
-        raise PETScError("negative tolerance or iteration limit")
-
-    def apply_pc(src: Vec, dst: Vec) -> Generator:
-        if pc is None:
-            dst.copy_from(src)
-        else:
-            yield from dst.set(0.0)
-            yield from pc(src, dst)
-
-    r = b.duplicate()
-    r0 = b.duplicate()
-    p = b.duplicate()
-    v = b.duplicate()
-    s = b.duplicate()
-    t = b.duplicate()
-    phat = b.duplicate()
-    shat = b.duplicate()
-
-    yield from op.residual(b, x, r)
-    r0.copy_from(r)
-    norms: List[float] = []
-    rnorm = yield from r.norm()
-    norms.append(rnorm)
-    target = max(atol, rtol * rnorm)
-    if rnorm <= target:
-        return SolveResult(True, 0, norms)
-    rho_old = alpha = omega = 1.0
-    yield from v.set(0.0)
-    yield from p.set(0.0)
-    prof, grank = _profiler_of(b)
-    for it in range(1, maxits + 1):
-        if prof.enabled:
-            prof.count("repro_ksp_iterations_total",
-                       labels={"method": "bicgstab"})
-        with prof.span("solver", "ksp_iteration", grank,
-                       method="bicgstab", it=it):
-            rho = yield from r0.dot(r)
-            if rho == 0.0:
-                return SolveResult(False, it, norms)  # breakdown
-            beta = (rho / rho_old) * (alpha / omega)
-            # p = r + beta*(p - omega*v)
-            yield from p.axpy(-omega, v)
-            yield from p.aypx(beta, r)
-            yield from apply_pc(p, phat)
-            yield from op.mult(phat, v)
-            r0v = yield from r0.dot(v)
-            if r0v == 0.0:
-                return SolveResult(False, it, norms)
-            alpha = rho / r0v
-            s.copy_from(r)
-            yield from s.axpy(-alpha, v)
-            snorm = yield from s.norm()
-            if snorm <= target:
-                yield from x.axpy(alpha, phat)
-                norms.append(snorm)
-                return SolveResult(True, it, norms)
-            yield from apply_pc(s, shat)
-            yield from op.mult(shat, t)
-            tt = yield from t.dot(t)
-            ts = yield from t.dot(s)
-            if tt == 0.0:
-                return SolveResult(False, it, norms)
-            omega = ts / tt
-            yield from x.axpy(alpha, phat)
-            yield from x.axpy(omega, shat)
-            r.copy_from(s)
-            yield from r.axpy(-omega, t)
-            rnorm = yield from r.norm()
-            norms.append(rnorm)
-            if rnorm <= target:
-                return SolveResult(True, it, norms)
-            if omega == 0.0:
-                return SolveResult(False, it, norms)
-            rho_old = rho
     return SolveResult(False, maxits, norms)
 
 

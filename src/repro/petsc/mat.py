@@ -36,8 +36,9 @@ class Laplacian(Operator):
     homogeneous Dirichlet boundaries.
 
     Grid spacing is ``1/dims[d]`` per dimension (unit domain, cell-centred);
-    boundary conditions enter through the zero ghost ring that
-    ``DMDA.create_local_array`` provides and exchanges never overwrite.
+    the boundary enters through reflected ghost values
+    (:meth:`_apply_boundary`), which would overwrite the wrapped ghosts of a
+    periodic DMDA, so one is rejected.
     """
 
     #: flops charged per grid point per application
@@ -48,6 +49,8 @@ class Laplacian(Operator):
             raise PETScError("Laplacian expects one degree of freedom")
         if da.width < 1:
             raise PETScError("Laplacian needs a ghost ring (stencil_width >= 1)")
+        if any(da.periodic):
+            raise PETScError("Laplacian has Dirichlet boundaries; the DMDA is periodic")
         self.da = da
         self.backend = backend
         self._lbuf = da.create_local_array()

@@ -140,10 +140,12 @@ def _needed_coarse_box(fine: DMDA, coarse: DMDA, factor, rank: int) -> Box:
 
 
 class MGSolver:
-    """Geometric multigrid for the DMDA Laplacian.
+    """Geometric multigrid for the DMDA Laplacian: V-cycles with damped
+    Jacobi smoothing and a CG coarse solve (the paper's §5.5 stack).
 
     Use :meth:`solve` as a standalone solver (Richardson + V-cycle, the
     paper's application) or :meth:`pc_apply` as a preconditioner for CG.
+    The fine DMDA must be nonperiodic, as :class:`Laplacian` requires.
     """
 
     def __init__(
@@ -156,12 +158,9 @@ class MGSolver:
         backend: str = "datatype",
         coarse_rtol: float = 1e-2,
         coarse_maxits: int = 100,
-        smoother: str = "jacobi",
     ):
         if nlevels < 1:
             raise PETScError("need at least one level")
-        if smoother not in ("jacobi", "chebyshev"):
-            raise PETScError(f"unknown smoother {smoother!r}")
         self.comm: Comm = fine_da.comm
         self.backend = backend
         self.nu_pre = nu_pre
@@ -169,8 +168,6 @@ class MGSolver:
         self.omega = omega
         self.coarse_rtol = coarse_rtol
         self.coarse_maxits = coarse_maxits
-        self.smoother = smoother
-        self._cheb_bounds: List[Optional[tuple]] = []
 
         self.das: List[DMDA] = [fine_da]
         for _ in range(nlevels - 1):
@@ -204,7 +201,6 @@ class MGSolver:
         self._b = [da.create_global_vec() for da in self.das]
         self._x = [da.create_global_vec() for da in self.das]
         self._r = [da.create_global_vec() for da in self.das]
-        self._cheb_bounds = [None] * self.nlevels
 
     @property
     def nlevels(self) -> int:
@@ -213,11 +209,7 @@ class MGSolver:
     # -- components -------------------------------------------------------------
 
     def smooth(self, level: int, b: Vec, x: Vec, sweeps: int) -> Generator:
-        """``sweeps`` smoothing iterations at ``level`` (Jacobi or
-        Chebyshev, per the ``smoother`` option)."""
-        if self.smoother == "chebyshev":
-            yield from self._smooth_chebyshev(level, b, x, sweeps)
-            return
+        """``sweeps`` damped Jacobi iterations at ``level``."""
         op = self.ops[level]
         r = self._r[level]
         scale = self.omega / op.diag
@@ -225,54 +217,14 @@ class MGSolver:
             yield from op.residual(b, x, r)
             yield from x.axpy(scale, r)
 
-    def _smooth_chebyshev(self, level: int, b: Vec, x: Vec, sweeps: int) -> Generator:
-        """Chebyshev smoothing targeting the upper spectrum (no inner
-        products per sweep -- communication-lighter than it looks)."""
-        from repro.petsc.spectrum import smoothing_range
-
-        if self._cheb_bounds[level] is None:
-            bounds = yield from smoothing_range(self.ops[level], b)
-            self._cheb_bounds[level] = bounds
-        eig_min, eig_max = self._cheb_bounds[level]
-        theta = 0.5 * (eig_max + eig_min)
-        delta = 0.5 * (eig_max - eig_min)
-        sigma1 = theta / delta
-        rho = 1.0 / sigma1
-        op = self.ops[level]
-        r = self._r[level]
-        d = b.duplicate()
-        Ad = b.duplicate()
-        yield from op.residual(b, x, r)
-        d.copy_from(r)
-        yield from d.scale(1.0 / theta)
-        for _ in range(sweeps):
-            yield from x.axpy(1.0, d)
-            yield from op.mult(d, Ad)
-            yield from r.axpy(-1.0, Ad)
-            rho_new = 1.0 / (2.0 * sigma1 - rho)
-            yield from d.scale(rho_new * rho)
-            yield from d.axpy(2.0 * rho_new / delta, r)
-            rho = rho_new
-
     def vcycle(self, level: int, b: Vec, x: Vec) -> Generator:
         """One V-cycle starting at ``level`` (0 = finest)."""
-        yield from self.cycle(level, b, x, gamma=1)
-
-    def wcycle(self, level: int, b: Vec, x: Vec) -> Generator:
-        """One W-cycle (each coarse problem visited twice)."""
-        yield from self.cycle(level, b, x, gamma=2)
-
-    def cycle(self, level: int, b: Vec, x: Vec, gamma: int = 1) -> Generator:
-        """One multigrid cycle: ``gamma=1`` is a V-cycle, ``gamma=2`` a
-        W-cycle (the coarse-grid correction recurses ``gamma`` times)."""
-        if gamma < 1:
-            raise PETScError(f"gamma must be >= 1, got {gamma}")
         if level == self.nlevels - 1:
-            result = yield from CG(
+            yield from CG(
                 self.ops[level], b, x,
                 rtol=self.coarse_rtol, maxits=self.coarse_maxits,
             )
-            return result
+            return
         yield from self.smooth(level, b, x, self.nu_pre)
         op = self.ops[level]
         r = self._r[level]
@@ -281,38 +233,9 @@ class MGSolver:
         x_c = self._x[level + 1]
         yield from self.transfers[level].restrict(r, b_c)
         yield from x_c.set(0.0)
-        for _ in range(gamma):
-            yield from self.cycle(level + 1, b_c, x_c, gamma)
+        yield from self.vcycle(level + 1, b_c, x_c)
         yield from self.transfers[level].prolong_add(x_c, x)
         yield from self.smooth(level, b, x, self.nu_post)
-
-    def fmg_solve(self, b: Vec, x: Vec, cycles_per_level: int = 1) -> Generator:
-        """Full multigrid: restrict the RHS down the hierarchy, solve the
-        coarsest problem, then interpolate upward running
-        ``cycles_per_level`` V-cycles per level.  One FMG pass typically
-        reaches discretisation accuracy.  Returns the final residual norm.
-        """
-        nl = self.nlevels
-        # restrict the RHS itself down the hierarchy
-        bs = [b] + [self._b[l] for l in range(1, nl)]
-        for l in range(nl - 1):
-            yield from self.transfers[l].restrict(bs[l], bs[l + 1])
-        xs = [x] + [self._x[l] for l in range(1, nl)]
-        yield from xs[nl - 1].set(0.0)
-        yield from CG(
-            self.ops[nl - 1], bs[nl - 1], xs[nl - 1],
-            rtol=self.coarse_rtol, maxits=self.coarse_maxits,
-        )
-        for l in range(nl - 2, -1, -1):
-            yield from xs[l].set(0.0)
-            yield from self.transfers[l].prolong_add(xs[l + 1], xs[l])
-            for _ in range(cycles_per_level):
-                yield from self.vcycle(l, bs[l], xs[l])
-        op = self.ops[0]
-        r = self._r[0]
-        yield from op.residual(b, x, r)
-        rnorm = yield from r.norm()
-        return rnorm
 
     def pc_apply(self, r: Vec, z: Vec) -> Generator:
         """One V-cycle as a preconditioner: z ~= A^{-1} r (z starts at 0)."""

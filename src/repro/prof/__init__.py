@@ -4,7 +4,7 @@ One :class:`Profiler` per simulated cluster bundles:
 
 - a :class:`repro.prof.spans.Tracer` (nestable spans stamped from
   ``engine.now``: pack/unpack, look-ahead, datatype re-search, collective
-  rounds, VecScatter, KSP/SNES iterations, request waits),
+  rounds, VecScatter, KSP iterations, request waits),
 - a :class:`repro.prof.metrics.MetricsRegistry` (counters / gauges /
   histograms under the documented name catalogue),
 - the wire-transfer event stream (via the cluster observer API).

@@ -74,7 +74,6 @@ CATALOGUE: Dict[str, Tuple[str, str]] = {
     "repro_plan_cache_misses_total": ("counter", "Assemblies that discovered a pattern with plan caching enabled"),
     "repro_plan_cache_invalidations_total": ("counter", "Cached assembly plans dropped (label: reason)"),
     "repro_ksp_iterations_total": ("counter", "KSP solver iterations (label: method)"),
-    "repro_snes_iterations_total": ("counter", "SNES Newton iterations"),
     # engine
     "repro_engine_events": ("gauge", "Discrete events fired by the simulation engine"),
     "repro_engine_processes": ("gauge", "Processes spawned on the simulation engine"),

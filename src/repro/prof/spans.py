@@ -31,7 +31,7 @@ Span categories used by the instrumented stack (see docs/OBSERVABILITY.md):
                 recursive-doubling step, dissemination phase, alltoallw
                 bin)
 ``petsc``       one PETSc-level operation (``vecscatter``)
-``solver``      one KSP/SNES iteration
+``solver``      one KSP iteration
 ``wait``        one blocking ``Request.wait``
 ==============  ==========================================================
 """

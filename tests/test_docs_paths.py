@@ -180,3 +180,12 @@ def test_every_bench_command_line_parses(page, capsys):
 def test_every_analyze_command_line_parses(page, capsys):
     bad = stale_commands(page, "analyze", parse_analyze)
     assert not bad, f"{page.relative_to(ROOT)} spells out stale analyze commands: {bad}"
+
+
+def test_examples_readme_lists_every_example():
+    """examples/README.md's script table has one row per ``examples/*.py``
+    and no row for a script that is gone."""
+    readme = (ROOT / "examples/README.md").read_text()
+    table = re.findall(r"^\| `([\w.]+\.py)` \|", readme, re.M)
+    assert len(table) == len(set(table))
+    assert set(table) == {p.name for p in (ROOT / "examples").glob("*.py")}

@@ -1,6 +1,6 @@
 """Property-based fuzzing of DMDA ghost exchanges over random
-configurations (dims, process grid, stencil, width, periodicity, dof),
-checked against a numpy padding oracle."""
+configurations (dims, process grid, stencil, width, periodicity, dof) under
+both MPI configurations, checked against a numpy padding oracle."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -29,11 +29,12 @@ def dmda_config(draw):
     return nranks, dims, stencil, width, periodic, dof
 
 
-@given(dmda_config(), st.sampled_from(["datatype", "hand_tuned"]))
+@given(dmda_config(), st.sampled_from(["datatype", "hand_tuned"]),
+       st.sampled_from([MPIConfig.baseline, MPIConfig.optimized]))
 @settings(max_examples=40, deadline=None)
-def test_ghost_exchange_matches_oracle(config, backend):
+def test_ghost_exchange_matches_oracle(config, backend, mpi_config):
     nranks, dims, stencil, width, periodic, dof = config
-    cluster = Cluster(nranks, config=MPIConfig.optimized(), cost=QUIET,
+    cluster = Cluster(nranks, config=mpi_config(), cost=QUIET,
                       heterogeneous=False)
 
     def main(comm):

@@ -1,5 +1,4 @@
-"""Tests for AIJ matrix operations (transpose-mult, scale, shift, norm)
-and the BiCGStab solver."""
+"""Tests for AIJ matrix operations (transpose-mult, scale, shift, norm)."""
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ import scipy.sparse as sp
 from repro.mpi import Cluster, MPIConfig
 from repro.petsc import Layout, PETScError, Vec
 from repro.petsc.aij import AIJMat
-from repro.petsc.ksp import BiCGStab
 from repro.util import CostModel
 
 QUIET = CostModel(cpu_noise=0.0)
@@ -107,86 +105,3 @@ def test_frobenius_norm():
     got = cluster.run(main)[0]
     expect = np.sqrt((M.data**2).sum())
     assert got == pytest.approx(expect)
-
-
-def test_bicgstab_solves_nonsymmetric_system():
-    n = 40
-    cluster = make_cluster(4)
-
-    def main(comm):
-        lay = Layout(comm.size, n)
-        A = AIJMat(comm, lay)
-        start, end = lay.start(comm.rank), lay.end(comm.rank)
-        for i in range(start, end):
-            A.set_value(i, i, 5.0)
-            if i > 0:
-                A.set_value(i, i - 1, -2.5)
-            if i < n - 1:
-                A.set_value(i, i + 1, -1.0)
-        yield from A.assemble()
-        b = Vec(comm, lay)
-        b.local[:] = 1.0
-        x = Vec(comm, lay)
-        result = yield from BiCGStab(A, b, x, rtol=1e-10, maxits=300)
-        return result, x.local.copy()
-
-    results = cluster.run(main)
-    assert results[0][0].converged
-    got = np.concatenate([r[1] for r in results])
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i] = 5.0
-        if i > 0:
-            M[i, i - 1] = -2.5
-        if i < n - 1:
-            M[i, i + 1] = -1.0
-    assert np.allclose(got, np.linalg.solve(M, np.ones(n)), atol=1e-7)
-
-
-def test_bicgstab_with_preconditioner_converges_faster():
-    from repro.petsc import BlockJacobiPC
-
-    n = 64
-    cluster = make_cluster(2)
-
-    def main(comm):
-        lay = Layout(comm.size, n)
-        A = AIJMat(comm, lay)
-        start, end = lay.start(comm.rank), lay.end(comm.rank)
-        h2 = float(n + 1) ** 2
-        for i in range(start, end):
-            A.set_value(i, i, 2.0 * h2)
-            if i > 0:
-                A.set_value(i, i - 1, -h2 * 1.2)  # mildly nonsymmetric
-            if i < n - 1:
-                A.set_value(i, i + 1, -h2 * 0.8)
-        yield from A.assemble()
-        b = Vec(comm, lay)
-        b.local[:] = 1.0
-        x1 = Vec(comm, lay)
-        plain = yield from BiCGStab(A, b, x1, rtol=1e-8, maxits=500)
-        x2 = Vec(comm, lay)
-        prec = yield from BiCGStab(A, b, x2, rtol=1e-8, maxits=500,
-                                   pc=BlockJacobiPC(A))
-        return plain, prec
-
-    plain, prec = cluster.run(main)[0]
-    assert plain.converged and prec.converged
-    assert prec.iterations < plain.iterations
-
-
-def test_bicgstab_zero_rhs():
-    cluster = make_cluster(1)
-
-    def main(comm):
-        lay = Layout(1, 4)
-        A = AIJMat(comm, lay)
-        for i in range(4):
-            A.set_value(i, i, 1.0)
-        yield from A.assemble()
-        b = Vec(comm, lay)
-        x = Vec(comm, lay)
-        result = yield from BiCGStab(A, b, x, atol=1e-30)
-        return result.iterations
-
-    assert cluster.run(main)[0] == 0

@@ -1,4 +1,4 @@
-"""Tests for GMRES, Chebyshev and the Jacobi/BlockJacobi preconditioners."""
+"""Tests for the Jacobi/BlockJacobi preconditioners."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,7 @@ from repro.mpi import Cluster, MPIConfig
 from repro.petsc import (
     CG,
     DMDA,
-    GMRES,
     BlockJacobiPC,
-    Chebyshev,
     JacobiPC,
     Laplacian,
     Layout,
@@ -42,63 +40,7 @@ def build_laplacian_aij(comm, n):
     return lay, A
 
 
-@pytest.mark.parametrize("nranks", [1, 4])
-def test_gmres_solves_spd_system(nranks):
-    cluster = make_cluster(nranks)
-
-    def main(comm):
-        da = DMDA(comm, (16, 16))
-        op = Laplacian(da)
-        b = da.create_global_vec()
-        b.local[:] = 1.0
-        x = da.create_global_vec()
-        result = yield from GMRES(op, b, x, restart=20, rtol=1e-8, maxits=300)
-        r = da.create_global_vec()
-        yield from op.residual(b, x, r)
-        true_norm = yield from r.norm()
-        return result, true_norm
-
-    for result, true_norm in cluster.run(main):
-        assert result.converged, result.residual_norms[-5:]
-        assert true_norm < 1e-6
-
-
-def test_gmres_nonsymmetric_system():
-    """GMRES handles a nonsymmetric (convection-diffusion-ish) AIJ matrix."""
-    n = 24
-    cluster = make_cluster(3)
-
-    def main(comm):
-        lay = Layout(comm.size, n)
-        A = AIJMat(comm, lay)
-        start, end = lay.start(comm.rank), lay.end(comm.rank)
-        for i in range(start, end):
-            A.set_value(i, i, 4.0)
-            if i > 0:
-                A.set_value(i, i - 1, -2.0)  # asymmetric off-diagonals
-            if i < n - 1:
-                A.set_value(i, i + 1, -1.0)
-        yield from A.assemble()
-        b = Vec(comm, lay)
-        b.local[:] = 1.0
-        x = Vec(comm, lay)
-        result = yield from GMRES(A, b, x, restart=15, rtol=1e-10, maxits=200)
-        return result, x.local.copy()
-
-    results = cluster.run(main)
-    assert results[0][0].converged
-    got = np.concatenate([r[1] for r in results])
-    M = np.zeros((n, n))
-    for i in range(n):
-        M[i, i] = 4.0
-        if i > 0:
-            M[i, i - 1] = -2.0
-        if i < n - 1:
-            M[i, i + 1] = -1.0
-    assert np.allclose(got, np.linalg.solve(M, np.ones(n)), atol=1e-7)
-
-
-def test_gmres_with_jacobi_pc_fewer_iterations():
+def test_block_jacobi_pc_fewer_cg_iterations():
     cluster = make_cluster(2)
 
     def main(comm):
@@ -107,52 +49,16 @@ def test_gmres_with_jacobi_pc_fewer_iterations():
         b = Vec(comm, lay)
         b.local[:] = 1.0
         x1 = Vec(comm, lay)
-        plain = yield from GMRES(A, b, x1, restart=64, rtol=1e-8, maxits=400)
+        plain = yield from CG(A, b, x1, rtol=1e-8, maxits=400)
         x2 = Vec(comm, lay)
         pc = BlockJacobiPC(A)
-        prec = yield from GMRES(A, b, x2, restart=64, rtol=1e-8, maxits=400, pc=pc)
+        prec = yield from CG(A, b, x2, rtol=1e-8, maxits=400, pc=pc)
         return plain, prec, float(np.max(np.abs(x1.local - x2.local)))
 
     plain, prec, diff = cluster.run(main)[0]
     assert plain.converged and prec.converged
     assert prec.iterations < plain.iterations
     assert diff < 1e-5
-
-
-def test_chebyshev_converges_with_good_bounds():
-    cluster = make_cluster(2)
-    n = 32
-
-    def main(comm):
-        lay, A = build_laplacian_aij(comm, n)
-        yield from A.assemble()
-        h2 = float(n + 1) ** 2
-        lmin = 2 * h2 * (1 - np.cos(np.pi / (n + 1)))
-        lmax = 2 * h2 * (1 - np.cos(np.pi * n / (n + 1)))
-        b = Vec(comm, lay)
-        b.local[:] = 1.0
-        x = Vec(comm, lay)
-        result = yield from Chebyshev(A, b, x, lmin, lmax, rtol=1e-8, maxits=500)
-        return result
-
-    result = cluster.run(main)[0]
-    assert result.converged
-    # Chebyshev should converge in O(sqrt(kappa) log 1/eps) iterations
-    assert result.iterations < 300
-
-
-def test_chebyshev_validates_bounds():
-    cluster = make_cluster(1)
-
-    def main(comm):
-        da = DMDA(comm, (4, 4))
-        op = Laplacian(da)
-        b = da.create_global_vec()
-        x = da.create_global_vec()
-        yield from Chebyshev(op, b, x, eig_min=-1.0, eig_max=1.0)
-
-    with pytest.raises(PETScError):
-        cluster.run(main)
 
 
 def test_jacobi_pc_on_stencil_laplacian():

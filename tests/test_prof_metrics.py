@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry (``repro.prof.metrics``)."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,18 @@ def test_catalogue_is_well_formed():
         assert help_text
         if kind == "counter":
             assert name.endswith(("_total", "_seconds_total")), name
+
+
+def test_every_catalogued_metric_has_an_emitter():
+    """Each catalogued name is a string literal in some ``src/`` module
+    other than the catalogue's own, so no entry outlives its emitter."""
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    catalogue = src / "prof" / "metrics.py"
+    text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py"))
+                     if p != catalogue)
+    orphans = [name for name in CATALOGUE
+               if not re.search(rf"[\"']{name}[\"']", text)]
+    assert not orphans
 
 
 def test_catalogue_matches_the_observability_docs(tmp_path, capsys):
