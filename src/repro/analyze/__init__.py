@@ -25,8 +25,7 @@ over one parsed project.  The
 
 ``repro.analyze.dataflow``
     CFG + fixpoint dataflow passes: request lifetime (REQ1xx), buffer
-    use-after-isend (BUF1xx), SPMD rank divergence (SPMD1xx) and static
-    communication-plan extraction (PLAN1xx).
+    use-after-isend (BUF1xx) and SPMD rank divergence (SPMD1xx).
 
 ``repro.analyze.protocol``
     Cross-rank protocol verification: each function is abstractly

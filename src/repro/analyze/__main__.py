@@ -7,11 +7,11 @@ configuration:
 ``python -m repro.analyze src examples tests``
     Analyze every ``.py`` file under the given files/directories: the
     lint rules (LNT001-LNT007), the CFG/fixpoint dataflow passes (REQ1xx
-    request lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence,
-    PLAN1xx static communication plans) and the cross-rank protocol
-    verifier (MTC10x: every uncalled top-level function taking a
-    communicator is abstractly executed under small model worlds and its
-    per-rank traces joined in a static match graph).  Exit code 1 if
+    request lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence)
+    and the cross-rank protocol verifier (MTC10x: every uncalled
+    top-level function taking a communicator is abstractly executed
+    under small model worlds and its per-rank traces joined in a static
+    match graph).  Exit code 1 if
     anything actionable is found.
 
 ``python -m repro.analyze --run examples/ghost_exchange_2d.py``
@@ -23,12 +23,11 @@ configuration:
 
 Output:
 
-``--format text|json|sarif`` selects the emitter (JSON carries the
-extracted communication plans; SARIF 2.1.0 feeds CI annotations);
-``--output FILE`` writes the machine-readable document to a file while
-keeping the human-readable summary on stdout, which ``--protocol-stats``
-and ``--show-plans`` extend.  Inline ``# analyze: ignore[CODE]``
-comments suppress findings per line.
+``--format text|json|sarif`` selects the emitter (SARIF 2.1.0 feeds CI
+annotations); ``--output FILE``, which needs ``json`` or ``sarif``,
+writes that document to a file while keeping the human-readable summary
+on stdout, which ``--protocol-stats`` extends.  Inline
+``# analyze: ignore[CODE]`` comments suppress findings per line.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ def _parse(argv: List[str] | None) -> argparse.Namespace:
                              "(text summary stays on stdout)")
     parser.add_argument("--show-info", action="store_true",
                         help="include informational findings in the output")
-    parser.add_argument("--show-plans", action="store_true",
-                        help="print the extracted communication plans "
-                             "(text format; json always carries them)")
     args = parser.parse_args(argv)
+    if args.output and args.fmt == "text":
+        parser.error("--output writes a json or sarif document; "
+                     "add --format json or --format sarif")
     if args.run:
         for path in args.paths:
             if not path.endswith(".py"):
@@ -119,8 +118,7 @@ def main(argv: List[str] | None = None) -> int:
     args = _parse(argv)
     protocol_stats: list = []
     try:
-        report, plans = analyze_tree(args.paths,
-                                     protocol_stats=protocol_stats)
+        report = analyze_tree(args.paths, protocol_stats=protocol_stats)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"analyze: {exc}", file=sys.stderr)
         return 2
@@ -133,7 +131,7 @@ def main(argv: List[str] | None = None) -> int:
     if args.fmt == "json":
         from repro.analyze.emit import to_json
 
-        document = to_json(report, plans)
+        document = to_json(report)
     elif args.fmt == "sarif":
         from repro.analyze.emit import to_sarif
 
@@ -162,15 +160,6 @@ def main(argv: List[str] | None = None) -> int:
                     size, reason = stat.bailed[0]
                     line += f" bailed@{size}: {reason}"
                 print(line)
-        if args.show_plans and plans:
-            print(f"-- {len(plans)} static communication plan(s):")
-            for plan in plans:
-                decisions = ", ".join(
-                    f"{p}->{a}" for p, a in sorted(plan.decisions.items()))
-                print(f"{plan.path}:{plan.line}: {plan.collective}() "
-                      f"in {plan.function}() total={plan.total_bytes}B "
-                      f"profile={plan.profile or 'n/a'} "
-                      f"[{decisions or 'no prediction'}]")
     return report.exit_code()
 
 

@@ -19,13 +19,6 @@ liveness), and ask path questions the lint tier cannot:
     twin of the runtime COL001/COL002 checks -- and rank-dependent early
     exits ahead of a collective.
 
-``repro.analyze.dataflow.plans``  (PLAN1xx)
-    Static communication-plan extraction: per collective call site,
-    symbolically evaluate counts/datatypes where constant, predict the
-    volume profile, report which registry algorithm each selection
-    policy would pick, and warn on sparse / heavy-outlier / low-density
-    shapes per the paper's section 4.1/4.2 cost model.
-
 Entry points: :func:`analyze_tree` (files/directories) and
 :func:`analyze_source_set` (in-memory text) in
 :mod:`repro.analyze.dataflow.driver` -- the one pipeline that also runs
@@ -41,20 +34,17 @@ from repro.analyze.dataflow.engine import (
     liveness,
     reaching_definitions,
 )
-from repro.analyze.dataflow.plans import CommunicationPlan, extract_plans
 from repro.analyze.dataflow.summaries import compute_summaries, module_envs
 
 __all__ = [
     "CFG",
     "CFGNode",
-    "CommunicationPlan",
     "DataflowSolution",
     "Project",
     "analyze_source_set",
     "analyze_tree",
     "build_cfg",
     "compute_summaries",
-    "extract_plans",
     "liveness",
     "module_envs",
     "reaching_definitions",

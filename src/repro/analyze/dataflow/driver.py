@@ -8,7 +8,7 @@
 2. **summaries**: transitive per-function summaries, bottom-up over the
    call-graph condensation (:mod:`repro.analyze.dataflow.summaries`), so
    cross-function and cross-file request hand-off and rank taint resolve;
-3. **lint**, the **dataflow** rules (REQ/BUF, SPMD, PLAN) and the
+3. **lint**, the **dataflow** rules (REQ/BUF, SPMD) and the
    **protocol** verifier (MTC), per file with the module's summary
    environment; an SPMD101 inside a function the verifier ran at every
    model size and reported as MTC104 is dropped, since that finding
@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyze import protocol as _protocol
-from repro.analyze.dataflow import plans as _plans
 from repro.analyze.dataflow import requests as _requests
 from repro.analyze.dataflow import spmd as _spmd
 from repro.analyze.dataflow.callgraph import Project
@@ -78,14 +77,12 @@ def iter_python_files(paths: Iterable[Union[str, Path]]) -> List[Path]:
 
 
 def _run_dataflow(tree: ast.Module, path: str, report: Report,
-                  plans: List[_plans.CommunicationPlan],
                   env: Dict[str, CallSummary]) -> None:
     """Run every dataflow rule pass over one parsed module."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _requests.check_function(build_cfg(node), path, report, env)
             _spmd.check_function(node, path, report, env)
-    plans.extend(_plans.extract_plans(tree, path, report)[0])
 
 
 def _unused_suppression_eligible(code: str) -> bool:
@@ -139,16 +136,14 @@ def _retire_spmd101(report: Report, tree: ast.Module,
 def analyze_source_set(
     sources: List[Tuple[str, str]],
     protocol_stats: Optional[list] = None,
-) -> Tuple[Report, List[_plans.CommunicationPlan]]:
+) -> Report:
     """Analyze in-memory ``(path, text)`` pairs as one project.
 
-    Returns the report and the extracted communication plans;
     ``protocol_stats`` collects the protocol verifier's per-function
     :class:`~repro.analyze.protocol.FunctionStat`.  Unparseable text
     raises :class:`SyntaxError`.
     """
     report = Report()
-    plans: List[_plans.CommunicationPlan] = []
     project = Project(sources)
     envs = module_envs(project)
     for path, source in sources:
@@ -157,7 +152,7 @@ def analyze_source_set(
         suppressions = collect_suppressions(source, tree)
         local = Report()
         _Linter(path, local).visit(tree)
-        _run_dataflow(tree, path, local, plans, env)
+        _run_dataflow(tree, path, local, env)
         stats: List[_protocol.FunctionStat] = []
         _protocol.check_module(tree, path, local, env, stats=stats)
         if protocol_stats is not None:
@@ -166,12 +161,12 @@ def analyze_source_set(
                                       suppressions)
         _report_unused_suppressions(suppressions, path, filtered)
         report.extend(filtered)
-    return report, plans
+    return report
 
 
 def analyze_tree(paths: Iterable[Union[str, Path]],
                  protocol_stats: Optional[list] = None,
-                 ) -> Tuple[Report, List[_plans.CommunicationPlan]]:
+                 ) -> Report:
     """:func:`analyze_source_set` over every ``.py`` file under
     ``paths`` (files or directories, see :func:`iter_python_files`)."""
     sources = [(str(p), p.read_text(encoding="utf-8"))

@@ -137,12 +137,6 @@ def liveness(cfg: CFG) -> DataflowSolution:
 
 # -- per-statement use/def extraction ----------------------------------------
 
-#: compound statements whose *bodies* live in other CFG nodes; only the
-#: header expression belongs to this node
-_HEADER_ONLY = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.With,
-                ast.AsyncWith, ast.Try, ast.Match)
-
-
 def header_expressions(stmt: ast.AST) -> List[ast.AST]:
     """The expressions evaluated *at* a compound statement's header node
     (condition / iterable / context managers / match subject)."""

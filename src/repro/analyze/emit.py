@@ -1,7 +1,7 @@
 """Machine-readable emitters shared by lint and dataflow: JSON and SARIF.
 
-``to_json`` is the analyzer's own stable schema (``repro-analyze/1``)
-including the extracted communication plans; ``to_sarif`` targets SARIF
+``to_json`` is the analyzer's own stable schema (``repro-analyze/2``:
+findings and a severity summary); ``to_sarif`` targets SARIF
 2.1.0 so CI systems can annotate pull requests with file/line-accurate
 findings (severity mapping: error->``error``, warning->``warning``,
 info->``note``).
@@ -14,11 +14,11 @@ documents are byte-identical across runs regardless of which pass
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.analyze.findings import RULES, SEVERITIES, Finding, Report
 
-JSON_SCHEMA = "repro-analyze/1"
+JSON_SCHEMA = "repro-analyze/2"
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                 "master/Schemata/sarif-schema-2.1.0.json")
@@ -45,13 +45,11 @@ def report_to_dicts(report: Report) -> List[Dict[str, Any]]:
     ]
 
 
-def to_json(report: Report, plans: Optional[Sequence[Any]] = None,
-            indent: int = 2) -> str:
-    """The analyzer's own JSON schema, findings + plans + summary."""
+def to_json(report: Report, indent: int = 2) -> str:
+    """The analyzer's own JSON schema, findings + summary."""
     doc = {
         "schema": JSON_SCHEMA,
         "findings": report_to_dicts(report),
-        "plans": [p.to_dict() for p in plans or []],
         "summary": {
             **{s: report.count(s) for s in SEVERITIES},
             "total": len(report),

@@ -53,16 +53,6 @@ RULES = {
                          "branch (static twin of runtime COL001/COL002)"),
     "SPMD102": ("warning", "rank-dependent early exit ahead of a collective "
                            "entered by the remaining ranks"),
-    # -- dataflow: static communication plans (repro.analyze.dataflow.plans)
-    "PLAN101": ("warning", "statically sparse volume set: mostly zero-byte "
-                           "synchronisation messages (binned Alltoallw of "
-                           "section 4.2.2 removes these)"),
-    "PLAN102": ("warning", "statically heavy-outlier volume set: ring-style "
-                           "algorithms serialise on the largest "
-                           "contribution (Eq. 1)"),
-    "PLAN103": ("warning", "statically low-density datatype at a "
-                           "communication call site (section 4.1 "
-                           "pack-slower-than-copy cost model)"),
     # -- cross-rank protocol verification (repro.analyze.protocol) ----------
     "MTC101": ("error", "unmatched send: no feasible receive on any rank "
                         "under the model worlds"),

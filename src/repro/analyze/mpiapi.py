@@ -124,11 +124,6 @@ COMM_ATTRIBUTES = (frozenset({"rank", "size"}) | POINT_TO_POINT
 ROOT_ARG = {name: COMM_PARAMS[name].index("root")
             for name in COLLECTIVE_METHODS if "root" in COMM_PARAMS[name]}
 
-#: collective -> positional index of its ``counts`` vector
-COUNTS_ARG = {name: COMM_PARAMS[name].index("counts")
-              for name in COLLECTIVE_METHODS
-              if "counts" in COMM_PARAMS[name]}
-
 #: the concrete algorithm implementations behind the registry
 ALGORITHM_IMPLEMENTATIONS = frozenset(
     REGISTRY.implementation(collective, name).__name__

@@ -29,7 +29,7 @@ import repro.datatypes as _datatypes
 from repro.analyze.findings import Report
 from repro.datatypes.typemap import Datatype, TypeSignature, _rle_repeat
 
-#: the low-density smell (SIG004, PLAN103) fires for at least this many
+#: the low-density smell (SIG004) fires for at least this many
 #: blocks ...
 DENSITY_MIN_BLOCKS = 32
 #: ... whose mean length is below this many bytes

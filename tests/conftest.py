@@ -13,7 +13,6 @@ class TreeScan(NamedTuple):
     """One whole-tree analyzer run: lint + dataflow + protocol."""
 
     report: object
-    plans: List
     stats: List
 
     def findings(self, *dirs, prefix=""):
@@ -27,12 +26,12 @@ class TreeScan(NamedTuple):
 @pytest.fixture(scope="session")
 def tree_scan():
     """``analyze_tree([src, examples, tests])``, run once per test
-    session; every tree-clean test reads its report, plans and protocol
+    session; every tree-clean test reads its report and protocol
     stats."""
     from repro.analyze import analyze_tree
 
     stats: list = []
-    report, plans = analyze_tree(
+    report = analyze_tree(
         [REPO / "src", REPO / "examples", REPO / "tests"],
         protocol_stats=stats)
-    return TreeScan(report, plans, stats)
+    return TreeScan(report, stats)

@@ -1,4 +1,4 @@
-"""Tests for the CFG/fixpoint dataflow analyzer (REQ/BUF/SPMD/PLAN)."""
+"""Tests for the CFG/fixpoint dataflow analyzer (REQ/BUF/SPMD)."""
 
 import ast
 import contextlib
@@ -16,7 +16,6 @@ from repro.analyze.dataflow import (
     analyze_source_set,
     analyze_tree,
     build_cfg,
-    extract_plans,
     liveness,
     module_envs,
     reaching_definitions,
@@ -28,14 +27,13 @@ from repro.analyze.findings import Report
 FIXTURES = Path(__file__).parent / "fixtures"
 
 #: rule prefixes of the dataflow passes
-DATAFLOW = ("REQ", "BUF", "SPMD", "PLAN")
+DATAFLOW = ("REQ", "BUF", "SPMD")
 
 
 def dataflow_report(source):
     """Dataflow findings of one module (the lint and protocol findings
     of the same run are left out)."""
-    report, _plans = analyze_source_set([("<string>",
-                                          textwrap.dedent(source))])
+    report = analyze_source_set([("<string>", textwrap.dedent(source))])
     return [f for f in report if f.rule.startswith(DATAFLOW)]
 
 
@@ -378,7 +376,7 @@ def test_spmd102_early_exit_before_collective():
 
 def test_spmd101_retired_where_the_protocol_verifier_ran():
     # verified at every model size: MTC104 alone reports the divergence
-    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+    report = analyze_source_set([("m.py", textwrap.dedent("""
         def f(comm):
             if comm.rank == 0:
                 yield from comm.barrier()
@@ -393,7 +391,7 @@ def test_spmd101_kept_where_the_verifier_reports_no_mtc104(cond):
     # sizes only (rank 2 exists at sizes 3/4) or at none (every rank
     # below 4 enters; rank 5 never exists), so no MTC104 is reported
     stats = []
-    report, _plans = analyze_source_set([("m.py", textwrap.dedent(f"""
+    report = analyze_source_set([("m.py", textwrap.dedent(f"""
         def f(comm):
             if {cond}:
                 yield from comm.barrier()
@@ -404,7 +402,7 @@ def test_spmd101_kept_where_the_verifier_reports_no_mtc104(cond):
 
 def test_spmd101_kept_where_protocol_extraction_bails():
     stats = []
-    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+    report = analyze_source_set([("m.py", textwrap.dedent("""
         def f(comm):
             mask = 1
             while mask < comm.size:
@@ -427,92 +425,6 @@ def test_spmd_split_subcommunicator_idiom_is_clean():
     """) == []
 
 
-# -- PLAN1xx: static communication plans --------------------------------------
-
-def _plans_of(source):
-    tree = ast.parse(textwrap.dedent(source))
-    plans, report = extract_plans(tree, "<test>", Report())
-    return plans, report
-
-
-def test_plan_outlier_counts_predict_policy_split():
-    plans, report = _plans_of("""
-        import numpy as np
-
-        COUNTS = [4, 4, 4, 4096, 4, 4, 4, 4]
-
-        def main(comm, send):
-            recv = np.zeros(4124)
-            yield from comm.allgatherv(send, recv, COUNTS)
-    """)
-    assert [f.rule for f in report] == ["PLAN102"]
-    (plan,) = [p for p in plans if p.collective == "allgatherv"]
-    assert plan.profile == "outlier"
-    assert plan.decisions["mpich"] == "ring"
-    assert plan.decisions["adaptive"] != "ring"
-
-
-def test_plan_sparse_counts():
-    plans, report = _plans_of("""
-        import numpy as np
-
-        def main(comm, send):
-            recv = np.zeros(6)
-            yield from comm.gatherv(send, recv, [0, 0, 6, 0, 0, 0, 0, 0])
-    """)
-    assert [f.rule for f in report] == ["PLAN101"]
-    (plan,) = plans
-    assert plan.profile == "sparse"
-    assert plan.total_bytes == 6 * 8
-
-
-def test_plan_uniform_counts_are_silent():
-    plans, report = _plans_of("""
-        import numpy as np
-
-        def main(comm, send):
-            recv = np.zeros(32)
-            yield from comm.allgatherv(send, recv, [8] * 4)
-    """)
-    assert report.ok
-    (plan,) = plans
-    assert plan.profile == "uniform"
-    assert plan.volumes == [64, 64, 64, 64]
-
-
-def test_plan_dynamic_counts_are_skipped():
-    plans, report = _plans_of("""
-        def main(comm, send, recv, counts):
-            yield from comm.allgatherv(send, recv, counts)
-    """)
-    assert plans == [] and report.ok
-
-
-def test_plan_low_density_datatype():
-    plans, report = _plans_of("""
-        from repro.datatypes.typemap import DOUBLE, Vector
-
-        def main(comm, column, partner):
-            dtype = Vector(count=256, blocklength=1, stride=64, base=DOUBLE)
-            req = yield from comm.isend(column, partner, datatype=dtype)
-            yield from req.wait()
-    """)
-    assert [f.rule for f in report] == ["PLAN103"]
-
-
-def test_plan_to_dict_is_json_serialisable():
-    plans, _ = _plans_of("""
-        import numpy as np
-
-        def main(comm, send):
-            recv = np.zeros(32)
-            yield from comm.allgatherv(send, recv, [8] * 4)
-    """)
-    doc = json.loads(json.dumps([p.to_dict() for p in plans]))
-    assert doc[0]["collective"] == "allgatherv"
-    assert doc[0]["profile"] == "uniform"
-
-
 # -- suppressions -------------------------------------------------------------
 
 def test_inline_suppression_silences_one_rule():
@@ -531,7 +443,7 @@ def test_standalone_comment_suppresses_next_line():
 
 
 def test_bare_ignore_suppresses_everything_on_line():
-    report, _plans = analyze_source_set([("m.py", textwrap.dedent("""
+    report = analyze_source_set([("m.py", textwrap.dedent("""
         def f(comm, data):
             req = yield from comm.isend(data, 1)  # analyze: ignore
     """))])
@@ -552,36 +464,35 @@ FIXTURE_EXPECTATIONS = {
     "broken_buf.py": ["BUF101", "BUF102"],
     # both SPMD101 sites sit in functions the protocol verifier covers
     "broken_spmd.py": ["MTC104", "MTC104", "SPMD102"],
-    "broken_plan.py": ["PLAN101", "PLAN102", "PLAN103"],
 }
 
 
 @pytest.mark.parametrize("name,expected",
                          sorted(FIXTURE_EXPECTATIONS.items()))
 def test_fixture_findings_pinned(name, expected):
-    report, _plans = analyze_tree([FIXTURES / name])
+    report = analyze_tree([FIXTURES / name])
     assert sorted(f.rule for f in report) == expected
 
 
 def test_fixture_directory_excluded_from_tree_scans(tree_scan):
     assert not any("fixtures" in f.location for f in tree_scan.report)
-    assert not any("fixtures" in p.path for p in tree_scan.plans)
 
 
 # -- emitters -----------------------------------------------------------------
 
 def test_json_emitter_schema_and_summary():
-    report, plans = analyze_tree([FIXTURES / "broken_plan.py"])
-    doc = json.loads(to_json(report, plans))
-    assert doc["schema"] == "repro-analyze/1"
-    assert doc["summary"]["warning"] == 3
-    assert doc["summary"]["ok"] is False
-    assert {p["collective"] for p in doc["plans"]} >= {"gatherv",
-                                                       "allgatherv"}
+    report = analyze_tree([FIXTURES / "broken_req.py"])
+    doc = json.loads(to_json(report))
+    assert doc["schema"] == "repro-analyze/2"
+    assert set(doc) == {"schema", "findings", "summary"}
+    assert doc["summary"] == {"error": 4, "warning": 0, "info": 0,
+                              "total": 4, "ok": False}
+    assert sorted(f["rule"] for f in doc["findings"]) == [
+        "MTC101", "REQ101", "REQ102", "REQ103"]
 
 
 def test_sarif_emitter_locations_and_levels():
-    report, _plans = analyze_tree([FIXTURES / "broken_req.py"])
+    report = analyze_tree([FIXTURES / "broken_req.py"])
     doc = json.loads(to_sarif(report))
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
@@ -641,8 +552,9 @@ def test_cli_dataflow_clean_file_exits_zero(tmp_path):
     assert proc.returncode == 0
 
 
-def test_cli_show_plans_prints_the_extracted_plans():
-    proc = _run_cli("--show-plans", str(FIXTURES / "broken_plan.py"))
-    assert proc.returncode == 1
-    assert "static communication plan(s):" in proc.stdout
-    assert "gatherv() in " in proc.stdout
+def test_cli_output_file_needs_a_document_format(tmp_path):
+    out = tmp_path / "findings.json"
+    with pytest.raises(SystemExit) as exc:
+        _run_cli("--output", str(out), str(FIXTURES / "broken_req.py"))
+    assert exc.value.code == 2
+    assert not out.exists()

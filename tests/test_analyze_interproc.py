@@ -3,7 +3,6 @@ summaries, cross-function/cross-file rule propagation, the LNT007
 unused-suppression lint, deterministic emitters, and the measured
 autotune sweep."""
 
-import json
 import textwrap
 from pathlib import Path
 
@@ -15,7 +14,7 @@ from repro.analyze.dataflow import (
     module_envs,
     strongly_connected,
 )
-from repro.analyze.emit import report_to_dicts, to_json
+from repro.analyze.emit import report_to_dicts
 from repro.analyze.findings import Report
 from repro.analyze.suppress import collect_suppressions
 
@@ -28,7 +27,7 @@ FIXTURES = TESTS / "fixtures"
 def tree_rules_of(named_sources):
     """(path, rule) of the lint and dataflow findings of a project (the
     protocol findings of the same run are left out)."""
-    report, _ = analyze_source_set(
+    report = analyze_source_set(
         sorted((p, textwrap.dedent(s)) for p, s in named_sources.items()))
     return sorted((f.location, f.rule) for f in report
                   if not f.rule.startswith("MTC"))
@@ -170,12 +169,12 @@ def test_cross_file_summaries_resolve_through_imports(tmp_path):
             req = yield from start(comm, data)
             yield from req.wait()
     """))
-    report, _plans = analyze_tree([str(tmp_path)])
+    report = analyze_tree([str(tmp_path)])
     assert [f.rule for f in report if not f.rule.startswith("MTC")] == []
 
 
 def test_cross_function_fixture_pinned():
-    report, _plans = analyze_tree([FIXTURES / "cross_function.py"])
+    report = analyze_tree([FIXTURES / "cross_function.py"])
     assert sorted(f.rule for f in report) == ["MTC101"] * 4 + [
         "MTC104", "REQ101"]
     by_rule = {f.rule: f for f in report}
@@ -458,23 +457,6 @@ def test_report_dicts_are_sorted_and_deduped():
     dicts = report_to_dicts(report)
     assert [(d["path"], d["line"]) for d in dicts] == \
         [("a.py", 2), ("a.py", 5), ("z.py", 9)]
-
-
-def test_plans_json_is_deterministic():
-    source = textwrap.dedent("""
-        def exchange(comm, n):
-            counts = [4096] + [1] * 7
-            recv = object()
-            send = object()
-            yield from comm.allgatherv(send, recv, counts)
-    """)
-    _report, plans1 = analyze_source_set([("m.py", source)])
-    report, plans2 = analyze_source_set([("m.py", source)])
-    doc1, doc2 = to_json(report, plans1), to_json(report, plans2)
-    assert doc1 == doc2
-    (plan,) = json.loads(doc1)["plans"]
-    assert plan["profile"] == "outlier"
-    assert plan["decisions"]["adaptive"]  # adaptive prediction present
 
 
 # -- the autotune sweep -------------------------------------------------------

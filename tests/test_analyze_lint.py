@@ -1,8 +1,10 @@
 """Project lint (repro.analyze.lint), the MPI-API table it reads
-(repro.analyze.mpiapi) and the ``python -m repro.analyze`` entry point."""
+(repro.analyze.mpiapi), the rule catalogue (repro.analyze.findings) and
+the ``python -m repro.analyze`` entry point."""
 
 import inspect
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 
 from repro.analyze import analyze_source_set, mpiapi
 from repro.analyze.__main__ import main as analyze_main
+from repro.analyze.findings import RULES
 from repro.mpi.comm import Comm
 from repro.mpi.request import Request
 from repro.petsc.dmda import DMDA
@@ -19,7 +22,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 def lint(source, path="<string>"):
     """The lint findings of an analyzer run over one module."""
-    report, _plans = analyze_source_set([(path, textwrap.dedent(source))])
+    report = analyze_source_set([(path, textwrap.dedent(source))])
     return [f for f in report if f.rule.startswith("LNT")]
 
 
@@ -254,7 +257,6 @@ HAND_KEPT_TABLES = {
         "alltoall", "allgatherv", "alltoallw", "sparse_alltoall"},
     "ROOT_ARG": {("bcast", 1), ("gather_obj", 1), ("reduce", 3),
                  ("gatherv", 4), ("scatterv", 4)},
-    "COUNTS_ARG": {("allgatherv", 2), ("gatherv", 2), ("scatterv", 1)},
 }
 
 
@@ -271,6 +273,31 @@ def test_split_is_not_a_collective():
     # intended use of split: SPMD101 must not see it as a collective
     assert "split" in mpiapi.GENERATOR_METHODS
     assert "split" not in mpiapi.COLLECTIVE_METHODS
+
+
+# -- the rule catalogue -------------------------------------------------------
+
+def test_every_rule_has_an_emitter():
+    """Each ``RULES`` code is a quoted literal in some ``src/`` module
+    other than the catalogue's own, so no entry outlives its pass."""
+    src = REPO / "src" / "repro"
+    catalogue = src / "analyze" / "findings.py"
+    text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py"))
+                     if p != catalogue)
+    orphans = [code for code in RULES
+               if not re.search(rf"[\"']{code}[\"']", text)]
+    assert not orphans
+
+
+def test_rule_catalogue_matches_the_analyze_docs():
+    """docs/ANALYZE.md has one table row per ``RULES`` code, with the
+    code's severity, and no row for any other code."""
+    rows = re.findall(r"^\| ([A-Z][A-Z0-9]*\d{3}) \| (\w+) \|",
+                      (REPO / "docs" / "ANALYZE.md").read_text(),
+                      flags=re.MULTILINE)
+    codes = [code for code, _ in rows]
+    assert len(codes) == len(set(codes)), "duplicate rows"
+    assert dict(rows) == {code: sev for code, (sev, _) in RULES.items()}
 
 
 # -- the repo lints clean -----------------------------------------------------

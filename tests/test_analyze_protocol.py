@@ -440,7 +440,7 @@ PROTO_FIXTURES = {
 
 @pytest.mark.parametrize("name,expected", sorted(PROTO_FIXTURES.items()))
 def test_proto_fixture_findings_pinned(name, expected):
-    report, _plans = analyze_tree([FIXTURES / name])
+    report = analyze_tree([FIXTURES / name])
     assert sorted(f.rule for f in report) == expected
 
 
@@ -496,7 +496,7 @@ def test_mtc_suppression_honoured():
             yield from comm.send(buf, right)  # analyze: ignore[MTC103]
             yield from comm.recv(out, source=left)
     """)
-    report, _plans = analyze_source_set([("t.py", source)])
+    report = analyze_source_set([("t.py", source)])
     assert not _mtc_findings(report)
 
 
@@ -508,7 +508,7 @@ def test_stale_mtc_suppression_flagged():
             value = yield from comm.allreduce(1.0)  # analyze: ignore[MTC104]
             return value
     """)
-    report, _ = analyze_source_set([("t.py", source)])
+    report = analyze_source_set([("t.py", source)])
     assert [f.rule for f in report] == ["LNT007"]
 
 

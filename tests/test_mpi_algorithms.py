@@ -31,6 +31,8 @@ from repro.util import CostModel
 QUIET = CostModel(cpu_noise=0.0)
 BASE = MPIConfig.baseline()
 OPT = MPIConfig.optimized()
+#: the default eager threshold, and 0: every message takes rendezvous
+EAGER_THRESHOLDS = st.sampled_from([OPT.eager_threshold, 0])
 
 
 def ctx_for(counts, size=None, dtype_size=8, contiguous=True,
@@ -338,15 +340,18 @@ def run_allgatherv(n, counts, config, algorithm=None):
 @settings(max_examples=25, deadline=None)
 def test_property_every_applicable_allgatherv_algorithm_agrees(n, data):
     """Byte-identical receive buffers across every registered algorithm the
-    registry deems applicable -- zero counts and non-pow-2 N included."""
+    registry deems applicable -- zero counts, non-pow-2 N and
+    rendezvous-only delivery included."""
     counts = data.draw(st.lists(st.integers(0, 32), min_size=n, max_size=n)
                        .filter(lambda c: sum(c) > 0))
+    config = OPT.with_(eager_threshold=data.draw(EAGER_THRESHOLDS,
+                                                 label="eager_threshold"))
     ctx = ctx_for(counts, size=n)
     names = [a.name for a in REGISTRY.candidates("allgatherv", ctx)]
     assert "ring" in names  # the ring is always applicable
     reference = None
     for algorithm in names:
-        results = run_allgatherv(n, counts, OPT, algorithm)
+        results = run_allgatherv(n, counts, config, algorithm)
         blob = np.concatenate(results).tobytes()
         if reference is None:
             reference = blob
@@ -385,16 +390,19 @@ def test_noncontiguous_element_type_runs_on_the_ring():
 @settings(max_examples=20, deadline=None)
 def test_property_alltoallw_algorithms_agree(n, data):
     """round_robin and binned produce byte-identical receive buffers on
-    randomized per-peer volumes (zeros included)."""
+    randomized per-peer volumes (zeros included), eager or
+    rendezvous-only."""
     volumes = data.draw(st.lists(
         st.lists(st.integers(0, 20), min_size=n, max_size=n),
         min_size=n, max_size=n))
+    config = OPT.with_(eager_threshold=data.draw(EAGER_THRESHOLDS,
+                                                 label="eager_threshold"))
     for i in range(n):
         volumes[i][i] = 0  # keep self-exchange trivial
     cap = max(max(row) for row in volumes) + 1
 
     def run(algorithm):
-        cluster = Cluster(n, config=OPT, cost=QUIET, heterogeneous=False)
+        cluster = Cluster(n, config=config, cost=QUIET, heterogeneous=False)
 
         def main(comm):
             sendbuf = np.arange(n * cap, dtype=np.float64) + comm.rank * 1000

@@ -42,7 +42,6 @@ def test_gatherv_with_zero_counts():
         send = np.full(counts[comm.rank], float(comm.rank))
         if comm.rank == 0:
             recv = np.zeros(5)
-            # sparse counts are the point  # analyze: ignore[PLAN101]
             yield from comm.gatherv(send, recv, counts)
             return recv
         yield from comm.gatherv(send)

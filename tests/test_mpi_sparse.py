@@ -120,7 +120,11 @@ def test_noncontiguous_typed_buffer_payload():
 @settings(max_examples=20, deadline=None)
 def test_hypothesis_byte_identity_across_algorithms(n, data):
     """Random sparse patterns (zero-entry ranks, self entries, mixed
-    volumes): every algorithm returns the identical result map."""
+    volumes), eager or rendezvous-only: every algorithm returns the
+    identical result map."""
+    eager = data.draw(st.sampled_from([MPIConfig.eager_threshold, 0]),
+                      label="eager_threshold")
+    config = MPIConfig.optimized().with_(eager_threshold=eager)
     matrix = {}
     for src in range(n):
         peers = data.draw(st.lists(st.integers(0, n - 1), unique=True,
@@ -138,7 +142,8 @@ def test_hypothesis_byte_identity_across_algorithms(n, data):
 
     baseline = None
     for algorithm in ALGORITHMS:
-        _, results = run_sparse(n, pattern, algorithm=algorithm)
+        _, results = run_sparse(n, pattern, algorithm=algorithm,
+                                config=config)
         if baseline is None:
             baseline = results
             continue

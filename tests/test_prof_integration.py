@@ -216,7 +216,6 @@ def test_collective_breakdown_sums_within_tolerance():
     def main(comm):
         send = np.full(counts[comm.rank], float(comm.rank + 1))
         recv = np.zeros(total)
-        # outlier counts are the point  # analyze: ignore[PLAN102]
         yield from comm.allgatherv(send, recv, counts, displs)
         return recv
 
