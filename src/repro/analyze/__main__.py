@@ -15,11 +15,11 @@ configuration:
     anything actionable is found.
 
 ``python -m repro.analyze --run examples/ghost_exchange_2d.py``
-    Additionally *execute* the script(s) with every :class:`Cluster`
-    they create instrumented by a :class:`RuntimeVerifier`, then report
-    runtime findings (deadlocks, leaked requests, signature mismatches,
-    collective inconsistencies, zero-byte audits).  Every path must then
-    be a ``.py`` script.
+    Additionally *execute* the script(s), each with ``sys.argv`` set to
+    ``[script]`` and every :class:`Cluster` it creates instrumented by a
+    :class:`RuntimeVerifier`, then report runtime findings (deadlocks,
+    leaked requests, signature mismatches, collective inconsistencies,
+    zero-byte audits).  Every path must then be a ``.py`` script.
 
 Output:
 
@@ -43,7 +43,8 @@ from repro.analyze.runtime import RuntimeVerifier
 
 
 def _run_verified(script: str, report: Report) -> None:
-    """Execute ``script`` with auto-attached runtime verifiers."""
+    """Execute ``script`` with auto-attached runtime verifiers and
+    ``sys.argv = [script]``, as if it ran on its own."""
     from repro.mpi.comm import Cluster, MPIError
     from repro.simtime.engine import SimulationDeadlock
 
@@ -68,11 +69,14 @@ def _run_verified(script: str, report: Report) -> None:
 
     Cluster.__init__ = instrumented_init
     Cluster.run = instrumented_run
+    original_argv = sys.argv
+    sys.argv = [script]
     try:
         runpy.run_path(script, run_name="__main__")
     except (SimulationDeadlock, MPIError):
         pass  # already recorded on the verifier; reported below
     finally:
+        sys.argv = original_argv
         Cluster.__init__ = original_init
         Cluster.run = original_run
         for verifier in verifiers:

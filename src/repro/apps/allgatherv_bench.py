@@ -30,11 +30,10 @@ def allgatherv_benchmark(
     config: MPIConfig,
     cost: Optional[CostModel] = None,
     seed: int = 0,
-    repeats: int = 1,
     fault_plan: Optional[Any] = None,
     observe: Optional[Callable[[Cluster], None]] = None,
 ) -> AllgathervResult:
-    """Latency of one (or the mean of ``repeats``) Allgatherv calls.
+    """Latency of one Allgatherv call.
 
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects faults;
     ``observe`` receives the freshly built cluster before the ranks run
@@ -55,9 +54,8 @@ def allgatherv_benchmark(
         recv = np.zeros(total)
         yield from comm.barrier()
         start = comm.engine.now
-        for _ in range(repeats):
-            yield from comm.allgatherv(send, recv, counts, displs)
-        elapsed = (comm.engine.now - start) / repeats
+        yield from comm.allgatherv(send, recv, counts, displs)
+        elapsed = comm.engine.now - start
         checks.append(recv)
         return elapsed
 

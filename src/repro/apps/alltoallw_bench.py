@@ -34,7 +34,6 @@ def alltoallw_ring_benchmark(
     config: MPIConfig,
     cost: Optional[CostModel] = None,
     seed: int = 0,
-    repeats: int = 1,
     heterogeneous: Optional[bool] = None,
 ) -> AlltoallwResult:
     cluster = Cluster(
@@ -56,9 +55,8 @@ def alltoallw_ring_benchmark(
             recvspecs[peer] = TypedBuffer(recvbuf, DOUBLE, MATRIX_DOUBLES, offset_bytes=off)
         yield from comm.barrier()
         start = comm.engine.now
-        for _ in range(repeats):
-            yield from comm.alltoallw(sendspecs, recvspecs)
-        elapsed = (comm.engine.now - start) / repeats
+        yield from comm.alltoallw(sendspecs, recvspecs)
+        elapsed = comm.engine.now - start
         checks.append((comm.rank, recvbuf))
         return elapsed
 

@@ -69,7 +69,6 @@ def vecscatter_benchmark(
     cost: Optional[CostModel] = None,
     per_process: int = PER_PROCESS,
     seed: int = 0,
-    repeats: int = 1,
 ) -> VecScatterResult:
     cluster = Cluster(nprocs, config=config, cost=cost, seed=seed)
     src_idx, dst_idx = _pattern(nprocs, per_process)
@@ -91,9 +90,8 @@ def vecscatter_benchmark(
         )
         yield from comm.barrier()
         t0 = comm.engine.now
-        for _ in range(repeats):
-            yield from sc.scatter(x, y, backend=backend)
-        elapsed = (comm.engine.now - t0) / repeats
+        yield from sc.scatter(x, y, backend=backend)
+        elapsed = comm.engine.now - t0
         return elapsed, y.local.copy()
 
     outcomes = cluster.run(main)

@@ -27,7 +27,7 @@ from repro.mpi.request import Request, Status
 from repro.mpi.io import File
 from repro.mpi.rma import Win
 from repro.mpi.trace import MessageTrace
-from repro.mpi.pack import mpi_pack, mpi_unpack, pack_size, payload_crc
+from repro.mpi.pack import mpi_pack, mpi_unpack, pack_size
 
 __all__ = [
     "ANY_SOURCE",
@@ -49,5 +49,4 @@ __all__ = [
     "mpi_pack",
     "mpi_unpack",
     "pack_size",
-    "payload_crc",
 ]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import zlib
 from time import perf_counter
 from typing import Any, Callable, Generator, List, Optional, Sequence
 
@@ -76,19 +75,6 @@ RENDEZVOUS_POLL = 1e-3
 
 class MPIError(RuntimeError):
     """Erroneous use of the message-passing API."""
-
-
-def payload_crc(data: Any) -> int:
-    """CRC32 of a message payload.
-
-    Packed payloads (numpy byte arrays from :meth:`TypedBuffer.pack`) are
-    checksummed over their raw bytes; control-plane python objects over
-    their ``repr``.  The transport computes none (the injector's verdict
-    stands in for it); tests and harnesses use it to verify integrity.
-    """
-    if isinstance(data, np.ndarray):
-        return zlib.crc32(data.tobytes()) & 0xFFFFFFFF
-    return zlib.crc32(repr(data).encode("utf-8")) & 0xFFFFFFFF
 
 
 def _first_of(engine: Engine, *futures: SimFuture) -> Generator:
@@ -567,8 +553,12 @@ class Cluster:
                     f"message {rec.src}->{rec.dst} tag={rec.tag} is "
                     f"{rec.nbytes} bytes but the receive holds {capacity}"
                 )
+                # MPI reports truncation at the receive; the send
+                # completes, and its conduit ends on the failed match
                 rrec.future.set_exception(exc)
                 rec.match_fut.set_exception(exc)
+                if not rec.sent_fut.done:
+                    rec.sent_fut.set_result(None)
                 return
         if self._observers:
             self._notify("match", rec, rrec)
@@ -941,8 +931,9 @@ class Comm:
         the receive, so delivery is exactly once.
 
         Ends quietly on a fault-tolerance exception (peer crash,
-        revocation, retransmit exhaustion): whoever raised it has already
-        notified the endpoints through their own futures.
+        revocation, retransmit exhaustion) or a truncated match: whoever
+        raised it has already notified the endpoints through their own
+        futures.
         """
         cluster = self.cluster
         engine = self.engine
@@ -1011,7 +1002,7 @@ class Comm:
                 rec.sent_fut.set_result(None)
             if not (dropped or corrupted):
                 yield from self._finish_delivery(rec)
-        except FaultToleranceError:
+        except (FaultToleranceError, TruncationError):
             pass
 
     def _wire_sig(self, rec: _SendRecord) -> Optional[int]:

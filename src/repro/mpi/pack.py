@@ -27,7 +27,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.datatypes.typemap import Datatype
-from repro.mpi.comm import Comm, MPIError, as_typed, payload_crc
+from repro.mpi.comm import Comm, MPIError, as_typed
 
 
 def _timed_move(comm: Comm, tb, move) -> None:
@@ -43,7 +43,7 @@ def _timed_move(comm: Comm, tb, move) -> None:
     if tb.plan is not None:
         prof.count("repro_datatype_pack_ops_total", tb.plan.program.num_ops)
 
-__all__ = ["pack_size", "mpi_pack", "mpi_unpack", "payload_crc"]
+__all__ = ["pack_size", "mpi_pack", "mpi_unpack"]
 
 
 def pack_size(count: int, datatype: Datatype) -> int:

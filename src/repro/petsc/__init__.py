@@ -4,8 +4,7 @@ Implements the abstractions the paper's evaluation exercises (section 2):
 
 - :mod:`repro.petsc.vec` -- distributed vectors (``Vec``) and ownership
   layouts,
-- :mod:`repro.petsc.indexset` -- index sets (``IS``): general, strided,
-  blocked,
+- :mod:`repro.petsc.indexset` -- index sets (``IS``): general and strided,
 - :mod:`repro.petsc.scatter` -- ``VecScatter`` with the paper's three
   communication paths: *hand-tuned* explicit pack + point-to-point (PETSc's
   default), and *MPI datatypes + collectives* (``Alltoallw`` with
@@ -21,7 +20,7 @@ Implements the abstractions the paper's evaluation exercises (section 2):
 
 from repro.petsc.commplan import CommPlan
 from repro.petsc.vec import Layout, PETScError, PlanMismatchError, Vec
-from repro.petsc.indexset import IS, BlockIS, GeneralIS, StrideIS
+from repro.petsc.indexset import IS, GeneralIS, StrideIS
 from repro.petsc.scatter import VecScatter
 from repro.petsc.dmda import DMDA
 from repro.petsc.mat import Laplacian, Operator
@@ -38,7 +37,6 @@ __all__ = [
     "CommPlan",
     "DMDA",
     "IS",
-    "BlockIS",
     "GeneralIS",
     "JacobiPC",
     "Laplacian",

@@ -208,44 +208,3 @@ class AIJMat(Operator):
             result += self.offdiag @ self._lvec
         y.local[:] = result
         yield from comm.cpu(self.nnz * comm.cost.flop * FLOPS_PER_NNZ)
-
-    def mult_transpose(self, x: Vec, y: Vec) -> Generator:
-        """y = A^T x: local transposed SpMVs plus a reverse (ADD) scatter of
-        the off-diagonal contributions back to their column owners."""
-        if not self._assembled:
-            raise PETScError("matrix not assembled")
-        if x.layout != self.rows or y.layout != self.cols:
-            raise PETScError("vector layouts do not match the transpose")
-        comm = self.comm
-        y.local[:] = self.diag.T @ x.local
-        if len(self.garray):
-            ghost_contrib = self.offdiag.T @ x.local
-            # reverse scatter: ghost slots accumulate into their owners
-            yield from self._gather.reversed().scatter(
-                ghost_contrib, y.local, backend=self.backend, mode="add"
-            )
-        yield from comm.cpu(self.nnz * comm.cost.flop * FLOPS_PER_NNZ)
-
-    def scale(self, alpha: float) -> None:
-        """A *= alpha (local operation)."""
-        if not self._assembled:
-            raise PETScError("matrix not assembled")
-        self.diag *= alpha
-        self.offdiag *= alpha
-
-    def shift(self, alpha: float) -> None:
-        """A += alpha I (square matrices with matching layouts only)."""
-        if not self._assembled:
-            raise PETScError("matrix not assembled")
-        if self.rows != self.cols:
-            raise PETScError("shift of a non-square matrix")
-        n = self.diag.shape[0]
-        self.diag = (self.diag + alpha * sp.eye(n, format="csr")).tocsr()
-
-    def norm_frobenius(self) -> Generator:
-        """The global Frobenius norm (one allreduce)."""
-        if not self._assembled:
-            raise PETScError("matrix not assembled")
-        partial = float((self.diag.data**2).sum() + (self.offdiag.data**2).sum())
-        total = yield from self.comm.allreduce(partial)
-        return float(np.sqrt(total))

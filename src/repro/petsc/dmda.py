@@ -86,7 +86,6 @@ class DMDA:
         stencil: str = "star",
         stencil_width: int = 1,
         proc_grid: Optional[Sequence[int]] = None,
-        periodic: Sequence[bool] | bool = False,
     ):
         if stencil not in ("star", "box"):
             raise PETScError(f"stencil must be 'star' or 'box', got {stencil!r}")
@@ -102,17 +101,6 @@ class DMDA:
         self.width = stencil_width
         # pad to 3-D: (z, y, x)
         self.dims = tuple([1] * (3 - len(dims)) + dims)
-        if isinstance(periodic, bool):
-            periodic = [periodic] * len(dims)
-        periodic = [bool(p) for p in periodic]
-        if len(periodic) != len(dims):
-            raise PETScError("periodic must have one entry per dimension")
-        self.periodic = tuple([False] * (3 - len(dims)) + periodic)
-        for d in range(3):
-            if self.periodic[d] and self.dims[d] < 2 * stencil_width:
-                raise PETScError(
-                    f"periodic dim {d} too small for stencil width {stencil_width}"
-                )
 
         if proc_grid is None:
             pg = dims_create(comm.size, self.ndim)
@@ -309,114 +297,49 @@ class DMDA:
         """The global-to-local scatter (built once, cached)."""
         if self._g2l_scatter is not None:
             return self._g2l_scatter
-        if self.width == 0:
-            send_map: Dict[int, np.ndarray] = {}
-            recv_map: Dict[int, np.ndarray] = {}
-            extra_local: List[Tuple[np.ndarray, np.ndarray]] = []
-        else:
-            send_map, recv_map, extra_local = self._halo_maps()
+        send_map, recv_map = self._halo_maps()
         # interior copy: my owned cells -> centre of my ghosted array
         owned = self.owned_box()
-        ghosted = self.ghosted_box()
-        src = [self._box_offsets_in(owned, owned)]
-        dst = [self._box_offsets_in(owned, ghosted)]
-        for s, t in extra_local:  # periodic self-ghosts on 1-wide proc dims
-            src.append(s)
-            dst.append(t)
         self._g2l_scatter = VecScatter(
             self.comm, send_map, recv_map,
-            (np.concatenate(src), np.concatenate(dst)),
+            (self._box_offsets_in(owned, owned),
+             self._box_offsets_in(owned, self.ghosted_box())),
         )
         return self._g2l_scatter
-
-    def _wrap_neighbour(self, coords, d):
-        """(peer_coords, natural-coordinate shift) for direction ``d``, or
-        None when ``d`` crosses a nonperiodic physical boundary.
-
-        The shift translates the peer's owned box so that it abuts this
-        rank's box in the (unwrapped) ghost coordinate system.
-        """
-        nc = []
-        shift = []
-        for i in range(3):
-            c = coords[i] + d[i]
-            s = 0
-            if c < 0 or c >= self.proc_grid[i]:
-                if not self.periodic[i]:
-                    return None
-                if c < 0:
-                    c += self.proc_grid[i]
-                    s = -self.dims[i]
-                else:
-                    c -= self.proc_grid[i]
-                    s = self.dims[i]
-            nc.append(c)
-            shift.append(s)
-        return tuple(nc), tuple(shift)
-
-    @staticmethod
-    def _shift_box(box: Box, shift) -> Box:
-        (lo, hi) = box
-        return (
-            tuple(lo[d] + shift[d] for d in range(3)),
-            tuple(hi[d] + shift[d] for d in range(3)),
-        )
 
     def _halo_maps(self):
         """Per-peer halo exchange offsets.
 
-        For every canonical direction ``d`` this rank both *receives* from
-        the peer at ``-d`` (whose data fills the ghost slab on side ``-d``)
-        and *sends* to the peer at ``+d``.  Iterating one canonical
-        direction list on every rank guarantees sender and receiver append
-        matching segments in the same order, including the periodic cases
-        where one peer appears for several directions (or is this rank
-        itself -- those become extra local copy pairs).
+        Each direction ``d`` has at most one peer (none past the physical
+        boundary).  At ``d`` this rank *receives* from the peer at ``+d``
+        the part of that peer's owned box inside its own ghosted box, and
+        *sends* to the peer at ``-d`` the part of its owned box inside that
+        peer's ghosted box.  Both maps fill in direction order, the order
+        in which the hand-tuned backend posts its messages.
         """
         send_map: Dict[int, np.ndarray] = {}
         recv_map: Dict[int, np.ndarray] = {}
-        extra_local: List[Tuple[np.ndarray, np.ndarray]] = []
-        my_coords = self.proc_coord
         my_owned = self.owned_box()
         my_ghosted = self.ghosted_box()
-
-        def append(table, peer, offs):
-            table[peer] = np.concatenate([table[peer], offs]) \
-                if peer in table else offs
-
         for d in self._neighbour_dirs():
-            # --- receive side: the peer in direction -d sends slab d... no:
-            # the ghost slab on side d of MY box is owned by the peer at +d.
-            hit = self._wrap_neighbour(my_coords, d)
-            if hit is not None:
-                peer, shift = self._rank_of(hit[0]), hit[1]
-                peer_owned_shifted = self._shift_box(self.owned_box(self._rank_of(hit[0])), shift)
-                region = self._region_toward(peer_owned_shifted, my_ghosted)
+            peer = self._neighbour(d)
+            if peer is not None:
+                region = self._region_toward(self.owned_box(peer), my_ghosted)
                 if region is not None:
-                    dst = self._box_offsets_in(region, my_ghosted)
-                    if peer == self.comm.rank:
-                        src_region = self._shift_box(region, tuple(-s for s in shift))
-                        src = self._box_offsets_in(src_region, my_owned)
-                        extra_local.append((src, dst))
-                    else:
-                        append(recv_map, peer, dst)
-            # --- send side: my data that lies in the ghost slab on side -d
-            # of the peer at direction +d... by symmetry: the peer at +d has
-            # ME at direction -d; when it iterates direction d it receives
-            # from its +d peer.  To pair with the receiver's iteration of
-            # direction d, I must send, at my iteration of d, to the peer at
-            # -d (who sees me at +d).
-            hit = self._wrap_neighbour(my_coords, tuple(-c for c in d))
-            if hit is not None:
-                peer, shift = self._rank_of(hit[0]), hit[1]
-                if peer == self.comm.rank:
-                    continue  # already handled as a local pair above
-                peer_ghosted_shifted = self._shift_box(self.ghosted_box(peer), shift)
-                region = self._region_toward(my_owned, peer_ghosted_shifted)
+                    recv_map[peer] = self._box_offsets_in(region, my_ghosted)
+            peer = self._neighbour(tuple(-c for c in d))
+            if peer is not None:
+                region = self._region_toward(my_owned, self.ghosted_box(peer))
                 if region is not None:
-                    src = self._box_offsets_in(region, my_owned)
-                    append(send_map, peer, src)
-        return send_map, recv_map, extra_local
+                    send_map[peer] = self._box_offsets_in(region, my_owned)
+        return send_map, recv_map
+
+    def _neighbour(self, d) -> Optional[int]:
+        """The rank at process-grid offset ``d``, or None past the boundary."""
+        coords = tuple(c + s for c, s in zip(self.proc_coord, d))
+        if any(not 0 <= coords[i] < self.proc_grid[i] for i in range(3)):
+            return None
+        return self._rank_of(coords)
 
     def global_to_local(self, gvec: Vec, larr: np.ndarray,
                         backend: str = "datatype") -> Generator:

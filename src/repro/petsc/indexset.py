@@ -1,12 +1,11 @@
 """Index sets (PETSc's ``IS``).
 
-An index set names global vector entries.  Three flavours mirror PETSc:
-``GeneralIS`` (explicit indices), ``StrideIS`` (first/step/count) and
-``BlockIS`` (fixed-size blocks at explicit block starts).  Index sets here
-are *replicated*: every rank constructs the same set, which is how the
-scatter build avoids a setup communication round (documented substitution --
-PETSc distributes its IS, but the communication structure derived from it is
-identical).
+An index set names global vector entries.  Two flavours mirror PETSc:
+``GeneralIS`` (explicit indices) and ``StrideIS`` (first/step/count).
+Index sets here are *replicated*: every rank constructs the same set, which
+is how the scatter build avoids a setup communication round (documented
+substitution -- PETSc distributes its IS, but the communication structure
+derived from it is identical).
 """
 
 from __future__ import annotations
@@ -65,19 +64,3 @@ class StrideIS(IS):
 
     def indices(self) -> np.ndarray:
         return self.first + self.step * np.arange(self.count, dtype=np.int64)
-
-
-class BlockIS(IS):
-    """Fixed-size blocks at explicit block starts (``ISCreateBlock``)."""
-
-    def __init__(self, block_size: int, block_starts: Sequence[int]):
-        if block_size < 1:
-            raise PETScError(f"block size must be >= 1, got {block_size}")
-        self.block_size = block_size
-        self.block_starts = np.asarray(block_starts, dtype=np.int64)
-        if self.block_starts.ndim != 1:
-            raise PETScError("block starts must be 1-D")
-
-    def indices(self) -> np.ndarray:
-        offs = np.arange(self.block_size, dtype=np.int64)
-        return (self.block_starts[:, None] * self.block_size + offs[None, :]).reshape(-1)

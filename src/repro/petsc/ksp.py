@@ -39,10 +39,6 @@ class SolveResult:
     iterations: int
     residual_norms: List[float] = field(default_factory=list)
 
-    @property
-    def final_residual(self) -> float:
-        return self.residual_norms[-1] if self.residual_norms else float("nan")
-
     def reduction(self) -> float:
         if len(self.residual_norms) < 2 or self.residual_norms[0] == 0:
             return 1.0

@@ -37,8 +37,7 @@ class Laplacian(Operator):
 
     Grid spacing is ``1/dims[d]`` per dimension (unit domain, cell-centred);
     the boundary enters through reflected ghost values
-    (:meth:`_apply_boundary`), which would overwrite the wrapped ghosts of a
-    periodic DMDA, so one is rejected.
+    (:meth:`_apply_boundary`).
     """
 
     #: flops charged per grid point per application
@@ -49,8 +48,6 @@ class Laplacian(Operator):
             raise PETScError("Laplacian expects one degree of freedom")
         if da.width < 1:
             raise PETScError("Laplacian needs a ghost ring (stencil_width >= 1)")
-        if any(da.periodic):
-            raise PETScError("Laplacian has Dirichlet boundaries; the DMDA is periodic")
         self.da = da
         self.backend = backend
         self._lbuf = da.create_local_array()

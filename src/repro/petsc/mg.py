@@ -145,7 +145,6 @@ class MGSolver:
 
     Use :meth:`solve` as a standalone solver (Richardson + V-cycle, the
     paper's application) or :meth:`pc_apply` as a preconditioner for CG.
-    The fine DMDA must be nonperiodic, as :class:`Laplacian` requires.
     """
 
     def __init__(

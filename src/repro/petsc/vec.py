@@ -161,10 +161,6 @@ class Vec:
         self.local[:] = alpha
         yield from self._flops()
 
-    def scale(self, alpha: float) -> Generator:
-        self.local *= alpha
-        yield from self._flops()
-
     def axpy(self, alpha: float, x: "Vec") -> Generator:
         """self += alpha * x"""
         self._check_compatible(x)
@@ -177,20 +173,6 @@ class Vec:
         self.local *= alpha
         self.local += x.local
         yield from self._flops(2.0)
-
-    def waxpy(self, alpha: float, x: "Vec", y: "Vec") -> Generator:
-        """self = alpha * x + y"""
-        self._check_compatible(x)
-        self._check_compatible(y)
-        np.multiply(x.local, alpha, out=self.local)
-        self.local += y.local
-        yield from self._flops(2.0)
-
-    def pointwise_mult(self, x: "Vec", y: "Vec") -> Generator:
-        self._check_compatible(x)
-        self._check_compatible(y)
-        np.multiply(x.local, y.local, out=self.local)
-        yield from self._flops()
 
     # -- reductions -------------------------------------------------------------
 
@@ -222,18 +204,6 @@ class Vec:
         partial = float(self.local.sum())
         yield from self._flops()
         result = yield from self.comm.allreduce(partial)
-        return result
-
-    def max(self) -> Generator:
-        partial = float(self.local.max()) if self.local.size else -np.inf
-        yield from self._flops()
-        result = yield from self.comm.allreduce(partial, op=max)
-        return result
-
-    def min(self) -> Generator:
-        partial = float(self.local.min()) if self.local.size else np.inf
-        yield from self._flops()
-        result = yield from self.comm.allreduce(partial, op=min)
         return result
 
     def save(self, filename: str) -> Generator:

@@ -15,9 +15,9 @@ format, so a simulated run can be scraped/diffed exactly like a real
 mpiP/Score-P deployment.
 
 Every metric name the instrumented stack emits is declared in
-:data:`CATALOGUE`; the registry refuses unknown names unless created with
-``strict=False``.  ``python -m repro.prof check-catalogue`` verifies that
-the catalogue and ``docs/OBSERVABILITY.md`` never drift apart (run by CI).
+:data:`CATALOGUE`, and the registry refuses unknown names.
+``python -m repro.prof check-catalogue`` verifies that the catalogue and
+``docs/OBSERVABILITY.md`` never drift apart (run by CI).
 """
 
 from __future__ import annotations
@@ -250,14 +250,12 @@ def _num(v: float) -> str:
 class MetricsRegistry:
     """Get-or-create store of named metrics.
 
-    ``strict=True`` (the default) restricts names to :data:`CATALOGUE`, so
-    an instrumentation typo fails fast instead of silently forking a new
-    time series -- the same guarantee the CI drift check enforces for the
-    documentation.
+    Names are restricted to :data:`CATALOGUE`, so an instrumentation typo
+    fails fast instead of silently forking a new time series -- the same
+    guarantee the CI drift check enforces for the documentation.
     """
 
-    def __init__(self, strict: bool = True):
-        self.strict = strict
+    def __init__(self):
         self._metrics: Dict[str, Metric] = {}
 
     def _get(self, name: str, cls, help: Optional[str], **kwargs) -> Metric:
@@ -268,21 +266,19 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {metric.kind}"
                 )
             return metric
-        if self.strict:
-            entry = CATALOGUE.get(name)
-            if entry is None:
-                raise KeyError(
-                    f"metric {name!r} is not in the documented catalogue "
-                    "(repro.prof.metrics.CATALOGUE)"
-                )
-            kind, default_help = entry
-            if kind != cls.kind:
-                raise TypeError(
-                    f"metric {name!r} is catalogued as a {kind}, "
-                    f"not a {cls.kind}"
-                )
-            help = help or default_help
-        metric = cls(name, help or "", **kwargs)
+        entry = CATALOGUE.get(name)
+        if entry is None:
+            raise KeyError(
+                f"metric {name!r} is not in the documented catalogue "
+                "(repro.prof.metrics.CATALOGUE)"
+            )
+        kind, default_help = entry
+        if kind != cls.kind:
+            raise TypeError(
+                f"metric {name!r} is catalogued as a {kind}, "
+                f"not a {cls.kind}"
+            )
+        metric = cls(name, help or default_help, **kwargs)
         self._metrics[name] = metric
         return metric
 

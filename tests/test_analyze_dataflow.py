@@ -264,6 +264,29 @@ def test_yield_from_helper_that_waits_is_clean():
     """) == []
 
 
+def test_match_statement_arms_are_branches():
+    # each `case` arm is a path out of the match; without a wildcard arm
+    # the match can also fall through
+    assert rules_of("""
+        def f(comm, data, mode):
+            req = comm.irecv(data, 0)
+            match mode:
+                case "wait":
+                    yield from req.wait()
+                case _:
+                    pass
+    """) == ["REQ101"]
+    assert rules_of("""
+        def f(comm, data, mode):
+            req = comm.irecv(data, 0)
+            match mode:
+                case "fast":
+                    yield from req.wait()
+                case _:
+                    yield from req.wait()
+    """) == []
+
+
 def test_helper_that_does_not_wait_leaves_req101():
     assert rules_of("""
         def _log(comm, req):

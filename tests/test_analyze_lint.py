@@ -5,6 +5,7 @@ the ``python -m repro.analyze`` entry point."""
 import inspect
 import json
 import re
+import sys
 import textwrap
 from pathlib import Path
 
@@ -403,3 +404,27 @@ def test_cli_run_mode_clean_script(tmp_path, capsys):
         cluster.run(main)
     """))
     assert analyze_main(["--run", str(script)]) == 0
+
+
+@pytest.mark.parametrize("nscripts", [1, 2])
+def test_cli_run_mode_gives_each_script_its_own_argv(tmp_path, nscripts):
+    # a script used to see the analyzer's argv: examples/critical_path.py
+    # wrote its flamegraph over itself through sys.argv[2]
+    scripts = []
+    for i in range(nscripts):
+        script = tmp_path / f"argv_{i}.py"
+        script.write_text(textwrap.dedent("""
+            import json
+            import pathlib
+            import sys
+
+            pathlib.Path(__file__).with_suffix(".json").write_text(
+                json.dumps(sys.argv))
+        """))
+        scripts.append(str(script))
+    before = list(sys.argv)
+    assert analyze_main(["--run", *scripts]) == 0
+    assert sys.argv == before
+    for script in scripts:
+        seen = json.loads(Path(script).with_suffix(".json").read_text())
+        assert seen == [script]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.analyze import RuntimeVerifier
-from repro.mpi import Cluster, MPIConfig
+from repro.mpi import Cluster, MPIConfig, TruncationError
 from repro.mpi.trace import MessageTrace
 from repro.util import CostModel
 
@@ -46,6 +46,23 @@ def test_fixture_signature_mismatch_fires_sig001_once():
     assert len(sig) == 1
     assert "not a prefix" in sig[0].message
     assert results is not None  # bytes still flow; only the types disagree
+
+
+@pytest.mark.parametrize("count", [16, 4096])  # eager, rendezvous
+def test_handled_truncation_fires_sig002_and_the_run_completes(count):
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.ones(count), 1)
+            return "sent"
+        try:
+            yield from comm.recv(np.zeros(count // 2), 0)
+        except TruncationError:
+            return "truncated"
+
+    verifier, results = run_verified(2, main)
+    assert results == ["sent", "truncated"]
+    assert verifier.error is None
+    assert [f.rule for f in verifier.report] == ["SIG002"]
 
 
 # -- fixture 2: wait-for cycle deadlock (DLK001) ------------------------------

@@ -126,19 +126,3 @@ def test_dmda_single_cell_per_rank():
     for rank, s in enumerate(sums):
         others = {0: (2, 3), 1: (1, 4), 2: (1, 4), 3: (2, 3)}[rank]
         assert s == (rank + 1) + sum(others)
-
-
-def test_vec_pointwise_mult():
-    cluster = make_cluster(2)
-
-    def main(comm):
-        lay = Layout(comm.size, 6)
-        x = Vec(comm, lay)
-        y = Vec(comm, lay)
-        w = Vec(comm, lay)
-        yield from x.set(3.0)
-        yield from y.set(-2.0)
-        yield from w.pointwise_mult(x, y)
-        return float(w.local[0])
-
-    assert cluster.run(main) == [-6.0, -6.0]

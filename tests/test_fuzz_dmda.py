@@ -1,5 +1,5 @@
 """Property-based fuzzing of DMDA ghost exchanges over random
-configurations (dims, process grid, stencil, width, periodicity, dof) under
+configurations (dims, process grid, stencil, width, dof) under
 both MPI configurations, checked against a numpy padding oracle."""
 
 import numpy as np
@@ -19,27 +19,24 @@ def dmda_config(draw):
     width = draw(st.integers(1, 2))
     nranks = draw(st.sampled_from([1, 2, 3, 4, 6]))
     # choose dims large enough for any balanced split to fit the width
-    # (smallest part of n over p is >= n//p, so n >= p*(width+1)) and for
-    # periodic wrap-around (n >= 2*width)
-    lo = max(nranks * (width + 1), 2 * width)
+    # (smallest part of n over p is >= n//p, so n >= p*(width+1))
+    lo = nranks * (width + 1)
     dims = [draw(st.integers(lo, lo + 8)) for _ in range(ndim)]
     stencil = draw(st.sampled_from(["star", "box"]))
-    periodic = [draw(st.booleans()) for _ in range(ndim)]
     dof = draw(st.sampled_from([1, 2]))
-    return nranks, dims, stencil, width, periodic, dof
+    return nranks, dims, stencil, width, dof
 
 
 @given(dmda_config(), st.sampled_from(["datatype", "hand_tuned"]),
        st.sampled_from([MPIConfig.baseline, MPIConfig.optimized]))
 @settings(max_examples=40, deadline=None)
 def test_ghost_exchange_matches_oracle(config, backend, mpi_config):
-    nranks, dims, stencil, width, periodic, dof = config
+    nranks, dims, stencil, width, dof = config
     cluster = Cluster(nranks, config=mpi_config(), cost=QUIET,
                       heterogeneous=False)
 
     def main(comm):
-        da = DMDA(comm, dims, dof=dof, stencil=stencil, stencil_width=width,
-                  periodic=periodic)
+        da = DMDA(comm, dims, dof=dof, stencil=stencil, stencil_width=width)
         v = da.create_global_vec()
         lo, hi = da.owned_box()
         z, y, x = np.meshgrid(
@@ -57,7 +54,6 @@ def test_ghost_exchange_matches_oracle(config, backend, mpi_config):
     results = cluster.run(main)
 
     dims3 = [1] * (3 - len(dims)) + list(dims)
-    per3 = [False] * (3 - len(periodic)) + list(periodic)
     z, y, x = np.meshgrid(*[np.arange(s) for s in dims3], indexing="ij")
     full = (z * 1_000_000 + y * 1000 + x).astype(np.float64)
     if dof > 1:
@@ -67,7 +63,7 @@ def test_ghost_exchange_matches_oracle(config, backend, mpi_config):
     for axis in range(3):
         p = [(0, 0)] * (3 + (1 if dof > 1 else 0))
         p[axis] = pad[axis]
-        padded = np.pad(padded, p, mode="wrap" if per3[axis] else "constant")
+        padded = np.pad(padded, p, mode="constant")
     off = [p[0] for p in pad]
 
     for rank, ((lo, hi), (glo, ghi), larr) in enumerate(results):

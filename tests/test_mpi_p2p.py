@@ -142,6 +142,23 @@ def test_truncation_error():
         cluster.run(main)
 
 
+@pytest.mark.parametrize("count", [16, 4096])  # eager, rendezvous
+def test_truncation_fails_the_receive_and_completes_the_send(count):
+    # the sender's delivery process used to re-raise the receiver's
+    # TruncationError and abort the whole run
+    cluster = make_cluster(2)
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.ones(count), dest=1)
+            return "sent"
+        yield from comm.recv(np.zeros(count // 2), source=0)
+
+    sent, failed = cluster.run(main, return_exceptions=True)
+    assert sent == "sent"
+    assert isinstance(failed, TruncationError)
+
+
 def test_zero_byte_message_costs_alpha():
     cluster = make_cluster(2)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.petsc import BlockIS, GeneralIS, PETScError, StrideIS
+from repro.petsc import GeneralIS, PETScError, StrideIS
 
 
 def test_general_is():
@@ -33,16 +33,6 @@ def test_stride_is_empty():
 def test_stride_is_zero_step_rejected():
     with pytest.raises(PETScError):
         StrideIS(3, 0, 0)
-
-
-def test_block_is():
-    s = BlockIS(3, [0, 2])
-    assert s.indices().tolist() == [0, 1, 2, 6, 7, 8]
-
-
-def test_block_is_validation():
-    with pytest.raises(PETScError):
-        BlockIS(0, [1])
 
 
 def test_validate_against():

@@ -103,22 +103,6 @@ def test_laplacian_requires_single_dof_and_ghosts():
         cluster2.run(main2)
 
 
-@pytest.mark.parametrize("dims,periodic", [((8,), True), ((8, 8), [False, True])])
-def test_laplacian_rejects_periodic_dmda(dims, periodic):
-    """The Dirichlet reflection would overwrite the wrapped ghosts: on a
-    periodic 8-cell ring of ones the stencil gave 128 at both ends instead
-    of zero everywhere."""
-    cluster = make_cluster(2)
-
-    def main(comm):
-        da = DMDA(comm, dims, periodic=periodic)
-        Laplacian(da)
-        yield from comm.barrier()
-
-    with pytest.raises(PETScError, match="periodic"):
-        cluster.run(main)
-
-
 @pytest.mark.parametrize("nranks,dims", [(1, (16, 16)), (4, (16, 16)), (4, (8, 8, 8))])
 def test_cg_converges_to_manufactured_solution(nranks, dims):
     cluster = make_cluster(nranks)

@@ -131,17 +131,6 @@ def test_mg_odd_dimension_rejected():
         cluster.run(main)
 
 
-def test_mg_periodic_dmda_rejected():
-    cluster = make_cluster(2)
-
-    def main(comm):
-        MGSolver(DMDA(comm, (16, 16), periodic=True), nlevels=2)
-        yield from comm.barrier()
-
-    with pytest.raises(PETScError, match="periodic"):
-        cluster.run(main)
-
-
 def test_mg_single_level_is_coarse_solver():
     cluster = make_cluster(2)
 

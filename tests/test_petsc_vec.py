@@ -89,16 +89,13 @@ def test_vec_axpy_family():
         lay = Layout(comm.size, 8)
         x = Vec(comm, lay)
         y = Vec(comm, lay)
-        w = Vec(comm, lay)
         yield from x.set(3.0)
         yield from y.set(1.0)
         yield from y.axpy(2.0, x)       # y = 1 + 2*3 = 7
         yield from y.aypx(0.5, x)       # y = 0.5*7 + 3 = 6.5
-        yield from w.waxpy(-1.0, x, y)  # w = -3 + 6.5 = 3.5
-        yield from w.scale(2.0)         # w = 7
-        return float(w.local[0])
+        return float(y.local[0])
 
-    assert cluster.run(main) == [7.0, 7.0]
+    assert cluster.run(main) == [6.5, 6.5]
 
 
 def test_vec_sum_and_max():
@@ -110,13 +107,11 @@ def test_vec_sum_and_max():
         start, end = v.owned_range
         v.local[:] = np.arange(start, end, dtype=np.float64)
         s = yield from v.sum()
-        m = yield from v.max()
-        return s, m
+        return s
 
-    for s, m in Cluster(3, config=MPIConfig.optimized(), cost=QUIET,
-                        heterogeneous=False).run(main):
+    for s in Cluster(3, config=MPIConfig.optimized(), cost=QUIET,
+                     heterogeneous=False).run(main):
         assert s == 36.0
-        assert m == 8.0
 
 
 def test_vec_incompatible_layouts_rejected():

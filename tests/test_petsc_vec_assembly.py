@@ -120,14 +120,12 @@ def test_norm_kinds():
         n2 = yield from v.norm()
         n1 = yield from v.norm("1")
         ninf = yield from v.norm("inf")
-        nmin = yield from v.min()
-        return n2, n1, ninf, nmin
+        return n2, n1, ninf
 
-    for n2, n1, ninf, nmin in cluster.run(main):
+    for n2, n1, ninf in cluster.run(main):
         assert n2 == pytest.approx(np.sqrt(9 + 16 + 4))
         assert n1 == pytest.approx(9.0)
         assert ninf == pytest.approx(4.0)
-        assert nmin == pytest.approx(-4.0)
 
 
 def test_gather_to_all():

@@ -90,12 +90,6 @@ def test_registry_get_or_create_is_idempotent():
         reg.histogram("repro_send_messages_total")
 
 
-def test_registry_nonstrict_allows_adhoc_names():
-    reg = MetricsRegistry(strict=False)
-    reg.counter("my_experiment_total").inc()
-    assert reg.counter("my_experiment_total").value() == 1
-
-
 def test_registry_strict_uses_catalogue_help():
     reg = MetricsRegistry()
     c = reg.counter("repro_send_messages_total")
@@ -129,8 +123,8 @@ def test_render_prometheus_exposition():
 
 def test_render_prometheus_escapes_label_values():
     # the text exposition format requires \ -> \\, " -> \", newline -> \n
-    reg = MetricsRegistry(strict=False)
-    reg.counter("repro_adhoc_total").inc(
+    reg = MetricsRegistry()
+    reg.counter("repro_collectives_total").inc(
         labels={"op": 'say "hi"', "path": "a\\b", "note": "two\nlines"})
     text = reg.render_prometheus()
     assert 'op="say \\"hi\\""' in text
