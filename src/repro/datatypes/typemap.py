@@ -278,6 +278,7 @@ class HVector(Datatype):
     """Like :class:`Vector` but the stride is given in bytes."""
 
     def __init__(self, count: int, blocklength: int, stride_bytes: int, base: Datatype):
+        self.base = _check_base(base)
         if count < 1 or blocklength < 1:
             raise DatatypeError("count and blocklength must be >= 1")
         if stride_bytes < blocklength * base.extent and count > 1:
@@ -285,7 +286,6 @@ class HVector(Datatype):
         self.count = count
         self.blocklength = blocklength
         self.stride_bytes = stride_bytes
-        self.base = _check_base(base)
         self.size = count * blocklength * base.size
         self.extent = (count - 1) * stride_bytes + blocklength * base.extent
 

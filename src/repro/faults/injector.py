@@ -10,9 +10,7 @@ Interception points (no application or algorithm code changes):
   returns, and ``Comm._deliver`` in :mod:`repro.mpi.comm` *interprets* its
   ``drop`` / ``corrupt``: the best-effort transport loses a spoiled
   message (nothing checks what arrives), the reliable transport
-  retransmits it -- exactly the failure mode it exists to mask.  A
-  ``duplicate`` is counted and changes nothing else: the payload is
-  delivered once,
+  retransmits it -- exactly the failure mode it exists to mask,
 - **rank faults** -- crashes and hangs are driven through
   :meth:`Cluster.fail_rank` / :meth:`Cluster.hang_rank`.  Time triggers are
   scheduled directly on the engine at install time; operation-count

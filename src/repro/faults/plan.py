@@ -4,7 +4,7 @@ A :class:`FaultPlan` is a small immutable-after-build schedule with two kinds
 of entries:
 
 - :class:`WireRule` -- payload and timing faults applied per wire transfer
-  (drop, corrupt, duplicate, delay spike, NIC degradation), filtered by
+  (drop, corrupt, delay spike, NIC degradation), filtered by
   endpoint, time window, payload size, or "the nth matching transfer",
 - :class:`RankFault` -- process faults (crash, hang) triggered at a
   simulated time or at a rank's nth wire operation.
@@ -37,7 +37,7 @@ from typing import List, Optional
 __all__ = ["WireRule", "RankFault", "FaultPlan"]
 
 #: wire-fault kinds understood by the injector
-WIRE_KINDS = ("drop", "corrupt", "duplicate", "delay", "degrade")
+WIRE_KINDS = ("drop", "corrupt", "delay", "degrade")
 #: rank-fault kinds understood by the injector
 RANK_KINDS = ("crash", "hang")
 
@@ -147,10 +147,6 @@ class FaultPlan:
         """Flip bits in matching transfers (CRC mismatch at the receiver)."""
         return self._wire("corrupt", probability=probability, **kw)
 
-    def duplicate(self, probability: float = 1.0, **kw) -> "FaultPlan":
-        """Count matching transfers as duplicated (delivered once all the same)."""
-        return self._wire("duplicate", probability=probability, **kw)
-
     def delay_spike(self, delay: float, probability: float = 1.0,
                     **kw) -> "FaultPlan":
         """Hold matching packets in the NIC for ``delay`` extra seconds."""
@@ -185,7 +181,7 @@ class FaultPlan:
     @classmethod
     def random(cls, seed: int, nranks: int,
                drop_p: float = 0.02, corrupt_p: float = 0.01,
-               duplicate_p: float = 0.01, delay_p: float = 0.01,
+               delay_p: float = 0.01,
                delay: float = 2e-4, crash: bool = False) -> "FaultPlan":
         """A seeded random chaos schedule over ``nranks`` processes.
 
@@ -200,8 +196,6 @@ class FaultPlan:
             plan.drop(probability=drop_p)
         if corrupt_p > 0:
             plan.corrupt(probability=corrupt_p)
-        if duplicate_p > 0:
-            plan.duplicate(probability=duplicate_p)
         if delay_p > 0:
             plan.delay_spike(delay=delay, probability=delay_p)
         if crash and nranks > 1:

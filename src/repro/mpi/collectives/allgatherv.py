@@ -72,16 +72,14 @@ def _blocks_tb(recvbuffer, datatype, counts, displs, blocks) -> Optional[TypedBu
         return None
     if len(nz) == 1:
         return _block_tb(recvbuffer, datatype, counts, displs, nz[0])
+    if not datatype.is_contiguous():
+        raise MPIError("allgatherv over non-contiguous element types not supported")
     dt = HIndexed(
         [counts[b] for b in nz],
         [displs[b] * datatype.extent for b in nz],
-        datatype if datatype.is_contiguous() else _flat_base(datatype),
+        datatype,
     )
     return TypedBuffer(recvbuffer, dt)
-
-
-def _flat_base(datatype: Datatype) -> Datatype:
-    raise MPIError("allgatherv over non-contiguous element types not supported")
 
 
 def _copy_own(comm, sendbuffer, recvbuffer, datatype, counts, displs) -> Generator:

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.datatypes.engine import engine_for, unpack_stage_cost
 from repro.datatypes.packing import TypedBuffer
-from repro.datatypes.typemap import BYTE, Datatype, primitive_for, sig_crc
+from repro.datatypes.typemap import Datatype, primitive_for, sig_crc
 from repro.mpi.config import MPIConfig
 from repro.mpi.errors import (
     CommRevokedError,
@@ -1060,15 +1060,11 @@ class Comm:
             else:
                 tb.unpack(rec.data)
         elif rec.nbytes > 0:
-            if tb.is_contiguous():
-                partial = TypedBuffer(tb.buffer, BYTE, count=rec.nbytes,
-                                      offset_bytes=tb.offset_bytes)
-                partial.unpack(rec.data)
-            else:
-                raise MPIError(
-                    "partial delivery into a noncontiguous receive type is "
-                    "not supported"
-                )
+            # a shorter message (MPI allows it) fills the layout's prefix;
+            # the rest of the receive buffer keeps its bytes
+            staged = tb.pack()
+            staged[:rec.nbytes] = np.ascontiguousarray(rec.data).reshape(-1).view(np.uint8)
+            tb.unpack(staged)
         if not rrec.future.done:
             rrec.future.set_result(
                 Status(rrec.comm._to_local(rec.src), rec.tag, rec.nbytes)

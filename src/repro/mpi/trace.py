@@ -99,12 +99,6 @@ class MessageTrace:
     def total_bytes(self) -> int:
         return sum(r.nbytes for r in self.records)
 
-    def per_rank_sent(self) -> np.ndarray:
-        out = np.zeros(self.nranks, dtype=np.int64)
-        for r in self.records:
-            out[r.src] += r.nbytes
-        return out
-
     def by_message(self) -> dict:
         """Wire chunks grouped by causal message id.
 

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from repro.mpi.comm import Comm
 from repro.petsc.mat import Operator
 from repro.petsc.scatter import VecScatter
-from repro.petsc.vec import Layout, PETScError, Vec
+from repro.petsc.vec import Layout, PETScError, Vec, _group_by_owner
 
 #: flops charged per stored nonzero per multiply (one mul + one add)
 FLOPS_PER_NNZ = 2.0
@@ -92,12 +92,11 @@ class AIJMat(Operator):
             self._coo_i.append(i[mine])
             self._coo_j.append(j[mine])
             self._coo_v.append(v[mine])
-        for peer in np.unique(owner[~mine]):
-            sel = owner == peer
+        for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
             triple = np.stack(
                 [i[sel].astype(np.float64), j[sel].astype(np.float64), v[sel]]
             )
-            self._stash.setdefault(int(peer), []).append(triple)
+            self._stash.setdefault(peer, []).append(triple)
 
     def set_value(self, row: int, col: int, val: float) -> None:
         self.set_values([row], [col], [val])
@@ -158,34 +157,14 @@ class AIJMat(Operator):
         yield from comm.cpu(
             (self.diag.nnz + self.offdiag.nnz) * 20e-9, "compute"
         )
-        yield from self._build_gather()
+        # the ghost-column gather: tell each owner which of its entries this
+        # rank needs (a real setup round-trip, as in PETSc), over the same
+        # forced dense exchange.  garray is built here, so it skips
+        # from_needed_indices' argument agreement
+        self._gather = yield from VecScatter._from_needed(
+            comm, self.cols, self.garray,
+            np.arange(len(self.garray), dtype=np.int64), algorithm="dense")
         self._assembled = True
-
-    def _build_gather(self) -> Generator:
-        """Set up the ghost-column gather: tell each owner which of its
-        entries this rank needs (a real setup round-trip, as in PETSc)."""
-        comm = self.comm
-        owner = self.cols.owners(self.garray) if len(self.garray) else \
-            np.empty(0, dtype=np.int64)
-        recv_map: Dict[int, np.ndarray] = {}
-        local_pairs = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        want: Dict[int, np.ndarray] = {}
-        positions = np.arange(len(self.garray), dtype=np.int64)
-        for peer in np.unique(owner):
-            sel = owner == peer
-            if int(peer) == comm.rank:
-                local_pairs = (
-                    self.cols.to_local(self.garray[sel], comm.rank),
-                    positions[sel],
-                )
-            else:
-                want[int(peer)] = self.garray[sel].astype(np.float64)
-                recv_map[int(peer)] = positions[sel]
-        # the index lists, over the same forced dense exchange
-        got = yield from comm.sparse_alltoall(want, algorithm="dense")
-        send_map = {peer: self.cols.to_local(buf.astype(np.int64), comm.rank)
-                    for peer, buf in sorted(got.items())}
-        self._gather = VecScatter(comm, send_map, recv_map, local_pairs)
 
     # -- application --------------------------------------------------------------
 

@@ -61,31 +61,13 @@ class _Transfer:
         )
         self.fine_child_buf = np.zeros(self.fine_child_shape).reshape(-1)
 
-        # --- prolongation: gather the coarse cells around my fine box
-        my_flo, my_fhi = fine.owned_box()
-        self._interp = []
-        coarse_lo = [0, 0, 0]
-        coarse_hi = [0, 0, 0]
-        for d in range(3):
-            fi = np.arange(my_flo[d], my_fhi[d], dtype=np.int64)
-            if self.factor[d] == 1:
-                lo_idx = hi_idx = fi
-                w_hi = np.zeros(fi.size)
-            else:
-                m_low = (fi - 1) // 2
-                lo_idx = np.clip(m_low, 0, coarse.dims[d] - 1)
-                hi_idx = np.clip(m_low + 1, 0, coarse.dims[d] - 1)
-                w_hi = np.where(fi % 2 == 0, 0.75, 0.25)
-            coarse_lo[d] = int(min(lo_idx.min(), hi_idx.min()))
-            coarse_hi[d] = int(max(lo_idx.max(), hi_idx.max())) + 1
-            self._interp.append((lo_idx - coarse_lo[d], hi_idx - coarse_lo[d], w_hi))
-        my_coarse_box: Box = (tuple(coarse_lo), tuple(coarse_hi))
-        coarse_boxes: List[Optional[Box]] = [None] * comm.size
-        # every rank must evaluate everyone's box identically:
-        for r in range(comm.size):
-            coarse_boxes[r] = _needed_coarse_box(fine, coarse, self.factor, r)
-        assert coarse_boxes[comm.rank] == my_coarse_box
-        self.prolong_scatter = coarse.box_gather_scatter(coarse_boxes)
+        # --- prolongation: gather the coarse cells around my fine box;
+        # every rank evaluates everyone's box identically
+        stencils = [_prolong_stencil(fine, coarse, self.factor, r)
+                    for r in range(comm.size)]
+        (coarse_lo, coarse_hi), self._interp = stencils[comm.rank]
+        self.prolong_scatter = coarse.box_gather_scatter(
+            [box for box, _ in stencils])
         self.coarse_halo_shape = tuple(coarse_hi[d] - coarse_lo[d] for d in range(3))
         self.coarse_halo_buf = np.zeros(self.coarse_halo_shape).reshape(-1)
 
@@ -121,22 +103,31 @@ class _Transfer:
         yield from x_fine._flops(6.0)
 
 
-def _needed_coarse_box(fine: DMDA, coarse: DMDA, factor, rank: int) -> Box:
-    """The coarse box rank ``rank`` needs to interpolate its fine box."""
+def _prolong_stencil(fine: DMDA, coarse: DMDA, factor, rank: int):
+    """The coarse halo box rank ``rank`` needs to interpolate its fine box,
+    and per dimension its interpolation stencil ``(lo_idx, hi_idx, w_hi)``
+    with indices relative to that box."""
     flo, fhi = fine.owned_box(rank)
     lo = [0, 0, 0]
     hi = [0, 0, 0]
+    interp = []
     for d in range(3):
         fi = np.arange(flo[d], fhi[d], dtype=np.int64)
         if factor[d] == 1:
             lo_idx = hi_idx = fi
+            w_hi = np.zeros(fi.size)
         else:
+            # -1 <= m_low <= coarse.dims[d] - 1, so each index needs
+            # clamping at one grid edge only
             m_low = (fi - 1) // 2
-            lo_idx = np.clip(m_low, 0, coarse.dims[d] - 1)
-            hi_idx = np.clip(m_low + 1, 0, coarse.dims[d] - 1)
-        lo[d] = int(min(lo_idx.min(), hi_idx.min()))
-        hi[d] = int(max(lo_idx.max(), hi_idx.max())) + 1
-    return tuple(lo), tuple(hi)
+            lo_idx = np.maximum(m_low, 0)
+            hi_idx = np.minimum(m_low + 1, coarse.dims[d] - 1)
+            w_hi = np.where(fi % 2 == 0, 0.75, 0.25)
+        # both index runs are nondecreasing, and lo_idx <= hi_idx
+        lo[d] = int(lo_idx[0])
+        hi[d] = int(hi_idx[-1]) + 1
+        interp.append((lo_idx - lo[d], hi_idx - lo[d], w_hi))
+    return (tuple(lo), tuple(hi)), interp
 
 
 class MGSolver:

@@ -19,9 +19,11 @@ all three are provided here as backends of one scatter object:
     hand-tuned (Fig. 16).
 
 A scatter is built once (like ``VecScatterCreate``) and applied many times.
-The exchange lists are derived without communication: index sets are
+Most exchange lists are derived without communication: index sets are
 replicated, and DMDA-style patterns are computable from the grid geometry
-every rank already knows.
+every rank already knows.  Where only the reader knows what it needs
+(:meth:`VecScatter.from_needed_indices`, AIJ's ghost-column gather), one
+sparse exchange tells the owners.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.mpi.collectives import _tag_window
 from repro.mpi.comm import Comm
 from repro.mpi.request import Request
 from repro.petsc.indexset import IS
-from repro.petsc.vec import Layout, PETScError, Vec
+from repro.petsc.vec import Layout, PETScError, Vec, _group_by_owner
 
 _ITEM = 8  # bytes per double
 
@@ -47,18 +49,6 @@ def _count_runs(offsets: np.ndarray) -> int:
     if offsets.size <= 1:
         return int(offsets.size)
     return int(np.count_nonzero(np.diff(offsets) != 1)) + 1
-
-
-def _group_by_owner(positions: np.ndarray, owner: np.ndarray):
-    """Yield ``(peer, the positions whose owner is peer)``, peers ascending
-    and each group in its original order: one stable sort over the selected
-    positions instead of one full-length mask rescan per peer."""
-    peers = owner[positions]
-    order = np.argsort(peers, kind="stable")
-    peers, positions = peers[order], positions[order]
-    cuts = np.flatnonzero(peers[1:] != peers[:-1]) + 1
-    for group in np.split(positions, cuts) if len(positions) else ():
-        yield int(owner[group[0]]), group
 
 
 class VecScatter:
@@ -218,6 +208,18 @@ class VecScatter:
             raise PETScError(
                 f"rank {rank}: invalid from_needed_indices arguments"
                 + (f": {problem}" if problem else " on another rank"))
+        scatter = yield from cls._from_needed(comm, src_layout, src_global,
+                                              dst_local, algorithm=None)
+        return scatter
+
+    @classmethod
+    def _from_needed(cls, comm: Comm, src_layout: Layout,
+                     src_global: np.ndarray, dst_local: np.ndarray,
+                     algorithm: Optional[str]) -> Generator:
+        """The exchange body of :meth:`from_needed_indices`, for arguments
+        already known to be valid on every rank.  ``algorithm`` picks the
+        ``sparse_alltoall`` protocol (``None``: the selection policy)."""
+        rank = comm.rank
         owner = src_layout.owners(src_global)
         mine = owner == rank
         local_pairs = (src_layout.to_local(src_global[mine], rank),
@@ -227,11 +229,9 @@ class VecScatter:
         for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
             recv_map[peer] = dst_local[sel]
             wants[peer] = src_global[sel].astype(np.float64)
-        answers = yield from comm.sparse_alltoall(wants)
-        send_map: Dict[int, np.ndarray] = {}
-        for reader, wanted in sorted(answers.items()):
-            send_map[int(reader)] = src_layout.to_local(
-                wanted.astype(np.int64), rank)
+        answers = yield from comm.sparse_alltoall(wants, algorithm=algorithm)
+        send_map = {int(reader): src_layout.to_local(wanted.astype(np.int64), rank)
+                    for reader, wanted in sorted(answers.items())}
         return cls(comm, send_map, recv_map, local_pairs)
 
     def reversed(self) -> "VecScatter":
@@ -280,10 +280,7 @@ class VecScatter:
                 yield from comm._fail_fast(
                     self._scatter_hand_tuned(src_arr, dst_arr, mode))
             elif backend == "datatype":
-                if mode == "insert":
-                    yield from self._scatter_datatype(src_arr, dst_arr)
-                else:
-                    yield from self._scatter_datatype_add(src_arr, dst_arr)
+                yield from self._scatter_datatype(src_arr, dst_arr, mode)
             else:
                 raise PETScError(f"unknown scatter backend {backend!r}")
 
@@ -342,26 +339,12 @@ class VecScatter:
             self._local_src_type = self._offsets_type(self.local_src)
             self._local_dst_type = self._offsets_type(self.local_dst)
 
-    def _scatter_datatype(self, src: np.ndarray, dst: np.ndarray) -> Generator:
-        comm = self.comm
-        n = comm.size
-        self._ensure_types()
-        sendspecs: list[Optional[TypedBuffer]] = [None] * n
-        recvspecs: list[Optional[TypedBuffer]] = [None] * n
-        for peer, dt in self._send_types.items():
-            sendspecs[peer] = TypedBuffer(src, dt)
-        for peer, dt in self._recv_types.items():
-            recvspecs[peer] = TypedBuffer(dst, dt)
-        if self._local_src_type is not None:
-            sendspecs[comm.rank] = TypedBuffer(src, self._local_src_type)
-            recvspecs[comm.rank] = TypedBuffer(dst, self._local_dst_type)
-        yield from comm.alltoallw(sendspecs, recvspecs)
-
-    def _scatter_datatype_add(self, src: np.ndarray, dst: np.ndarray) -> Generator:
-        """ADD mode over the datatype path: sends still use Indexed
-        datatypes, but receives stage into contiguous buffers and
-        accumulate locally (MPI has no receive-side reduction for
-        point-to-point/alltoallw, so this mirrors what PETSc does)."""
+    def _scatter_datatype(self, src: np.ndarray, dst: np.ndarray,
+                          mode: str) -> Generator:
+        """Sends always use the Indexed datatypes.  Insert mode receives
+        through them too; add mode stages each receive in a contiguous
+        buffer and accumulates locally (MPI has no receive-side reduction
+        for point-to-point/alltoallw, so this mirrors what PETSc does)."""
         comm = self.comm
         n = comm.size
         cost = comm.cost
@@ -371,12 +354,19 @@ class VecScatter:
         staging: list[tuple[np.ndarray, np.ndarray]] = []
         for peer, dt in self._send_types.items():
             sendspecs[peer] = TypedBuffer(src, dt)
-        for peer, offs in self.recv_map.items():
-            buf = np.zeros(offs.size)
-            staging.append((buf, offs))
-            recvspecs[peer] = TypedBuffer(buf, DOUBLE, offs.size)
+        if mode == "insert":
+            for peer, dt in self._recv_types.items():
+                recvspecs[peer] = TypedBuffer(dst, dt)
+            if self._local_src_type is not None:
+                sendspecs[comm.rank] = TypedBuffer(src, self._local_src_type)
+                recvspecs[comm.rank] = TypedBuffer(dst, self._local_dst_type)
+        else:
+            for peer, offs in self.recv_map.items():
+                buf = np.zeros(offs.size)
+                staging.append((buf, offs))
+                recvspecs[peer] = TypedBuffer(buf, DOUBLE, offs.size)
         yield from comm.alltoallw(sendspecs, recvspecs)
-        if self.local_src.size:
+        if mode == "add" and self.local_src.size:
             np.add.at(dst, self.local_dst, src[self.local_src])
             yield from comm.cpu(
                 2 * self.local_src.size * _ITEM * cost.copy_byte, "pack"

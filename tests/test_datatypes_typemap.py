@@ -213,6 +213,23 @@ def test_count_validation():
         Contiguous(2, "not a type")
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: Contiguous(2, bad),
+    lambda bad: Vector(2, 1, 2, bad),
+    lambda bad: HVector(2, 1, 8, bad),
+    lambda bad: Indexed([1, 1], [0, 2], bad),
+    lambda bad: HIndexed([1, 1], [0, 16], bad),
+    lambda bad: IndexedBlock(1, [0, 2], bad),
+    lambda bad: Subarray([4], [2], [1], bad),
+    lambda bad: Resized(bad, 16),
+    lambda bad: Struct([1, 1], [0, 8], [DOUBLE, bad]),
+], ids=["Contiguous", "Vector", "HVector", "Indexed", "HIndexed",
+        "IndexedBlock", "Subarray", "Resized", "Struct"])
+def test_non_datatype_base_raises_datatype_error(build):
+    with pytest.raises(DatatypeError, match="must be a Datatype"):
+        build("x")
+
+
 def test_byte_type():
     assert BYTE.size == 1
     dt = Contiguous(7, BYTE)

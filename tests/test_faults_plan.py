@@ -10,14 +10,13 @@ def test_builder_chains_and_collects_rules():
         FaultPlan(seed=3)
         .drop(probability=0.1)
         .corrupt(probability=0.2, src=1)
-        .duplicate(nth=4)
         .delay_spike(delay=1e-4, dst=2)
         .degrade(scale=4.0, after=1e-3)
         .crash(5, at_time=2e-3)
         .hang(6, at_op=7, detect_after=1e-3)
     )
     assert [r.kind for r in plan.wire_rules] == [
-        "drop", "corrupt", "duplicate", "delay", "degrade"
+        "drop", "corrupt", "delay", "degrade"
     ]
     assert [f.kind for f in plan.rank_faults] == ["crash", "hang"]
     assert bool(plan)

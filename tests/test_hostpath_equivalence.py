@@ -336,7 +336,7 @@ SCENARIOS = {
     "reliable_faulty": (4, _reliable_ring, {
         "config": RELIABLE,
         "fault_plan": lambda: (FaultPlan(seed=5).drop(nth=2)
-                               .corrupt(nth=5).duplicate(nth=7)
+                               .corrupt(nth=5)
                                .delay_spike(delay=1e-4, nth=9))}),
     # the 2nd and 6th transfers are middle chunks of the 1st and 2nd
     # attempts: one dropped attempt, one that fails the checksum

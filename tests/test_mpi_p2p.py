@@ -159,6 +159,29 @@ def test_truncation_fails_the_receive_and_completes_the_send(count):
     assert isinstance(failed, TruncationError)
 
 
+@pytest.mark.parametrize("count", [4, 2048])  # eager, rendezvous
+def test_short_message_fills_the_prefix_of_a_noncontiguous_receive(count):
+    # MPI allows a message shorter than the receive; delivering one into a
+    # strided layout used to abort the run from the delivery process
+    cluster = make_cluster(2)
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(np.arange(count, dtype=np.float64) + 1.0,
+                                 dest=1)
+            return None
+        buf = np.full(4 * count, -1.0)
+        status = yield from comm.recv(
+            TypedBuffer(buf, Vector(2 * count, 1, 2, DOUBLE)), source=0)
+        return buf, status
+
+    _, (buf, status) = cluster.run(main)
+    assert status.nbytes == 8 * count
+    assert np.array_equal(buf[0:2 * count:2], np.arange(count) + 1.0)
+    assert np.all(buf[2 * count::2] == -1.0)  # layout elements past the message
+    assert np.all(buf[1::2] == -1.0)  # the gaps between them
+
+
 def test_zero_byte_message_costs_alpha():
     cluster = make_cluster(2)
 
