@@ -73,10 +73,6 @@ def vecscatter_benchmark(
     cluster = Cluster(nprocs, config=config, cost=cost, seed=seed)
     src_idx, dst_idx = _pattern(nprocs, per_process)
     gsize = nprocs * per_process
-    shared_layout = Layout(nprocs, gsize)
-    shared_owners = (
-        shared_layout.owners(src_idx), shared_layout.owners(dst_idx)
-    )
 
     def main(comm):
         lay = Layout(comm.size, gsize)
@@ -85,9 +81,7 @@ def vecscatter_benchmark(
         start, end = x.owned_range
         x.local[:] = np.arange(start, end, dtype=np.float64)
         sc = VecScatter.from_index_sets(
-            comm, lay, GeneralIS(src_idx), lay, GeneralIS(dst_idx),
-            owners=shared_owners,
-        )
+            comm, lay, GeneralIS(src_idx), lay, GeneralIS(dst_idx))
         yield from comm.barrier()
         t0 = comm.engine.now
         yield from sc.scatter(x, y, backend=backend)

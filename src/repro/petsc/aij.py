@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from repro.mpi.comm import Comm
 from repro.petsc.mat import Operator
 from repro.petsc.scatter import VecScatter
-from repro.petsc.vec import Layout, PETScError, Vec, _group_by_owner
+from repro.petsc.vec import Layout, PETScError, Vec
 
 #: flops charged per stored nonzero per multiply (one mul + one add)
 FLOPS_PER_NNZ = 2.0
@@ -86,13 +86,12 @@ class AIJMat(Operator):
             raise PETScError("row index out of range")
         if j.min() < 0 or j.max() >= self.cols.global_size:
             raise PETScError("column index out of range")
-        owner = self.rows.owners(i)
-        mine = owner == self.comm.rank
+        mine = self.rows.owned_mask(i, self.comm.rank)
         if np.any(mine):
             self._coo_i.append(i[mine])
             self._coo_j.append(j[mine])
             self._coo_v.append(v[mine])
-        for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
+        for peer, sel in self.rows.group_by_owner(i, np.flatnonzero(~mine)):
             triple = np.stack(
                 [i[sel].astype(np.float64), j[sel].astype(np.float64), v[sel]]
             )
@@ -145,8 +144,8 @@ class AIJMat(Operator):
             shape=(nlocal, ncols_local),
         )
         self.garray = np.unique(j[~local_cols])
-        cmap = {int(g): k for k, g in enumerate(self.garray)}
-        jr = np.array([cmap[int(c)] for c in j[~local_cols]], dtype=np.int64)
+        # garray is sorted and unique: a column's position is its compressed index
+        jr = np.searchsorted(self.garray, j[~local_cols])
         self.offdiag = sp.csr_matrix(
             (v[~local_cols], (i[~local_cols], jr)),
             shape=(nlocal, len(self.garray)),

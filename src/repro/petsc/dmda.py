@@ -121,34 +121,23 @@ class DMDA:
                 )
         # per-dim ownership: starts[d][p] .. starts[d][p+1]
         self._sizes = [_split(self.dims[d], self.proc_grid[d]) for d in range(3)]
-        self._starts = [
-            np.concatenate(([0], np.cumsum(self._sizes[d]))).astype(np.int64)
-            for d in range(3)
-        ]
-        if self.width > 0:
-            min_local = min(min(s) for s in (self._sizes[d] for d in range(3)
-                                             if self.proc_grid[d] > 1)) \
-                if any(self.proc_grid[d] > 1 for d in range(3)) else self.width
-            if min_local < self.width:
-                raise PETScError(
-                    f"stencil width {self.width} exceeds the smallest local "
-                    f"size {min_local}; neighbour-only exchange would miss data"
-                )
+        self._starts = [np.cumsum([0] + self._sizes[d], dtype=np.int64)
+                        for d in range(3)]
+        split = [min(self._sizes[d]) for d in range(3) if self.proc_grid[d] > 1]
+        if split and min(split) < self.width:
+            raise PETScError(
+                f"stencil width {self.width} exceeds the smallest local "
+                f"size {min(split)}; neighbour-only exchange would miss data"
+            )
 
         # rank <-> process-grid coordinates (x fastest, PETSc ordering)
-        pz, py, px = self.proc_grid
-        r = comm.rank
-        self.proc_coord = (r // (px * py), (r // px) % py, r % px)
+        self.proc_coord = self._coords_of(comm.rank)
 
-        # global vector layout: one contiguous block per rank
-        local_counts = []
-        for rank in range(comm.size):
-            c = self._coords_of(rank)
-            n = 1
-            for d in range(3):
-                n *= self._sizes[d][c[d]]
-            local_counts.append(n * dof)
-        self.layout = Layout(comm.size, sum(local_counts), local_counts)
+        # global vector layout: one contiguous block per rank, in rank
+        # order (x fastest) -- the row-major flattening of the outer product
+        nz, ny, nx = (np.asarray(s, dtype=np.int64) for s in self._sizes)
+        local_counts = np.multiply.outer(np.multiply.outer(nz, ny), nx).reshape(-1) * dof
+        self.layout = Layout(comm.size, int(local_counts.sum()), local_counts)
 
         self._g2l_scatter: Optional[VecScatter] = None
 
@@ -219,6 +208,8 @@ class DMDA:
 
     def natural_to_global(self, iz, iy, ix, component: int = 0) -> np.ndarray:
         """Global-vector indices of natural grid coordinates (vectorised)."""
+        if not 0 <= component < self.dof:
+            raise PETScError(f"component {component} out of range [0, {self.dof})")
         iz = np.asarray(iz, dtype=np.int64)
         iy = np.asarray(iy, dtype=np.int64)
         ix = np.asarray(ix, dtype=np.int64)
@@ -230,13 +221,10 @@ class DMDA:
             c = np.searchsorted(self._starts[d], arr, side="right") - 1
             coords.append(c)
             locals_.append(arr - self._starts[d][c])
-        pz, py, px = self.proc_grid
-        owner = (coords[0] * py + coords[1]) * px + coords[2]
-        # local sizes of the owning rank in each dim
-        sz = np.asarray(self._sizes[0], dtype=np.int64)[coords[0]]
+        owner = self._rank_of(coords)
+        # local sizes of the owning rank in y and x (z does not enter the offset)
         sy = np.asarray(self._sizes[1], dtype=np.int64)[coords[1]]
         sx = np.asarray(self._sizes[2], dtype=np.int64)[coords[2]]
-        del sz  # z size does not enter the offset formula
         offset = (locals_[0] * sy + locals_[1]) * sx + locals_[2]
         return self.layout.starts[owner] + offset * self.dof + component
 
@@ -388,43 +376,58 @@ class DMDA:
 
     # -- box gathering (multigrid transfers) ---------------------------------------------
 
-    def box_gather_scatter(self, boxes: List[Optional[Box]]) -> VecScatter:
+    def box_gather_scatter(self, lo: Sequence[Sequence[int]],
+                           hi: Sequence[Sequence[int]]) -> VecScatter:
         """Scatter from this DMDA's global vector into per-rank dense boxes.
 
-        ``boxes[r]`` is the natural-coordinate box rank ``r`` wants gathered
-        into a dense row-major buffer (or None).  Every rank evaluates the
-        full list, so no setup communication is needed.  Used by the
-        multigrid restriction ("give me the fine children of my coarse
-        cells") and prolongation ("give me the coarse cells around my fine
-        box").
+        The rank at process coordinates ``c`` wants the natural-coordinate
+        box ``lo[d][c[d]] <= i_d < hi[d][c[d]]`` (``d`` over ``(z, y, x)``)
+        gathered into a dense row-major buffer: ``lo[d]`` and ``hi[d]`` hold
+        one bound per process coordinate.  Owners and readers are found by
+        interval overlap per dimension, so a rank derives only its own peers
+        and no setup communication is needed.  Used by the multigrid
+        restriction ("give me the fine children of my coarse cells") and
+        prolongation ("give me the coarse cells around my fine box").
         """
-        if len(boxes) != self.comm.size:
-            raise PETScError("need one box entry per rank")
+        lo, hi = ([np.asarray(b[d], dtype=np.int64) for d in range(3)] for b in (lo, hi))
+        if any(b[d].shape != (self.proc_grid[d],) for d in range(3) for b in (lo, hi)):
+            raise PETScError(f"need one interval per process coordinate of {self.proc_grid}")
+
+        def box_at(pc) -> Box:
+            return (tuple(int(lo[d][pc[d]]) for d in range(3)),
+                    tuple(int(hi[d][pc[d]]) for d in range(3)))
+
         rank = self.comm.rank
         my_owned = self.owned_box()
+        my_box = box_at(self.proc_coord)
+        starts = self._starts
+        # per dimension, the owner slabs meeting my box and the requests
+        # meeting my owned slab; product() in (z, y, x) order is ascending rank
+        owners = [np.flatnonzero(np.maximum(starts[d][:-1], my_box[0][d])
+                                 < np.minimum(starts[d][1:], my_box[1][d]))
+                  for d in range(3)]
+        readers = [np.flatnonzero(np.maximum(lo[d], my_owned[0][d])
+                                  < np.minimum(hi[d], my_owned[1][d]))
+                   for d in range(3)]
         send_map: Dict[int, np.ndarray] = {}
         recv_map: Dict[int, np.ndarray] = {}
         local_src = np.empty(0, dtype=np.int64)
         local_dst = np.empty(0, dtype=np.int64)
         # receives: owners of the cells in my box
-        my_box = boxes[rank]
-        if my_box is not None:
-            for owner in range(self.comm.size):
-                region = self._region_toward(self.owned_box(owner), my_box)
-                if region is None:
-                    continue
-                dst = self._box_offsets_in(region, my_box)
-                if owner == rank:
-                    local_dst = dst
-                    local_src = self._box_offsets_in(region, my_owned)
-                else:
-                    recv_map[owner] = dst
+        for oc in itertools.product(*owners):
+            owner = self._rank_of(oc)
+            region = self._region_toward(self.owned_box(owner), my_box)
+            dst = self._box_offsets_in(region, my_box)
+            if owner == rank:
+                local_dst = dst
+                local_src = self._box_offsets_in(region, my_owned)
+            else:
+                recv_map[owner] = dst
         # sends: parts of my owned box inside other ranks' requested boxes
-        for peer in range(self.comm.size):
-            if peer == rank or boxes[peer] is None:
+        for pc in itertools.product(*readers):
+            peer = self._rank_of(pc)
+            if peer == rank:
                 continue
-            region = self._region_toward(my_owned, boxes[peer])
-            if region is None:
-                continue
+            region = self._region_toward(my_owned, box_at(pc))
             send_map[peer] = self._box_offsets_in(region, my_owned)
         return VecScatter(self.comm, send_map, recv_map, (local_src, local_dst))

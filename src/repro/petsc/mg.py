@@ -13,6 +13,10 @@ Builds a hierarchy of DMDAs by factor-2 cell-centred coarsening (100^3 ->
   gathers the coarse cells bordering its fine box, again through a scatter,
 - **coarse solve**: unpreconditioned CG on the coarsest level.
 
+Both levels share one process grid, so each transfer's requests are
+per-dimension intervals over it, computed from ownership boundaries every
+rank knows; a rank derives only its own stencil and the peers it meets.
+
 Every inter-level transfer and every smoothing sweep funnels noncontiguous
 subarray data through ``Alltoallw`` (datatype backend) or hand-tuned
 point-to-point -- the communication mix whose cost the paper's Fig. 17
@@ -21,12 +25,12 @@ measures end to end.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 import numpy as np
 
 from repro.mpi.comm import Comm
-from repro.petsc.dmda import DMDA, Box
+from repro.petsc.dmda import DMDA
 from repro.petsc.ksp import CG, SolveResult
 from repro.petsc.mat import Laplacian
 from repro.petsc.vec import PETScError, Vec
@@ -43,32 +47,27 @@ class _Transfer:
                 raise PETScError(
                     f"cannot coarsen dim {d}: {fine.dims[d]} -> {coarse.dims[d]}"
                 )
-        comm = fine.comm
 
-        # --- restriction: gather the fine children of my coarse box
-        fine_boxes: List[Optional[Box]] = []
-        for r in range(comm.size):
-            clo, chi = coarse.owned_box(r)
-            fine_boxes.append((
-                tuple(clo[d] * self.factor[d] for d in range(3)),
-                tuple(chi[d] * self.factor[d] for d in range(3)),
-            ))
-        self.restrict_scatter = fine.box_gather_scatter(fine_boxes)
-        my_clo, my_chi = coarse.owned_box()
-        self.coarse_shape = tuple(my_chi[d] - my_clo[d] for d in range(3))
-        self.fine_child_shape = tuple(
-            self.coarse_shape[d] * self.factor[d] for d in range(3)
-        )
+        # --- restriction: gather the fine children of my coarse box (the
+        # coarse ownership slabs scaled up, per dimension)
+        self.restrict_scatter = fine.box_gather_scatter(
+            [coarse._starts[d][:-1] * self.factor[d] for d in range(3)],
+            [coarse._starts[d][1:] * self.factor[d] for d in range(3)])
+        self.coarse_shape = coarse.local_shape  # coarse levels have dof 1
+        self.fine_child_shape = tuple(c * f for c, f in zip(self.coarse_shape, self.factor))
         self.fine_child_buf = np.zeros(self.fine_child_shape).reshape(-1)
 
-        # --- prolongation: gather the coarse cells around my fine box;
-        # every rank evaluates everyone's box identically
-        stencils = [_prolong_stencil(fine, coarse, self.factor, r)
-                    for r in range(comm.size)]
-        (coarse_lo, coarse_hi), self._interp = stencils[comm.rank]
-        self.prolong_scatter = coarse.box_gather_scatter(
-            [box for box, _ in stencils])
-        self.coarse_halo_shape = tuple(coarse_hi[d] - coarse_lo[d] for d in range(3))
+        # --- prolongation: gather the coarse cells around my fine box.  A
+        # fine slab's halo runs from the low cell of its first fine cell to
+        # the high cell of its last (both cell runs are nondecreasing)
+        cells = [(fine._starts[d], self.factor[d], coarse.dims[d]) for d in range(3)]
+        halo_lo = [_interp_cells(s[:-1], f, n)[0] for s, f, n in cells]
+        halo_hi = [_interp_cells(s[1:] - 1, f, n)[1] + 1 for s, f, n in cells]
+        self.prolong_scatter = coarse.box_gather_scatter(halo_lo, halo_hi)
+        c = fine.proc_coord
+        coarse_lo = [int(halo_lo[d][c[d]]) for d in range(3)]
+        self._interp = _prolong_stencil(fine, coarse, self.factor, coarse_lo)
+        self.coarse_halo_shape = tuple(int(halo_hi[d][c[d]]) - coarse_lo[d] for d in range(3))
         self.coarse_halo_buf = np.zeros(self.coarse_halo_shape).reshape(-1)
 
     # -- application -------------------------------------------------------------
@@ -103,31 +102,30 @@ class _Transfer:
         yield from x_fine._flops(6.0)
 
 
-def _prolong_stencil(fine: DMDA, coarse: DMDA, factor, rank: int):
-    """The coarse halo box rank ``rank`` needs to interpolate its fine box,
-    and per dimension its interpolation stencil ``(lo_idx, hi_idx, w_hi)``
-    with indices relative to that box."""
-    flo, fhi = fine.owned_box(rank)
-    lo = [0, 0, 0]
-    hi = [0, 0, 0]
+def _interp_cells(fi: np.ndarray, factor: int, ncoarse: int):
+    """The coarse cells ``(lo_idx, hi_idx)`` that cell-centred
+    interpolation reads for fine cells ``fi`` along one dimension; both are
+    nondecreasing in ``fi``, and ``lo_idx <= hi_idx``."""
+    if factor == 1:
+        return fi, fi
+    # -1 <= m_low <= ncoarse - 1, so each index needs clamping at one grid
+    # edge only
+    m_low = (fi - 1) // 2
+    return np.maximum(m_low, 0), np.minimum(m_low + 1, ncoarse - 1)
+
+
+def _prolong_stencil(fine: DMDA, coarse: DMDA, factor, halo_lo):
+    """This rank's interpolation stencil ``(lo_idx, hi_idx, w_hi)`` per
+    dimension, with indices relative to its coarse halo box, which starts
+    at ``halo_lo``."""
+    flo, fhi = fine.owned_box()
     interp = []
     for d in range(3):
         fi = np.arange(flo[d], fhi[d], dtype=np.int64)
-        if factor[d] == 1:
-            lo_idx = hi_idx = fi
-            w_hi = np.zeros(fi.size)
-        else:
-            # -1 <= m_low <= coarse.dims[d] - 1, so each index needs
-            # clamping at one grid edge only
-            m_low = (fi - 1) // 2
-            lo_idx = np.maximum(m_low, 0)
-            hi_idx = np.minimum(m_low + 1, coarse.dims[d] - 1)
-            w_hi = np.where(fi % 2 == 0, 0.75, 0.25)
-        # both index runs are nondecreasing, and lo_idx <= hi_idx
-        lo[d] = int(lo_idx[0])
-        hi[d] = int(hi_idx[-1]) + 1
-        interp.append((lo_idx - lo[d], hi_idx - lo[d], w_hi))
-    return (tuple(lo), tuple(hi)), interp
+        lo_idx, hi_idx = _interp_cells(fi, factor[d], coarse.dims[d])
+        w_hi = np.where(fi % 2 == 0, 0.75, 0.25) if factor[d] == 2 else np.zeros(fi.size)
+        interp.append((lo_idx - halo_lo[d], hi_idx - halo_lo[d], w_hi))
+    return interp
 
 
 class MGSolver:

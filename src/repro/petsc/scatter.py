@@ -38,7 +38,7 @@ from repro.mpi.collectives import _tag_window
 from repro.mpi.comm import Comm
 from repro.mpi.request import Request
 from repro.petsc.indexset import IS
-from repro.petsc.vec import Layout, PETScError, Vec, _group_by_owner
+from repro.petsc.vec import Layout, PETScError, Vec
 
 _ITEM = 8  # bytes per double
 
@@ -117,14 +117,12 @@ class VecScatter:
         src_is: IS,
         dst_layout: Layout,
         dst_is: IS,
-        owners: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "VecScatter":
         """Build from replicated global index sets: for every position k,
         ``dst[dst_is[k]] = src[src_is[k]]``.
 
-        ``owners`` optionally supplies precomputed ``(src_owner, dst_owner)``
-        arrays -- since index sets are replicated, the (identical) ownership
-        computation can be shared across ranks instead of repeated N times.
+        Each rank range-tests the index sets against its own blocks and
+        looks up owners only for the positions it sends or receives.
         """
         src_idx = src_is.indices()
         dst_idx = dst_is.indices()
@@ -139,27 +137,21 @@ class VecScatter:
                 dst_idx, minlength=dst_layout.global_size).max() > 1:
             raise PETScError("destination indices must be unique (no overwrites)")
         rank = comm.rank
-        if owners is None:
-            src_owner = src_layout.owners(src_idx)
-            dst_owner = dst_layout.owners(dst_idx)
-        else:
-            src_owner, dst_owner = owners
-
         send_map: Dict[int, np.ndarray] = {}
         recv_map: Dict[int, np.ndarray] = {}
 
-        mine_out = src_owner == rank
-        mine_in = dst_owner == rank
+        mine_out = src_layout.owned_mask(src_idx, rank)
+        mine_in = dst_layout.owned_mask(dst_idx, rank)
         local_mask = mine_out & mine_in
         local_pairs = (
             src_layout.to_local(src_idx[local_mask], rank),
             dst_layout.to_local(dst_idx[local_mask], rank),
         )
-        for peer, sel in _group_by_owner(
-                np.flatnonzero(mine_out & ~mine_in), dst_owner):
+        for peer, sel in dst_layout.group_by_owner(
+                dst_idx, np.flatnonzero(mine_out & ~mine_in)):
             send_map[peer] = src_layout.to_local(src_idx[sel], rank)
-        for peer, sel in _group_by_owner(
-                np.flatnonzero(mine_in & ~mine_out), src_owner):
+        for peer, sel in src_layout.group_by_owner(
+                src_idx, np.flatnonzero(mine_in & ~mine_out)):
             recv_map[peer] = dst_layout.to_local(dst_idx[sel], rank)
         return cls(comm, send_map, recv_map, local_pairs)
 
@@ -220,13 +212,13 @@ class VecScatter:
         already known to be valid on every rank.  ``algorithm`` picks the
         ``sparse_alltoall`` protocol (``None``: the selection policy)."""
         rank = comm.rank
-        owner = src_layout.owners(src_global)
-        mine = owner == rank
+        mine = src_layout.owned_mask(src_global, rank)
         local_pairs = (src_layout.to_local(src_global[mine], rank),
                        dst_local[mine])
         recv_map: Dict[int, np.ndarray] = {}
         wants: Dict[int, np.ndarray] = {}
-        for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
+        for peer, sel in src_layout.group_by_owner(src_global,
+                                                   np.flatnonzero(~mine)):
             recv_map[peer] = dst_local[sel]
             wants[peer] = src_global[sel].astype(np.float64)
         answers = yield from comm.sparse_alltoall(wants, algorithm=algorithm)

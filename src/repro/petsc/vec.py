@@ -50,6 +50,8 @@ class Layout:
 
     def __init__(self, nranks: int, global_size: int,
                  local_sizes: Optional[Sequence[int]] = None):
+        if nranks < 1:
+            raise PETScError(f"need at least one rank, got {nranks}")
         if global_size < 0:
             raise PETScError(f"negative global size {global_size}")
         self.nranks = nranks
@@ -60,6 +62,8 @@ class Layout:
         local_sizes = [int(s) for s in local_sizes]
         if len(local_sizes) != nranks:
             raise PETScError("local_sizes must have one entry per rank")
+        if min(local_sizes) < 0:
+            raise PETScError(f"negative local size in {local_sizes}")
         if sum(local_sizes) != global_size:
             raise PETScError(
                 f"local sizes sum to {sum(local_sizes)}, global is {global_size}"
@@ -83,6 +87,25 @@ class Layout:
             raise PETScError("global index out of range")
         return np.searchsorted(self.starts, idx, side="right") - 1
 
+    def owned_mask(self, global_indices: np.ndarray, rank: int) -> np.ndarray:
+        """Which of the global indices ``rank`` owns: a range test against
+        its block, with no owner lookup."""
+        idx = np.asarray(global_indices, dtype=np.int64)
+        return (idx >= self.starts[rank]) & (idx < self.starts[rank + 1])
+
+    def group_by_owner(self, global_indices: np.ndarray, positions: np.ndarray):
+        """Yield ``(peer, the positions whose index peer owns)``, peers
+        ascending and each group in its original order.  Owners are looked
+        up for ``global_indices[positions]`` only, and one stable sort
+        splits them instead of one full-length mask rescan per peer."""
+        if not len(positions):
+            return
+        peers = self.owners(np.asarray(global_indices)[positions])
+        order = np.argsort(peers, kind="stable")
+        peers, positions = peers[order], positions[order]
+        cuts = np.flatnonzero(peers[1:] != peers[:-1]) + 1
+        yield from zip(peers[np.r_[0, cuts]].tolist(), np.split(positions, cuts))
+
     def to_local(self, global_indices: np.ndarray, rank: int) -> np.ndarray:
         """Local offsets (on ``rank``) of global indices owned by it."""
         idx = np.asarray(global_indices, dtype=np.int64)
@@ -97,18 +120,6 @@ class Layout:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Layout(global={self.global_size}, ranks={self.nranks})"
-
-
-def _group_by_owner(positions: np.ndarray, owner: np.ndarray):
-    """Yield ``(peer, the positions whose owner is peer)``, peers ascending
-    and each group in its original order: one stable sort over the selected
-    positions instead of one full-length mask rescan per peer."""
-    peers = owner[positions]
-    order = np.argsort(peers, kind="stable")
-    peers, positions = peers[order], positions[order]
-    cuts = np.flatnonzero(peers[1:] != peers[:-1]) + 1
-    for group in np.split(positions, cuts) if len(positions) else ():
-        yield int(owner[group[0]]), group
 
 
 class Vec:
@@ -315,8 +326,7 @@ class Vec:
                 f"rank {rank}: mixed assembly modes: "
                 f"{self._stash_mode!r} then {mode!r}"
             )
-        owner = self.layout.owners(idx)
-        mine = owner == rank
+        mine = self.layout.owned_mask(idx, rank)
         local = self.layout.to_local(idx[mine], rank)
         if mode == "insert":
             self.local[local] = val[mine]
@@ -326,7 +336,7 @@ class Vec:
         if plan is not None and mode != plan.mode:
             self._invalidate_plan("mode")
             plan = None
-        for peer, sel in _group_by_owner(np.flatnonzero(~mine), owner):
+        for peer, sel in self.layout.group_by_owner(idx, np.flatnonzero(~mine)):
             if plan is not None and not plan.covers(peer, idx[sel]):
                 self._invalidate_plan("pattern")
                 plan = None

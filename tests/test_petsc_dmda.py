@@ -105,6 +105,15 @@ def test_natural_to_global_roundtrip():
     assert np.array_equal(flat[gidx], expect.astype(np.float64))
 
 
+@pytest.mark.parametrize("component", [-1, 2])
+def test_natural_to_global_checks_component(component):
+    da = DMDA(make_cluster(1).comm(0), (2, 2, 2), dof=2)
+    assert da.natural_to_global(0, 0, [0, 1], component=1).tolist() == [1, 3]
+    # component 2 of point (0, 0, 0) would alias field 0 of point (0, 0, 1)
+    with pytest.raises(PETScError, match="component"):
+        da.natural_to_global(0, 0, 0, component=component)
+
+
 def test_stencil_width_too_large_rejected():
     cluster = make_cluster(4)
 
@@ -321,3 +330,50 @@ def test_serial_dmda_no_neighbours():
     assert np.all(larr[0, 1:-1, 1:-1] == 7.0)
     assert larr[0, 0, :].sum() == 0 and larr[0, :, 0].sum() == 0
     assert larr[0, -1, :].sum() == 0 and larr[0, :, -1].sum() == 0
+
+
+def _box_gather_reference(da, lo, hi):
+    """``box_gather_scatter``'s maps by evaluating every rank's box."""
+    def box(r):
+        c = da._coords_of(r)
+        return (tuple(int(lo[d][c[d]]) for d in range(3)),
+                tuple(int(hi[d][c[d]]) for d in range(3)))
+
+    rank, owned = da.comm.rank, da.owned_box()
+    send, recv, local = {}, {}, (np.empty(0), np.empty(0))
+    for peer in range(da.comm.size):
+        region = da._region_toward(da.owned_box(peer), box(rank))
+        if region is not None:
+            dst = da._box_offsets_in(region, box(rank))
+            if peer == rank:
+                local = (da._box_offsets_in(region, owned), dst)
+            else:
+                recv[peer] = dst
+        region = da._region_toward(owned, box(peer))
+        if region is not None and peer != rank:
+            send[peer] = da._box_offsets_in(region, owned)
+    return send, recv, local
+
+
+def test_box_gather_scatter_matches_the_all_ranks_reference():
+    """Per-dimension interval overlap finds exactly the peers, in the same
+    order and with the same offsets, as evaluating every rank's box --
+    also for requests MG never makes (arbitrary, overlapping and empty)."""
+    nranks, dims, grid = 12, (7, 9, 10), (2, 2, 3)
+    cluster = make_cluster(nranks)
+    # owned slabs: z [0,4) [4,7); y [0,5) [5,9); x [0,4) [4,7) [7,10).
+    # Requests straddle slab boundaries (x [0,5) by one cell), and x
+    # coordinate 1 asks nothing
+    lo = [np.array([2, 0]), np.array([3, 6]), np.array([0, 5, 9])]
+    hi = [np.array([6, 7]), np.array([8, 9]), np.array([5, 5, 10])]
+    for rank in range(nranks):
+        da = DMDA(cluster.comm(rank), dims, proc_grid=grid)
+        sc = da.box_gather_scatter(lo, hi)
+        send, recv, (local_src, local_dst) = _box_gather_reference(da, lo, hi)
+        for got, want in ((sc.send_map, send), (sc.recv_map, recv)):
+            assert list(got) == list(want)
+            assert all(np.array_equal(got[p], want[p]) for p in want)
+        assert np.array_equal(sc.local_src, local_src)
+        assert np.array_equal(sc.local_dst, local_dst)
+    with pytest.raises(PETScError, match="interval"):
+        da.box_gather_scatter(lo[:2] + [lo[2][:2]], hi)

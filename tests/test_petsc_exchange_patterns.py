@@ -8,6 +8,7 @@ and rank count, combining every rank's maps; a refactor of how a pattern is
 print the current tree's table.
 """
 
+import collections
 import hashlib
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.apps.fem_poisson import solve_poisson_fem
 from repro.mpi import Cluster, MPIConfig
 from repro.petsc import DMDA, AIJMat, GeneralIS, Layout, MGSolver, VecScatter
 
-NPROCS = (1, 2, 3, 4, 8)
+NPROCS = (1, 2, 3, 4, 8, 9, 12)
 
 
 def _digest(scatter: VecScatter) -> str:
@@ -149,12 +150,80 @@ PINNED = {
         "from_index_sets": "a49a28b605475c36",
         "aij_fem_gather": "c188b028d686a7a8",
     },
+    9: {
+        "dmda_star_3d": "a3e9c03b41dff568",
+        "dmda_box_2d": "3148420ebab88a6b",
+        "mg_restrict_0": "4f621bdb51abafa6",
+        "mg_prolong_0": "1b29b120cc90d04d",
+        "mg_restrict_1": "476004a134a011b1",
+        "mg_prolong_1": "2e0da85c3aa49e04",
+        "from_index_sets": "f7987210c9a1d2f5",
+        "aij_fem_gather": "c96031ef175f3d3c",
+    },
+    12: {
+        "dmda_star_3d": "664b7576eae4f235",
+        "dmda_box_2d": "bfc03f6fdcad6a38",
+        "mg_restrict_0": "f79177cb3422a61f",
+        "mg_prolong_0": "5d3daaf949bc4204",
+        "mg_restrict_1": "7081d10dedd94548",
+        "mg_prolong_1": "66372aaae1d6b798",
+        "from_index_sets": "23585b6531d8e846",
+        "aij_fem_gather": "5a2b585a33f3aa08",
+    },
 }
 
 
 @pytest.mark.parametrize("nprocs", NPROCS)
 def test_exchange_patterns_pinned(nprocs, monkeypatch):
     assert _all(nprocs, monkeypatch) == PINNED[nprocs]
+
+
+def _setup_work(nprocs, per, monkeypatch):
+    """Per rank: ``DMDA._region_toward`` calls while a 3-level
+    ``MGSolver`` on 32^3 is built, and entries ``Layout.owners`` looks up
+    while ``from_index_sets`` builds a ring shift of ``per`` entries per
+    rank."""
+    calls = collections.Counter()
+    current = [0]
+    region_toward, owners = DMDA._region_toward, Layout.owners
+
+    def counted_region(self, owned, box):
+        calls["region", self.comm.rank] += 1
+        return region_toward(self, owned, box)
+
+    def counted_owners(self, idx):
+        calls["owners", current[0]] += np.size(idx)
+        return owners(self, idx)
+
+    monkeypatch.setattr(DMDA, "_region_toward", counted_region)
+    monkeypatch.setattr(Layout, "owners", counted_owners)
+    src = np.arange(nprocs * per)
+    dst = (src + per) % src.size
+
+    def main(comm):
+        MGSolver(DMDA(comm, (32, 32, 32)), nlevels=3)
+        lay = Layout(comm.size, src.size)
+        current[0] = comm.rank  # from_index_sets does not yield
+        VecScatter.from_index_sets(comm, lay, GeneralIS(src), lay, GeneralIS(dst))
+        yield from comm.barrier()
+
+    Cluster(nprocs, config=MPIConfig.optimized()).run(main)
+    monkeypatch.undo()
+    return {kind: [calls[kind, r] for r in range(nprocs)]
+            for kind in ("region", "owners")}
+
+
+@pytest.mark.parametrize("nprocs", (8, 64))
+def test_per_rank_setup_work_does_not_grow_with_nprocs(nprocs, monkeypatch):
+    """A rank derives only the part of a pattern it takes part in.  Each of
+    the three levels' star ghost exchanges meets at most 6 peers each way,
+    and each of the four MG box gathers at most the 27 process-grid
+    neighbourhood each way, whatever the rank count; and from_index_sets
+    looks up owners only for the entries a rank sends or receives."""
+    per = 64
+    work = _setup_work(nprocs, per, monkeypatch)
+    assert max(work["region"]) <= 3 * 2 * 6 + 4 * 2 * 27
+    assert work["owners"] == [2 * per] * nprocs
 
 
 if __name__ == "__main__":

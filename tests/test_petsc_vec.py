@@ -33,6 +33,25 @@ def test_layout_explicit_sizes():
         Layout(3, 10, [5, 5, 5])
 
 
+@pytest.mark.parametrize("args", [(0, 4), (-1, 4), (3, 4, [3, -1, 2])])
+def test_layout_rejects_no_ranks_and_negative_local_sizes(args):
+    # a negative size would make the ownership ranges overlap: [3, -1, 2]
+    # gives starts [0, 3, 2, 4], so ranks 0 and 2 would both hold index 2
+    with pytest.raises(PETScError):
+        Layout(*args)
+
+
+def test_layout_owned_mask_and_group_by_owner():
+    lay = Layout(4, 10, [3, 0, 4, 3])
+    idx = np.array([9, 0, 5, 3, 2, 7])
+    assert lay.owned_mask(idx, 0).tolist() == [False, True, False, False, True, False]
+    assert not lay.owned_mask(idx, 1).any()
+    groups = [(peer, sel.tolist())
+              for peer, sel in lay.group_by_owner(idx, np.array([0, 2, 3, 5]))]
+    assert groups == [(2, [2, 3]), (3, [0, 5])]
+    assert list(lay.group_by_owner(idx, np.array([], dtype=np.int64))) == []
+
+
 def test_layout_owners_vectorised():
     lay = Layout(4, 100)
     owners = lay.owners(np.array([0, 24, 25, 99]))
