@@ -49,6 +49,7 @@ from repro.datatypes.engine import (
     DualContextEngine,
     PackStage,
     SingleContextEngine,
+    copy_seconds,
     engine_for,
 )
 
@@ -76,6 +77,7 @@ __all__ = [
     "Subarray",
     "TypedBuffer",
     "Vector",
+    "copy_seconds",
     "engine_for",
     "ir",
 ]

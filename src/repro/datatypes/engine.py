@@ -33,7 +33,7 @@ stays small even when simulated search time is quadratic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.datatypes.flatten import BlockList
 from repro.util.costmodel import CostModel
@@ -166,13 +166,20 @@ def engine_for(typed, cost: CostModel, dual_context: bool) -> _EngineBase:
     return engine
 
 
-def unpack_stage_cost(nbytes: int, nblocks: int, cost: CostModel, contiguous: bool) -> float:
-    """Receiver-side CPU cost of scattering one chunk into a typed layout.
+def copy_seconds(typed, cost: CostModel, nbytes: Optional[int] = None) -> float:
+    """Nominal CPU seconds of one copy loop over the first ``nbytes`` packed
+    bytes (default: all) of a
+    :class:`~repro.datatypes.packing.TypedBuffer`'s layout: every byte pays
+    ``copy_byte`` and every merged block those bytes touch pays
+    ``block_overhead``.
 
-    Receivers keep a single monotone context (no density decision, hence no
-    look-ahead and no lost context) in both MPI configurations, so the cost
-    is the same for baseline and optimised runs.
+    The price of a receive-side unpack, an RMA target scatter and an
+    explicit ``MPI_Pack``/``MPI_Unpack``.  A receiver keeps a single
+    monotone context (no density decision, hence no look-ahead and no lost
+    context), so the price is the same under both MPI configurations.
     """
-    if contiguous:
+    n = typed.nbytes if nbytes is None else nbytes
+    if n == 0:
         return 0.0
-    return nbytes * cost.copy_byte + nblocks * cost.block_overhead
+    first, last = typed.blocks.blocks_in_range(0, n)
+    return n * cost.copy_byte + (last - first) * cost.block_overhead

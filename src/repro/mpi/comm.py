@@ -33,7 +33,7 @@ from typing import Any, Callable, Generator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.datatypes.engine import engine_for, unpack_stage_cost
+from repro.datatypes.engine import copy_seconds, engine_for
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import Datatype, primitive_for, sig_crc
 from repro.mpi.config import MPIConfig
@@ -137,6 +137,35 @@ def as_typed(
             )
         count = room // datatype.extent
     return TypedBuffer(arr, datatype, count=count, offset_bytes=offset_bytes)
+
+
+def timed_pack(prof: Any, tb: TypedBuffer) -> np.ndarray:
+    """``tb``'s payload, packed by its copy program.  With a profiler
+    attached the move is one ``repro_datatype_pack_exec_seconds`` sample
+    and adds the program's ops to ``repro_datatype_pack_ops_total``."""
+    if not prof.enabled:
+        return tb.pack()
+    t0 = perf_counter()
+    data = tb.pack()
+    _observe_move(prof, tb, perf_counter() - t0)
+    return data
+
+
+def timed_unpack(prof: Any, tb: TypedBuffer, data: np.ndarray) -> None:
+    """Scatter packed ``data`` into ``tb``'s layout, profiled like
+    :func:`timed_pack`."""
+    if not prof.enabled:
+        tb.unpack(data)
+        return
+    t0 = perf_counter()
+    tb.unpack(data)
+    _observe_move(prof, tb, perf_counter() - t0)
+
+
+def _observe_move(prof: Any, tb: TypedBuffer, seconds: float) -> None:
+    prof.observe("repro_datatype_pack_exec_seconds", seconds)
+    if tb.plan is not None:
+        prof.count("repro_datatype_pack_ops_total", tb.plan.program.num_ops)
 
 
 class _SendRecord:
@@ -351,6 +380,25 @@ class Cluster:
             else:
                 results.append(proc.result)
         return results
+
+    def cpu(self, grank: int, seconds: float, category: str = "compute",
+            name: Optional[str] = None, lane: str = "main",
+            **attrs: Any) -> Generator:
+        """Charge ``seconds`` of nominal CPU work on cluster rank ``grank``:
+        scaled by the rank's speed and jitter, booked in its ledger under
+        ``category``, and spent inside a ``cpu`` span named ``name`` (the
+        category by default) on ``lane``.  Background processes (delivery
+        unpack, RMA) charge on the ``io`` lane, so the rank's main track
+        never holds two spans at once."""
+        scaled = self.net.cpu_seconds(grank, seconds)
+        self.ledgers[grank].charge(category, scaled)
+        prof = self.profiler
+        if not prof.enabled:
+            # the hottest charge in the stack: skip building span arguments
+            yield Delay(scaled)
+            return
+        with prof.span("cpu", name or category, grank, lane=lane, **attrs):
+            yield Delay(scaled)
 
     def ledger_total(self, category: str) -> float:
         return sum(ledger.get(category) for ledger in self.ledgers)
@@ -588,7 +636,6 @@ class Comm:
         self.cost = cluster.cost
         self.net = cluster.net
         self.engine = cluster.engine
-        self.ledger = cluster.ledgers[self.grank]
         self._ctx_seq = 0
 
     def _to_global(self, rank: int) -> int:
@@ -699,13 +746,10 @@ class Comm:
 
     def cpu(self, seconds: float, category: str = "compute") -> Generator:
         """Charge ``seconds`` of nominal CPU work on this rank."""
-        scaled = self.net.cpu_seconds(self.grank, seconds)
-        self.ledger.charge(category, scaled)
-        with self.cluster.profiler.span("cpu", category, self.grank):
-            yield Delay(scaled)
+        yield from self.cluster.cpu(self.grank, seconds, category)
 
     def compute(self, seconds: float) -> Generator:
-        yield from self.cpu(seconds, "compute")
+        yield from self.cluster.cpu(self.grank, seconds)
 
     # -- point-to-point --------------------------------------------------------
 
@@ -756,16 +800,7 @@ class Comm:
                     if seconds:
                         yield from self.cpu(seconds, category)
 
-            if prof.enabled:
-                t0 = perf_counter()
-                data = tb.pack()
-                prof.observe("repro_datatype_pack_exec_seconds",
-                             perf_counter() - t0)
-                if tb.plan is not None:
-                    prof.count("repro_datatype_pack_ops_total",
-                               tb.plan.program.num_ops)
-            else:
-                data = tb.pack()
+            data = timed_pack(prof, tb)
             rec = _SendRecord(self.engine, self.grank, self._to_global(dest),
                               tag, self.ctx, data, nbytes, is_obj=False,
                               sig=tb.signature(), msg_id=msg_id)
@@ -1017,7 +1052,6 @@ class Comm:
         """Receiver side of a delivery whose payload reached ``rec.dst``:
         wait for the match, charge the unpack, move the bytes, resolve the
         receive future.  Shared by both transports."""
-        cost = self.cost
         prof = self.cluster.profiler
         if not rec.match_fut.done:
             yield rec.match_fut
@@ -1039,32 +1073,22 @@ class Comm:
         # overlap the receiver's own flow (and each other)
         tb = rrec.tb
         if rec.nbytes > 0 and not tb.is_contiguous():
-            first, last = tb.blocks.blocks_in_range(0, rec.nbytes)
-            seconds = unpack_stage_cost(rec.nbytes, last - first, cost, contiguous=False)
-            scaled = self.net.cpu_seconds(rec.dst, seconds)
-            self.cluster.ledgers[rec.dst].charge("pack", scaled)
             if prof.enabled:
                 prof.count("repro_unpack_bytes_total", rec.nbytes)
-            with prof.span("cpu", "unpack", rec.dst, lane="io",
-                           src=rec.src, nbytes=rec.nbytes,
-                           msg_id=rec.msg_id):
-                yield Delay(scaled)
+            yield from self.cluster.cpu(
+                rec.dst, copy_seconds(tb, self.cost, rec.nbytes), "pack",
+                name="unpack", lane="io", src=rec.src, nbytes=rec.nbytes,
+                msg_id=rec.msg_id)
 
         # functional delivery
         if rec.nbytes == tb.nbytes:
-            if prof.enabled:
-                t0 = perf_counter()
-                tb.unpack(rec.data)
-                prof.observe("repro_datatype_pack_exec_seconds",
-                             perf_counter() - t0)
-            else:
-                tb.unpack(rec.data)
+            timed_unpack(prof, tb, rec.data)
         elif rec.nbytes > 0:
             # a shorter message (MPI allows it) fills the layout's prefix;
             # the rest of the receive buffer keeps its bytes
-            staged = tb.pack()
+            staged = timed_pack(prof, tb)
             staged[:rec.nbytes] = np.ascontiguousarray(rec.data).reshape(-1).view(np.uint8)
-            tb.unpack(staged)
+            timed_unpack(prof, tb, staged)
         if not rrec.future.done:
             rrec.future.set_result(
                 Status(rrec.comm._to_local(rec.src), rec.tag, rec.nbytes)

@@ -42,7 +42,7 @@ class _SimFileSystem:
 
     def __init__(self, cluster):
         self.files: Dict[str, np.ndarray] = {}
-        self.server = Resource(cluster.engine, 1, "fs-server")
+        self.server = Resource(cluster.engine, "fs-server")
         self.ops = 0
         self.bytes_moved = 0
 

@@ -21,27 +21,13 @@ same cached plan (and gather indices) the direct-send path uses.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Generator, Optional
 
 import numpy as np
 
+from repro.datatypes.engine import copy_seconds
 from repro.datatypes.typemap import Datatype
-from repro.mpi.comm import Comm, MPIError, as_typed
-
-
-def _timed_move(comm: Comm, tb, move) -> None:
-    """Run ``move`` (a pack/unpack closure), attributing wall time and op
-    counts to the profiler when one is attached."""
-    prof = comm.cluster.profiler
-    if not prof.enabled:
-        move()
-        return
-    t0 = perf_counter()
-    move()
-    prof.observe("repro_datatype_pack_exec_seconds", perf_counter() - t0)
-    if tb.plan is not None:
-        prof.count("repro_datatype_pack_ops_total", tb.plan.program.num_ops)
+from repro.mpi.comm import Comm, MPIError, as_typed, timed_pack, timed_unpack
 
 __all__ = ["pack_size", "mpi_pack", "mpi_unpack"]
 
@@ -70,14 +56,8 @@ def mpi_pack(
             f"outbuf overflow: position {position} + payload {tb.nbytes} "
             f"exceeds {out.size} bytes"
         )
-    def _move() -> None:
-        out[position:position + tb.nbytes] = tb.pack()
-
-    _timed_move(comm, tb, _move)
-    yield from comm.cpu(
-        tb.nbytes * comm.cost.copy_byte + tb.num_blocks * comm.cost.block_overhead,
-        "pack",
-    )
+    out[position:position + tb.nbytes] = timed_pack(comm.cluster.profiler, tb)
+    yield from comm.cpu(copy_seconds(tb, comm.cost), "pack")
     return position + tb.nbytes
 
 
@@ -98,10 +78,6 @@ def mpi_unpack(
             f"inbuf underflow: position {position} + payload {tb.nbytes} "
             f"exceeds {src.size} bytes"
         )
-    _timed_move(comm, tb,
-                lambda: tb.unpack(src[position:position + tb.nbytes]))
-    yield from comm.cpu(
-        tb.nbytes * comm.cost.copy_byte + tb.num_blocks * comm.cost.block_overhead,
-        "pack",
-    )
+    timed_unpack(comm.cluster.profiler, tb, src[position:position + tb.nbytes])
+    yield from comm.cpu(copy_seconds(tb, comm.cost), "pack")
     return position + tb.nbytes

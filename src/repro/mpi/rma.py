@@ -27,9 +27,9 @@ from typing import Generator, List, Optional
 
 import numpy as np
 
-from repro.datatypes.engine import engine_for, unpack_stage_cost
+from repro.datatypes.engine import copy_seconds, engine_for
 from repro.datatypes.packing import TypedBuffer
-from repro.mpi.comm import Comm, MPIError, as_typed
+from repro.mpi.comm import Comm, MPIError, as_typed, timed_pack, timed_unpack
 from repro.simtime.engine import Delay, SimProcess
 from repro.simtime.resources import Resource
 
@@ -70,7 +70,7 @@ class Win:
             key,
             {
                 "arrays": [None] * comm.size,
-                "locks": [Resource(comm.engine, 1, f"winlock{key}-{r}")
+                "locks": [Resource(comm.engine, f"winlock{key}-{r}")
                           for r in range(comm.size)],
             },
         )
@@ -114,7 +114,7 @@ class Win:
                 f"put size mismatch: origin {origin_tb.nbytes} B, "
                 f"target {target_tb.nbytes} B"
             )
-        data = origin_tb.pack()
+        data = timed_pack(self.comm.cluster.profiler, origin_tb)
         proc = self.comm.engine.spawn(
             self._do_put(data, origin_tb, target_tb, target_rank, method),
             f"rma-put->{target_rank}",
@@ -123,7 +123,9 @@ class Win:
         yield Delay(0.0)
 
     def _do_put(self, data, origin_tb, target_tb, target_rank, method) -> Generator:
+        # a background process: every CPU charge goes on the "io" lane
         comm = self.comm
+        cluster = comm.cluster
         cost = comm.cost
         src = comm.grank
         dst = comm._to_global(target_rank)
@@ -131,18 +133,13 @@ class Win:
         if not origin_tb.is_contiguous():
             engine = engine_for(origin_tb, cost,
                                 comm.config.dual_context_engine)
-            yield from comm.cpu(engine.cpu_s, "pack")
+            yield from cluster.cpu(src, engine.cpu_s, "pack", lane="io")
         if method == "pack" or target_tb.is_contiguous():
             yield from comm.net.transfer(src, dst, target_tb.nbytes)
             if not target_tb.is_contiguous():
                 # host-assisted: the TARGET CPU scatters the data
-                first, last = target_tb.blocks.blocks_in_range(0, target_tb.nbytes)
-                seconds = unpack_stage_cost(
-                    target_tb.nbytes, last - first, cost, contiguous=False
-                )
-                scaled = comm.net.cpu_seconds(dst, seconds)
-                comm.cluster.ledgers[dst].charge("pack", scaled)
-                yield Delay(scaled)
+                yield from cluster.cpu(dst, copy_seconds(target_tb, cost),
+                                       "pack", name="unpack", lane="io")
         else:
             # zero-copy: one RDMA op per contiguous target block, each
             # paying the (cheaper) RDMA initiation instead of full alpha
@@ -151,7 +148,7 @@ class Win:
                 yield from comm.net.transfer(
                     src, dst, int(length), latency=cost.rdma_alpha
                 )
-        target_tb.unpack(data)
+        timed_unpack(cluster.profiler, target_tb, data)
 
     def get(
         self,
@@ -180,18 +177,15 @@ class Win:
 
     def _do_get(self, origin_tb, target_tb, target_rank) -> Generator:
         comm = self.comm
+        prof = comm.cluster.profiler
         src = comm._to_global(target_rank)  # data flows target -> origin
         dst = comm.grank
         yield from comm.net.transfer(src, dst, target_tb.nbytes)
-        data = target_tb.pack()
+        data = timed_pack(prof, target_tb)
         if not origin_tb.is_contiguous():
-            first, last = origin_tb.blocks.blocks_in_range(0, origin_tb.nbytes)
-            yield from comm.cpu(
-                unpack_stage_cost(origin_tb.nbytes, last - first, comm.cost,
-                                  contiguous=False),
-                "pack",
-            )
-        origin_tb.unpack(data)
+            yield from comm.cluster.cpu(dst, copy_seconds(origin_tb, comm.cost),
+                                        "pack", name="unpack", lane="io")
+        timed_unpack(prof, origin_tb, data)
 
     def accumulate(
         self,
@@ -209,7 +203,7 @@ class Win:
         )
         if origin_tb.nbytes != target_tb.nbytes:
             raise MPIError("accumulate size mismatch")
-        data = origin_tb.pack()
+        data = timed_pack(self.comm.cluster.profiler, origin_tb)
         proc = self.comm.engine.spawn(
             self._do_accumulate(data, target_tb, target_rank),
             f"rma-acc->{target_rank}",
@@ -219,20 +213,19 @@ class Win:
 
     def _do_accumulate(self, data, target_tb, target_rank) -> Generator:
         comm = self.comm
+        cluster = comm.cluster
         dst = comm._to_global(target_rank)
         lock = self._locks[target_rank]
         yield from lock.acquire()
         try:
             yield from comm.net.transfer(comm.grank, dst, target_tb.nbytes)
-            current = target_tb.pack()
+            current = timed_pack(cluster.profiler, target_tb)
             summed = (
                 current.view(np.float64) + np.asarray(data).view(np.float64)
             )
-            target_tb.unpack(summed.view(np.uint8))
-            seconds = target_tb.nbytes * comm.cost.copy_byte
-            scaled = comm.net.cpu_seconds(dst, seconds)
-            comm.cluster.ledgers[dst].charge("compute", scaled)
-            yield Delay(scaled)
+            timed_unpack(cluster.profiler, target_tb, summed.view(np.uint8))
+            yield from cluster.cpu(dst, target_tb.nbytes * comm.cost.copy_byte,
+                                   lane="io")
         finally:
             lock.release()
 

@@ -18,11 +18,14 @@ Attach it *before* running the cluster::
     rows = prof.breakdown()                       # Fig. 13-style attribution
     write_chrome_trace("trace.json", prof)        # chrome://tracing
 
-Instrumented code never checks whether profiling is on: every cluster
-carries a profiler attribute that defaults to :data:`NULL_PROFILER`, whose
-operations are no-ops, so the disabled-by-default overhead is a handful of
+Every cluster carries a profiler attribute that defaults to
+:data:`NULL_PROFILER`, whose operations are no-ops, so a plain span or
+count needs no guard and the disabled-by-default overhead is a handful of
 attribute lookups per instrumented call (~0.3 us per span+count pair; an
 *attached* profiler costs 40-60 % host time, see docs/OBSERVABILITY.md).
+Call sites test ``profiler.enabled`` only to skip work done for the
+profiler alone: reading the wall clock, building span attributes, or
+counting what a plain run never looks at.
 
 Profiling for a whole process (every cluster constructed anywhere, e.g.
 inside ``repro.bench`` figure sweeps) is switched on through

@@ -200,12 +200,12 @@ class NetworkModel:
             if send_port._in_use:
                 yield from send_port.acquire()
             else:
-                send_port._in_use = 1
+                send_port._in_use = True
             try:
                 if recv_port._in_use:
                     yield from recv_port.acquire()
                 else:
-                    recv_port._in_use = 1
+                    recv_port._in_use = True
                 try:
                     yield Delay(duration)
                     send_port.busy_time += duration

@@ -17,40 +17,37 @@ from repro.simtime.engine import Delay, Engine, SimFuture, SimulationError
 
 
 class Resource:
-    """A counted FIFO resource (like a semaphore with fair queueing).
+    """A mutex with fair (FIFO) queueing.
 
-    ``yield from res.acquire()`` blocks until a slot is free;
+    ``yield from res.acquire()`` blocks until the resource is free;
     ``res.release()`` frees it.  Prefer :meth:`use` which pairs the two
     around a timed hold.
     """
 
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, engine: Engine, name: str = ""):
         self.engine = engine
-        self.capacity = capacity
         self.name = name
-        self._in_use = 0
+        self._in_use = False
         self._waiters: Deque[SimFuture] = deque()
 
     def acquire(self) -> Generator:
-        if self._in_use < self.capacity:
-            self._in_use += 1
+        if not self._in_use:
+            self._in_use = True
             return
             yield  # pragma: no cover - makes this a generator
         fut = self.engine.future(f"acquire({self.name})")
         self._waiters.append(fut)
         yield fut
-        # ownership transferred by release(); _in_use already counted
+        # ownership transferred by release(); _in_use stays set
 
     def release(self) -> None:
-        if self._in_use <= 0:
+        if not self._in_use:
             raise SimulationError(f"release of idle resource {self.name!r}")
         if self._waiters:
-            # hand the slot straight to the next waiter (keeps _in_use).
+            # hand the resource straight to the next waiter (keeps _in_use).
             self._waiters.popleft().set_result(None)
         else:
-            self._in_use -= 1
+            self._in_use = False
 
     def use(self, duration: float) -> Generator:
         """Acquire, hold for ``duration`` sim-seconds, release."""
@@ -62,20 +59,13 @@ class Resource:
 
 
 class Port(Resource):
-    """A single-capacity resource representing one direction of a NIC.
+    """One direction of a NIC.
 
-    Tracks cumulative busy time so experiments can report link utilisation.
+    ``busy_time`` accumulates the wire time
+    :meth:`repro.simtime.network.NetworkModel.transfer` holds the port for,
+    so experiments can report link utilisation.
     """
 
     def __init__(self, engine: Engine, name: str = ""):
-        super().__init__(engine, capacity=1, name=name)
+        super().__init__(engine, name)
         self.busy_time = 0.0
-
-    def use(self, duration: float) -> Generator:
-        yield from self.acquire()
-        start = self.engine.now
-        try:
-            yield Delay(duration)
-        finally:
-            self.busy_time += self.engine.now - start
-            self.release()

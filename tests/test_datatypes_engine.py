@@ -16,7 +16,7 @@ from repro.datatypes import (
     engine_for,
     ir,
 )
-from repro.datatypes.engine import unpack_stage_cost
+from repro.datatypes.engine import copy_seconds
 from repro.datatypes.flatten import BlockList
 from repro.mpi import Cluster, MPIConfig
 from repro.prof import Profiler
@@ -132,10 +132,17 @@ def test_empty_plan_for_zero_size():
     assert len(stages) == 1 and stages[0].nbytes == 8
 
 
-def test_unpack_stage_cost():
-    assert unpack_stage_cost(1000, 10, COST, contiguous=True) == 0.0
-    expect = 1000 * COST.copy_byte + 10 * COST.block_overhead
-    assert unpack_stage_cost(1000, 10, COST, contiguous=False) == pytest.approx(expect)
+def test_copy_seconds():
+    """One copy loop: every byte pays ``copy_byte``, every merged block the
+    bytes touch pays ``block_overhead`` -- over the whole layout or a
+    prefix of it (a short message), and nothing for zero bytes."""
+    tb = TypedBuffer(np.zeros(40), Vector(10, 3, 4, DOUBLE))   # 10 x 24 B
+    assert copy_seconds(tb, COST) == (
+        240 * COST.copy_byte + 10 * COST.block_overhead)
+    assert copy_seconds(tb, COST, 50) == (
+        50 * COST.copy_byte + 3 * COST.block_overhead)
+    assert copy_seconds(tb, COST, 0) == 0.0
+    assert copy_seconds(TypedBuffer(np.zeros(4), DOUBLE, count=0), COST) == 0.0
 
 
 def test_lookahead_clipped_at_tail():

@@ -25,7 +25,7 @@ from repro.mpi import (
     RankFailedError,
     TransportError,
 )
-from repro.mpi.pack import mpi_pack
+from repro.mpi.pack import mpi_pack, mpi_unpack
 from repro.mpi.rma import Win
 from repro.prof import Profiler
 
@@ -210,6 +210,38 @@ def _offset_views(comm):
     return np.concatenate([got, packed.view(np.float64), local])
 
 
+def _data_path(comm):
+    """The typed-payload moves ``offset_views`` leaves out: a ``pack`` put
+    from and into sparse columns (origin engine, target unpack), a ``get``
+    into a sparse origin, an ``accumulate``, ``MPI_Unpack`` into a sparse
+    layout, and a short message into a sparse receive (the prefix fill)."""
+    n = 512
+    col = Vector(n, 1, 4, DOUBLE)
+    peer = 1 - comm.rank
+    local = np.arange(4.0 * n) + 1000 * comm.rank
+    win = yield from Win.create(comm, local)
+    origin = TypedBuffer(np.arange(4.0 * n) - comm.rank, col, offset_bytes=8)
+    yield from win.put(origin, peer, col, 1, method="pack")
+    yield from win.fence()
+    got = np.zeros(4 * n)
+    yield from win.get(TypedBuffer(got, col, offset_bytes=24), peer, col, 1,
+                       target_offset_bytes=8)
+    yield from win.fence()
+    yield from win.accumulate(np.full(n, 0.5), peer, col, 1,
+                              target_offset_bytes=16)
+    yield from win.fence()
+    unpacked = np.zeros(4 * n)
+    yield from mpi_unpack(comm, np.arange(float(n)) * 2, 0,
+                          TypedBuffer(unpacked, col, offset_bytes=16))
+    short = np.full(4 * n, -1.0)
+    if comm.rank == 0:
+        yield from comm.send(np.arange(n // 2, dtype=np.float64), dest=1, tag=4)
+    else:
+        status = yield from comm.recv(TypedBuffer(short, col), source=0, tag=4)
+        assert status.nbytes == 4 * n
+    return np.concatenate([local, got, unpacked, short])
+
+
 def _counts(comm):
     return [1 + 3 * (r == comm.size - 1) + r for r in range(comm.size)]
 
@@ -328,6 +360,7 @@ SCENARIOS = {
     "baseline_strided": (2, _strided, {"config": MPIConfig.baseline()}),
     "collectives": (6, _collectives, {}),
     "offset_views": (2, _offset_views, {}),
+    "data_path": (2, _data_path, {}),
     "baseline_offset_views": (2, _offset_views,
                               {"config": MPIConfig.baseline()}),
     "crash_mid_message": (3, _crash_mid_message, {
@@ -371,6 +404,9 @@ PINNED = {
     "eager": (4.3657142857142855e-06, 6, 1, 512, 1609984094, []),
     "objects": (1.2125714285714286e-05, 17, 4, 224, 1916446317, []),
     "offset_views": (0.0005416464675435553, 286, 264, 67584, 3147344861, []),
+    # recorded at 52fd388 (the parent of the one-data-path change), with
+    # and without a profiler attached
+    "data_path": (6.783803622474274e-05, 66, 15, 26624, 4251424330, []),
     "pipelined": (5.113714285714285e-05, 10, 4, 49192, 33400267, []),
     "pipelined_strided": (0.00023236026763646543, 13, 4, 65536, 2856121149, []),
     "probes": (8.05142857142857e-06, 13, 2, 72, 3975108231, []),
@@ -448,12 +484,14 @@ PINNED = {
 }
 
 
-def run_scenario(name):
+def run_scenario(name, profiled=False):
     ranks, program, kw = SCENARIOS[name]
     kw = dict(kw)
     if "fault_plan" in kw:
         kw["fault_plan"] = kw["fault_plan"]()
     cluster = Cluster(ranks, seed=3, **kw)
+    if profiled:
+        Profiler.attach(cluster)
     results = cluster.run(program, return_exceptions=True)
     failed = sorted(r for r, res in enumerate(results)
                     if isinstance(res, RankFailedError))
@@ -466,6 +504,14 @@ def run_scenario(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_matches_parent_commit(name):
     assert run_scenario(name) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", ["data_path", "offset_views",
+                                  "pipelined_strided"])
+def test_profiler_moves_no_typed_payload_differently(name):
+    """The timed pack/unpack movers only observe: a profiled run simulates
+    exactly what an unprofiled one does."""
+    assert run_scenario(name, profiled=True) == PINNED[name]
 
 
 def test_wildcard_posted_first_takes_the_first_arrival():

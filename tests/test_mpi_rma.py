@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.datatypes import DOUBLE, Vector
+from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.mpi import Cluster, MPIConfig, MPIError
 from repro.mpi.rma import Win
+from repro.prof import Profiler
 from repro.util import CostModel
 
 QUIET = CostModel(cpu_noise=0.0)
@@ -202,3 +203,37 @@ def test_two_windows_are_independent():
 
     a, b = cluster.run(main)[1]
     assert np.all(a == 1.0) and np.all(b == 2.0)
+
+
+def test_rma_cpu_charges_run_on_the_io_lane():
+    """RMA moves run in background processes, so their CPU charges open
+    ``cpu`` spans on the ``io`` lane: the rank's main track keeps its
+    one-span-at-a-time rule while the origin pack overlaps its own compute,
+    and the target-side unpack and the accumulate are on the timeline."""
+    n = 4096
+    cluster = make_cluster(2)
+    prof = Profiler.attach(cluster)
+
+    def main(comm):
+        local = np.zeros(4 * n)
+        win = yield from Win.create(comm, local)
+        if comm.rank == 0:
+            origin = TypedBuffer(np.arange(4.0 * n), Vector(n, 1, 4, DOUBLE))
+            yield from win.put(origin, 1, Vector(n, 1, 4, DOUBLE), 1,
+                               method="pack")
+            yield from comm.compute(5e-6)
+        yield from win.fence()
+        if comm.rank == 0:
+            yield from win.accumulate(np.ones(4 * n), 1)
+        yield from win.fence()
+
+    cluster.run(main)
+    cpu = [s for s in prof.tracer.spans if s.category == "cpu"]
+    for rank in (0, 1):
+        main_track = sorted((s.t_start, s.t_end) for s in cpu
+                            if s.track == (rank, "main"))
+        for (_, end), (start, _) in zip(main_track, main_track[1:]):
+            assert start >= end
+    io = {(s.rank, s.name) for s in cpu if s.track[1] == "io"}
+    assert io == {(0, "pack"), (1, "unpack"), (1, "compute")}
+    assert [s.name for s in cpu if s.track == (0, "main")] == ["compute"]

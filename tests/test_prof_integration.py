@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.apps.transpose import column_major_type
-from repro.datatypes import TypedBuffer
+from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.mpi import Cluster, MPIConfig, TruncationError
 from repro.prof import NULL_PROFILER, Profiler, validate_breakdown
 from repro.util import CostModel
@@ -334,3 +334,27 @@ def test_session_auto_attaches_and_reports():
     assert report["breakdown_valid"] is True
     # once disabled, new clusters are unprofiled again
     assert make_cluster(2).profiler is NULL_PROFILER
+
+
+def test_pack_metrics_count_the_receive_side_move():
+    """``repro_datatype_pack_ops_total`` counts the ops of every copy program
+    executed: a strided send/recv runs the send plan's pack and the receive
+    plan's unpack, and each move is one ``pack_exec_seconds`` sample."""
+    n = 256
+    cluster = make_cluster(2)
+    prof = Profiler.attach(cluster)
+    send_tb = TypedBuffer(np.arange(4.0 * n), Vector(n, 1, 4, DOUBLE))
+    recv_tb = TypedBuffer(np.zeros(3 * n), Vector(n, 1, 3, DOUBLE))
+
+    def main(comm):
+        if comm.rank == 0:
+            yield from comm.send(send_tb, dest=1)
+        else:
+            yield from comm.recv(recv_tb, source=0)
+
+    cluster.run(main)
+    assert recv_tb.buffer[::3].tolist() == send_tb.buffer[::4].tolist()
+    ops = prof.metrics.counter("repro_datatype_pack_ops_total").value()
+    assert ops == (send_tb.plan.program.num_ops
+                   + recv_tb.plan.program.num_ops)
+    assert prof.metrics.histogram("repro_datatype_pack_exec_seconds").count == 2

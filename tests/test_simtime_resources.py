@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.simtime import Delay, Engine, Port, Resource
+from repro.simtime import Delay, Engine, NetworkModel, Resource
 from repro.simtime.engine import SimulationError
+from repro.util import CostModel
 
 
 def test_resource_serialises_single_capacity():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     log = []
 
     def proc(name):
@@ -22,24 +23,9 @@ def test_resource_serialises_single_capacity():
     assert log == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
 
 
-def test_resource_capacity_two_runs_pairs():
-    eng = Engine()
-    res = Resource(eng, capacity=2)
-    log = []
-
-    def proc(name):
-        yield from res.use(1.0)
-        log.append((eng.now, name))
-
-    for n in "abcd":
-        eng.spawn(proc(n))
-    eng.run()
-    assert log == [(1.0, "a"), (1.0, "b"), (2.0, "c"), (2.0, "d")]
-
-
 def test_resource_fifo_order():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     order = []
 
     def proc(name, start_delay):
@@ -56,35 +42,36 @@ def test_resource_fifo_order():
 
 def test_release_idle_resource_is_error():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
     with pytest.raises(SimulationError):
         res.release()
 
 
-def test_resource_invalid_capacity():
-    eng = Engine()
-    with pytest.raises(ValueError):
-        Resource(eng, capacity=0)
-
-
 def test_port_tracks_busy_time():
+    """``NetworkModel.transfer`` holds the sender's send port and the
+    receiver's receive port for the wire time and books it as their busy
+    time; the gap between two transfers is not."""
     eng = Engine()
-    port = Port(eng, "p")
+    cost = CostModel()
+    net = NetworkModel(eng, 2, cost=cost)
 
     def proc():
-        yield from port.use(2.0)
+        yield from net.transfer(0, 1, 1000)
         yield Delay(3.0)
-        yield from port.use(1.0)
+        yield from net.transfer(0, 1, 10)
 
     eng.spawn(proc())
     eng.run()
-    assert port.busy_time == pytest.approx(3.0)
-    assert eng.now == pytest.approx(6.0)
+    wire = cost.transfer_time(1000) + cost.transfer_time(10)
+    assert net.send_ports[0].busy_time == pytest.approx(wire)
+    assert net.recv_ports[1].busy_time == pytest.approx(wire)
+    assert net.send_ports[1].busy_time == net.recv_ports[0].busy_time == 0.0
+    assert eng.now == pytest.approx(3.0 + wire)
 
 
 def test_resource_released_on_exception_in_use():
     eng = Engine()
-    res = Resource(eng, capacity=1)
+    res = Resource(eng)
 
     def bad():
         with pytest.raises(SimulationError):
