@@ -45,6 +45,7 @@ from repro.datatypes.typemap import (
     Contiguous,
     DOUBLE,
     Indexed,
+    Resized,
     Vector,
 )
 
@@ -152,6 +153,32 @@ def guideline_cases(scale: int = 512) -> List[GuidelineCase]:
     cases.append(GuidelineCase(
         "pack-vs-manual", f"stride-4 vector unpack ({m} doubles)",
         derived=unpack_typed, reference=unpack_sliced,
+    ))
+
+    # the Fig. 12 transpose type: one loop nest over one 8-byte run
+    transpose = Contiguous(n, Resized(Vector(n, 1, n, DOUBLE), DOUBLE.extent))
+    flipped = TypedBuffer(matrix, transpose)
+    cases.append(GuidelineCase(
+        "pack-vs-manual", f"transpose ({n}x{n} doubles)",
+        derived=flipped.pack,
+        reference=lambda: np.ascontiguousarray(matrix.T),
+    ))
+    flat = flipped.pack()
+    rows = flat.view(np.float64).reshape(n, n)
+    typed_t = TypedBuffer(np.zeros_like(matrix), transpose)
+    manual_t = np.zeros_like(matrix)
+
+    def unpack_transpose_typed() -> np.ndarray:
+        typed_t.unpack(flat)
+        return typed_t.buffer
+
+    def unpack_transpose_manual() -> np.ndarray:
+        manual_t.T[...] = rows
+        return manual_t
+
+    cases.append(GuidelineCase(
+        "pack-vs-manual", f"transpose unpack ({n}x{n} doubles)",
+        derived=unpack_transpose_typed, reference=unpack_transpose_manual,
     ))
 
     # -- guideline 2: Vector <= equivalent Indexed -------------------------

@@ -47,9 +47,10 @@ The compiler has three stages, each deterministic:
 3. **Materialisation on first use**: a plan's ``program`` is lowered
    (:func:`lower`) the first time something packs through it -- a
    :class:`CopyProgram` of bulk numpy-slice copy ops (``contig`` slice
-   copies, 2-D ``strided`` views, and a cached ``gather`` fallback for
-   irregular layouts) with every source shift and packed-stream
-   destination precomputed -- and its ``blocks`` are expanded
+   copies, one N-D ``strided`` view per loop nest over one ``Block`` whose
+   iterations are disjoint, and a cached ``gather`` fallback for irregular
+   layouts) with every source shift and packed-stream destination
+   precomputed -- and its ``blocks`` are expanded
    (:func:`to_blocklist`) the first time a cost engine or a caller of
    ``flatten()`` asks.  Both then stay on the shared plan.
 
@@ -100,8 +101,8 @@ class IRNode:
     otherwise re-derive by walking it, computed in O(1) from its children
     when it is built: ``size`` (payload bytes), ``lo``/``hi`` (the lowest
     byte one expansion touches and one past the highest), ``runs`` (raw
-    contiguous runs of one expansion), ``ops`` (python-level copy ops a
-    full expansion lowers to) and ``canon`` (set by :func:`optimize` on
+    contiguous runs of one expansion), ``ops`` (the copy ops
+    :func:`lower` emits for it) and ``canon`` (set by :func:`optimize` on
     what it has normalised, so a later sweep stops there).  Equality and
     hashing look at the defining fields only.
     """
@@ -137,11 +138,26 @@ class Block(IRNode):
         self.hi = offset + length
 
 
+#: a Loop or Seq that would lower to more than this many python ops lowers
+#: to one gather op instead
+_EXPAND_OPS_LIMIT = 96
+
+
+def _capped(ops: int) -> int:
+    return ops if ops <= _EXPAND_OPS_LIMIT else 1
+
+
 class Loop(IRNode):
-    """``count`` copies of ``child``; copy ``i`` is shifted by ``i*stride``."""
+    """``count`` copies of ``child``; copy ``i`` is shifted by ``i*stride``.
+
+    ``nest`` is ``(dims, run)`` when the loop heads a chain of loops down
+    to one ``Block`` whose iterations touch pairwise-disjoint bytes --
+    ``dims`` the chain's ``(count, stride)`` pairs, outermost first, and
+    ``run`` that Block -- and None otherwise.
+    """
 
     _fields = ("count", "stride", "child")
-    __slots__ = _fields + ("size", "lo", "hi", "runs", "ops", "canon")
+    __slots__ = _fields + ("size", "lo", "hi", "runs", "ops", "canon", "nest")
 
     def __init__(self, count: int, stride: int, child: IRNode):
         self.count, self.stride, self.child = count, stride, child
@@ -150,9 +166,36 @@ class Loop(IRNode):
         self.lo = child.lo + min(reach, 0)
         self.hi = child.hi + max(reach, 0)
         self.runs = count * child.runs
-        # a loop over one Block lowers to a single strided op
-        self.ops = 1 if child.__class__ is Block else count * child.ops
+        self.nest = _nest(count, stride, child)
+        if self.nest is not None:
+            self.ops = 1  # one N-D strided op
+        elif child.__class__ is Block:
+            self.ops = count  # overlapping runs: one copy each, in order
+        else:
+            self.ops = _capped(count * child.ops)
         self.canon = False
+
+
+def _nest(count: int, stride: int, child: IRNode):
+    """``Loop(count, stride, child)``'s ``nest`` (see :class:`Loop`).
+
+    Disjointness is checked dimension by dimension in order of stride
+    size: each stride must step past everything the smaller ones reach.
+    """
+    if child.__class__ is Block:
+        dims, run = ((count, stride),), child
+    elif child.__class__ is Loop and child.nest is not None:
+        dims, run = child.nest
+        dims = ((count, stride),) + dims
+    else:
+        return None
+    reach = run.length
+    for n, step in sorted(dims, key=lambda d: abs(d[1])):
+        if n > 1:
+            if abs(step) < reach:
+                return None
+            reach += (n - 1) * abs(step)
+    return dims, run
 
 
 class Seq(IRNode):
@@ -167,7 +210,7 @@ class Seq(IRNode):
         self.lo = min([ch.lo for ch in children])
         self.hi = max([ch.hi for ch in children])
         self.runs = sum([ch.runs for ch in children])
-        self.ops = sum([ch.ops for ch in children])
+        self.ops = _capped(sum([ch.ops for ch in children]))
         self.canon = False
 
 
@@ -434,35 +477,40 @@ _WORDS = {1: np.dtype(np.uint8), 2: np.dtype(np.uint16),
 
 
 class _StridedOp:
-    """A 2-D strided copy: ``count`` runs of ``blen`` bytes every ``stride``.
+    """An N-D strided copy: a loop nest over one run of ``blen`` bytes.
 
-    Lowered from ``Loop(count, stride, Block)``.  Both sides of the copy are
-    ``(count, blen // word)`` views in the widest machine word dividing
-    ``stride`` and ``blen`` -- numpy moves words, not bytes, and copies
-    through a view whose base address is not word-aligned correctly.
+    Lowered from a :class:`Loop` ``nest``: the shape is the loop counts,
+    outermost first, plus the run length in words, and the buffer-side
+    strides are the loop strides plus the word size; the packed side is
+    C-contiguous in the same shape.  Words are the widest machine word
+    dividing every stride and ``blen`` -- numpy moves words, not bytes, and
+    copies through a view whose base address is not word-aligned correctly.
+    The nest's iterations are disjoint, so numpy may walk it in any order.
     """
 
-    __slots__ = ("src", "dst", "stride", "blen", "shape", "word")
+    __slots__ = ("src", "dst", "shape", "strides", "word")
     kind = "strided"
 
-    def __init__(self, src: int, dst: int, count: int, stride: int, blen: int):
+    def __init__(self, src: int, dst: int, dims, blen: int):
         self.src, self.dst = src, dst
-        self.stride, self.blen = stride, blen
-        width = math.gcd(8, stride, blen)
+        width = math.gcd(8, blen, *[step for _, step in dims])
         self.word = _WORDS[width]
-        self.shape = (count, blen // width)
+        self.shape = tuple([n for n, _ in dims]) + (blen // width,)
+        self.strides = tuple([step for _, step in dims]) + (width,)
 
-    def _view(self, bts: np.ndarray, start: int, row_stride: int) -> np.ndarray:
-        return np.ndarray(self.shape, self.word, bts, start,
-                          (row_stride, self.word.itemsize))
+    def _views(self, bts: np.ndarray, base: int, packed: np.ndarray):
+        """``(buffer-side view, packed-side view)``."""
+        return (np.ndarray(self.shape, self.word, bts, base + self.src,
+                           self.strides),
+                np.ndarray(self.shape, self.word, packed, self.dst))
 
     def pack(self, bts: np.ndarray, base: int, out: np.ndarray) -> None:
-        self._view(out, self.dst, self.blen)[...] = self._view(
-            bts, base + self.src, self.stride)
+        strided, packed = self._views(bts, base, out)
+        packed[...] = strided
 
     def unpack(self, bts: np.ndarray, base: int, data: np.ndarray) -> None:
-        self._view(bts, base + self.src, self.stride)[...] = self._view(
-            data, self.dst, self.blen)
+        strided, packed = self._views(bts, base, data)
+        strided[...] = packed
 
 
 class _GatherOp:
@@ -545,18 +593,23 @@ class CopyProgram:
             op.unpack(bts, base, data)
 
 
-#: expanding loops stops once a subtree would exceed this many python ops
-#: (every node's ``ops`` is that count, carried from its construction)
-_EXPAND_OPS_LIMIT = 96
+def _gather(node: IRNode, shift: int, dst: int, ops: List[Any]) -> int:
+    """Append one gather op for the whole of ``node``; returns next dst."""
+    offs, lens = merge_runs(*_expand(node))
+    ops.append(_GatherOp(offs + shift, lens, dst))
+    return dst + node.size
 
 
 def _emit(node: IRNode, shift: int, dst: int, ops: List[Any]) -> int:
-    """Append ops for ``node`` displaced by ``shift``; returns next dst."""
+    """Append ops for ``node`` displaced by ``shift``; returns next dst.
+    Emits exactly ``node.ops`` ops."""
     cls = node.__class__
     if cls is Block:
         ops.append(_ContigOp(shift + node.offset, dst, node.length))
         return dst + node.length
     if cls is Seq:
+        if sum([ch.ops for ch in node.children]) > _EXPAND_OPS_LIMIT:
+            return _gather(node, shift, dst, ops)
         for ch in node.children:
             dst = _emit(ch, shift, dst, ops)
         return dst
@@ -570,34 +623,25 @@ def _emit(node: IRNode, shift: int, dst: int, ops: List[Any]) -> int:
         return dst + node.size
     if cls is not Loop:
         raise TypeError(cls.__name__)
-    child = node.child
-    if child.__class__ is Block:
-        if node.stride > child.length:
-            ops.append(_StridedOp(shift + child.offset, dst,
-                                  node.count, node.stride, child.length))
-            return dst + node.size
-        if node.stride == child.length:
-            ops.append(_ContigOp(shift + child.offset, dst, node.size))
-            return dst + node.size
-        # overlapping hand-built loop: falls through to exact sequential
-        # order, one op per iteration
-    elif node.ops > _EXPAND_OPS_LIMIT:
-        # too many python ops: gather the whole subtree through one index
-        offs, lens = merge_runs(*_expand(node))
-        ops.append(_GatherOp(offs + shift, lens, dst))
+    if node.nest is not None:
+        dims, run = node.nest
+        ops.append(_StridedOp(shift + run.offset, dst, dims, run.length))
         return dst + node.size
+    child = node.child
+    if (child.__class__ is not Block
+            and node.count * child.ops > _EXPAND_OPS_LIMIT):
+        return _gather(node, shift, dst, ops)
+    # a small loop, or overlapping runs of one Block: one iteration at a
+    # time, in order
     for i in range(node.count):
         dst = _emit(child, shift + i * node.stride, dst, ops)
     return dst
 
 
 def lower(node: IRNode) -> CopyProgram:
-    """Lower optimized IR to a bulk-copy program."""
+    """Lower optimized IR to a bulk-copy program of ``node.ops`` ops."""
     ops: List[Any] = []
-    if node.ops > _EXPAND_OPS_LIMIT:
-        ops.append(_GatherOp(*merge_runs(*_expand(node)), 0))
-    else:
-        _emit(node, 0, 0, ops)
+    _emit(node, 0, 0, ops)
     return CopyProgram(ops, node.size)
 
 

@@ -8,8 +8,8 @@ so every simulated experiment doubles as a data-correctness test.
 
 Data movement executes the :class:`repro.datatypes.ir.CopyProgram` compiled
 (and memoized process-wide) for the buffer's ``(datatype, count)`` structure:
-bulk slice copies and 2-D strided views for regular layouts, one cached
-gather index for irregular ones.  That plan is also the buffer's only source
+bulk slice copies and one N-D strided view per disjoint loop nest for
+regular layouts, one cached gather index for irregular ones.  That plan is also the buffer's only source
 of layout, bounds and signature; the test-suite checks the bytes it moves
 against the typemap enumerated from the MPI definitions
 (``tests/_dtype_oracle.py``).

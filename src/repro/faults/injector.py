@@ -3,10 +3,11 @@
 Interception points (no application or algorithm code changes):
 
 - **wire faults** -- :meth:`NetworkModel.transfer` consults
-  :meth:`FaultInjector.on_wire` once per transfer attempt when
+  :meth:`FaultInjector.on_wire` once per wire chunk when
   ``net.fault_injector`` is set.  Timing faults (delay spike, NIC
-  degradation) are applied by the network model itself; the verdict,
-  a :class:`repro.simtime.network.WireFault`, is what ``transfer``
+  degradation) are applied by the network model itself; the verdicts,
+  OR-ed over a message's chunks into one
+  :class:`repro.simtime.network.WireFault`, are what ``transfer``
   returns, and ``Comm._deliver`` in :mod:`repro.mpi.comm` *interprets* its
   ``drop`` / ``corrupt``: the best-effort transport loses a spoiled
   message (nothing checks what arrives), the reliable transport
@@ -114,7 +115,7 @@ class FaultInjector:
 
     def on_wire(self, src: int, dst: int, nbytes: int, tag: int,
                 now: float) -> WireFault:
-        """Verdict for one transfer attempt (called by the network model)."""
+        """Verdict for one wire chunk (called by the network model)."""
         # operation-count rank faults: counted on the initiating side
         if self._pending_op_faults:
             n = self._ops.get(src, 0) + 1

@@ -951,12 +951,12 @@ class Comm:
         per message, either transport).
 
         A rendezvous payload waits for the match first.  An attempt puts
-        the payload on the wire once -- in pipeline chunks when it is a
-        large packed one -- and ORs the injector's verdicts over the
-        chunks: one lost or corrupted chunk spoils the message.  The
-        best-effort transport makes one attempt and checks nothing, so a
-        spoiled message is lost (the send completes, the receive never
-        does).  Under ``reliable_transport`` the verdict stands in for the
+        the payload on the wire with one :meth:`NetworkModel.transfer` --
+        in pipeline chunks when it is a packed one -- which ORs the
+        injector's verdicts over the chunks: one lost or corrupted chunk
+        spoils the message.  The best-effort transport makes one attempt
+        and checks nothing, so a spoiled message is lost (the send
+        completes, the receive never does).  Under ``reliable_transport`` the verdict stands in for the
         receiver's checksum: a clean arrival is acked by a zero-byte
         message riding the same faulty wire, and the sender retransmits on
         an :meth:`Engine.timeout` timer with capped exponential backoff
@@ -988,7 +988,7 @@ class Comm:
 
             start = engine.now
             sig_meta = self._wire_sig(rec)
-            step = rec.nbytes if rec.is_obj else self.cost.pipeline_chunk
+            chunk = None if rec.is_obj else self.cost.pipeline_chunk
             timeout = RETRANSMIT_TIMEOUT
             attempts = 0
             while True:
@@ -1000,24 +1000,15 @@ class Comm:
                         self._fail_send(rec, RankFailedError(
                             rec.dst, "destination failed during delivery"))
                         return
-                dropped = corrupted = False
-                pos = 0
-                while True:
-                    chunk = min(step, rec.nbytes - pos)
-                    fault = yield from self.net.transfer(
-                        rec.src, rec.dst, chunk, tag=rec.tag, sig=sig_meta,
-                        msg_id=rec.msg_id)
-                    dropped |= fault.drop
-                    corrupted |= fault.corrupt
-                    pos += chunk
-                    if pos >= rec.nbytes:
-                        break
+                fault = yield from self.net.transfer(
+                    rec.src, rec.dst, rec.nbytes, tag=rec.tag, sig=sig_meta,
+                    msg_id=rec.msg_id, chunk=chunk)
                 if not reliable:
                     break
-                if (dropped or rec.dst in cluster.failed_ranks
+                if (fault.drop or rec.dst in cluster.failed_ranks
                         or rec.dst in cluster.hung_ranks):
                     pass  # lost on the wire (or nobody home); await the timer
-                elif corrupted:
+                elif fault.corrupt:
                     if prof.enabled:
                         prof.count("repro_checksum_failures_total")
                 else:
@@ -1035,7 +1026,7 @@ class Comm:
             cluster.ledgers[rec.src].charge("comm", engine.now - start)
             if rendezvous and not rec.sent_fut.done:
                 rec.sent_fut.set_result(None)
-            if not (dropped or corrupted):
+            if not (fault.drop or fault.corrupt):
                 yield from self._finish_delivery(rec)
         except (FaultToleranceError, TruncationError):
             pass

@@ -81,6 +81,8 @@ class Win:
     # -- data movement ------------------------------------------------------------
 
     def _target_tb(self, target_rank: int, datatype, count, offset_bytes) -> TypedBuffer:
+        if not 0 <= target_rank < self.comm.size:
+            raise MPIError(f"invalid target rank {target_rank}")
         target_arr = self._exposed[target_rank]
         if target_arr is None:
             raise MPIError(f"rank {target_rank} exposed no array")
@@ -103,8 +105,6 @@ class Win:
         """
         if method not in ("pack", "multi_rdma"):
             raise MPIError(f"unknown RMA method {method!r}")
-        if not 0 <= target_rank < self.comm.size:
-            raise MPIError(f"invalid target rank {target_rank}")
         origin_tb = as_typed(origin)
         target_tb = self._target_tb(
             target_rank, target_datatype, target_count, target_offset_bytes
@@ -160,8 +160,6 @@ class Win:
     ) -> Generator:
         """Read the target's exposed data into the origin buffer
         (completes at the next fence/unlock)."""
-        if not 0 <= target_rank < self.comm.size:
-            raise MPIError(f"invalid target rank {target_rank}")
         origin_tb = as_typed(origin)
         target_tb = self._target_tb(
             target_rank, target_datatype, target_count, target_offset_bytes
@@ -219,10 +217,10 @@ class Win:
         yield from lock.acquire()
         try:
             yield from comm.net.transfer(comm.grank, dst, target_tb.nbytes)
+            # MPI_SUM in the element type of the exposed array
+            elem = target_tb.buffer.dtype
             current = timed_pack(cluster.profiler, target_tb)
-            summed = (
-                current.view(np.float64) + np.asarray(data).view(np.float64)
-            )
+            summed = current.view(elem) + data.view(elem)
             timed_unpack(cluster.profiler, target_tb, summed.view(np.uint8))
             yield from cluster.cpu(dst, target_tb.nbytes * comm.cost.copy_byte,
                                    lane="io")

@@ -33,14 +33,14 @@ CLUSTER_NODES = 32
 
 @dataclass(frozen=True)
 class WireFault:
-    """Verdict of a fault injector for ONE wire transfer attempt.
+    """Verdict of a fault injector for ONE wire chunk.
 
-    Produced by :meth:`repro.faults.injector.FaultInjector.on_wire` and
-    returned by :meth:`NetworkModel.transfer`, which applies the timing
-    effects itself (``delay`` spike, ``scale`` NIC degradation).  The
-    payload effects (``drop``, ``corrupt``) are read by ``Comm._deliver``
-    in :mod:`repro.mpi.comm`: they lose a best-effort message and cost a
-    reliable one a retransmission.
+    Produced by :meth:`repro.faults.injector.FaultInjector.on_wire`.
+    :meth:`NetworkModel.transfer` applies the timing effects itself
+    (``delay`` spike, ``scale`` NIC degradation) and returns the payload
+    effects (``drop``, ``corrupt``) OR-ed over a message's chunks; they
+    are read by ``Comm._deliver`` in :mod:`repro.mpi.comm`: they lose a
+    best-effort message and cost a reliable one a retransmission.
     """
 
     drop: bool = False
@@ -150,73 +150,94 @@ class NetworkModel:
     def transfer(self, src: int, dst: int, nbytes: int,
                  latency: Optional[float] = None,
                  tag: int = -1, sig: Optional[int] = None,
-                 msg_id: Optional[int] = None) -> Generator:
-        """Yieldable: move ``nbytes`` from ``src`` to ``dst``.
+                 msg_id: Optional[int] = None,
+                 chunk: Optional[int] = None) -> Generator:
+        """Yieldable: move ``nbytes`` from ``src`` to ``dst``, in pipeline
+        chunks of ``chunk`` bytes (the last one shorter) when given.
 
-        Holds the sender's send port and the receiver's receive port for the
-        whole wire time, which serialises concurrent messages through a node
-        -- the mechanism behind the ring algorithm's sequentialisation.
-        Zero-byte messages still pay ``alpha`` (a pure synchronisation, the
-        cost the optimised Alltoallw avoids by exempting the zero bin).
-        ``latency`` overrides the per-message alpha (e.g. the cheaper
-        initiation cost of a raw RDMA operation).
+        Each chunk holds the sender's send port and the receiver's receive
+        port for its whole wire time, which serialises concurrent messages
+        through a node -- the mechanism behind the ring algorithm's
+        sequentialisation -- and interleaves contending messages' chunks
+        in FIFO order.  Zero-byte messages still pay ``alpha`` (a pure
+        synchronisation, the cost the optimised Alltoallw avoids by
+        exempting the zero bin).  ``latency`` overrides the per-message
+        alpha (e.g. the cheaper initiation cost of a raw RDMA operation).
 
         ``tag``, ``sig`` and ``msg_id`` (the message tag, the flattened
         datatype signature hash and the causal message id assigned by the
         p2p layer) are pure metadata: the wire ignores them, but transfer
         listeners such as :class:`repro.mpi.trace.MessageTrace`
-        (subscribed through the cluster observer API) record them.
+        (subscribed through the cluster observer API) record them, one
+        :class:`TransferEvent` per chunk.
 
-        Returns the injector's :class:`WireFault` for this transfer (the
-        shared :data:`NO_FAULT` when no injector is attached or no rule
-        fired).  A delay spike or NIC degradation in it has already been
-        applied; whether ``drop``/``corrupt`` lose the payload is the
-        caller's to decide.
+        The injector judges each chunk; a delay spike or NIC degradation
+        is applied to the chunk it hit.  Returns the chunks' ``drop`` and
+        ``corrupt`` verdicts OR-ed into one :class:`WireFault` (the shared
+        :data:`NO_FAULT` when none fired); whether they lose the payload
+        is the caller's to decide.
         """
-        t_start = self.engine.now
-        fault = NO_FAULT
-        if self.fault_injector is not None:
-            fault = self.fault_injector.on_wire(src, dst, nbytes, tag, t_start)
-            if fault.delay > 0.0:
-                # delay spike: the packet sits in the NIC before the wire
-                yield Delay(fault.delay)
         if not (0 <= src < self.nranks and 0 <= dst < self.nranks):
             raise ValueError(f"rank out of range: {src}->{dst}")
-        if latency is None:
-            duration = self.cost.transfer_time(nbytes)
-        else:
-            duration = latency + self.cost.beta * max(0, nbytes)
-        if fault.scale != 1.0:
-            duration *= fault.scale
-        self.bytes_on_wire += nbytes
-        self.messages_on_wire += 1
-        if src == dst:
-            # local copy through memory, no NIC involved
-            yield Delay(self.cost.copy_byte * nbytes)
-        else:
-            # an idle port is taken inline; only a busy one pays acquire()
-            send_port = self.send_ports[src]
-            recv_port = self.recv_ports[dst]
-            if send_port._in_use:
-                yield from send_port.acquire()
-            else:
-                send_port._in_use = True
-            try:
-                if recv_port._in_use:
-                    yield from recv_port.acquire()
+        engine = self.engine
+        cost = self.cost
+        injector = self.fault_injector
+        send_port = self.send_ports[src]
+        recv_port = self.recv_ports[dst]
+        dropped = corrupted = False
+        left = nbytes
+        priced = None  # the chunk size ``wire`` holds the wire time of
+        while True:
+            part = left if chunk is None or left <= chunk else chunk
+            left -= part
+            t_start = engine.now
+            scale = 1.0
+            if injector is not None:
+                fault = injector.on_wire(src, dst, part, tag, t_start)
+                dropped |= fault.drop
+                corrupted |= fault.corrupt
+                scale = fault.scale
+                if fault.delay > 0.0:
+                    # delay spike: the packet sits in the NIC before the wire
+                    yield Delay(fault.delay)
+            if part != priced:
+                priced = part
+                if latency is None:
+                    wire = cost.transfer_time(part)
                 else:
-                    recv_port._in_use = True
+                    wire = latency + cost.beta * max(0, part)
+            duration = wire * scale
+            self.bytes_on_wire += part
+            self.messages_on_wire += 1
+            if src == dst:
+                # local copy through memory, no NIC involved
+                yield Delay(cost.copy_byte * part)
+            else:
+                # an idle port is taken inline; only a busy one pays acquire()
+                if send_port._in_use:
+                    yield from send_port.acquire()
+                else:
+                    send_port._in_use = True
                 try:
-                    yield Delay(duration)
-                    send_port.busy_time += duration
-                    recv_port.busy_time += duration
+                    if recv_port._in_use:
+                        yield from recv_port.acquire()
+                    else:
+                        recv_port._in_use = True
+                    try:
+                        yield Delay(duration)
+                        send_port.busy_time += duration
+                        recv_port.busy_time += duration
+                    finally:
+                        recv_port.release()
                 finally:
-                    recv_port.release()
-            finally:
-                send_port.release()
-        if self._transfer_listeners:
-            event = TransferEvent(src, dst, nbytes, tag, sig,
-                                  t_start, self.engine.now, msg_id)
-            for fn in self._transfer_listeners:
-                fn(event)
-        return fault
+                    send_port.release()
+            if self._transfer_listeners:
+                event = TransferEvent(src, dst, part, tag, sig,
+                                      t_start, engine.now, msg_id)
+                for fn in self._transfer_listeners:
+                    fn(event)
+            if left <= 0:
+                break
+        if dropped or corrupted:
+            return WireFault(drop=dropped, corrupt=corrupted)
+        return NO_FAULT

@@ -119,7 +119,7 @@ def test_catalogue_covers_all_three_guidelines():
     cases = guideline_cases(scale=32)
     assert {c.guideline for c in cases} == {
         "pack-vs-manual", "vector-vs-indexed", "contig-vs-vector"}
-    assert len(cases) == 7
+    assert len(cases) == 9
     # every case moves identical bytes before any timing happens
     for case in cases:
         got = np.asarray(case.derived()).reshape(-1).view(np.uint8)

@@ -63,7 +63,9 @@ def roundtrip_identical(dt, count=1, offset_bytes=0, misalign=0):
     """pack/unpack/extract via the compiled program vs the typemap
     enumerated from the definitions, byte for byte, on a deterministic
     pattern buffer."""
-    need = offset_bytes + (count * dt.extent if count else 0) + 64
+    reach = (max(count * dt.extent, ir.compile_datatype(dt, count).end_bytes)
+             if count else 0)
+    need = offset_bytes + reach + 64
     src = np.arange(need, dtype=np.uint8)
     buf = zeroed_bytes(need, misalign)
     buf[:] = src
@@ -439,6 +441,120 @@ def test_negative_displacement_at_positive_offset(offset_bytes, misalign):
         roundtrip_identical(dt, 2, offset_bytes, misalign)
         with pytest.raises(DatatypeError):
             TypedBuffer(np.zeros(128, dtype=np.uint8), dt, offset_bytes=8)
+
+
+def transpose_type(n):
+    """The Fig. 12 transpose type: column ``j`` of an ``n x n`` matrix of
+    doubles is element ``j`` of the result."""
+    return Contiguous(n, Resized(Vector(n, 1, n, D), D.extent))
+
+
+@pytest.mark.parametrize("n", (96, 768))
+def test_transpose_lowers_to_one_strided_op(n, monkeypatch):
+    class NoGather:
+        def __init__(self, *args):
+            raise AssertionError("a gather index was built")
+
+    monkeypatch.setattr(ir, "_GatherOp", NoGather)
+    ir.cache_clear()
+    m = np.random.default_rng(n).random((n, n))
+    tb = TypedBuffer(m, transpose_type(n))
+    op, = tb.plan.program.ops
+    assert op.kind == "strided" and tb.plan.ir.ops == 1
+    assert op.shape == (n, n, 1) and op.strides == (8, 8 * n, 8)
+    packed = tb.pack()
+    assert np.array_equal(packed.view(np.float64), m.T.reshape(-1))
+    dst = np.zeros_like(m)
+    TypedBuffer(dst, transpose_type(n)).unpack(packed)
+    assert np.array_equal(dst, m)
+    ir.cache_clear()
+
+
+@pytest.mark.parametrize("count", (5, 2 * ir._EXPAND_OPS_LIMIT))
+def test_overlapping_nest_keeps_sequential_order(count):
+    # 16-byte runs at 0 and 24, repeated every 16 bytes: iteration i's
+    # second run overlaps iteration i+1's first, so the nest is no
+    # single strided op and unpack keeps the last write
+    dt = Contiguous(count, Resized(Vector(2, 2, 3, D), 16))
+    node = ir.ir_of(dt)
+    assert node.nest is None
+    assert node.ops == ir.lower(node).num_ops == (
+        count if count <= ir._EXPAND_OPS_LIMIT else 1)
+    roundtrip_identical(dt, offset_bytes=8)
+
+
+@st.composite
+def strided_nest(draw, depth=0):
+    """Nests of Vector/HVector/Subarray/Resized over one primitive."""
+    if depth >= 3 or (depth and draw(st.booleans())):
+        return draw(st.sampled_from([D, INT, BYTE, Contiguous(3, BYTE)]))
+    base = draw(strided_nest(depth=depth + 1))
+    kind = draw(st.sampled_from(["vector", "hvector", "subarray", "resized"]))
+    if kind == "vector":
+        blocklength = draw(st.integers(1, 3))
+        return Vector(draw(st.integers(1, 4)), blocklength,
+                      blocklength + draw(st.integers(0, 3)), base)
+    if kind == "hvector":
+        blocklength = draw(st.integers(1, 2))
+        stride = blocklength * base.extent + draw(st.integers(0, 9))
+        return HVector(draw(st.integers(1, 3)), blocklength, stride, base)
+    if kind == "subarray":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        subsizes = [draw(st.integers(1, n)) for n in sizes]
+        starts = [draw(st.integers(0, n - m)) for n, m in zip(sizes, subsizes)]
+        return Subarray(sizes, subsizes, starts, base,
+                        order=draw(st.sampled_from("CF")))
+    # any extent, so the copies of an outer count may interleave or overlap
+    return Resized(base, draw(st.integers(1, base.extent + 16)))
+
+
+@given(strided_nest(), st.integers(1, 2 * ir._EXPAND_OPS_LIMIT),
+       st.integers(0, 17), st.integers(0, 7))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_strided_nests(dt, outer, offset_bytes, misalign):
+    dt = Contiguous(outer, dt)
+    node = ir.ir_of(dt)
+    assert node.ops == ir.lower(node).num_ops
+    if node.__class__ is ir.Loop and node.nest is not None:
+        assert node.ops == 1
+    roundtrip_identical(dt, offset_bytes=offset_bytes, misalign=misalign)
+
+
+def _reference_nest(node, shift=0):
+    """``(offset, length)`` runs of a Block/Loop nest, by definition."""
+    if isinstance(node, ir.Block):
+        return [(shift + node.offset, node.length)]
+    return [run for i in range(node.count)
+            for run in _reference_nest(node.child, shift + i * node.stride)]
+
+
+@given(st.tuples(st.integers(1, 130), st.integers(-40, 40)),
+       st.lists(st.tuples(st.integers(1, 6), st.integers(-40, 40)),
+                max_size=2),
+       st.integers(1, 12), st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_hand_built_nests_with_negative_strides(outer, inner, blen,
+                                                     unaligned):
+    dims = [outer] + inner
+    node = ir.Block(0, blen)
+    for count, stride in reversed(dims):
+        node = ir.Loop(count, stride, node)
+    program = ir.lower(node)
+    assert node.ops == program.num_ops
+    runs = _reference_nest(node)
+    base = unaligned - node.lo
+    size = base + node.hi + 8
+    src = (np.arange(size) % 251).astype(np.uint8)
+    want = np.concatenate([src[base + o:base + o + n] for o, n in runs])
+    assert program.pack(src, base).tobytes() == want.tobytes()
+    wire = (np.arange(node.size) % 241 + 3).astype(np.uint8)
+    got, expected = np.zeros(size, np.uint8), np.zeros(size, np.uint8)
+    program.unpack(got, base, wire)
+    pos = 0
+    for o, n in runs:  # sequential: an overlapped byte keeps the last write
+        expected[base + o:base + o + n] = wire[pos:pos + n]
+        pos += n
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_compile_cache_hits_across_instances():

@@ -138,6 +138,43 @@ def test_accumulate_from_many_origins():
     assert np.all(results[0] == float(sum(range(1, n + 1))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int32])
+def test_accumulate_sums_in_the_window_element_type(dtype):
+    # every rank adds its own 4-element window into rank 0's
+    cluster = make_cluster(2)
+
+    def main(comm):
+        local = np.full(4, 1.5 if dtype is np.float32 else 7, dtype=dtype)
+        win = yield from Win.create(comm, local)
+        yield from win.fence()
+        add = np.array([2.5, -1.0, 0.25, 1e3] if dtype is np.float32
+                       else [5, -9, 1 << 20, 0], dtype=dtype)
+        yield from win.accumulate(add * (comm.rank + 1), 0)
+        yield from win.fence()
+        return local.copy(), add
+
+    results = cluster.run(main)
+    start = np.full(4, 1.5 if dtype is np.float32 else 7, dtype=dtype)
+    add = results[1][1]
+    assert results[0][0].dtype == dtype
+    assert np.array_equal(results[0][0], start + add + 2 * add)
+    assert np.array_equal(results[1][0], start)
+
+
+def test_accumulate_rejects_an_invalid_target_rank():
+    cluster = make_cluster(2)
+
+    def main(comm):
+        local = np.full(4, 15.0)
+        win = yield from Win.create(comm, local)
+        if comm.rank == 0:
+            yield from win.accumulate(np.ones(4), -1)
+        yield from win.fence()
+
+    with pytest.raises(MPIError, match="invalid target rank -1"):
+        cluster.run(main)
+
+
 def test_lock_unlock_passive_target():
     cluster = make_cluster(3)
 
