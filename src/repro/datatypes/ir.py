@@ -150,10 +150,10 @@ def _capped(ops: int) -> int:
 class Loop(IRNode):
     """``count`` copies of ``child``; copy ``i`` is shifted by ``i*stride``.
 
-    ``nest`` is ``(dims, run)`` when the loop heads a chain of loops down
-    to one ``Block`` whose iterations touch pairwise-disjoint bytes --
-    ``dims`` the chain's ``(count, stride)`` pairs, outermost first, and
-    ``run`` that Block -- and None otherwise.
+    ``nest`` is the ``Block`` at the bottom when the loop heads a chain of
+    loops down to one ``Block`` whose iterations touch pairwise-disjoint
+    bytes, and None otherwise; :func:`_dims` reads the chain's
+    ``(count, stride)`` pairs.
     """
 
     _fields = ("count", "stride", "child")
@@ -179,23 +179,38 @@ class Loop(IRNode):
 def _nest(count: int, stride: int, child: IRNode):
     """``Loop(count, stride, child)``'s ``nest`` (see :class:`Loop`).
 
-    Disjointness is checked dimension by dimension in order of stride
-    size: each stride must step past everything the smaller ones reach.
+    Most loops step past everything their child reaches, which needs no
+    more.  Otherwise (the Fig. 12 transpose) disjointness is checked
+    dimension by dimension in order of stride size: each stride must step
+    past everything the smaller ones reach.
     """
     if child.__class__ is Block:
-        dims, run = ((count, stride),), child
+        run = child
     elif child.__class__ is Loop and child.nest is not None:
-        dims, run = child.nest
-        dims = ((count, stride),) + dims
+        run = child.nest
     else:
         return None
+    if count == 1 or abs(stride) >= child.hi - child.lo:
+        return run
+    if child is run:
+        return None
     reach = run.length
-    for n, step in sorted(dims, key=lambda d: abs(d[1])):
+    for n, step in sorted([(count, stride)] + _dims(child),
+                          key=lambda d: abs(d[1])):
         if n > 1:
             if abs(step) < reach:
                 return None
             reach += (n - 1) * abs(step)
-    return dims, run
+    return run
+
+
+def _dims(node: IRNode) -> List[Tuple[int, int]]:
+    """``(count, stride)`` of each loop of a nest, outermost first."""
+    dims = []
+    while node.__class__ is Loop:
+        dims.append((node.count, node.stride))
+        node = node.child
+    return dims
 
 
 class Seq(IRNode):
@@ -624,8 +639,9 @@ def _emit(node: IRNode, shift: int, dst: int, ops: List[Any]) -> int:
     if cls is not Loop:
         raise TypeError(cls.__name__)
     if node.nest is not None:
-        dims, run = node.nest
-        ops.append(_StridedOp(shift + run.offset, dst, dims, run.length))
+        run = node.nest
+        ops.append(_StridedOp(shift + run.offset, dst, _dims(node),
+                              run.length))
         return dst + node.size
     child = node.child
     if (child.__class__ is not Block
