@@ -11,18 +11,17 @@ Usage::
     python -m repro.bench assembly --quick       # repeated-assembly gate
     python -m repro.bench autotune --quick \
         --tuning-out tuning_table.json           # train + validate a table
+    python -m repro.bench identity               # == IDENTITY.json (bench.identity)
 
 Every subcommand produces figure tables and, for the three gates, a list of
 violations; the shared options then apply the same way to each of them.
 ``--emit-json`` writes a ``repro-bench/1`` document embedding the figures
-(and, when profiling, the whole-session profile report), ``--baseline``
-fails the run on a measurement slower than a committed artifact by more
-than :data:`repro.bench.baseline.DEFAULT_TOLERANCE`, and ``--trajectory``
-appends the figures to a perf-trajectory file.  ``--profile`` attaches a
-:class:`repro.prof.Profiler` to every cluster the run builds and prints the
-Fig. 13-style pack/compute/wire/wait breakdown; ``--trace-out``
-(Chrome trace-event file for ``chrome://tracing`` / Perfetto),
-``--critpath-out`` and ``--flame-out`` imply it.
+(and, when profiling, the whole-session profile report) and
+``--trajectory`` appends the figures to a perf-trajectory file.
+``--profile`` attaches a :class:`repro.prof.Profiler` to every cluster the
+run builds and prints the Fig. 13-style pack/compute/wire/wait breakdown;
+``--trace-out`` (Chrome trace-event file for ``chrome://tracing`` /
+Perfetto), ``--critpath-out`` and ``--flame-out`` imply it.
 
 ``autotune`` runs the simulator measurement sweep
 (:mod:`repro.mpi.algorithms.autotune`), writes the ``repro-tuning/1``
@@ -40,10 +39,8 @@ import json
 import sys
 import time
 
-from repro.bench import FigureData, figures, print_figure
-from repro.bench.baseline import (
-    DEFAULT_TOLERANCE, append_trajectory, compare_to_baseline,
-)
+from repro.bench import FigureData, figures, identity, print_figure
+from repro.bench.baseline import append_trajectory
 
 ALL = ["fig12", "fig13", "fig14a", "fig14b", "fig15", "fig16", "fig17"]
 
@@ -170,36 +167,13 @@ def _profile_outputs(args: argparse.Namespace) -> dict:
 
 def _run(args: argparse.Namespace) -> int:
     """Run one subcommand's body and report its figures and verdict."""
-    from repro.faults import set_default_plan
     from repro.prof import session
-
-    baseline_doc = None
-    if args.baseline:
-        try:
-            with open(args.baseline) as fh:
-                baseline_doc = json.load(fh)
-            if baseline_doc.get("schema") != "repro-bench/1":
-                raise ValueError(
-                    "not a repro-bench/1 document "
-                    f"(schema={baseline_doc.get('schema')!r})")
-        except (OSError, ValueError) as exc:
-            print(f"--baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
 
     profile = bool(args.profile or args.trace_out or args.critpath_out
                    or args.flame_out)
     if profile:
         session.enable()
-    if args.degrade is not None:
-        # every cluster the run constructs (many layers below here) picks
-        # this plan up as its default fault plan
-        from repro.faults.plan import FaultPlan
 
-        set_default_plan(FaultPlan().degrade(args.degrade))
-        print(f"fault injection: wire time x{args.degrade:g} on every "
-              "transfer (--degrade)")
-
-    regressions = []
     t0 = time.time()
     try:
         produced, problems, extra = args.body(args)
@@ -214,33 +188,22 @@ def _run(args: argparse.Namespace) -> int:
             with open(args.emit_json, "w") as fh:
                 json.dump(out, fh, indent=1, default=str)
             print(f"JSON report written to {args.emit_json}")
-        if baseline_doc is not None:
-            regressions = compare_to_baseline(doc, baseline_doc)
         if args.trajectory:
             n = append_trajectory(args.trajectory, doc,
                                   label=args.trajectory_label)
             print(f"trajectory entry {n} appended to {args.trajectory}")
     finally:
-        if args.degrade is not None:
-            set_default_plan(None)
         if profile:
             session.disable()
 
     print(f"wall time: {time.time() - t0:.0f} s")
-    tolerance = f"tolerance {100 * DEFAULT_TOLERANCE:.0f}%"
-    for header, found in ((args.failed, problems),
-                          (f"PERF REGRESSION vs {args.baseline} ({tolerance}):",
-                           regressions)):
-        if found:
-            print(header)
-            for problem in found:
-                print(f"  {problem}")
-    if problems or regressions:
+    if problems:
+        print(args.failed)
+        for problem in problems:
+            print(f"  {problem}")
         return 1
     if args.held:
         print(args.held)
-    if baseline_doc is not None:
-        print(f"no perf regression vs {args.baseline} ({tolerance})")
     return 0
 
 
@@ -261,21 +224,12 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     common.add_argument("--flame-out", metavar="PATH", default=None,
                         help="write a collapsed-stack flamegraph "
                              "(implies --profile)")
-    common.add_argument("--baseline", metavar="PATH", default=None,
-                        help="compare against a committed repro-bench/1 "
-                             "baseline; exit 1 on any relative slowdown "
-                             f"beyond {100 * DEFAULT_TOLERANCE:.0f}%%")
     common.add_argument("--trajectory", metavar="PATH", default=None,
                         help="append this run's figures to a "
                              "BENCH_trajectory.json perf-trajectory file")
     common.add_argument("--trajectory-label", metavar="LABEL", default=None,
                         help="label recorded with the --trajectory entry "
                              "(e.g. a commit SHA)")
-    common.add_argument("--degrade", type=float, default=None,
-                        metavar="SCALE",
-                        help="multiply every wire transfer's time by SCALE "
-                             "via the fault injector (regression-gate "
-                             "self-test aid)")
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -284,7 +238,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     def command(name, body, summary, failed=None, held=None):
         sub = commands.add_parser(name, parents=[common], help=summary)
-        sub.set_defaults(body=body, failed=failed, held=held)
+        sub.set_defaults(run=_run, body=body, failed=failed, held=held)
         return sub
 
     sub = command("figures", _figures, "regenerate the paper's figures")
@@ -320,11 +274,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     sub.add_argument("--tuning-out", metavar="PATH",
                      default="tuning_table.json",
                      help="where the table is written (default: %(default)s)")
+    sub = commands.add_parser(
+        "identity",
+        help="regenerate the deterministic artifacts (figures, assembly, "
+             "autotune --quick and the chaos report); exit 1 unless they "
+             "equal the committed IDENTITY.json")
+    sub.set_defaults(run=lambda args: identity.run(update=args.update))
+    sub.add_argument("--update", action="store_true",
+                     help="rewrite IDENTITY.json from this tree instead")
     return parser.parse_args(argv)
 
 
 def main(argv: list[str]) -> int:
-    return _run(_parse(argv))
+    args = _parse(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -1,22 +1,8 @@
-"""Perf-trajectory baselines for the figure benchmarks (``bench.baseline``).
+"""Perf-trajectory records for the figure benchmarks (``bench.baseline``).
 
-Two CI-facing pieces:
-
-- :func:`compare_to_baseline` diffs a fresh ``repro-bench/1`` document
-  against a committed baseline (``BENCH_*.json``) and reports every
-  measurement whose *relative slowdown* exceeds the tolerance.  The
-  comparison is deliberately one-sided: the simulator is deterministic,
-  so an identical re-run compares exactly equal and always passes, while
-  a genuine regression (e.g. an accidental pessimisation of the pack
-  path, or the ``--degrade`` self-test below) trips the gate.
-- :func:`append_trajectory` appends one compact entry per run to
-  ``BENCH_trajectory.json`` so CI accumulates the perf trajectory over
-  time (ROADMAP item: record figures per commit, fail on regression).
-
-Derived columns -- anything whose header mentions ``%`` (the paper's
-"improvement %" columns) -- and the first column (the row key: process
-count, message size, ...) are never compared; only absolute measurements
-are gated.
+:func:`append_trajectory` appends one compact entry per run to
+``BENCH_trajectory.json`` so CI accumulates the figures over time; the
+gate on simulated time is :mod:`repro.bench.identity`.
 """
 
 from __future__ import annotations
@@ -24,77 +10,6 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Dict, List, Optional
-
-#: default relative-slowdown tolerance for the regression gate
-DEFAULT_TOLERANCE = 0.10
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _gated_columns(columns: List[str]) -> List[int]:
-    """Indices of columns the gate compares: numeric measurements only
-    (never the row key in column 0, never derived ``%`` columns)."""
-    return [i for i, c in enumerate(columns)
-            if i > 0 and "%" not in c]
-
-
-def compare_to_baseline(doc: Dict[str, Any], baseline: Dict[str, Any],
-                        rel_tol: float = DEFAULT_TOLERANCE) -> List[str]:
-    """Compare two ``repro-bench/1`` documents; returns regression messages.
-
-    Rows are matched by the first-column value within each figure shared
-    by both documents; a measurement regresses when
-
-        current > baseline * (1 + rel_tol)    (baseline > 0)
-
-    Missing figures/rows/columns in the *current* document are reported
-    too (a figure silently dropping out of the bench must not pass the
-    gate); extra figures in the current document are fine.
-    """
-    problems: List[str] = []
-    base_figs = baseline.get("figures", {})
-    cur_figs = doc.get("figures", {})
-    if doc.get("quick") != baseline.get("quick"):
-        problems.append(
-            f"quick-mode mismatch: current={doc.get('quick')} "
-            f"baseline={baseline.get('quick')} (not comparable)")
-        return problems
-    for name, base_fig in sorted(base_figs.items()):
-        cur_fig = cur_figs.get(name)
-        if cur_fig is None:
-            problems.append(f"{name}: missing from current run")
-            continue
-        base_cols = base_fig.get("columns", [])
-        cur_cols = cur_fig.get("columns", [])
-        cur_rows = {str(row[0]): row for row in cur_fig.get("rows", ()) if row}
-        for base_row in base_fig.get("rows", ()):
-            if not base_row:
-                continue
-            key = str(base_row[0])
-            cur_row = cur_rows.get(key)
-            if cur_row is None:
-                problems.append(f"{name}[{key}]: row missing from current run")
-                continue
-            for i in _gated_columns(base_cols):
-                col = base_cols[i]
-                if col not in cur_cols:
-                    problems.append(f"{name}[{key}]: column {col!r} missing")
-                    continue
-                base_val = base_row[i]
-                cur_val = cur_row[cur_cols.index(col)]
-                if not (_is_number(base_val) and _is_number(cur_val)):
-                    continue
-                if base_val <= 0:
-                    continue
-                slowdown = cur_val / base_val - 1.0
-                if slowdown > rel_tol:
-                    problems.append(
-                        f"{name}[{key}] {col}: {cur_val:.6g} vs baseline "
-                        f"{base_val:.6g} (+{100 * slowdown:.1f}% > "
-                        f"{100 * rel_tol:.0f}% tolerance)")
-    return problems
 
 
 def trajectory_entry(doc: Dict[str, Any],
@@ -131,9 +46,4 @@ def append_trajectory(path: str, doc: Dict[str, Any],
     return len(history)
 
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "append_trajectory",
-    "compare_to_baseline",
-    "trajectory_entry",
-]
+__all__ = ["append_trajectory", "trajectory_entry"]

@@ -428,16 +428,17 @@ def _spread(node: IRNode) -> IRNode:
     multi-run body becomes a ``Seq`` of its iterations.
 
     A rolled ``Loop`` cannot merge the tail run of iteration ``i`` with the
-    head run of iteration ``i+1``; the ``Seq`` can.  Loops over a single
-    ``Block`` stay rolled -- they lower to one strided op, which beats a
-    handful of slice copies.  Each loop decides on its *finished* body:
-    runs that an inner unrolling has fused count as one.
+    head run of iteration ``i+1``; the ``Seq`` can.  A loop over a single
+    ``Block`` or forming a disjoint nest stays rolled -- it lowers to one
+    strided op, which beats a handful of copies.  Each loop decides on its
+    *finished* body: runs that an inner unrolling has fused count as one.
     """
     if node.canon:
         return node
     child = _spread(node.child)
     if (child.__class__ is not Block and node.count <= _UNROLL_COUNT
-            and child.runs <= _UNROLL_BODY_RUNS):
+            and child.runs <= _UNROLL_BODY_RUNS
+            and _nest(node.count, node.stride, child) is None):
         return _fused([shift_ir(child, i * node.stride)
                        for i in range(node.count)])
     if child is not node.child:

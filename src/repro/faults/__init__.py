@@ -25,7 +25,7 @@ schedule-identical to the pre-fault simulator.
 """
 
 from repro.faults.plan import FaultPlan, RankFault, WireRule
-from repro.faults.injector import FaultInjector, get_default_plan, set_default_plan
+from repro.faults.injector import FaultInjector
 from repro.faults.chaos import ChaosInvariantError, ChaosReport, ChaosRun, run_chaos
 
 __all__ = [
@@ -36,7 +36,5 @@ __all__ = [
     "FaultPlan",
     "RankFault",
     "WireRule",
-    "get_default_plan",
     "run_chaos",
-    "set_default_plan",
 ]

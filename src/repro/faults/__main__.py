@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.faults.chaos import SCENARIOS, run_chaos
+from repro.faults.chaos import MIN_NPROCS, SCENARIOS, run_chaos
 
 
 def main(argv=None) -> int:
@@ -37,6 +37,8 @@ def main(argv=None) -> int:
     chaos.add_argument("--report", metavar="PATH",
                        help="write the JSON chaos report here")
     args = parser.parse_args(argv)
+    if args.nprocs < MIN_NPROCS:
+        chaos.error(f"--nprocs must be >= {MIN_NPROCS}, got {args.nprocs}")
 
     report = run_chaos(seeds=tuple(args.seeds), nprocs=args.nprocs,
                        scenarios=args.scenarios, log=print)

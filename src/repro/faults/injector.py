@@ -36,30 +36,7 @@ from repro.simtime.network import NO_FAULT, WireFault
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.comm import Cluster
 
-__all__ = ["FaultInjector", "get_default_plan", "set_default_plan"]
-
-#: process-global plan applied to every cluster constructed without an
-#: explicit ``fault_plan`` (see :func:`set_default_plan`)
-_DEFAULT_PLAN: FaultPlan | None = None
-
-
-def set_default_plan(plan: FaultPlan | None) -> None:
-    """Install (or, with None, clear) a process-wide default fault plan.
-
-    While set, every :class:`repro.mpi.comm.Cluster` constructed *without*
-    an explicit ``fault_plan`` installs an injector for this plan.  This is
-    how ``python -m repro.bench --degrade`` uniformly slows the wire of
-    clusters built many layers below the figure loops -- the seeded
-    slowdown the CI perf-regression gate proves it can catch.  Always pair
-    with a ``finally: set_default_plan(None)``.
-    """
-    global _DEFAULT_PLAN
-    _DEFAULT_PLAN = plan
-
-
-def get_default_plan() -> FaultPlan | None:
-    """The process-wide default plan, or None (the usual case)."""
-    return _DEFAULT_PLAN
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:

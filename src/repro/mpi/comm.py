@@ -287,12 +287,6 @@ class Cluster:
         self._msg_ids = itertools.count(1)
         #: the attached :class:`repro.faults.injector.FaultInjector` (or None)
         self.fault_injector: Optional[Any] = None
-        if fault_plan is None:
-            # a process-global plan (repro.faults.set_default_plan, used by
-            # `repro.bench --degrade` for the regression-gate self-test)
-            # applies to every cluster not given an explicit plan
-            from repro.faults.injector import get_default_plan
-            fault_plan = get_default_plan()
         if fault_plan is not None:
             # imported lazily: repro.faults depends on repro.mpi.errors only,
             # but keeping the import out of module scope avoids any cycle

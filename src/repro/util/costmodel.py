@@ -28,7 +28,7 @@ Rationale for the defaults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict
 
 
@@ -68,6 +68,16 @@ class CostModel:
     # heterogeneity / noise
     cpu_noise: float = 0.02        # uniform per-call CPU jitter fraction
     hetero_factor: float = 3.6 / 2.8  # Opteron 2.8 GHz vs Intel 3.6 GHz
+
+    def __post_init__(self) -> None:
+        # a chunk under 1 byte never ends the pack walk; a negative fails deep in a run
+        if self.pipeline_chunk < 1:
+            raise ValueError(
+                f"pipeline_chunk must be >= 1, got {self.pipeline_chunk!r}")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(
+                    f"{f.name} must be >= 0, got {getattr(self, f.name)!r}")
 
     def transfer_time(self, nbytes: int) -> float:
         """Wire time of one message of ``nbytes`` bytes (alpha-beta model)."""

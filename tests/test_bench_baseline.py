@@ -1,103 +1,27 @@
-"""Tests for the perf-trajectory baseline gate (``repro.bench.baseline``)."""
+"""Tests for the perf-trajectory records (``repro.bench.baseline``)."""
 
 import json
 
 import pytest
 
 from repro.bench.__main__ import main
-from repro.bench.baseline import (
-    append_trajectory,
-    compare_to_baseline,
-    trajectory_entry,
-)
+from repro.bench.baseline import append_trajectory, trajectory_entry
 
 
-def bench_doc(rows=None, quick=True):
+def bench_doc():
     return {
         "schema": "repro-bench/1",
-        "quick": quick,
+        "quick": True,
         "figures": {
             "Fig14a": {
                 "title": "Nonuniform allgatherv",
                 "columns": ["doubles", "MVAPICH2-0.9.5", "MVAPICH2-New",
                             "improvement %"],
-                "rows": rows if rows is not None else [
-                    [1024, 10.0, 5.0, 50.0],
-                    [4096, 40.0, 16.0, 60.0],
-                ],
+                "rows": [[1024, 10.0, 5.0, 50.0], [4096, 40.0, 16.0, 60.0]],
                 "notes": [],
             }
         },
     }
-
-
-# -- compare_to_baseline -----------------------------------------------------
-
-def test_identical_rerun_passes_exactly():
-    doc = bench_doc()
-    assert compare_to_baseline(doc, bench_doc()) == []
-    # even with zero tolerance: the simulator is deterministic
-    assert compare_to_baseline(doc, bench_doc(), rel_tol=0.0) == []
-
-
-def test_slowdown_beyond_tolerance_fails():
-    current = bench_doc(rows=[[1024, 10.0, 5.0, 50.0],
-                              [4096, 40.0, 20.0, 50.0]])     # 16 -> 20
-    problems = compare_to_baseline(current, bench_doc(), rel_tol=0.10)
-    assert len(problems) == 1
-    assert "Fig14a[4096] MVAPICH2-New" in problems[0]
-    assert "+25.0%" in problems[0]
-    # a looser tolerance lets it through
-    assert compare_to_baseline(current, bench_doc(), rel_tol=0.30) == []
-
-
-def test_speedup_and_derived_columns_never_fail():
-    # faster everywhere, and the derived "% column" collapsing to 0 --
-    # neither is a regression
-    current = bench_doc(rows=[[1024, 5.0, 2.0, 0.0],
-                              [4096, 20.0, 8.0, 0.0]])
-    assert compare_to_baseline(current, bench_doc(), rel_tol=0.0) == []
-
-
-def test_row_key_column_is_never_compared():
-    # first column is the row key even when numeric (message sizes)
-    base = bench_doc(rows=[[1024, 10.0, 5.0, 50.0]])
-    cur = bench_doc(rows=[[1024, 10.0, 5.0, 50.0]])
-    assert compare_to_baseline(cur, base) == []
-
-
-def test_missing_figure_row_and_column_reported():
-    base = bench_doc()
-    empty = {"schema": "repro-bench/1", "quick": True, "figures": {}}
-    assert compare_to_baseline(empty, base) == ["Fig14a: missing from current run"]
-
-    one_row = bench_doc(rows=[[1024, 10.0, 5.0, 50.0]])
-    problems = compare_to_baseline(one_row, base)
-    assert problems == ["Fig14a[4096]: row missing from current run"]
-
-    renamed = bench_doc()
-    renamed["figures"]["Fig14a"]["columns"][2] = "MVAPICH2-Renamed"
-    problems = compare_to_baseline(renamed, base)
-    assert len(problems) == 2           # one per row
-    assert all("column 'MVAPICH2-New' missing" in p for p in problems)
-
-
-def test_quick_mode_mismatch_is_not_comparable():
-    problems = compare_to_baseline(bench_doc(quick=False), bench_doc())
-    assert len(problems) == 1
-    assert "quick-mode mismatch" in problems[0]
-
-
-def test_extra_current_figures_are_fine():
-    cur = bench_doc()
-    cur["figures"]["Fig99"] = {"columns": ["n", "t"], "rows": [[1, 9e9]]}
-    assert compare_to_baseline(cur, bench_doc()) == []
-
-
-def test_non_numeric_cells_skipped():
-    base = bench_doc(rows=[[1024, "n/a", 5.0, 50.0]])
-    cur = bench_doc(rows=[[1024, "n/a", 5.0, 50.0]])
-    assert compare_to_baseline(cur, base) == []
 
 
 # -- append_trajectory -------------------------------------------------------
@@ -128,37 +52,7 @@ def test_trajectory_rejects_non_list(tmp_path):
         append_trajectory(str(path), bench_doc())
 
 
-# -- the CLI gate end-to-end (fig12 --quick runs in about a second) ----------
-
-@pytest.fixture(scope="module")
-def fig12_artifact(tmp_path_factory):
-    path = tmp_path_factory.mktemp("baseline") / "bench.json"
-    assert main(["figures", "fig12", "--quick", "--emit-json", str(path)]) == 0
-    return str(path)
-
-
-def test_cli_baseline_passes_on_identical_rerun(fig12_artifact, capsys):
-    assert main(["figures", "fig12", "--quick", "--baseline", fig12_artifact]) == 0
-    assert "no perf regression" in capsys.readouterr().out
-
-
-def test_cli_baseline_fails_on_degraded_run(fig12_artifact, capsys):
-    assert main(["figures", "fig12", "--quick", "--baseline", fig12_artifact,
-                 "--degrade", "4.0"]) == 1
-    out = capsys.readouterr().out
-    assert "PERF REGRESSION" in out
-    assert "tolerance" in out
-    # the default fault plan must not leak into later clusters
-    from repro.faults import get_default_plan
-
-    assert get_default_plan() is None
-
-
-def test_cli_baseline_rejects_wrong_schema(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": "something-else/1"}')
-    assert main(["figures", "fig12", "--quick", "--baseline", str(bad)]) == 2
-
+# -- the CLI profiler outputs (fig12 --quick runs in about a second) --------
 
 def test_cli_critpath_and_flame_imply_profile(tmp_path, capsys):
     crit = tmp_path / "crit.json"

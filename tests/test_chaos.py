@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.faults import run_chaos
+from repro.faults.__main__ import main
 from repro.faults.chaos import SCENARIOS
 
 
@@ -38,3 +41,15 @@ def test_chaos_assembly_plan_disagree_smoke():
     (run,) = report.runs
     assert run.metrics["messages_cached"] < run.metrics["messages_plan_free"]
     assert run.metrics["blocked"] > 0
+
+
+@pytest.mark.parametrize("nprocs", [3, 2, 1, 0, -3])
+def test_chaos_rejects_fewer_than_four_ranks(nprocs, capsys):
+    # at 1 rank the victim choice divides by zero; at 2 and 3 the
+    # crash and plan-disagreement scenarios cannot set up their fault
+    with pytest.raises(ValueError, match="nprocs >= 4"):
+        run_chaos(seeds=(1,), nprocs=nprocs)
+    with pytest.raises(SystemExit) as exc:
+        main(["chaos", "--nprocs", str(nprocs)])
+    assert exc.value.code == 2
+    assert "--nprocs must be >= 4" in capsys.readouterr().err

@@ -72,6 +72,27 @@ def test_costmodel_with_and_frozen():
         cost.alpha = 0.0
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"pipeline_chunk": 0}, "pipeline_chunk"),
+    ({"pipeline_chunk": -16}, "pipeline_chunk"),
+    ({"alpha": -1e-6}, "alpha"),
+    ({"copy_byte": -1e-12}, "copy_byte"),
+    ({"block_overhead": -7e-9}, "block_overhead"),
+    ({"flop": -0.9e-9}, "flop"),
+    ({"io_byte": -2e-9}, "io_byte"),
+])
+def test_costmodel_rejects_stalling_chunk_and_negative_times(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        CostModel(**kwargs)
+    with pytest.raises(ValueError, match=field):
+        CostModel().with_(**kwargs)
+
+
+def test_costmodel_accepts_zero_times_and_one_byte_chunks():
+    cost = CostModel(alpha=0.0, copy_byte=0.0, pipeline_chunk=1)
+    assert cost.transfer_time(0) == 0.0
+
+
 def test_transfer_time_monotone():
     cost = CostModel()
     assert cost.transfer_time(10) < cost.transfer_time(10_000)
