@@ -75,19 +75,9 @@ def _figures(args: argparse.Namespace):
 
 def _guidelines(args: argparse.Namespace):
     from repro.bench.guidelines import run_guidelines
-    from repro.datatypes import ir
 
-    if args.no_ir_passes:
-        ir.set_passes_enabled(False)
-        ir.cache_clear()
-        print("datatype IR optimization passes DISABLED (--no-ir-passes)")
-    try:
-        fig, violations = run_guidelines(scale=256 if args.quick else 512)
-        return [fig], violations, {"ir_passes": ir.passes_enabled()}
-    finally:
-        if args.no_ir_passes:
-            ir.set_passes_enabled(True)
-            ir.cache_clear()
+    fig, violations = run_guidelines(scale=256 if args.quick else 512)
+    return [fig], violations, {}
 
 
 def _assembly(args: argparse.Namespace):
@@ -248,16 +238,13 @@ def _parse(argv: list[str]) -> argparse.Namespace:
                      help="seed for the simulator's CPU-jitter RNG; one "
                           "value reproduces a whole run bit-for-bit "
                           "(default: %(default)s)")
-    sub = command(
+    command(
         "guidelines", _guidelines,
         "run the datatype performance-guideline suite (pack <= manual "
         "copy, Vector <= Indexed, Contiguous <= Vector); exit 1 on any "
         "violation",
         failed="GUIDELINE VIOLATION(S):",
         held="all datatype performance guidelines hold")
-    sub.add_argument("--no-ir-passes", action="store_true",
-                     help="disable the datatype-IR optimization passes "
-                          "(gate self-test aid; the suite must then FAIL)")
     command("assembly", _assembly,
             "run the repeated-sparse-assembly figure (dense vs NBX "
             "discovery vs cached plan); exit 1 unless plan reuse is "

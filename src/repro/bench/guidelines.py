@@ -23,11 +23,11 @@ implementation, best-of-``repeats``.  A case fails when::
     t_derived > tolerance * t_reference + slack
 
 with a generous default tolerance, because these are wall-clock numbers on
-shared CI machines; the margin the pass pipeline buys on violation-prone
-cases is an order of magnitude, not percents.  ``python -m repro.bench
-guidelines --no-ir-passes`` disables the optimization pipeline, which
-must trip the gate (CI asserts exit 1) -- proving the benchmarks measure
-the compiler, not the weather.
+shared CI machines; the margin the compiler buys on violation-prone
+cases is an order of magnitude, not percents.  CI proves the gate can
+trip by editing a checkout so that no loop nest lowers to one strided op
+(``Loop.nest`` always None) and asserting exit 1 -- the benchmarks
+measure the compiler, not the weather.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.bench.harness import FigureData
-from repro.datatypes import ir
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import (
     Contiguous,
@@ -225,8 +224,7 @@ def run_guidelines(
                  "ratio", "limit", "ok"],
     )
     fig.notes.append(
-        f"gate: derived <= {tolerance:g} * reference + {slack * 1e6:.0f}us; "
-        f"IR passes {'ENABLED' if ir.passes_enabled() else 'DISABLED'}")
+        f"gate: derived <= {tolerance:g} * reference + {slack * 1e6:.0f}us")
     violations: List[str] = []
     for case in cases:
         got = case.derived()

@@ -25,15 +25,12 @@ The compiler has three stages, each deterministic:
 1. **Canonicalisation** (:func:`optimize`) is one bottom-up sweep over the
    nodes a constructor added; the children it builds on arrive canonical
    (``ir_of(base)`` is the cached result of the same sweep) and are not
-   visited again.  Four local rules, each applied once per new node:
+   visited again.  Three local rules, each applied once per new node:
    back-to-back iterations of a ``Block`` are one ``Block`` and abutting
    ``Block`` neighbours in a ``Seq`` fuse; a perfect nest ``Loop(c1, c2*s2,
-   Loop(c2, s2, ch))`` is ``Loop(c1*c2, s2, ch)``; a small loop over a
-   multi-run body unrolls into a ``Seq`` (which exposes cross-iteration
-   fusing a rolled loop cannot express); a ``Scatter`` whose runs are
-   uniform and evenly strided re-rolls into a ``Loop``.  A chain of new
-   loops is rolled (the first two rules) all the way up before any of it
-   unrolls, so equivalent specs -- ``Vector(4, 2, 4, DOUBLE)``,
+   Loop(c2, s2, ch))`` is ``Loop(c1*c2, s2, ch)``; a ``Scatter`` whose runs
+   are uniform and evenly strided re-rolls into a ``Loop``.  Loops stay
+   rolled, so equivalent specs -- ``Vector(4, 2, 4, DOUBLE)``,
    ``Indexed([2]*4, [0,4,8,12], DOUBLE)``, ``IndexedBlock(2, [0,4,8,12],
    DOUBLE)`` -- reach the *same* canonical node.  Every node carries its
    payload size, byte bounds, raw run count and lowered-op count from
@@ -53,11 +50,6 @@ The compiler has three stages, each deterministic:
    precomputed -- and its ``blocks`` are expanded
    (:func:`to_blocklist`) the first time a cost engine or a caller of
    ``flatten()`` asks.  Both then stay on the shared plan.
-
-``set_passes_enabled(False)`` skips stage 1 *and* lowers one
-python-level copy op per raw block -- the deliberately de-optimized mode
-the CI guideline gate self-test uses to prove the "pack must not lose to
-manual copy" benchmarks actually trip.
 """
 
 from __future__ import annotations
@@ -83,9 +75,7 @@ __all__ = [
     "loop",
     "lower",
     "optimize",
-    "passes_enabled",
     "seq",
-    "set_passes_enabled",
     "shift_ir",
     "to_blocklist",
 ]
@@ -354,12 +344,6 @@ def to_blocklist(node: IRNode) -> BlockList:
 
 # -- normalisation -----------------------------------------------------------
 
-#: small loops over multi-run bodies unroll up to this trip count
-_UNROLL_COUNT = 4
-#: ... provided the body has at most this many raw runs
-_UNROLL_BODY_RUNS = 8
-
-
 def _canonical(node: IRNode) -> IRNode:
     node.canon = True
     return node
@@ -398,50 +382,17 @@ def _fused(pieces) -> IRNode:
 
 
 def _rolled(node: Loop) -> IRNode:
-    """The rules that keep a new loop rolled: back-to-back iterations of a
+    """A new loop over its canonical body: back-to-back iterations of a
     Block are one Block, and a perfect nest (``stride`` equal to the inner
-    loop's whole reach) is one loop.
-
-    Applied down a whole chain of new loops before any of them unrolls,
-    so ``Loop(c1, c2*s2, Loop(c2, s2, body))`` becomes ``Loop(c1*c2, s2,
-    body)`` whether or not the inner loop alone is small enough to unroll.
-    The result's own ``canon`` is not set yet: :func:`_spread` finishes it.
-    """
-    child = node.child
-    if child.__class__ is Loop and not child.canon:
-        child = _rolled(child)
-    else:
-        child = optimize(child)
+    loop's whole reach) is one loop."""
+    child = optimize(node.child)
     if node.count == 1:
         return child
     if child.__class__ is Block and node.stride == child.length:
         return Block(child.offset, node.count * child.length)
     if child.__class__ is Loop and node.stride == child.count * child.stride:
-        return Loop(node.count * child.count, child.stride, child.child)
-    if child is node.child:
-        return node
-    return Loop(node.count, node.stride, child)
-
-
-def _spread(node: IRNode) -> IRNode:
-    """Finish a rolled chain from the inside out: a small loop over a
-    multi-run body becomes a ``Seq`` of its iterations.
-
-    A rolled ``Loop`` cannot merge the tail run of iteration ``i`` with the
-    head run of iteration ``i+1``; the ``Seq`` can.  A loop over a single
-    ``Block`` or forming a disjoint nest stays rolled -- it lowers to one
-    strided op, which beats a handful of copies.  Each loop decides on its
-    *finished* body: runs that an inner unrolling has fused count as one.
-    """
-    if node.canon:
-        return node
-    child = _spread(node.child)
-    if (child.__class__ is not Block and node.count <= _UNROLL_COUNT
-            and child.runs <= _UNROLL_BODY_RUNS
-            and _nest(node.count, node.stride, child) is None):
-        return _fused([shift_ir(child, i * node.stride)
-                       for i in range(node.count)])
-    if child is not node.child:
+        node = Loop(node.count * child.count, child.stride, child.child)
+    elif child is not node.child:
         node = Loop(node.count, node.stride, child)
     return _canonical(node)
 
@@ -457,7 +408,7 @@ def optimize(node: IRNode) -> IRNode:
         return node
     cls = node.__class__
     if cls is Loop:
-        return _spread(_rolled(node))
+        return _rolled(node)
     if cls is Seq:
         return _fused([optimize(ch) for ch in node.children])
     if cls is Scatter:
@@ -662,26 +613,6 @@ def lower(node: IRNode) -> CopyProgram:
     return CopyProgram(ops, node.size)
 
 
-#: above this many raw runs the de-optimized program gathers anyway (keeps
-#: pathological self-test types bounded)
-_DEOPT_OPS_CAP = 100_000
-
-
-def lower_deoptimized(node: IRNode) -> CopyProgram:
-    """One python-level slice copy per *raw* run -- no coalescing, no
-    strided views.  Used only when the pass pipeline is disabled, to give
-    the CI guideline gate something that demonstrably loses to manual copy."""
-    offs, lens = _expand(node)
-    if len(offs) > _DEOPT_OPS_CAP:
-        return CopyProgram([_GatherOp(*merge_runs(offs, lens), 0)], node.size)
-    ops: List[Any] = []
-    dst = 0
-    for o, n in zip(offs.tolist(), lens.tolist()):
-        ops.append(_ContigOp(o, dst, n))
-        dst += n
-    return CopyProgram(ops, dst)
-
-
 # -- compilation cache -------------------------------------------------------
 
 
@@ -747,20 +678,9 @@ class CompiledPlan:
 _CACHE: Dict[Any, CompiledPlan] = {}
 _HITS = 0
 _MISSES = 0
-_PASSES_ENABLED = True
 #: ``repro.prof.session``, resolved by the first compile (importing it
 #: here would close an import cycle)
 _session = None
-
-
-def passes_enabled() -> bool:
-    return _PASSES_ENABLED
-
-
-def set_passes_enabled(flag: bool) -> None:
-    """Toggle the optimization pipeline (the guideline-gate self-test)."""
-    global _PASSES_ENABLED
-    _PASSES_ENABLED = bool(flag)
 
 
 def cache_clear() -> None:
@@ -785,15 +705,15 @@ def _session_registry():
 def compile_datatype(datatype, count: int = 1) -> CompiledPlan:
     """Compile ``count`` back-to-back copies of ``datatype``.
 
-    Memoized process-wide on ``(struct_key, count, passes_enabled)`` --
-    equal-structure instances share the plan and everything later built on
-    it (``BlockList``, copy program, gather indices, pack engines).  A miss
+    Memoized process-wide on ``(struct_key, count)`` -- equal-structure
+    instances share the plan and everything later built on it
+    (``BlockList``, copy program, gather indices, pack engines).  A miss
     canonicalises the IR and reads the bounds off it; nothing is expanded.
     """
     global _HITS, _MISSES
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    key = (datatype.struct_key(), count, _PASSES_ENABLED)
+    key = (datatype.struct_key(), count)
     plan = _CACHE.get(key)
     reg = _session_registry()
     if plan is not None:
@@ -805,14 +725,7 @@ def compile_datatype(datatype, count: int = 1) -> CompiledPlan:
     node = datatype._build_ir()
     if count > 1:
         node = loop(count, datatype.extent, node)
-    if _PASSES_ENABLED:
-        plan = CompiledPlan(key, optimize(node), node.runs)
-    else:
-        # the self-test mode keeps the raw IR and expands it here and now
-        plan = CompiledPlan(key, node, node.runs)
-        plan.program = lower_deoptimized(node)
-        plan.contiguous = plan.blocks.num_blocks == 1
-    _CACHE[key] = plan
+    plan = _CACHE[key] = CompiledPlan(key, optimize(node), node.runs)
     _MISSES += 1
     if reg is not None:
         wall = time.perf_counter() - t0

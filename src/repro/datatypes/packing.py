@@ -90,28 +90,9 @@ class TypedBuffer:
         return self._plan is not None and self._plan.contiguous
 
     @property
-    def num_blocks(self) -> int:
-        """Contiguous blocks in the flattened layout (0 for zero-count)."""
-        return 0 if self._plan is None else self._plan.blocks.num_blocks
-
-    @property
     def plan(self) -> Optional[_ir.CompiledPlan]:
         """The shared compiled plan (None for zero-count buffers)."""
         return self._plan
-
-    def layout_summary(self) -> dict:
-        """Compact layout description (used as profiling span attributes)."""
-        if self._plan is None:
-            return {"nbytes": 0, "blocks": 0, "mean_block": 0.0,
-                    "contiguous": True}
-        nb = self._plan.blocks.num_blocks
-        return {
-            "nbytes": self.nbytes,
-            "blocks": nb,
-            "mean_block": self.nbytes / nb,
-            "contiguous": nb == 1,
-            **self._plan.info(),
-        }
 
     def signature(self) -> TypeSignature:
         """The MPI type signature of the whole buffer (count copies)."""
@@ -152,6 +133,3 @@ class TypedBuffer:
             return
         self._plan.program.unpack(self._bytes, self.offset_bytes, data)
 
-    def extract(self) -> np.ndarray:
-        """Alias of :meth:`pack` (reads the payload without sending it)."""
-        return self.pack()

@@ -24,6 +24,7 @@ def test_unknown_figure_rejected(capsys):
     ["identity", "--quick"],
     ["--guidelines"],
     [],
+    ["guidelines", "--no-ir-passes"],
 ])
 def test_flag_not_taken_by_the_mode_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,14 @@ Three families of guarantees:
 - **byte identity**: the compiled copy programs and block streams are
   exactly what MPI's typemap says, as enumerated from the definitions by
   ``tests/_dtype_oracle.py`` (which never touches ``_build_ir``), for every
-  constructor, with the optimization pipeline on or off (property-based,
-  including zero counts, zero-length blocks, overlapping displacements,
-  mixed primitives and deep nesting).  (Where a test name says "legacy",
-  read "reference": it once was a second per-class translation in ``src/``);
+  constructor, both compiled and as each constructor's raw translation
+  before any pass (property-based, including zero counts, zero-length
+  blocks, overlapping displacements, mixed primitives and deep nesting).
+  (Where a test name says "legacy", read "reference": it once was a second
+  per-class translation in ``src/``; where it says "passes_disabled", read
+  "raw translation");
 - **structure**: plan sharing across equal instances, op-count shape of
-  optimized vs deoptimized lowering, and the compile-cache counters.
+  the lowering, and the compile-cache counters.
 """
 
 import numpy as np
@@ -60,7 +62,7 @@ def zeroed_bytes(n, misalign=0):
 
 
 def roundtrip_identical(dt, count=1, offset_bytes=0, misalign=0):
-    """pack/unpack/extract via the compiled program vs the typemap
+    """pack/unpack via the compiled program vs the typemap
     enumerated from the definitions, byte for byte, on a deterministic
     pattern buffer."""
     reach = (max(count * dt.extent, ir.compile_datatype(dt, count).end_bytes)
@@ -72,7 +74,7 @@ def roundtrip_identical(dt, count=1, offset_bytes=0, misalign=0):
     tb = TypedBuffer(buf, dt, count=count, offset_bytes=offset_bytes)
     packed = tb.pack()
     assert packed.tobytes() == reference_pack(src, dt, count, offset_bytes).tobytes()
-    assert tb.extract().tobytes() == packed.tobytes()
+    assert tb.pack().tobytes() == packed.tobytes()  # again, on built state
 
     # unpack a fresh pattern into a zeroed buffer, typed and by the reference
     wire = (np.arange(len(packed), dtype=np.uint8) + 7).astype(np.uint8)
@@ -90,15 +92,20 @@ def blocks_identical(dt, count):
     assert list(map(list, blocks)) == reference_blocks(dt, count)
 
 
-@pytest.fixture
-def passes_disabled():
-    ir.set_passes_enabled(False)
-    ir.cache_clear()
-    try:
-        yield
-    finally:
-        ir.set_passes_enabled(True)
-        ir.cache_clear()
+def raw_translation(dt, count):
+    """``count`` copies of ``dt`` as its constructor translates them, before
+    any pass runs (the bases it builds on are canonical already)."""
+    return ir.loop(count, dt.extent, dt._build_ir())
+
+
+def raw_translation_identical(dt, count):
+    """The raw translation's block stream is the typemap's, and the bounds
+    it carries from construction are its expansion's."""
+    raw = raw_translation(dt, count)
+    assert list(map(list, ir.to_blocklist(raw))) == reference_blocks(dt, count)
+    offs, lens = ir._expand(raw)
+    assert (raw.lo, raw.hi, raw.size, raw.runs) == \
+        (offs.min(), (offs + lens).max(), lens.sum(), len(offs))
 
 
 # -- canonical form -----------------------------------------------------------
@@ -220,8 +227,9 @@ def test_roundtrip_every_constructor(dt):
 
 
 @pytest.mark.parametrize("dt", LEGACY_EQUIV_SPECS, ids=SPEC_IDS)
-def test_roundtrip_every_constructor_passes_disabled(dt, passes_disabled):
-    _all_counts_and_offsets(dt)
+def test_roundtrip_every_constructor_passes_disabled(dt):
+    for count in (1, 2, 3):
+        raw_translation_identical(dt, count)
 
 
 # -- edge cases ---------------------------------------------------------------
@@ -327,16 +335,10 @@ def test_fuzz_ir_matches_legacy(dt, count, offset_bytes, misalign):
         blocks_identical(dt, count)
 
 
-@given(datatype_tree(), st.integers(0, 2), st.integers(0, 1))
+@given(datatype_tree(), st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
-def test_fuzz_ir_matches_legacy_passes_disabled(dt, count, off8):
-    ir.set_passes_enabled(False)
-    ir.cache_clear()
-    try:
-        roundtrip_identical(dt, count=count, offset_bytes=8 * off8)
-    finally:
-        ir.set_passes_enabled(True)
-        ir.cache_clear()
+def test_fuzz_ir_matches_legacy_passes_disabled(dt, count):
+    raw_translation_identical(dt, count)
 
 
 @given(datatype_tree())
@@ -356,12 +358,6 @@ def test_optimized_lowering_uses_strided_ops():
     plan = ir.compile_datatype(Vector(8, 1, 8, D), 4)
     assert plan.program.num_ops == 1
     assert plan.program.op_kinds() == {"strided": 1}
-
-
-def test_deoptimized_lowering_is_one_op_per_block(passes_disabled):
-    plan = ir.compile_datatype(Vector(8, 1, 8, D), 4)
-    assert plan.program.num_ops == 32
-    assert set(plan.program.op_kinds()) == {"contig"}
 
 
 def test_contiguous_lowers_to_single_copy():
@@ -573,9 +569,10 @@ def test_compile_cache_hits_across_instances():
 
 
 def test_plan_info_feeds_layout_summary():
+    # what a send attaches to its profiling span
     tb = TypedBuffer(np.zeros(4096, dtype=np.uint8), Vector(8, 1, 8, D),
                      count=4)
-    info = tb.layout_summary()
+    info = tb.plan.info()
     assert info["ir_ops"] == 1
     assert info["ir_raw_blocks"] == 32
     assert 0.0 <= info["ir_coalesced_ratio"] <= 1.0
@@ -605,31 +602,34 @@ def test_fuzz_sweep_is_idempotent_on_the_structure(dt, count):
     assert ir.optimize(ir.optimize(again)) == ir.optimize(again) == again
 
 
-def test_new_loop_chain_collapses_before_its_inner_loop_unrolls():
-    # blocklength 2 over a two-run base is small enough to unroll alone,
-    # but blocklength == stride makes the vector a perfect nest: all six
-    # base copies are one rolled loop
+def test_new_loop_chain_collapses_into_one_rolled_loop():
+    # blocklength == stride makes the vector a perfect nest over a two-run
+    # base: all six base copies are one rolled loop
     base = Struct([1, 1], [0, 8], [INT, INT])
     two_runs = ir.ir_of(base)
     assert two_runs == ir.Seq((ir.Block(0, 4), ir.Block(8, 4)))
     assert ir.ir_of(Vector(3, 2, 2, base)) == ir.Loop(6, base.extent, two_runs)
     # ... and built in two constructor steps, the inner type was canonical
-    # (unrolled) before the outer loop ever saw it
+    # (rolled) before the outer loop collapsed onto it
     inner = Contiguous(2, base)
-    assert isinstance(ir.ir_of(inner), ir.Seq)
+    assert ir.ir_of(inner) == ir.Loop(2, 12, two_runs)
+    assert ir.ir_of(Contiguous(3, inner)) == ir.Loop(6, 12, two_runs)
     roundtrip_identical(Vector(3, 2, 2, base), count=2)
     roundtrip_identical(Contiguous(3, inner), count=2)
+    blocks_identical(Contiguous(3, inner), 2)
 
 
-def test_unroll_decides_on_the_fused_body():
-    # 3 x (4 x two abutting-on-repeat runs): the inner unroll fuses 8 raw
-    # runs into 5, which lets the outer loop unroll too
+def test_loop_over_abutting_runs_stays_rolled():
+    # 3 x (4 x two runs whose tail abuts the next copy's head): the loops
+    # collapse into one, and the merged stream still fuses 24 raw runs
+    # into 13 blocks
     base = Struct([1, 1], [0, 12], [INT, INT])      # extent 16: tail abuts head
-    canonical = ir.ir_of(Contiguous(3, Contiguous(4, base)))
-    assert isinstance(canonical, ir.Seq)
-    assert all(isinstance(ch, ir.Block) for ch in canonical.children)
-    assert canonical.runs == len(canonical.children) == 13
-    roundtrip_identical(Contiguous(3, Contiguous(4, base)))
+    dt = Contiguous(3, Contiguous(4, base))
+    assert ir.ir_of(dt) == ir.Loop(12, 16, ir.Seq((ir.Block(0, 4),
+                                                   ir.Block(12, 4))))
+    assert ir.compile_datatype(dt).blocks.num_blocks == 13
+    roundtrip_identical(dt)
+    blocks_identical(dt, 1)
 
 
 def test_node_attributes_match_an_expansion():
@@ -693,9 +693,14 @@ def test_closed_form_bounds_match_the_blocklist(dt):
 
 @pytest.mark.parametrize("dt", BOUNDS_SPECS[-4:], ids=["below", "overlap",
                                                        "interleave", "both"])
-def test_closed_form_bounds_passes_disabled(dt, passes_disabled):
+def test_closed_form_bounds_passes_disabled(dt):
     for count in (1, 3):
-        assert_closed_form_bounds(dt, count)
+        raw = raw_translation(dt, count)
+        typemap = buffer_typemap(dt, count)
+        assert raw.lo == min(off for off, _ in typemap)
+        assert raw.hi == max(off + n for off, n in typemap)
+        assert raw.size == sum(n for _, n in typemap) == count * dt.size
+        raw_translation_identical(dt, count)
 
 
 def test_typed_buffer_bounds_checks_need_no_expansion():
