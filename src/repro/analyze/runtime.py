@@ -148,25 +148,24 @@ class RuntimeVerifier:
     # progress until rank b acts
     def _wait_edges(self) -> List[Tuple[int, int, str]]:
         cluster = self.cluster
+        sends, recvs = cluster.pending()
         edges: List[Tuple[int, int, str]] = []
-        for rank, posted in enumerate(cluster._posted):
-            for rrec in posted:
-                if rrec.source == ANY_SOURCE:
-                    continue  # wildcard: no single culprit to point at
-                edges.append((
-                    rank, rrec.source,
-                    f"rank {rank} awaits a message from rank {rrec.source} "
-                    f"(tag={rrec.tag})",
-                ))
+        for rank, rrec in recvs:
+            if rrec.source == ANY_SOURCE:
+                continue  # wildcard: no single culprit to point at
+            edges.append((
+                rank, rrec.source,
+                f"rank {rank} awaits a message from rank {rrec.source} "
+                f"(tag={rrec.tag})",
+            ))
         threshold = cluster.config.eager_threshold
-        for dst, pending in enumerate(cluster._unexpected):
-            for rec in pending:
-                if not rec.is_obj and rec.nbytes > threshold:
-                    edges.append((
-                        rec.src, dst,
-                        f"rank {rec.src} blocks in a rendezvous send of "
-                        f"{rec.nbytes} bytes to rank {dst} (tag={rec.tag})",
-                    ))
+        for rec in sends:
+            if not rec.is_obj and rec.nbytes > threshold:
+                edges.append((
+                    rec.src, rec.dst,
+                    f"rank {rec.src} blocks in a rendezvous send of "
+                    f"{rec.nbytes} bytes to rank {rec.dst} (tag={rec.tag})",
+                ))
         return edges
 
     def _analyze_deadlock(self) -> None:
@@ -209,26 +208,24 @@ class RuntimeVerifier:
                 )
 
     def _check_unmatched(self) -> None:
-        cluster = self.cluster
-        for dst, pending in enumerate(cluster._unexpected):
-            for rec in pending:
-                self.report.add(
-                    "P2P001",
-                    f"message {rec.src}->{dst} tag={rec.tag} "
-                    f"({rec.nbytes} bytes) was never received",
-                    location=f"rank {rec.src}",
-                    key=("usend", rec.src, dst, rec.tag, id(rec)),
-                )
-        for rank, posted in enumerate(cluster._posted):
-            for rrec in posted:
-                src = "ANY" if rrec.source == ANY_SOURCE else rrec.source
-                self.report.add(
-                    "P2P002",
-                    f"receive posted on rank {rank} (source={src}, "
-                    f"tag={rrec.tag}) was never satisfied",
-                    location=f"rank {rank}",
-                    key=("urecv", rank, rrec.source, rrec.tag, id(rrec)),
-                )
+        sends, recvs = self.cluster.pending()
+        for rec in sends:
+            self.report.add(
+                "P2P001",
+                f"message {rec.src}->{rec.dst} tag={rec.tag} "
+                f"({rec.nbytes} bytes) was never received",
+                location=f"rank {rec.src}",
+                key=("usend", rec.src, rec.dst, rec.tag, id(rec)),
+            )
+        for rank, rrec in recvs:
+            src = "ANY" if rrec.source == ANY_SOURCE else rrec.source
+            self.report.add(
+                "P2P002",
+                f"receive posted on rank {rank} (source={src}, "
+                f"tag={rrec.tag}) was never satisfied",
+                location=f"rank {rank}",
+                key=("urecv", rank, rrec.source, rrec.tag, id(rrec)),
+            )
 
     def _check_collectives(self) -> None:
         for (ctx, seq), entries in sorted(

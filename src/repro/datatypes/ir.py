@@ -654,6 +654,12 @@ class CompiledPlan:
         # empty; once filled, reading it is a plain slot read
         if name == "blocks":
             value = self.blocks = to_blocklist(self.ir)
+            reg = _session_registry()
+            if reg is not None:
+                # observed where the block stream is built, so profiling
+                # never builds one that an unprofiled run would not
+                reg.histogram("repro_datatype_ir_coalesced_ratio").observe(
+                    self.coalesced_ratio)
         elif name == "program":
             value = self.program = lower(self.ir)
         else:
@@ -732,8 +738,6 @@ def compile_datatype(datatype, count: int = 1) -> CompiledPlan:
         reg.counter("repro_datatype_ir_compile_total").inc()
         reg.counter("repro_datatype_ir_cache_misses_total").inc()
         reg.histogram("repro_datatype_ir_compile_seconds").observe(wall)
-        reg.histogram("repro_datatype_ir_coalesced_ratio").observe(
-            plan.coalesced_ratio)
     return plan
 
 

@@ -115,10 +115,9 @@ def allgatherv(
     recvbuffer, datatype, counts, displs = _normalize(
         comm, sendbuffer, recvbuffer, counts, displs, datatype
     )
-    # the own block is copied before selection and its detection charge,
-    # failing fast like the rest of the call
-    yield from comm._fail_fast(
-        _copy_own(comm, sendbuffer, recvbuffer, datatype, counts, displs))
+    # the own block is copied before selection and its detection charge
+    yield from _copy_own(comm, sendbuffer, recvbuffer, datatype, counts,
+                         displs)
     ctx = SelectionContext.for_comm(
         comm, "allgatherv",
         volumes=[c * datatype.size for c in counts],

@@ -19,7 +19,8 @@ as ``sparse_alltoall`` registry algorithms:
 
 ``nbx``
     The NBX nonblocking consensus: post the (known) sends, discover
-    incoming messages by probing, and enter a nonblocking barrier
+    incoming messages by probing (blocking in the probe waiter that
+    ``Comm.probe`` registers), and enter a nonblocking barrier
     (:func:`ibarrier`) once the local sends complete.  When the barrier
     completes, every rank has both posted all its sends and observed that
     every other rank has too -- so one final probe drain terminates the
@@ -41,10 +42,10 @@ dense-vs-NBX decision must be *rank-uniform*: the selection policies and
 the tuning-table bucket key only consult rank-uniform inputs (size,
 config) when crossing that boundary, never the per-rank volume set.  The
 ``detail`` the dispatcher (:func:`repro.mpi.collectives.run`) reports to
-the runtime verifier is the protocol family of the selected algorithm
-(:func:`_protocol_family`), so a divergent selection trips COL002 instead
-of deadlocking silently.  An implementation is ``impl(comm, payloads,
-base)``.
+the runtime verifier when it opens the call's instance is the protocol
+family of the selected algorithm (:func:`_protocol_family`), so a
+divergent selection trips COL002 instead of deadlocking silently.  An
+implementation is ``impl(comm, payloads, base)``.
 
 Payloads are dicts ``{destination rank: numpy array | TypedBuffer}`` with
 byte sizes divisible by 8; results are ``{source rank: float64 array}``
@@ -62,8 +63,7 @@ from repro.datatypes.packing import TypedBuffer
 from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
 from repro.mpi.collectives import run
 from repro.mpi.collectives.basic import _barrier_dissemination
-from repro.mpi.comm import (ANY_SOURCE, Comm, MPIError, _first_of,
-                            _RecvRecord)
+from repro.mpi.comm import ANY_SOURCE, Comm, MPIError
 from repro.mpi.request import Request
 
 #: tag offset of the consensus barrier inside the collective's tag window
@@ -251,21 +251,12 @@ def _nbx_exchange(comm: Comm, payloads: Dict[int, Any], base: int,
             barrier_done = ibarrier(comm, base + _BARRIER_TAG_OFFSET)
             continue
         # sleep until an incoming message becomes probe-visible OR one of
-        # the tracked futures fires, whichever happens first (the manual
-        # probe waiter mirrors Comm.probe; crash sweeps poison it)
+        # the tracked futures fires, whichever happens first (the probe
+        # waiter Comm.probe registers; crash sweeps poison it, and the
+        # matched record is discarded: the next drain receives it)
         waits = [f for f in (all_sent, barrier_done)
                  if f is not None and not f.done]
-        probe_fut = engine.future(("nbx-probe@%s", comm.grank))
-        entry = _RecvRecord(ANY_SOURCE, base, comm.ctx, None, probe_fut,
-                            False, comm)
-        waiters = comm.cluster._probe_waiters
-        waiters.setdefault(comm.grank, []).append(entry)
-        yield from _first_of(engine, probe_fut, *waits)
-        pending = waiters.get(comm.grank, [])
-        if entry in pending:
-            pending.remove(entry)
-        if probe_fut.done:
-            probe_fut.value  # discard the record; re-raise crash poison
+        yield from comm._wait_probe(ANY_SOURCE, base, *waits)
 
     # the barrier completed: every rank posted its sends before entering
     # it, and posting makes a message probe-visible instantly in this

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 from time import perf_counter
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +52,6 @@ from repro.util.costmodel import CostLedger, CostModel
 
 ANY_SOURCE = -1
 ANY_TAG = -1
-
-#: tags at or above this value are reserved for collective operations
-_COLLECTIVE_TAG_BASE = 1_000_000
 
 # -- reliable-transport timing (Comm._deliver) ---------------------------------
 
@@ -529,6 +526,17 @@ class Cluster:
 
     # -- matching ------------------------------------------------------------
 
+    def pending(self) -> Tuple[List[_SendRecord],
+                               List[Tuple[int, _RecvRecord]]]:
+        """What the matching queues still hold: the sends no receive has
+        matched (by destination rank) and the posted receives as
+        ``(grank, record)`` pairs (by rank).  The one read of the queues
+        outside the matching code (the runtime verifier, the trace)."""
+        sends = [rec for queue in self._unexpected for rec in queue]
+        recvs = [(rank, rrec) for rank, queue in enumerate(self._posted)
+                 for rrec in queue]
+        return sends, recvs
+
     def _post_send(self, rec: _SendRecord) -> None:
         if self._observers:
             self._notify("send_posted", rec)
@@ -631,6 +639,8 @@ class Comm:
         self.net = cluster.net
         self.engine = cluster.engine
         self._ctx_seq = 0
+        #: collective instances opened on this handle (tag-window sequence)
+        self._coll_seq = 0
 
     def _to_global(self, rank: int) -> int:
         return self.group[rank]
@@ -883,12 +893,28 @@ class Comm:
         status = self.iprobe(source, tag)
         if status is not None:
             return status
+        rec = yield from self._wait_probe(source, tag)
+        return Status(self._to_local(rec.src), rec.tag, rec.nbytes)
+
+    def _wait_probe(self, source: int, tag: int,
+                    *others: SimFuture) -> Generator:
+        """Register a probe waiter and block until a matching message is
+        pending; returns its :class:`_SendRecord` (not consumed).  Given
+        ``others``, also resume when one of them resolves first: the
+        waiter is then withdrawn and the result is None.  Crash sweeps
+        and revocation poison the waiter."""
         gsource = source if source == ANY_SOURCE else self._to_global(source)
         fut = self.engine.future(("probe@%s", self.grank))
-        self.cluster._probe_waiters.setdefault(self.grank, []).append(
-            _RecvRecord(gsource, tag, self.ctx, None, fut, False, self))
-        rec = yield fut
-        return Status(self._to_local(rec.src), rec.tag, rec.nbytes)
+        waiter = _RecvRecord(gsource, tag, self.ctx, None, fut, False, self)
+        self.cluster._probe_waiters.setdefault(self.grank, []).append(waiter)
+        if not others:
+            rec = yield fut
+            return rec
+        yield from _first_of(self.engine, fut, *others)
+        pending = self.cluster._probe_waiters.get(self.grank, [])
+        if waiter in pending:
+            pending.remove(waiter)
+        return fut.value if fut.done else None
 
     def sendrecv(
         self,
@@ -1123,42 +1149,9 @@ class Comm:
 
     # -- collectives (implemented in repro.mpi.collectives) -------------------------
     #
-    # Every collective dispatches through repro.mpi.collectives.run, which
-    # gives ALL registered algorithms uniform ULFM failure semantics
-    # without each implementation knowing about faults.
-
-    def _fail_fast(self, body: Generator) -> Generator:
-        """Run one collective with fail-fast failure semantics.
-
-        The first rank to observe a peer failure inside the collective
-        revokes the communicator context, which releases every other rank
-        blocked in the same collective (their pending operations complete
-        with :class:`CommRevokedError`).  The revocation cause is then
-        normalised, so *every* surviving rank of the communicator raises
-        the same exception -- a :class:`RankFailedError` naming the same
-        failed rank (or the same :class:`TransportError`) -- rather than
-        some ranks deadlocking or seeing a different error.  On the
-        fault-free path this adds no events and no yields.
-        """
-        try:
-            result = yield from body
-        except (RankFailedError, TransportError, CommRevokedError) as exc:
-            raise self._uniform_failure(exc) from None
-        return result
-
-    def _uniform_failure(self, exc: BaseException) -> BaseException:
-        """The exception every rank raises for ``exc`` (see
-        :meth:`_fail_fast`); a first-hand failure revokes the context."""
-        if isinstance(exc, CommRevokedError):
-            if not isinstance(exc.cause, (RankFailedError, TransportError)):
-                return exc
-            exc = exc.cause
-        else:
-            self.revoke(exc)
-        if isinstance(exc, RankFailedError):
-            return RankFailedError(exc.rank, exc.reason)
-        return TransportError(exc.src, exc.dst, exc.tag, exc.attempts,
-                              exc.reason)
+    # Every collective instance opens through repro.mpi.collectives.instance,
+    # which gives ALL registered algorithms and library exchanges uniform
+    # ULFM failure semantics without each implementation knowing about faults.
 
     def barrier(self) -> Generator:
         from repro.mpi.collectives.basic import barrier

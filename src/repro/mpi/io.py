@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.datatypes.typemap import Contiguous, Datatype, Resized
 from repro.mpi.comm import Comm, MPIError, as_typed
-from repro.mpi.collectives import _tag_window
+from repro.mpi.collectives import instance
 from repro.mpi.request import Request
 from repro.simtime.resources import Resource
 
@@ -189,18 +189,22 @@ class File:
         tb = as_typed(buffer, datatype, count)
         data = tb.pack()
         offs, lens = self._view_offsets(tb.nbytes)
-        yield from self._two_phase(offs, lens, data, write=True, out_tb=None)
+        yield from instance(comm, "io_collective", None, self._two_phase,
+                            offs, lens, data, True, None)
 
     def read_all(self, buffer, datatype=None, count=None) -> Generator:
         """Collective two-phase read."""
         self._check_open()
         tb = as_typed(buffer, datatype, count)
         offs, lens = self._view_offsets(tb.nbytes)
-        yield from self._two_phase(offs, lens, None, write=False, out_tb=tb)
+        yield from instance(self.comm, "io_collective", None, self._two_phase,
+                            offs, lens, None, False, tb)
 
-    def _two_phase(self, offs, lens, data, write: bool, out_tb) -> Generator:
+    def _two_phase(self, offs, lens, data, write: bool, out_tb,
+                   base: int) -> Generator:
+        """One two-phase exchange, run as the collective instance whose
+        tag window starts at ``base``."""
         comm = self.comm
-        base = _tag_window(comm, op="io_collective")
         my_lo = int(offs.min()) if len(offs) else 0
         my_hi = int((offs + lens).max()) if len(offs) else 0
         extents = yield from comm.gather_obj((my_lo, my_hi), root=0)

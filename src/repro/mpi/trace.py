@@ -135,17 +135,11 @@ class MessageTrace:
         """
         if self.cluster is None:
             return {"sends": [], "recvs": []}
-        sends = [
-            (rec.src, rec.dst, rec.tag, rec.nbytes)
-            for pending in self.cluster._unexpected
-            for rec in pending
-        ]
-        recvs = [
-            (rank, rrec.source, rrec.tag)
-            for rank, posted in enumerate(self.cluster._posted)
-            for rrec in posted
-        ]
-        return {"sends": sends, "recvs": recvs}
+        sends, recvs = self.cluster.pending()
+        return {"sends": [(rec.src, rec.dst, rec.tag, rec.nbytes)
+                          for rec in sends],
+                "recvs": [(rank, rrec.source, rrec.tag)
+                          for rank, rrec in recvs]}
 
     def busiest_pair(self) -> Optional[tuple]:
         """((src, dst), bytes) of the heaviest pair, or None."""

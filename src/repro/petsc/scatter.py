@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import DOUBLE, Datatype, IndexedBlock
-from repro.mpi.collectives import _tag_window
+from repro.mpi.collectives import instance
 from repro.mpi.comm import Comm
 from repro.mpi.request import Request
 from repro.petsc.indexset import IS
@@ -268,9 +268,10 @@ class VecScatter:
         with prof.span("petsc", "vecscatter", comm.grank, backend=backend,
                        mode=mode, peers=len(self.send_map)):
             if backend == "hand_tuned":
-                # a peer crash surfaces uniformly, as in a collective
-                yield from comm._fail_fast(
-                    self._scatter_hand_tuned(src_arr, dst_arr, mode))
+                # one collective instance: a peer crash surfaces uniformly
+                yield from instance(comm, "vecscatter", None,
+                                    self._scatter_hand_tuned,
+                                    src_arr, dst_arr, mode)
             elif backend == "datatype":
                 yield from self._scatter_datatype(src_arr, dst_arr, mode)
             else:
@@ -279,10 +280,9 @@ class VecScatter:
     # -- hand-tuned backend ----------------------------------------------------------
 
     def _scatter_hand_tuned(self, src: np.ndarray, dst: np.ndarray,
-                            mode: str = "insert") -> Generator:
+                            mode: str, base: int) -> Generator:
         comm = self.comm
         cost = comm.cost
-        base = _tag_window(comm, op="vecscatter")
         requests: list[Request] = []
         recv_bufs: list[tuple[int, np.ndarray, np.ndarray]] = []
         for peer, offs in self.recv_map.items():

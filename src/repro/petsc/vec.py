@@ -16,6 +16,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 
 import numpy as np
 
+from repro.mpi.collectives import instance
 from repro.mpi.comm import Comm
 from repro.petsc.commplan import CommPlan, plan_signature
 
@@ -461,20 +462,18 @@ class Vec:
                          stash: Dict[int, List[np.ndarray]]) -> Generator:
         """Reuse the cached plan: no discovery, straight to transfers.
 
-        Fail-fast wrapped so a peer crash surfaces as the same uniform
-        ``RankFailedError`` a collective would raise; any failure also
-        invalidates the plan (the pattern may outlive a shrink, the
-        promise does not)."""
+        The replay is one collective instance, so a peer crash surfaces
+        as the same uniform ``RankFailedError`` a collective would raise;
+        any failure also invalidates the plan (the pattern may outlive a
+        shrink, the promise does not)."""
         comm = self.comm
         prof = comm.cluster.profiler
         if prof.enabled:
             prof.count("repro_plan_cache_hits_total")
-        from repro.mpi.collectives import _tag_window
-
-        base = _tag_window(comm, op="vec_assembly_cached",
-                           detail=(plan.fingerprint, plan.mode))
         try:
-            yield from comm._fail_fast(self._cached_exchange(plan, stash, base))
+            yield from instance(comm, "vec_assembly_cached",
+                                (plan.fingerprint, plan.mode),
+                                self._cached_exchange, plan, stash)
         except BaseException:
             self._invalidate_plan("failure")
             raise

@@ -3,24 +3,20 @@
 Usage::
 
     python -m repro.prof check-catalogue [--docs docs/OBSERVABILITY.md]
-                                         [--json BENCH.json ...]
 
-Checks, failing with exit code 1 on any drift:
+Fails with exit code 1 on any drift: every metric name in
+:data:`repro.prof.metrics.CATALOGUE` must appear (backtick-quoted) in the
+documentation, and the documentation may mention no ``repro_*`` metric
+that is not catalogued.  No emitted artifact needs checking: the metrics
+registry refuses any name outside the catalogue.
 
-1. every metric name in :data:`repro.prof.metrics.CATALOGUE` appears
-   (backtick-quoted) in the documentation, and the documentation mentions
-   no ``repro_*`` metric that is not catalogued;
-2. for each ``--json`` bench artifact, every metric name it recorded is in
-   the catalogue.
-
-CI runs this against the profiled bench-smoke artifact so an
-instrumentation rename cannot land without its documentation.
+CI runs this so an instrumentation rename cannot land without its
+documentation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -53,26 +49,6 @@ def check_docs(path: str) -> list[str]:
     return problems
 
 
-def check_bench_json(path: str) -> list[str]:
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError) as exc:
-        return [f"cannot read bench artifact {path}: {exc}"]
-    profile = report.get("profile") or {}
-    emitted = set(profile.get("metrics") or {})
-    for deltas in (profile.get("row_metrics") or {}).values():
-        for delta in deltas:
-            emitted.update(delta)
-    problems = []
-    for name in sorted(emitted):
-        if _base_name(name) not in CATALOGUE:
-            problems.append(
-                f"{path}: emitted metric `{name}` is not in the catalogue"
-            )
-    return problems
-
-
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="repro.prof")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,13 +56,9 @@ def main(argv: list[str]) -> int:
                          help="verify metric names match the documentation")
     chk.add_argument("--docs", default="docs/OBSERVABILITY.md",
                      help="documentation file to check against")
-    chk.add_argument("--json", nargs="*", default=[],
-                     help="bench JSON artifact(s) whose metrics must be catalogued")
     args = parser.parse_args(argv)
 
     problems = check_docs(args.docs)
-    for path in args.json:
-        problems.extend(check_bench_json(path))
     for p in problems:
         print(f"DRIFT: {p}")
     if problems:

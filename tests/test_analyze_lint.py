@@ -178,7 +178,7 @@ def test_lnt006_concrete_algorithm_import():
     """) == []
     # infra helpers that are not algorithms stay importable
     assert rules_of("""
-        from repro.mpi.collectives.basic import _tag_window
+        from repro.mpi.collectives import instance
     """) == []
 
 

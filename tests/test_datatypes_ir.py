@@ -749,6 +749,30 @@ def test_a_base_type_never_lowers_or_expands():
     assert tb.plan.blocks is outer.flatten()
 
 
+def test_profiling_builds_no_block_stream_of_its_own():
+    """The coalesced-ratio histogram is observed where a plan's BlockList
+    is first built, so a profiling session expands no plan that an
+    unprofiled run leaves unexpanded."""
+    from repro.prof import session
+
+    reg = session.enable()
+    try:
+        ir.cache_clear()
+        base = Vector(1000, 1, 4, D)
+        outer = ir.compile_datatype(Contiguous(3, base))
+        base_plan = ir.compile_datatype(base)
+        assert not hasattr_filled(base_plan, "blocks")
+        assert not hasattr_filled(outer, "blocks")
+        ratio = reg.histogram("repro_datatype_ir_coalesced_ratio")
+        assert ratio.count == 0
+        outer.blocks
+        assert ratio.count == 1
+        assert ratio.sum == pytest.approx(outer.coalesced_ratio)
+        assert not hasattr_filled(base_plan, "blocks")
+    finally:
+        session.disable()
+
+
 def test_is_contiguous_reads_the_canonical_ir():
     ir.cache_clear()
     cases = {

@@ -85,7 +85,8 @@ def test_crash_during_alltoallw_propagates(algorithm):
 @pytest.mark.parametrize("config", ["baseline", "optimized"])
 def test_crash_during_vecscatter_propagates(config, backend):
     """Both VecScatter backends fail fast: the datatype path through
-    ``Comm.alltoallw``, the hand-tuned exchange through ``_fail_fast``."""
+    ``Comm.alltoallw``, the hand-tuned exchange as its own collective
+    instance (``repro.mpi.collectives.instance``)."""
     from repro.petsc.scatter import VecScatter
 
     n, victim, width = 6, 2, 8
@@ -105,6 +106,60 @@ def test_crash_during_vecscatter_propagates(config, backend):
 
     outcomes = cluster.run(main, return_exceptions=True)
     _survivor_errors(outcomes, victim)
+
+
+def _io_collective(write):
+    from repro.datatypes import Vector
+    from repro.mpi.io import File
+
+    def main(comm):
+        fh = yield from File.open(comm, "sweep.bin")
+        fh.set_view(comm.rank * 8, Vector(64, 1, 4, DOUBLE))
+        buf = np.full(64, float(comm.rank))
+        if write:
+            yield from fh.write_all(buf)
+        else:
+            yield from fh.read_all(buf)
+        return True
+    return main
+
+
+def _cached_assembly(comm):
+    """One discovering assembly, then two replays of the cached plan."""
+    from repro.petsc.vec import Layout, Vec
+
+    g = 64
+    v = Vec(comm, Layout(comm.size, g))
+    v.set_option("subset_off_proc_entries")
+    target = ((comm.rank + 1) % comm.size) * (g // comm.size) + 1
+    for _ in range(3):
+        v.set_values([target], [1.0], mode="add")
+        yield from v.assemble()
+    return True
+
+
+@pytest.mark.parametrize("at_op", range(1, 17))
+@pytest.mark.parametrize("exchange", ["write_all", "read_all",
+                                      "cached_assembly"])
+def test_crash_during_library_exchange_is_uniform(exchange, at_op):
+    """Library exchanges that run as one collective instance (MPI-IO
+    two-phase, ``Vec``'s cached assembly replay) fail like a collective:
+    every survivor returns or raises ``RankFailedError`` naming the
+    victim -- never ``CommRevokedError``, never a deadlock.  A survivor
+    that never exchanges with the victim may return normally."""
+    main = {"write_all": _io_collective(True),
+            "read_all": _io_collective(False),
+            "cached_assembly": _cached_assembly}[exchange]
+    victim = 3
+    cluster = Cluster(4, config=MPIConfig.optimized(), cost=QUIET,
+                      fault_plan=FaultPlan(seed=1).crash(victim, at_op=at_op))
+    outcomes = cluster.run(main, return_exceptions=True)
+    for rank, out in enumerate(outcomes[:victim]):
+        if out is True:
+            continue
+        assert isinstance(out, RankFailedError), \
+            f"rank {rank}: expected RankFailedError, got {out!r}"
+        assert out.rank == victim
 
 
 def test_crash_during_barrier_and_allreduce():
