@@ -21,7 +21,7 @@ over one parsed project.  The
 
 ``repro.analyze.lint``
     AST rules over project and example code: bare excepts, O(N^2) block
-    rescans, ``yield from`` discipline, stale suppressions (LNT001-LNT007).
+    rescans, ``yield from`` discipline (LNT001-LNT006).
 
 ``repro.analyze.dataflow``
     CFG + fixpoint dataflow passes: request lifetime (REQ1xx), buffer
@@ -42,9 +42,9 @@ Shell entry point::
     python -m repro.analyze --protocol-stats src
     python -m repro.analyze --run examples/ghost_exchange_2d.py
 
-Findings on any line can be silenced with an inline
-``# analyze: ignore[CODE]`` comment (see :mod:`repro.analyze.suppress`).
-The rule catalogue is documented in ``docs/ANALYZE.md``.
+Deliberately broken programs live under a ``fixtures/`` directory, which
+directory scans skip; naming such a file analyzes it.  The rule
+catalogue is documented in ``docs/ANALYZE.md``.
 """
 
 from repro.analyze.dataflow.driver import analyze_source_set, analyze_tree
@@ -61,7 +61,6 @@ from repro.analyze.signatures import (
     signature_prefix,
     transfer_verdict,
 )
-from repro.analyze.suppress import Suppressions, collect_suppressions
 
 __all__ = [
     "RULES",
@@ -69,7 +68,6 @@ __all__ = [
     "Finding",
     "Report",
     "RuntimeVerifier",
-    "Suppressions",
     "TransferVerdict",
     "analyze_source_set",
     "analyze_tree",
@@ -77,7 +75,6 @@ __all__ = [
     "check_datatype",
     "check_protocol",
     "check_transfer",
-    "collect_suppressions",
     "full_signature",
     "match_p2p",
     "render_signature",

@@ -6,7 +6,7 @@ configuration:
 
 ``python -m repro.analyze src examples tests``
     Analyze every ``.py`` file under the given files/directories: the
-    lint rules (LNT001-LNT007), the CFG/fixpoint dataflow passes (REQ1xx
+    lint rules (LNT001-LNT006), the CFG/fixpoint dataflow passes (REQ1xx
     request lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence)
     and the cross-rank protocol verifier (MTC10x: every uncalled
     top-level function taking a communicator is abstractly executed
@@ -26,8 +26,9 @@ Output:
 ``--format text|json|sarif`` selects the emitter (SARIF 2.1.0 feeds CI
 annotations); ``--output FILE``, which needs ``json`` or ``sarif``,
 writes that document to a file while keeping the human-readable summary
-on stdout, which ``--protocol-stats`` extends.  Inline
-``# analyze: ignore[CODE]`` comments suppress findings per line.
+on stdout, which ``--protocol-stats`` extends.  A directory scan skips
+``fixtures/`` directories (deliberately broken inputs); a file named on
+the command line is always analyzed.
 """
 
 from __future__ import annotations

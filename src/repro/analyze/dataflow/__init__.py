@@ -22,8 +22,7 @@ liveness), and ask path questions the lint tier cannot:
 Entry points: :func:`analyze_tree` (files/directories) and
 :func:`analyze_source_set` (in-memory text) in
 :mod:`repro.analyze.dataflow.driver` -- the one pipeline that also runs
-the lint and protocol passes and applies ``# analyze: ignore[CODE]``
-suppressions.
+the lint and protocol passes.
 """
 
 from repro.analyze.dataflow.cfg import CFG, CFGNode, build_cfg

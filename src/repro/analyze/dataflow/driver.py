@@ -3,8 +3,7 @@
 :func:`analyze_source_set` is the only implementation of
 
 1. **parse** every file into one
-   :class:`~repro.analyze.dataflow.callgraph.Project` and collect each
-   file's ``# analyze: ignore[...]`` comments;
+   :class:`~repro.analyze.dataflow.callgraph.Project`;
 2. **summaries**: transitive per-function summaries, bottom-up over the
    call-graph condensation (:mod:`repro.analyze.dataflow.summaries`), so
    cross-function and cross-file request hand-off and rank taint resolve;
@@ -12,11 +11,12 @@
    **protocol** verifier (MTC), per file with the module's summary
    environment; an SPMD101 inside a function the verifier ran at every
    model size and reported as MTC104 is dropped, since that finding
-   already states the divergence;
-4. **suppressions**, one index per file shared by every pass, then
-   **LNT007** for each suppression that matched nothing.
+   already states the divergence.
 
 :func:`analyze_tree` only reads files from disk and hands them in.
+Deliberately broken programs live under a ``fixtures/`` directory, which
+directory expansion skips (:data:`SKIPPED_DIRS`); naming such a file
+analyzes it.
 """
 
 from __future__ import annotations
@@ -32,24 +32,13 @@ from repro.analyze.dataflow.callgraph import Project
 from repro.analyze.dataflow.cfg import build_cfg
 from repro.analyze.dataflow.engine import CallSummary
 from repro.analyze.dataflow.summaries import module_envs
-from repro.analyze.findings import RULES, Report
+from repro.analyze.findings import Report
 from repro.analyze.lint import _Linter
-from repro.analyze.suppress import (
-    ALL,
-    Suppressions,
-    apply_suppressions,
-    collect_suppressions,
-)
 
 __all__ = ["analyze_source_set", "analyze_tree", "iter_python_files"]
 
-#: rule-code prefixes of the runtime/signature passes -- suppressions for
-#: these are never reported unused by the static driver (the matching
-#: pass does not run here)
-_NON_STATIC_PREFIXES = ("SIG", "DLK", "REQ0", "P2P", "COL", "ZBS")
-
 #: directory names skipped during directory expansion.  ``fixtures`` holds
-#: intentionally-broken analyzer inputs (tests pass them explicitly).
+#: deliberately broken analyzer inputs (tests pass them explicitly).
 SKIPPED_DIRS = frozenset({"fixtures", "__pycache__"})
 
 
@@ -83,28 +72,6 @@ def _run_dataflow(tree: ast.Module, path: str, report: Report,
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _requests.check_function(build_cfg(node), path, report, env)
             _spmd.check_function(node, path, report, env)
-
-
-def _unused_suppression_eligible(code: str) -> bool:
-    """Whether an unmatched suppression for ``code`` is worth flagging:
-    every static pass ran, so all but a bare ``ignore`` and the
-    runtime/signature families (whose passes never run here) are."""
-    return code != ALL and not (code in RULES
-                                and code.startswith(_NON_STATIC_PREFIXES))
-
-
-def _report_unused_suppressions(suppressions: Suppressions, path: str,
-                                report: Report) -> None:
-    for line, code in suppressions.unused_sites():
-        if not _unused_suppression_eligible(code):
-            continue
-        report.add(
-            "LNT007",
-            f"suppression '# analyze: ignore[{code}]' matches no finding"
-            + ("" if code in RULES else f" (unknown rule code {code!r})"),
-            location=path, line=line,
-            key=("LNT007", path, line, code),
-        )
 
 
 def _retire_spmd101(report: Report, tree: ast.Module,
@@ -146,10 +113,9 @@ def analyze_source_set(
     report = Report()
     project = Project(sources)
     envs = module_envs(project)
-    for path, source in sources:
+    for path, _ in sources:
         tree = project.modules[path].tree
         env = envs.get(path, {})
-        suppressions = collect_suppressions(source, tree)
         local = Report()
         _Linter(path, local).visit(tree)
         _run_dataflow(tree, path, local, env)
@@ -157,10 +123,7 @@ def analyze_source_set(
         _protocol.check_module(tree, path, local, env, stats=stats)
         if protocol_stats is not None:
             protocol_stats.extend(stats)
-        filtered = apply_suppressions(_retire_spmd101(local, tree, stats),
-                                      suppressions)
-        _report_unused_suppressions(suppressions, path, filtered)
-        report.extend(filtered)
+        report.extend(_retire_spmd101(local, tree, stats))
     return report
 
 

@@ -77,9 +77,6 @@ RULES = {
     "LNT006": ("error", "concrete collective-algorithm implementation imported "
                         "outside the registry (go through "
                         "repro.mpi.algorithms.REGISTRY)"),
-    "LNT007": ("warning", "unused suppression: '# analyze: ignore[...]' "
-                          "matches no finding (stale after a fix, or a typo "
-                          "in the rule code)"),
 }
 
 

@@ -50,7 +50,7 @@ _COMM_GENERATORS = _generators(Comm)
 # -- facts only a person can state --------------------------------------------
 
 #: ``Comm`` generators that only charge local CPU time
-LOCAL_METHODS = frozenset({"cpu", "compute"})
+LOCAL_METHODS = frozenset({"cpu"})
 
 #: ``Comm`` generators that build a new communicator or agree over the
 #: survivors instead of exchanging data.  None of them counts as a

@@ -71,6 +71,7 @@ from repro.analyze.mpiapi import (
     COMM_ATTRIBUTES,
     COMM_PARAMS,
     COMMUNICATION_METHODS,
+    LOCAL_METHODS,
     ROOT_ARG,
 )
 from repro.analyze.signatures import (
@@ -1038,7 +1039,7 @@ class _Extractor:
         if attr in _BAIL_METHODS:
             raise _Bail(f"{self.func_name}: comm.{attr}() is outside the "
                         f"static model (line {line})")
-        if attr in ("cpu", "compute"):
+        if attr in LOCAL_METHODS:
             return None
         if attr in ("isend", "send"):
             bound = self._bound(node, env)

@@ -16,8 +16,7 @@ Usage::
 Every subcommand produces figure tables and, for the three gates, a list of
 violations; the shared options then apply the same way to each of them.
 ``--emit-json`` writes a ``repro-bench/1`` document embedding the figures
-(and, when profiling, the whole-session profile report) and
-``--trajectory`` appends the figures to a perf-trajectory file.
+(and, when profiling, the whole-session profile report).
 ``--profile`` attaches a :class:`repro.prof.Profiler` to every cluster the
 run builds and prints the Fig. 13-style pack/compute/wire/wait breakdown;
 ``--trace-out`` (Chrome trace-event file for ``chrome://tracing`` /
@@ -40,7 +39,6 @@ import sys
 import time
 
 from repro.bench import FigureData, figures, identity, print_figure
-from repro.bench.baseline import append_trajectory
 
 ALL = ["fig12", "fig13", "fig14a", "fig14b", "fig15", "fig16", "fig17"]
 
@@ -170,18 +168,15 @@ def _run(args: argparse.Namespace) -> int:
         for fig in produced:
             print_figure(fig)
             print()
-        doc = {"schema": "repro-bench/1", "quick": args.quick, **extra,
-               "figures": {f.name: _figure_doc(f) for f in produced}}
         report = _profile_outputs(args) if profile else None
         if args.emit_json:
-            out = doc if report is None else {**doc, "profile": report}
+            doc = {"schema": "repro-bench/1", "quick": args.quick, **extra,
+                   "figures": {f.name: _figure_doc(f) for f in produced}}
+            if report is not None:
+                doc["profile"] = report
             with open(args.emit_json, "w") as fh:
-                json.dump(out, fh, indent=1, default=str)
+                json.dump(doc, fh, indent=1, default=str)
             print(f"JSON report written to {args.emit_json}")
-        if args.trajectory:
-            n = append_trajectory(args.trajectory, doc,
-                                  label=args.trajectory_label)
-            print(f"trajectory entry {n} appended to {args.trajectory}")
     finally:
         if profile:
             session.disable()
@@ -214,12 +209,6 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     common.add_argument("--flame-out", metavar="PATH", default=None,
                         help="write a collapsed-stack flamegraph "
                              "(implies --profile)")
-    common.add_argument("--trajectory", metavar="PATH", default=None,
-                        help="append this run's figures to a "
-                             "BENCH_trajectory.json perf-trajectory file")
-    common.add_argument("--trajectory-label", metavar="LABEL", default=None,
-                        help="label recorded with the --trajectory entry "
-                             "(e.g. a commit SHA)")
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",

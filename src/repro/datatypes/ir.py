@@ -735,7 +735,6 @@ def compile_datatype(datatype, count: int = 1) -> CompiledPlan:
     _MISSES += 1
     if reg is not None:
         wall = time.perf_counter() - t0
-        reg.counter("repro_datatype_ir_compile_total").inc()
         reg.counter("repro_datatype_ir_cache_misses_total").inc()
         reg.histogram("repro_datatype_ir_compile_seconds").observe(wall)
     return plan

@@ -752,9 +752,6 @@ class Comm:
         """Charge ``seconds`` of nominal CPU work on this rank."""
         yield from self.cluster.cpu(self.grank, seconds, category)
 
-    def compute(self, seconds: float) -> Generator:
-        yield from self.cluster.cpu(self.grank, seconds)
-
     # -- point-to-point --------------------------------------------------------
 
     def isend(

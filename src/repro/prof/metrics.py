@@ -39,9 +39,8 @@ CATALOGUE: Dict[str, Tuple[str, str]] = {
     "repro_research_total": ("counter", "Datatype context re-searches (single-context engine only)"),
     "repro_research_depth_blocks": ("histogram", "Blocks walked per context re-search"),
     # datatype compiler (repro.datatypes.ir)
-    "repro_datatype_ir_compile_total": ("counter", "Datatype IR compilations (cache misses that built a plan)"),
     "repro_datatype_ir_cache_hits_total": ("counter", "Datatype IR plan-cache hits"),
-    "repro_datatype_ir_cache_misses_total": ("counter", "Datatype IR plan-cache misses"),
+    "repro_datatype_ir_cache_misses_total": ("counter", "Datatype IR plan-cache misses (each one compiles a plan)"),
     "repro_datatype_ir_compile_seconds": ("histogram", "Wall-clock seconds per datatype IR compilation (canonicalisation + bounds)"),
     "repro_datatype_ir_coalesced_ratio": ("histogram", "Merged blocks per raw run after IR coalescing (1.0 = nothing merged)"),
     "repro_datatype_pack_exec_seconds": ("histogram", "Wall-clock seconds executing one lowered pack/unpack copy program"),

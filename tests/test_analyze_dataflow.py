@@ -448,38 +448,6 @@ def test_spmd_split_subcommunicator_idiom_is_clean():
     """) == []
 
 
-# -- suppressions -------------------------------------------------------------
-
-def test_inline_suppression_silences_one_rule():
-    assert rules_of("""
-        def f(comm, data):
-            req = yield from comm.isend(data, 1)  # analyze: ignore[REQ101]
-    """) == []
-
-
-def test_standalone_comment_suppresses_next_line():
-    assert rules_of("""
-        def f(comm, data):
-            # justified  # analyze: ignore[REQ101]
-            req = yield from comm.isend(data, 1)
-    """) == []
-
-
-def test_bare_ignore_suppresses_everything_on_line():
-    report = analyze_source_set([("m.py", textwrap.dedent("""
-        def f(comm, data):
-            req = yield from comm.isend(data, 1)  # analyze: ignore
-    """))])
-    assert list(report) == []
-
-
-def test_suppression_of_other_code_does_not_silence():
-    assert rules_of("""
-        def f(comm, data):
-            req = yield from comm.isend(data, 1)  # analyze: ignore[BUF101]
-    """) == ["REQ101"]
-
-
 # -- fixtures pinned ----------------------------------------------------------
 
 FIXTURE_EXPECTATIONS = {

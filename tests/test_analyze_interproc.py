@@ -1,7 +1,6 @@
 """Tests for the interprocedural layer: call graph, transitive
-summaries, cross-function/cross-file rule propagation, the LNT007
-unused-suppression lint, deterministic emitters, and the measured
-autotune sweep."""
+summaries, cross-function/cross-file rule propagation, deterministic
+emitters, and the measured autotune sweep."""
 
 import textwrap
 from pathlib import Path
@@ -16,7 +15,6 @@ from repro.analyze.dataflow import (
 )
 from repro.analyze.emit import report_to_dicts
 from repro.analyze.findings import Report
-from repro.analyze.suppress import collect_suppressions
 
 from tests.test_analyze_dataflow import rules_of, spmd_rules
 
@@ -378,71 +376,6 @@ def test_self_wait_offset_maps_past_the_self_parameter():
     """))])
     env = module_envs(project, compute_summaries(project))["m.py"]
     assert env["self._finish"].waits_params == {1}
-
-
-# -- suppressions on decorated functions + LNT007 -----------------------------
-
-def test_suppression_above_decorator_covers_the_def():
-    # LNT004 anchors at the default expression on the ``def`` line; the
-    # comment above the decorator must still reach it (and count as
-    # used, so no LNT007 either)
-    assert tree_rules_of({"m.py": """
-        # shared sentinel on purpose  # analyze: ignore[LNT004]
-        @staticmethod
-        def f(x=[]):
-            return x
-    """}) == []
-
-
-def test_suppression_on_decorator_line_covers_the_def():
-    src = textwrap.dedent("""
-        @deco  # analyze: ignore[LNT001]
-        def f():
-            pass
-    """)
-    import ast as _ast
-
-    supp = collect_suppressions(src, _ast.parse(src))
-    def_line = 3  # the 'def f():' line
-    assert supp.is_suppressed("LNT001", def_line)
-
-
-def test_unused_suppression_flags_lnt007():
-    assert tree_rules_of({"m.py": """
-        def f(comm, data):
-            yield from comm.send(data, 1)  # analyze: ignore[LNT003]
-    """}) == [("m.py", "LNT007")]
-
-
-def test_used_suppression_is_not_lnt007():
-    assert tree_rules_of({"m.py": """
-        def f(comm):
-            if comm.rank == 0:
-                yield from comm.barrier()  # analyze: ignore[MTC104]
-    """}) == []
-
-
-def test_runtime_code_suppressions_never_flag_lnt007():
-    # DLK/SIG/... passes did not run here: silence is not staleness
-    assert tree_rules_of({"m.py": """
-        def f(comm):
-            yield from comm.barrier()  # analyze: ignore[DLK001]
-    """}) == []
-
-
-def test_bare_ignore_never_flags_lnt007():
-    assert tree_rules_of({"m.py": """
-        def f(comm):
-            yield from comm.barrier()  # analyze: ignore
-    """}) == []
-
-
-def test_unknown_code_always_flags_lnt007():
-    findings = tree_rules_of({"m.py": """
-        def f(comm):
-            yield from comm.barrier()  # analyze: ignore[NOPE999]
-    """})
-    assert findings == [("m.py", "LNT007")]
 
 
 # -- deterministic emitters ---------------------------------------------------

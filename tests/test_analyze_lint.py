@@ -224,7 +224,7 @@ HAND_KEPT_TABLES = {
         "allreduce", "gather_obj", "split", "reduce", "allreduce_array",
         "scan", "gatherv", "scatterv", "allgather", "alltoall", "allgatherv",
         "alltoallw", "sparse_alltoall", "wait", "waitall", "waitany", "cpu",
-        "compute", "global_to_local", "local_to_global"},
+        "global_to_local", "local_to_global"},
     "ALGORITHM_IMPLEMENTATIONS": {
         "_ring", "_recursive_doubling", "_dissemination", "_round_robin",
         "_binned", "_barrier_dissemination", "_bcast_binomial",
@@ -246,7 +246,7 @@ HAND_KEPT_TABLES = {
     "DIRECT_REQUEST_METHODS": {("irecv", "recv"), ("isend_obj", "send")},
     "COMM_ATTRIBUTES": {
         "rank", "size", "send", "recv", "isend", "irecv", "sendrecv",
-        "isend_obj", "recv_obj", "cpu", "compute", "barrier", "bcast",
+        "isend_obj", "recv_obj", "cpu", "barrier", "bcast",
         "allreduce", "gather_obj", "reduce", "allreduce_array", "scan",
         "gatherv", "scatterv", "allgather", "alltoall", "allgatherv",
         "alltoallw", "sparse_alltoall"},
@@ -338,14 +338,6 @@ def test_cli_lint_broken_file_exits_one(tmp_path, capsys):
     assert analyze_main([str(f)]) == 1
     out = capsys.readouterr().out
     assert "LNT001" in out and "LNT003" in out
-
-
-def test_cli_stale_suppression_is_lnt007(tmp_path, capsys):
-    f = tmp_path / "stale.py"
-    f.write_text("x = 1  # analyze: ignore[LNT001]\n")
-    assert analyze_main(["--format", "json", str(f)]) == 1
-    findings = json.loads(capsys.readouterr().out)["findings"]
-    assert [(d["rule"], d["line"]) for d in findings] == [("LNT007", 1)]
 
 
 def test_cli_missing_path_exits_two(tmp_path):

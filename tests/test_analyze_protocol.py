@@ -15,10 +15,6 @@ from hypothesis import strategies as st
 
 from repro.analyze.__main__ import main as analyze_main
 from repro.analyze.dataflow import analyze_tree
-from repro.analyze.dataflow.driver import (
-    _unused_suppression_eligible,
-    analyze_source_set,
-)
 from repro.analyze.findings import Report
 from repro.analyze.matchgraph import (
     ANY,
@@ -480,43 +476,6 @@ def test_protocol_clean_over_full_tree(tree_scan):
         if stat.verified_sizes and not path.startswith("tests/"):
             verified.setdefault(path, set()).add(stat.func)
     assert verified == VERIFIED_OUTSIDE_TESTS
-
-
-# -- suppressions and LNT007 -------------------------------------------------
-
-
-def test_mtc_suppression_honoured():
-    source = textwrap.dedent("""
-        import numpy as np
-        def main(comm):
-            buf = np.zeros(4)
-            out = np.zeros(4)
-            right = (comm.rank + 1) % comm.size
-            left = (comm.rank - 1) % comm.size
-            yield from comm.send(buf, right)  # analyze: ignore[MTC103]
-            yield from comm.recv(out, source=left)
-    """)
-    report = analyze_source_set([("t.py", source)])
-    assert not _mtc_findings(report)
-
-
-def test_stale_mtc_suppression_flagged():
-    source = textwrap.dedent("""
-        import numpy as np
-        def main(comm):
-            buf = np.zeros(4)
-            value = yield from comm.allreduce(1.0)  # analyze: ignore[MTC104]
-            return value
-    """)
-    report = analyze_source_set([("t.py", source)])
-    assert [f.rule for f in report] == ["LNT007"]
-
-
-def test_unused_suppression_eligibility_is_family_gated():
-    assert _unused_suppression_eligible("MTC101") is True
-    assert _unused_suppression_eligible("REQ101") is True
-    # the runtime/signature passes never run in the static driver
-    assert _unused_suppression_eligible("SIG001") is False
 
 
 # -- hypothesis: static MTC105 against the concrete signature path ------------

@@ -3,16 +3,25 @@ runs.  Each fixture asserts that its finding fires exactly once."""
 
 import gc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analyze import RuntimeVerifier
+from repro.analyze import RuntimeVerifier, analyze_tree
+from repro.analyze.__main__ import main as analyze_main
 from repro.mpi import Cluster, MPIConfig, TruncationError
 from repro.mpi.trace import MessageTrace
 from repro.util import CostModel
+from tests.fixtures.broken_runtime import (
+    broken_deadlock_cycle,
+    broken_leaked_request,
+    broken_mismatched_collective,
+    broken_signature_mismatch,
+)
 
 QUIET = CostModel(cpu_noise=0.0)
+BROKEN_RUNTIME = Path(__file__).parent / "fixtures" / "broken_runtime.py"
 
 
 def make_cluster(n, config=None, **kw):
@@ -29,16 +38,6 @@ def run_verified(n, fn, *args, config=None):
 
 
 # -- fixture 1: send/receive signature mismatch (SIG001) ----------------------
-
-def broken_signature_mismatch(comm):
-    """Rank 0 sends doubles; rank 1 receives into int32 -- a signature
-    mismatch that real MPI silently reinterprets into garbage."""
-    if comm.rank == 0:
-        yield from comm.send(np.arange(4, dtype=np.float64), 1)
-    else:
-        buf = np.zeros(8, dtype=np.int32)
-        yield from comm.recv(buf, 0)  # analyze: ignore[MTC105]
-
 
 def test_fixture_signature_mismatch_fires_sig001_once():
     verifier, results = run_verified(2, broken_signature_mismatch)
@@ -66,15 +65,6 @@ def test_handled_truncation_fires_sig002_and_the_run_completes(count):
 
 
 # -- fixture 2: wait-for cycle deadlock (DLK001) ------------------------------
-
-def broken_deadlock_cycle(comm):
-    """Both ranks recv before they send: the classic head-to-head
-    blocking-receive deadlock."""
-    buf = np.zeros(4, dtype=np.float64)
-    other = 1 - comm.rank
-    yield from comm.recv(buf, other)  # analyze: ignore[MTC103]
-    yield from comm.send(buf, other)
-
 
 def test_fixture_deadlock_cycle_fires_dlk001_once():
     verifier, results = run_verified(2, broken_deadlock_cycle)
@@ -105,20 +95,6 @@ def test_rendezvous_sends_appear_in_wait_graph():
 
 
 # -- fixture 3: leaked request (REQ001) ---------------------------------------
-
-def broken_leaked_request(comm):
-    """Rank 0 posts a nonblocking send and never completes it."""
-    if comm.rank == 0:
-        # the leak is the point of the fixture  # analyze: ignore[REQ101]
-        req = yield from comm.isend(np.arange(4, dtype=np.float64), 1)
-        assert not req.waited
-        yield from comm.barrier()
-    else:
-        buf = np.zeros(4, dtype=np.float64)
-        req = comm.irecv(buf, 0)
-        yield from req.wait()
-        yield from comm.barrier()
-
 
 def test_fixture_leaked_request_fires_req001_once():
     verifier, results = run_verified(2, broken_leaked_request)
@@ -173,16 +149,6 @@ def test_request_test_polls_without_blocking():
 
 
 # -- fixture 4: mismatched collective (COL001) --------------------------------
-
-def broken_mismatched_collective(comm):
-    """Rank 0 enters a bcast while rank 1 enters a barrier: a collective
-    call-order mismatch across the communicator."""
-    buf = np.zeros(1, dtype=np.float64)
-    if comm.rank == 0:
-        yield from comm.bcast(buf, root=0)
-    else:
-        yield from comm.barrier()  # analyze: ignore[MTC104]
-
 
 def test_fixture_mismatched_collective_fires_col001_once():
     verifier, results = run_verified(2, broken_mismatched_collective)
@@ -240,6 +206,23 @@ def test_gatherv_scatterv_infer_the_wire_element_type():
     assert verifier.report.by_rule("SIG001") == []
     assert results[0][0].tolist() == [0.0, 1.0, 1.0, 2.0, 2.0, 2.0]
     assert results[2][1].tolist() == [3.0, 4.0, 5.0]
+
+
+# -- the fixture file as an analyzer input -----------------------------------
+
+def test_fixture_script_run_exits_one_naming_dlk001(capsys):
+    """The CI must-fail self-test of ``analyze --run``: the script's
+    ``__main__`` block runs the head-to-head receive deadlock."""
+    assert analyze_main(["--run", str(BROKEN_RUNTIME)]) == 1
+    out = capsys.readouterr().out
+    assert "DLK001" in out and "wait-for cycle 0 -> 1 -> 0" in out
+
+
+def test_fixture_static_twins_pinned():
+    """Named explicitly, the file yields each fixture's static twin once."""
+    report = analyze_tree([BROKEN_RUNTIME])
+    assert sorted(f.rule for f in report) == [
+        "MTC103", "MTC104", "MTC105", "REQ101"]
 
 
 # -- clean programs stay clean ------------------------------------------------

@@ -25,6 +25,7 @@ def test_unknown_figure_rejected(capsys):
     ["--guidelines"],
     [],
     ["guidelines", "--no-ir-passes"],
+    ["figures", "--trajectory", "x"],
 ])
 def test_flag_not_taken_by_the_mode_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -101,15 +102,6 @@ def test_assembly_gate_passes_and_strategies_agree(tmp_path, capsys):
     sums = {run_assembly(4, s, rounds=8).checksum
             for s in ("dense", "nbx", "plan")}
     assert len(sums) == 1
-
-
-def test_guidelines_appends_to_trajectory(tmp_path, capsys):
-    traj = tmp_path / "traj.json"
-    main(["guidelines", "--quick", "--trajectory", str(traj),
-          "--trajectory-label", "gl"])
-    history = json.loads(traj.read_text())
-    assert [e["label"] for e in history] == ["gl"]
-    assert "guidelines" in history[0]["figures"]
 
 
 def test_transpose_column_type_structure():

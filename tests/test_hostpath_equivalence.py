@@ -77,7 +77,7 @@ def _self_send(comm):
 
 def _wildcards(comm):
     if comm.rank != 0:
-        yield from comm.compute(1e-6 * comm.rank)
+        yield from comm.cpu(1e-6 * comm.rank)
         yield from comm.send(np.full(4, float(comm.rank)), dest=0,
                              tag=comm.rank * 10)
         return None
@@ -99,7 +99,7 @@ def _probes(comm):
     first = np.zeros(status.nbytes // 8)
     yield from comm.recv(first, source=status.source, tag=status.tag)
     while comm.iprobe(source=0, tag=5) is None:
-        yield from comm.compute(1e-7)
+        yield from comm.cpu(1e-7)
     second = np.zeros(6)
     yield from comm.recv(second, source=0, tag=5)
     return np.concatenate([first, second])
@@ -163,7 +163,7 @@ def _hung_rendezvous(comm):
         except TransportError:
             return np.full(1, -1.0)
         return np.zeros(1)
-    yield from comm.compute(1e-3)
+    yield from comm.cpu(1e-3)
     buf = np.zeros(4096)
     yield from comm.recv(buf, source=0, tag=2)
     return buf
@@ -545,7 +545,7 @@ def test_specific_receives_keep_post_order_behind_a_wildcard():
                 yield from comm.send(np.full(1, 10.0 * comm.rank + k),
                                      dest=0, tag=k)
             return None
-        yield from comm.compute(1e-3)     # everything is queued unexpected
+        yield from comm.cpu(1e-3)     # everything is queued unexpected
         seen = []
         buf = np.zeros(1)
         for source, tag in ((1, ANY_TAG), (ANY_SOURCE, 0), (ANY_SOURCE, ANY_TAG),

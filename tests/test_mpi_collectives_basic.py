@@ -35,7 +35,7 @@ def test_barrier_synchronises():
     left = {}
 
     def main(comm):
-        yield from comm.compute(float(comm.rank))  # rank r enters at t=r
+        yield from comm.cpu(float(comm.rank))  # rank r enters at t=r
         entered[comm.rank] = comm.engine.now
         yield from comm.barrier()
         left[comm.rank] = comm.engine.now

@@ -208,7 +208,7 @@ def test_eager_send_completes_before_recv_posted():
             yield from comm.send(np.zeros(8), dest=1)  # 64 B: eager
             timeline["send_done"] = comm.engine.now
             return None
-        yield from comm.compute(1.0)  # receiver busy for a long time
+        yield from comm.cpu(1.0)  # receiver busy for a long time
         buf = np.zeros(8)
         yield from comm.recv(buf, source=0)
         timeline["recv_done"] = comm.engine.now
@@ -229,7 +229,7 @@ def test_rendezvous_send_waits_for_recv():
             yield from comm.send(data, dest=1)
             timeline["send_done"] = comm.engine.now
             return None
-        yield from comm.compute(1.0)
+        yield from comm.cpu(1.0)
         buf = np.zeros(100_000)
         yield from comm.recv(buf, source=0)
 

@@ -21,7 +21,7 @@ def test_iprobe_sees_pending_message():
         if comm.rank == 0:
             yield from comm.send(np.zeros(10), dest=1, tag=3)
             return None
-        yield from comm.compute(1.0)  # let the message arrive unexpected
+        yield from comm.cpu(1.0)  # let the message arrive unexpected
         status = comm.iprobe(source=0, tag=3)
         assert status is not None
         assert status.nbytes == 80 and status.source == 0
@@ -50,7 +50,7 @@ def test_blocking_probe_waits_for_message():
 
     def main(comm):
         if comm.rank == 0:
-            yield from comm.compute(2.0)
+            yield from comm.cpu(2.0)
             yield from comm.send(np.zeros(5), dest=1, tag=9)
             return None
         status = yield from comm.probe(source=0, tag=9)
@@ -93,7 +93,7 @@ def test_waitany_returns_first_completion():
             first = (idx, status.source)
             yield from Request.waitall([reqs[1 - idx]])
             return first
-        yield from comm.compute(3.0 if comm.rank == 1 else 0.5)
+        yield from comm.cpu(3.0 if comm.rank == 1 else 0.5)
         yield from comm.send(np.zeros(4), dest=0)
         return None
 
@@ -110,7 +110,7 @@ def test_waitany_with_already_done_request():
             return None
         buf = np.zeros(2)
         req = comm.irecv(buf, source=0)
-        yield from comm.compute(1.0)  # request completes meanwhile
+        yield from comm.cpu(1.0)  # request completes meanwhile
         idx, status = yield from Request.waitany([req])
         return idx
 

@@ -258,7 +258,7 @@ def test_rma_cpu_charges_run_on_the_io_lane():
             origin = TypedBuffer(np.arange(4.0 * n), Vector(n, 1, 4, DOUBLE))
             yield from win.put(origin, 1, Vector(n, 1, 4, DOUBLE), 1,
                                method="pack")
-            yield from comm.compute(5e-6)
+            yield from comm.cpu(5e-6)
         yield from win.fence()
         if comm.rank == 0:
             yield from win.accumulate(np.ones(4 * n), 1)

@@ -69,7 +69,7 @@ def test_utilization_report():
 
     def main(comm):
         other = 1 - comm.rank
-        yield from comm.compute(1e-3)
+        yield from comm.cpu(1e-3)
         sbuf = np.zeros(1000)
         rbuf = np.zeros(1000)
         yield from comm.sendrecv(sbuf, other, rbuf, other)
