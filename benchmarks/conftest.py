@@ -9,7 +9,7 @@ and asserts the shape targets from DESIGN.md section 4.
 import sys
 import os
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src")))
 
 
 def run_once(benchmark, fn, *args, **kwargs):

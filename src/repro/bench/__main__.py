@@ -9,11 +9,9 @@ Usage::
         --trace-out trace.json                   # + repro.prof instrumentation
     python -m repro.bench guidelines             # datatype guideline gate
     python -m repro.bench assembly --quick       # repeated-assembly gate
-    python -m repro.bench autotune --quick \
-        --tuning-out tuning_table.json           # train + validate a table
     python -m repro.bench identity               # == IDENTITY.json (bench.identity)
 
-Every subcommand produces figure tables and, for the three gates, a list of
+Every subcommand produces figure tables and, for the two gates, a list of
 violations; the shared options then apply the same way to each of them.
 ``--emit-json`` writes a ``repro-bench/1`` document embedding the figures
 (and, when profiling, the whole-session profile report).
@@ -21,14 +19,6 @@ violations; the shared options then apply the same way to each of them.
 run builds and prints the Fig. 13-style pack/compute/wire/wait breakdown;
 ``--trace-out`` (Chrome trace-event file for ``chrome://tracing`` /
 Perfetto), ``--critpath-out`` and ``--flame-out`` imply it.
-
-``autotune`` runs the simulator measurement sweep
-(:mod:`repro.mpi.algorithms.autotune`), writes the ``repro-tuning/1``
-table JSON, then replays the paper's nonuniform benches under the
-baseline, optimised and autotuned configurations and **fails (exit 1)**
-unless an NBX variant wins a ``sparse_alltoall`` bucket and the
-autotuned policy ties-or-beats both fixed configs on every row -- the CI
-contract for the tuning-table artifact.
 """
 
 from __future__ import annotations
@@ -68,52 +58,21 @@ def _figures(args: argparse.Namespace):
         out = getattr(figures, name)(
             **_figure_kwargs(name, args.quick, args.seed))
         produced.extend([out] if isinstance(out, FigureData) else out)
-    return produced, [], {}
+    return produced, []
 
 
 def _guidelines(args: argparse.Namespace):
     from repro.bench.guidelines import run_guidelines
 
     fig, violations = run_guidelines(scale=256 if args.quick else 512)
-    return [fig], violations, {}
+    return [fig], violations
 
 
 def _assembly(args: argparse.Namespace):
     from repro.bench.assembly import assembly_figure
 
     fig, problems = assembly_figure(quick=args.quick)
-    return [fig], problems, {}
-
-
-def _autotune(args: argparse.Namespace):
-    from repro.mpi.algorithms.autotune import (
-        autotune, check_ties_or_beats, compare_policies,
-    )
-
-    print(f"== autotune sweep ({'quick' if args.quick else 'full'}) ==")
-    table = autotune(quick=args.quick, verbose=True)
-    table.save(args.tuning_out)
-    print(f"tuning table ({len(table)} buckets) written to {args.tuning_out}")
-    extra = {"tuning_table": table.as_dict()}
-    sparse_winners = {
-        entry.get("algorithm")
-        for key, entry in table.entries.items()
-        if key.startswith("sparse_alltoall|")
-    }
-    if not sparse_winners:
-        return [], ["sparse_alltoall never entered the sweep -- the NBX "
-                    "algorithms are not participating in selection"], extra
-    if not sparse_winners & {"nbx", "nbx_binned"}:
-        return [], ["no NBX variant won any sparse_alltoall bucket "
-                    f"(winners: {sorted(sparse_winners)}) -- the consensus "
-                    "implementations are not competitive in their own "
-                    "sweep"], extra
-    n_sparse = sum(1 for k in table.entries if k.startswith("sparse_alltoall|"))
-    print(f"sparse_alltoall trained {n_sparse} bucket(s); "
-          f"winners: {sorted(sparse_winners)}")
-    print()
-    fig = compare_policies(args.tuning_out, quick=args.quick)
-    return [fig], check_ties_or_beats(fig), extra
+    return [fig], problems
 
 
 def _figure_doc(fig: FigureData) -> dict:
@@ -164,13 +123,13 @@ def _run(args: argparse.Namespace) -> int:
 
     t0 = time.time()
     try:
-        produced, problems, extra = args.body(args)
+        produced, problems = args.body(args)
         for fig in produced:
             print_figure(fig)
             print()
         report = _profile_outputs(args) if profile else None
         if args.emit_json:
-            doc = {"schema": "repro-bench/1", "quick": args.quick, **extra,
+            doc = {"schema": "repro-bench/1", "quick": args.quick,
                    "figures": {f.name: _figure_doc(f) for f in produced}}
             if report is not None:
                 doc["profile"] = report
@@ -241,20 +200,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             failed="ASSEMBLY GATE VIOLATION(S):",
             held="plan reuse is byte-identical to rediscovery and "
                  "strictly cheaper on the wire at every size")
-    sub = command("autotune", _autotune,
-                  "train a tuning table in the simulator and assert it "
-                  "ties-or-beats the fixed configs",
-                  failed="AUTOTUNE GATE VIOLATION(S):",
-                  held="autotuned policy ties-or-beats both fixed configs "
-                       "on every row")
-    sub.add_argument("--tuning-out", metavar="PATH",
-                     default="tuning_table.json",
-                     help="where the table is written (default: %(default)s)")
     sub = commands.add_parser(
         "identity",
-        help="regenerate the deterministic artifacts (figures, assembly, "
-             "autotune --quick and the chaos report); exit 1 unless they "
-             "equal the committed IDENTITY.json")
+        help="regenerate the deterministic artifacts (figures, assembly "
+             "and the chaos report); exit 1 unless they equal the "
+             "committed IDENTITY.json")
     sub.set_defaults(run=lambda args: identity.run(update=args.update))
     sub.add_argument("--update", action="store_true",
                      help="rewrite IDENTITY.json from this tree instead")

@@ -23,8 +23,6 @@ MANIFEST = "IDENTITY.json"
 ARTIFACTS = {
     "figures": ("bench", "figures --quick --emit-json"),
     "assembly": ("bench", "assembly --quick --emit-json"),
-    "autotune": ("bench", "autotune --quick --tuning-out {tmp}/table.json "
-                          "--emit-json"),
     "chaos": ("faults", "chaos --seeds 1 2 3 4 5 --nprocs 8 --report"),
 }
 
@@ -39,7 +37,7 @@ def regenerate(names: Iterable[str] = ARTIFACTS) -> Dict[str, Any]:
         for name in names:
             module, argv = ARTIFACTS[name]
             out = os.path.join(tmp, name + ".json")
-            argv = argv.format(tmp=tmp).split() + [out]
+            argv = argv.split() + [out]
             with contextlib.redirect_stdout(io.StringIO()) as log:
                 status = (bench if module == "bench" else faults)(argv)
             if status != 0:
@@ -47,10 +45,7 @@ def regenerate(names: Iterable[str] = ARTIFACTS) -> Dict[str, Any]:
             with open(out) as fh:
                 doc = json.load(fh)
             if module == "bench":
-                # figures by name beside any extra payload (the tuning table)
-                figs = doc.pop("figures")
-                doc = {k: v for k, v in doc.items()
-                       if k not in ("schema", "quick")} | figs
+                doc = doc["figures"]
             fresh[name] = json.loads(dumps(doc))  # the manifest's key order
     return fresh
 
@@ -100,8 +95,10 @@ def first_difference(old: Any, new: Any) -> Tuple[tuple, Any, Any]:
 
 def compare(path: str, fresh: Dict[str, Any]) -> int:
     """0 if every fresh artifact equals its entry in the manifest at
-    ``path``; 1 (an ``IDENTITY MISMATCH`` line per moved artifact) if one
-    moved; 2 if the manifest is missing or not a JSON object."""
+    ``path``; 1 (an ``IDENTITY MISMATCH`` line per moved artifact and per
+    manifest key outside :data:`ARTIFACTS`) if one moved or the manifest
+    holds a key no artifact regenerates; 2 if the manifest is missing or
+    not a JSON object."""
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -116,7 +113,10 @@ def compare(path: str, fresh: Dict[str, Any]) -> int:
         where, old, new = first_difference(manifest.get(name, {}), fresh[name])
         print(f"IDENTITY MISMATCH: {' > '.join((name,) + where)}: "
               f"{old!r:.80} -> {new!r:.80}")
-    if moved:
+    stale = [name for name in manifest if name not in ARTIFACTS]
+    for name in stale:
+        print(f"IDENTITY MISMATCH: {name}: no artifact regenerates it")
+    if moved or stale:
         print(f"(a change meant to move them reruns with --update: {path})")
         return 1
     print(f"identity: {', '.join(fresh)} equal to {path}")

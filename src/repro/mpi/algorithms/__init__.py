@@ -2,18 +2,15 @@
 selection-policy layer (the production shape of the paper's section 4.2
 runtime algorithm selection).
 
-Three layers:
+Two layers:
 
 - :mod:`repro.mpi.algorithms.registry` -- :data:`REGISTRY`, an
   :class:`AlgorithmRegistry` of named implementations per collective with
   applicability predicates,
 - :mod:`repro.mpi.algorithms.policies` -- the flag-driven
-  :class:`RulePolicy` (mpich or adaptive rule per collective) and the
-  tuning-table :class:`AutotunedPolicy`, plus :func:`select`, the single
-  dispatch point every collective entry function calls,
-- :mod:`repro.mpi.algorithms.tuning` / ``autotune`` -- the tuning-table
-  schema and the simulator sweep that fills it
-  (``python -m repro.bench autotune``).
+  :class:`RulePolicy` (mpich or adaptive rule per collective), plus
+  :func:`select`, the single dispatch point every collective entry
+  function calls.
 
 :mod:`repro.mpi.algorithms.validation` additionally hosts the shared
 counts/displacements normaliser the v-collectives use.
@@ -26,19 +23,10 @@ from repro.mpi.algorithms.registry import (  # noqa: F401
     SelectionContext,
 )
 from repro.mpi.algorithms.policies import (  # noqa: F401
-    AutotunedPolicy,
     Decision,
     RulePolicy,
     policy_for,
     select,
-)
-from repro.mpi.algorithms.tuning import (  # noqa: F401
-    TuningTable,
-    bucket_key,
-    load_table,
-    size_bucket,
-    total_bucket,
-    volume_profile,
 )
 from repro.mpi.algorithms.validation import (  # noqa: F401
     check_spec_lengths,
@@ -49,18 +37,11 @@ __all__ = [
     "REGISTRY",
     "Algorithm",
     "AlgorithmRegistry",
-    "AutotunedPolicy",
     "Decision",
     "RulePolicy",
     "SelectionContext",
-    "TuningTable",
-    "bucket_key",
     "check_spec_lengths",
-    "load_table",
     "normalize_counts_displs",
     "policy_for",
     "select",
-    "size_bucket",
-    "total_bucket",
-    "volume_profile",
 ]

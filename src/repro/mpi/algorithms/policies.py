@@ -1,8 +1,7 @@
 """Selection policies: which registered algorithm does one call get?
 
-Two policies; :func:`policy_for` picks the tuning table when the config
-names one (:attr:`repro.mpi.config.MPIConfig.tuning_table`) and the rule
-otherwise.
+One policy, :class:`RulePolicy`, which :func:`policy_for` builds (once
+per config) for every call.
 
 :class:`RulePolicy`
     Per collective, the adaptive or the mpich rule, chosen by the feature
@@ -21,24 +20,16 @@ otherwise.
     :meth:`MPIConfig.optimized` by adaptive everywhere, and single-flag
     ablation configs mix the two per collective.
 
-:class:`AutotunedPolicy`
-    Look the call's bucket up in a tuning table measured in the simulator
-    (``python -m repro.bench autotune``) on every call: one dict probe.
-    An untrained bucket, or a trained one whose winner does not apply to
-    the call, falls back to the config's rule (including its
-    detection-cost accounting).
-
 A per-call ``algorithm=`` (see :func:`select`) pins one implementation.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.mpi import outlier
 from repro.mpi.algorithms.registry import REGISTRY, SelectionContext
-from repro.mpi.algorithms.tuning import TuningTable, bucket_key, load_table
 from repro.mpi.config import MPIConfig
 from repro.prof import NULL_PROFILER
 
@@ -174,51 +165,13 @@ class RulePolicy:
         return Decision(ctx.collective, "nbx", "adaptive", reason="adaptive")
 
 
-class AutotunedPolicy:
-    """Tuning-table lookups, one per call.
-
-    A table hit costs one bucket classification plus a dict probe -- no
-    simulated CPU is charged, unlike the adaptive rule's linear-time
-    detection pass.  Otherwise the config's rule decides (with its honest
-    detection cost): ``untrained->`` when the bucket has no entry,
-    ``inapplicable->`` when its winner is unregistered or does not apply
-    to this call."""
-
-    name = "autotuned"
-
-    def __init__(self, config: MPIConfig, table: Optional[TuningTable] = None):
-        self.table = load_table(config.tuning_table) if table is None else table
-        self._fallback = RulePolicy(config)
-
-    def decide(self, ctx: SelectionContext, prof: Any = NULL_PROFILER) -> Decision:
-        sole = _sole(ctx, self.name)
-        if sole is not None:
-            return sole
-        pick = self.table.lookup(bucket_key(ctx))
-        if pick is None:
-            prefix = "untrained"
-        else:
-            algorithm = REGISTRY.find(ctx.collective, pick)
-            if algorithm is not None and algorithm.applicable(ctx):
-                return Decision(ctx.collective, pick, self.name, reason="table")
-            prefix = "inapplicable"
-        decision = self._fallback.decide(ctx, prof)
-        decision.policy = self.name
-        decision.reason = f"{prefix}->{decision.reason}"
-        return decision
-
-
 @lru_cache(maxsize=128)
-def policy_for(config: MPIConfig) -> Union[RulePolicy, AutotunedPolicy]:
-    """Resolve (and cache) the policy one config maps onto: the tuning
-    table when :attr:`MPIConfig.tuning_table` names one, the flag-driven
-    rule otherwise.
+def policy_for(config: MPIConfig) -> RulePolicy:
+    """The (cached) flag-driven rule one config maps onto.
 
     ``MPIConfig`` is frozen/hashable, so identical configs share one policy
-    instance, and a named table is parsed once per process.
+    instance.
     """
-    if config.tuning_table:
-        return AutotunedPolicy(config)
     return RulePolicy(config)
 
 

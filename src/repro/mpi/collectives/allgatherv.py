@@ -20,11 +20,10 @@ Three algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
 
 *Which* algorithm a call gets is no longer decided here: the entry function
 hands the call to :func:`repro.mpi.collectives.run`, the one dispatcher,
-so the baseline thresholds (``mpich`` policy), the paper's section 4.2.1
-outlier rule (``adaptive`` policy, Floyd-Rivest k-select over the volume
-set) and tuning-table lookups (``autotuned``) all share one observable
-decision point.  An implementation is ``impl(comm, recvbuffer, datatype,
-counts, displs, base)``.
+so the baseline thresholds (``mpich`` rule) and the paper's section 4.2.1
+outlier rule (``adaptive`` rule, Floyd-Rivest k-select over the volume
+set) share one observable decision point.  An implementation is
+``impl(comm, recvbuffer, datatype, counts, displs, base)``.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ Two algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
 
 Which algorithm a call gets is decided by the selection policy the one
 dispatcher, :func:`repro.mpi.collectives.run`, consults (``binned`` when
-``config.binned_alltoallw`` is on, ``round_robin`` when it is off, unless
-a tuning table says otherwise); an implementation is
-``impl(comm, sendspecs, recvspecs, base)``.
+``config.binned_alltoallw`` is on, ``round_robin`` when it is off); an
+implementation is ``impl(comm, sendspecs, recvspecs, base)``.
 
 Per-pair datatype processing (the cost the binning hides) rides on
 ``comm.isend``, whose engines read each TypedBuffer's block structure from

@@ -38,14 +38,14 @@ as ``sparse_alltoall`` registry algorithms:
 in local send order and interoperate freely -- different ranks of one
 exchange may pick either.  ``dense`` uses an incompatible protocol (it
 begins with a collective counts exchange every rank must join), so the
-dense-vs-NBX decision must be *rank-uniform*: the selection policies and
-the tuning-table bucket key only consult rank-uniform inputs (size,
-config) when crossing that boundary, never the per-rank volume set.  The
-``detail`` the dispatcher (:func:`repro.mpi.collectives.run`) reports to
-the runtime verifier when it opens the call's instance is the protocol
-family of the selected algorithm (:func:`_protocol_family`), so a
-divergent selection trips COL002 instead of deadlocking silently.  An
-implementation is ``impl(comm, payloads, base)``.
+dense-vs-NBX decision must be *rank-uniform*: the selection policy only
+consults rank-uniform inputs (size, config) when crossing that boundary,
+never the per-rank volume set.  The ``detail`` the dispatcher
+(:func:`repro.mpi.collectives.run`) reports to the runtime verifier when
+it opens the call's instance is the protocol family of the selected
+algorithm (:func:`_protocol_family`), so a divergent selection trips
+COL002 instead of deadlocking silently.  An implementation is
+``impl(comm, payloads, base)``.
 
 Payloads are dicts ``{destination rank: numpy array | TypedBuffer}`` with
 byte sizes divisible by 8; results are ``{source rank: float64 array}``

@@ -8,15 +8,12 @@ Collective-algorithm selection (see :mod:`repro.mpi.algorithms`) follows
 the two section 4.2 flags: each collective takes the paper's adaptive rule
 when the flag governing it is on and the stock MPICH2 rule when it is off,
 so ``baseline()`` is mpich everywhere, ``optimized()`` adaptive everywhere
-and single-flag ablation configs mix the two.  A config whose
-:attr:`MPIConfig.tuning_table` names a table measured in the simulator
-(``python -m repro.bench autotune``) looks every call up there instead.
+and single-flag ablation configs mix the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -38,10 +35,6 @@ class MPIConfig:
 
     #: eager/rendezvous protocol switch (bytes)
     eager_threshold: int = 12 * 1024
-
-    #: path to a tuning-table JSON; when set, the ``autotuned`` policy
-    #: replaces the flag-driven rule (see repro.mpi.algorithms)
-    tuning_table: Optional[str] = None
 
     #: fault tolerance (repro.faults / docs/FAULTS.md): go-back-N-style
     #: reliable delivery -- per-message acks and sender retransmit on

@@ -1,6 +1,6 @@
 """Tests for the interprocedural layer: call graph, transitive
-summaries, cross-function/cross-file rule propagation, deterministic
-emitters, and the measured autotune sweep."""
+summaries, cross-function/cross-file rule propagation and deterministic
+emitters."""
 
 import textwrap
 from pathlib import Path
@@ -390,19 +390,3 @@ def test_report_dicts_are_sorted_and_deduped():
     dicts = report_to_dicts(report)
     assert [(d["path"], d["line"]) for d in dicts] == \
         [("a.py", 2), ("a.py", 5), ("z.py", 9)]
-
-
-# -- the autotune sweep -------------------------------------------------------
-
-def test_autotune_sweep_trains_every_grid_collective():
-    from repro.mpi.algorithms.autotune import autotune
-
-    table = autotune(procs=(4,))
-    trained = {key.split("|")[0] for key in table.entries}
-    assert trained == {"allgatherv", "alltoallw", "sparse_alltoall"}
-    for entry in table.entries.values():
-        latency = entry["latency_us"]
-        assert entry["algorithm"] == min(latency, key=latency.get)
-    sparse_winners = {entry["algorithm"] for key, entry in table.entries.items()
-                      if key.startswith("sparse_alltoall|")}
-    assert sparse_winners & {"nbx", "nbx_binned"}

@@ -458,7 +458,6 @@ VERIFIED_OUTSIDE_TESTS = {
     "examples/critical_path.py": {"main"},
     "examples/profile_breakdown.py": {"main"},
     "examples/quickstart.py": {"main"},
-    "src/repro/mpi/algorithms/tuning.py": {"bucket_key"},
     "src/repro/mpi/collectives/allgatherv.py": {"_recursive_doubling"},
     "src/repro/mpi/collectives/sparse.py": {"_needs_peers"},
     "src/repro/mpi/pack.py": {"mpi_pack", "mpi_unpack", "pack_size"},

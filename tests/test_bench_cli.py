@@ -91,6 +91,28 @@ def test_profile_emit_json_and_trace(tmp_path, capsys):
     assert any(e["ph"] == "X" for e in tr["traceEvents"])
 
 
+def test_cli_critpath_and_flame_imply_profile(tmp_path, capsys):
+    crit = tmp_path / "crit.json"
+    flame = tmp_path / "flame.txt"
+    assert main(["figures", "fig12", "--quick", "--critpath-out", str(crit)]) == 0
+    assert main(["figures", "fig12", "--quick", "--flame-out", str(flame)]) == 0
+    assert json.loads(crit.read_text())["schema"] == "repro-critpath/1"
+    assert flame.read_text().strip()
+
+
+def test_cli_critpath_and_flame_outputs(tmp_path, capsys):
+    crit = tmp_path / "crit.json"
+    flame = tmp_path / "flame.txt"
+    assert main(["figures", "fig12", "--quick", "--profile",
+                 "--critpath-out", str(crit), "--flame-out", str(flame)]) == 0
+    doc = json.loads(crit.read_text())
+    assert doc["schema"] == "repro-critpath/1"
+    assert doc["runs"]
+    for run in doc["runs"]:
+        assert run["path_total"] == pytest.approx(run["makespan"], rel=1e-9)
+    assert flame.read_text().strip()          # non-empty collapsed stacks
+
+
 def test_assembly_gate_passes_and_strategies_agree(tmp_path, capsys):
     from repro.bench.assembly import run_assembly
 

@@ -53,16 +53,16 @@ def test_missing_or_garbled_manifest_exits_2(assembly, tmp_path, capsys, text):
 
 
 def test_first_difference_names_figure_row_and_column():
-    old = {"Autotune": {
-        "columns": ["bench", "procs", "base", "auto"],
+    old = {"Fig15": {
+        "columns": ["bench", "procs", "base", "new"],
         "rows": [["ring", 8, 2.0, 1.0], ["ring", 16, 4.0, 3.0]]}}
     new = json.loads(json.dumps(old))
-    new["Autotune"]["rows"][1][3] = 3.5
+    new["Fig15"]["rows"][1][3] = 3.5
     assert identity.first_difference(old, new) == (
-        ("Autotune", "row bench=ring procs=16", "column 'auto'"), 3.0, 3.5)
-    new["Autotune"]["rows"].pop()
+        ("Fig15", "row bench=ring procs=16", "column 'new'"), 3.0, 3.5)
+    new["Fig15"]["rows"].pop()
     assert identity.first_difference(old, new) == (
-        ("Autotune", "row bench=ring procs=16", "column 'bench'"),
+        ("Fig15", "row bench=ring procs=16", "column 'bench'"),
         "ring", "(absent)")
     # a cell that changes type (1 -> 1.0) is a difference too
     assert identity.first_difference([1], [1.0]) == (("[0]",), 1, 1.0)
@@ -81,3 +81,14 @@ def test_artifact_missing_from_manifest_is_a_mismatch(assembly, tmp_path, capsys
     assert identity.compare(str(path), assembly) == 1
     assert ("IDENTITY MISMATCH: assembly > assembly > columns > [0]: "
             "'(absent)' -> 'P'") in capsys.readouterr().out
+
+
+def test_manifest_key_without_an_artifact_is_a_mismatch(assembly, tmp_path,
+                                                         monkeypatch, capsys):
+    path = tmp_path / "IDENTITY.json"
+    path.write_text(identity.dumps({**assembly, "retired": {"Fig": 1}}))
+    monkeypatch.setattr(identity, "MANIFEST", str(path))
+    monkeypatch.setattr(identity, "regenerate", lambda: assembly)
+    assert identity.run() == 1
+    assert ("IDENTITY MISMATCH: retired: no artifact regenerates it"
+            in capsys.readouterr().out)

@@ -43,19 +43,11 @@ def test_with_suffix_skips_unchanged_and_nonflag_fields():
     assert base.with_(adaptive_allgatherv=False).name == base.name
     # non-boolean fields never rename
     assert base.with_(eager_threshold=1).name == base.name
-    assert base.with_(tuning_table="table.json").name == base.name
 
 
 def test_with_explicit_name_wins():
     cfg = MPIConfig.baseline().with_(adaptive_allgatherv=True, name="Custom")
     assert cfg.name == "Custom"
-
-
-def test_tuning_table_defaults():
-    assert MPIConfig.baseline().tuning_table is None
-    assert MPIConfig.optimized().tuning_table is None
-    auto = MPIConfig.optimized().with_(tuning_table="table.json")
-    assert auto.tuning_table == "table.json"
 
 
 def test_config_is_frozen():

@@ -144,7 +144,7 @@ def test_every_class_member_exists(page):
 
 def test_stale_config_names_are_caught():
     assert stale_config_names(
-        "`MPIConfig.with_(stale_flag=True, tuning_table=p)` "
+        "`MPIConfig.with_(stale_flag=True, eager_threshold=p)` "
         "`MPIConfig(reliable_transport=True)` `MPIConfig.baseline()` "
         "`MPIConfig.stale_field`") == ["stale_field", "stale_flag"]
 

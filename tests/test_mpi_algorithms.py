@@ -1,6 +1,5 @@
-"""Tests for the collective-algorithm registry, selection policies, shared
-argument validation and the tuning-table machinery
-(:mod:`repro.mpi.algorithms`)."""
+"""Tests for the collective-algorithm registry, the selection policy and
+shared argument validation (:mod:`repro.mpi.algorithms`)."""
 
 import numpy as np
 import pytest
@@ -12,18 +11,12 @@ from repro.mpi import Cluster, MPIConfig, MPIError
 from repro.mpi.algorithms import (
     REGISTRY,
     Algorithm,
-    AutotunedPolicy,
     RulePolicy,
     SelectionContext,
-    TuningTable,
-    bucket_key,
     check_spec_lengths,
     normalize_counts_displs,
     policy_for,
     select,
-    size_bucket,
-    total_bucket,
-    volume_profile,
 )
 from repro.mpi.outlier import detection_cpu_seconds
 from repro.util import CostModel
@@ -132,13 +125,6 @@ def test_policy_for_derives_from_flags():
         assert isinstance(policy_for(config), RulePolicy)
 
 
-def test_policy_for_picks_the_table_when_one_is_named(tmp_path):
-    path = str(tmp_path / "t.json")
-    TuningTable().save(path)
-    assert isinstance(policy_for(OPT.with_(tuning_table=path)),
-                      AutotunedPolicy)
-
-
 def test_policy_instances_are_cached_per_config():
     assert policy_for(MPIConfig.baseline()) is policy_for(MPIConfig.baseline())
 
@@ -210,108 +196,6 @@ def test_select_forced_algorithm_and_validation():
     with pytest.raises(MPIError):
         select(FakeComm(), "allgatherv", ctx_for(SMALL),
                algorithm="quantum")
-
-
-# -- tuning table -------------------------------------------------------------
-
-def test_volume_profile_classes():
-    assert volume_profile([]) == "zero"
-    assert volume_profile([0, 0, 0]) == "zero"
-    assert volume_profile([0, 0, 0, 5, 5, 0]) == "sparse"
-    assert volume_profile([4096] + [1] * 7) == "outlier"
-    assert volume_profile([100] * 8) == "uniform"
-
-
-def test_size_and_total_buckets():
-    assert size_bucket(1) == 1
-    assert size_bucket(5) == 8
-    assert size_bucket(64) == 64
-    assert total_bucket(0) == 0
-    assert total_bucket(1024) == 10
-    assert total_bucket(1500) == 10
-
-
-def test_bucket_key_format():
-    key = bucket_key(ctx_for([4096] + [1] * 7))
-    assert key == "allgatherv|p8|b15|outlier"
-
-
-def test_tuning_table_record_and_lookup():
-    table = TuningTable()
-    table.record("k", {"ring": 2e-6, "dissemination": 1e-6})
-    assert table.lookup("k") == "dissemination"
-    assert table.lookup("untrained") is None
-    # accumulation across scenarios can flip the winner
-    table.record("k", {"ring": 1e-6, "dissemination": 5e-6})
-    assert table.entries["k"]["scenarios"] == 2
-    assert table.lookup("k") == "ring"
-
-
-def test_tuning_table_roundtrip(tmp_path):
-    table = TuningTable(cost_model={"alpha": 1e-6})
-    table.record("allgatherv|p8|b15|outlier", {"ring": 3e-6, "dissemination": 1e-6})
-    path = str(tmp_path / "table.json")
-    table.save(path)
-    loaded = TuningTable.load(path)
-    assert loaded.lookup("allgatherv|p8|b15|outlier") == "dissemination"
-    assert loaded.cost_model["alpha"] == 1e-6
-    with pytest.raises(ValueError, match="repro-tuning/1"):
-        TuningTable.from_dict({"schema": "nope"})
-
-
-def test_autotuned_policy_table_hit_and_fallback():
-    ctx = ctx_for(OUTLIER_LARGE)
-    table = TuningTable()
-    table.record(bucket_key(ctx), {"ring": 9e-6, "recursive_doubling": 1e-6})
-    pol = AutotunedPolicy(OPT, table=table)
-    hit = pol.decide(ctx)
-    assert (hit.algorithm, hit.policy, hit.reason) == \
-        ("recursive_doubling", "autotuned", "table")
-    # table decisions never charge the detection pass
-    assert hit.detect_seconds == 0.0
-    # untrained bucket: adaptive fallback with honest detection cost
-    other = ctx_for([8192] * 16)
-    decision = pol.decide(other)
-    assert decision.policy == "autotuned"
-    assert decision.reason.startswith("untrained->")
-    assert decision.algorithm == "ring"  # uniform large -> adaptive says ring
-    assert decision.detect_seconds == pytest.approx(detection_cpu_seconds(16))
-
-
-def test_the_table_is_the_only_decision_store():
-    """Every decide() reads the table: an entry changed between two calls
-    on one policy changes the second decision (no stale cached pick)."""
-    ctx = ctx_for(OUTLIER_LARGE)
-    key = bucket_key(ctx)
-    table = TuningTable(entries={key: {"algorithm": "recursive_doubling"}})
-    pol = AutotunedPolicy(OPT, table=table)
-    assert pol.decide(ctx).algorithm == "recursive_doubling"
-    table.entries[key] = {"algorithm": "ring"}
-    second = pol.decide(ctx)
-    assert (second.algorithm, second.reason) == ("ring", "table")
-    del table.entries[key]
-    assert pol.decide(ctx).reason == "untrained->adaptive:outliers"
-
-
-def test_trained_bucket_with_an_inapplicable_winner_is_not_untrained():
-    """A 48-rank call lands in the p64 bucket, whose trained winner
-    (recursive doubling) needs a power-of-two communicator: the rule
-    decides, and the reason says the pick was inapplicable, not that the
-    bucket is untrained."""
-    n = 48
-    ctx = ctx_for([8192] + [1] * (n - 1))  # one 64 KiB outlier
-    key = bucket_key(ctx)
-    assert key == "allgatherv|p64|b16|outlier"
-    table = TuningTable(entries={key: {"algorithm": "recursive_doubling"}})
-    decision = AutotunedPolicy(OPT, table=table).decide(ctx)
-    assert decision.algorithm == "dissemination"
-    assert decision.policy == "autotuned"
-    assert decision.reason == "inapplicable->adaptive:outliers"
-    assert decision.detect_seconds == pytest.approx(detection_cpu_seconds(n))
-    # an unregistered winner is reported the same way
-    table.entries[key] = {"algorithm": "bogus"}
-    assert AutotunedPolicy(OPT, table=table).decide(ctx).reason == \
-        "inapplicable->adaptive:outliers"
 
 
 # -- end-to-end: selection inside real clusters -------------------------------
@@ -447,44 +331,3 @@ def test_selection_metrics_emitted():
     assert counter.value(labels={
         "collective": "barrier", "algorithm": "dissemination",
         "policy": "adaptive"}) == n
-
-
-def test_autotuned_alltoallw_is_rank_uniform(tmp_path):
-    """Every rank of one alltoallw lands in the same table bucket.  A key
-    built from each rank's own send volumes puts rank 0 (three peers) and
-    the others (one peer each) in different buckets, and this two-entry
-    table would then send rank 0 to round_robin and the rest to binned,
-    whose wire protocols do not interoperate: round_robin waits for
-    zero-byte messages binned never sends."""
-    n, count = 4, 8
-    edges = {0: (1, 2, 3), 1: (0,), 2: (0,), 3: (1,)}
-    table = TuningTable(entries={
-        "alltoallw|p4|b7|uniform": {"algorithm": "round_robin"},
-        "alltoallw|p4|b6|sparse": {"algorithm": "binned"},
-    })
-    path = str(tmp_path / "t.json")
-    table.save(path)
-    keys = {bucket_key(ctx_for([count if p in edges[r] else 0
-                                     for p in range(n)],
-                               collective="alltoallw"))
-            for r in range(n)}
-    assert len(keys) == 1
-    cluster = Cluster(n, config=OPT.with_(tuning_table=path), cost=QUIET,
-                      heterogeneous=False)
-
-    def main(comm):
-        sendbuf = np.full(n * count, float(comm.rank + 1))
-        recvbuf = np.zeros(n * count)
-        sendspecs = [TypedBuffer(sendbuf, DOUBLE, count,
-                                 offset_bytes=p * count * 8)
-                     if p in edges[comm.rank] else None for p in range(n)]
-        recvspecs = [TypedBuffer(recvbuf, DOUBLE, count,
-                                 offset_bytes=p * count * 8)
-                     if comm.rank in edges[p] else None for p in range(n)]
-        yield from comm.alltoallw(sendspecs, recvspecs)
-        return recvbuf
-
-    for rank, recv in enumerate(cluster.run(main)):
-        for p in range(n):
-            want = float(p + 1) if rank in edges[p] else 0.0
-            assert (recv[p * count:(p + 1) * count] == want).all()

@@ -1,10 +1,8 @@
 """Every selection decision is pinned: ``(algorithm, policy, reason,
 detect_seconds)`` for every registered collective over a grid of
-communicator sizes, volume sets, contiguity and configs, recorded on the
-commit before the flag-driven rule and the tuning table became the only
-two selection mechanisms.  Since then, a trained bucket whose winner does
-not apply to the call reports ``inapplicable->`` instead of
-``untrained->`` (five ``autotuned allgatherv`` grid points).
+communicator sizes, volume sets, contiguity and configs.  The rows were
+recorded before the flag-driven rule became the one selection mechanism,
+and no decision has moved since.
 
 Decisions are grouped per (config, collective): each distinct decision maps
 to the grid points (``N/volumes/c|nc``) that get it, ``"*"`` meaning all of
@@ -18,9 +16,7 @@ import pytest
 from repro.mpi import MPIConfig
 from repro.mpi.algorithms import (
     REGISTRY,
-    AutotunedPolicy,
     SelectionContext,
-    TuningTable,
     policy_for,
 )
 from repro.util.costmodel import CostModel
@@ -43,20 +39,6 @@ VOLUMES = {
     "mixed": lambda n: [64 if i % 2 else 65536 for i in range(n)],
     "zero": lambda n: [0] * n,
 }
-
-#: a hand-written table: hits, a hit whose algorithm is inapplicable to a
-#: noncontiguous call or a non-power-of-two size, an unregistered name (in
-#: a bucket no grid point reaches; test_mpi_algorithms covers that case),
-#: and untrained buckets
-TABLE = TuningTable(entries={
-    "allgatherv|p4|b17|uniform": {"algorithm": "recursive_doubling"},
-    "allgatherv|p64|b18|outlier": {"algorithm": "dissemination"},
-    "allgatherv|p8|b9|uniform": {"algorithm": "ring"},
-    "allgatherv|p4|b18|outlier": {"algorithm": "bogus"},
-    "sparse_alltoall|p4|uniform": {"algorithm": "nbx_binned"},
-    "sparse_alltoall|p8|uniform": {"algorithm": "dense"},
-})
-
 
 def _grid(collective):
     for n in SIZES:
@@ -87,11 +69,6 @@ def decision_table():
         for collective in REGISTRY.collectives():
             table[f"{name} {collective}"] = _decide(policy_for(config),
                                                     collective)
-    # alltoallw is left out because its bucket keys moved on purpose
-    autotuned = AutotunedPolicy(OPT, table=TABLE)
-    for collective in REGISTRY.collectives():
-        if collective != "alltoallw":
-            table[f"autotuned {collective}"] = _decide(autotuned, collective)
     return table
 
 
@@ -424,105 +401,6 @@ EXPECTED = {
     'optimized-binned_alltoallw sparse_alltoall': {
         'dense mpich mpich 0.0':
             ['*'],
-    },
-    'autotuned allgatherv': {
-        'recursive_doubling autotuned untrained->adaptive:short 0.0':
-            ['1/short-uniform/c', '1/sparse/c', '1/zero/c', '4/short-uniform/c', '4/sparse/c',
-             '4/zero/c', '8/sparse/c', '8/zero/c', '64/short-uniform/c', '64/sparse/c',
-             '64/zero/c'],
-        'ring autotuned untrained->adaptive:noncontiguous 0.0':
-            ['1/short-uniform/nc', '1/long-uniform/nc', '1/long-outlier/nc', '1/sparse/nc',
-             '1/mixed/nc', '1/zero/nc', '3/short-uniform/nc', '3/long-uniform/nc',
-             '3/long-outlier/nc', '3/sparse/nc', '3/zero/nc', '4/short-uniform/nc',
-             '4/long-outlier/nc', '4/sparse/nc', '4/zero/nc', '8/long-uniform/nc',
-             '8/long-outlier/nc', '8/sparse/nc', '8/mixed/nc', '8/zero/nc', '64/short-uniform/nc',
-             '64/long-uniform/nc', '64/sparse/nc', '64/mixed/nc', '64/zero/nc'],
-        'ring autotuned untrained->adaptive:uniform 5e-09':
-            ['1/long-uniform/c', '1/long-outlier/c', '1/mixed/c'],
-        'dissemination autotuned untrained->adaptive:short 0.0':
-            ['3/short-uniform/c', '3/sparse/c', '3/zero/c'],
-        'ring autotuned untrained->adaptive:uniform 1.5000000000000002e-08':
-            ['3/long-uniform/c'],
-        'dissemination autotuned untrained->adaptive:outliers 1.5000000000000002e-08':
-            ['3/long-outlier/c'],
-        'ring autotuned inapplicable->adaptive:uniform 1.5000000000000002e-08':
-            ['3/mixed/c'],
-        'ring autotuned inapplicable->adaptive:noncontiguous 0.0':
-            ['3/mixed/nc', '4/long-uniform/nc', '4/mixed/nc', '64/long-outlier/nc'],
-        'recursive_doubling autotuned table 0.0':
-            ['4/long-uniform/c', '4/mixed/c'],
-        'recursive_doubling autotuned untrained->adaptive:outliers 2e-08':
-            ['4/long-outlier/c'],
-        'ring autotuned table 0.0':
-            ['8/short-uniform/c', '8/short-uniform/nc'],
-        'ring autotuned untrained->adaptive:uniform 4e-08':
-            ['8/long-uniform/c', '8/mixed/c'],
-        'recursive_doubling autotuned untrained->adaptive:outliers 4e-08':
-            ['8/long-outlier/c'],
-        'ring autotuned untrained->adaptive:uniform 3.2e-07':
-            ['64/long-uniform/c', '64/mixed/c'],
-        'dissemination autotuned table 0.0':
-            ['64/long-outlier/c'],
-    },
-    'autotuned allreduce': {
-        'recursive_doubling autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned allreduce_array': {
-        'recursive_doubling autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned alltoall': {
-        'pairwise autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned barrier': {
-        'dissemination autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned bcast': {
-        'binomial autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned gather_obj': {
-        'linear autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned gatherv': {
-        'linear autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned reduce': {
-        'binomial autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned scan': {
-        'doubling autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned scatterv': {
-        'linear autotuned sole 0.0':
-            ['*'],
-    },
-    'autotuned sparse_alltoall': {
-        'nbx autotuned untrained->adaptive 0.0':
-            ['1/short-uniform/c', '1/short-uniform/nc', '1/long-uniform/c', '1/long-uniform/nc',
-             '1/long-outlier/c', '1/long-outlier/nc', '1/sparse/c', '1/sparse/nc', '1/mixed/c',
-             '1/mixed/nc', '1/zero/c', '1/zero/nc', '64/short-uniform/c', '64/short-uniform/nc',
-             '64/long-uniform/c', '64/long-uniform/nc', '64/sparse/c', '64/sparse/nc', '64/zero/c',
-             '64/zero/nc'],
-        'nbx_binned autotuned table 0.0':
-            ['3/short-uniform/c', '3/short-uniform/nc', '3/long-uniform/c', '3/long-uniform/nc',
-             '3/long-outlier/c', '3/long-outlier/nc', '3/sparse/c', '3/sparse/nc', '3/mixed/c',
-             '3/mixed/nc', '3/zero/c', '3/zero/nc', '4/short-uniform/c', '4/short-uniform/nc',
-             '4/long-uniform/c', '4/long-uniform/nc', '4/long-outlier/c', '4/long-outlier/nc',
-             '4/sparse/c', '4/sparse/nc', '4/mixed/c', '4/mixed/nc', '4/zero/c', '4/zero/nc'],
-        'dense autotuned table 0.0':
-            ['8/short-uniform/c', '8/short-uniform/nc', '8/long-uniform/c', '8/long-uniform/nc',
-             '8/long-outlier/c', '8/long-outlier/nc', '8/sparse/c', '8/sparse/nc', '8/mixed/c',
-             '8/mixed/nc', '8/zero/c', '8/zero/nc'],
-        'nbx_binned autotuned untrained->adaptive:mixed-sizes 0.0':
-            ['64/long-outlier/c', '64/long-outlier/nc', '64/mixed/c', '64/mixed/nc'],
     },
 }
 
