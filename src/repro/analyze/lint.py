@@ -18,7 +18,7 @@ Repo-specific invariants that generic linters do not know about:
   advance simulated time; charge ``yield Delay(..)`` or ``comm.cpu``),
 - **LNT006** -- importing a concrete collective-algorithm implementation
   (``_ring``, ``_binned``, ...) from outside the algorithm subsystem.
-  Which implementation runs is a *selection-policy* decision; go through
+  Which implementation runs is a *selection-rule* decision; go through
   :data:`repro.mpi.algorithms.REGISTRY` (or pass ``algorithm=...`` to the
   collective) instead of hard-wiring one.
 

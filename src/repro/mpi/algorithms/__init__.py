@@ -1,14 +1,14 @@
-"""``repro.mpi.algorithms`` -- the collective-algorithm registry and its
-selection-policy layer (the production shape of the paper's section 4.2
-runtime algorithm selection).
+"""``repro.mpi.algorithms`` -- the collective-algorithm registry and the
+selection rule (the production shape of the paper's section 4.2 runtime
+algorithm selection).
 
 Two layers:
 
 - :mod:`repro.mpi.algorithms.registry` -- :data:`REGISTRY`, an
-  :class:`AlgorithmRegistry` of named implementations per collective with
-  applicability predicates,
-- :mod:`repro.mpi.algorithms.policies` -- the flag-driven
-  :class:`RulePolicy` (mpich or adaptive rule per collective), plus
+  :class:`AlgorithmRegistry` of named implementations per collective,
+- :mod:`repro.mpi.algorithms.policies` -- :func:`decide`, the one
+  function that picks every collective's algorithm (the mpich or the
+  adaptive rule per collective, as the config's flags say), plus
   :func:`select`, the single dispatch point every collective entry
   function calls.
 
@@ -24,8 +24,7 @@ from repro.mpi.algorithms.registry import (  # noqa: F401
 )
 from repro.mpi.algorithms.policies import (  # noqa: F401
     Decision,
-    RulePolicy,
-    policy_for,
+    decide,
     select,
 )
 from repro.mpi.algorithms.validation import (  # noqa: F401
@@ -38,10 +37,9 @@ __all__ = [
     "Algorithm",
     "AlgorithmRegistry",
     "Decision",
-    "RulePolicy",
     "SelectionContext",
     "check_spec_lengths",
+    "decide",
     "normalize_counts_displs",
-    "policy_for",
     "select",
 ]

@@ -1,12 +1,12 @@
 """The collective-algorithm registry (MPICH CVAR-table style).
 
 Every collective of the simulated stack registers its candidate
-implementations here as named :class:`Algorithm` entries carrying an
-optional **applicability predicate** over a :class:`SelectionContext`
-(power-of-two communicator only, contiguous element types only, ...) and
-the implementation function itself (a per-rank generator).
+implementations here as named :class:`Algorithm` entries carrying the
+implementation function itself (a per-rank generator).  Each
+implementation guards its own domain (power-of-two communicator only,
+contiguous element types only, ...) with an :class:`MPIError`.
 
-Selection logic lives one layer up, in :mod:`repro.mpi.algorithms.policies`;
+Selection logic lives one layer up, in :func:`repro.mpi.algorithms.decide`;
 nothing outside this package should import a concrete implementation
 function directly (lint rule LNT006 enforces it).
 
@@ -25,7 +25,7 @@ from repro.util.costmodel import CostModel
 
 @dataclass(frozen=True)
 class SelectionContext:
-    """Everything a selection policy may consult for one collective call.
+    """Everything the selection rule may consult for one collective call.
 
     ``volumes`` is the communication-volume set in **bytes**: per-rank
     contributions for allgatherv-style collectives, per-peer send sizes for
@@ -68,10 +68,6 @@ class Algorithm:
     collective: str
     name: str
     fn: Callable[..., Any]
-    predicate: Optional[Callable[[SelectionContext], bool]] = None
-
-    def applicable(self, ctx: SelectionContext) -> bool:
-        return self.predicate is None or bool(self.predicate(ctx))
 
 
 class AlgorithmRegistry:
@@ -131,17 +127,6 @@ class AlgorithmRegistry:
 
     def implementation(self, collective: str, name: str) -> Callable[..., Any]:
         return self.get(collective, name).fn
-
-    def candidates(self, collective: str,
-                   ctx: Optional[SelectionContext] = None) -> List[Algorithm]:
-        """All algorithms of ``collective``; filtered by applicability when
-        a context is given."""
-        self._ensure_loaded()
-        algorithms = [self._algorithms.get(collective, {})[n]
-                      for n in self.names(collective)]
-        if ctx is not None:
-            algorithms = [a for a in algorithms if a.applicable(ctx)]
-        return algorithms
 
 
 #: the process-wide registry every collective self-registers into

@@ -2,15 +2,15 @@
 
 Every module registers its candidate implementations with
 :data:`repro.mpi.algorithms.REGISTRY`; *which* one a call gets is decided
-by the configuration's selection policy
-(:mod:`repro.mpi.algorithms.policies`), not inline in these modules.
+by one function, :func:`repro.mpi.algorithms.decide`, under the
+configuration's flags, not inline in these modules.
 
 - :mod:`repro.mpi.collectives.basic` -- barrier (dissemination), bcast
   (binomial tree), allreduce (recursive doubling), gather -- the
   control-plane operations PETSc needs,
 - :mod:`repro.mpi.collectives.allgatherv` -- ring, recursive-doubling and
   dissemination candidates; the paper's adaptive outlier-detecting rule
-  (section 4.2.1) lives in the ``adaptive`` selection policy,
+  (section 4.2.1) lives in :func:`~repro.mpi.algorithms.decide`,
 - :mod:`repro.mpi.collectives.alltoallw` -- round-robin baseline and the
   paper's three-bin variant (section 4.2.2),
 - :mod:`repro.mpi.collectives.gather` / ``reduce`` -- the uniform-volume
@@ -19,9 +19,12 @@ by the configuration's selection policy
 - :mod:`repro.mpi.collectives.sparse` -- the dense and NBX sparse
   dynamic data exchanges.
 
-Every public entry function validates its arguments, builds its
-:class:`~repro.mpi.algorithms.SelectionContext` and hands the call to
-:func:`run`, the one dispatcher, which calls ``impl(comm, *args, base)``.
+Every public entry function validates its arguments and hands the call
+to :func:`run`, the one dispatcher, which calls ``impl(comm, *args,
+base)``.  Collectives with more than one algorithm (allgatherv,
+alltoallw, sparse_alltoall) pass a
+:class:`~repro.mpi.algorithms.SelectionContext` of the call's volumes;
+the others pass ``None``.
 Every collective instance, registry or library exchange, opens through
 :func:`instance`.
 """

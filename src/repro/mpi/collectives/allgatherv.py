@@ -108,8 +108,8 @@ def allgatherv(
     """Gather varying-size contributions from every rank onto every rank.
 
     ``algorithm`` forces a specific algorithm (for microbenchmarks); by
-    default the configuration's selection policy runs
-    (:mod:`repro.mpi.algorithms.policies`).
+    default the configuration's selection rule runs
+    (:func:`repro.mpi.algorithms.decide`).
     """
     recvbuffer, datatype, counts, displs = _normalize(
         comm, sendbuffer, recvbuffer, counts, displs, datatype
@@ -213,11 +213,6 @@ def _exchange(comm, stb, dst, rtb, src, tag) -> Generator:
 # -- registry entries ---------------------------------------------------------
 
 REGISTRY.register(Algorithm("allgatherv", "ring", _ring))
-REGISTRY.register(Algorithm(
-    "allgatherv", "recursive_doubling", _recursive_doubling,
-    predicate=lambda ctx: ctx.pow2 and ctx.contiguous,
-))
-REGISTRY.register(Algorithm(
-    "allgatherv", "dissemination", _dissemination,
-    predicate=lambda ctx: ctx.contiguous,
-))
+REGISTRY.register(Algorithm("allgatherv", "recursive_doubling",
+                            _recursive_doubling))
+REGISTRY.register(Algorithm("allgatherv", "dissemination", _dissemination))

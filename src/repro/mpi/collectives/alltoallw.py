@@ -23,8 +23,9 @@ Two algorithms register with :data:`repro.mpi.algorithms.REGISTRY`:
     lightly-coupled neighbours are released without waiting behind heavy
     datatype processing.
 
-Which algorithm a call gets is decided by the selection policy the one
-dispatcher, :func:`repro.mpi.collectives.run`, consults (``binned`` when
+Which algorithm a call gets is decided by the selection rule the one
+dispatcher, :func:`repro.mpi.collectives.run`, consults
+(:func:`repro.mpi.algorithms.decide`: ``binned`` when
 ``config.binned_alltoallw`` is on, ``round_robin`` when it is off); an
 implementation is ``impl(comm, sendspecs, recvspecs, base)``.
 
@@ -64,7 +65,8 @@ def alltoallw(
     ``sendspecs[i]`` / ``recvspecs[i]`` describe the data exchanged with
     rank ``i`` (``None`` or a zero-count buffer means no data).
     ``algorithm`` forces a specific algorithm (for microbenchmarks); by
-    default the configuration's selection policy runs.
+    default the configuration's selection rule runs
+    (:func:`repro.mpi.algorithms.decide`).
     """
     check_spec_lengths(comm.size, sendspecs, recvspecs)
     volumes = [_spec_nbytes(s) for s in sendspecs]

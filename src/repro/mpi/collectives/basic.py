@@ -12,8 +12,8 @@ Each collective registers its (single) MPICH2 algorithm with
 ``binomial`` bcast, ``recursive_doubling`` allreduce, ``linear``
 gather_obj -- and dispatches through :func:`repro.mpi.collectives.run`,
 which calls ``impl(comm, *args, base)``, so the decision is observable
-(and overridable) like every other collective, even though today every
-policy short-circuits on the sole candidate.
+(and overridable) like every other collective, even though
+:func:`repro.mpi.algorithms.decide` always picks the sole candidate.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import Datatype, primitive_for
-from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm
 from repro.mpi.algorithms.validation import normalize_counts_displs
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
@@ -162,11 +162,7 @@ def alltoall(
     n = comm.size
     if send.size < n * count or recv.size < n * count:
         raise MPIError("alltoall buffers too small for count*size elements")
-    ctx = SelectionContext.for_comm(
-        comm, "alltoall", volumes=[count * dt.size] * n,
-        dtype_size=dt.size, contiguous=dt.is_contiguous(),
-    )
-    yield from run(comm, "alltoall", ctx, (send, recv, count, dt),
+    yield from run(comm, "alltoall", None, (send, recv, count, dt),
                    detail=count, count=count)
     return recv
 

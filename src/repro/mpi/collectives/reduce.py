@@ -21,7 +21,7 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
+from repro.mpi.algorithms import REGISTRY, Algorithm
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
 
@@ -42,13 +42,6 @@ def _deliver(result: np.ndarray, recvbuf) -> np.ndarray:
     return out
 
 
-def _ctx(comm: Comm, collective: str, send: np.ndarray) -> SelectionContext:
-    return SelectionContext.for_comm(
-        comm, collective, volumes=[send.nbytes] * comm.size,
-        dtype_size=send.itemsize,
-    )
-
-
 def reduce(comm: Comm, sendbuf, recvbuf=None, op: Callable = np.add,
            root: int = 0) -> Generator:
     """Elementwise reduction to ``root``.
@@ -59,9 +52,8 @@ def reduce(comm: Comm, sendbuf, recvbuf=None, op: Callable = np.add,
     if not 0 <= root < comm.size:
         raise MPIError(f"invalid root {root}")
     send = _check_buf(sendbuf)
-    acc = yield from run(comm, "reduce", _ctx(comm, "reduce", send),
-                         (send, op, root), detail=root, root=root,
-                         nbytes=send.nbytes)
+    acc = yield from run(comm, "reduce", None, (send, op, root),
+                         detail=root, root=root, nbytes=send.nbytes)
     return _deliver(acc, recvbuf) if comm.rank == root else None
 
 
@@ -92,8 +84,7 @@ def allreduce_array(comm: Comm, sendbuf, recvbuf=None,
                     op: Callable = np.add) -> Generator:
     """Elementwise allreduce over float64 arrays."""
     send = _check_buf(sendbuf)
-    acc = yield from run(comm, "allreduce_array",
-                         _ctx(comm, "allreduce_array", send), (send, op),
+    acc = yield from run(comm, "allreduce_array", None, (send, op),
                          solo=send.copy(), nbytes=send.nbytes)
     return _deliver(acc, recvbuf)
 
@@ -146,8 +137,8 @@ def _allreduce_rd_array(comm, send, op, base) -> Generator:
 def scan(comm: Comm, sendbuf, recvbuf=None, op: Callable = np.add) -> Generator:
     """Inclusive prefix reduction: rank r gets op(send_0, ..., send_r)."""
     send = _check_buf(sendbuf)
-    prefix = yield from run(comm, "scan", _ctx(comm, "scan", send),
-                            (send, op), nbytes=send.nbytes)
+    prefix = yield from run(comm, "scan", None, (send, op),
+                            nbytes=send.nbytes)
     return _deliver(prefix, recvbuf)
 
 

@@ -38,7 +38,7 @@ as ``sparse_alltoall`` registry algorithms:
 in local send order and interoperate freely -- different ranks of one
 exchange may pick either.  ``dense`` uses an incompatible protocol (it
 begins with a collective counts exchange every rank must join), so the
-dense-vs-NBX decision must be *rank-uniform*: the selection policy only
+dense-vs-NBX decision must be *rank-uniform*: the selection rule only
 consults rank-uniform inputs (size, config) when crossing that boundary,
 never the per-rank volume set.  The ``detail`` the dispatcher
 (:func:`repro.mpi.collectives.run`) reports to the runtime verifier when
@@ -285,12 +285,6 @@ def _nbx_binned(comm: Comm, payloads: Dict[int, Any], base: int) -> Generator:
 
 # -- registry entries ---------------------------------------------------------
 
-def _needs_peers(ctx: SelectionContext) -> bool:
-    return ctx.size >= 2
-
-
 REGISTRY.register(Algorithm("sparse_alltoall", "dense", _sparse_dense))
-REGISTRY.register(Algorithm("sparse_alltoall", "nbx", _nbx,
-                            predicate=_needs_peers))
-REGISTRY.register(Algorithm("sparse_alltoall", "nbx_binned", _nbx_binned,
-                            predicate=_needs_peers))
+REGISTRY.register(Algorithm("sparse_alltoall", "nbx", _nbx))
+REGISTRY.register(Algorithm("sparse_alltoall", "nbx_binned", _nbx_binned))

@@ -1107,17 +1107,14 @@ class Comm:
     def _reliable_await_match(self, rec: _SendRecord) -> Generator:
         """Rendezvous wait with a liveness poll: instead of blocking
         unconditionally on the match, re-check the peer every
-        :data:`RENDEZVOUS_POLL` seconds so a hung or crashed
-        receiver turns into a bounded :class:`TransportError` /
-        :class:`RankFailedError` rather than a deadlock."""
+        :data:`RENDEZVOUS_POLL` seconds so a hung receiver turns into a
+        bounded :class:`TransportError` rather than a deadlock.  A crashed
+        one needs no poll: the crash fails the unmatched send itself
+        (``_post_send``'s fail-fast, ``Cluster._sweep_failed_rank``)."""
         cluster = self.cluster
         engine = self.engine
         polls = 0
         while not rec.match_fut.done:
-            if rec.dst in cluster.failed_ranks:
-                exc = RankFailedError(rec.dst, "peer failed before matching")
-                self._fail_send(rec, exc)
-                raise exc
             if rec.dst in cluster.hung_ranks:
                 polls += 1
                 if polls > MAX_RETRANSMITS:

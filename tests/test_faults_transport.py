@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultPlan
-from repro.mpi import Cluster, MPIConfig, TransportError
+from repro.mpi import Cluster, MPIConfig, RankFailedError, TransportError
 from repro.mpi.comm import MAX_RETRANSMITS
 from repro.prof import Profiler
 from repro.simtime import SimulationDeadlock
@@ -94,6 +94,33 @@ def test_total_blackout_raises_transport_error():
     assert any(isinstance(o, TransportError) for o in outcomes)
     exc = next(o for o in outcomes if isinstance(o, TransportError))
     assert exc.attempts == MAX_RETRANSMITS
+
+
+def test_rendezvous_to_a_rank_that_crashes_before_matching_fails_fast():
+    """A 32 KiB (rendezvous) send whose receiver crashes before posting
+    the receive raises the crash's own error at the crash time: the
+    failure sweep fails the unmatched send, not the rendezvous poll."""
+    plan = FaultPlan(seed=0).crash(1, at_time=2e-4)
+    cluster = Cluster(2, config=RELIABLE, cost=QUIET, fault_plan=plan)
+    payload = np.ones(4096)
+    assert payload.nbytes > RELIABLE.eager_threshold
+
+    def main(comm):
+        if comm.rank == 0:
+            try:
+                yield from comm.send(payload, dest=1)
+            except RankFailedError as exc:
+                return exc, comm.engine.now
+        else:
+            yield from comm.cpu(1e-3)  # still computing when it crashes
+            yield from comm.recv(np.zeros(4096), source=0)
+        return None
+
+    outcomes = cluster.run(main, return_exceptions=True)
+    exc, when = outcomes[0]
+    assert (exc.rank, exc.reason) == (1, "injected crash")
+    assert when == pytest.approx(2e-4)
+    assert isinstance(outcomes[1], RankFailedError)
 
 
 def test_transport_results_identical_to_fault_free():

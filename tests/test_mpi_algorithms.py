@@ -1,5 +1,6 @@
-"""Tests for the collective-algorithm registry, the selection policy and
-shared argument validation (:mod:`repro.mpi.algorithms`)."""
+"""Tests for the collective-algorithm registry, the selection rule, each
+algorithm's own domain guard and shared argument validation
+(:mod:`repro.mpi.algorithms`)."""
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from repro.mpi import Cluster, MPIConfig, MPIError
 from repro.mpi.algorithms import (
     REGISTRY,
     Algorithm,
-    RulePolicy,
     SelectionContext,
     check_spec_lengths,
+    decide,
     normalize_counts_displs,
-    policy_for,
     select,
 )
 from repro.mpi.outlier import detection_cpu_seconds
@@ -74,18 +74,6 @@ def test_registry_duplicate_with_different_fn_rejected():
     REGISTRY.register(ring)
 
 
-def test_predicates_filter_candidates():
-    # non-power-of-two excludes recursive doubling
-    names = [a.name for a in
-             REGISTRY.candidates("allgatherv", ctx_for([1] * 6))]
-    assert "recursive_doubling" not in names
-    assert "dissemination" in names and "ring" in names
-    # noncontiguous element types leave only the ring
-    names = [a.name for a in REGISTRY.candidates(
-        "allgatherv", ctx_for([1] * 8, contiguous=False))]
-    assert names == ["ring"]
-
-
 # -- shared counts/displs validation ------------------------------------------
 
 def test_normalize_counts_displs_defaults():
@@ -118,17 +106,6 @@ def test_check_spec_lengths():
         check_spec_lengths(2, [None], [None, None])
 
 
-# -- policy resolution --------------------------------------------------------
-
-def test_policy_for_derives_from_flags():
-    for config in (BASE, OPT, BASE.with_(adaptive_allgatherv=True)):
-        assert isinstance(policy_for(config), RulePolicy)
-
-
-def test_policy_instances_are_cached_per_config():
-    assert policy_for(MPIConfig.baseline()) is policy_for(MPIConfig.baseline())
-
-
 # -- decision parity with the pre-refactor dispatch ---------------------------
 
 SMALL = [10] * 8                       # 640 B total: short regime
@@ -143,13 +120,13 @@ OUTLIER_LARGE = [32768] + [1] * 7      # one 256 KiB outlier
 ])
 def test_allgatherv_decision_parity(counts, mpich_pick, adaptive_pick):
     """baseline()/optimized() decisions pinned to the pre-refactor logic."""
-    assert policy_for(BASE).decide(ctx_for(counts)).algorithm == mpich_pick
-    assert policy_for(OPT).decide(ctx_for(counts)).algorithm == adaptive_pick
+    assert decide(BASE, ctx_for(counts)).algorithm == mpich_pick
+    assert decide(OPT, ctx_for(counts)).algorithm == adaptive_pick
 
 
 def test_allgatherv_non_power_of_two_uses_dissemination():
     counts = [32768] + [1] * 4
-    decision = policy_for(OPT).decide(ctx_for(counts))
+    decision = decide(OPT, ctx_for(counts))
     assert decision.algorithm == "dissemination"
 
 
@@ -157,45 +134,42 @@ def test_noncontiguous_always_rides_the_ring():
     for config in (BASE, OPT):
         for counts in (SMALL, OUTLIER_LARGE):
             ctx = ctx_for(counts, contiguous=False)
-            assert policy_for(config).decide(ctx).algorithm == "ring"
+            assert decide(config, ctx).algorithm == "ring"
 
 
 def test_alltoallw_decision_parity():
     ctx = ctx_for([100] * 8, collective="alltoallw")
-    assert policy_for(BASE).decide(ctx).algorithm == "round_robin"
-    assert policy_for(OPT).decide(ctx).algorithm == "binned"
+    assert decide(BASE, ctx).algorithm == "round_robin"
+    assert decide(OPT, ctx).algorithm == "binned"
 
 
 def test_flag_policy_mixes_per_collective():
     cfg = BASE.with_(adaptive_allgatherv=True)  # binned_alltoallw stays off
-    pol = policy_for(cfg)
-    agv = pol.decide(ctx_for(OUTLIER_LARGE))
-    a2a = pol.decide(ctx_for([100] * 8, collective="alltoallw"))
+    agv = decide(cfg, ctx_for(OUTLIER_LARGE))
+    a2a = decide(cfg, ctx_for([100] * 8, collective="alltoallw"))
     assert (agv.algorithm, agv.policy) == ("recursive_doubling", "adaptive")
     assert (a2a.algorithm, a2a.policy) == ("round_robin", "mpich")
 
 
 def test_adaptive_charges_detection_only_in_long_regime():
-    pol = policy_for(OPT)
-    long_u = pol.decide(ctx_for(UNIFORM_LARGE))
+    long_u = decide(OPT, ctx_for(UNIFORM_LARGE))
     assert long_u.detect_seconds == pytest.approx(detection_cpu_seconds(8))
-    short = pol.decide(ctx_for(SMALL))
+    short = decide(OPT, ctx_for(SMALL))
     assert short.detect_seconds == 0.0
-    assert policy_for(BASE).decide(ctx_for(UNIFORM_LARGE)).detect_seconds == 0.0
+    assert decide(BASE, ctx_for(UNIFORM_LARGE)).detect_seconds == 0.0
+
+
+def test_decide_rejects_an_unknown_collective():
+    with pytest.raises(MPIError, match="quantum"):
+        decide(OPT, ctx_for([1] * 4, collective="quantum"))
 
 
 def test_select_forced_algorithm_and_validation():
-    class FakeComm:
-        size = 8
-        config = OPT
-        cost = QUIET
-
-    decision = select(FakeComm(), "allgatherv", ctx_for(SMALL),
-                      algorithm="ring")
+    comm = Cluster(8, config=OPT, cost=QUIET).comm(0)
+    decision = select(comm, "allgatherv", ctx_for(SMALL), algorithm="ring")
     assert decision.algorithm == "ring" and decision.policy == "forced"
     with pytest.raises(MPIError):
-        select(FakeComm(), "allgatherv", ctx_for(SMALL),
-               algorithm="quantum")
+        select(comm, "allgatherv", ctx_for(SMALL), algorithm="quantum")
 
 
 # -- end-to-end: selection inside real clusters -------------------------------
@@ -223,16 +197,17 @@ def run_allgatherv(n, counts, config, algorithm=None):
 @given(st.integers(2, 9), st.data())
 @settings(max_examples=25, deadline=None)
 def test_property_every_applicable_allgatherv_algorithm_agrees(n, data):
-    """Byte-identical receive buffers across every registered algorithm the
-    registry deems applicable -- zero counts, non-pow-2 N and
+    """Byte-identical receive buffers across every allgatherv algorithm
+    whose domain holds N (ring and dissemination always, recursive
+    doubling on a power of two) -- zero counts, non-pow-2 N and
     rendezvous-only delivery included."""
     counts = data.draw(st.lists(st.integers(0, 32), min_size=n, max_size=n)
                        .filter(lambda c: sum(c) > 0))
     config = OPT.with_(eager_threshold=data.draw(EAGER_THRESHOLDS,
                                                  label="eager_threshold"))
-    ctx = ctx_for(counts, size=n)
-    names = [a.name for a in REGISTRY.candidates("allgatherv", ctx)]
-    assert "ring" in names  # the ring is always applicable
+    names = ["ring", "dissemination"]
+    if n & (n - 1) == 0:
+        names.append("recursive_doubling")
     reference = None
     for algorithm in names:
         results = run_allgatherv(n, counts, config, algorithm)
@@ -241,6 +216,34 @@ def test_property_every_applicable_allgatherv_algorithm_agrees(n, data):
             reference = blob
         else:
             assert blob == reference, f"{algorithm} disagrees with {names[0]}"
+
+
+# -- each algorithm's own domain guard ----------------------------------------
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_forced_recursive_doubling_off_a_power_of_two_raises(n):
+    with pytest.raises(MPIError, match="power-of-two"):
+        run_allgatherv(n, [2] * n, OPT, "recursive_doubling")
+
+
+@pytest.mark.parametrize("algorithm", ["recursive_doubling", "dissemination"])
+def test_forced_tree_over_noncontiguous_multi_block_regions_raises(algorithm):
+    """A tree forwards several contribution regions as one HIndexed
+    message, which a noncontiguous element type cannot form."""
+    n = 4
+    elem = Vector(2, 1, 2, DOUBLE)
+    span = elem.extent // 8
+    counts = [2] * n
+    cluster = Cluster(n, config=OPT, cost=QUIET, heterogeneous=False)
+
+    def main(comm):
+        send = np.ones(counts[comm.rank] * span)
+        recv = np.zeros(sum(counts) * span)
+        yield from comm.allgatherv(send, recv, counts, datatype=elem,
+                                   algorithm=algorithm)
+
+    with pytest.raises(MPIError, match="non-contiguous element types"):
+        cluster.run(main)
 
 
 def test_noncontiguous_element_type_runs_on_the_ring():

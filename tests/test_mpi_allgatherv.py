@@ -105,15 +105,8 @@ def test_ring_competitive_on_uniform_large_volumes():
     assert t_ring < t_tree * 1.15
 
 
-class _FakeComm:
-    def __init__(self, size, config, cost):
-        self.size = size
-        self.config = config
-        self.cost = cost
-
-
 def _select_algorithm(comm, counts, dtype):
-    """The pre-registry helper, reconstructed on the policy layer."""
+    """The pre-registry helper, reconstructed on :func:`select`."""
     ctx = SelectionContext.for_comm(
         comm, "allgatherv",
         volumes=[c * dtype.size for c in counts],
@@ -126,8 +119,8 @@ def _select_algorithm(comm, counts, dtype):
 def test_selection_logic():
     from repro.datatypes import DOUBLE
 
-    base = _FakeComm(8, MPIConfig.baseline(), QUIET)
-    opt = _FakeComm(8, MPIConfig.optimized(), QUIET)
+    base = Cluster(8, config=MPIConfig.baseline(), cost=QUIET).comm(0)
+    opt = Cluster(8, config=MPIConfig.optimized(), cost=QUIET).comm(0)
     uniform_large = [4096] * 8
     outlier_large = [1] * 8
     outlier_large[0] = 32768
@@ -142,11 +135,11 @@ def test_selection_logic():
     assert _select_algorithm(base, outlier_large, DOUBLE) == "ring"
     assert _select_algorithm(opt, outlier_large, DOUBLE) == "recursive_doubling"
     # non-power-of-two world uses dissemination
-    opt5 = _FakeComm(5, MPIConfig.optimized(), QUIET)
+    opt5 = Cluster(5, config=MPIConfig.optimized(), cost=QUIET).comm(0)
     assert _select_algorithm(opt5, [32768, 1, 1, 1, 1], DOUBLE) == "dissemination"
     # the allgatherv flag alone switches the rule
-    flagged = _FakeComm(8, MPIConfig.baseline().with_(
-        adaptive_allgatherv=True), QUIET)
+    flagged = Cluster(8, config=MPIConfig.baseline().with_(
+        adaptive_allgatherv=True), cost=QUIET).comm(0)
     assert _select_algorithm(flagged, outlier_large, DOUBLE) == "recursive_doubling"
 
 

@@ -17,7 +17,7 @@ from repro.mpi import MPIConfig
 from repro.mpi.algorithms import (
     REGISTRY,
     SelectionContext,
-    policy_for,
+    decide,
 )
 from repro.util.costmodel import CostModel
 
@@ -51,11 +51,11 @@ def _grid(collective):
                 yield f"{n}/{label}/{'c' if contiguous else 'nc'}", ctx
 
 
-def _decide(policy, collective):
+def _decide(config, collective):
     groups = {}
     points = 0
     for point, ctx in _grid(collective):
-        d = policy.decide(ctx)
+        d = decide(config, ctx)
         key = f"{d.algorithm} {d.policy} {d.reason} {d.detect_seconds!r}"
         groups.setdefault(key, []).append(point)
         points += 1
@@ -67,8 +67,7 @@ def decision_table():
     table = {}
     for name, config in CONFIGS.items():
         for collective in REGISTRY.collectives():
-            table[f"{name} {collective}"] = _decide(policy_for(config),
-                                                    collective)
+            table[f"{name} {collective}"] = _decide(config, collective)
     return table
 
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from repro.datatypes import DOUBLE, TypedBuffer, Vector
 from repro.faults.plan import FaultPlan
 from repro.mpi import Cluster, MPIConfig, MPIError, RankFailedError
-from repro.mpi.algorithms import SelectionContext
-from repro.mpi.algorithms.policies import policy_for
+from repro.mpi.algorithms import SelectionContext, decide
 from repro.util import CostModel
 
 QUIET = CostModel(cpu_noise=0.0)
@@ -97,6 +96,13 @@ def test_self_entry_and_zero_byte_elision():
         np.testing.assert_array_equal(got[rank], [1.5, 2.5])
 
 
+@pytest.mark.parametrize("algorithm", ["nbx", "nbx_binned"])
+def test_forced_nbx_runs_on_a_single_rank(algorithm):
+    """NBX's domain includes N = 1: with no peers the exchange is empty."""
+    _, results = run_sparse(1, lambda rank, n: {}, algorithm=algorithm)
+    assert results == [{}]
+
+
 def test_noncontiguous_typed_buffer_payload():
     """A strided Vector send arrives as its packed float64 image."""
     stride, count = 3, 5
@@ -178,9 +184,9 @@ def test_policy_selection_is_rank_uniform():
     mixed = SelectionContext(collective="sparse_alltoall", size=8,
                              volumes=(0, 8, 0, 8 * threshold, 0, 0, 0, 0),
                              dtype_size=8, cost=cost)
-    assert policy_for(MPIConfig.baseline()).decide(uniform).algorithm == "dense"
-    assert policy_for(config).decide(uniform).algorithm == "nbx"
-    assert policy_for(config).decide(mixed).algorithm == "nbx_binned"
+    assert decide(MPIConfig.baseline(), uniform).algorithm == "dense"
+    assert decide(config, uniform).algorithm == "nbx"
+    assert decide(config, mixed).algorithm == "nbx_binned"
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
