@@ -9,9 +9,9 @@ over one parsed project.  The
 :mod:`repro.analyze.mpiapi`, which reads them off the library.
 
 ``repro.analyze.signatures``
-    Static datatype analysis built on typemap flattening: send/receive
-    signature compatibility, truncation, self-overlap, and the paper's
-    section-4.1 "pack slower than copy" density smell (SIG001-SIG005).
+    Static datatype analysis built on typemap flattening: the
+    send/receive signature-compatibility and truncation verdict behind
+    SIG001/SIG002 and MTC105.
 
 ``repro.analyze.runtime``
     :class:`RuntimeVerifier` subscribes to cluster observer events and
@@ -54,8 +54,6 @@ from repro.analyze.matchgraph import check_collectives, match_p2p, verify_world
 from repro.analyze.protocol import check_module as check_protocol
 from repro.analyze.signatures import (
     TransferVerdict,
-    check_datatype,
-    check_transfer,
     full_signature,
     render_signature,
     signature_prefix,
@@ -72,9 +70,7 @@ __all__ = [
     "analyze_source_set",
     "analyze_tree",
     "check_collectives",
-    "check_datatype",
     "check_protocol",
-    "check_transfer",
     "full_signature",
     "match_p2p",
     "render_signature",

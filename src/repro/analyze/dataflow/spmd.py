@@ -15,9 +15,9 @@ Three idioms are recognised and exempted rather than flagged:
 
 - **matched collectives**: when the *other* execution path of a
   rank-tainted branch performs the same collective method, every rank
-  does enter it -- this is the canonical root-vs-nonroot shape of
-  ``gatherv``/``scatterv``/``reduce`` (root passes the recv/send buffer,
-  the rest don't).  "Other path" means the ``else`` suite, plus the
+  does enter it -- this is the canonical root-vs-nonroot shape of a
+  rooted collective (``bcast(value)`` on the root, ``bcast(None)`` on
+  the rest).  "Other path" means the ``else`` suite, plus the
   fall-through statements after the ``if`` when the branch body exits
   the function.
 - **sub-communicator collectives**: a collective invoked on a receiver
@@ -61,7 +61,7 @@ RANK_ATTRS = frozenset({"rank", "grank"})
 #: None, op=or_)`` reduces per-rank state into one common decision, which
 #: is precisely the lockstep-validation / plan-reuse-guard idiom --
 #: branching on it exits every rank together, so it must not carry taint.
-UNIFORM_RESULT_COLLECTIVES = frozenset({"allreduce", "bcast", "allgather"})
+UNIFORM_RESULT_COLLECTIVES = frozenset({"allreduce", "bcast"})
 
 
 def expr_tainted(expr: ast.AST, tainted: Set[str],

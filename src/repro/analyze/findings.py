@@ -1,6 +1,6 @@
 """Findings and reports -- the common currency of the analyzer.
 
-Every check (static signature analysis, runtime verification, project lint)
+Every check (runtime verification, lint, dataflow, protocol verification)
 emits :class:`Finding` objects identified by a stable rule ID from
 :data:`RULES`; a :class:`Report` collects them, de-duplicates, renders, and
 maps to a process exit code.  The full rule catalogue with remediation
@@ -17,14 +17,9 @@ SEVERITIES = ("error", "warning", "info")
 
 #: rule id -> (severity, one-line summary)
 RULES = {
-    # -- static signature analysis (repro.analyze.signatures) ---------------
+    # -- signature matching on the wire (repro.analyze.runtime) -------------
     "SIG001": ("error", "send/receive datatype signatures are incompatible"),
     "SIG002": ("error", "message truncation: send larger than receive capacity"),
-    "SIG003": ("error", "datatype blocks overlap (receiving into it is undefined)"),
-    "SIG004": ("warning", "low-density datatype: pack likely slower than copy "
-                          "(baseline re-search pathology, paper section 4.1)"),
-    "SIG005": ("warning", "datatype blocks not in monotonically increasing "
-                          "offset order (cache-unfriendly packing)"),
     # -- runtime verification (repro.analyze.runtime) -----------------------
     "DLK001": ("error", "deadlock: cycle in the wait-for graph"),
     "DLK002": ("error", "deadlock: ranks blocked forever without a wait cycle"),

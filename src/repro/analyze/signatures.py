@@ -1,39 +1,23 @@
-"""Static datatype-signature analysis (rules SIG001-SIG005).
+"""Static datatype-signature analysis (the verdict behind SIG001/SIG002).
 
 MPI's correctness contract for typed messaging (MPI-3.0 section 3.3.1) is
 stated in terms of *type signatures*: the ordered sequence of primitive
 types in the flattened typemap, ignoring displacements.  A send matches a
 receive iff the send signature is a prefix of the receive signature; a
-longer send is a truncation error; overlapping receive blocks are
-undefined behaviour.
-
-The same flattening machinery also predicts *performance*: the paper's
-section 4.1 shows that MPICH2's baseline pack pipeline re-searches the
-block list per stage, so low-density datatypes (many short blocks) pack
-dramatically slower than a dense copy.  :func:`check_datatype` flags those
-shapes before they ever reach a benchmark.
+longer send is a truncation error.
 
 >>> from repro.datatypes import Vector, DOUBLE, INT
->>> check_transfer(Vector(4, 1, 8, DOUBLE), 1, INT, 8).ok
+>>> transfer_verdict(Vector(4, 1, 8, DOUBLE), 1, INT, 8).ok
 False
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional
 
 import repro.datatypes as _datatypes
-from repro.analyze.findings import Report
 from repro.datatypes.typemap import Datatype, TypeSignature, _rle_repeat
-
-#: the low-density smell (SIG004) fires for at least this many
-#: blocks ...
-DENSITY_MIN_BLOCKS = 32
-#: ... whose mean length is below this many bytes
-DENSITY_MIN_MEAN = 64.0
 
 #: the ``repro.datatypes`` names a static evaluator resolves: the
 #: constructors it may call and the primitive types
@@ -69,19 +53,6 @@ def construct_datatype(name: str, args: List[Any],
         return ctor(*args, **kwargs)
     except Exception:  # bad constant arguments: not our finding
         return None
-
-
-def low_density(datatype: Datatype) -> Optional[Tuple[int, float]]:
-    """``(blocks, mean block bytes)`` of ``datatype`` when it has the
-    section-4.1 pathology shape -- at least :data:`DENSITY_MIN_BLOCKS`
-    blocks shorter than :data:`DENSITY_MIN_MEAN` bytes on average, which
-    the baseline engine's per-stage block re-search makes pack slower
-    than a dense copy -- else None."""
-    blocks = datatype.flatten()
-    mean_len = blocks.size / max(1, blocks.num_blocks)
-    if blocks.num_blocks >= DENSITY_MIN_BLOCKS and mean_len < DENSITY_MIN_MEAN:
-        return blocks.num_blocks, mean_len
-    return None
 
 
 def full_signature(datatype: Datatype, count: int = 1) -> TypeSignature:
@@ -137,10 +108,10 @@ def render_signature(sig: TypeSignature, limit: int = 6) -> str:
 class TransferVerdict:
     """The complete static verdict on one send/receive endpoint pair.
 
-    This is the single source of truth for signature compatibility: both
-    :func:`check_transfer` (SIG001/SIG002, per-call-site) and the
-    cross-rank protocol verifier's MTC105 (per-matched-edge) consume it,
-    so the symbolic and concrete paths cannot drift.
+    The cross-rank protocol verifier's MTC105 (per matched edge) consumes
+    it; the :class:`~repro.analyze.runtime.RuntimeVerifier`'s SIG001 (per
+    delivered message) applies the same :func:`signature_prefix`, so the
+    symbolic and concrete paths cannot drift.
     """
 
     send_sig: TypeSignature
@@ -176,85 +147,3 @@ def transfer_verdict(
         recv_bytes=recv_type.size * recv_count,
         prefix_ok=signature_prefix(send_sig, recv_sig),
     )
-
-
-def check_transfer(
-    send_type: Datatype,
-    send_count: int,
-    recv_type: Datatype,
-    recv_count: int,
-    location: str = "",
-    report: Optional[Report] = None,
-) -> Report:
-    """Static compatibility check of a send/receive pair (SIG001, SIG002)."""
-    report = report if report is not None else Report()
-    verdict = transfer_verdict(send_type, send_count, recv_type, recv_count)
-    if verdict.truncates:
-        report.add(
-            "SIG002",
-            f"send is {verdict.send_bytes} bytes but the receive holds only "
-            f"{verdict.recv_bytes}",
-            location=location,
-        )
-    if not verdict.prefix_ok:
-        report.add(
-            "SIG001",
-            f"send signature [{render_signature(verdict.send_sig)}] is not "
-            f"a prefix of receive signature "
-            f"[{render_signature(verdict.recv_sig)}]",
-            location=location,
-        )
-    return report
-
-
-def check_datatype(
-    datatype: Datatype,
-    name: str = "",
-    report: Optional[Report] = None,
-) -> Report:
-    """Static single-datatype checks (SIG003, SIG004, SIG005)."""
-    report = report if report is not None else Report()
-    label = name or repr(datatype)
-    blocks = datatype.flatten()
-    offs = blocks.offsets
-    lens = blocks.lengths
-
-    # SIG005: blocks out of monotone offset order (packing jumps backwards)
-    monotone = bool(np.all(offs[1:] >= offs[:-1])) if blocks.num_blocks > 1 else True
-    if not monotone:
-        report.add(
-            "SIG005",
-            f"{label}: flattened blocks are not in increasing offset order; "
-            "packing will stride backwards through memory",
-            location=name,
-            key=("order", label),
-        )
-
-    # SIG003: overlapping blocks (sort first; SIG005 already covers order)
-    if blocks.num_blocks > 1:
-        order = np.argsort(offs, kind="stable")
-        so, sl = offs[order], lens[order]
-        if bool(np.any(so[1:] < so[:-1] + sl[:-1])):
-            report.add(
-                "SIG003",
-                f"{label}: flattened blocks overlap; receiving into this "
-                "datatype is undefined (MPI-3.0 section 3.3.1)",
-                location=name,
-                key=("overlap", label),
-            )
-
-    # SIG004: the section-4.1 pathology predictor -- many short blocks make
-    # the baseline engine's per-stage block re-search dominate the copy
-    density = low_density(datatype)
-    if density is not None:
-        num_blocks, mean_len = density
-        report.add(
-            "SIG004",
-            f"{label}: {num_blocks} blocks of mean length "
-            f"{mean_len:.1f} B; expect the baseline pack pipeline to "
-            "re-search this block list quadratically (use the dual-context "
-            "engine, or restructure toward longer runs)",
-            location=name,
-            key=("density", label),
-        )
-    return report

@@ -11,9 +11,6 @@ Two layers:
   adaptive rule per collective, as the config's flags say), plus
   :func:`select`, the single dispatch point every collective entry
   function calls.
-
-:mod:`repro.mpi.algorithms.validation` additionally hosts the shared
-counts/displacements normaliser the v-collectives use.
 """
 
 from repro.mpi.algorithms.registry import (  # noqa: F401
@@ -27,10 +24,6 @@ from repro.mpi.algorithms.policies import (  # noqa: F401
     decide,
     select,
 )
-from repro.mpi.algorithms.validation import (  # noqa: F401
-    check_spec_lengths,
-    normalize_counts_displs,
-)
 
 __all__ = [
     "REGISTRY",
@@ -38,8 +31,6 @@ __all__ = [
     "AlgorithmRegistry",
     "Decision",
     "SelectionContext",
-    "check_spec_lengths",
     "decide",
-    "normalize_counts_displs",
     "select",
 ]

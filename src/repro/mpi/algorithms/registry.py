@@ -136,8 +136,7 @@ REGISTRY = AlgorithmRegistry()
 def _load_builtins() -> None:
     """Import the builtin collective modules (self-registering)."""
     import repro.mpi.collectives.allgatherv  # noqa: F401
+    import repro.mpi.collectives.alltoall  # noqa: F401
     import repro.mpi.collectives.alltoallw  # noqa: F401
     import repro.mpi.collectives.basic  # noqa: F401
-    import repro.mpi.collectives.gather  # noqa: F401
-    import repro.mpi.collectives.reduce  # noqa: F401
     import repro.mpi.collectives.sparse  # noqa: F401

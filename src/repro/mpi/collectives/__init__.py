@@ -13,9 +13,8 @@ configuration's flags, not inline in these modules.
   (section 4.2.1) lives in :func:`~repro.mpi.algorithms.decide`,
 - :mod:`repro.mpi.collectives.alltoallw` -- round-robin baseline and the
   paper's three-bin variant (section 4.2.2),
-- :mod:`repro.mpi.collectives.gather` / ``reduce`` -- the uniform-volume
-  and reduction counterparts (linear gatherv/scatterv, pairwise alltoall,
-  binomial reduce, recursive-doubling allreduce, doubling scan),
+- :mod:`repro.mpi.collectives.alltoall` -- the uniform all-to-all
+  (pairwise exchange),
 - :mod:`repro.mpi.collectives.sparse` -- the dense and NBX sparse
   dynamic data exchanges.
 

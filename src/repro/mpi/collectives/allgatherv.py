@@ -28,16 +28,41 @@ set) share one observable decision point.  An implementation is
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import Datatype, HIndexed, primitive_for
 from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
-from repro.mpi.algorithms.validation import normalize_counts_displs
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError, as_typed
+
+
+def normalize_counts_displs(
+    size: int,
+    counts: Sequence[int],
+    displs: Optional[Sequence[int]] = None,
+) -> Tuple[List[int], List[int]]:
+    """Validate ``counts``/``displs`` against a communicator of ``size``.
+
+    Returns ``(counts, displs)`` as plain int lists.  ``displs`` defaults
+    to the dense packing (exclusive prefix sum of ``counts``).  Raises
+    :class:`MPIError` for a wrong-length vector, a negative count, or a
+    wrong-length ``displs``.
+    """
+    counts = [int(c) for c in counts]
+    if len(counts) != size:
+        raise MPIError(f"counts has {len(counts)} entries for {size} ranks")
+    for c in counts:
+        if c < 0:
+            raise MPIError("negative count")
+    if displs is None:
+        displs = np.concatenate(([0], np.cumsum(counts[:-1]))).tolist()
+    displs = [int(d) for d in displs]
+    if len(displs) != size:
+        raise MPIError(f"displs has {len(displs)} entries for {size} ranks")
+    return counts, displs
 
 
 def _normalize(comm, sendbuffer, recvbuffer, counts, displs, datatype):

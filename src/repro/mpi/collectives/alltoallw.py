@@ -44,10 +44,19 @@ import numpy as np
 from repro.datatypes.packing import TypedBuffer
 from repro.datatypes.typemap import BYTE
 from repro.mpi.algorithms import REGISTRY, Algorithm, SelectionContext
-from repro.mpi.algorithms.validation import check_spec_lengths
 from repro.mpi.collectives import run
 from repro.mpi.comm import Comm, MPIError
 from repro.mpi.request import Request
+
+
+def check_spec_lengths(size: int, sendspecs: Sequence,
+                       recvspecs: Sequence) -> None:
+    """The per-peer spec vectors must have one entry per rank."""
+    if len(sendspecs) != size or len(recvspecs) != size:
+        raise MPIError(
+            f"alltoallw specs must have {size} entries, got "
+            f"{len(sendspecs)}/{len(recvspecs)}"
+        )
 
 
 def _spec_nbytes(spec: Optional[TypedBuffer]) -> int:

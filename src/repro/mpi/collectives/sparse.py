@@ -118,6 +118,7 @@ def sparse_alltoall(comm: Comm, payloads: Dict[int, Any],
     """
     n = comm.size
     out: Dict[int, Any] = {}
+    volumes = [0] * n
     for dst, payload in payloads.items():
         dst = int(dst)
         if not 0 <= dst < n:
@@ -131,14 +132,9 @@ def sparse_alltoall(comm: Comm, payloads: Dict[int, Any],
                 f"payloads must be a whole number of float64 words")
         if nbytes:
             out[dst] = payload
-    volumes = [0] * n
-    for dst, payload in out.items():
-        volumes[dst] = _payload_nbytes(payload)
-    contiguous = all(
-        p.is_contiguous() if isinstance(p, TypedBuffer) else True
-        for p in out.values())
+            volumes[dst] = nbytes
     ctx = SelectionContext.for_comm(comm, "sparse_alltoall", volumes=volumes,
-                                    dtype_size=8, contiguous=contiguous)
+                                    dtype_size=8)
     result = yield from run(comm, "sparse_alltoall", ctx, (out,),
                             detail=_protocol_family, algorithm=algorithm,
                             peers=len(out))

@@ -1188,44 +1188,8 @@ class Comm:
         from repro.mpi.collectives.alltoallw import alltoallw
         yield from alltoallw(self, sendspecs, recvspecs, algorithm=algorithm)
 
-    def reduce(self, sendbuf, recvbuf=None, op=None, root: int = 0) -> Generator:
-        from repro.mpi.collectives.reduce import reduce as _reduce
-        result = yield from _reduce(
-            self, sendbuf, recvbuf, op if op is not None else np.add, root)
-        return result
-
-    def allreduce_array(self, sendbuf, recvbuf=None, op=None) -> Generator:
-        from repro.mpi.collectives.reduce import allreduce_array
-        result = yield from allreduce_array(
-            self, sendbuf, recvbuf, op if op is not None else np.add)
-        return result
-
-    def scan(self, sendbuf, recvbuf=None, op=None) -> Generator:
-        from repro.mpi.collectives.reduce import scan as _scan
-        result = yield from _scan(
-            self, sendbuf, recvbuf, op if op is not None else np.add)
-        return result
-
-    def gatherv(self, sendbuf, recvbuf=None, counts=None, displs=None,
-                root: int = 0, datatype=None) -> Generator:
-        from repro.mpi.collectives.gather import gatherv
-        result = yield from gatherv(
-            self, sendbuf, recvbuf, counts, displs, root, datatype)
-        return result
-
-    def scatterv(self, sendbuf=None, counts=None, displs=None, recvbuf=None,
-                 root: int = 0, datatype=None) -> Generator:
-        from repro.mpi.collectives.gather import scatterv
-        result = yield from scatterv(
-            self, sendbuf, counts, displs, recvbuf, root, datatype)
-        return result
-
-    def allgather(self, sendbuf, recvbuf, count=None, datatype=None) -> Generator:
-        from repro.mpi.collectives.gather import allgather
-        yield from allgather(self, sendbuf, recvbuf, count, datatype)
-
     def alltoall(self, sendbuf, recvbuf, count: int, datatype=None) -> Generator:
-        from repro.mpi.collectives.gather import alltoall
+        from repro.mpi.collectives.alltoall import alltoall
         result = yield from alltoall(self, sendbuf, recvbuf, count, datatype)
         return result
 

@@ -367,22 +367,25 @@ def test_spmd101_helper_collective_summary():
 
 def test_spmd_root_vs_nonroot_idiom_is_clean():
     # the other branch performs the same collective: all ranks enter it
-    assert rules_of("""
-        def f(comm, send, recv, counts, root):
+    assert spmd_rules("""
+        def f(comm, value, root):
             if comm.rank == root:
-                yield from comm.gatherv(send, recv, counts, root=root)
+                got = yield from comm.gather_obj(value, root=root)
             else:
-                yield from comm.gatherv(send, root=root)
+                got = yield from comm.gather_obj(None, root=root)
+            return got
     """) == []
 
 
 def test_spmd_root_exit_with_matching_fallthrough_is_clean():
-    assert rules_of("""
-        def f(comm, send, recv, counts):
+    # the SPMD pass alone: were the fall-through call missing, the
+    # pipeline would report the divergence as MTC104, not SPMD101
+    assert spmd_rules("""
+        def f(comm, value):
             if comm.rank == 0:
-                yield from comm.gatherv(send, recv, counts)
-                return recv
-            yield from comm.gatherv(send)
+                got = yield from comm.gather_obj(value)
+                return got
+            yield from comm.gather_obj(value)
             return None
     """) == []
 

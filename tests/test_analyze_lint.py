@@ -221,21 +221,17 @@ def test_lnt003_flags_every_public_generator_method(method):
 HAND_KEPT_TABLES = {
     "GENERATOR_METHODS": {
         "send", "recv", "sendrecv", "recv_obj", "probe", "barrier", "bcast",
-        "allreduce", "gather_obj", "split", "reduce", "allreduce_array",
-        "scan", "gatherv", "scatterv", "allgather", "alltoall", "allgatherv",
+        "allreduce", "gather_obj", "split", "alltoall", "allgatherv",
         "alltoallw", "sparse_alltoall", "wait", "waitall", "waitany", "cpu",
         "global_to_local", "local_to_global"},
     "ALGORITHM_IMPLEMENTATIONS": {
         "_ring", "_recursive_doubling", "_dissemination", "_round_robin",
         "_binned", "_barrier_dissemination", "_bcast_binomial",
         "_allreduce_recursive_doubling", "_gather_obj_linear",
-        "_gatherv_linear", "_scatterv_linear", "_alltoall_pairwise",
-        "_reduce_binomial", "_allreduce_rd_array", "_scan_doubling",
-        "_sparse_dense", "_nbx", "_nbx_binned"},
+        "_alltoall_pairwise", "_sparse_dense", "_nbx", "_nbx_binned"},
     "COLLECTIVE_METHODS": {
-        "barrier", "bcast", "allreduce", "gather_obj", "reduce",
-        "allreduce_array", "scan", "gatherv", "scatterv", "allgather",
-        "alltoall", "allgatherv", "alltoallw", "sparse_alltoall"},
+        "barrier", "bcast", "allreduce", "gather_obj", "alltoall",
+        "allgatherv", "alltoallw", "sparse_alltoall"},
     "BLOCKING_METHODS": {
         "send", "recv", "sendrecv", "recv_obj", "probe", "wait", "waitall",
         "waitany"},
@@ -247,17 +243,14 @@ HAND_KEPT_TABLES = {
     "COMM_ATTRIBUTES": {
         "rank", "size", "send", "recv", "isend", "irecv", "sendrecv",
         "isend_obj", "recv_obj", "cpu", "barrier", "bcast",
-        "allreduce", "gather_obj", "reduce", "allreduce_array", "scan",
-        "gatherv", "scatterv", "allgather", "alltoall", "allgatherv",
-        "alltoallw", "sparse_alltoall"},
+        "allreduce", "gather_obj", "alltoall", "allgatherv", "alltoallw",
+        "sparse_alltoall"},
     "COMMUNICATION_METHODS": {
         "send", "recv", "isend", "irecv", "sendrecv", "isend_obj",
         "recv_obj", "wait", "waitall", "waitany", "test", "probe", "iprobe",
-        "barrier", "bcast", "allreduce", "gather_obj", "reduce",
-        "allreduce_array", "scan", "gatherv", "scatterv", "allgather",
-        "alltoall", "allgatherv", "alltoallw", "sparse_alltoall"},
-    "ROOT_ARG": {("bcast", 1), ("gather_obj", 1), ("reduce", 3),
-                 ("gatherv", 4), ("scatterv", 4)},
+        "barrier", "bcast", "allreduce", "gather_obj", "alltoall",
+        "allgatherv", "alltoallw", "sparse_alltoall"},
+    "ROOT_ARG": {("bcast", 1), ("gather_obj", 1)},
 }
 
 

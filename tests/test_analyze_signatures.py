@@ -5,17 +5,15 @@ import pytest
 
 from repro.analyze import (
     Report,
-    check_datatype,
-    check_transfer,
     full_signature,
     render_signature,
     signature_prefix,
+    transfer_verdict,
 )
 from repro.datatypes import (
     DOUBLE,
     INT,
     Contiguous,
-    Indexed,
     Struct,
     TypedBuffer,
     Vector,
@@ -129,47 +127,22 @@ def test_render_signature():
     assert render_signature(long).endswith("...")
 
 
-# -- transfer compatibility (SIG001 / SIG002) ---------------------------------
+# -- transfer compatibility (the verdict behind SIG001 / SIG002) -------------
 
 def test_check_transfer_clean():
-    report = check_transfer(Vector(4, 2, 8, DOUBLE), 1, DOUBLE, 8)
-    assert report.ok and len(report) == 0
+    verdict = transfer_verdict(Vector(4, 2, 8, DOUBLE), 1, DOUBLE, 8)
+    assert verdict.ok and verdict.prefix_ok and not verdict.truncates
 
 
 def test_check_transfer_type_mismatch_sig001():
-    report = check_transfer(Vector(4, 1, 8, DOUBLE), 1, INT, 8)
-    rules = [f.rule for f in report]
-    assert "SIG001" in rules
+    verdict = transfer_verdict(Vector(4, 1, 8, DOUBLE), 1, INT, 8)
+    assert not verdict.prefix_ok and not verdict.ok
 
 
 def test_check_transfer_truncation_sig002():
-    report = check_transfer(DOUBLE, 10, DOUBLE, 4)
-    rules = [f.rule for f in report]
-    assert "SIG002" in rules
-    assert not report.ok and report.exit_code() == 1
-
-
-# -- single-datatype checks (SIG003 / SIG004 / SIG005) ------------------------
-
-def test_check_datatype_overlap_sig003():
-    report = check_datatype(Indexed([4, 4], [0, 2], DOUBLE), "olap")
-    assert [f.rule for f in report] == ["SIG003"]
-
-
-def test_check_datatype_backwards_sig005():
-    report = check_datatype(Indexed([2, 2], [8, 0], DOUBLE), "back")
-    assert [f.rule for f in report] == ["SIG005"]
-
-
-def test_check_datatype_density_sig004():
-    # 64 single-double blocks: the paper's section-4.1 pathology shape
-    report = check_datatype(Vector(64, 1, 8, DOUBLE), "sparse")
-    assert [f.rule for f in report] == ["SIG004"]
-
-
-def test_check_datatype_clean_on_dense():
-    report = check_datatype(Contiguous(64, DOUBLE), "dense")
-    assert len(report) == 0 and report.ok
+    verdict = transfer_verdict(DOUBLE, 10, DOUBLE, 4)
+    assert verdict.truncates and not verdict.ok
+    assert (verdict.send_bytes, verdict.recv_bytes) == (80, 32)
 
 
 def test_report_dedup_and_render():

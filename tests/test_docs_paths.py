@@ -24,7 +24,7 @@ import pytest
 import repro
 from repro.analyze.__main__ import _parse as parse_analyze
 from repro.bench.__main__ import _parse as parse_bench
-from repro.mpi import MPIConfig
+from repro.mpi import Comm, MPIConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 HISTORY = {"ROADMAP.md", "CHANGES.md", "ISSUE.md"}
@@ -147,6 +147,36 @@ def test_stale_config_names_are_caught():
         "`MPIConfig.with_(stale_flag=True, eager_threshold=p)` "
         "`MPIConfig(reliable_transport=True)` `MPIConfig.baseline()` "
         "`MPIConfig.stale_field`") == ["stale_field", "stale_flag"]
+
+
+def stale_comm_methods(text):
+    """The names in the "`Comm` method" column of the table in ``text``
+    that are no public ``Comm`` method (a cell lists them slash-separated,
+    each with or without its argument list)."""
+    stale = set()
+    rows = text.split("| `Comm` method |", 1)[1].splitlines()[2:]
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        cell = row.split("|")[1].strip().strip("`")
+        for name in re.sub(r"\([^)]*\)", "", cell).split("/"):
+            name = name.strip()
+            if name.startswith("_") or not callable(getattr(Comm, name, None)):
+                stale.add(name)
+    return sorted(stale)
+
+
+def test_stale_comm_methods_are_caught():
+    assert stale_comm_methods(
+        "| `Comm` method | MPI analogue |\n|---|---|\n"
+        "| `send/recv` | p2p |\n| `reduce/allgatherv` | gone |\n"
+        "| `dup()/split(color, key)` | comms |\n| `_deliver` | private |\n"
+        "\n| `scan` | outside the table |\n") == ["_deliver", "reduce"]
+
+
+def test_every_comm_method_in_the_api_table_exists():
+    stale = stale_comm_methods((ROOT / "docs/API.md").read_text())
+    assert not stale, f"docs/API.md lists Comm methods that do not exist: {stale}"
 
 
 @pytest.mark.parametrize("page", PAGES, ids=lambda p: str(p.relative_to(ROOT)))

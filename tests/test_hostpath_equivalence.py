@@ -242,10 +242,6 @@ def _data_path(comm):
     return np.concatenate([local, got, unpacked, short])
 
 
-def _counts(comm):
-    return [1 + 3 * (r == comm.size - 1) + r for r in range(comm.size)]
-
-
 def _coll_barrier(comm):
     yield from comm.barrier()
     return None
@@ -268,48 +264,10 @@ def _coll_gather_obj(comm):
     return None if got is None else np.array(got)
 
 
-def _coll_gatherv(comm):
-    counts = _counts(comm)
-    root = comm.size - 1
-    recv = np.zeros(sum(counts)) if comm.rank == root else None
-    got = yield from comm.gatherv(np.full(counts[comm.rank], comm.rank + 0.5),
-                                  recv, counts, root=root)
-    return got
-
-
-def _coll_scatterv(comm):
-    counts = _counts(comm)
-    send = np.arange(float(sum(counts))) if comm.rank == 0 else None
-    got = yield from comm.scatterv(send, counts, recvbuf=np.zeros(
-        counts[comm.rank]))
-    return got
-
-
-def _coll_allgather(comm):
-    recv = np.zeros(2 * comm.size)
-    yield from comm.allgather(np.full(2, float(comm.rank)), recv)
-    return recv
-
-
 def _coll_alltoall(comm):
     recv = np.zeros(2 * comm.size)
     got = yield from comm.alltoall(np.arange(2.0 * comm.size) + 10 * comm.rank,
                                    recv, 2)
-    return got
-
-
-def _coll_reduce(comm):
-    got = yield from comm.reduce(np.arange(4.0) + comm.rank)
-    return got
-
-
-def _coll_allreduce_array(comm):
-    got = yield from comm.allreduce_array(np.arange(4.0) * (comm.rank + 1))
-    return got
-
-
-def _coll_scan(comm):
-    got = yield from comm.scan(np.arange(4.0) + comm.rank)
     return got
 
 
@@ -425,18 +383,10 @@ PINNED = {
     "wildcards": (1.3073330721113268e-05, 21, 3, 96, 899757474, []),
     # every public collective at N=1 and N=3: recorded at 9e55482 (the
     # parent of the one-dispatcher change)
-    'allgather_baseline_n1': (6.430459472267762e-09, 2, 0, 0, 3971697493, []),
-    'allgather_baseline_n3': (8.029326804197982e-06, 32, 6, 96, 1727084673, []),
-    'allgather_optimized_n1': (6.430459472267762e-09, 2, 0, 0, 3971697493, []),
-    'allgather_optimized_n3': (8.029326804197982e-06, 32, 6, 96, 1727084673, []),
     'allgatherv_baseline_n1': (1.3182441918148913e-07, 2, 0, 0, 3046287943, []),
     'allgatherv_baseline_n3': (8.600742190928452e-06, 33, 6, 688, 2158355595, []),
     'allgatherv_optimized_n1': (1.3182441918148913e-07, 2, 0, 0, 3046287943, []),
     'allgatherv_optimized_n3': (8.600742190928452e-06, 33, 6, 688, 2158355595, []),
-    'allreduce_array_baseline_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'allreduce_array_baseline_n3': (1.206857142857143e-05, 20, 4, 128, 679555675, []),
-    'allreduce_array_optimized_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'allreduce_array_optimized_n3': (1.206857142857143e-05, 20, 4, 128, 679555675, []),
     'allreduce_baseline_n1': (0.0, 1, 0, 0, 226478287, []),
     'allreduce_baseline_n3': (2.406857142857143e-05, 30, 8, 128, 209256805, []),
     'allreduce_optimized_n1': (0.0, 1, 0, 0, 226478287, []),
@@ -461,22 +411,6 @@ PINNED = {
     'gather_obj_baseline_n3': (8.022857142857143e-06, 10, 2, 32, 2588102682, []),
     'gather_obj_optimized_n1': (0.0, 1, 0, 0, 1696784233, []),
     'gather_obj_optimized_n3': (8.022857142857143e-06, 10, 2, 32, 2588102682, []),
-    'gatherv_baseline_n1': (1.2860918944535524e-08, 2, 0, 0, 2449483445, []),
-    'gatherv_baseline_n3': (8.017142857142858e-06, 13, 2, 24, 3665090163, []),
-    'gatherv_optimized_n1': (1.2860918944535524e-08, 2, 0, 0, 2449483445, []),
-    'gatherv_optimized_n3': (8.017142857142858e-06, 13, 2, 24, 3665090163, []),
-    'reduce_baseline_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'reduce_baseline_n3': (8.045714285714286e-06, 12, 2, 64, 755059672, []),
-    'reduce_optimized_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'reduce_optimized_n3': (8.045714285714286e-06, 12, 2, 64, 755059672, []),
-    'scan_baseline_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'scan_baseline_n3': (8.045714285714286e-06, 16, 3, 96, 2635497622, []),
-    'scan_optimized_n1': (0.0, 1, 0, 0, 3790501801, []),
-    'scan_optimized_n3': (8.045714285714286e-06, 16, 3, 96, 2635497622, []),
-    'scatterv_baseline_n1': (1.2860918944535524e-08, 2, 0, 0, 3790501801, []),
-    'scatterv_baseline_n3': (8.045714285714286e-06, 13, 2, 64, 4246596504, []),
-    'scatterv_optimized_n1': (1.2860918944535524e-08, 2, 0, 0, 3790501801, []),
-    'scatterv_optimized_n3': (8.045714285714286e-06, 13, 2, 64, 4246596504, []),
     'sparse_alltoall_baseline_n1': (3.215229736133881e-09, 2, 0, 0, 3971697493, []),
     'sparse_alltoall_baseline_n3': (1.2031806259241847e-05, 44, 9, 96, 2636808251, []),
     'sparse_alltoall_optimized_n1': (0.0, 5, 0, 0, 3971697493, []),

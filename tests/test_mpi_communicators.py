@@ -116,9 +116,10 @@ def test_collectives_on_subcommunicator():
     def main(comm):
         sub = yield from comm.split(comm.rank % 2)
         v = yield from sub.bcast(comm.rank if sub.rank == 0 else None, root=0)
-        arr = np.full(3, float(comm.rank))
-        out = yield from sub.allreduce_array(arr)
-        return v, out[0]
+        out = np.zeros(sub.size)
+        yield from sub.allgatherv(np.array([float(comm.rank)]), out,
+                                  [1] * sub.size)
+        return v, out.sum()
 
     results = cluster.run(main)
     # evens' root is global 0; odds' root is global 1

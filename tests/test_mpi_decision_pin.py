@@ -97,10 +97,6 @@ EXPECTED = {
         'recursive_doubling mpich sole 0.0':
             ['*'],
     },
-    'baseline allreduce_array': {
-        'recursive_doubling mpich sole 0.0':
-            ['*'],
-    },
     'baseline alltoall': {
         'pairwise mpich sole 0.0':
             ['*'],
@@ -118,22 +114,6 @@ EXPECTED = {
             ['*'],
     },
     'baseline gather_obj': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'baseline gatherv': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'baseline reduce': {
-        'binomial mpich sole 0.0':
-            ['*'],
-    },
-    'baseline scan': {
-        'doubling mpich sole 0.0':
-            ['*'],
-    },
-    'baseline scatterv': {
         'linear mpich sole 0.0':
             ['*'],
     },
@@ -179,10 +159,6 @@ EXPECTED = {
         'recursive_doubling adaptive sole 0.0':
             ['*'],
     },
-    'optimized allreduce_array': {
-        'recursive_doubling adaptive sole 0.0':
-            ['*'],
-    },
     'optimized alltoall': {
         'pairwise adaptive sole 0.0':
             ['*'],
@@ -200,22 +176,6 @@ EXPECTED = {
             ['*'],
     },
     'optimized gather_obj': {
-        'linear adaptive sole 0.0':
-            ['*'],
-    },
-    'optimized gatherv': {
-        'linear adaptive sole 0.0':
-            ['*'],
-    },
-    'optimized reduce': {
-        'binomial adaptive sole 0.0':
-            ['*'],
-    },
-    'optimized scan': {
-        'doubling adaptive sole 0.0':
-            ['*'],
-    },
-    'optimized scatterv': {
         'linear adaptive sole 0.0':
             ['*'],
     },
@@ -275,10 +235,6 @@ EXPECTED = {
         'recursive_doubling mpich sole 0.0':
             ['*'],
     },
-    'baseline+adaptive_allgatherv allreduce_array': {
-        'recursive_doubling mpich sole 0.0':
-            ['*'],
-    },
     'baseline+adaptive_allgatherv alltoall': {
         'pairwise mpich sole 0.0':
             ['*'],
@@ -296,22 +252,6 @@ EXPECTED = {
             ['*'],
     },
     'baseline+adaptive_allgatherv gather_obj': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'baseline+adaptive_allgatherv gatherv': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'baseline+adaptive_allgatherv reduce': {
-        'binomial mpich sole 0.0':
-            ['*'],
-    },
-    'baseline+adaptive_allgatherv scan': {
-        'doubling mpich sole 0.0':
-            ['*'],
-    },
-    'baseline+adaptive_allgatherv scatterv': {
         'linear mpich sole 0.0':
             ['*'],
     },
@@ -357,10 +297,6 @@ EXPECTED = {
         'recursive_doubling mpich sole 0.0':
             ['*'],
     },
-    'optimized-binned_alltoallw allreduce_array': {
-        'recursive_doubling mpich sole 0.0':
-            ['*'],
-    },
     'optimized-binned_alltoallw alltoall': {
         'pairwise mpich sole 0.0':
             ['*'],
@@ -378,22 +314,6 @@ EXPECTED = {
             ['*'],
     },
     'optimized-binned_alltoallw gather_obj': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'optimized-binned_alltoallw gatherv': {
-        'linear mpich sole 0.0':
-            ['*'],
-    },
-    'optimized-binned_alltoallw reduce': {
-        'binomial mpich sole 0.0':
-            ['*'],
-    },
-    'optimized-binned_alltoallw scan': {
-        'doubling mpich sole 0.0':
-            ['*'],
-    },
-    'optimized-binned_alltoallw scatterv': {
         'linear mpich sole 0.0':
             ['*'],
     },
