@@ -6,13 +6,9 @@ configuration:
 
 ``python -m repro.analyze src examples tests``
     Analyze every ``.py`` file under the given files/directories: the
-    lint rules (LNT001-LNT006), the CFG/fixpoint dataflow passes (REQ1xx
-    request lifetime, BUF1xx buffer aliasing, SPMD1xx rank divergence)
-    and the cross-rank protocol verifier (MTC10x: every uncalled
-    top-level function taking a communicator is abstractly executed
-    under small model worlds and its per-rank traces joined in a static
-    match graph).  Exit code 1 if
-    anything actionable is found.
+    lint rules (LNT001-LNT006) and the CFG/fixpoint dataflow passes
+    (REQ1xx request lifetime, BUF1xx buffer aliasing, SPMD1xx rank
+    divergence).  Exit code 1 if anything actionable is found.
 
 ``python -m repro.analyze --run examples/ghost_exchange_2d.py``
     Additionally *execute* the script(s), each with ``sys.argv`` set to
@@ -20,15 +16,18 @@ configuration:
     :class:`RuntimeVerifier`, then report runtime findings (deadlocks,
     leaked requests, signature mismatches, collective inconsistencies,
     zero-byte audits).  Every path must then be a ``.py`` script.
+    Deadlocks and MPI errors become findings; a script that dies of any
+    other exception still gets its report printed, and the exception
+    then propagates.
 
 Output:
 
 ``--format text|json|sarif`` selects the emitter (SARIF 2.1.0 feeds CI
 annotations); ``--output FILE``, which needs ``json`` or ``sarif``,
 writes that document to a file while keeping the human-readable summary
-on stdout, which ``--protocol-stats`` extends.  A directory scan skips
-``fixtures/`` directories (deliberately broken inputs); a file named on
-the command line is always analyzed.
+on stdout.  A directory scan skips ``fixtures/`` directories
+(deliberately broken inputs); a file named on the command line is always
+analyzed.
 """
 
 from __future__ import annotations
@@ -88,14 +87,10 @@ def _parse(argv: List[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analyze",
         description="MPI correctness analyzer: lint, CFG/dataflow "
-                    "analysis, cross-rank protocol verification and "
-                    "runtime verification.",
+                    "analysis and runtime verification.",
     )
     parser.add_argument("paths", nargs="+",
                         help="python files or directories to analyze")
-    parser.add_argument("--protocol-stats", action="store_true",
-                        help="print what the protocol verifier verified "
-                             "and where extraction bailed")
     parser.add_argument("--run", action="store_true",
                         help="also execute the given script(s) under a "
                              "runtime verifier")
@@ -119,19 +114,8 @@ def _parse(argv: List[str] | None) -> argparse.Namespace:
     return args
 
 
-def main(argv: List[str] | None = None) -> int:
-    args = _parse(argv)
-    protocol_stats: list = []
-    try:
-        report = analyze_tree(args.paths, protocol_stats=protocol_stats)
-    except (FileNotFoundError, SyntaxError) as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return 2
-
-    if args.run:
-        for path in args.paths:
-            _run_verified(path, report)
-
+def _emit(args: argparse.Namespace, report: Report) -> None:
+    """Print ``report`` in the chosen format (and write ``--output``)."""
     document = None
     if args.fmt == "json":
         from repro.analyze.emit import to_json
@@ -153,18 +137,27 @@ def main(argv: List[str] | None = None) -> int:
         show = (("error", "warning", "info") if args.show_info
                 else ("error", "warning"))
         print(report.render(show=show))
-        if args.protocol_stats and protocol_stats:
-            verified = [s for s in protocol_stats if s.verified_sizes]
-            print(f"-- protocol: {len(verified)}/{len(protocol_stats)} "
-                  "candidate function(s) verified under at least one "
-                  "model size:")
-            for stat in protocol_stats:
-                sizes = ",".join(str(s) for s in stat.verified_sizes) or "-"
-                line = f"{stat.path}: {stat.func}() sizes=[{sizes}]"
-                if stat.bailed:
-                    size, reason = stat.bailed[0]
-                    line += f" bailed@{size}: {reason}"
-                print(line)
+
+
+def main(argv: List[str] | None = None) -> int:
+    args = _parse(argv)
+    try:
+        report = analyze_tree(args.paths)
+    except (FileNotFoundError, SyntaxError) as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
+        return 2
+
+    if args.run:
+        for path in args.paths:
+            try:
+                _run_verified(path, report)
+            except Exception:
+                # a script that dies of a non-MPI error (a DatatypeError
+                # from an undersized receive buffer, say): report what
+                # the verifiers saw, then let the traceback follow
+                _emit(args, report)
+                raise
+    _emit(args, report)
     return report.exit_code()
 
 

@@ -22,7 +22,7 @@ liveness), and ask path questions the lint tier cannot:
 Entry points: :func:`analyze_tree` (files/directories) and
 :func:`analyze_source_set` (in-memory text) in
 :mod:`repro.analyze.dataflow.driver` -- the one pipeline that also runs
-the lint and protocol passes.
+the lint pass.
 """
 
 from repro.analyze.dataflow.cfg import CFG, CFGNode, build_cfg

@@ -7,11 +7,8 @@
 2. **summaries**: transitive per-function summaries, bottom-up over the
    call-graph condensation (:mod:`repro.analyze.dataflow.summaries`), so
    cross-function and cross-file request hand-off and rank taint resolve;
-3. **lint**, the **dataflow** rules (REQ/BUF, SPMD) and the
-   **protocol** verifier (MTC), per file with the module's summary
-   environment; an SPMD101 inside a function the verifier ran at every
-   model size and reported as MTC104 is dropped, since that finding
-   already states the divergence.
+3. **lint** and the **dataflow** rules (REQ/BUF, SPMD), per file with
+   the module's summary environment.
 
 :func:`analyze_tree` only reads files from disk and hands them in.
 Deliberately broken programs live under a ``fixtures/`` directory, which
@@ -23,9 +20,8 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Tuple, Union
 
-from repro.analyze import protocol as _protocol
 from repro.analyze.dataflow import requests as _requests
 from repro.analyze.dataflow import spmd as _spmd
 from repro.analyze.dataflow.callgraph import Project
@@ -74,64 +70,24 @@ def _run_dataflow(tree: ast.Module, path: str, report: Report,
             _spmd.check_function(node, path, report, env)
 
 
-def _retire_spmd101(report: Report, tree: ast.Module,
-                    stats: List[_protocol.FunctionStat]) -> Report:
-    """``report`` without the SPMD101 findings inside top-level functions
-    the protocol verifier extracted at every size of
-    :data:`~repro.analyze.protocol.WORLD_SIZES` *and* reported as MTC104:
-    there the cross-rank finding states the divergence SPMD101 only
-    suspects.  A function verified clean keeps its SPMD101 -- a branch on
-    a rank beyond the model worlds (``comm.rank == 5``) or one that
-    excludes ranks only there (``comm.rank < 4``) diverges at no model
-    size yet hangs a larger run."""
-    verified = {s.func for s in stats
-                if s.verified_sizes == _protocol.WORLD_SIZES}
-    diverged = {f.key[2] for f in report if f.rule == "MTC104"}
-    spans = {node.name: (node.lineno, node.end_lineno) for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and node.name in verified & diverged}
-    kept = Report()
-    for f in report:
-        if f.rule == "SPMD101" and f.key[1] in spans:
-            first, last = spans[f.key[1]]
-            if first <= f.line <= last:
-                continue
-        kept.add(f.rule, f.message, f.location, f.line, f.key)
-    return kept
-
-
-def analyze_source_set(
-    sources: List[Tuple[str, str]],
-    protocol_stats: Optional[list] = None,
-) -> Report:
+def analyze_source_set(sources: List[Tuple[str, str]]) -> Report:
     """Analyze in-memory ``(path, text)`` pairs as one project.
 
-    ``protocol_stats`` collects the protocol verifier's per-function
-    :class:`~repro.analyze.protocol.FunctionStat`.  Unparseable text
-    raises :class:`SyntaxError`.
+    Unparseable text raises :class:`SyntaxError`.
     """
     report = Report()
     project = Project(sources)
     envs = module_envs(project)
     for path, _ in sources:
         tree = project.modules[path].tree
-        env = envs.get(path, {})
-        local = Report()
-        _Linter(path, local).visit(tree)
-        _run_dataflow(tree, path, local, env)
-        stats: List[_protocol.FunctionStat] = []
-        _protocol.check_module(tree, path, local, env, stats=stats)
-        if protocol_stats is not None:
-            protocol_stats.extend(stats)
-        report.extend(_retire_spmd101(local, tree, stats))
+        _Linter(path, report).visit(tree)
+        _run_dataflow(tree, path, report, envs.get(path, {}))
     return report
 
 
-def analyze_tree(paths: Iterable[Union[str, Path]],
-                 protocol_stats: Optional[list] = None,
-                 ) -> Report:
+def analyze_tree(paths: Iterable[Union[str, Path]]) -> Report:
     """:func:`analyze_source_set` over every ``.py`` file under
     ``paths`` (files or directories, see :func:`iter_python_files`)."""
     sources = [(str(p), p.read_text(encoding="utf-8"))
                for p in iter_python_files(paths)]
-    return analyze_source_set(sources, protocol_stats)
+    return analyze_source_set(sources)

@@ -1,9 +1,9 @@
 """Findings and reports -- the common currency of the analyzer.
 
-Every check (runtime verification, lint, dataflow, protocol verification)
-emits :class:`Finding` objects identified by a stable rule ID from
-:data:`RULES`; a :class:`Report` collects them, de-duplicates, renders, and
-maps to a process exit code.  The full rule catalogue with remediation
+Every check (runtime verification, lint, dataflow) emits
+:class:`Finding` objects identified by a stable rule ID from
+:data:`RULES`; a :class:`Report` collects them, de-duplicates, renders,
+and maps to a process exit code.  The full rule catalogue with remediation
 advice lives in ``docs/ANALYZE.md``.
 """
 
@@ -48,19 +48,6 @@ RULES = {
                          "branch (static twin of runtime COL001/COL002)"),
     "SPMD102": ("warning", "rank-dependent early exit ahead of a collective "
                            "entered by the remaining ranks"),
-    # -- cross-rank protocol verification (repro.analyze.protocol) ----------
-    "MTC101": ("error", "unmatched send: no feasible receive on any rank "
-                        "under the model worlds"),
-    "MTC102": ("error", "unmatched receive: no feasible send on any rank "
-                        "under the model worlds"),
-    "MTC103": ("error", "deterministic deadlock: blocking cycle in the "
-                        "static wait-for graph (static twin of DLK001)"),
-    "MTC104": ("error", "collective sequence divergence across ranks "
-                        "(static twin of COL001/COL002, cross-rank "
-                        "strengthening of SPMD101)"),
-    "MTC105": ("error", "matched send/receive have incompatible signatures "
-                        "or the receive buffer is too small (static "
-                        "prefix-rule + truncation check)"),
     # -- project lint (repro.analyze.lint) ----------------------------------
     "LNT001": ("error", "bare 'except:' swallows SystemExit/KeyboardInterrupt"),
     "LNT002": ("warning", "datatype re-flattened/re-packed inside a loop "

@@ -1,9 +1,9 @@
 """What the analyzer knows about the ``repro.mpi`` API, read off the code.
 
 Every pass that recognises a communication call by its method name (the
-lint, the dataflow passes, the call summaries, the protocol verifier)
-consults this one module, and every fact the library can state itself is
-derived from it, so the analyzer cannot drift from the code it checks:
+lint, the dataflow passes, the call summaries) consults this one module,
+and every fact the library can state itself is derived from it, so the
+analyzer cannot drift from the code it checks:
 
 - generator methods (driven with ``yield from``):
   :func:`inspect.isgeneratorfunction` over the public methods of
@@ -14,8 +14,7 @@ derived from it, so the analyzer cannot drift from the code it checks:
 - plain-call request creators: annotated ``-> Request``;
 - ``Request`` methods completing their receiver versus a list of
   requests: instance versus static methods;
-- parameter names and the ``root`` / ``counts`` positions:
-  :func:`inspect.signature`;
+- parameter names: :func:`inspect.signature`;
 - the algorithm implementations only the registry may dispatch:
   :data:`repro.mpi.algorithms.REGISTRY`.
 
@@ -111,18 +110,6 @@ WRAPPED_REQUEST_METHODS = {name: _request_kind(name)
 DIRECT_REQUEST_METHODS = {
     name: _request_kind(name) for name, fn in _COMM.items()
     if inspect.signature(fn).return_annotation in ("Request", Request)}
-
-#: every name whose call means communication
-COMMUNICATION_METHODS = POINT_TO_POINT | WAIT_METHODS | COLLECTIVE_METHODS
-
-#: attribute names whose use marks an object as a communicator
-COMM_ATTRIBUTES = (frozenset({"rank", "size"}) | POINT_TO_POINT
-                   | LOCAL_METHODS | COLLECTIVE_METHODS)
-
-#: collective -> positional index of its ``root`` argument (the rooted
-#: collectives only)
-ROOT_ARG = {name: COMM_PARAMS[name].index("root")
-            for name in COLLECTIVE_METHODS if "root" in COMM_PARAMS[name]}
 
 #: the concrete algorithm implementations behind the registry
 ALGORITHM_IMPLEMENTATIONS = frozenset(

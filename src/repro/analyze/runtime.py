@@ -30,14 +30,39 @@ runs and once it finishes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analyze.findings import Report
-from repro.analyze.matchgraph import find_cycles
 from repro.analyze.signatures import render_signature, signature_prefix
 from repro.mpi.comm import ANY_SOURCE, MPIError
 from repro.mpi.request import Request
 from repro.simtime.engine import SimulationDeadlock
+
+
+def find_cycles(edges: Dict[int, Sequence[int]]) -> List[Tuple[int, ...]]:
+    """Distinct elementary cycles of a rank wait-for digraph (``rank ->
+    ranks it waits on``), each rotated to start at its smallest rank, in
+    discovery order: starts ascending, successors in the order given.
+
+    Iterative DFS over simple paths; graphs here have at most nranks
+    nodes, so simplicity beats asymptotics.
+    """
+    cycles: List[Tuple[int, ...]] = []
+    seen: set = set()
+    for start in sorted(edges):
+        stack: List[Tuple[int, Tuple[int, ...]]] = [(start, (start,))]
+        while stack:
+            node, path = stack.pop()
+            for nxt in edges.get(node, ()):
+                if nxt == path[0]:
+                    k = path.index(min(path))
+                    canon = path[k:] + path[:k]
+                    if canon not in seen:
+                        seen.add(canon)
+                        cycles.append(canon)
+                elif nxt not in path and len(path) < 64:
+                    stack.append((nxt, path + (nxt,)))
+    return cycles
 
 
 class RuntimeVerifier:

@@ -2,7 +2,7 @@
 
 import os
 from pathlib import Path
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import pytest
 
@@ -10,10 +10,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 class TreeScan(NamedTuple):
-    """One whole-tree analyzer run: lint + dataflow + protocol."""
+    """One whole-tree analyzer run: lint + dataflow."""
 
     report: object
-    stats: List
 
     def findings(self, *dirs, prefix=""):
         """Findings located under any of ``dirs`` (repo-relative) whose
@@ -26,12 +25,8 @@ class TreeScan(NamedTuple):
 @pytest.fixture(scope="session")
 def tree_scan():
     """``analyze_tree([src, examples, tests])``, run once per test
-    session; every tree-clean test reads its report and protocol
-    stats."""
+    session; every tree-clean test reads its report."""
     from repro.analyze import analyze_tree
 
-    stats: list = []
-    report = analyze_tree(
-        [REPO / "src", REPO / "examples", REPO / "tests"],
-        protocol_stats=stats)
-    return TreeScan(report, stats)
+    return TreeScan(analyze_tree(
+        [REPO / "src", REPO / "examples", REPO / "tests"]))

@@ -1,11 +1,13 @@
-"""Intentionally broken fixture: collective divergence (MTC104).
+"""Intentionally broken fixture: collective divergence.
 
-Parsed (never executed) by ``tests/test_analyze_protocol.py``; see
-``broken_req.py`` for why this directory is excluded from tree scans.
+Run at 2-4 ranks under a :class:`~repro.analyze.RuntimeVerifier` by
+``tests/test_analyze_runtime.py``; see ``broken_req.py`` for why this
+directory is excluded from tree scans.
 
-Expected: MTC104 -- every rank reaches a ``bcast``, but they disagree
+Expected: COL002 -- every rank reaches a ``bcast``, but they disagree
 on the root argument (rank 0 nominates itself, everyone else nominates
-rank 1), which strands both groups in different collective instances.
+rank 1).  The two broadcast trees cross in one collective instance: a
+message goes unreceived (P2P001) and the run cannot finish (DLK002).
 SPMD101 cannot see this: each branch *does* contain a collective.
 """
 

@@ -1,12 +1,14 @@
-"""Intentionally broken fixture: deterministic deadlock (MTC103).
+"""Intentionally broken fixture: a send/send deadlock under rendezvous.
 
-Parsed (never executed) by ``tests/test_analyze_protocol.py``; see
-``broken_req.py`` for why this directory is excluded from tree scans.
+Run at 2-4 ranks under a :class:`~repro.analyze.RuntimeVerifier` by
+``tests/test_analyze_runtime.py``; see ``broken_req.py`` for why this
+directory is excluded from tree scans.
 
-Expected: MTC103 -- every rank issues a blocking send around the ring
-before posting its receive.  Under rendezvous semantics no send can
+Every rank issues a blocking send around the ring before posting its
+receive.  At the default eager threshold the 32-byte sends are buffered
+and the run finishes clean.  At ``eager_threshold=0`` no send can
 complete until its matching receive is posted, and no receive is ever
-posted: the classic head-to-head send/send cycle, at every world size.
+posted: DLK001, the classic head-to-head cycle through every rank.
 """
 
 import numpy as np

@@ -1,11 +1,12 @@
-"""Intentionally broken fixture: tag mismatch (MTC101 + MTC102).
+"""Intentionally broken fixture: tag mismatch.
 
-Parsed (never executed) by ``tests/test_analyze_protocol.py``; see
-``broken_req.py`` for why this directory is excluded from tree scans.
+Run at 2-4 ranks under a :class:`~repro.analyze.RuntimeVerifier` by
+``tests/test_analyze_runtime.py``; see ``broken_req.py`` for why this
+directory is excluded from tree scans.
 
-Expected: MTC101 (the tag-3 send matches no receive envelope) and
-MTC102 (the tag-7 receive accepts no posted send) -- the two halves of
-one disagreement about the message tag.
+Expected: P2P001 (the tag-3 send is never received) and P2P002 (the
+tag-7 receive is never satisfied) -- the two halves of one disagreement
+about the message tag -- beside the hang they cause (DLK002).
 """
 
 import numpy as np

@@ -1,16 +1,16 @@
-"""Intentionally broken fixture: signature/truncation mismatch (MTC105).
+"""Intentionally broken fixture: truncation and an undersized buffer.
 
-Parsed (never executed) by ``tests/test_analyze_protocol.py``; see
-``broken_req.py`` for why this directory is excluded from tree scans.
+Run at 2-4 ranks under a :class:`~repro.analyze.RuntimeVerifier` by
+``tests/test_analyze_runtime.py``; see ``broken_req.py`` for why this
+directory is excluded from tree scans.
 
-Expected: MTC105 three times --
+Expected --
 
-- ``truncating_receive``: the send is longer than the receive both in
-  bytes (truncation) and in signature (DOUBLE*16 is not a prefix of
-  DOUBLE*8);
+- ``truncating_receive``: SIG002, the send is longer than the receive
+  (16 doubles into 8), and the receive raises ``TruncationError``;
 - ``short_receive_buffer``: the endpoints' signatures agree, but the
-  receive buffer cannot hold one copy of its sparse Vector datatype
-  (buffer-extent insufficiency).
+  receive buffer cannot hold one copy of its sparse Vector datatype, so
+  posting the receive raises ``DatatypeError("buffer too small: ...")``.
 """
 
 import numpy as np

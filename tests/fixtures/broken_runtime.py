@@ -6,10 +6,10 @@ its bug exactly once.  Their static twins are found too, which is why
 they live here: the ``fixtures`` directory is excluded from tree-wide
 analyzer runs.
 
-Static findings when this file is analyzed by name: MTC105
-(``broken_signature_mismatch``), MTC103 (``broken_deadlock_cycle``),
-REQ101 (``broken_leaked_request``) and MTC104
-(``broken_mismatched_collective``).
+Static findings when this file is analyzed by name: REQ101
+(``broken_leaked_request``) and SPMD101 twice
+(``broken_mismatched_collective``, one per branch).  The signature
+mismatch and the deadlock cycle show only when run.
 
 Run as a script it executes ``broken_deadlock_cycle`` on two ranks, so
 ``python -m repro.analyze --run tests/fixtures/broken_runtime.py`` must

@@ -3,9 +3,8 @@
 Parsed (never executed) by ``tests/test_analyze_dataflow.py``; see
 ``broken_req.py`` for why this directory is excluded from tree scans.
 
-Expected: SPMD101 (collective under a rank-dependent branch), reported
-as MTC104 since the protocol verifier covers that function; SPMD102
-(rank-dependent early exit ahead of a collective) beside MTC104.
+Expected: SPMD101 (collective under a rank-dependent branch) and
+SPMD102 (rank-dependent early exit ahead of a collective).
 """
 
 import numpy as np

@@ -1,9 +1,9 @@
-"""Clean fixture: near-miss siblings of every MTC10x rule.
+"""Clean fixture: near-miss siblings of the ``broken_proto_*.py`` bugs.
 
-Parsed (never executed) by ``tests/test_analyze_protocol.py``.  Each
-function is one edit away from its broken twin in the
-``broken_proto_*.py`` fixtures, and the protocol verifier must stay
-silent on all of them.
+Run at 2-4 ranks, at the default eager threshold and at 0, under a
+:class:`~repro.analyze.RuntimeVerifier` by
+``tests/test_analyze_runtime.py``.  Each function is one edit away from
+its broken twin, and every run must finish with no actionable finding.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ PING_TAG = 3
 
 
 def ring_shift_sendrecv(comm):
-    """MTC103 near-miss: the same ring shift as the deadlock fixture,
+    """Deadlock near-miss: the same ring shift as the deadlock fixture,
     expressed as the deadlock-free pairwise exchange."""
     outgoing = np.zeros(4, dtype=np.float64)
     incoming = np.zeros(4, dtype=np.float64)
@@ -25,7 +25,7 @@ def ring_shift_sendrecv(comm):
 
 
 def ring_shift_parity_ordered(comm):
-    """MTC103 near-miss: blocking ring shift, made safe by ordering the
+    """Deadlock near-miss: blocking ring shift, made safe by ordering the
     blocking calls on send-first/receive-first parity classes."""
     outgoing = np.zeros(4, dtype=np.float64)
     incoming = np.zeros(4, dtype=np.float64)
@@ -41,7 +41,7 @@ def ring_shift_parity_ordered(comm):
 
 
 def tag_agreement(comm):
-    """MTC101/MTC102 near-miss: both endpoints agree on PING_TAG."""
+    """Tag near-miss: both endpoints agree on PING_TAG."""
     payload = np.arange(8, dtype=np.float64)
     if comm.rank == 0:
         yield from comm.send(payload, 1, tag=PING_TAG)
@@ -51,7 +51,7 @@ def tag_agreement(comm):
 
 
 def exact_receive(comm):
-    """MTC105 near-miss: the receive holds exactly the sent volume."""
+    """Truncation near-miss: the receive holds exactly the sent volume."""
     if comm.rank == 0:
         outgoing = np.zeros(16, dtype=np.float64)
         yield from comm.send(outgoing, 1)
@@ -61,7 +61,7 @@ def exact_receive(comm):
 
 
 def sufficient_strided_buffer(comm):
-    """MTC105 near-miss: the receive buffer spans the Vector's full
+    """Buffer near-miss: the receive buffer spans the Vector's full
     200-byte extent, so the strided placement fits."""
     if comm.rank == 0:
         payload = np.zeros(4, dtype=np.float64)
@@ -73,7 +73,7 @@ def sufficient_strided_buffer(comm):
 
 
 def agreed_root_bcast(comm):
-    """MTC104 near-miss: both branches reach the same bcast root even
+    """Collective near-miss: both branches reach the same bcast root even
     though they compute it differently."""
     value = np.zeros(1, dtype=np.float64)
     root = 0

@@ -9,8 +9,8 @@ Expected findings (whole module, interprocedural):
 - REQ101 at ``caller_drops_handed_off_request`` -- the helper *returns*
   the pending request, so the wait obligation transfers to the caller,
   which never discharges it.
-- MTC104 (SPMD101 for the pass alone) at ``caller_of_rank_tainted_helper``
-  -- the helper's return value is rank-dependent, and guards a collective.
+- SPMD101 at ``caller_of_rank_tainted_helper`` -- the helper's return
+  value is rank-dependent, and guards a collective.
 
 Everything else is clean *only because* summaries propagate across
 function boundaries: a per-function analysis would flag

@@ -12,17 +12,13 @@ import pytest
 
 from repro.analyze.__main__ import main as analyze_main
 from repro.analyze.dataflow import (
-    Project,
     analyze_source_set,
     analyze_tree,
     build_cfg,
     liveness,
-    module_envs,
     reaching_definitions,
 )
-from repro.analyze.dataflow.spmd import check_function as check_spmd
 from repro.analyze.emit import to_json, to_sarif
-from repro.analyze.findings import Report
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -31,8 +27,8 @@ DATAFLOW = ("REQ", "BUF", "SPMD")
 
 
 def dataflow_report(source):
-    """Dataflow findings of one module (the lint and protocol findings
-    of the same run are left out)."""
+    """Dataflow findings of one module (the lint findings of the same
+    run are left out)."""
     report = analyze_source_set([("<string>", textwrap.dedent(source))])
     return [f for f in report if f.rule.startswith(DATAFLOW)]
 
@@ -42,15 +38,8 @@ def rules_of(source):
 
 
 def spmd_rules(source):
-    """Rules of the SPMD pass alone, before the pipeline drops SPMD101
-    inside functions the protocol verifier covers."""
-    project = Project([("m.py", textwrap.dedent(source))])
-    env = module_envs(project)["m.py"]
-    report = Report()
-    for node in ast.walk(project.modules["m.py"].tree):
-        if isinstance(node, ast.FunctionDef):
-            check_spmd(node, "m.py", report, env)
-    return sorted(f.rule for f in report)
+    """Rules of the SPMD pass alone."""
+    return [rule for rule in rules_of(source) if rule.startswith("SPMD")]
 
 
 def _cfg_of(source):
@@ -378,8 +367,6 @@ def test_spmd_root_vs_nonroot_idiom_is_clean():
 
 
 def test_spmd_root_exit_with_matching_fallthrough_is_clean():
-    # the SPMD pass alone: were the fall-through call missing, the
-    # pipeline would report the divergence as MTC104, not SPMD101
     assert spmd_rules("""
         def f(comm, value):
             if comm.rank == 0:
@@ -400,34 +387,22 @@ def test_spmd102_early_exit_before_collective():
     """) == ["SPMD102"]
 
 
-def test_spmd101_retired_where_the_protocol_verifier_ran():
-    # verified at every model size: MTC104 alone reports the divergence
-    report = analyze_source_set([("m.py", textwrap.dedent("""
-        def f(comm):
-            if comm.rank == 0:
-                yield from comm.barrier()
-    """))])
-    assert [f.rule for f in report] == ["MTC104"]
-
-
-@pytest.mark.parametrize("cond", ["comm.rank == 2", "comm.rank >= 2",
-                                  "comm.rank < 4", "comm.rank == 5"])
-def test_spmd101_kept_where_the_verifier_reports_no_mtc104(cond):
-    # verified at every size, but the divergence shows at some model
-    # sizes only (rank 2 exists at sizes 3/4) or at none (every rank
-    # below 4 enters; rank 5 never exists), so no MTC104 is reported
-    stats = []
+@pytest.mark.parametrize("cond", ["comm.rank == 0", "comm.rank == 2",
+                                  "comm.rank >= 2", "comm.rank < 4",
+                                  "comm.rank == 5"])
+def test_spmd101_reported_wherever_it_fires(cond):
+    # the divergence may show at every size, at some sizes only (rank 2
+    # exists from 3 ranks up) or only past a size (every rank below 4
+    # enters): the pipeline reports each
     report = analyze_source_set([("m.py", textwrap.dedent(f"""
         def f(comm):
             if {cond}:
                 yield from comm.barrier()
-    """))], protocol_stats=stats)
-    assert [s.verified_sizes for s in stats] == [(2, 3, 4)]
+    """))])
     assert [f.rule for f in report] == ["SPMD101"]
 
 
-def test_spmd101_kept_where_protocol_extraction_bails():
-    stats = []
+def test_spmd101_reported_inside_a_size_bounded_loop():
     report = analyze_source_set([("m.py", textwrap.dedent("""
         def f(comm):
             mask = 1
@@ -435,8 +410,7 @@ def test_spmd101_kept_where_protocol_extraction_bails():
                 if comm.rank == 0:
                     yield from comm.barrier()
                 mask <<= 1
-    """))], protocol_stats=stats)
-    assert [s.verified_sizes for s in stats] == [()]
+    """))])
     assert [f.rule for f in report] == ["SPMD101"]
 
 
@@ -454,10 +428,9 @@ def test_spmd_split_subcommunicator_idiom_is_clean():
 # -- fixtures pinned ----------------------------------------------------------
 
 FIXTURE_EXPECTATIONS = {
-    "broken_req.py": ["MTC101", "REQ101", "REQ102", "REQ103"],
+    "broken_req.py": ["REQ101", "REQ102", "REQ103"],
     "broken_buf.py": ["BUF101", "BUF102"],
-    # both SPMD101 sites sit in functions the protocol verifier covers
-    "broken_spmd.py": ["MTC104", "MTC104", "SPMD102"],
+    "broken_spmd.py": ["SPMD101", "SPMD102"],
 }
 
 
@@ -479,10 +452,10 @@ def test_json_emitter_schema_and_summary():
     doc = json.loads(to_json(report))
     assert doc["schema"] == "repro-analyze/2"
     assert set(doc) == {"schema", "findings", "summary"}
-    assert doc["summary"] == {"error": 4, "warning": 0, "info": 0,
-                              "total": 4, "ok": False}
+    assert doc["summary"] == {"error": 3, "warning": 0, "info": 0,
+                              "total": 3, "ok": False}
     assert sorted(f["rule"] for f in doc["findings"]) == [
-        "MTC101", "REQ101", "REQ102", "REQ103"]
+        "REQ101", "REQ102", "REQ103"]
 
 
 def test_sarif_emitter_locations_and_levels():
@@ -491,7 +464,7 @@ def test_sarif_emitter_locations_and_levels():
     assert doc["version"] == "2.1.0"
     run = doc["runs"][0]
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert rule_ids == {"MTC101", "REQ101", "REQ102", "REQ103"}
+    assert rule_ids == {"REQ101", "REQ102", "REQ103"}
     for result in run["results"]:
         assert result["level"] == "error"
         loc = result["locations"][0]["physicalLocation"]
@@ -524,7 +497,7 @@ def test_cli_dataflow_sarif_on_broken_fixture():
     assert proc.returncode == 1
     doc = json.loads(proc.stdout)
     ids = {r["ruleId"] for r in doc["runs"][0]["results"]}
-    assert ids == {"MTC104", "SPMD102"}
+    assert ids == {"SPMD101", "SPMD102"}
 
 
 def test_cli_dataflow_output_file(tmp_path):

@@ -23,12 +23,10 @@ FIXTURES = TESTS / "fixtures"
 
 
 def tree_rules_of(named_sources):
-    """(path, rule) of the lint and dataflow findings of a project (the
-    protocol findings of the same run are left out)."""
+    """(path, rule) of the lint and dataflow findings of a project."""
     report = analyze_source_set(
         sorted((p, textwrap.dedent(s)) for p, s in named_sources.items()))
-    return sorted((f.location, f.rule) for f in report
-                  if not f.rule.startswith("MTC"))
+    return sorted((f.location, f.rule) for f in report)
 
 
 # -- call graph ---------------------------------------------------------------
@@ -167,18 +165,15 @@ def test_cross_file_summaries_resolve_through_imports(tmp_path):
             req = yield from start(comm, data)
             yield from req.wait()
     """))
-    report = analyze_tree([str(tmp_path)])
-    assert [f.rule for f in report if not f.rule.startswith("MTC")] == []
+    assert list(analyze_tree([str(tmp_path)])) == []
 
 
 def test_cross_function_fixture_pinned():
     report = analyze_tree([FIXTURES / "cross_function.py"])
-    assert sorted(f.rule for f in report) == ["MTC101"] * 4 + [
-        "MTC104", "REQ101"]
+    assert sorted(f.rule for f in report) == ["REQ101", "SPMD101"]
     by_rule = {f.rule: f for f in report}
     assert "caller_drops_handed_off_request" in by_rule["REQ101"].message
-    # the verifier covers the caller, so MTC104 replaces SPMD101 there
-    assert "caller_of_rank_tainted_helper" in by_rule["MTC104"].message
+    assert "caller_of_rank_tainted_helper" in by_rule["SPMD101"].message
 
 
 # -- attribute-qualified calls: self.helper(...) / mod.fn(...) ----------------

@@ -240,17 +240,6 @@ HAND_KEPT_TABLES = {
     "COMPLETES_ARGUMENTS": {"waitall", "waitany"},
     "WRAPPED_REQUEST_METHODS": {("isend", "send")},
     "DIRECT_REQUEST_METHODS": {("irecv", "recv"), ("isend_obj", "send")},
-    "COMM_ATTRIBUTES": {
-        "rank", "size", "send", "recv", "isend", "irecv", "sendrecv",
-        "isend_obj", "recv_obj", "cpu", "barrier", "bcast",
-        "allreduce", "gather_obj", "alltoall", "allgatherv", "alltoallw",
-        "sparse_alltoall"},
-    "COMMUNICATION_METHODS": {
-        "send", "recv", "isend", "irecv", "sendrecv", "isend_obj",
-        "recv_obj", "wait", "waitall", "waitany", "test", "probe", "iprobe",
-        "barrier", "bcast", "allreduce", "gather_obj", "alltoall",
-        "allgatherv", "alltoallw", "sparse_alltoall"},
-    "ROOT_ARG": {("bcast", 1), ("gather_obj", 1)},
 }
 
 

@@ -1,7 +1,12 @@
-"""Runtime verification: the four deliberately-broken fixtures plus clean
-runs.  Each fixture asserts that its finding fires exactly once."""
+"""Runtime verification: the deliberately-broken fixture programs, run
+under a verifier, plus clean runs.  Each fixture in ``broken_runtime.py``
+asserts that its finding fires exactly once; the ``broken_proto_*.py``
+programs and their ``clean_proto.py`` near-misses are pinned at 2-4
+ranks."""
 
 import gc
+import json
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -10,9 +15,19 @@ import pytest
 
 from repro.analyze import RuntimeVerifier, analyze_tree
 from repro.analyze.__main__ import main as analyze_main
+from repro.analyze.runtime import find_cycles
+from repro.datatypes import DatatypeError
 from repro.mpi import Cluster, MPIConfig, TruncationError
 from repro.mpi.trace import MessageTrace
 from repro.util import CostModel
+from tests.fixtures import clean_proto
+from tests.fixtures.broken_proto_coll import root_divergent_bcast
+from tests.fixtures.broken_proto_deadlock import ring_shift_send_first
+from tests.fixtures.broken_proto_tag import tag_disagreement
+from tests.fixtures.broken_proto_trunc import (
+    short_receive_buffer,
+    truncating_receive,
+)
 from tests.fixtures.broken_runtime import (
     broken_deadlock_cycle,
     broken_leaked_request,
@@ -216,10 +231,122 @@ def test_fixture_script_run_exits_one_naming_dlk001(capsys):
 
 
 def test_fixture_static_twins_pinned():
-    """Named explicitly, the file yields each fixture's static twin once."""
+    """Named explicitly, the file yields the static twins the lint and
+    dataflow passes find: the leaked request (REQ101) and both sides of
+    the mismatched collective (SPMD101).  The signature mismatch and the
+    deadlock cycle show only when run."""
     report = analyze_tree([BROKEN_RUNTIME])
     assert sorted(f.rule for f in report) == [
-        "MTC103", "MTC104", "MTC105", "REQ101"]
+        "REQ101", "SPMD101", "SPMD101"]
+
+
+def test_cli_run_reports_before_a_non_mpi_error_propagates(tmp_path, capsys):
+    """A script that dies of a non-MPI error still gets its report, in
+    the chosen format, before the exception escapes."""
+    script = tmp_path / "dies.py"
+    script.write_text(textwrap.dedent("""
+        import numpy as np
+
+        from repro.datatypes import DOUBLE, Vector
+        from repro.mpi import Cluster
+
+
+        def mismatch(comm):
+            if comm.rank == 0:
+                yield from comm.send(np.arange(4, dtype=np.float64), 1)
+            else:
+                yield from comm.recv(np.zeros(8, dtype=np.int32), 0)
+
+
+        def undersized(comm):
+            if comm.rank == 0:
+                yield from comm.send(np.zeros(4), 1)
+            else:
+                yield from comm.recv(np.zeros(8), 0,
+                                     datatype=Vector(4, 1, 8, DOUBLE), count=1)
+
+
+        Cluster(2).run(mismatch)
+        Cluster(2).run(undersized)
+    """))
+    with pytest.raises(DatatypeError, match="buffer too small"):
+        analyze_main(["--run", "--format", "json", str(script)])
+    doc = json.loads(capsys.readouterr().out)
+    assert "SIG001" in {f["rule"] for f in doc["findings"]}
+
+
+# -- the protocol-bug corpus, executed ----------------------------------------
+
+EAGER0 = MPIConfig.optimized().with_(eager_threshold=0)
+
+#: fixture program -> the actionable rules one run reports at the default
+#: eager threshold, at every size in 2..4
+CORPUS_PINS = {
+    "tag_disagreement": (tag_disagreement, ["DLK002", "P2P001", "P2P002"]),
+    "root_divergent_bcast": (root_divergent_bcast,
+                             ["COL002", "DLK002", "P2P001"]),
+    "truncating_receive": (truncating_receive, ["SIG002"]),
+    # every send is eagerly buffered, so the send-first ring completes
+    "ring_shift_send_first": (ring_shift_send_first, []),
+}
+
+CLEAN_PROTO = ["ring_shift_sendrecv", "ring_shift_parity_ordered",
+               "tag_agreement", "exact_receive", "sufficient_strided_buffer",
+               "agreed_root_bcast", "nonblocking_exchange"]
+
+
+def actionable_rules(verifier):
+    return sorted({f.rule for f in verifier.report if f.severity != "info"})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(CORPUS_PINS))
+def test_fixture_program_findings_pinned(name, n):
+    program, rules = CORPUS_PINS[name]
+    verifier, _results = run_verified(n, program)
+    assert actionable_rules(verifier) == rules
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ring_shift_deadlocks_only_without_eager_buffering(n):
+    verifier, results = run_verified(n, ring_shift_send_first, config=EAGER0)
+    assert results is None
+    assert actionable_rules(verifier) == ["DLK001", "P2P001"]
+    chain = " -> ".join(str(r) for r in [*range(n), 0])
+    assert f"wait-for cycle {chain}" in verifier.report.by_rule(
+        "DLK001")[0].message
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_truncating_receive_raises_truncation_error(n):
+    verifier, results = run_verified(n, truncating_receive)
+    assert results is None and isinstance(verifier.error, TruncationError)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_short_receive_buffer_raises_datatype_error(n):
+    with pytest.raises(DatatypeError, match="buffer too small: "):
+        run_verified(n, short_receive_buffer)
+
+
+@pytest.mark.parametrize("eager", ["default", "eager0"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", CLEAN_PROTO)
+def test_clean_proto_near_misses_run_clean(name, n, eager):
+    config = EAGER0 if eager == "eager0" else None
+    verifier, results = run_verified(n, getattr(clean_proto, name),
+                                     config=config)
+    assert results is not None
+    assert verifier.report.ok, verifier.report.render()
+
+
+def test_find_cycles_lists_each_elementary_cycle_once():
+    # the one cycle routine behind DLK001: each cycle once, rotated to
+    # start at its smallest rank
+    edges = {2: [0], 0: [1], 1: [2, 0]}
+    assert sorted(find_cycles(edges)) == [(0, 1), (0, 1, 2)]
+    assert find_cycles({3: [3]}) == [(3,)]
+    assert find_cycles({0: [1], 1: [2]}) == []
 
 
 # -- clean programs stay clean ------------------------------------------------

@@ -1,15 +1,10 @@
-"""Static datatype-signature analysis (repro.analyze.signatures)."""
+"""Datatype-signature matching (repro.analyze.signatures) over the
+typemap signatures of :mod:`repro.datatypes`."""
 
 import numpy as np
 import pytest
 
-from repro.analyze import (
-    Report,
-    full_signature,
-    render_signature,
-    signature_prefix,
-    transfer_verdict,
-)
+from repro.analyze import Report, render_signature, signature_prefix
 from repro.datatypes import (
     DOUBLE,
     INT,
@@ -30,7 +25,7 @@ from repro.datatypes.typemap import (
 
 def test_primitive_signature():
     assert DOUBLE.typemap_signature() == (("DOUBLE", 1),)
-    assert full_signature(DOUBLE, 5) == (("DOUBLE", 5),)
+    assert TypedBuffer(np.zeros(5), DOUBLE, 5).signature() == (("DOUBLE", 5),)
 
 
 def test_vector_signature_merges_runs():
@@ -43,7 +38,7 @@ def test_struct_signature_preserves_field_order():
     s = Struct([3, 2], [0, 32], [DOUBLE, INT])
     assert s.typemap_signature() == (("DOUBLE", 3), ("INT", 2))
     # count=2 repeats the whole struct, so runs cannot merge at the seam
-    assert full_signature(s, 2) == (
+    assert TypedBuffer(np.zeros(10), s, 2).signature() == (
         ("DOUBLE", 3), ("INT", 2), ("DOUBLE", 3), ("INT", 2),
     )
 
@@ -127,22 +122,28 @@ def test_render_signature():
     assert render_signature(long).endswith("...")
 
 
-# -- transfer compatibility (the verdict behind SIG001 / SIG002) -------------
+# -- transfer compatibility (the predicate behind SIG001 / SIG002) -----------
+
+def _transfer(send_type, send_count, recv_type, recv_count):
+    """(prefix rule holds, send bytes, receive capacity) of one pair."""
+    send = TypedBuffer(np.zeros(64), send_type, send_count)
+    recv = TypedBuffer(np.zeros(64), recv_type, recv_count)
+    return (signature_prefix(send.signature(), recv.signature()),
+            send.nbytes, recv.nbytes)
+
 
 def test_check_transfer_clean():
-    verdict = transfer_verdict(Vector(4, 2, 8, DOUBLE), 1, DOUBLE, 8)
-    assert verdict.ok and verdict.prefix_ok and not verdict.truncates
+    assert _transfer(Vector(4, 2, 8, DOUBLE), 1, DOUBLE, 8) == (True, 64, 64)
 
 
 def test_check_transfer_type_mismatch_sig001():
-    verdict = transfer_verdict(Vector(4, 1, 8, DOUBLE), 1, INT, 8)
-    assert not verdict.prefix_ok and not verdict.ok
+    prefix_ok, _sent, _capacity = _transfer(Vector(4, 1, 8, DOUBLE), 1,
+                                            INT, 8)
+    assert not prefix_ok
 
 
 def test_check_transfer_truncation_sig002():
-    verdict = transfer_verdict(DOUBLE, 10, DOUBLE, 4)
-    assert verdict.truncates and not verdict.ok
-    assert (verdict.send_bytes, verdict.recv_bytes) == (80, 32)
+    assert _transfer(DOUBLE, 10, DOUBLE, 4) == (False, 80, 32)
 
 
 def test_report_dedup_and_render():
